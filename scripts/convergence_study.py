@@ -17,7 +17,6 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 from fractions import Fraction
@@ -25,45 +24,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dinv import (
-    ParamTable,
-    Polynomial,
-    points_scheme_a,
-    points_scheme_b,
-    sweep,
-    sweep_to_csv,
+from dinv import sweep, sweep_to_csv
+from dinv.cli import (
+    _EXAMPLE_F,
+    _EXAMPLE_PARAMS,
+    CliError,
+    _load_poly,
+    _load_spec,
+    _parse_point,
+    _require_params,
 )
-
-DEMO_TABLE = ParamTable(
-    d=2, n=4,
-    a={(2, 2): Fraction(2), (3, 2): Fraction(3), (4, 2): Fraction(4)},
-)
-DEMO_F = "x1^4 + x1^2*x2 + x2^2 + x1 + x2 + 1"
-
-
-def load_table(path: str | None) -> ParamTable:
-    if path is None:
-        return DEMO_TABLE
-    with open(path, encoding="utf-8") as fh:
-        return ParamTable.from_dict(json.load(fh))
-
-
-def load_poly(path: str | None, dim: int) -> Polynomial:
-    if path is None:
-        return Polynomial.parse(DEMO_F, dim)
-    text = Path(path).read_text(encoding="utf-8").strip()
-    if text.startswith("{"):
-        return Polynomial.from_dict(json.loads(text))
-    return Polynomial.parse(text, dim)
-
-
-def parse_point(text: str | None, dim: int) -> tuple[Fraction, ...]:
-    if text is None:
-        return tuple(Fraction(0) for _ in range(dim))
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != dim:
-        raise SystemExit(f"expected {dim} coordinates, got {len(parts)}")
-    return tuple(Fraction(p) for p in parts)
+from dinv.discretize import SCHEMES
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,25 +46,34 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--steps", type=int, default=12, help="number of halvings (default 12)")
     ap.add_argument("--out-dir", default="convergence_out", help="directory for the CSV files")
     args = ap.parse_args(argv)
+    try:
+        return _study(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    table = load_table(args.spec)
-    f = load_poly(args.f, table.d)
-    z0 = parse_point(args.z0, table.d)
-    h0 = float(Fraction(args.h0))
+
+def _study(args) -> int:
+    table = _require_params(_load_spec(args.spec), args.spec) if args.spec else _EXAMPLE_PARAMS
+    f = _load_poly(args.f, table.d) if args.f else _EXAMPLE_F
+    z0 = _parse_point(args.z0, table.d)
+    try:
+        h0 = float(Fraction(args.h0))
+    except ValueError as exc:
+        raise CliError(f"bad --h0 {args.h0!r}: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    schemes = {
-        "a": points_scheme_a(table, z0),
-        "b": points_scheme_b(table, z0),
-    }
 
     z0_text = ", ".join(str(c) for c in z0)
     print(f"table: d={table.d} n={table.n}, f = {f.render()}, z0 = ({z0_text})")
     print(f"{'scheme':>6} {'m':>3} {'exact':>14} {'final abs_err':>14} {'median order':>13}  csv")
-    for name, pts in schemes.items():
+    for name, build in SCHEMES.items():
+        pts = build(table, z0)
         for m in range(table.n + 1):
-            rows = sweep(f, z0, m, pts, h0=h0, steps=args.steps)
+            try:
+                rows = sweep(f, z0, m, pts, h0=h0, steps=args.steps)
+            except ValueError as exc:
+                raise CliError(str(exc)) from exc
             path = out_dir / f"scheme_{name}_m{m}.csv"
             path.write_text(sweep_to_csv(rows), encoding="utf-8")
             orders = [r.est_order for r in rows if r.est_order is not None and r.abs_err > 1e-12]

@@ -25,9 +25,8 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .discretize import expansion_check, points_scheme_a, points_scheme_b, sweep, sweep_to_csv
+from .discretize import SCHEMES, expansion_check, stencil, sweep, sweep_to_csv
 from .identities import falling_factorial_sum, signed_power_sum, vandermonde_oracle
-from .discretize import stencil
 from .poly import Polynomial
 from .subspace import (
     BasisSequence,
@@ -39,7 +38,6 @@ from .subspace import (
     build_recursive,
     check_closure,
     degrees,
-    span_contains,
     specialize,
 )
 
@@ -76,9 +74,23 @@ def _require_params(spec, path: str) -> ParamTable:
     return spec
 
 
-def _load_poly(path: str, dim_hint: int) -> Polynomial:
-    """Polynomial file: JSON object form, or the plain text form (in which
-    case the ambient dimension is taken from the --spec file)."""
+def _build(spec: ParamTable | GeneralSpec) -> BasisSequence:
+    return build_general(spec) if isinstance(spec, GeneralSpec) else build_recursive(spec)
+
+
+def _load_basis(path: str) -> BasisSequence:
+    data = _load_json(path)
+    if not isinstance(data, list):
+        raise CliError(f"{path}: expected a JSON array of polynomials")
+    try:
+        return BasisSequence.from_list(data)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
+def _load_poly(path: str, dim: int) -> Polynomial:
+    """Polynomial file in dim variables: JSON object form, or the plain
+    text form (whose ambient dimension is dim)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -87,10 +99,14 @@ def _load_poly(path: str, dim_hint: int) -> Polynomial:
     stripped = text.strip()
     try:
         if stripped.startswith("{"):
-            return Polynomial.from_dict(json.loads(stripped))
-        return Polynomial.parse(stripped, dim_hint)
+            f = Polynomial.from_dict(json.loads(stripped))
+        else:
+            f = Polynomial.parse(stripped, dim)
     except (ValueError, json.JSONDecodeError) as exc:
         raise CliError(f"{path}: {exc}") from exc
+    if f.dim != dim:
+        raise CliError(f"{path}: polynomial has dimension {f.dim}, spec has {dim}")
+    return f
 
 
 def _parse_point(text: str | None, d: int) -> tuple[Fraction, ...]:
@@ -140,18 +156,6 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _closure_via_span(basis: BasisSequence) -> tuple[bool, list[tuple[int, int]]]:
-    """Generic closure check: every partial derivative of element k must
-    lie in the span of elements 0..k-1."""
-    bad: list[tuple[int, int]] = []
-    for k in range(1, len(basis)):
-        lower = list(basis.elements[:k])
-        for j in range(1, basis.dim + 1):
-            if span_contains(lower, basis[k].diff(j)) is None:
-                bad.append((k, j))
-    return (not bad, bad)
-
-
 def _cmd_verify(args) -> int:
     if args.what == "identities":
         m_max, vand_max = args.m_max, args.vand_max
@@ -190,32 +194,16 @@ def _cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
 
     if args.what == "closure":
-        if isinstance(spec, ParamTable):
-            if args.basis:
-                data = _load_json(args.basis)
-                if not isinstance(data, list):
-                    raise CliError(f"{args.basis}: expected a JSON array of polynomials")
-                try:
-                    basis = BasisSequence.from_list(data)
-                except ValueError as exc:
-                    raise CliError(f"{args.basis}: {exc}") from exc
-            else:
-                basis = build_recursive(spec)
+        basis = _load_basis(args.basis) if args.basis else _build(spec)
+        try:
             rep = check_closure(basis, spec)
-            ok, violations = rep.ok, list(rep.violations)
-        else:
-            if args.basis:
-                data = _load_json(args.basis)
-                if not isinstance(data, list):
-                    raise CliError(f"{args.basis}: expected a JSON array of polynomials")
-                basis = BasisSequence.from_list(data)
-            else:
-                basis = build_general(spec)
-            ok, violations = _closure_via_span(basis)
-        report = {"what": "closure", "ok": ok, "violations": [list(v) for v in violations]}
+        except ValueError as exc:
+            raise CliError(f"{args.basis}: {exc}") from exc
+        violations = list(rep.violations)
+        report = {"what": "closure", "ok": rep.ok, "violations": [list(v) for v in violations]}
         _emit(args, json.dumps(report, indent=2) + "\n")
-        _note("closure: ok" if ok else f"closure: FAIL at (element, variable) {violations}")
-        return 0 if ok else 1
+        _note("closure: ok" if rep.ok else f"closure: FAIL at (element, variable) {violations}")
+        return 0 if rep.ok else 1
 
     if args.what == "equivalence":
         params = _require_params(spec, args.spec)
@@ -238,7 +226,7 @@ def _cmd_verify(args) -> int:
         return 0 if ok else 1
 
     if args.what == "breadth":
-        basis = build_general(spec) if isinstance(spec, GeneralSpec) else build_recursive(spec)
+        basis = _build(spec)
         value = breadth(list(basis))
         ok = value == 1
         report = {
@@ -256,9 +244,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_points(args) -> int:
     params = _require_params(_load_spec(args.spec), args.spec)
-    z0 = _parse_point(args.z0, params.d)
-    build = points_scheme_a if args.scheme == "a" else points_scheme_b
-    pts = build(params, z0)
+    pts = SCHEMES[args.scheme](params, _parse_point(args.z0, params.d))
     if args.h is not None:
         try:
             h = Fraction(args.h)
@@ -281,14 +267,16 @@ def _cmd_points(args) -> int:
     return 0
 
 
-def _cmd_limit(args) -> int:
+def _scheme_inputs(args):
+    """f, z0 and the point set of --scheme, as limit and sweep take them."""
     params = _require_params(_load_spec(args.spec), args.spec)
     f = _load_poly(args.f, params.d)
-    if f.dim != params.d:
-        raise CliError(f"{args.f}: polynomial has dimension {f.dim}, spec has {params.d}")
     z0 = _parse_point(args.z0, params.d)
-    build = points_scheme_a if args.scheme == "a" else points_scheme_b
-    pts = build(params, z0)
+    return f, z0, SCHEMES[args.scheme](params, z0)
+
+
+def _cmd_limit(args) -> int:
+    f, z0, pts = _scheme_inputs(args)
     try:
         report = expansion_check(f, z0, args.m, pts)
     except ValueError as exc:
@@ -299,13 +287,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    params = _require_params(_load_spec(args.spec), args.spec)
-    f = _load_poly(args.f, params.d)
-    if f.dim != params.d:
-        raise CliError(f"{args.f}: polynomial has dimension {f.dim}, spec has {params.d}")
-    z0 = _parse_point(args.z0, params.d)
-    build = points_scheme_a if args.scheme == "a" else points_scheme_b
-    pts = build(params, z0)
+    f, z0, pts = _scheme_inputs(args)
     try:
         h0 = float(Fraction(args.h0))
     except ValueError as exc:
@@ -323,6 +305,7 @@ _EXAMPLE_PARAMS = ParamTable(
     n=4,
     a={(2, 2): Fraction(2), (3, 2): Fraction(3), (4, 2): Fraction(4)},
 )
+_EXAMPLE_F = Polynomial.parse("x1^4 + x1^2*x2 + x2^2 + x1 + x2 + 1", 2)
 
 _EXAMPLE_BASIS_TEXT = [
     "1",
@@ -334,8 +317,10 @@ _EXAMPLE_BASIS_TEXT = [
 
 # Second coordinate of each point, as {h-power: coefficient}; the first
 # coordinate is always i*h.
-_EXAMPLE_POINTS_A = [{}, {2: 2, 3: 3, 4: 4}, {2: 8, 3: 24, 4: 64}, {2: 18, 3: 81, 4: 324}, {2: 32, 3: 192, 4: 1024}]
-_EXAMPLE_POINTS_B = [{}, {}, {2: 4}, {2: 12, 3: 18}, {2: 24, 3: 72, 4: 96}]
+_EXAMPLE_POINTS = {
+    "a": [{}, {2: 2, 3: 3, 4: 4}, {2: 8, 3: 24, 4: 64}, {2: 18, 3: 81, 4: 324}, {2: 32, 3: 192, 4: 1024}],
+    "b": [{}, {}, {2: 4}, {2: 12, 3: 18}, {2: 24, 3: 72, 4: 96}],
+}
 
 
 def _cmd_example1(args) -> int:
@@ -354,16 +339,13 @@ def _cmd_example1(args) -> int:
         out.append(f"  {p.render()}")
 
     z0 = (Fraction(0), Fraction(0))
-    for tag, build_pts, expected_second in (
-        ("a", points_scheme_a, _EXAMPLE_POINTS_A),
-        ("b", points_scheme_b, _EXAMPLE_POINTS_B),
-    ):
-        pts = build_pts(params, z0)
+    point_sets = {tag: build_pts(params, z0) for tag, build_pts in SCHEMES.items()}
+    for tag, pts in point_sets.items():
         out.append(f"scheme {tag} points:")
         for i, pt in enumerate(pts.points):
             out.append("  (" + ", ".join(coord.render(names=["h"]) for coord in pt) + ")")
             want_first = Polynomial(1, {(1,): Fraction(i)})
-            want_second = Polynomial(1, {(e,): Fraction(c) for e, c in expected_second[i].items()})
+            want_second = Polynomial(1, {(e,): Fraction(c) for e, c in _EXAMPLE_POINTS[tag][i].items()})
             if pt[0] != want_first or pt[1] != want_second:
                 failures.append(
                     f"scheme {tag} point {i}: got ({pt[0].render(names=['h'])}, "
@@ -371,12 +353,10 @@ def _cmd_example1(args) -> int:
                     f"{want_second.render(names=['h'])})"
                 )
 
-    f = Polynomial.parse("x1^4 + x1^2*x2 + x2^2 + x1 + x2 + 1", 2)
-    out.append(f"limit checks for f = {f.render()} at the origin:")
-    for tag, build_pts in (("a", points_scheme_a), ("b", points_scheme_b)):
-        pts = build_pts(params, z0)
+    out.append(f"limit checks for f = {_EXAMPLE_F.render()} at the origin:")
+    for tag, pts in point_sets.items():
         for m in range(5):
-            report = expansion_check(f, z0, m, pts)
+            report = expansion_check(_EXAMPLE_F, z0, m, pts)
             status = "pass" if report.passed else "FAIL"
             out.append(f"  scheme {tag}, m={m}: {status} (lead {report.lead}, target {report.target})")
             if not report.passed:
@@ -421,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("points", help="emit the coalescing points of a scheme")
-    p.add_argument("--scheme", choices=("a", "b"), required=True)
+    p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("--spec", required=True, help="parameter-table JSON file")
     p.add_argument("--z0", help="base point as comma-separated rationals (default origin)")
     p.add_argument("--h", help="evaluate at this rational step instead of printing symbolically")
@@ -433,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="parameter-table JSON file")
     p.add_argument("--f", required=True, help="polynomial file (JSON or text)")
     p.add_argument("--m", type=int, required=True, help="derivative order to check")
-    p.add_argument("--scheme", choices=("a", "b"), required=True)
+    p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("--z0", help="base point (default origin)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_limit)
@@ -442,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="parameter-table JSON file")
     p.add_argument("--f", required=True, help="polynomial file (JSON or text)")
     p.add_argument("--m", type=int, required=True, help="derivative order")
-    p.add_argument("--scheme", choices=("a", "b"), required=True)
+    p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("--z0", help="base point (default origin)")
     p.add_argument("--h0", default="1/4", help="starting step (rational or float, default 1/4)")
     p.add_argument("--steps", type=int, default=12, help="number of halvings (default 12)")

@@ -83,11 +83,23 @@ class SymbolicPointSet:
         }
 
 
-def _check_base(params: ParamTable, z0: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+def _points(scheme: str, h_coef, params: ParamTable, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
+    """z_i(h) = z0 + (i*h,  sum_{j=2..n} h_coef(i,j)*a[j,2]*h^j,  ...,
+                            sum_{j=2..n} h_coef(i,j)*a[j,d]*h^j),  i = 0..n."""
     base = tuple(Fraction(v) for v in z0)
     if len(base) != params.d:
         raise ValueError(f"base point has length {len(base)}, expected {params.d}")
-    return base
+    pts = []
+    for i in range(params.n + 1):
+        powers = [(j, c) for j in range(2, params.n + 1) if (c := h_coef(i, j))]
+        coords = [Polynomial(1, {(0,): base[0], (1,): Fraction(i)})]
+        for s in range(2, params.d + 1):
+            terms = {(0,): base[s - 1]}
+            for j, c in powers:
+                terms[(j,)] = params.get(j, s) * c
+            coords.append(Polynomial(1, terms))
+        pts.append(tuple(coords))
+    return SymbolicPointSet(scheme=scheme, base=base, points=tuple(pts), params=params)
 
 
 def points_scheme_a(params: ParamTable, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
@@ -96,17 +108,7 @@ def points_scheme_a(params: ParamTable, z0: Sequence[Fraction | int]) -> Symboli
         z_i(h) = z0 + (i*h,  sum_{j=2..n} a[j,2]*(i*h)^j,  ...,
                              sum_{j=2..n} a[j,d]*(i*h)^j).
     """
-    base = _check_base(params, z0)
-    pts = []
-    for i in range(params.n + 1):
-        coords = [Polynomial(1, {(0,): base[0], (1,): Fraction(i)})]
-        for s in range(2, params.d + 1):
-            terms = {(0,): base[s - 1]}
-            for j in range(2, params.n + 1):
-                terms[(j,)] = params.get(j, s) * i ** j
-            coords.append(Polynomial(1, terms))
-        pts.append(tuple(coords))
-    return SymbolicPointSet(scheme="a", base=base, points=tuple(pts), params=params)
+    return _points("a", pow, params, z0)
 
 
 def points_scheme_b(params: ParamTable, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
@@ -118,18 +120,10 @@ def points_scheme_b(params: ParamTable, z0: Sequence[Fraction | int]) -> Symboli
 
     with ff(i, j) = i*(i-1)*...*(i-j+1); the falling factorial vanishes
     for j > i, so summing j up to n changes nothing."""
-    base = _check_base(params, z0)
-    pts = []
-    for i in range(params.n + 1):
-        coords = [Polynomial(1, {(0,): base[0], (1,): Fraction(i)})]
-        for s in range(2, params.d + 1):
-            terms = {(0,): base[s - 1]}
-            if i >= 2:
-                for j in range(2, params.n + 1):
-                    terms[(j,)] = params.get(j, s) * falling_factorial(i, j)
-            coords.append(Polynomial(1, terms))
-        pts.append(tuple(coords))
-    return SymbolicPointSet(scheme="b", base=base, points=tuple(pts), params=params)
+    return _points("b", falling_factorial, params, z0)
+
+
+SCHEMES = {"a": points_scheme_a, "b": points_scheme_b}
 
 
 def combination_poly(f: Polynomial, m: int, pts: SymbolicPointSet) -> Polynomial:

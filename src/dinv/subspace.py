@@ -312,19 +312,24 @@ def build_explicit(params: ParamTable) -> BasisSequence:
     return BasisSequence(tuple(elems))
 
 
+def _table_weights(params: ParamTable) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
+    """The (b, c) that specialize gives a ParamTable, defined for n = 1 too."""
+    n = params.n
+    rows = [(Fraction(1),) + (Fraction(0),) * (n - 1)]
+    for s in range(2, params.d + 1):
+        rows.append((Fraction(0),) + tuple(params.get(i, s) for i in range(2, n + 1)))
+    return tuple(range(1, n + 1)), tuple(rows)
+
+
 def specialize(params: ParamTable) -> GeneralSpec:
     """The GeneralSpec whose construction reproduces the ParamTable family:
     b = (1, 2, ..., n), c_1 = (1, 0, ..., 0), c_s = (0, a[2,s], ..., a[n,s]).
 
     Needs n >= 2 (the general construction has no n = 1 instance)."""
-    n, d = params.n, params.d
-    if n < 2:
+    if params.n < 2:
         raise ValueError("specialization needs n >= 2")
-    c1 = tuple([Fraction(1)] + [Fraction(0)] * (n - 1))
-    rows = [c1]
-    for s in range(2, d + 1):
-        rows.append(tuple([Fraction(0)] + [params.get(i, s) for i in range(2, n + 1)]))
-    return GeneralSpec(n=n, d=d, b=tuple(range(1, n + 1)), c=tuple(rows))
+    b, c = _table_weights(params)
+    return GeneralSpec(n=params.n, d=params.d, b=b, c=c)
 
 
 def span_contains(basis: Sequence[Polynomial], p: Polynomial) -> list[Fraction] | None:
@@ -355,26 +360,32 @@ class ClosureReport:
         return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
 
 
-def check_closure(basis: BasisSequence, params: ParamTable) -> ClosureReport:
-    """Exact derivative identities for a ParamTable-built basis:
+def check_closure(basis: BasisSequence, spec: ParamTable | GeneralSpec) -> ClosureReport:
+    """Exact derivative identities of the generating function
+    G = exp(sum_i x_i * sum_j c_ij * t^(b_j)), whose t^m coefficient is B_m.
+    Since dG/dx_i = (sum_j c_ij * t^(b_j)) * G,
 
-        d(B_k)/dx1 == B_{k-1}                      for k >= 1,
-        d(B_k)/dx_j == sum_{i=2..k} a[i,j]*B_{k-i}  for j >= 2, k >= 2.
+        d(B_m)/dx_i == sum_{j: b_j <= m} c_ij * B_{m - b_j}
+
+    for every m >= 1 and every variable i.  A ParamTable is checked through
+    the (b, c) that specialize gives it, n = 1 included.  Raises ValueError
+    unless the basis has b_n + 1 elements in the spec's d variables.
     """
+    b, c = (spec.b, spec.c) if isinstance(spec, GeneralSpec) else _table_weights(spec)
+    top = b[-1]
+    if len(basis) != top + 1:
+        raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")
+    if basis.dim != len(c):
+        raise ValueError(f"basis has dimension {basis.dim}, the spec needs {len(c)}")
     bad: list[tuple[int, int]] = []
-    top = len(basis) - 1
-    for k in range(1, top + 1):
-        if basis[k].diff(1) != basis[k - 1]:
-            bad.append((k, 1))
-    for k in range(2, top + 1):
-        for j in range(2, params.d + 1):
-            expect = Polynomial.zero(params.d)
-            for i in range(2, k + 1):
-                coef = params.get(i, j)
-                if coef:
-                    expect = expect + coef * basis[k - i]
-            if basis[k].diff(j) != expect:
-                bad.append((k, j))
+    for m in range(1, top + 1):
+        for i, row in enumerate(c, start=1):
+            expect = Polynomial.zero(basis.dim)
+            for bj, cij in zip(b, row):
+                if bj <= m and cij:
+                    expect = expect + cij * basis[m - bj]
+            if basis[m].diff(i) != expect:
+                bad.append((m, i))
     return ClosureReport(ok=not bad, violations=tuple(bad))
 
 

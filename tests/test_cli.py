@@ -8,10 +8,15 @@ import json
 
 import pytest
 
+from dinv import Polynomial
 from dinv.cli import main
 
 EXAMPLE_SPEC = {"d": 2, "n": 4, "a": {"2,2": "2", "3,2": "3", "4,2": "4"}}
 GENERAL_SPEC = {"n": 2, "d": 2, "b": [1, 2], "c": [["1", "0"], ["0", "1"]]}
+
+
+def P(text, dim=2):
+    return Polynomial.parse(text, dim)
 
 
 @pytest.fixture
@@ -102,6 +107,32 @@ class TestVerify:
         assert code == 1
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is False and report["violations"]
+
+    def test_closure_general_spec_tampered_basis(self, general_file, tmp_path, capsys):
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps([P(e).to_dict() for e in ("1", "x1", "1/2*x1^2 + 3*x2")]))
+        code = main(["verify", "--what", "closure", "--spec", general_file, "--basis", str(basis_path)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["violations"] == [[2, 2]]
+
+    @pytest.mark.parametrize(
+        "which, dim, elements",
+        [
+            ("general", 2, ["1", "x1", "x2"]),
+            ("table", 2, ["1", "x1", "1/2*x1^2 + 2*x2", "1/6*x1^3 + 2*x1*x2 + 3*x2", "x1^4", "x1^5"]),
+            ("table", 2, ["1", "x1", "1/2*x1^2 + 2*x2"]),
+            ("general", 2, ["1", "x1"]),
+            ("general", 2, ["1", "x1", "1/2*x1^2 + x2", "x1^3"]),
+            ("table", 3, ["1", "x1", "1/2*x1^2", "x1^3", "x1^4"]),
+        ],
+        ids=["wrong-degree", "table-longer", "table-shorter", "general-shorter", "general-longer", "wrong-dim"],
+    )
+    def test_closure_bad_basis_exits_2(self, which, dim, elements, spec_file, general_file, tmp_path, capsys):
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps([P(e, dim).to_dict() for e in elements]))
+        spec = general_file if which == "general" else spec_file
+        assert main(["verify", "--what", "closure", "--spec", spec, "--basis", str(basis_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_equivalence(self, spec_file, capsys):
         assert main(["verify", "--what", "equivalence", "--spec", spec_file]) == 0

@@ -295,6 +295,40 @@ class TestCheckClosure:
         assert not report.ok
         assert (2, 2) in report.violations
 
+    def test_general_holds(self):
+        rng = make_rng(108)
+        for _ in range(20):
+            spec = random_general_spec(rng)
+            assert check_closure(build_general(spec), spec).ok
+
+    def test_general_perturbed_top_reports_one_violation(self):
+        rng = make_rng(109)
+        for _ in range(10):
+            spec = random_general_spec(rng)
+            elements = list(build_general(spec))
+            top = len(elements) - 1
+            for k in range(1, spec.d + 1):
+                x_k_top = tuple(top if i == k else 0 for i in range(1, spec.d + 1))
+                delta = F(2) if elements[top].coeff(x_k_top) == -1 else F(1)
+                perturbed = elements[:top] + [elements[top] + Polynomial.monomial(spec.d, x_k_top, delta)]
+                report = check_closure(BasisSequence(tuple(perturbed)), spec)
+                assert report.violations == ((top, k),)
+
+    def test_n1_table_holds(self):
+        t = ParamTable(d=3, n=1, a={})
+        assert check_closure(build_recursive(t), t).ok
+
+    def test_n1_table_catches_extra_linear_direction(self):
+        t = ParamTable(d=2, n=1, a={})
+        report = check_closure(BasisSequence((P("1"), P("x1 + x2"))), t)
+        assert report.violations == ((1, 2),)
+
+    @pytest.mark.parametrize("elements, dim", [(["1", "x1"], 2), (["1", "x1", "1/2*x1^2 + x2"], 3)])
+    def test_basis_shape_must_match_spec(self, elements, dim):
+        spec = GeneralSpec(n=2, d=2, b=(1, 2), c=((F(1), F(0)), (F(0), F(1))))
+        with pytest.raises(ValueError):
+            check_closure(BasisSequence(tuple(P(e, dim) for e in elements)), spec)
+
 
 class TestBreadthAndDegrees:
     def test_general_output_breadth_one(self):
