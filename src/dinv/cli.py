@@ -46,6 +46,12 @@ class CliError(Exception):
     """Bad input or usage; message goes to stderr, exit code 2."""
 
 
+# What a malformed number, basis or polynomial raises on its way in,
+# besides ValueError: a zero denominator ("1/0") or a JSON float too
+# large to convert ("1e400").
+_PARSE_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -84,7 +90,7 @@ def _load_basis(path: str) -> BasisSequence:
         raise CliError(f"{path}: expected a JSON array of polynomials")
     try:
         return BasisSequence.from_list(data)
-    except ValueError as exc:
+    except _PARSE_ERRORS as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -102,7 +108,7 @@ def _load_poly(path: str, dim: int) -> Polynomial:
             f = Polynomial.from_dict(json.loads(stripped))
         else:
             f = Polynomial.parse(stripped, dim)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except _PARSE_ERRORS as exc:
         raise CliError(f"{path}: {exc}") from exc
     if f.dim != dim:
         raise CliError(f"{path}: polynomial has dimension {f.dim}, spec has {dim}")
@@ -117,7 +123,7 @@ def _parse_point(text: str | None, d: int) -> tuple[Fraction, ...]:
         raise CliError(f"base point needs {d} comma-separated rationals, got {text!r}")
     try:
         return tuple(Fraction(p) for p in parts)
-    except ValueError as exc:
+    except _PARSE_ERRORS as exc:
         raise CliError(f"bad rational in base point {text!r}: {exc}") from exc
 
 
@@ -160,6 +166,13 @@ def _cmd_verify(args) -> int:
     if args.what == "identities":
         m_max, vand_max = args.m_max, args.vand_max
         r_max, i_max = args.r_max, args.i_max
+        # Each bound with the least value that leaves its scan non-empty.
+        bounds = (
+            ("--m-max", m_max, 0), ("--vand-max", vand_max, 0), ("--r-max", r_max, 1), ("--i-max", i_max, 2),
+        )
+        for flag, value, least in bounds:
+            if value < least:
+                raise CliError(f"{flag} must be >= {least}, got {value}: that scan would be empty")
         ps_ok = all(
             signed_power_sum(j, m, include_zero=True) == (1 if j == m else 0)
             for m in range(m_max + 1)
@@ -248,7 +261,7 @@ def _cmd_points(args) -> int:
     if args.h is not None:
         try:
             h = Fraction(args.h)
-        except ValueError as exc:
+        except _PARSE_ERRORS as exc:
             raise CliError(f"bad rational --h {args.h!r}: {exc}") from exc
         numeric = pts.at(h)
         if args.pretty:
@@ -290,12 +303,19 @@ def _cmd_sweep(args) -> int:
     f, z0, pts = _scheme_inputs(args)
     try:
         h0 = float(Fraction(args.h0))
-    except ValueError as exc:
+    except _PARSE_ERRORS as exc:
         raise CliError(f"bad --h0 {args.h0!r}: {exc}") from exc
     try:
         rows = sweep(f, z0, args.m, pts, h0=h0, steps=args.steps)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    except ZeroDivisionError as exc:
+        raise CliError(
+            f"--steps {args.steps} halvings of --h0 {args.h0} underflow h**{args.m} to 0; "
+            "use fewer steps or a larger --h0"
+        ) from exc
+    except OverflowError as exc:
+        raise CliError(f"float overflow in the sweep from --h0 {args.h0}; use a smaller --h0") from exc
     _emit(args, sweep_to_csv(rows))
     return 0
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .compositions import weighted_compositions
-from .linalg import rank, solve
+from .linalg import rref, solve
 from .poly import Polynomial
 
 
@@ -82,7 +82,7 @@ class ParamTable:
             for key, v in raw.items():
                 i_s, j_s = str(key).split(",")
                 a[(int(i_s), int(j_s))] = Fraction(str(v))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed parameter table: {exc}") from exc
         return cls(d=d, n=n, a=a)
 
@@ -146,7 +146,7 @@ class GeneralSpec:
             d = int(data["d"])
             b = tuple(int(v) for v in data["b"])
             c = tuple(tuple(Fraction(str(v)) for v in row) for row in data["c"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed general spec: {exc}") from exc
         return cls(n=n, d=d, b=b, c=c)
 
@@ -208,8 +208,9 @@ def enumerate_weight_solutions(spec: GeneralSpec, m: int) -> list[WeightSolution
 
     The grid is flattened column-major (weight slot j outer, vector index i
     inner) and enumerated lexicographically descending over that flattening.
-    Solutions whose coefficient product will vanish are included; filtering
-    happens at summation time.
+    Solutions whose coefficient product vanishes (a positive count on a zero
+    c[i][j]) are included, so this is the unpruned index set; build_general
+    enumerates only the nonzero slots.
     """
     if not 0 <= m <= spec.top_weight:
         raise ValueError(f"weight {m} outside 0..{spec.top_weight}")
@@ -227,24 +228,26 @@ def enumerate_weight_solutions(spec: GeneralSpec, m: int) -> list[WeightSolution
 def build_general(spec: GeneralSpec) -> BasisSequence:
     """The general family: element m sums, over all weight-m solutions,
     the monomial x1^|row 1| ... xd^|row d| with coefficient
-    prod c[i][j]^counts[i][j] / counts[i][j]!  (0**0 == 1)."""
+    prod c[i][j]^counts[i][j] / counts[i][j]!  (0**0 == 1).
+
+    A positive count on a zero c[i][j] makes the product vanish, so only
+    the slots with c[i][j] != 0 are enumerated (never none: some c[i][0]
+    is nonzero)."""
+    slots = [(i, j) for j in range(spec.n) for i in range(spec.d) if spec.c[i][j] != 0]
+    weights = [spec.b[j] for (_, j) in slots]
     elems = []
     for m in range(spec.top_weight + 1):
         terms: dict[tuple[int, ...], Fraction] = {}
-        for sol in enumerate_weight_solutions(spec, m):
+        for combo in weighted_compositions(m, weights):
             coef = Fraction(1)
-            for i in range(spec.d):
-                for j in range(spec.n):
-                    g = sol.counts[i][j]
-                    if g:
-                        coef *= spec.c[i][j] ** g
-                        coef /= _fact(g)
-                if coef == 0:
-                    break
-            if coef == 0:
-                continue
-            exps = tuple(sum(row) for row in sol.counts)
-            terms[exps] = terms.get(exps, Fraction(0)) + coef
+            exps = [0] * spec.d
+            for (i, j), g in zip(slots, combo):
+                if g:
+                    coef *= spec.c[i][j] ** g
+                    coef /= _fact(g)
+                    exps[i] += g
+            key = tuple(exps)
+            terms[key] = terms.get(key, Fraction(0)) + coef
         elems.append(Polynomial(spec.d, terms))
     return BasisSequence(tuple(elems))
 
@@ -285,11 +288,16 @@ def build_explicit(params: ParamTable) -> BasisSequence:
     the monomial x1^g * prod_s x_s^(sum_j g[s,j]) with coefficient
     prod a[j,s]^g[s,j] / (g! * prod g[s,j]!).
 
+    A positive g[s,j] on a zero a[j,s] makes the product vanish, so only the
+    slots with a[j,s] != 0 are enumerated.
+
     Deliberately shares no construction code with build_recursive: the
     termwise equality of the two outputs is a cross-check, not a tautology.
     """
     d, n = params.d, params.n
-    slots: list[tuple[int, int]] = [(s, j) for s in range(2, d + 1) for j in range(2, n + 1)]
+    slots: list[tuple[int, int]] = [
+        (s, j) for s in range(2, d + 1) for j in range(2, n + 1) if params.get(j, s) != 0
+    ]
     weights = [1] + [j for (_, j) in slots]
     elems = []
     for k in range(n + 1):
@@ -301,8 +309,6 @@ def build_explicit(params: ParamTable) -> BasisSequence:
                 if g:
                     coef *= params.get(j, s) ** g
                     coef /= _fact(g)
-            if coef == 0:
-                continue
             exps = [g1] + [0] * (d - 1)
             for (s, _), g in zip(slots, rest):
                 exps[s - 1] += g
@@ -395,20 +401,30 @@ def breadth(basis: Sequence[Polynomial]) -> int:
 
     Requires the constant 1 to lie in the span (every derivative-closed
     space containing a nonzero element has it); raises ValueError if not.
+
+    One reduction gives both ranks and the membership of 1.  The basis x
+    support matrix is put in reduced row echelon form with its columns in
+    descending total degree, so the degree >= 2 columns form a prefix and
+    the constant column comes last.  The rank of a column prefix is its
+    pivot count: the span has dimension len(pivots), and its intersection
+    with {degree <= 1} dimension len(pivots) minus the pivots in degree >= 2
+    columns.  The constant 1 lies in the span iff the constant column is a
+    pivot column: the row holding that pivot is then exactly 1, and
+    otherwise every vector of the span that vanishes on all pivot columns
+    is zero.
     """
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
     dim = basis[0].dim
-    if span_contains(basis, Polynomial.constant(dim, 1)) is None:
+    if any(q.dim != dim for q in basis):
+        raise ValueError("basis elements must share one dimension")
+    support = sorted(set().union(*(q.terms.keys() for q in basis)), key=lambda e: (-sum(e), e))
+    _, pivots = rref([[q.coeff(e) for e in support] for q in basis])
+    if not pivots or sum(support[pivots[-1]]) != 0:
         raise ValueError("span does not contain the constant 1")
-    support = sorted(set().union(*(q.terms.keys() for q in basis)))
-    full = [[q.coeff(e) for e in support] for q in basis]
-    high_cols = [e for e in support if sum(e) >= 2]
-    high = [[q.coeff(e) for e in high_cols] for q in basis]
-    r_full = rank(full)
-    r_high = rank(high) if high_cols else 0
-    return (r_full - r_high) - 1
+    r_high = sum(1 for col in pivots if sum(support[col]) >= 2)
+    return len(pivots) - r_high - 1
 
 
 def degrees(basis: Iterable[Polynomial]) -> tuple[int, ...]:

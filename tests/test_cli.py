@@ -77,6 +77,21 @@ class TestBasis:
         bad.write_text('{"d": 2}')
         assert main(["basis", "--source", "recursive", "--spec", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "source, spec",
+        [
+            ("recursive", {"d": 2, "n": 2, "a": [1, 2]}),
+            ("recursive", {"d": 2, "n": 2, "a": {"2,2": "1/0"}}),
+            ("general", {"n": 2, "d": 1, "b": [1, 2], "c": [["1/0", "1"]]}),
+        ],
+        ids=["table-a-list", "table-zero-denominator", "general-zero-denominator"],
+    )
+    def test_unparseable_spec_exits_2(self, source, spec, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        assert main(["basis", "--source", source, "--spec", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestVerify:
     def test_closure_roundtrip_from_basis_file(self, spec_file, tmp_path, capsys):
@@ -157,6 +172,14 @@ class TestVerify:
     def test_spec_required(self, capsys):
         assert main(["verify", "--what", "closure"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--m-max", "-5"), ("--vand-max", "-1"), ("--r-max", "0"), ("--i-max", "1")]
+    )
+    def test_identities_empty_scan_exits_2(self, flag, value, capsys):
+        assert main(["verify", "--what", "identities", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+
 
 class TestPoints:
     def test_symbolic_pretty(self, spec_file, capsys):
@@ -178,6 +201,11 @@ class TestPoints:
 
     def test_bad_z0(self, spec_file, capsys):
         assert main(["points", "--scheme", "a", "--spec", spec_file, "--z0", "1"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--z0", "1/0,0"], ["--h", "1/0"]], ids=["z0", "h"])
+    def test_zero_denominator_exits_2(self, flags, spec_file, capsys):
+        assert main(["points", "--scheme", "a", "--spec", spec_file, *flags]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestLimitAndSweep:
@@ -210,6 +238,24 @@ class TestLimitAndSweep:
         f = tmp_path / "f.txt"
         f.write_text("x1")
         assert main(["limit", "--spec", spec_file, "--f", str(f), "--m", "9", "--scheme", "a"]) == 2
+
+    def test_limit_zero_denominator_in_f_exits_2(self, spec_file, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("1/0*x1")
+        assert main(["limit", "--spec", spec_file, "--f", str(f), "--m", "1", "--scheme", "a"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--steps", "1200"], "--steps"), (["--h0", "1e200"], "--h0"), (["--h0", "1/0"], "--h0")],
+        ids=["underflow", "overflow", "zero-denominator"],
+    )
+    def test_sweep_float_range_exits_2(self, flags, named, spec_file, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("x1^3")
+        assert main(["sweep", "--spec", spec_file, "--f", str(f), "--m", "2", "--scheme", "a", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
 
     def test_sweep_csv(self, tmp_path, capsys):
         spec = tmp_path / "p.json"

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import dinv.subspace
 from conftest import make_rng, random_general_spec, random_param_table, rational
 from dinv import (
     BasisSequence,
@@ -22,6 +23,7 @@ from dinv import (
     span_contains,
     specialize,
 )
+from dinv.linalg import rank
 
 F = Fraction
 
@@ -141,6 +143,18 @@ class TestBuildExplicit:
     def test_example_basis(self):
         assert list(build_explicit(EXAMPLE_PARAMS)) == EXAMPLE_BASIS
 
+    def test_zero_heavy_tables_match_recursive(self):
+        rng = make_rng(108)
+        zeros = 0
+        for _ in range(20):
+            t = random_param_table(rng, d=rng.choice((2, 3, 4)), n=rng.randint(2, 6), fill=0.3)
+            zeros += (t.n - 1) * (t.d - 1) - len(t.a)
+            assert build_explicit(t).elements == build_recursive(t).elements
+        assert zeros > 0
+        for d, n in ((2, 1), (2, 5), (4, 4)):
+            t = ParamTable(d=d, n=n, a={})
+            assert build_explicit(t).elements == build_recursive(t).elements
+
 
 class TestEnumerateWeightSolutions:
     def test_zero_weight_single_solution(self):
@@ -193,6 +207,36 @@ class TestEnumerateWeightSolutions:
         assert ((0, 0, 0, 0), (0, 2, 0, 0)) in got
 
 
+def _unpruned_general(spec: GeneralSpec) -> tuple[Polynomial, ...]:
+    """build_general's defining sum, taken over every weight solution,
+    the ones that put a positive count on a zero coefficient included."""
+    elems = []
+    for m in range(spec.top_weight + 1):
+        p = Polynomial.zero(spec.d)
+        for sol in enumerate_weight_solutions(spec, m):
+            coef = F(1)
+            for i in range(spec.d):
+                for j in range(spec.n):
+                    g = sol.counts[i][j]
+                    coef *= spec.c[i][j] ** g / math.factorial(g)
+            p = p + Polynomial.monomial(spec.d, [sum(row) for row in sol.counts], coef)
+        elems.append(p)
+    return tuple(elems)
+
+
+def _zero_heavy_general_spec(rng) -> GeneralSpec:
+    """A random spec with at least half of its c entries set to zero (one
+    first coordinate is kept nonzero, as GeneralSpec requires)."""
+    spec = random_general_spec(rng)
+    c = [list(row) for row in spec.c]
+    keep = rng.randrange(spec.d)
+    c[keep][0] = rational(rng, allow_zero=False)
+    others = [(i, j) for i in range(spec.d) for j in range(spec.n) if (i, j) != (keep, 0)]
+    for i, j in rng.sample(others, (spec.d * spec.n + 1) // 2):
+        c[i][j] = F(0)
+    return GeneralSpec(n=spec.n, d=spec.d, b=spec.b, c=tuple(tuple(row) for row in c))
+
+
 class TestBuildGeneral:
     def test_element_zero_is_one(self):
         spec = GeneralSpec(n=2, d=2, b=(1, 2), c=((F(1), F(0)), (F(0), F(1))))
@@ -211,6 +255,27 @@ class TestBuildGeneral:
         for _ in range(25):
             t = random_param_table(rng, d=rng.choice((2, 3, 4)), n=rng.randint(2, 6))
             assert build_general(specialize(t)).elements == build_recursive(t).elements
+
+    def test_zero_heavy_specs_match_unpruned_sum(self):
+        rng = make_rng(109)
+        for _ in range(20):
+            spec = _zero_heavy_general_spec(rng)
+            zeros = sum(v == 0 for row in spec.c for v in row)
+            assert 2 * zeros >= spec.d * spec.n
+            assert build_general(spec).elements == _unpruned_general(spec)
+
+    def test_enumerates_only_nonzero_slots(self, monkeypatch):
+        seen = []
+        original = dinv.subspace.weighted_compositions
+
+        def recording(total, weights):
+            seen.append(list(weights))
+            return original(total, weights)
+
+        monkeypatch.setattr(dinv.subspace, "weighted_compositions", recording)
+        spec = GeneralSpec(n=3, d=2, b=(1, 2, 4), c=((F(1), F(0), F(3)), (F(0), F(2), F(0))))
+        build_general(spec)
+        assert seen and all(w == [1, 2, 4] for w in seen)
 
     def test_specialize_needs_degree_two(self):
         with pytest.raises(ValueError):
@@ -330,6 +395,18 @@ class TestCheckClosure:
             check_closure(BasisSequence(tuple(P(e, dim) for e in elements)), spec)
 
 
+def _breadth_three_ranks(basis: list[Polynomial]) -> int:
+    """The definition breadth replaced, kept as its oracle: membership of 1
+    by span_contains, then rank(all columns) - rank(degree >= 2 columns) - 1."""
+    if span_contains(basis, Polynomial.constant(basis[0].dim, 1)) is None:
+        raise ValueError("span does not contain the constant 1")
+    support = sorted(set().union(*(q.terms.keys() for q in basis)))
+    high_cols = [e for e in support if sum(e) >= 2]
+    full = [[q.coeff(e) for e in support] for q in basis]
+    high = [[q.coeff(e) for e in high_cols] for q in basis]
+    return rank(full) - (rank(high) if high_cols else 0) - 1
+
+
 class TestBreadthAndDegrees:
     def test_general_output_breadth_one(self):
         rng = make_rng(106)
@@ -349,6 +426,80 @@ class TestBreadthAndDegrees:
 
     def test_redundant_spanning_set(self):
         assert breadth([P("1"), P("x1"), P("2*x1"), P("x1 + 1")]) == 1
+
+    @pytest.mark.parametrize(
+        "texts, expect",
+        [
+            (["x1 + 1", "x1"], 1),
+            (["1", "x1", "x1^2 + x2", "2*x1^2 + 2*x2"], 1),
+            (["x2", "1", "x1"], 2),
+            (["x1^2 + 1", "x1^2 + x2", "x2"], 1),
+        ],
+        ids=["constant-by-combination", "dependent-top", "out-of-order", "constant-via-top-degree"],
+    )
+    def test_edge_cases(self, texts, expect):
+        basis = [P(t) for t in texts]
+        assert breadth(basis) == expect == _breadth_three_ranks(basis)
+
+    @pytest.mark.parametrize("texts", [["x1 + 1"], ["x1", "x2^2"], ["0"], ["0", "0"]])
+    def test_constant_outside_span_raises(self, texts):
+        with pytest.raises(ValueError):
+            breadth([P(t) for t in texts])
+
+    def test_empty_and_mixed_dimensions_raise(self):
+        with pytest.raises(ValueError):
+            breadth([])
+        with pytest.raises(ValueError):
+            breadth([P("1"), P("x1", 3)])
+
+    def test_matches_three_rank_definition(self):
+        # Built bases mixed with random rational combinations of their
+        # elements: ungraded, dependent, in random order.  Mode 0 keeps the
+        # whole basis, mode 1 drops B_0 (so 1 is never in the span), mode 2
+        # adds a second linear direction x_d.
+        rng = make_rng(111)
+        outcomes = set()
+        for trial in range(36):
+            if trial % 6 < 3:
+                t = random_param_table(rng, d=rng.choice((2, 3)), n=rng.randint(1, 5))
+                built = list(build_recursive(t))
+            else:
+                built = list(build_general(random_general_spec(rng, n_max=4, bn_max=6)))
+            dim, mode = built[0].dim, trial % 3
+            pool = built[1:] if mode == 1 else built
+            if not pool:
+                continue
+            basis = list(pool) if mode != 1 else []
+            for _ in range(rng.randint(1, 4)):
+                comb = Polynomial.zero(dim)
+                for q in rng.sample(pool, rng.randint(1, len(pool))):
+                    comb = comb + rational(rng) * q
+                basis.append(comb)
+            if mode == 2 and dim >= 2:
+                basis.append(Polynomial.variable(dim, dim))
+            rng.shuffle(basis)
+            try:
+                expect = _breadth_three_ranks(basis)
+            except ValueError:
+                outcomes.add("raises")
+                with pytest.raises(ValueError):
+                    breadth(basis)
+            else:
+                outcomes.add(expect)
+                assert breadth(basis) == expect
+        assert {"raises", 1, 2} <= outcomes
+
+    def test_single_reduction(self, monkeypatch):
+        calls = []
+        original = dinv.subspace.rref
+
+        def counting(rows):
+            calls.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(dinv.subspace, "rref", counting)
+        assert breadth(EXAMPLE_BASIS) == 1
+        assert calls == [len(EXAMPLE_BASIS)]
 
     def test_degrees_of_example(self):
         assert degrees(build_recursive(EXAMPLE_PARAMS)) == (0, 1, 2, 3, 4)
