@@ -7,25 +7,32 @@ verify    run exact checks: closure, equivalence, breadth, identities
 points    emit the coalescing points of a scheme, symbolic or at a given h
 limit     exact h-expansion check of the stencil combination at one order
 sweep     float h-sweep CSV of the scaled stencil combination
+study     sweeps of every order under both schemes: one CSV each, a summary table
+scan      seeded random tables, each built three ways and checked for closure, breadth
 example1  reproduce and verify the built-in worked example end to end
 
 Conventions: data goes to stdout (or --out), diagnostics go to stderr.
 Exit code 0 means every requested check passed; 1 means a check failed;
 2 means bad input or usage.  Rationals cross the boundary as strings
-like "3/4"; only the sweep CSV contains floats.  Runs are deterministic
-given the arguments and input files.  The environment variable DINV_SEED
-seeds the randomized parts of the test suite, not this CLI.
+like "3/4"; only the sweep and study CSVs contain floats.  Stdout is
+deterministic given the arguments and input files (scan draws from its
+--seed); the environment variable DINV_SEED seeds only the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import random
+import statistics
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
-from .discretize import SCHEMES, expansion_check, stencil, sweep, sweep_to_csv
+from .discretize import SCHEMES, SweepRow, expansion_check, stencil, sweep, sweep_to_csv
 from .identities import falling_factorial_sum, signed_power_sum, vandermonde_oracle
 from .poly import Polynomial
 from .subspace import (
@@ -47,8 +54,8 @@ class CliError(Exception):
 
 
 # What a malformed number, basis or polynomial raises on its way in,
-# besides ValueError: a zero denominator ("1/0") or a JSON float too
-# large to convert ("1e400").
+# besides ValueError: a zero denominator ("1/0") or a rational too large
+# for a float (--h0 1e400).
 _PARSE_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
@@ -58,7 +65,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -100,7 +107,7 @@ def _load_poly(path: str, dim: int) -> Polynomial:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     stripped = text.strip()
     try:
@@ -108,7 +115,7 @@ def _load_poly(path: str, dim: int) -> Polynomial:
             f = Polynomial.from_dict(json.loads(stripped))
         else:
             f = Polynomial.parse(stripped, dim)
-    except _PARSE_ERRORS as exc:
+    except (*_PARSE_ERRORS, RecursionError) as exc:
         raise CliError(f"{path}: {exc}") from exc
     if f.dim != dim:
         raise CliError(f"{path}: polynomial has dimension {f.dim}, spec has {dim}")
@@ -142,6 +149,13 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _require_at_least(args, **least: int) -> None:
+    """Refuse any integer flag, named by its dest, below its least value."""
+    for dest, low in least.items():
+        if getattr(args, dest) < low:
+            raise CliError(f"--{dest.replace('_', '-')} must be >= {low}, got {getattr(args, dest)}")
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -162,17 +176,21 @@ def _cmd_basis(args) -> int:
     return 0
 
 
+def _compare_builders(params: ParamTable) -> tuple[BasisSequence, bool, bool | None]:
+    """The recursive basis, whether the explicit one equals it, and whether the
+    specialized general one does (None for n = 1, outside the general family)."""
+    rec = build_recursive(params)
+    rec_vs_exp = build_explicit(params).elements == rec.elements
+    gen_vs_rec = build_general(specialize(params)).elements == rec.elements if params.n >= 2 else None
+    return rec, rec_vs_exp, gen_vs_rec
+
+
 def _cmd_verify(args) -> int:
     if args.what == "identities":
+        # Each bound with the least value that leaves its scan non-empty.
+        _require_at_least(args, m_max=0, vand_max=0, r_max=1, i_max=2)
         m_max, vand_max = args.m_max, args.vand_max
         r_max, i_max = args.r_max, args.i_max
-        # Each bound with the least value that leaves its scan non-empty.
-        bounds = (
-            ("--m-max", m_max, 0), ("--vand-max", vand_max, 0), ("--r-max", r_max, 1), ("--i-max", i_max, 2),
-        )
-        for flag, value, least in bounds:
-            if value < least:
-                raise CliError(f"{flag} must be >= {least}, got {value}: that scan would be empty")
         ps_ok = all(
             signed_power_sum(j, m, include_zero=True) == (1 if j == m else 0)
             for m in range(m_max + 1)
@@ -212,21 +230,12 @@ def _cmd_verify(args) -> int:
             rep = check_closure(basis, spec)
         except ValueError as exc:
             raise CliError(f"{args.basis}: {exc}") from exc
-        violations = list(rep.violations)
-        report = {"what": "closure", "ok": rep.ok, "violations": [list(v) for v in violations]}
-        _emit(args, json.dumps(report, indent=2) + "\n")
-        _note("closure: ok" if rep.ok else f"closure: FAIL at (element, variable) {violations}")
+        _emit(args, json.dumps({"what": "closure", **rep.to_dict()}, indent=2) + "\n")
+        _note("closure: ok" if rep.ok else f"closure: FAIL at (element, variable) {list(rep.violations)}")
         return 0 if rep.ok else 1
 
     if args.what == "equivalence":
-        params = _require_params(spec, args.spec)
-        rec = build_recursive(params)
-        exp = build_explicit(params)
-        rec_vs_exp = rec.elements == exp.elements
-        gen_vs_rec = None
-        if params.n >= 2:
-            gen = build_general(specialize(params))
-            gen_vs_rec = gen.elements == rec.elements
+        _, rec_vs_exp, gen_vs_rec = _compare_builders(_require_params(spec, args.spec))
         ok = rec_vs_exp and gen_vs_rec is not False
         report = {
             "what": "equivalence",
@@ -299,32 +308,32 @@ def _cmd_limit(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_sweep(args) -> int:
-    f, z0, pts = _scheme_inputs(args)
+def _sweep_rows(args, f: Polynomial, z0, m: int, pts) -> list[SweepRow]:
+    """sweep() from --h0 and --steps, its failures turned into CliError."""
     try:
         h0 = float(Fraction(args.h0))
     except _PARSE_ERRORS as exc:
         raise CliError(f"bad --h0 {args.h0!r}: {exc}") from exc
     try:
-        rows = sweep(f, z0, args.m, pts, h0=h0, steps=args.steps)
+        return sweep(f, z0, m, pts, h0=h0, steps=args.steps)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except ZeroDivisionError as exc:
         raise CliError(
-            f"--steps {args.steps} halvings of --h0 {args.h0} underflow h**{args.m} to 0; "
+            f"--steps {args.steps} halvings of --h0 {args.h0} underflow h**{m} to 0; "
             "use fewer steps or a larger --h0"
         ) from exc
     except OverflowError as exc:
         raise CliError(f"float overflow in the sweep from --h0 {args.h0}; use a smaller --h0") from exc
-    _emit(args, sweep_to_csv(rows))
+
+
+def _cmd_sweep(args) -> int:
+    f, z0, pts = _scheme_inputs(args)
+    _emit(args, sweep_to_csv(_sweep_rows(args, f, z0, args.m, pts)))
     return 0
 
 
-_EXAMPLE_PARAMS = ParamTable(
-    d=2,
-    n=4,
-    a={(2, 2): Fraction(2), (3, 2): Fraction(3), (4, 2): Fraction(4)},
-)
+_EXAMPLE_PARAMS = ParamTable(d=2, n=4, a={(2, 2): Fraction(2), (3, 2): Fraction(3), (4, 2): Fraction(4)})
 _EXAMPLE_F = Polynomial.parse("x1^4 + x1^2*x2 + x2^2 + x1 + x2 + 1", 2)
 
 _EXAMPLE_BASIS_TEXT = [
@@ -341,6 +350,73 @@ _EXAMPLE_POINTS = {
     "a": [{}, {2: 2, 3: 3, 4: 4}, {2: 8, 3: 24, 4: 64}, {2: 18, 3: 81, 4: 324}, {2: 32, 3: 192, 4: 1024}],
     "b": [{}, {}, {2: 4}, {2: 12, 3: 18}, {2: 24, 3: 72, 4: 96}],
 }
+
+
+def _cmd_study(args) -> int:
+    table = _require_params(_load_spec(args.spec), args.spec) if args.spec else _EXAMPLE_PARAMS
+    f = _load_poly(args.f, table.d) if args.f else _EXAMPLE_F
+    z0 = _parse_point(args.z0, table.d)
+    # Every sweep runs before anything is written, so bad input leaves no output.
+    runs = []
+    for name, build in SCHEMES.items():
+        pts = build(table, z0)
+        runs += [(name, m, _sweep_rows(args, f, z0, m, pts)) for m in range(table.n + 1)]
+    out_dir = Path(args.out_dir)
+    z0_text = ", ".join(str(c) for c in z0)
+    lines = [
+        f"table: d={table.d} n={table.n}, f = {f.render()}, z0 = ({z0_text})",
+        f"{'scheme':>6} {'m':>3} {'exact':>14} {'final abs_err':>14} {'median order':>13}  csv",
+    ]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, m, rows in runs:
+            path = out_dir / f"scheme_{name}_m{m}.csv"
+            path.write_text(sweep_to_csv(rows), encoding="utf-8")
+            orders = [r.est_order for r in rows if r.est_order is not None and r.abs_err > 1e-12]
+            median = f"{statistics.median(orders):.3f}" if orders else "exact"
+            lines.append(
+                f"{name:>6} {m:>3} {rows[0].exact:>14.6g} {rows[-1].abs_err:>14.3e} {median:>13}  {path}"
+            )
+    except OSError as exc:
+        raise CliError(f"cannot write to {args.out_dir}: {exc}") from exc
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
+
+
+def _random_table(rng: random.Random, d_max: int, n_max: int) -> ParamTable:
+    d, n = rng.randint(2, d_max), rng.randint(2, n_max)
+    a = {
+        (i, j): Fraction(rng.randint(-10, 10), rng.randint(1, 10))
+        for i in range(2, n + 1)
+        for j in range(2, d + 1)
+        if rng.random() < 0.8
+    }
+    return ParamTable(d=d, n=n, a=a)
+
+
+def _cmd_scan(args) -> int:
+    _require_at_least(args, count=1, d_max=2, n_max=2)
+    rng = random.Random(args.seed)
+    failures = []
+    start = time.perf_counter()
+    for k in range(args.count):
+        t = _random_table(rng, args.d_max, args.n_max)
+        rec, rec_vs_exp, gen_vs_rec = _compare_builders(t)
+        closure = check_closure(rec, t)
+        checks = (
+            (rec_vs_exp, "explicit != recursive"),
+            (gen_vs_rec, "general != recursive"),
+            (closure.ok, f"closure violations {closure.violations}"),
+            (breadth(list(rec)) == 1, "breadth != 1"),
+        )
+        problems = [msg for passed, msg in checks if not passed]
+        if problems:
+            failures.append({"index": k, "table": t.to_dict(), "problems": problems})
+    elapsed, bad = time.perf_counter() - start, len(failures)
+    report = {"what": "scan", "count": args.count, "seed": args.seed, "failures": failures, "ok": not failures}
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    _note(f"checked {args.count} tables in {elapsed:.2f}s: {args.count - bad} ok, {bad} failed")
+    return 1 if failures else 0
 
 
 def _cmd_example1(args) -> int:
@@ -392,13 +468,15 @@ def _cmd_example1(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dinv",
         description="Exact construction and verification of breadth-one "
         "derivative-closed polynomial bases and their coalescing point schemes.",
         epilog="Exit codes: 0 all requested checks passed, 1 a check failed, "
-        "2 bad input. DINV_SEED seeds the randomized test suite only.",
+        "2 bad input. scan takes its seed from --seed; DINV_SEED seeds the "
+        "randomized test suite and is not read here.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -448,6 +526,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=12, help="number of halvings (default 12)")
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_sweep)
+
+    p = sub.add_parser("study", help="sweep every order under both schemes: CSVs plus a summary table")
+    p.add_argument("--spec", help="parameter table JSON (default: built-in demo table)")
+    p.add_argument("--f", help="polynomial file, text or JSON (default: built-in demo)")
+    p.add_argument("--z0", help="comma-separated rational base point (default: origin)")
+    p.add_argument("--h0", default="1/4", help="initial step as a rational (default 1/4)")
+    p.add_argument("--steps", type=int, default=12, help="number of halvings (default 12)")
+    p.add_argument("--out-dir", dest="out_dir", default="convergence_out", help="directory for the CSV files")
+    p.set_defaults(func=_cmd_study)
+
+    p = sub.add_parser("scan", help="randomized three-way builder, closure and breadth scan")
+    p.add_argument("--count", type=int, default=200, help="number of random tables (default 200)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--d-max", dest="d_max", type=int, default=4, help="max variable count (default 4)")
+    p.add_argument("--n-max", dest="n_max", type=int, default=7, help="max top degree (default 7)")
+    p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("example1", help="reproduce and verify the built-in worked example")
     p.add_argument("--out", help="write the report here instead of stdout")

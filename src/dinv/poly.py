@@ -34,6 +34,27 @@ _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?\Z")
 _RAT_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 
+# One rule for numbers in decoded JSON, shared by every from_dict: integers
+# are JSON ints (not bool, float or string), sequences are JSON arrays and
+# rationals are read from their text ("3/4", 2, and 0.1 as 1/10).
+
+
+def json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_array(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
+def json_rational(value) -> Fraction:
+    return Fraction(str(value))
+
+
 def _raw_mul(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]) -> dict[Exponent, Fraction]:
     out: dict[Exponent, Fraction] = {}
     for ea, ca in a.items():
@@ -369,9 +390,12 @@ class Polynomial:
     @classmethod
     def from_dict(cls, data: Mapping) -> Polynomial:
         try:
-            dim = int(data["dim"])
-            terms = {tuple(int(v) for v in t["exp"]): Fraction(t["coef"]) for t in data["terms"]}
-        except (KeyError, TypeError) as exc:
+            dim = json_int(data["dim"], "dim")
+            terms = {
+                tuple(json_int(v, "exponent") for v in json_array(t["exp"], "exp")): json_rational(t["coef"])
+                for t in json_array(data["terms"], "terms")
+            }
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial object: {exc}") from exc
         return cls(dim, terms)
 

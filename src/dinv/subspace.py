@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .compositions import weighted_compositions
 from .linalg import rref, solve
-from .poly import Polynomial
+from .poly import Polynomial, json_array, json_int, json_rational
 
 
 def _fact(k: int) -> int:
@@ -75,14 +75,13 @@ class ParamTable:
     @classmethod
     def from_dict(cls, data: Mapping) -> ParamTable:
         try:
-            d = int(data["d"])
-            n = int(data["n"])
-            raw = data.get("a", {})
+            d = json_int(data["d"], "d")
+            n = json_int(data["n"], "n")
             a = {}
-            for key, v in raw.items():
+            for key, v in data.get("a", {}).items():
                 i_s, j_s = str(key).split(",")
-                a[(int(i_s), int(j_s))] = Fraction(str(v))
-        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, OverflowError) as exc:
+                a[(int(i_s), int(j_s))] = json_rational(v)
+        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed parameter table: {exc}") from exc
         return cls(d=d, n=n, a=a)
 
@@ -142,11 +141,11 @@ class GeneralSpec:
     @classmethod
     def from_dict(cls, data: Mapping) -> GeneralSpec:
         try:
-            n = int(data["n"])
-            d = int(data["d"])
-            b = tuple(int(v) for v in data["b"])
-            c = tuple(tuple(Fraction(str(v)) for v in row) for row in data["c"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            n = json_int(data["n"], "n")
+            d = json_int(data["d"], "d")
+            b = tuple(json_int(v, "b entry") for v in json_array(data["b"], "b"))
+            c = tuple(tuple(json_rational(v) for v in json_array(row, "c row")) for row in json_array(data["c"], "c"))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed general spec: {exc}") from exc
         return cls(n=n, d=d, b=b, c=c)
 

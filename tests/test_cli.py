@@ -1,15 +1,23 @@
 """End-to-end tests of the command-line interface.
 
-All invocations go through main(argv) in-process; stdout/stderr are
-captured with capsys and files live in tmp_path.
+All invocations but the entry-point test go through main(argv)
+in-process; stdout/stderr are captured with capsys and files live in
+tmp_path.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dinv import Polynomial
+import dinv.cli
+from dinv import BasisSequence, ClosureReport, Polynomial
 from dinv.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXAMPLE_SPEC = {"d": 2, "n": 4, "a": {"2,2": "2", "3,2": "3", "4,2": "4"}}
 GENERAL_SPEC = {"n": 2, "d": 2, "b": [1, 2], "c": [["1", "0"], ["0", "1"]]}
@@ -72,6 +80,15 @@ class TestBasis:
         assert main(["basis", "--source", "recursive", "--spec", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content", [b"[" * 100000, b"\xff\xfe{}"], ids=["nested-too-deep", "not-utf8"]
+    )
+    def test_unreadable_json_exits_2(self, content, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["basis", "--source", "recursive", "--spec", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_malformed_spec(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"d": 2}')
@@ -83,8 +100,16 @@ class TestBasis:
             ("recursive", {"d": 2, "n": 2, "a": [1, 2]}),
             ("recursive", {"d": 2, "n": 2, "a": {"2,2": "1/0"}}),
             ("general", {"n": 2, "d": 1, "b": [1, 2], "c": [["1/0", "1"]]}),
+            ("general", {"n": 2, "d": 2, "b": "12", "c": [["1", "0"], ["0", "1"]]}),
+            ("general", {"n": 2, "d": 1, "b": [1, 2], "c": ["34"]}),
+            ("recursive", {"d": 2.9, "n": 2, "a": {}}),
+            ("recursive", {"d": 2, "n": True, "a": {}}),
+            ("general", {"n": 2, "d": 1, "b": [1, 2.0], "c": [["1", "1"]]}),
         ],
-        ids=["table-a-list", "table-zero-denominator", "general-zero-denominator"],
+        ids=[
+            "table-a-list", "table-zero-denominator", "general-zero-denominator",
+            "general-b-string", "general-c-row-string", "table-d-float", "table-n-bool", "general-b-float",
+        ],
     )
     def test_unparseable_spec_exits_2(self, source, spec, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -148,6 +173,18 @@ class TestVerify:
         spec = general_file if which == "general" else spec_file
         assert main(["verify", "--what", "closure", "--spec", spec, "--basis", str(basis_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_closure_basis_float_exponent_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"d": 2, "n": 1, "a": {}}))
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps([
+            {"dim": 2, "terms": [{"exp": [0, 0], "coef": "1"}]},
+            {"dim": 2, "terms": [{"exp": [1.7, 0], "coef": "1"}]},
+        ]))
+        assert main(["verify", "--what", "closure", "--spec", str(spec), "--basis", str(basis_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1.7" in err
 
     def test_equivalence(self, spec_file, capsys):
         assert main(["verify", "--what", "equivalence", "--spec", spec_file]) == 0
@@ -234,10 +271,28 @@ class TestLimitAndSweep:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
+    def test_limit_float_coefficient_reads_as_its_decimal(self, spec_file, tmp_path, capsys):
+        leads = []
+        for coef in (0.1, "1/10"):
+            f = tmp_path / "f.json"
+            f.write_text(json.dumps({"dim": 2, "terms": [{"exp": [2, 0], "coef": coef}]}))
+            assert main(["limit", "--spec", spec_file, "--f", str(f), "--m", "2", "--scheme", "b"]) == 0
+            leads.append(json.loads(capsys.readouterr().out)["lead"])
+        assert leads == ["1/10", "1/10"]
+
     def test_limit_m_out_of_range(self, spec_file, tmp_path, capsys):
         f = tmp_path / "f.txt"
         f.write_text("x1")
         assert main(["limit", "--spec", spec_file, "--f", str(f), "--m", "9", "--scheme", "a"]) == 2
+
+    @pytest.mark.parametrize(
+        "content", [b'{"dim": ' + b"[" * 100000, b"\xffx1"], ids=["nested-too-deep", "not-utf8"]
+    )
+    def test_limit_unreadable_f_exits_2(self, content, spec_file, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_bytes(content)
+        assert main(["limit", "--spec", spec_file, "--f", str(f), "--m", "1", "--scheme", "a"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_limit_zero_denominator_in_f_exits_2(self, spec_file, tmp_path, capsys):
         f = tmp_path / "f.txt"
@@ -300,3 +355,114 @@ class TestExample1:
         assert main(["example1"]) == 0
         b = capsys.readouterr().out
         assert a == b
+
+
+class TestStudy:
+    def test_writes_every_csv(self, tmp_path, capsys):
+        assert main(["study", "--steps", "3", "--out-dir", str(tmp_path)]) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted(f"scheme_{s}_m{m}.csv" for s in "ab" for m in range(5))
+        for name in names:
+            assert len((tmp_path / name).read_text().splitlines()) == 4
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "table: d=2 n=4, f = x1^4 + x1^2*x2 + x2^2 + x1 + x2 + 1, z0 = (0, 0)"
+        assert len(out) == 2 + len(names)
+
+    def test_csv_equals_sweep(self, tmp_path, capsys):
+        spec = tmp_path / "p.json"
+        spec.write_text(json.dumps({"d": 2, "n": 3, "a": {"2,2": "1/2", "3,2": "-2"}}))
+        f = tmp_path / "f.txt"
+        f.write_text("x1^4 + x1*x2^2 + x2")
+        flags = ["--spec", str(spec), "--f", str(f), "--z0", "1,-1/2", "--h0", "1/8", "--steps", "6"]
+        assert main(["study", *flags, "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert main(["sweep", *flags, "--scheme", "b", "--m", "2"]) == 0
+        assert (tmp_path / "out" / "scheme_b_m2.csv").read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--z0", "1"], "base point"),
+            (["--h0", "x"], "--h0"),
+            (["--steps", "1"], "steps"),
+            (["--spec", "{tmp}/missing.json"], "cannot read"),
+            (["--h0", "1/0"], "--h0"),
+            (["--steps", "1200"], "--steps"),
+            (["--h0", "1e200"], "--h0"),
+        ],
+        ids=["z0", "h0-text", "steps-1", "missing-spec", "h0-zero-denominator", "underflow", "overflow"],
+    )
+    def test_bad_input_exits_2_and_writes_nothing(self, argv, named, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(["study", *argv, "--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and named in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_out_dir_is_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["study", "--steps", "3", "--out-dir", str(blocker)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestScan:
+    def test_ok(self, capsys):
+        assert main(["scan", "--count", "3", "--n-max", "3"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"what": "scan", "count": 3, "seed": 0, "failures": [], "ok": True}
+        assert "checked 3 tables in" in captured.err and "3 ok, 0 failed" in captured.err
+
+    def test_same_seed_same_stdout(self, capsys):
+        outs = []
+        for _ in range(2):
+            assert main(["scan", "--count", "4", "--seed", "5", "--d-max", "3", "--n-max", "4"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "name, wrong, problem",
+        [
+            ("build_explicit", lambda spec: BasisSequence((Polynomial.constant(spec.d, 1),)), "explicit != recursive"),
+            ("build_general", lambda spec: BasisSequence((Polynomial.constant(spec.d, 1),)), "general != recursive"),
+            ("check_closure", lambda basis, spec: ClosureReport(ok=False, violations=((2, 2),)),
+             "closure violations ((2, 2),)"),
+            ("breadth", lambda elements: 2, "breadth != 1"),
+        ],
+        ids=["explicit", "general", "closure", "breadth"],
+    )
+    def test_failed_check_is_reported(self, name, wrong, problem, monkeypatch, capsys):
+        monkeypatch.setattr(dinv.cli, name, wrong)
+        assert main(["scan", "--count", "2", "--n-max", "3"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False
+        assert [f["index"] for f in report["failures"]] == [0, 1]
+        for failure in report["failures"]:
+            assert failure["problems"] == [problem]
+            assert set(failure["table"]) == {"d", "n", "a"}
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--count", "-3"), ("--count", "0"), ("--d-max", "1"), ("--n-max", "1")]
+    )
+    def test_empty_or_invalid_range_exits_2(self, flag, value, capsys):
+        assert main(["scan", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and flag in captured.err
+        assert captured.out == ""
+
+
+def test_entry_point_subprocess(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    calls = [
+        (["scan", "--count", "2", "--n-max", "3"], 0),
+        (["study", "--steps", "3", "--out-dir", str(tmp_path / "out")], 0),
+        (["scan", "--count", "-3"], 2),
+    ]
+    for argv, code in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dinv", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert len(list((tmp_path / "out").iterdir())) == 10

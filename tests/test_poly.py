@@ -279,6 +279,25 @@ class TestTextAndJson:
         with pytest.raises(ValueError):
             Polynomial.from_dict({"dim": 2})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"dim": 2.0, "terms": []},
+            {"dim": 1, "terms": [{"exp": [1.7], "coef": "1"}]},
+            {"dim": 1, "terms": [{"exp": [True], "coef": "1"}]},
+            {"dim": 2, "terms": [{"exp": "10", "coef": "1"}]},
+            {"dim": 1, "terms": [{"exp": [1], "coef": "1/0"}]},
+        ],
+        ids=["float-dim", "float-exponent", "bool-exponent", "string-exp", "zero-denominator"],
+    )
+    def test_from_dict_rejects_non_json_numbers(self, data):
+        with pytest.raises(ValueError):
+            Polynomial.from_dict(data)
+
+    def test_from_dict_float_coefficient_is_its_decimal(self):
+        as_float = Polynomial.from_dict({"dim": 1, "terms": [{"exp": [1], "coef": 0.1}]})
+        assert as_float == Polynomial.from_dict({"dim": 1, "terms": [{"exp": [1], "coef": "1/10"}]})
+
     @given(polys())
     def test_text_round_trip(self, p):
         assert Polynomial.parse(p.render(), p.dim) == p
