@@ -12,6 +12,14 @@ and the vanishing of the low-order coefficients is checked as an identity,
 not up to a tolerance.  A float h-sweep is provided as a human-facing
 diagnostic of the same limit.
 
+The check at order m computes only what it reports.  It expands the
+combination only to h^m: each coordinate is a dense list of
+h-coefficients and every product is cut after h^m, which is exact because
+the h^t coefficient of a product reads only its factors' coefficients up
+to h^t.  The target builds only B_0..B_m, from the table cut to degree m,
+and evaluates B_m(D)f at z0 as a scalar; it never reads the points, so it
+stays an independent witness.
+
 Point coordinates are univariate polynomials in h (dimension-1 Polynomial
 values); the generating ParamTable travels with the point set so
 downstream checks can rebuild the basis it belongs to.
@@ -27,6 +35,8 @@ from typing import Sequence
 from .identities import falling_factorial
 from .poly import DiffOperator, Polynomial
 from .subspace import ParamTable, build_recursive
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -92,12 +102,13 @@ def _points(scheme: str, h_coef, params: ParamTable, z0: Sequence[Fraction | int
     pts = []
     for i in range(params.n + 1):
         powers = [(j, c) for j in range(2, params.n + 1) if (c := h_coef(i, j))]
-        coords = [Polynomial(1, {(0,): base[0], (1,): Fraction(i)})]
+        coords = [Polynomial(1, {(0,): base[0], (1,): Fraction(i)}, _trusted=True)]
         for s in range(2, params.d + 1):
             terms = {(0,): base[s - 1]}
             for j, c in powers:
-                terms[(j,)] = params.get(j, s) * c
-            coords.append(Polynomial(1, terms))
+                if (j, s) in params.a:
+                    terms[(j,)] = params.a[j, s] * c
+            coords.append(Polynomial(1, terms, _trusted=True))
         pts.append(tuple(coords))
     return SymbolicPointSet(scheme=scheme, base=base, points=tuple(pts), params=params)
 
@@ -126,17 +137,74 @@ def points_scheme_b(params: ParamTable, z0: Sequence[Fraction | int]) -> Symboli
 SCHEMES = {"a": points_scheme_a, "b": points_scheme_b}
 
 
+def _check_order(m: int, pts: SymbolicPointSet) -> None:
+    top = len(pts.points) - 1
+    if not 0 <= m <= top:
+        raise ValueError(f"order {m} exceeds available points 0..{top}")
+
+
+def _mul_cut(a: list[Fraction], b: list[Fraction], length: int) -> list[Fraction]:
+    """Product of two dense h-series, cut after h^(length-1), trailing zeros
+    dropped.  Its h^t coefficient reads only the factors' coefficients up
+    to h^t, so the cut is exact."""
+    size = min(len(a) + len(b) - 1, length)
+    out = [_ZERO] * size
+    for i, ai in enumerate(a[:size]):
+        if ai:
+            for j, bj in enumerate(b[: size - i], i):
+                if bj:
+                    out[j] += ai * bj
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[Fraction]:
+    """The h^0..h^(length-1) coefficients of sum_{r=0..m} A_r^(m) * f(z_r(h)).
+
+    Each coordinate is a dense list of h-coefficients; its powers are
+    cached per point and every product is cut after h^(length-1)."""
+    total = [_ZERO] * length
+    for w, point in zip(stencil(m).coeffs, pts.points):
+        powers = []
+        for coord in point:
+            dense = [_ZERO] * min(coord.degree + 1, length)
+            for (t,), c in coord.terms.items():
+                if t < length:
+                    dense[t] = c
+            while dense and not dense[-1]:
+                dense.pop()
+            powers.append([None, dense])  # powers[i][k] is coordinate i to the k-th
+        value = [_ZERO] * length
+        for e, c in f.terms.items():
+            prod = None
+            for cache, k in zip(powers, e):
+                if k:
+                    while len(cache) <= k:
+                        cache.append(_mul_cut(cache[-1], cache[1], length))
+                    prod = cache[k] if prod is None else _mul_cut(prod, cache[k], length)
+                    if not prod:
+                        break
+            if prod is None:
+                value[0] += c
+            else:
+                for t, v in enumerate(prod):
+                    value[t] += c * v
+        for t, v in enumerate(value):
+            if v:
+                total[t] += w * v
+    return total
+
+
 def combination_poly(f: Polynomial, m: int, pts: SymbolicPointSet) -> Polynomial:
     """sum_{r=0..m} A_r^(m) * f(z_r(h)), exactly, as a polynomial in h."""
     if f.dim != pts.dim:
         raise ValueError(f"dimension mismatch: f has {f.dim}, points have {pts.dim}")
-    if not 0 <= m <= len(pts.points) - 1:
-        raise ValueError(f"order {m} exceeds available points 0..{len(pts.points) - 1}")
-    weights = stencil(m).coeffs
-    total = Polynomial.zero(1)
-    for r in range(m + 1):
-        total = total + weights[r] * f.compose(list(pts.points[r]))
-    return total
+    _check_order(m, pts)
+    top = max(coord.degree for pt in pts.points[: m + 1] for coord in pt)
+    length = max(f.degree, 0) * max(top, 0) + 1
+    coeffs = _series(f, m, pts, length)
+    return Polynomial(1, {(t,): c for t, c in enumerate(coeffs)}, _trusted=True)
 
 
 @dataclass(frozen=True)
@@ -168,8 +236,11 @@ class ExpansionReport:
 
 
 def _target_value(f: Polynomial, z0: Sequence[Fraction], m: int, params: ParamTable) -> Fraction:
-    basis = build_recursive(params)
-    return DiffOperator(basis[m]).apply_at(f, z0)
+    """(B_m(D)f)(z0) from the table alone.  The recursion for B_k reads only
+    a[i, j] with i <= k, so B_m of the table cut to degree max(m, 1) is B_m
+    of the whole table."""
+    cut = ParamTable(d=params.d, n=max(m, 1), a={(i, j): v for (i, j), v in params.a.items() if i <= m})
+    return DiffOperator(build_recursive(cut)[m]).apply_at(f, z0)
 
 
 def expansion_check(
@@ -188,11 +259,12 @@ def expansion_check(
     base = tuple(Fraction(v) for v in z0)
     if base != pts.base:
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
-    expansion = combination_poly(f, m, pts)
-    low = tuple(expansion.coeff((t,)) for t in range(m))
-    lead = expansion.coeff((m,))
+    if f.dim != pts.dim:
+        raise ValueError(f"dimension mismatch: f has {f.dim}, points have {pts.dim}")
+    _check_order(m, pts)
+    coeffs = _series(f, m, pts, m + 1)
     target = _target_value(f, base, m, pts.params)
-    return ExpansionReport(m=m, low_coeffs=low, lead=lead, target=target)
+    return ExpansionReport(m=m, low_coeffs=tuple(coeffs[:m]), lead=coeffs[m], target=target)
 
 
 @dataclass(frozen=True)
@@ -235,6 +307,7 @@ def sweep(
     base = tuple(Fraction(v) for v in z0)
     if base != pts.base:
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
+    _check_order(m, pts)
     weights = [float(c) for c in stencil(m).coeffs]
     exact = float(_target_value(f, base, m, pts.params))
     rows: list[SweepRow] = []

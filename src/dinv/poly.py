@@ -65,6 +65,18 @@ def _raw_mul(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]) -> 
     return out
 
 
+def _derivative_factor(e: Exponent, alpha: Exponent) -> int:
+    """prod_i e_i!/(e_i-alpha_i)!, the factor d^alpha brings down from x^e;
+    0 unless e >= alpha componentwise."""
+    factor = 1
+    for ei, ai in zip(e, alpha):
+        if ei < ai:
+            return 0
+        for t in range(ei, ei - ai, -1):
+            factor *= t
+    return factor
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
@@ -75,9 +87,21 @@ class Polynomial:
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: Mapping[Exponent, Fraction | int] | None = None):
+    def __init__(
+        self,
+        dim: int,
+        terms: Mapping[Exponent, Fraction | int] | None = None,
+        *,
+        _trusted: bool = False,
+    ):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
+        if _trusted:
+            # Internal results: exponent tuples of length dim and Fraction
+            # coefficients by construction; only zeros need dropping.
+            object.__setattr__(self, "dim", dim)
+            object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+            return
         clean: dict[Exponent, Fraction] = {}
         for exps, coef in (terms or {}).items():
             exps = tuple(exps)
@@ -98,7 +122,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, dim: int) -> Polynomial:
-        return cls(dim, {})
+        return cls(dim, {}, _trusted=True)
 
     @classmethod
     def constant(cls, dim: int, value: Fraction | int) -> Polynomial:
@@ -111,7 +135,7 @@ class Polynomial:
             raise ValueError(f"variable index {j} out of range 1..{dim}")
         exps = [0] * dim
         exps[j - 1] = 1
-        return cls(dim, {tuple(exps): _ONE})
+        return cls(dim, {tuple(exps): _ONE}, _trusted=True)
 
     @classmethod
     def monomial(cls, dim: int, exps: Sequence[int], coef: Fraction | int = 1) -> Polynomial:
@@ -135,7 +159,7 @@ class Polynomial:
 
     def homogeneous_part(self, k: int) -> Polynomial:
         """The degree-k homogeneous component."""
-        return Polynomial(self.dim, {e: c for e, c in self.terms.items() if sum(e) == k})
+        return Polynomial(self.dim, {e: c for e, c in self.terms.items() if sum(e) == k}, _trusted=True)
 
     def canonical_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in graded-lexicographic descending order, x1 > x2 > ... > xd."""
@@ -154,10 +178,10 @@ class Polynomial:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, _ZERO) + c
-        return Polynomial(self.dim, out)
+        return Polynomial(self.dim, out, _trusted=True)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()}, _trusted=True)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -167,10 +191,10 @@ class Polynomial:
     def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if isinstance(other, Polynomial):
             self._check_same_dim(other)
-            return Polynomial(self.dim, _raw_mul(self.terms, other.terms))
+            return Polynomial(self.dim, _raw_mul(self.terms, other.terms), _trusted=True)
         if isinstance(other, (Fraction, int)):
             c = Fraction(other)
-            return Polynomial(self.dim, {e: c * v for e, v in self.terms.items()})
+            return Polynomial(self.dim, {e: c * v for e, v in self.terms.items()}, _trusted=True)
         return NotImplemented
 
     def __rmul__(self, other: Fraction | int) -> Polynomial:
@@ -212,7 +236,7 @@ class Polynomial:
                 continue
             ne = e[:i] + (e[i] - 1,) + e[i + 1:]
             out[ne] = out.get(ne, _ZERO) + c * e[i]
-        return Polynomial(self.dim, out)
+        return Polynomial(self.dim, out, _trusted=True)
 
     def diff_multi(self, alpha: Sequence[int]) -> Polynomial:
         """Mixed partial derivative of multi-order alpha, in one pass.
@@ -225,18 +249,12 @@ class Polynomial:
             raise ValueError(f"multi-order has length {len(alpha)}, expected {self.dim}")
         out: dict[Exponent, Fraction] = {}
         for e, c in self.terms.items():
-            factor = 1
-            for ei, ai in zip(e, alpha):
-                if ei < ai:
-                    factor = 0
-                    break
-                for t in range(ei, ei - ai, -1):
-                    factor *= t
+            factor = _derivative_factor(e, alpha)
             if factor == 0:
                 continue
             ne = tuple(ei - ai for ei, ai in zip(e, alpha))
             out[ne] = out.get(ne, _ZERO) + c * factor
-        return Polynomial(self.dim, out)
+        return Polynomial(self.dim, out, _trusted=True)
 
     def integrate(self, j: int) -> Polynomial:
         """Monomial-wise antiderivative in x_j: x^e -> x^e * x_j / (e_j + 1).
@@ -250,7 +268,7 @@ class Polynomial:
         for e, c in self.terms.items():
             ne = e[:i] + (e[i] + 1,) + e[i + 1:]
             out[ne] = c / (e[i] + 1)
-        return Polynomial(self.dim, out)
+        return Polynomial(self.dim, out, _trusted=True)
 
     def free_of_leading(self, j: int) -> Polynomial:
         """The part made of terms containing none of x1..x_{j-1}.
@@ -260,7 +278,7 @@ class Polynomial:
         if not 1 <= j <= self.dim:
             raise ValueError(f"variable index {j} out of range 1..{self.dim}")
         keep = {e: c for e, c in self.terms.items() if all(v == 0 for v in e[:j - 1])}
-        return Polynomial(self.dim, keep)
+        return Polynomial(self.dim, keep, _trusted=True)
 
     # -- substitution and evaluation ---------------------------------------
 
@@ -288,7 +306,7 @@ class Polynomial:
                 prod = _raw_mul(prod, cache[ei])
             for pe, pc in prod.items():
                 acc[pe] = acc.get(pe, _ZERO) + c * pc
-        return Polynomial(tdim, acc)
+        return Polynomial(tdim, acc, _trusted=True)
 
     def eval(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact value at a rational point (0**0 == 1)."""
@@ -416,14 +434,44 @@ class DiffOperator:
     def apply(self, f: Polynomial) -> Polynomial:
         if f.dim != self.source.dim:
             raise ValueError(f"dimension mismatch: {self.source.dim} vs {f.dim}")
-        out = Polynomial.zero(f.dim)
+        out: dict[Exponent, Fraction] = {}
         for alpha, c in self.source.terms.items():
-            out = out + c * f.diff_multi(alpha)
-        return out
+            for e, v in f.diff_multi(alpha).terms.items():
+                out[e] = out.get(e, _ZERO) + c * v
+        return Polynomial(f.dim, out, _trusted=True)
 
     def apply_at(self, f: Polynomial, point: Sequence[Fraction | int]) -> Fraction:
-        """Value of the functional: apply the operator to f, evaluate at point."""
-        return self.apply(f).eval(point)
+        """Value of the functional: apply the operator to f, evaluate at point.
+
+        Sums c_alpha * c_e * prod_i e_i!/(e_i-alpha_i)! * point^(e-alpha)
+        over source terms alpha and terms e >= alpha of f, as scalars: no
+        derivative or sum polynomial is built.  Equal to
+        apply(f).eval(point).
+        """
+        if f.dim != self.source.dim:
+            raise ValueError(f"dimension mismatch: {self.source.dim} vs {f.dim}")
+        vals = [Fraction(v) for v in point]
+        if len(vals) != f.dim:
+            raise ValueError(f"point has length {len(vals)}, expected {f.dim}")
+        powers: list[list[Fraction]] = [[_ONE] for _ in vals]
+        total = _ZERO
+        for alpha, ca in self.source.terms.items():
+            for e, ce in f.terms.items():
+                factor = _derivative_factor(e, alpha)
+                if not factor:
+                    continue
+                value = ca * ce * factor
+                for i, (ei, ai) in enumerate(zip(e, alpha)):
+                    k = ei - ai
+                    if k:
+                        cache = powers[i]
+                        while len(cache) <= k:
+                            cache.append(cache[-1] * vals[i])
+                        value *= cache[k]
+                        if not value:
+                            break
+                total += value
+        return total
 
     def __repr__(self) -> str:
         return f"DiffOperator({self.source!r})"

@@ -312,6 +312,17 @@ class TestLimitAndSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize("command", ["sweep", "limit"])
+    def test_order_beyond_points_exits_2(self, command, tmp_path, capsys):
+        spec = tmp_path / "p.json"
+        spec.write_text(json.dumps({"d": 2, "n": 2, "a": {"2,2": "1"}}))
+        f = tmp_path / "f.txt"
+        f.write_text("x1^3")
+        assert main([command, "--spec", str(spec), "--f", str(f), "--m", "3", "--scheme", "a"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: order 3 exceeds available points 0..2\n"
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_sweep_csv(self, tmp_path, capsys):
         spec = tmp_path / "p.json"
         spec.write_text(json.dumps({"d": 2, "n": 2, "a": {"2,2": "1"}}))

@@ -196,6 +196,99 @@ class TestCombinationPoly:
             combination_poly(Polynomial.variable(3, 1), 2, pts)
 
 
+def oracle_coeffs(f: Polynomial, m: int, pts) -> list[Fraction]:
+    """Coefficients of sum_r A_r^(m) * f(z_r(h)) by full composition."""
+    total = Polynomial.zero(1)
+    for r, w in enumerate(stencil(m).coeffs):
+        total = total + w * f.compose(list(pts.points[r]))
+    return [total.coeff((t,)) for t in range(max(total.degree, m) + 1)]
+
+
+def random_draws(offset: int, count: int):
+    """Seeded (table, f, z0) draws; z0 alternates between the origin and a
+    random point, and every fifth f is a constant."""
+    rng = make_rng(offset)
+    for k in range(count):
+        d = rng.choice((2, 3))
+        n = rng.randint(1, 5)
+        t = random_param_table(rng, d=d, n=n)
+        if k % 5 == 4:
+            f = Polynomial.constant(d, rational(rng, allow_zero=False))
+        else:
+            f = random_poly(rng, dim=d, max_deg=n + 2, max_terms=5)
+        z0 = (F(0),) * d if k % 2 == 0 else tuple(rational(rng) for _ in range(d))
+        yield t, f, z0
+
+
+class TestTruncatedExpansion:
+    """The check expands only to h^m and builds only B_0..B_m; the oracles
+    are the full composition and the full basis."""
+
+    def test_report_equals_full_composition_prefix(self):
+        for t, f, z0 in random_draws(203, 24):
+            for build in (points_scheme_a, points_scheme_b):
+                pts = build(t, z0)
+                for m in range(t.n + 1):
+                    report = expansion_check(f, z0, m, pts)
+                    coeffs = oracle_coeffs(f, m, pts)
+                    assert report.low_coeffs == tuple(coeffs[:m])
+                    assert report.lead == coeffs[m]
+                    assert all(isinstance(c, Fraction) for c in (*report.low_coeffs, report.lead))
+
+    def test_combination_poly_equals_full_composition(self):
+        for t, f, z0 in random_draws(204, 16):
+            for build in (points_scheme_a, points_scheme_b):
+                pts = build(t, z0)
+                for m in range(t.n + 1):
+                    want = Polynomial(1, {(e,): c for e, c in enumerate(oracle_coeffs(f, m, pts))})
+                    assert combination_poly(f, m, pts) == want
+
+    def test_target_builds_only_up_to_order(self, monkeypatch):
+        import dinv.discretize
+
+        seen = []
+
+        def recording(params):
+            seen.append(params)
+            return build_recursive(params)
+
+        monkeypatch.setattr(dinv.discretize, "build_recursive", recording)
+        for t, f, z0 in random_draws(205, 12):
+            full = build_recursive(t)
+            pts = points_scheme_a(t, z0)
+            for m in range(t.n + 1):
+                seen.clear()
+                report = expansion_check(f, z0, m, pts)
+                (cut,) = seen
+                assert cut.n == max(m, 1) and cut.d == t.d
+                assert build_recursive(cut).elements[: m + 1] == full.elements[: m + 1]
+                assert report.target == DiffOperator(full[m]).apply(f).eval(z0)
+
+    def test_check_never_composes(self, monkeypatch):
+        def refuse(self, subs):
+            raise AssertionError("the limit check must not compose")
+
+        monkeypatch.setattr(Polynomial, "compose", refuse)
+        for t, f, z0 in random_draws(206, 8):
+            for build in (points_scheme_a, points_scheme_b):
+                pts = build(t, z0)
+                for m in range(t.n + 1):
+                    assert expansion_check(f, z0, m, pts).passed
+                    combination_poly(f, m, pts)
+
+    @pytest.mark.parametrize("m", [3, 99, -1])
+    def test_order_out_of_range_rejected_before_target(self, m):
+        t = ParamTable(d=2, n=2, a={(2, 2): F(1)})
+        pts = points_scheme_a(t, ORIGIN2)
+        for call in (
+            lambda: expansion_check(P("x1"), ORIGIN2, m, pts),
+            lambda: sweep(P("x1"), ORIGIN2, m, pts, h0=0.25, steps=4),
+            lambda: combination_poly(P("x1"), m, pts),
+        ):
+            with pytest.raises(ValueError, match=rf"^order {m} exceeds available points 0\.\.2$"):
+                call()
+
+
 class TestSweep:
     def make_pts(self):
         t = ParamTable(d=2, n=2, a={(2, 2): F(1)})

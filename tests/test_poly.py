@@ -191,6 +191,74 @@ class TestDiffOperator:
         assert lhs == rhs
 
 
+    @given(
+        polys(max_exp=3, max_terms=4).flatmap(
+            lambda s: st.tuples(
+                st.just(s),
+                polys(dim=s.dim, max_exp=5, max_terms=5),
+                st.lists(rationals(), min_size=s.dim, max_size=s.dim),
+            )
+        )
+    )
+    def test_apply_at_equals_apply_then_eval(self, args):
+        source, f, point = args
+        op = DiffOperator(source)
+        assert op.apply_at(f, point) == op.apply(f).eval(point)
+
+    def test_apply_at_at_origin_and_integer_point(self):
+        op = DiffOperator(P("x1^2 - 3*x1*x2 + 1/2"))
+        f = P("x1^4*x2 + 2*x1^2 + x1*x2^3 - 7")
+        for point in ((0, 0), (F(0), F(3)), (2, -1)):
+            assert op.apply_at(f, point) == op.apply(f).eval(point)
+
+    def test_apply_at_errors(self):
+        op = DiffOperator(P("x1"))
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            op.apply_at(Polynomial.variable(3, 1), (0, 0, 0))
+        with pytest.raises(ValueError, match="point has length 3, expected 2"):
+            op.apply_at(P("x1*x2"), (0, 0, 0))
+
+
+class TestTrustedResults:
+    """Results of the kernel's own operations skip the public checks; they
+    must still hold no zero coefficient and equal the same terms passed
+    through the public constructor."""
+
+    @staticmethod
+    def assert_clean(r: Polynomial):
+        assert all(isinstance(c, Fraction) and c != 0 for c in r.terms.values())
+        assert all(isinstance(e, tuple) and len(e) == r.dim for e in r.terms)
+        assert Polynomial(r.dim, dict(r.terms)) == r
+
+    def test_difference_with_itself_is_empty(self):
+        p = P("x1^2 - 1/3*x2 + 5")
+        assert (p - p).terms == {}
+        assert (p + (-p)).terms == {}
+        assert (p * 0).terms == {}
+        assert (0 * p).terms == {}
+
+    @given(polys(dim=2), polys(dim=2), rationals(), st.integers(-3, 3))
+    def test_every_operation_is_clean(self, p, q, a, k):
+        x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        results = [
+            p + q, p - q, p - p, -p, p * q, p * a, a * p, p * k, p ** 2,
+            p.diff(1), p.diff_multi((1, 2)), p.integrate(2), p.free_of_leading(2),
+            p.homogeneous_part(2), p.compose([q, x1 + x2]),
+            DiffOperator(q).apply(p), Polynomial.zero(2), x2,
+        ]
+        for r in results:
+            self.assert_clean(r)
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(ValueError):
+            Polynomial(2, {(1,): 1})
+        with pytest.raises(ValueError):
+            Polynomial(2, {(1, -1): 1})
+        with pytest.raises(ValueError):
+            Polynomial.zero(0)
+        assert isinstance(Polynomial(1, {(0,): 3}).coeff((0,)), Fraction)
+
+
 class TestComposeEval:
     def test_compose_univariate_square(self):
         h = Polynomial.variable(1, 1)
