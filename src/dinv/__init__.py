@@ -31,6 +31,7 @@ from .subspace import (
     breadth,
     build_explicit,
     build_general,
+    build_generating,
     build_recursive,
     check_closure,
     degrees,
@@ -58,6 +59,7 @@ __all__ = [
     "breadth",
     "build_explicit",
     "build_general",
+    "build_generating",
     "build_recursive",
     "check_closure",
     "combination_poly",

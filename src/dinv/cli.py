@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .discretize import SCHEMES, SweepRow, expansion_check, stencil, sweep, sweep_to_csv
 from .identities import falling_factorial_sum, signed_power_sum, vandermonde_oracle
-from .poly import Polynomial
+from .poly import Polynomial, parse_rational
 from .subspace import (
     BasisSequence,
     GeneralSpec,
@@ -42,6 +42,7 @@ from .subspace import (
     breadth,
     build_explicit,
     build_general,
+    build_generating,
     build_recursive,
     check_closure,
     degrees,
@@ -88,7 +89,7 @@ def _require_params(spec, path: str) -> ParamTable:
 
 
 def _build(spec: ParamTable | GeneralSpec) -> BasisSequence:
-    return build_general(spec) if isinstance(spec, GeneralSpec) else build_recursive(spec)
+    return build_generating(spec) if isinstance(spec, GeneralSpec) else build_recursive(spec)
 
 
 def _load_basis(path: str) -> BasisSequence:
@@ -129,7 +130,7 @@ def _parse_point(text: str | None, d: int) -> tuple[Fraction, ...]:
     if len(parts) != d:
         raise CliError(f"base point needs {d} comma-separated rationals, got {text!r}")
     try:
-        return tuple(Fraction(p) for p in parts)
+        return tuple(parse_rational(p) for p in parts)
     except _PARSE_ERRORS as exc:
         raise CliError(f"bad rational in base point {text!r}: {exc}") from exc
 
@@ -164,7 +165,7 @@ def _cmd_basis(args) -> int:
     if args.source == "general":
         if not isinstance(spec, GeneralSpec):
             raise CliError(f"{args.spec}: source 'general' needs a general spec (keys n, d, b, c)")
-        basis = build_general(spec)
+        basis = build_generating(spec)
     else:
         params = _require_params(spec, args.spec)
         basis = build_recursive(params) if args.source == "recursive" else build_explicit(params)
@@ -235,14 +236,18 @@ def _cmd_verify(args) -> int:
         return 0 if rep.ok else 1
 
     if args.what == "equivalence":
-        _, rec_vs_exp, gen_vs_rec = _compare_builders(_require_params(spec, args.spec))
-        ok = rec_vs_exp and gen_vs_rec is not False
-        report = {
-            "what": "equivalence",
-            "recursive_vs_explicit": rec_vs_exp,
-            "general_vs_recursive": gen_vs_rec,
-            "ok": ok,
-        }
+        if isinstance(spec, GeneralSpec):
+            ok = build_generating(spec).elements == build_general(spec).elements
+            report = {"what": "equivalence", "generating_vs_general": ok, "ok": ok}
+        else:
+            _, rec_vs_exp, gen_vs_rec = _compare_builders(spec)
+            ok = rec_vs_exp and gen_vs_rec is not False
+            report = {
+                "what": "equivalence",
+                "recursive_vs_explicit": rec_vs_exp,
+                "general_vs_recursive": gen_vs_rec,
+                "ok": ok,
+            }
         _emit(args, json.dumps(report, indent=2) + "\n")
         _note("equivalence: ok" if ok else "equivalence: FAIL")
         return 0 if ok else 1
@@ -269,7 +274,7 @@ def _cmd_points(args) -> int:
     pts = SCHEMES[args.scheme](params, _parse_point(args.z0, params.d))
     if args.h is not None:
         try:
-            h = Fraction(args.h)
+            h = parse_rational(args.h)
         except _PARSE_ERRORS as exc:
             raise CliError(f"bad rational --h {args.h!r}: {exc}") from exc
         numeric = pts.at(h)
@@ -311,7 +316,7 @@ def _cmd_limit(args) -> int:
 def _sweep_rows(args, f: Polynomial, z0, m: int, pts) -> list[SweepRow]:
     """sweep() from --h0 and --steps, its failures turned into CliError."""
     try:
-        h0 = float(Fraction(args.h0))
+        h0 = float(parse_rational(args.h0))
     except _PARSE_ERRORS as exc:
         raise CliError(f"bad --h0 {args.h0!r}: {exc}") from exc
     try:

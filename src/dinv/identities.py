@@ -27,16 +27,16 @@ def signed_power_sum(j: int, m: int, include_zero: bool = True) -> Fraction:
     """sum over i of (-1)^(m-i) * i^j / (i! * (m-i)!), i from 0 (or 1) to m.
 
     Equals 1 when j == m and 0 when j < m (for j >= 1 when the i = 0 term
-    is excluded).
+    is excluded).  Computed as one integer sum over a common denominator,
+    sum_i (-1)^(m-i) * C(m, i) * i^j / m!.
     """
     if j < 0 or m < 0:
         raise ValueError("j and m must be non-negative")
-    start = 0 if include_zero else 1
-    total = Fraction(0)
-    for i in range(start, m + 1):
-        sign = -1 if (m - i) % 2 else 1
-        total += Fraction(sign * i ** j, math.factorial(i) * math.factorial(m - i))
-    return total
+    total = sum(
+        (-1 if (m - i) % 2 else 1) * math.comb(m, i) * i ** j
+        for i in range(0 if include_zero else 1, m + 1)
+    )
+    return Fraction(total, math.factorial(m))
 
 
 def vandermonde_oracle(m: int) -> tuple[Fraction, ...]:

@@ -1,26 +1,65 @@
 """Exact Gaussian elimination over the rationals.
 
-Small dense matrices only (dozens of rows); everything is Fraction
-arithmetic, so ranks and solutions are exact, never approximate.
-Matrices are plain lists of lists and are never mutated by callers'
-reference: every function copies its input first.
+Small dense matrices only (dozens of rows).  Results are exact Fractions,
+so ranks and solutions are exact, never approximate.  rref eliminates on
+primitive integer rows (each rational row scaled by the lcm of its
+denominators, each new row divided by the gcd of its entries) and builds
+Fractions only once, at the end; the row space is unchanged by that
+scaling, so the reduced row echelon form is the same unique matrix that
+Fraction Gauss-Jordan gives.  Matrices are plain lists of lists and are
+never mutated by callers' reference: every function copies its input
+first.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
+
+_ZERO = Fraction(0)
 
 
 def _copy(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
     return [[Fraction(v) for v in row] for row in rows]
 
 
+# gcd and lcm are folded pairwise: unpacking a row into one call would
+# build a tuple per row, and CPython keeps freed short tuples on a free
+# list, so peak memory would creep up with the number of rows reduced.
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries (unchanged if all zero)."""
+    g = 0
+    for v in row:
+        if v:
+            g = math.gcd(g, v)
+            if g == 1:
+                return row
+    return row if g == 0 else [v // g for v in row]
+
+
+def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
+    """The primitive integer row proportional to a rational row."""
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+    scale = 1
+    for v in vals:
+        scale = math.lcm(scale, v.denominator)
+    return _primitive([v.numerator * (scale // v.denominator) for v in vals])
+
+
 def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot column indices."""
-    m = _copy(rows)
+    """Reduced row echelon form and the list of pivot column indices.
+
+    Fraction-free Gauss-Jordan: rows are primitive integer vectors, a row
+    is cleared in the pivot column by row*p - a*pivot_row (p and a divided
+    by their gcd first) and made primitive again, and each pivot row is
+    divided by its pivot once at the end.
+    """
+    m = [_integer_row(row) for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -29,21 +68,25 @@ def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            a = row[c]
+            if a and i != r:
+                g = math.gcd(p, a)
+                pg, ag = p // g, a // g
+                m[i] = _primitive([x * pg - ag * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    out = [[Fraction(v, m[i][c]) if v else _ZERO for v in m[i]] for i, c in enumerate(pivots)]
+    out += [[_ZERO] * ncols for _ in range(len(m) - r)]
+    return out, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:

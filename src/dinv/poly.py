@@ -34,10 +34,55 @@ _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?\Z")
 _RAT_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 
+# Most decimal digits a parsed rational's numerator or denominator may have.
+# Every finite float (down to 5e-324) fits; Python refuses to print an int of
+# more than 4300 digits.
+MAX_RATIONAL_DIGITS = 1000
+
+_TOO_MANY_DIGITS = 10 ** MAX_RATIONAL_DIGITS
+_EXPONENT_RE = re.compile(r"e([+-]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _decimal_digits(n: int) -> int:
+    """Number of decimal digits of |n|, without converting it to text."""
+    n = abs(n)
+    k = max(1, int(n.bit_length() * 0.30103))
+    while n >= 10 ** k:
+        k += 1
+    while k > 1 and n < 10 ** (k - 1):
+        k -= 1
+    return k
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), refusing with ValueError a numerator or denominator
+    of more than MAX_RATIONAL_DIGITS digits.
+
+    A decimal exponent far past the bound ("1e10000000" alone takes
+    seconds to expand) is refused before Fraction computes the power: a
+    literal whose exponent exceeds its own length by e has a numerator or
+    denominator of more than e digits.
+    """
+    shown = text if len(text) <= 40 else text[:37] + "..."
+    m = _EXPONENT_RE.search(text)
+    if m and abs(int(m.group(1))) > len(text) + 100 * MAX_RATIONAL_DIGITS:
+        raise ValueError(
+            f"rational {shown!r}: exponent {m.group(1)} gives more than {100 * MAX_RATIONAL_DIGITS} "
+            f"digits, the bound is {MAX_RATIONAL_DIGITS}"
+        )
+    value = Fraction(text)
+    for part, n in (("numerator", value.numerator), ("denominator", value.denominator)):
+        if abs(n) >= _TOO_MANY_DIGITS:
+            raise ValueError(
+                f"rational {shown!r}: {part} has {_decimal_digits(n)} digits, "
+                f"the bound is {MAX_RATIONAL_DIGITS}"
+            )
+    return value
+
+
 # One rule for numbers in decoded JSON, shared by every from_dict: integers
 # are JSON ints (not bool, float or string), sequences are JSON arrays and
 # rationals are read from their text ("3/4", 2, and 0.1 as 1/10).
-
 
 def json_int(value, what: str) -> int:
     if type(value) is not int:
@@ -52,7 +97,7 @@ def json_array(value, what: str) -> list:
 
 
 def json_rational(value) -> Fraction:
-    return Fraction(str(value))
+    return parse_rational(str(value))
 
 
 def _raw_mul(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]) -> dict[Exponent, Fraction]:
@@ -391,7 +436,7 @@ class Polynomial:
                         raise ValueError(f"variable x{j} out of range for dim {dim}")
                     exps[j - 1] += int(m.group(2) or 1)
                 elif pos == 0 and _RAT_RE.match(part):
-                    coef = Fraction(part)
+                    coef = parse_rational(part)
                 else:
                     raise ValueError(f"cannot parse term part {part!r} in {text!r}")
             key = tuple(exps)

@@ -3,15 +3,19 @@
 A derivative-closed (D-invariant) subspace of polynomials is one closed
 under every partial derivative.  Breadth one means its basis contains a
 single linear element, normalized here to x1.  This module builds graded
-bases {B_0, ..., B_N} of such spaces three independent ways:
+bases {B_0, ..., B_N} of such spaces four independent ways:
 
   * build_recursive: degree-by-degree recursion driven by antiderivatives
     of the lower-degree elements (parameterized by a ParamTable),
   * build_explicit: a closed-form sum over weighted compositions for the
     same parameters, sharing no code with the recursion,
-  * build_general: a wider family parameterized by a weight vector b and
-    coefficient vectors c (GeneralSpec); the ParamTable family is the
-    specialization b = (1, 2, ..., n), c_1 = e_1, c_s = (0, a_{2,s}, ...).
+  * build_generating: a wider family parameterized by a weight vector b
+    and coefficient vectors c (GeneralSpec), the t^m coefficients B_m of
+    exp(sum_i x_i * sum_j c_ij * t^(b_j)), built by the recurrence that
+    differentiating in t gives; the ParamTable family is the
+    specialization b = (1, 2, ..., n), c_1 = e_1, c_s = (0, a_{2,s}, ...),
+  * build_general: the same GeneralSpec family as a closed-form sum over
+    weighted compositions, kept as the oracle for build_generating.
 
 It also provides the exact verifiers used by the test suite and CLI:
 span membership, derivative-closure reports, breadth, and degrees.
@@ -231,7 +235,8 @@ def build_general(spec: GeneralSpec) -> BasisSequence:
 
     A positive count on a zero c[i][j] makes the product vanish, so only
     the slots with c[i][j] != 0 are enumerated (never none: some c[i][0]
-    is nonzero)."""
+    is nonzero).  This enumeration is the oracle for build_generating,
+    which builds the same basis by recurrence."""
     slots = [(i, j) for j in range(spec.n) for i in range(spec.d) if spec.c[i][j] != 0]
     weights = [spec.b[j] for (_, j) in slots]
     elems = []
@@ -249,6 +254,38 @@ def build_general(spec: GeneralSpec) -> BasisSequence:
             terms[key] = terms.get(key, Fraction(0)) + coef
         elems.append(Polynomial(spec.d, terms))
     return BasisSequence(tuple(elems))
+
+
+def build_generating(spec: GeneralSpec) -> BasisSequence:
+    """The general family by its generating recurrence.  Differentiating
+    G = exp(sum_j L_j(x) * t^(b_j)), L_j = sum_i c_ij * x_i, in t gives
+
+        m * B_m = sum_{j: b_j <= m} b_j * L_j(x) * B_{m - b_j},
+
+    so each element multiplies linear forms into earlier ones, with
+    B_0 = 1.  Equal termwise to build_general, which enumerates the same
+    coefficients as a sum over weighted compositions."""
+    d = spec.d
+    # (b_j, [(i, b_j * c_ij) for c_ij != 0]) per weight slot with a nonzero L_j.
+    forms = [
+        (bj, [(i, bj * spec.c[i][j]) for i in range(d) if spec.c[i][j]])
+        for j, bj in enumerate(spec.b)
+        if any(spec.c[i][j] for i in range(d))
+    ]
+    elems = [{(0,) * d: Fraction(1)}]
+    for m in range(1, spec.top_weight + 1):
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for bj, form in forms:
+            if bj > m:
+                break
+            scaled = [(i, w / m) for i, w in form]
+            for e, coef in elems[m - bj].items():
+                for i, w in scaled:
+                    key = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    old = acc.get(key)
+                    acc[key] = w * coef if old is None else old + w * coef
+        elems.append({e: v for e, v in acc.items() if v})
+    return BasisSequence(tuple(Polynomial(d, terms, _trusted=True) for terms in elems))
 
 
 def build_recursive(params: ParamTable) -> BasisSequence:

@@ -16,6 +16,7 @@ import pytest
 import dinv.cli
 from dinv import BasisSequence, ClosureReport, Polynomial
 from dinv.cli import main
+from dinv.poly import MAX_RATIONAL_DIGITS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -192,6 +193,47 @@ class TestVerify:
         assert report["recursive_vs_explicit"] is True
         assert report["general_vs_recursive"] is True
 
+    def test_equivalence_table_report_bytes(self, spec_file, capsys):
+        assert main(["verify", "--what", "equivalence", "--spec", spec_file]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "what": "equivalence",\n  "recursive_vs_explicit": true,\n'
+            '  "general_vs_recursive": true,\n  "ok": true\n}\n'
+        )
+
+    def test_equivalence_general_spec(self, tmp_path, capsys):
+        spec = tmp_path / "g.json"
+        spec.write_text(json.dumps({"n": 3, "d": 2, "b": [1, 3, 4], "c": [["1", "0", "2/3"], ["-1/2", "5", "0"]]}))
+        assert main(["verify", "--what", "equivalence", "--spec", str(spec)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"what": "equivalence", "generating_vs_general": True, "ok": True}
+
+    @pytest.mark.parametrize("name", ["build_generating", "build_general"])
+    def test_equivalence_general_spec_wrong_builder(self, name, general_file, monkeypatch, capsys):
+        right = getattr(dinv.cli, name)
+
+        def wrong(spec):
+            top = right(spec)
+            return BasisSequence(top.elements[:-1] + (top.elements[-1] + P("x1"),))
+
+        monkeypatch.setattr(dinv.cli, name, wrong)
+        assert main(["verify", "--what", "equivalence", "--spec", general_file]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"what": "equivalence", "generating_vs_general": False, "ok": False}
+        assert "equivalence: FAIL" in captured.err
+
+    def test_general_spec_path_never_enumerates(self, general_file, monkeypatch, capsys):
+        def forbidden(spec):
+            raise AssertionError("build_general called")
+
+        monkeypatch.setattr(dinv.cli, "build_general", forbidden)
+        monkeypatch.setattr(dinv.subspace, "build_general", forbidden)
+        assert main(["basis", "--source", "general", "--spec", general_file, "--pretty"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["1", "x1", "1/2*x1^2 + x2"]
+        assert main(["verify", "--what", "closure", "--spec", general_file]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert main(["verify", "--what", "breadth", "--spec", general_file]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 1
+
     def test_breadth_general(self, general_file, capsys):
         assert main(["verify", "--what", "breadth", "--spec", general_file]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -216,6 +258,72 @@ class TestVerify:
         assert main(["verify", "--what", "identities", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
+
+
+class TestHugeRationals:
+    """A rational with more than MAX_RATIONAL_DIGITS digits in its
+    numerator or denominator is refused with exit 2, wherever it enters."""
+
+    TABLE = {"d": 2, "n": 2, "a": {"2,2": "1e5000"}}
+
+    def _assert_refused(self, capsys, digits="5001 digits"):
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert digits in captured.err and f"bound is {MAX_RATIONAL_DIGITS}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["basis", "--source", "recursive"], ["verify", "--what", "closure"]],
+        ids=["basis", "closure"],
+    )
+    def test_table_entry(self, argv, tmp_path, capsys):
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps(self.TABLE))
+        assert main([*argv, "--spec", str(spec)]) == 2
+        self._assert_refused(capsys)
+
+    def test_general_spec_entry(self, tmp_path, capsys):
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"n": 2, "d": 1, "b": [1, 2], "c": [["1", "1e-5000"]]}))
+        assert main(["basis", "--source", "general", "--spec", str(spec)]) == 2
+        self._assert_refused(capsys)
+
+    def test_basis_file_coefficient(self, spec_file, tmp_path, capsys):
+        basis = tmp_path / "basis.json"
+        basis.write_text(json.dumps([
+            {"dim": 2, "terms": [{"exp": [0, 0], "coef": "1"}]},
+            {"dim": 2, "terms": [{"exp": [1, 0], "coef": "1" + "0" * 1000}]},
+        ]))
+        assert main(["verify", "--what", "closure", "--spec", spec_file, "--basis", str(basis)]) == 2
+        self._assert_refused(capsys, "1001 digits")
+
+    @pytest.mark.parametrize("flags", [["--z0", "1e5000,0"], ["--h", "1e-5000"]], ids=["z0", "h"])
+    def test_points_flags(self, flags, spec_file, capsys):
+        assert main(["points", "--scheme", "a", "--spec", spec_file, *flags]) == 2
+        self._assert_refused(capsys)
+
+    def test_sweep_h0(self, spec_file, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("x1^3")
+        assert main(["sweep", "--spec", spec_file, "--f", str(f), "--m", "2", "--scheme", "a", "--h0", "1e-5000"]) == 2
+        self._assert_refused(capsys)
+
+    def test_polynomial_text_coefficient(self, spec_file, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("1" + "0" * 1000 + "*x1 + x2")
+        assert main(["limit", "--spec", spec_file, "--f", str(f), "--m", "1", "--scheme", "a"]) == 2
+        self._assert_refused(capsys, "1001 digits")
+
+    def test_huge_exponent_refused_before_expansion(self, spec_file, capsys):
+        assert main(["points", "--scheme", "a", "--spec", spec_file, "--z0", "1e100000000,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bound is {MAX_RATIONAL_DIGITS}" in err
+
+    def test_bound_itself_is_accepted(self, tmp_path, capsys):
+        spec = tmp_path / "edge.json"
+        spec.write_text(json.dumps({"d": 2, "n": 2, "a": {"2,2": "1e999"}}))
+        assert main(["verify", "--what", "closure", "--spec", str(spec)]) == 0
 
 
 class TestPoints:

@@ -13,6 +13,7 @@ from dinv import (
     stencil,
     vandermonde_oracle,
 )
+from oracles import signed_power_sum_fraction
 
 F = Fraction
 
@@ -47,6 +48,14 @@ class TestSignedPowerSum:
         for j in range(1, m + 1):
             assert signed_power_sum(j, m, True) == signed_power_sum(j, m, False)
 
+
+    def test_equals_fraction_sum_oracle(self):
+        for m in range(41):
+            for j in range(51):
+                for include_zero in (True, False):
+                    got = signed_power_sum(j, m, include_zero)
+                    assert type(got) is Fraction
+                    assert got == signed_power_sum_fraction(j, m, include_zero)
 
 class TestVandermondeOracle:
     def test_order_two(self):

@@ -16,6 +16,7 @@ from dinv import (
     breadth,
     build_explicit,
     build_general,
+    build_generating,
     build_recursive,
     check_closure,
     degrees,
@@ -303,6 +304,58 @@ class TestBuildGeneral:
                 lead_exp = tuple([k] + [0] * (t.d - 1))
                 assert basis[k].coeff(lead_exp) == F(1, math.factorial(k))
                 assert basis[k].coeff((0,) * t.d) == 0
+
+
+class TestBuildGenerating:
+    """The recurrence m*B_m = sum_j b_j * L_j(x) * B_{m-b_j} against the
+    enumeration of build_general, termwise."""
+
+    def test_random_specs(self):
+        rng = make_rng(110)
+        for _ in range(40):
+            spec = random_general_spec(rng, n_max=5, bn_max=9, d_max=4)
+            assert build_generating(spec).elements == build_general(spec).elements
+
+    def test_one_variable(self):
+        rng = make_rng(111)
+        for _ in range(15):
+            spec = random_general_spec(rng, d_max=1)
+            assert spec.d == 1
+            assert build_generating(spec).elements == build_general(spec).elements
+
+    def test_zero_heavy_specs(self):
+        rng = make_rng(112)
+        for _ in range(20):
+            spec = _zero_heavy_general_spec(rng)
+            assert build_generating(spec).elements == build_general(spec).elements
+
+    def test_all_zero_non_first_column(self):
+        rng = make_rng(113)
+        for _ in range(15):
+            spec = random_general_spec(rng, n_max=4, d_max=3)
+            col = rng.randrange(1, spec.n)
+            c = tuple(tuple(F(0) if j == col else v for j, v in enumerate(row)) for row in spec.c)
+            spec = GeneralSpec(n=spec.n, d=spec.d, b=spec.b, c=c)
+            assert build_generating(spec).elements == build_general(spec).elements
+
+    def test_specialized_tables(self):
+        rng = make_rng(114)
+        for _ in range(20):
+            t = random_param_table(rng, d=rng.choice((2, 3, 4)), n=rng.randint(2, 6))
+            assert build_generating(specialize(t)).elements == build_recursive(t).elements
+            assert build_generating(specialize(t)).elements == build_general(specialize(t)).elements
+
+    def test_hand_summed_weight_two(self):
+        spec = GeneralSpec(n=2, d=2, b=(1, 2), c=((F(1), F(0)), (F(0), F(1))))
+        assert list(build_generating(spec)) == [P("1"), P("x1"), P("1/2*x1^2 + x2")]
+
+    def test_enumerates_no_compositions(self, monkeypatch):
+        def forbidden(total, weights):
+            raise AssertionError("build_generating enumerated compositions")
+
+        monkeypatch.setattr(dinv.subspace, "weighted_compositions", forbidden)
+        spec = GeneralSpec(n=3, d=2, b=(1, 2, 4), c=((F(1), F(0), F(3)), (F(0), F(2), F(0))))
+        assert check_closure(build_generating(spec), spec).ok
 
 
 class TestSpanContains:
