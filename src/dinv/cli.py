@@ -11,6 +11,10 @@ study     sweeps of every order under both schemes: one CSV each, a summary tabl
 scan      seeded random tables, each built three ways and checked for closure, breadth
 example1  reproduce and verify the built-in worked example end to end
 
+A spec is a parameter table (keys d, n, a) or a general spec (keys n, d,
+b, c).  verify, points, limit, sweep and study take either kind; basis
+--source recursive|explicit needs a table and --source general the other.
+
 Conventions: data goes to stdout (or --out), diagnostics go to stderr.
 Exit code 0 means every requested check passed; 1 means a check failed;
 2 means bad input or usage.  Rationals cross the boundary as strings
@@ -34,7 +38,7 @@ from typing import Sequence
 
 from .discretize import SCHEMES, SweepRow, expansion_check, stencil, sweep, sweep_to_csv
 from .identities import falling_factorial_sum, signed_power_sum, vandermonde_oracle
-from .poly import Polynomial, parse_rational
+from .poly import DigitLimitError, Polynomial, parse_rational, rational_text
 from .subspace import (
     BasisSequence,
     GeneralSpec,
@@ -80,16 +84,6 @@ def _load_spec(path: str) -> ParamTable | GeneralSpec:
         return ParamTable.from_dict(data)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
-
-
-def _require_params(spec, path: str) -> ParamTable:
-    if not isinstance(spec, ParamTable):
-        raise CliError(f"{path}: this command needs a parameter-table spec (keys d, n, a)")
-    return spec
-
-
-def _build(spec: ParamTable | GeneralSpec) -> BasisSequence:
-    return build_generating(spec) if isinstance(spec, GeneralSpec) else build_recursive(spec)
 
 
 def _load_basis(path: str) -> BasisSequence:
@@ -167,8 +161,9 @@ def _cmd_basis(args) -> int:
             raise CliError(f"{args.spec}: source 'general' needs a general spec (keys n, d, b, c)")
         basis = build_generating(spec)
     else:
-        params = _require_params(spec, args.spec)
-        basis = build_recursive(params) if args.source == "recursive" else build_explicit(params)
+        if not isinstance(spec, ParamTable):
+            raise CliError(f"{args.spec}: this command needs a parameter-table spec (keys d, n, a)")
+        basis = build_recursive(spec) if args.source == "recursive" else build_explicit(spec)
     if args.pretty:
         text = "".join(p.render() + "\n" for p in basis)
     else:
@@ -226,7 +221,7 @@ def _cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
 
     if args.what == "closure":
-        basis = _load_basis(args.basis) if args.basis else _build(spec)
+        basis = _load_basis(args.basis) if args.basis else build_generating(spec)
         try:
             rep = check_closure(basis, spec)
         except ValueError as exc:
@@ -253,7 +248,7 @@ def _cmd_verify(args) -> int:
         return 0 if ok else 1
 
     if args.what == "breadth":
-        basis = _build(spec)
+        basis = build_generating(spec)
         value = breadth(list(basis))
         ok = value == 1
         report = {
@@ -270,8 +265,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_points(args) -> int:
-    params = _require_params(_load_spec(args.spec), args.spec)
-    pts = SCHEMES[args.scheme](params, _parse_point(args.z0, params.d))
+    spec = _load_spec(args.spec)
+    pts = SCHEMES[args.scheme](spec, _parse_point(args.z0, spec.d))
     if args.h is not None:
         try:
             h = parse_rational(args.h)
@@ -279,9 +274,9 @@ def _cmd_points(args) -> int:
             raise CliError(f"bad rational --h {args.h!r}: {exc}") from exc
         numeric = pts.at(h)
         if args.pretty:
-            text = "".join("(" + ", ".join(str(v) for v in pt) + ")\n" for pt in numeric)
+            text = "".join("(" + ", ".join(rational_text(v) for v in pt) + ")\n" for pt in numeric)
         else:
-            text = json.dumps([[str(v) for v in pt] for pt in numeric], indent=2) + "\n"
+            text = json.dumps([[rational_text(v) for v in pt] for pt in numeric], indent=2) + "\n"
     else:
         if args.pretty:
             text = "".join(
@@ -296,10 +291,10 @@ def _cmd_points(args) -> int:
 
 def _scheme_inputs(args):
     """f, z0 and the point set of --scheme, as limit and sweep take them."""
-    params = _require_params(_load_spec(args.spec), args.spec)
-    f = _load_poly(args.f, params.d)
-    z0 = _parse_point(args.z0, params.d)
-    return f, z0, SCHEMES[args.scheme](params, z0)
+    spec = _load_spec(args.spec)
+    f = _load_poly(args.f, spec.d)
+    z0 = _parse_point(args.z0, spec.d)
+    return f, z0, SCHEMES[args.scheme](spec, z0)
 
 
 def _cmd_limit(args) -> int:
@@ -349,27 +344,31 @@ _EXAMPLE_BASIS_TEXT = [
     "1/24*x1^4 + x1^2*x2 + 3*x1*x2 + 2*x2^2 + 4*x2",
 ]
 
-# Second coordinate of each point, as {h-power: coefficient}; the first
-# coordinate is always i*h.
+# Each point as printed, coordinates in h; render is canonical, so equal text is equal points.
 _EXAMPLE_POINTS = {
-    "a": [{}, {2: 2, 3: 3, 4: 4}, {2: 8, 3: 24, 4: 64}, {2: 18, 3: 81, 4: 324}, {2: 32, 3: 192, 4: 1024}],
-    "b": [{}, {}, {2: 4}, {2: 12, 3: 18}, {2: 24, 3: 72, 4: 96}],
+    "a": ["(0, 0)", "(h, 4*h^4 + 3*h^3 + 2*h^2)", "(2*h, 64*h^4 + 24*h^3 + 8*h^2)",
+          "(3*h, 324*h^4 + 81*h^3 + 18*h^2)", "(4*h, 1024*h^4 + 192*h^3 + 32*h^2)"],
+    "b": ["(0, 0)", "(h, 0)", "(2*h, 4*h^2)", "(3*h, 18*h^3 + 12*h^2)", "(4*h, 96*h^4 + 72*h^3 + 24*h^2)"],
 }
 
 
 def _cmd_study(args) -> int:
-    table = _require_params(_load_spec(args.spec), args.spec) if args.spec else _EXAMPLE_PARAMS
-    f = _load_poly(args.f, table.d) if args.f else _EXAMPLE_F
-    z0 = _parse_point(args.z0, table.d)
+    spec = _load_spec(args.spec) if args.spec else _EXAMPLE_PARAMS
+    f = _load_poly(args.f, spec.d) if args.f else _EXAMPLE_F
+    z0 = _parse_point(args.z0, spec.d)
     # Every sweep runs before anything is written, so bad input leaves no output.
     runs = []
     for name, build in SCHEMES.items():
-        pts = build(table, z0)
-        runs += [(name, m, _sweep_rows(args, f, z0, m, pts)) for m in range(table.n + 1)]
+        pts = build(spec, z0)
+        runs += [(name, m, _sweep_rows(args, f, z0, m, pts)) for m in range(len(pts.points))]
     out_dir = Path(args.out_dir)
     z0_text = ", ".join(str(c) for c in z0)
+    if isinstance(spec, ParamTable):
+        shape = f"table: d={spec.d} n={spec.n}"
+    else:
+        shape = f"general spec: d={spec.d} b={list(spec.b)}"
     lines = [
-        f"table: d={table.d} n={table.n}, f = {f.render()}, z0 = ({z0_text})",
+        f"{shape}, f = {f.render()}, z0 = ({z0_text})",
         f"{'scheme':>6} {'m':>3} {'exact':>14} {'final abs_err':>14} {'median order':>13}  csv",
     ]
     try:
@@ -443,16 +442,11 @@ def _cmd_example1(args) -> int:
     point_sets = {tag: build_pts(params, z0) for tag, build_pts in SCHEMES.items()}
     for tag, pts in point_sets.items():
         out.append(f"scheme {tag} points:")
-        for i, pt in enumerate(pts.points):
-            out.append("  (" + ", ".join(coord.render(names=["h"]) for coord in pt) + ")")
-            want_first = Polynomial(1, {(1,): Fraction(i)})
-            want_second = Polynomial(1, {(e,): Fraction(c) for e, c in _EXAMPLE_POINTS[tag][i].items()})
-            if pt[0] != want_first or pt[1] != want_second:
-                failures.append(
-                    f"scheme {tag} point {i}: got ({pt[0].render(names=['h'])}, "
-                    f"{pt[1].render(names=['h'])}), expected ({want_first.render(names=['h'])}, "
-                    f"{want_second.render(names=['h'])})"
-                )
+        for i, (pt, want) in enumerate(zip(pts.points, _EXAMPLE_POINTS[tag])):
+            got = "(" + ", ".join(coord.render(names=["h"]) for coord in pt) + ")"
+            out.append(f"  {got}")
+            if got != want:
+                failures.append(f"scheme {tag} point {i}: got {got}, expected {want}")
 
     out.append(f"limit checks for f = {_EXAMPLE_F.render()} at the origin:")
     for tag, pts in point_sets.items():
@@ -505,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("points", help="emit the coalescing points of a scheme")
     p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
-    p.add_argument("--spec", required=True, help="parameter-table JSON file")
+    p.add_argument("--spec", required=True, help="spec JSON file")
     p.add_argument("--z0", help="base point as comma-separated rationals (default origin)")
     p.add_argument("--h", help="evaluate at this rational step instead of printing symbolically")
     p.add_argument("--out", help="write output here instead of stdout")
@@ -513,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_points)
 
     p = sub.add_parser("limit", help="exact h-expansion check at one order")
-    p.add_argument("--spec", required=True, help="parameter-table JSON file")
+    p.add_argument("--spec", required=True, help="spec JSON file")
     p.add_argument("--f", required=True, help="polynomial file (JSON or text)")
     p.add_argument("--m", type=int, required=True, help="derivative order to check")
     p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
@@ -522,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("sweep", help="float h-sweep CSV of the scaled combination")
-    p.add_argument("--spec", required=True, help="parameter-table JSON file")
+    p.add_argument("--spec", required=True, help="spec JSON file")
     p.add_argument("--f", required=True, help="polynomial file (JSON or text)")
     p.add_argument("--m", type=int, required=True, help="derivative order")
     p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
@@ -533,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("study", help="sweep every order under both schemes: CSVs plus a summary table")
-    p.add_argument("--spec", help="parameter table JSON (default: built-in demo table)")
+    p.add_argument("--spec", help="spec JSON file (default: built-in demo table)")
     p.add_argument("--f", help="polynomial file, text or JSON (default: built-in demo)")
     p.add_argument("--z0", help="comma-separated rational base point (default: origin)")
     p.add_argument("--h0", default="1/4", help="initial step as a rational (default 1/4)")
@@ -560,7 +554,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

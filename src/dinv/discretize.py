@@ -1,8 +1,13 @@
 """Coalescing point schemes and the limit verification.
 
-For a breadth-one derivative-closed basis {B_0, ..., B_n} built from a
-ParamTable, two families of n+1 points depending on a step size h collapse
-to the base point z0 as h -> 0, and the stencil combination
+Both spec kinds are read through their weights (b, c): the basis elements
+B_m are the t^m coefficients of exp(sum_i x_i * p_i(t)) with
+p_i(t) = sum_j c_ij * t^(b_j), and Taylor's theorem gives
+
+    f(z0 + p(t)) = sum_k t^k * (B_k(D)f)(z0).
+
+The b_n + 1 points z_r(h), r = 0..b_n, of either scheme collapse to the
+base point z0 as h -> 0, and the stencil combination
 
     (1/h^m) * sum_{r=0..m} A_r^(m) * f(z_r(h))
 
@@ -16,13 +21,13 @@ The check at order m computes only what it reports.  It expands the
 combination only to h^m: each coordinate is a dense list of
 h-coefficients and every product is cut after h^m, which is exact because
 the h^t coefficient of a product reads only its factors' coefficients up
-to h^t.  The target builds only B_0..B_m, from the table cut to degree m,
-and evaluates B_m(D)f at z0 as a scalar; it never reads the points, so it
-stays an independent witness.
+to h^t.  The target builds only B_0..B_m, by the generating recurrence
+stopped at weight m, and evaluates B_m(D)f at z0 as a scalar; it never
+reads the points, so it stays an independent witness.
 
 Point coordinates are univariate polynomials in h (dimension-1 Polynomial
-values); the generating ParamTable travels with the point set so
-downstream checks can rebuild the basis it belongs to.
+values); the generating spec travels with the point set so downstream
+checks can rebuild the basis it belongs to.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .identities import falling_factorial
-from .poly import DiffOperator, Polynomial
-from .subspace import ParamTable, build_recursive
+from .poly import DiffOperator, Polynomial, rational_text
+from .subspace import GeneralSpec, ParamTable, _generating_elements
 
 _ZERO = Fraction(0)
 
@@ -64,17 +69,17 @@ def stencil(m: int) -> Stencil:
 
 @dataclass(frozen=True)
 class SymbolicPointSet:
-    """n+1 points with coordinates given as exact polynomials in h.
+    """b_n + 1 points with coordinates given as exact polynomials in h.
 
-    scheme is "a" or "b"; base is the common limit point z0; params is the
-    table the points were generated from (carried so verification code can
-    rebuild the matching basis).
+    scheme is "a" or "b"; base is the common limit point z0; spec is the
+    table or general spec the points were generated from (carried so
+    verification code can rebuild the matching basis).
     """
 
     scheme: str
     base: tuple[Fraction, ...]
     points: tuple[tuple[Polynomial, ...], ...]
-    params: ParamTable
+    spec: ParamTable | GeneralSpec
 
     @property
     def dim(self) -> int:
@@ -88,50 +93,47 @@ class SymbolicPointSet:
     def to_dict(self) -> dict:
         return {
             "scheme": self.scheme,
-            "base": [str(v) for v in self.base],
+            "base": [rational_text(v) for v in self.base],
             "points": [[coord.to_dict() for coord in pt] for pt in self.points],
         }
 
 
-def _points(scheme: str, h_coef, params: ParamTable, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
-    """z_i(h) = z0 + (i*h,  sum_{j=2..n} h_coef(i,j)*a[j,2]*h^j,  ...,
-                            sum_{j=2..n} h_coef(i,j)*a[j,d]*h^j),  i = 0..n."""
+def _points(scheme: str, h_coef, spec: ParamTable | GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
+    """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i,  r = 0..b_n."""
+    b, c = spec.weights
     base = tuple(Fraction(v) for v in z0)
-    if len(base) != params.d:
-        raise ValueError(f"base point has length {len(base)}, expected {params.d}")
+    if len(base) != len(c):
+        raise ValueError(f"base point has length {len(base)}, expected {len(c)}")
     pts = []
-    for i in range(params.n + 1):
-        powers = [(j, c) for j in range(2, params.n + 1) if (c := h_coef(i, j))]
-        coords = [Polynomial(1, {(0,): base[0], (1,): Fraction(i)}, _trusted=True)]
-        for s in range(2, params.d + 1):
-            terms = {(0,): base[s - 1]}
-            for j, c in powers:
-                if (j, s) in params.a:
-                    terms[(j,)] = params.a[j, s] * c
+    for r in range(b[-1] + 1):
+        powers = [(j, bj, k) for j, bj in enumerate(b) if (k := h_coef(r, bj))]
+        coords = []
+        for z, row in zip(base, c):
+            terms = {(0,): z}
+            for j, bj, k in powers:
+                if row[j]:
+                    terms[(bj,)] = row[j] * k
             coords.append(Polynomial(1, terms, _trusted=True))
         pts.append(tuple(coords))
-    return SymbolicPointSet(scheme=scheme, base=base, points=tuple(pts), params=params)
+    return SymbolicPointSet(scheme=scheme, base=base, points=tuple(pts), spec=spec)
 
 
-def points_scheme_a(params: ParamTable, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
-    """First scheme: one uniform formula for i = 0..n,
+def points_scheme_a(spec: ParamTable | GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
+    """First scheme: z_r(h) = z0 + p(r*h), r = 0..b_n, that is
 
-        z_i(h) = z0 + (i*h,  sum_{j=2..n} a[j,2]*(i*h)^j,  ...,
-                             sum_{j=2..n} a[j,d]*(i*h)^j).
+        z_r(h) = z0 + (sum_j c_ij * (r*h)^(b_j))_i.
     """
-    return _points("a", pow, params, z0)
+    return _points("a", pow, spec, z0)
 
 
-def points_scheme_b(params: ParamTable, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
-    """Second scheme: z_0(h) = z0, z_1(h) = z0 + (h, 0, ..., 0), and for
-    i >= 2
+def points_scheme_b(spec: ParamTable | GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
+    """Second scheme: the falling-factorial rule, r = 0..b_n,
 
-        z_i(h) = z0 + (i*h,  sum_{j=2..i} ff(i,j)*a[j,2]*h^j,  ...,
-                             sum_{j=2..i} ff(i,j)*a[j,d]*h^j)
+        z_r(h) = z0 + (sum_j ff(r, b_j) * c_ij * h^(b_j))_i
 
-    with ff(i, j) = i*(i-1)*...*(i-j+1); the falling factorial vanishes
-    for j > i, so summing j up to n changes nothing."""
-    return _points("b", falling_factorial, params, z0)
+    with ff(r, k) = r*(r-1)*...*(r-k+1), which vanishes for k > r; so
+    z_0(h) = z0 and, for a table, z_1(h) = z0 + (h, 0, ..., 0)."""
+    return _points("b", falling_factorial, spec, z0)
 
 
 SCHEMES = {"a": points_scheme_a, "b": points_scheme_b}
@@ -228,19 +230,18 @@ class ExpansionReport:
     def to_dict(self) -> dict:
         return {
             "m": self.m,
-            "low_coeffs": [str(c) for c in self.low_coeffs],
-            "lead": str(self.lead),
-            "target": str(self.target),
+            "low_coeffs": [rational_text(c) for c in self.low_coeffs],
+            "lead": rational_text(self.lead),
+            "target": rational_text(self.target),
             "pass": self.passed,
         }
 
 
-def _target_value(f: Polynomial, z0: Sequence[Fraction], m: int, params: ParamTable) -> Fraction:
-    """(B_m(D)f)(z0) from the table alone.  The recursion for B_k reads only
-    a[i, j] with i <= k, so B_m of the table cut to degree max(m, 1) is B_m
-    of the whole table."""
-    cut = ParamTable(d=params.d, n=max(m, 1), a={(i, j): v for (i, j), v in params.a.items() if i <= m})
-    return DiffOperator(build_recursive(cut)[m]).apply_at(f, z0)
+def _target_value(f: Polynomial, z0: Sequence[Fraction], m: int, spec: ParamTable | GeneralSpec) -> Fraction:
+    """(B_m(D)f)(z0) from the spec alone, with B_0..B_m built by the
+    generating recurrence stopped at weight m."""
+    b, c = spec.weights
+    return DiffOperator(_generating_elements(b, c, m)[m]).apply_at(f, z0)
 
 
 def expansion_check(
@@ -263,7 +264,7 @@ def expansion_check(
         raise ValueError(f"dimension mismatch: f has {f.dim}, points have {pts.dim}")
     _check_order(m, pts)
     coeffs = _series(f, m, pts, m + 1)
-    target = _target_value(f, base, m, pts.params)
+    target = _target_value(f, base, m, pts.spec)
     return ExpansionReport(m=m, low_coeffs=tuple(coeffs[:m]), lead=coeffs[m], target=target)
 
 
@@ -309,7 +310,7 @@ def sweep(
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
     _check_order(m, pts)
     weights = [float(c) for c in stencil(m).coeffs]
-    exact = float(_target_value(f, base, m, pts.params))
+    exact = float(_target_value(f, base, m, pts.spec))
     rows: list[SweepRow] = []
     prev_err: float | None = None
     for k in range(steps):

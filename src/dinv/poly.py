@@ -21,6 +21,7 @@ the usual mathematical notation.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -78,6 +79,24 @@ def parse_rational(text: str) -> Fraction:
                 f"the bound is {MAX_RATIONAL_DIGITS}"
             )
     return value
+
+
+class DigitLimitError(ValueError):
+    """A rational with more digits than Python writes as text."""
+
+
+def rational_text(value: Fraction) -> str:
+    """str(value); where str refuses a numerator or denominator past
+    sys.get_int_max_str_digits(), DigitLimitError names its digits and the
+    limit.  Products of in-bound inputs can outgrow that limit."""
+    try:
+        return str(value)
+    except ValueError:
+        digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
+        raise DigitLimitError(
+            f"a result coefficient has {digits} digits, more than Python's limit of "
+            f"{sys.get_int_max_str_digits()} for writing an integer as text (sys.get_int_max_str_digits())"
+        ) from None
 
 
 # One rule for numbers in decoded JSON, shared by every from_dict: integers
@@ -390,11 +409,11 @@ class Polynomial:
             mono = "*".join(factors)
             mag = abs(c)
             if not mono:
-                body = str(mag)
+                body = rational_text(mag)
             elif mag == 1:
                 body = mono
             else:
-                body = f"{mag}*{mono}"
+                body = f"{rational_text(mag)}*{mono}"
             if not pieces:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
@@ -447,7 +466,7 @@ class Polynomial:
         """JSON-ready form: {"dim": d, "terms": [{"exp": [...], "coef": "p/q"}, ...]}."""
         return {
             "dim": self.dim,
-            "terms": [{"exp": list(e), "coef": str(c)} for e, c in self.canonical_terms()],
+            "terms": [{"exp": list(e), "coef": rational_text(c)} for e, c in self.canonical_terms()],
         }
 
     @classmethod

@@ -14,6 +14,7 @@ bases {B_0, ..., B_N} of such spaces four independent ways:
     exp(sum_i x_i * sum_j c_ij * t^(b_j)), built by the recurrence that
     differentiating in t gives; the ParamTable family is the
     specialization b = (1, 2, ..., n), c_1 = e_1, c_s = (0, a_{2,s}, ...),
+    so this builder takes either spec through its weights (b, c),
   * build_general: the same GeneralSpec family as a closed-form sum over
     weighted compositions, kept as the oracle for build_generating.
 
@@ -31,10 +32,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .compositions import weighted_compositions
 from .linalg import rref, solve
 from .poly import Polynomial, json_array, json_int, json_rational
-
-
-def _fact(k: int) -> int:
-    return math.factorial(k)
 
 
 @dataclass(frozen=True)
@@ -68,6 +65,16 @@ class ParamTable:
         if not (2 <= i <= self.n and 2 <= j <= self.d):
             raise ValueError(f"parameter index ({i},{j}) outside 2..{self.n} x 2..{self.d}")
         return self.a.get((i, j), Fraction(0))
+
+    @property
+    def weights(self) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
+        """The (b, c) of the generating identity: b = (1, 2, ..., n),
+        c_1 = (1, 0, ..., 0), c_s = (0, a[2,s], ..., a[n,s]); n = 1 included."""
+        n, zero = self.n, Fraction(0)
+        rows = [(Fraction(1),) + (zero,) * (n - 1)]
+        for s in range(2, self.d + 1):
+            rows.append((zero,) + tuple(self.a.get((i, s), zero) for i in range(2, n + 1)))
+        return tuple(range(1, n + 1)), tuple(rows)
 
     def to_dict(self) -> dict:
         return {
@@ -133,6 +140,11 @@ class GeneralSpec:
     @property
     def top_weight(self) -> int:
         return self.b[-1]
+
+    @property
+    def weights(self) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
+        """The (b, c) of the generating identity, as given."""
+        return self.b, self.c
 
     def to_dict(self) -> dict:
         return {
@@ -248,7 +260,7 @@ def build_general(spec: GeneralSpec) -> BasisSequence:
             for (i, j), g in zip(slots, combo):
                 if g:
                     coef *= spec.c[i][j] ** g
-                    coef /= _fact(g)
+                    coef /= math.factorial(g)
                     exps[i] += g
             key = tuple(exps)
             terms[key] = terms.get(key, Fraction(0)) + coef
@@ -256,24 +268,22 @@ def build_general(spec: GeneralSpec) -> BasisSequence:
     return BasisSequence(tuple(elems))
 
 
-def build_generating(spec: GeneralSpec) -> BasisSequence:
-    """The general family by its generating recurrence.  Differentiating
+def _generating_elements(b: Sequence[int], c: Sequence[Sequence[Fraction]], top: int) -> list[Polynomial]:
+    """B_0..B_top of the weights (b, c).  Differentiating
     G = exp(sum_j L_j(x) * t^(b_j)), L_j = sum_i c_ij * x_i, in t gives
 
         m * B_m = sum_{j: b_j <= m} b_j * L_j(x) * B_{m - b_j},
 
-    so each element multiplies linear forms into earlier ones, with
-    B_0 = 1.  Equal termwise to build_general, which enumerates the same
-    coefficients as a sum over weighted compositions."""
-    d = spec.d
-    # (b_j, [(i, b_j * c_ij) for c_ij != 0]) per weight slot with a nonzero L_j.
+    so each element multiplies linear forms into earlier ones, with B_0 = 1."""
+    d = len(c)
+    # (b_j, [(i, b_j * c_ij) for c_ij != 0]) per weight slot up to top with a nonzero L_j.
     forms = [
-        (bj, [(i, bj * spec.c[i][j]) for i in range(d) if spec.c[i][j]])
-        for j, bj in enumerate(spec.b)
-        if any(spec.c[i][j] for i in range(d))
+        (bj, [(i, bj * c[i][j]) for i in range(d) if c[i][j]])
+        for j, bj in enumerate(b)
+        if bj <= top and any(c[i][j] for i in range(d))
     ]
     elems = [{(0,) * d: Fraction(1)}]
-    for m in range(1, spec.top_weight + 1):
+    for m in range(1, top + 1):
         acc: dict[tuple[int, ...], Fraction] = {}
         for bj, form in forms:
             if bj > m:
@@ -285,7 +295,15 @@ def build_generating(spec: GeneralSpec) -> BasisSequence:
                     old = acc.get(key)
                     acc[key] = w * coef if old is None else old + w * coef
         elems.append({e: v for e, v in acc.items() if v})
-    return BasisSequence(tuple(Polynomial(d, terms, _trusted=True) for terms in elems))
+    return [Polynomial(d, terms, _trusted=True) for terms in elems]
+
+
+def build_generating(spec: ParamTable | GeneralSpec) -> BasisSequence:
+    """The basis of either spec kind by the generating recurrence over its
+    weights (b, c).  Equal termwise to build_general, which enumerates the
+    same coefficients as a sum over weighted compositions."""
+    b, c = spec.weights
+    return BasisSequence(tuple(_generating_elements(b, c, b[-1])))
 
 
 def build_recursive(params: ParamTable) -> BasisSequence:
@@ -340,11 +358,11 @@ def build_explicit(params: ParamTable) -> BasisSequence:
         terms: dict[tuple[int, ...], Fraction] = {}
         for combo in weighted_compositions(k, weights):
             g1, rest = combo[0], combo[1:]
-            coef = Fraction(1, _fact(g1))
+            coef = Fraction(1, math.factorial(g1))
             for (s, j), g in zip(slots, rest):
                 if g:
                     coef *= params.get(j, s) ** g
-                    coef /= _fact(g)
+                    coef /= math.factorial(g)
             exps = [g1] + [0] * (d - 1)
             for (s, _), g in zip(slots, rest):
                 exps[s - 1] += g
@@ -354,23 +372,12 @@ def build_explicit(params: ParamTable) -> BasisSequence:
     return BasisSequence(tuple(elems))
 
 
-def _table_weights(params: ParamTable) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
-    """The (b, c) that specialize gives a ParamTable, defined for n = 1 too."""
-    n = params.n
-    rows = [(Fraction(1),) + (Fraction(0),) * (n - 1)]
-    for s in range(2, params.d + 1):
-        rows.append((Fraction(0),) + tuple(params.get(i, s) for i in range(2, n + 1)))
-    return tuple(range(1, n + 1)), tuple(rows)
-
-
 def specialize(params: ParamTable) -> GeneralSpec:
-    """The GeneralSpec whose construction reproduces the ParamTable family:
-    b = (1, 2, ..., n), c_1 = (1, 0, ..., 0), c_s = (0, a[2,s], ..., a[n,s]).
-
-    Needs n >= 2 (the general construction has no n = 1 instance)."""
+    """The GeneralSpec of the table's weights, whose construction reproduces
+    the ParamTable family.  Needs n >= 2 (GeneralSpec has no n = 1 instance)."""
     if params.n < 2:
         raise ValueError("specialization needs n >= 2")
-    b, c = _table_weights(params)
+    b, c = params.weights
     return GeneralSpec(n=params.n, d=params.d, b=b, c=c)
 
 
@@ -409,11 +416,11 @@ def check_closure(basis: BasisSequence, spec: ParamTable | GeneralSpec) -> Closu
 
         d(B_m)/dx_i == sum_{j: b_j <= m} c_ij * B_{m - b_j}
 
-    for every m >= 1 and every variable i.  A ParamTable is checked through
-    the (b, c) that specialize gives it, n = 1 included.  Raises ValueError
-    unless the basis has b_n + 1 elements in the spec's d variables.
+    for every m >= 1 and every variable i, read from the spec's weights.
+    Raises ValueError unless the basis has b_n + 1 elements in the spec's d
+    variables.
     """
-    b, c = (spec.b, spec.c) if isinstance(spec, GeneralSpec) else _table_weights(spec)
+    b, c = spec.weights
     top = b[-1]
     if len(basis) != top + 1:
         raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")

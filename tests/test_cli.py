@@ -13,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
+import dinv
 import dinv.cli
+import dinv.discretize
+import dinv.subspace
 from dinv import BasisSequence, ClosureReport, Polynomial
 from dinv.cli import main
 from dinv.poly import MAX_RATIONAL_DIGITS
@@ -326,6 +329,34 @@ class TestHugeRationals:
         assert main(["verify", "--what", "closure", "--spec", str(spec)]) == 0
 
 
+class TestDigitLimit:
+    """Products of in-bound inputs can outgrow Python's limit on writing an
+    integer as text: B_10 of this table holds a_22^5/5! (4994 digits) and
+    the limit of x2^5 at m = 10 is a_22^5 (4996 digits)."""
+
+    TABLE = {"d": 2, "n": 10, "a": {"2,2": "1e999"}}
+
+    @pytest.mark.parametrize(
+        "argv, digits",
+        [
+            (["basis", "--source", "recursive"], 4994),
+            (["basis", "--source", "recursive", "--pretty"], 4994),
+            (["limit", "--f", "{tmp}/f.txt", "--m", "10", "--scheme", "a"], 4996),
+        ],
+        ids=["basis", "basis-pretty", "limit"],
+    )
+    def test_exits_2_naming_digits_and_limit(self, argv, digits, tmp_path, capsys):
+        (tmp_path / "a.json").write_text(json.dumps(self.TABLE))
+        (tmp_path / "f.txt").write_text("x2^5")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main([*argv, "--spec", str(tmp_path / "a.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert f"{digits} digits" in captured.err
+        assert f"limit of {sys.get_int_max_str_digits()}" in captured.err
+        assert captured.out == ""
+
+
 class TestPoints:
     def test_symbolic_pretty(self, spec_file, capsys):
         assert main(["points", "--scheme", "b", "--spec", spec_file, "--pretty"]) == 0
@@ -458,6 +489,58 @@ class TestLimitAndSweep:
         ])
         assert code == 0
         assert out.read_text().startswith("h,approx,exact,abs_err,est_order")
+
+
+class TestEitherSpec:
+    """points, limit, sweep and study take either spec kind through its
+    weights (b, c); on a table, these and verify --what closure|breadth
+    call neither the recursive nor the closed-form builder."""
+
+    GENERAL = {"n": 3, "d": 2, "b": [1, 3, 4], "c": [["1", "0", "2/3"], ["-1/2", "5", "0"]]}
+
+    def test_table_paths_never_call_the_table_builders(self, spec_file, tmp_path, monkeypatch, capsys):
+        def forbidden(params):
+            raise AssertionError("table builder called")
+
+        for module in (dinv, dinv.cli, dinv.subspace, dinv.discretize):
+            monkeypatch.setattr(module, "build_recursive", forbidden, raising=False)
+            monkeypatch.setattr(module, "build_explicit", forbidden, raising=False)
+        f = tmp_path / "f.txt"
+        f.write_text("x1^4 + x1^2*x2 + x2^2")
+        for what in ("closure", "breadth"):
+            assert main(["verify", "--what", what, "--spec", spec_file]) == 0
+        for scheme in "ab":
+            assert main(["points", "--scheme", scheme, "--spec", spec_file, "--z0", "1,2"]) == 0
+            for m in range(5):
+                assert main(["limit", "--spec", spec_file, "--f", str(f), "--m", str(m), "--scheme", scheme]) == 0
+                assert main(["sweep", "--spec", spec_file, "--f", str(f), "--m", str(m), "--scheme", scheme]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_general_spec(self, tmp_path, capsys):
+        spec = tmp_path / "g.json"
+        spec.write_text(json.dumps(self.GENERAL))
+        f = tmp_path / "f.txt"
+        f.write_text("x1^5*x2 + x2^3 - 2*x1^2 + 3")
+        common = ["--spec", str(spec), "--z0", "1/2,-1"]
+        for scheme in "ab":
+            assert main(["points", "--scheme", scheme, *common]) == 0
+            assert len(json.loads(capsys.readouterr().out)["points"]) == 5
+            for m in range(5):
+                assert main(["limit", *common, "--f", str(f), "--m", str(m), "--scheme", scheme]) == 0
+                assert json.loads(capsys.readouterr().out)["pass"] is True
+                assert main(["sweep", *common, "--f", str(f), "--m", str(m), "--scheme", scheme, "--steps", "3"]) == 0
+                assert capsys.readouterr().out.startswith("h,approx,exact,abs_err,est_order\n")
+            for command in ("limit", "sweep"):
+                assert main([command, *common, "--f", str(f), "--m", "5", "--scheme", scheme]) == 2
+                captured = capsys.readouterr()
+                assert captured.err == "error: order 5 exceeds available points 0..4\n" and captured.out == ""
+        assert main(["study", *common, "--f", str(f), "--steps", "3", "--out-dir", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "general spec: d=2 b=[1, 3, 4], f = x1^5*x2 + x2^3 - 2*x1^2 + 3, z0 = (1/2, -1)"
+        assert len(out) == 2 + 10
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+            f"scheme_{s}_m{m}.csv" for s in "ab" for m in range(5)
+        )
 
 
 class TestExample1:

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_rng, random_param_table, random_poly, rational
+from conftest import make_rng, random_general_spec, random_param_table, random_poly, rational
 from dinv import (
     DiffOperator,
+    GeneralSpec,
     ParamTable,
     Polynomial,
+    build_general,
     build_recursive,
     combination_poly,
     expansion_check,
@@ -247,21 +249,23 @@ class TestTruncatedExpansion:
         import dinv.discretize
 
         seen = []
+        generating = dinv.discretize._generating_elements
 
-        def recording(params):
-            seen.append(params)
-            return build_recursive(params)
+        def recording(b, c, top):
+            built = generating(b, c, top)
+            seen.append((top, built))
+            return built
 
-        monkeypatch.setattr(dinv.discretize, "build_recursive", recording)
+        monkeypatch.setattr(dinv.discretize, "_generating_elements", recording)
         for t, f, z0 in random_draws(205, 12):
             full = build_recursive(t)
             pts = points_scheme_a(t, z0)
             for m in range(t.n + 1):
                 seen.clear()
                 report = expansion_check(f, z0, m, pts)
-                (cut,) = seen
-                assert cut.n == max(m, 1) and cut.d == t.d
-                assert build_recursive(cut).elements[: m + 1] == full.elements[: m + 1]
+                ((top, built),) = seen
+                assert top == m and len(built) == m + 1
+                assert tuple(built) == full.elements[: m + 1]
                 assert report.target == DiffOperator(full[m]).apply(f).eval(z0)
 
     def test_check_never_composes(self, monkeypatch):
@@ -287,6 +291,35 @@ class TestTruncatedExpansion:
         ):
             with pytest.raises(ValueError, match=rf"^order {m} exceeds available points 0\.\.2$"):
                 call()
+
+
+class TestGeneralSpecs:
+    """Both schemes over a general spec's weights (b, c): b_n + 1 points,
+    z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i, and every order
+    reproduces B_m(D)f of the enumeration oracle build_general."""
+
+    def test_every_order_of_both_schemes(self):
+        rng = make_rng(207)
+        for k in range(100):
+            spec = random_general_spec(rng, n_max=4, bn_max=6)
+            f = random_poly(rng, dim=spec.d, max_deg=spec.top_weight + 1, max_terms=4)
+            z0 = (F(0),) * spec.d if k % 2 == 0 else tuple(rational(rng) for _ in range(spec.d))
+            basis = build_general(spec)
+            for build in (points_scheme_a, points_scheme_b):
+                pts = build(spec, z0)
+                assert len(pts.points) == spec.top_weight + 1 and pts.spec is spec
+                for m in range(spec.top_weight + 1):
+                    report = expansion_check(f, z0, m, pts)
+                    assert report.passed
+                    assert report.target == DiffOperator(basis[m]).apply(f).eval(z0)
+
+    def test_point_coordinates(self):
+        spec = GeneralSpec(n=3, d=2, b=(1, 3, 4), c=((F(1), F(0), F(2, 3)), (F(-1, 2), F(5), F(0))))
+        a = points_scheme_a(spec, (F(1), F(0)))
+        assert a.points[2] == (h_poly({0: 1, 1: 2, 4: F(32, 3)}), h_poly({1: -1, 3: 40}))
+        b = points_scheme_b(spec, (F(1), F(0)))
+        assert b.points[2] == (h_poly({0: 1, 1: 2}), h_poly({1: -1}))
+        assert b.points[4] == (h_poly({0: 1, 1: 4, 4: 16}), h_poly({1: -2, 3: 120}))
 
 
 class TestSweep:

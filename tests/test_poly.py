@@ -1,5 +1,6 @@
 """Unit and property tests for the exact polynomial core."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dinv import DiffOperator, Polynomial
+from dinv.poly import DigitLimitError, rational_text
 
 F = Fraction
 
@@ -365,6 +367,20 @@ class TestTextAndJson:
     def test_from_dict_float_coefficient_is_its_decimal(self):
         as_float = Polynomial.from_dict({"dim": 1, "terms": [{"exp": [1], "coef": 0.1}]})
         assert as_float == Polynomial.from_dict({"dim": 1, "terms": [{"exp": [1], "coef": "1/10"}]})
+
+    def test_rational_text_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        widest = 10 ** limit - 1
+        assert rational_text(F(-widest, 7)) == str(F(-widest, 7))
+        assert rational_text(F(3, widest)) == str(F(3, widest))
+        for value in (F(10 ** limit), F(1, 10 ** limit)):
+            with pytest.raises(DigitLimitError, match=rf"has {limit + 1} digits, more than Python's limit of {limit}"):
+                rational_text(value)
+        huge = F(10 ** limit) * P("x1 + 1")
+        with pytest.raises(DigitLimitError):
+            huge.render()
+        with pytest.raises(DigitLimitError):
+            huge.to_dict()
 
     @given(polys())
     def test_text_round_trip(self, p):
