@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .identities import falling_factorial
-from .poly import DiffOperator, Polynomial, rational_text
+from .poly import DiffOperator, Polynomial, _decimal_digits, rational_text
 from .subspace import GeneralSpec, ParamTable, _generating_elements
 
 _ZERO = Fraction(0)
@@ -279,10 +279,22 @@ class SweepRow:
     est_order: float | None
 
 
-def _eval_float(p: Polynomial, point: Sequence[float]) -> float:
+def _to_float(value: Fraction, what: str) -> float:
+    """float(value); ValueError naming `what` if no float can hold it."""
+    try:
+        return float(value)
+    except OverflowError:
+        digits = _decimal_digits(value.numerator // value.denominator)
+        raise ValueError(f"{what} has {digits} digits before the point; no float can hold it") from None
+
+
+def _float_terms(p: Polynomial, what: str) -> list[tuple[tuple[int, ...], float]]:
+    return [(e, _to_float(c, what)) for e, c in p.terms.items()]
+
+
+def _eval_float(terms: Sequence[tuple[tuple[int, ...], float]], point: Sequence[float]) -> float:
     total = 0.0
-    for e, c in p.terms.items():
-        term = float(c)
+    for e, term in terms:
         for ei, v in zip(e, point):
             if ei:
                 term *= v ** ei
@@ -300,7 +312,11 @@ def sweep(
 ) -> list[SweepRow]:
     """Float h-sweep of (1/h^m) * sum_r A_r^(m) f(z_r(h)) against the exact
     target, halving h each row.  est_order is log2(err_prev / err) and is
-    absent on the first row and wherever either error is zero."""
+    absent on the first row and wherever either error is zero.
+
+    The exact values (target, coefficients of f and of the points) are
+    converted to floats before the loop, and one too large for a float is
+    refused with ValueError naming it; an OverflowError left is the loop's."""
     if h0 <= 0:
         raise ValueError(f"h0 must be positive, got {h0}")
     if steps < 2:
@@ -310,15 +326,20 @@ def sweep(
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
     _check_order(m, pts)
     weights = [float(c) for c in stencil(m).coeffs]
-    exact = float(_target_value(f, base, m, pts.spec))
+    exact = _to_float(_target_value(f, base, m, pts.spec), f"the exact target (B_{m}(D)f)(z0)")
+    f_terms = _float_terms(f, "a coefficient of f")
+    points = [
+        [_float_terms(coord, f"a coefficient of point {r}") for coord in pts.points[r]]
+        for r in range(m + 1)
+    ]
     rows: list[SweepRow] = []
     prev_err: float | None = None
     for k in range(steps):
         h = h0 * 2.0 ** (-k)
         acc = 0.0
-        for r, w in enumerate(weights):
-            point = [_eval_float(coord, [h]) for coord in pts.points[r]]
-            acc += w * _eval_float(f, point)
+        for w, coords in zip(weights, points):
+            point = [_eval_float(coord, [h]) for coord in coords]
+            acc += w * _eval_float(f_terms, point)
         approx = acc / h ** m
         err = abs(approx - exact)
         order = None

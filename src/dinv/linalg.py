@@ -6,16 +6,17 @@ primitive integer rows (each rational row scaled by the lcm of its
 denominators, each new row divided by the gcd of its entries) and builds
 Fractions only once, at the end; the row space is unchanged by that
 scaling, so the reduced row echelon form is the same unique matrix that
-Fraction Gauss-Jordan gives.  Matrices are plain lists of lists and are
-never mutated by callers' reference: every function copies its input
-first.
+Fraction Gauss-Jordan gives.  common_denominator, the scaling that starts
+it, is shared with the integer kernels of subspace.  Matrices are plain
+lists of lists and are never mutated by callers' reference: every
+function copies its input first.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Matrix = list[list[Fraction]]
 
@@ -42,13 +43,21 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g == 0 else [v // g for v in row]
 
 
+def common_denominator(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
+    """(s, nums): s the lcm of the denominators of the values (1 if there
+    are none) and nums[k] = values[k] * s, the integer numerators over it."""
+    vals = list(values)
+    scale = 1
+    for v in vals:
+        if scale % v.denominator:
+            scale = math.lcm(scale, v.denominator)
+    return scale, [v.numerator * (scale // v.denominator) for v in vals]
+
+
 def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
     """The primitive integer row proportional to a rational row."""
     vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
-    scale = 1
-    for v in vals:
-        scale = math.lcm(scale, v.denominator)
-    return _primitive([v.numerator * (scale // v.denominator) for v in vals])
+    return _primitive(common_denominator(vals)[1])
 
 
 def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:

@@ -20,17 +20,23 @@ bases {B_0, ..., B_N} of such spaces four independent ways:
 
 It also provides the exact verifiers used by the test suite and CLI:
 span membership, derivative-closure reports, breadth, and degrees.
+
+Values cross the API as Fractions.  The generating recurrence and the
+closure check compute on integer numerators over a common denominator
+(linalg.common_denominator) and build each output Fraction once, at the
+end; the Fraction versions of both are kept as test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .compositions import weighted_compositions
-from .linalg import rref, solve
+from .linalg import common_denominator, rref, solve
 from .poly import Polynomial, json_array, json_int, json_rational
 
 
@@ -66,10 +72,11 @@ class ParamTable:
             raise ValueError(f"parameter index ({i},{j}) outside 2..{self.n} x 2..{self.d}")
         return self.a.get((i, j), Fraction(0))
 
-    @property
+    @cached_property
     def weights(self) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
         """The (b, c) of the generating identity: b = (1, 2, ..., n),
-        c_1 = (1, 0, ..., 0), c_s = (0, a[2,s], ..., a[n,s]); n = 1 included."""
+        c_1 = (1, 0, ..., 0), c_s = (0, a[2,s], ..., a[n,s]); n = 1 included.
+        Built on first access and kept (the table is immutable)."""
         n, zero = self.n, Fraction(0)
         rows = [(Fraction(1),) + (zero,) * (n - 1)]
         for s in range(2, self.d + 1):
@@ -274,28 +281,41 @@ def _generating_elements(b: Sequence[int], c: Sequence[Sequence[Fraction]], top:
 
         m * B_m = sum_{j: b_j <= m} b_j * L_j(x) * B_{m - b_j},
 
-    so each element multiplies linear forms into earlier ones, with B_0 = 1."""
-    d = len(c)
-    # (b_j, [(i, b_j * c_ij) for c_ij != 0]) per weight slot up to top with a nonzero L_j.
-    forms = [
-        (bj, [(i, bj * c[i][j]) for i in range(d) if c[i][j]])
-        for j, bj in enumerate(b)
-        if bj <= top and any(c[i][j] for i in range(d))
-    ]
-    elems = [{(0,) * d: Fraction(1)}]
+    so each element multiplies linear forms into earlier ones, with B_0 = 1.
+
+    The recurrence runs on integers: with D the lcm of the denominators of
+    c and N_j = D * L_j, E_m = m! * D^m * B_m has integer coefficients and
+
+        E_m = sum_{j: b_j <= m} b_j * ff(m-1, b_j-1) * D^(b_j-1) * N_j(x) * E_{m - b_j},
+
+    ff(m-1, b_j-1) = (m-1)! / (m-b_j)!.  Each coefficient of B_m is then
+    one Fraction, E_m[e] / (m! * D^m)."""
+    d, n = len(c), len(b)
+    den, num = common_denominator([v for row in c for v in row])
+    # (b_j, [(i, n_ij) for n_ij != 0]) per weight slot up to top with a nonzero N_j.
+    forms = []
+    for j, bj in enumerate(b):
+        form = [(i, num[i * n + j]) for i in range(d) if num[i * n + j]]
+        if bj <= top and form:
+            forms.append((bj, form))
+    elems: list[dict[tuple[int, ...], int]] = [{(0,) * d: 1}]
     for m in range(1, top + 1):
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for bj, form in forms:
             if bj > m:
                 break
-            scaled = [(i, w / m) for i, w in form]
+            k = bj * math.perm(m - 1, bj - 1) * den ** (bj - 1)
+            scaled = [(i, k * w) for i, w in form]
             for e, coef in elems[m - bj].items():
                 for i, w in scaled:
                     key = e[:i] + (e[i] + 1,) + e[i + 1:]
-                    old = acc.get(key)
-                    acc[key] = w * coef if old is None else old + w * coef
+                    acc[key] = acc.get(key, 0) + w * coef
         elems.append({e: v for e, v in acc.items() if v})
-    return [Polynomial(d, terms, _trusted=True) for terms in elems]
+    out = []
+    for m, terms in enumerate(elems):
+        scale = math.factorial(m) * den ** m
+        out.append(Polynomial(d, {e: Fraction(v, scale) for e, v in terms.items()}, _trusted=True))
+    return out
 
 
 def build_generating(spec: ParamTable | GeneralSpec) -> BasisSequence:
@@ -419,6 +439,12 @@ def check_closure(basis: BasisSequence, spec: ParamTable | GeneralSpec) -> Closu
     for every m >= 1 and every variable i, read from the spec's weights.
     Raises ValueError unless the basis has b_n + 1 elements in the spec's d
     variables.
+
+    Checked on integers: with B_k = P_k / s_k (s_k the lcm of B_k's
+    denominators) and c_ij = n_ij / D, both sides of each identity are
+    multiplied by L = lcm(s_m, D * s_{m-b_j} over its slots), and (m, i)
+    is a violation iff L/s_m * d(P_m)/dx_i differs from
+    sum_j n_ij * L/(D * s_{m-b_j}) * P_{m-b_j}.
     """
     b, c = spec.weights
     top = b[-1]
@@ -426,15 +452,32 @@ def check_closure(basis: BasisSequence, spec: ParamTable | GeneralSpec) -> Closu
         raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")
     if basis.dim != len(c):
         raise ValueError(f"basis has dimension {basis.dim}, the spec needs {len(c)}")
+    n = len(b)
+    den, num = common_denominator([v for row in c for v in row])
+    ints = []  # (s_k, P_k) per element
+    for p in basis:
+        s, nums = common_denominator(p.terms.values())
+        ints.append((s, dict(zip(p.terms, nums))))
     bad: list[tuple[int, int]] = []
     for m in range(1, top + 1):
-        for i, row in enumerate(c, start=1):
-            expect = Polynomial.zero(basis.dim)
-            for bj, cij in zip(b, row):
-                if bj <= m and cij:
-                    expect = expect + cij * basis[m - bj]
-            if basis[m].diff(i) != expect:
-                bad.append((m, i))
+        s_m, p_m = ints[m]
+        for i in range(len(c)):
+            slots = [(num[i * n + j], *ints[m - bj]) for j, bj in enumerate(b) if bj <= m and num[i * n + j]]
+            scale = s_m
+            for _, s, _ in slots:
+                scale = math.lcm(scale, den * s)
+            acc: dict[tuple[int, ...], int] = {}
+            k = scale // s_m
+            for e, v in p_m.items():
+                ei = e[i]
+                if ei:
+                    acc[e[:i] + (ei - 1,) + e[i + 1:]] = k * ei * v
+            for n_ij, s, p in slots:
+                k = n_ij * (scale // (den * s))
+                for e, v in p.items():
+                    acc[e] = acc.get(e, 0) - k * v
+            if any(acc.values()):
+                bad.append((m, i + 1))
     return ClosureReport(ok=not bad, violations=tuple(bad))
 
 

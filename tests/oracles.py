@@ -10,6 +10,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from dinv.poly import Polynomial
+from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec, ParamTable
+
 
 def rref_fraction(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form and pivot columns by Gauss-Jordan in
@@ -65,3 +68,24 @@ def signed_power_sum_fraction(j: int, m: int, include_zero: bool = True) -> Frac
         sign = -1 if (m - i) % 2 else 1
         total += Fraction(sign * i ** j, math.factorial(i) * math.factorial(m - i))
     return total
+
+
+def check_closure_fraction(basis: BasisSequence, spec: ParamTable | GeneralSpec) -> ClosureReport:
+    """d(B_m)/dx_i == sum_{j: b_j <= m} c_ij * B_{m - b_j} for every m >= 1
+    and variable i, both sides built as Polynomials in Fraction arithmetic."""
+    b, c = spec.weights
+    top = b[-1]
+    if len(basis) != top + 1:
+        raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")
+    if basis.dim != len(c):
+        raise ValueError(f"basis has dimension {basis.dim}, the spec needs {len(c)}")
+    bad: list[tuple[int, int]] = []
+    for m in range(1, top + 1):
+        for i, row in enumerate(c, start=1):
+            expect = Polynomial.zero(basis.dim)
+            for bj, cij in zip(b, row):
+                if bj <= m and cij:
+                    expect = expect + cij * basis[m - bj]
+            if basis[m].diff(i) != expect:
+                bad.append((m, i))
+    return ClosureReport(ok=not bad, violations=tuple(bad))

@@ -491,6 +491,28 @@ class TestLimitAndSweep:
         assert out.read_text().startswith("h,approx,exact,abs_err,est_order")
 
 
+    @pytest.mark.parametrize("scheme", ["a", "b"])
+    def test_sweep_target_too_large_for_a_float_exits_2(self, scheme, tmp_path, capsys):
+        # B_10 holds a_22^5 / 5! x2^5, so (B_10(D) x2^5)(0) = 10^4995.
+        spec = tmp_path / "p.json"
+        spec.write_text(json.dumps({"d": 2, "n": 10, "a": {"2,2": "1e999"}}))
+        f = tmp_path / "f.txt"
+        f.write_text("x2^5")
+        assert main(["sweep", "--spec", str(spec), "--f", str(f), "--m", "10", "--scheme", scheme]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the exact target (B_10(D)f)(z0) has 4996 digits before the point; no float can hold it\n"
+        )
+        assert captured.out == ""
+
+    def test_sweep_f_coefficient_too_large_for_a_float_exits_2(self, spec_file, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text(f"{10 ** 400}*x1^3")
+        assert main(["sweep", "--spec", spec_file, "--f", str(f), "--m", "4", "--scheme", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: a coefficient of f has 401 digits before the point; no float can hold it\n"
+
+
 class TestEitherSpec:
     """points, limit, sweep and study take either spec kind through its
     weights (b, c); on a table, these and verify --what closure|breadth
@@ -599,6 +621,19 @@ class TestStudy:
         assert main(["study", *argv, "--out-dir", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and named in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_float_overflow_of_an_exact_value_exits_2(self, tmp_path, capsys):
+        # Scheme a's first order already needs point 1, whose x2 coordinate is
+        # a_22 * h^2 with a 1000-digit a_22; --h0 cannot help, so it is not named.
+        spec = tmp_path / "p.json"
+        spec.write_text(json.dumps({"d": 2, "n": 10, "a": {"2,2": "1e999"}}))
+        f = tmp_path / "f.txt"
+        f.write_text("x2^5")
+        assert main(["study", "--spec", str(spec), "--f", str(f), "--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: a coefficient of point 1 has 1000 digits before the point; no float can hold it\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dinv.linalg import rank, rref, solve
+from dinv.linalg import common_denominator, rank, rref, solve
 from oracles import rref_fraction, solve_fraction
 
 F = Fraction
@@ -132,3 +132,23 @@ class TestEdgeCases:
 
     def test_inconsistent_system(self):
         assert solve([[1, 1], [2, 2]], [1, 3]) is None
+
+
+class TestCommonDenominator:
+    def test_coprime_denominators(self):
+        values = [F(1, 7), F(5, 11), F(-3, 13), F(1, 1009), F(2), F(0)]
+        s, nums = common_denominator(values)
+        assert s == 7 * 11 * 13 * 1009
+        assert [F(n, s) for n in nums] == values
+
+    def test_shared_factors_give_the_lcm(self):
+        assert common_denominator([F(1, 4), F(1, 6), F(5, 12)]) == (12, [3, 2, 5])
+
+    def test_integers_and_empty(self):
+        assert common_denominator([3, -2, 0]) == (1, [3, -2, 0])
+        assert common_denominator([]) == (1, [])
+
+    def test_takes_any_iterable(self):
+        terms = {(1, 0): F(1, 2), (0, 1): F(-2, 3)}
+        assert common_denominator(terms.values()) == (6, [3, -4])
+        assert common_denominator(v for v in terms.values()) == (6, [3, -4])

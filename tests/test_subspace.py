@@ -25,6 +25,7 @@ from dinv import (
     specialize,
 )
 from dinv.linalg import rank
+from oracles import check_closure_fraction
 
 F = Fraction
 
@@ -73,6 +74,14 @@ class TestParamTable:
     def test_from_dict_malformed(self):
         with pytest.raises(ValueError):
             ParamTable.from_dict({"d": 2})
+
+    def test_weights_built_once(self):
+        t = ParamTable(d=3, n=4, a={(2, 2): F(1, 2), (4, 3): F(-3)})
+        before = (repr(t), t.to_dict())
+        assert t.weights is t.weights
+        assert t.weights == ((1, 2, 3, 4), ((1, 0, 0, 0), (0, F(1, 2), 0, 0), (0, 0, 0, F(-3))))
+        assert (repr(t), t.to_dict()) == before
+        assert t == ParamTable(d=3, n=4, a={(2, 2): F(1, 2), (4, 3): F(-3)})
 
 
 class TestGeneralSpec:
@@ -570,3 +579,122 @@ class TestEquivalence:
     def test_recursive_equals_explicit_n1(self):
         t = ParamTable(d=2, n=1, a={})
         assert build_recursive(t).elements == build_explicit(t).elements
+
+
+# Coefficients with pairwise coprime denominators, so the common denominator
+# D of a spec is their product, and primes that divide none of them.
+_COPRIME = (F(1, 7), F(5, 11), F(-3, 13), F(1, 1009), F(2), F(-1), F(0))
+_OTHER_PRIMES = (17, 19, 23, 29, 31)
+
+
+def _coprime_spec(rng):
+    """A table or general spec with coefficients from _COPRIME; general
+    specs get an all-zero c column (other than the first) half the time."""
+    if rng.random() < 0.4:
+        d, n = rng.choice((2, 3)), rng.randint(1, 5)
+        a = {(i, j): rng.choice(_COPRIME) for i in range(2, n + 1) for j in range(2, d + 1)}
+        return ParamTable(d=d, n=n, a=a)
+    n, d = rng.randint(2, 4), rng.randint(1, 3)
+    b = tuple([1] + sorted(rng.sample(range(2, 8), n - 1)))
+    c = [[rng.choice(_COPRIME) for _ in range(n)] for _ in range(d)]
+    c[rng.randrange(d)][0] = rng.choice(_COPRIME[:5])
+    if rng.random() < 0.5:
+        col = rng.randrange(1, n)
+        for row in c:
+            row[col] = F(0)
+    return GeneralSpec(n=n, d=d, b=b, c=tuple(tuple(row) for row in c))
+
+
+def _perturbed(rng, basis: BasisSequence, kind: str) -> BasisSequence:
+    """basis with one element k >= 1 changed, keeping element k of degree k:
+    a coefficient shifted by 1/p (p dividing no denominator of the spec), a
+    term of degree at most k added, a term of degree below k dropped (or the
+    element scaled, if it has none), or the element scaled."""
+    elems = list(basis)
+    k = rng.randrange(1, len(elems))
+    q, dim = elems[k], basis.dim
+    if kind == "shift":
+        e = rng.choice(sorted(q.terms))
+        q = q + Polynomial.monomial(dim, e, F(1, rng.choice(_OTHER_PRIMES)))
+    elif kind == "add":
+        exps = [0] * dim
+        for _ in range(rng.randint(0, k)):
+            exps[rng.randrange(dim)] += 1
+        q = q + Polynomial.monomial(dim, exps, rng.choice(_COPRIME[:5]))
+    elif kind == "drop" and any(sum(e) < k for e in q.terms):
+        e = rng.choice(sorted(e for e in q.terms if sum(e) < k))
+        q = Polynomial(dim, {t: v for t, v in q.terms.items() if t != e})
+    else:
+        q = q * F(rng.choice((2, -3, 5)), rng.choice(_OTHER_PRIMES))
+    elems[k] = q
+    return BasisSequence(tuple(elems))
+
+
+class TestIntegerKernel:
+    """The integer-numerator recurrence and closure check against their
+    Fraction versions (build_general and check_closure_fraction)."""
+
+    def test_generating_equals_enumeration_on_coprime_denominators(self):
+        rng = make_rng(120)
+        for _ in range(40):
+            spec = _coprime_spec(rng)
+            general = specialize(spec) if isinstance(spec, ParamTable) and spec.n >= 2 else spec
+            if isinstance(general, GeneralSpec):
+                assert build_generating(spec).elements == build_general(general).elements
+            else:
+                assert build_generating(spec).elements == build_recursive(spec).elements
+
+    def test_output_coefficients_are_normalized_fractions(self):
+        spec = GeneralSpec(n=3, d=2, b=(1, 3, 4), c=((F(1, 7), F(0), F(5, 11)), (F(-3, 13), F(1, 1009), F(0))))
+        for q in build_generating(spec):
+            for v in q.terms.values():
+                assert type(v) is F and v != 0
+                assert math.gcd(v.numerator, v.denominator) == 1
+
+    def test_closure_matches_fraction_oracle(self):
+        rng = make_rng(121)
+        kinds = ("built", "shift", "add", "drop", "scale")
+        pairs, refuted, seen_kinds = 0, 0, set()
+        for trial in range(250):
+            spec = _coprime_spec(rng)
+            basis = build_generating(spec)
+            kind = kinds[trial % len(kinds)]
+            if kind != "built":
+                basis = _perturbed(rng, basis, kind)
+            expect = check_closure_fraction(basis, spec)
+            assert check_closure(basis, spec) == expect
+            pairs += 1
+            refuted += not expect.ok
+            seen_kinds.add((kind, isinstance(spec, ParamTable)))
+        assert pairs >= 200
+        assert refuted >= 150
+        assert len(seen_kinds) == 2 * len(kinds)
+
+    def test_closure_matches_oracle_on_random_specs(self):
+        rng = make_rng(122)
+        for _ in range(40):
+            spec = random_general_spec(rng, n_max=4, bn_max=7, d_max=3)
+            basis = build_general(spec)
+            assert check_closure(basis, spec) == check_closure_fraction(basis, spec)
+            tampered = _perturbed(rng, basis, rng.choice(("shift", "add", "drop", "scale")))
+            assert check_closure(tampered, spec) == check_closure_fraction(tampered, spec)
+
+    def test_violation_order_matches_oracle(self):
+        spec = GeneralSpec(n=2, d=2, b=(1, 2), c=((F(1, 7), F(5, 11)), (F(-3, 13), F(0))))
+        elems = list(build_generating(spec))
+        elems[1] = elems[1] + P("x1 + x2")
+        elems[2] = elems[2] * F(1, 17)
+        basis = BasisSequence(tuple(elems))
+        report = check_closure(basis, spec)
+        assert report == check_closure_fraction(basis, spec)
+        assert report.violations == ((1, 1), (1, 2), (2, 1), (2, 2))
+
+    @pytest.mark.parametrize("elements, dim", [(["1", "x1"], 2), (["1", "x1", "1/2*x1^2 + x2"], 3)])
+    def test_oracle_shares_shape_errors(self, elements, dim):
+        spec = GeneralSpec(n=2, d=2, b=(1, 2), c=((F(1), F(0)), (F(0), F(1))))
+        basis = BasisSequence(tuple(P(e, dim) for e in elements))
+        with pytest.raises(ValueError) as ours:
+            check_closure(basis, spec)
+        with pytest.raises(ValueError) as oracle:
+            check_closure_fraction(basis, spec)
+        assert str(ours.value) == str(oracle.value)
