@@ -27,7 +27,6 @@ from .subspace import (
     ClosureReport,
     GeneralSpec,
     ParamTable,
-    WeightSolution,
     breadth,
     build_explicit,
     build_general,
@@ -35,7 +34,6 @@ from .subspace import (
     build_recursive,
     check_closure,
     degrees,
-    enumerate_weight_solutions,
     span_contains,
     specialize,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "Stencil",
     "SweepRow",
     "SymbolicPointSet",
-    "WeightSolution",
     "breadth",
     "build_explicit",
     "build_general",
@@ -64,7 +61,6 @@ __all__ = [
     "check_closure",
     "combination_poly",
     "degrees",
-    "enumerate_weight_solutions",
     "expansion_check",
     "falling_factorial",
     "falling_factorial_sum",

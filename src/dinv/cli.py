@@ -36,6 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
+from .compositions import count_compositions
 from .discretize import SCHEMES, SweepRow, expansion_check, stencil, sweep, sweep_to_csv
 from .identities import falling_factorial_sum, signed_power_sum, vandermonde_oracle
 from .poly import DigitLimitError, Polynomial, parse_rational, rational_text
@@ -144,6 +145,37 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+# The closed-form builders (build_explicit, build_general) visit every count
+# vector on the spec's nonzero weight slots of weight <= top; that number is
+# compositions.count_compositions(top, slot weights).  A visit, with the
+# other builders of the same command, costs about as much as d + 2 exponent
+# entries, so a spec in d variables may have at most
+# MAX_CLOSED_FORM_WORK // (d + 2) of them.  On one core of a 2-vCPU host,
+# verify --what equivalence took 0.4 to 2.2 us per visit and per d + 2
+# (full tables with d = 2..80, dense general specs with d = 1..4), so at
+# most about 11 s at the bound; the largest accepted input measured, a
+# d = 1 spec with b = (1, ..., 51) and 1,535,914 visits, took 10.2 s.
+MAX_CLOSED_FORM_WORK = 5_000_000
+
+
+def _check_closed_form_size(what: str, top: int, d: int, weights) -> None:
+    """Refuse, before any build, a spec whose closed-form construction
+    would visit more count vectors than its d allows.  weights() gives the
+    weights of its nonzero slots; it is called only once top is in bounds
+    (x1 has weight 1, so the walk visits at least top + 1 vectors)."""
+    allowed = MAX_CLOSED_FORM_WORK // (d + 2)
+    count = top + 1 if top + 1 > allowed else count_compositions(top, weights(), cap=allowed)
+    if count > allowed:
+        raise CliError(
+            f"{what}: the closed-form construction would enumerate at least {count:,} compositions, "
+            f"more than the {allowed:,} allowed in {d} variables ({MAX_CLOSED_FORM_WORK:,} / (d + 2))"
+        )
+
+
+def _check_table_size(path: str, params: ParamTable) -> None:
+    _check_closed_form_size(path, params.n, params.d, lambda: [1] + [i for (i, _) in params.a])
+
+
 def _require_at_least(args, **least: int) -> None:
     """Refuse any integer flag, named by its dest, below its least value."""
     for dest, low in least.items():
@@ -163,6 +195,8 @@ def _cmd_basis(args) -> int:
     else:
         if not isinstance(spec, ParamTable):
             raise CliError(f"{args.spec}: this command needs a parameter-table spec (keys d, n, a)")
+        if args.source == "explicit":
+            _check_table_size(args.spec, spec)
         basis = build_recursive(spec) if args.source == "recursive" else build_explicit(spec)
     if args.pretty:
         text = "".join(p.render() + "\n" for p in basis)
@@ -232,9 +266,14 @@ def _cmd_verify(args) -> int:
 
     if args.what == "equivalence":
         if isinstance(spec, GeneralSpec):
+            b, c = spec.weights
+            _check_closed_form_size(
+                args.spec, b[-1], spec.d, lambda: [bj for j, bj in enumerate(b) for row in c if row[j]]
+            )
             ok = build_generating(spec).elements == build_general(spec).elements
             report = {"what": "equivalence", "generating_vs_general": ok, "ok": ok}
         else:
+            _check_table_size(args.spec, spec)
             _, rec_vs_exp, gen_vs_rec = _compare_builders(spec)
             ok = rec_vs_exp and gen_vs_rec is not False
             report = {
@@ -400,6 +439,11 @@ def _random_table(rng: random.Random, d_max: int, n_max: int) -> ParamTable:
 
 def _cmd_scan(args) -> int:
     _require_at_least(args, count=1, d_max=2, n_max=2)
+    d_max, n_max = args.d_max, args.n_max
+    _check_closed_form_size(
+        f"scan --d-max {d_max} --n-max {n_max} (a full table of that size)", n_max, d_max,
+        lambda: [1] + [j for j in range(2, n_max + 1) for _ in range(d_max - 1)],
+    )
     rng = random.Random(args.seed)
     failures = []
     start = time.perf_counter()

@@ -2,29 +2,32 @@
 
 A derivative-closed (D-invariant) subspace of polynomials is one closed
 under every partial derivative.  Breadth one means its basis contains a
-single linear element, normalized here to x1.  This module builds graded
-bases {B_0, ..., B_N} of such spaces four independent ways:
+single linear element, normalized here to x1.  The bases built here are
+the t^m coefficients B_m of exp(sum_i x_i * sum_j c_ij * t^(b_j)) for a
+weight vector b and coefficient vectors c: a GeneralSpec gives (b, c)
+directly, and a ParamTable is the specialization b = (1, 2, ..., n),
+c_1 = e_1, c_s = (0, a_{2,s}, ...) (both as .weights).  Three independent
+constructions build the graded bases {B_0, ..., B_N}:
 
   * build_recursive: degree-by-degree recursion driven by antiderivatives
-    of the lower-degree elements (parameterized by a ParamTable),
-  * build_explicit: a closed-form sum over weighted compositions for the
-    same parameters, sharing no code with the recursion,
-  * build_generating: a wider family parameterized by a weight vector b
-    and coefficient vectors c (GeneralSpec), the t^m coefficients B_m of
-    exp(sum_i x_i * sum_j c_ij * t^(b_j)), built by the recurrence that
-    differentiating in t gives; the ParamTable family is the
-    specialization b = (1, 2, ..., n), c_1 = e_1, c_s = (0, a_{2,s}, ...),
-    so this builder takes either spec through its weights (b, c),
-  * build_general: the same GeneralSpec family as a closed-form sum over
-    weighted compositions, kept as the oracle for build_generating.
+    of the lower-degree elements (tables only),
+  * one closed-form enumeration, _closed_form_elements: a single walk over
+    the count vectors of the nonzero c_ij, summing
+    prod (c_ij * x_i)^(g_ij) / g_ij!; build_explicit runs it on a table's
+    weights and build_general on a general spec's.  It shares no code with
+    the recursion or the recurrence,
+  * build_generating: the recurrence m*B_m = sum_j b_j * L_j(x) * B_{m-b_j}
+    that differentiating in t gives, for either spec kind; build_general
+    is kept as its oracle.
 
 It also provides the exact verifiers used by the test suite and CLI:
 span membership, derivative-closure reports, breadth, and degrees.
 
-Values cross the API as Fractions.  The generating recurrence and the
-closure check compute on integer numerators over a common denominator
-(linalg.common_denominator) and build each output Fraction once, at the
-end; the Fraction versions of both are kept as test oracles.
+Values cross the API as Fractions.  The closed-form enumeration, the
+generating recurrence and the closure check compute on integer numerators
+over a common denominator (linalg.common_denominator) and build each output
+Fraction once, at the end; the Fraction versions of all three are kept as
+test oracles.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .compositions import weighted_compositions
 from .linalg import common_denominator, rref, solve
 from .poly import Polynomial, json_array, json_int, json_rational
 
@@ -216,63 +218,63 @@ class BasisSequence:
         return cls(tuple(Polynomial.from_dict(item) for item in data))
 
 
-@dataclass(frozen=True)
-class WeightSolution:
-    """One contribution index of the general construction: counts[i-1][j-1]
-    copies of coefficient c[i][j], with total weight sum(b[j] * column sums)
-    equal to the target degree."""
+def _closed_form_elements(b: Sequence[int], c: Sequence[Sequence[Fraction]], top: int) -> list[Polynomial]:
+    """B_0..B_top of the weights (b, c) as the closed-form sum
 
-    counts: tuple[tuple[int, ...], ...]
+        B_m = [t^m] prod_{(i, j): c_ij != 0} exp(c_ij * x_i * t^(b_j))
+            = sum_g prod_{i, j} (c_ij * x_i)^(g_ij) / g_ij!,
 
+    over the count vectors g >= 0 on the nonzero slots with weight
+    sum g_ij * b_j == m (a positive count on a zero c_ij would make the
+    product vanish, so those slots are never enumerated).  b must be
+    increasing, as both spec kinds give it.
 
-def enumerate_weight_solutions(spec: GeneralSpec, m: int) -> list[WeightSolution]:
-    """All count grids of weight exactly m, in a fixed deterministic order.
+    One depth-first walk visits every g of weight <= top exactly once: a
+    node is a count vector, and its children give one slot after its last
+    nonzero one a positive count, so the visits number
+    compositions.count_compositions(top, weights of the nonzero slots).
+    The walk carries the prefix products down: prod n_ij^g_ij (c_ij =
+    n_ij / D, D the lcm of the denominators of c), prod g_ij!, the
+    exponent vector and G = sum g.  With m! * D^m * B_m integral, each
+    node adds the integer prod n^g * D^(m-G) * (m! // prod g!) to element
+    m, and each coefficient of B_m is then one Fraction, that sum over
+    m! * D^m."""
+    d, n = len(c), len(b)
+    den, num = common_denominator([v for row in c for v in row])
+    # (b_j, i, n_ij) per nonzero slot of weight <= top, b_j nondecreasing.
+    slots = [(bj, i, num[i * n + j]) for j, bj in enumerate(b) if bj <= top for i in range(d) if num[i * n + j]]
+    fact = [math.factorial(m) for m in range(top + 1)]
+    den_pow = [den ** k for k in range(top + 1)]
+    elems: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
 
-    The grid is flattened column-major (weight slot j outer, vector index i
-    inner) and enumerated lexicographically descending over that flattening.
-    Solutions whose coefficient product vanishes (a positive count on a zero
-    c[i][j]) are included, so this is the unpruned index set; build_general
-    enumerates only the nonzero slots.
-    """
-    if not 0 <= m <= spec.top_weight:
-        raise ValueError(f"weight {m} outside 0..{spec.top_weight}")
-    weights = [spec.b[j] for j in range(spec.n) for _ in range(spec.d)]
+    def walk(start: int, m: int, total: int, prod_n: int, prod_fact: int, e: tuple[int, ...]) -> None:
+        terms = elems[m]
+        terms[e] = terms.get(e, 0) + prod_n * den_pow[m - total] * (fact[m] // prod_fact)
+        for k in range(start, len(slots)):
+            bj, i, n_ij = slots[k]
+            if m + bj > top:
+                break
+            w, g, p_n, p_f, ex = m, 0, prod_n, prod_fact, e
+            while w + bj <= top:
+                w, g = w + bj, g + 1
+                p_n, p_f = p_n * n_ij, p_f * g
+                ex = ex[:i] + (ex[i] + 1,) + ex[i + 1:]
+                walk(k + 1, w, total + g, p_n, p_f, ex)
+
+    walk(0, 0, 0, 1, 1, (0,) * d)
     out = []
-    for flat in weighted_compositions(m, weights):
-        counts = tuple(
-            tuple(flat[j * spec.d + i] for j in range(spec.n))
-            for i in range(spec.d)
-        )
-        out.append(WeightSolution(counts))
+    for m, terms in enumerate(elems):
+        scale = fact[m] * den_pow[m]
+        out.append(Polynomial(d, {e: Fraction(v, scale) for e, v in terms.items() if v}, _trusted=True))
     return out
 
 
 def build_general(spec: GeneralSpec) -> BasisSequence:
-    """The general family: element m sums, over all weight-m solutions,
-    the monomial x1^|row 1| ... xd^|row d| with coefficient
-    prod c[i][j]^counts[i][j] / counts[i][j]!  (0**0 == 1).
-
-    A positive count on a zero c[i][j] makes the product vanish, so only
-    the slots with c[i][j] != 0 are enumerated (never none: some c[i][0]
-    is nonzero).  This enumeration is the oracle for build_generating,
-    which builds the same basis by recurrence."""
-    slots = [(i, j) for j in range(spec.n) for i in range(spec.d) if spec.c[i][j] != 0]
-    weights = [spec.b[j] for (_, j) in slots]
-    elems = []
-    for m in range(spec.top_weight + 1):
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for combo in weighted_compositions(m, weights):
-            coef = Fraction(1)
-            exps = [0] * spec.d
-            for (i, j), g in zip(slots, combo):
-                if g:
-                    coef *= spec.c[i][j] ** g
-                    coef /= math.factorial(g)
-                    exps[i] += g
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coef
-        elems.append(Polynomial(spec.d, terms))
-    return BasisSequence(tuple(elems))
+    """The general family as the closed-form sum over weighted compositions
+    (_closed_form_elements on the spec's weights).  It is the oracle for
+    build_generating, which builds the same basis by recurrence."""
+    b, c = spec.weights
+    return BasisSequence(tuple(_closed_form_elements(b, c, b[-1])))
 
 
 def _generating_elements(b: Sequence[int], c: Sequence[Sequence[Fraction]], top: int) -> list[Polynomial]:
@@ -360,36 +362,15 @@ def build_explicit(params: ParamTable) -> BasisSequence:
     Element k sums over all (g, {g[s,j]}) with g + sum_j j*g[s,j] == k
     (g >= 0 attached to x1; s over variables 2..d, j over degrees 2..n)
     the monomial x1^g * prod_s x_s^(sum_j g[s,j]) with coefficient
-    prod a[j,s]^g[s,j] / (g! * prod g[s,j]!).
-
-    A positive g[s,j] on a zero a[j,s] makes the product vanish, so only the
-    slots with a[j,s] != 0 are enumerated.
+    prod a[j,s]^g[s,j] / (g! * prod g[s,j]!): the closed-form sum of
+    _closed_form_elements over the table's weights, b = (1, ..., n) and
+    c_1 = e_1, c_s = (0, a[2,s], ..., a[n,s]).
 
     Deliberately shares no construction code with build_recursive: the
     termwise equality of the two outputs is a cross-check, not a tautology.
     """
-    d, n = params.d, params.n
-    slots: list[tuple[int, int]] = [
-        (s, j) for s in range(2, d + 1) for j in range(2, n + 1) if params.get(j, s) != 0
-    ]
-    weights = [1] + [j for (_, j) in slots]
-    elems = []
-    for k in range(n + 1):
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for combo in weighted_compositions(k, weights):
-            g1, rest = combo[0], combo[1:]
-            coef = Fraction(1, math.factorial(g1))
-            for (s, j), g in zip(slots, rest):
-                if g:
-                    coef *= params.get(j, s) ** g
-                    coef /= math.factorial(g)
-            exps = [g1] + [0] * (d - 1)
-            for (s, _), g in zip(slots, rest):
-                exps[s - 1] += g
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coef
-        elems.append(Polynomial(d, terms))
-    return BasisSequence(tuple(elems))
+    b, c = params.weights
+    return BasisSequence(tuple(_closed_form_elements(b, c, params.n)))
 
 
 def specialize(params: ParamTable) -> GeneralSpec:

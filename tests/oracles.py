@@ -1,15 +1,18 @@
 """Reference implementations kept for the tests to compare against.
 
 Each is the straightforward Fraction version of a routine the library now
-computes another way; they are not part of the package.
+computes another way, except enumerate_weight_solutions, the unpruned index
+set of the closed form; they are not part of the package.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from dinv.compositions import weighted_compositions
 from dinv.poly import Polynomial
 from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec, ParamTable
 
@@ -89,3 +92,87 @@ def check_closure_fraction(basis: BasisSequence, spec: ParamTable | GeneralSpec)
             if basis[m].diff(i) != expect:
                 bad.append((m, i))
     return ClosureReport(ok=not bad, violations=tuple(bad))
+
+
+@dataclass(frozen=True)
+class WeightSolution:
+    """One contribution index of the general construction: counts[i-1][j-1]
+    copies of coefficient c[i][j], with total weight sum(b[j] * column sums)
+    equal to the target degree."""
+
+    counts: tuple[tuple[int, ...], ...]
+
+
+def enumerate_weight_solutions(spec: GeneralSpec, m: int) -> list[WeightSolution]:
+    """All count grids of weight exactly m, in a fixed deterministic order.
+
+    The grid is flattened column-major (weight slot j outer, vector index i
+    inner) and enumerated lexicographically descending over that flattening.
+    Solutions whose coefficient product vanishes (a positive count on a zero
+    c[i][j]) are included, so this is the unpruned index set; build_general
+    enumerates only the nonzero slots.
+    """
+    if not 0 <= m <= spec.top_weight:
+        raise ValueError(f"weight {m} outside 0..{spec.top_weight}")
+    weights = [spec.b[j] for j in range(spec.n) for _ in range(spec.d)]
+    out = []
+    for flat in weighted_compositions(m, weights):
+        counts = tuple(
+            tuple(flat[j * spec.d + i] for j in range(spec.n))
+            for i in range(spec.d)
+        )
+        out.append(WeightSolution(counts))
+    return out
+
+
+def build_general_fraction(spec: GeneralSpec) -> BasisSequence:
+    """Element m sums, over the weight-m compositions on the nonzero slots
+    c[i][j], the monomial x1^|row 1| ... xd^|row d| with coefficient
+    prod c[i][j]^counts[i][j] / counts[i][j]!, each composition's
+    coefficient built from scratch in Fractions."""
+    slots = [(i, j) for j in range(spec.n) for i in range(spec.d) if spec.c[i][j] != 0]
+    weights = [spec.b[j] for (_, j) in slots]
+    elems = []
+    for m in range(spec.top_weight + 1):
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for combo in weighted_compositions(m, weights):
+            coef = Fraction(1)
+            exps = [0] * spec.d
+            for (i, j), g in zip(slots, combo):
+                if g:
+                    coef *= spec.c[i][j] ** g
+                    coef /= math.factorial(g)
+                    exps[i] += g
+            key = tuple(exps)
+            terms[key] = terms.get(key, Fraction(0)) + coef
+        elems.append(Polynomial(spec.d, terms))
+    return BasisSequence(tuple(elems))
+
+
+def build_explicit_fraction(params: ParamTable) -> BasisSequence:
+    """Element k sums over all (g, {g[s,j]}) with g + sum_j j*g[s,j] == k
+    on the nonzero a[j,s] the monomial x1^g * prod_s x_s^(sum_j g[s,j])
+    with coefficient prod a[j,s]^g[s,j] / (g! * prod g[s,j]!), each
+    composition's coefficient built from scratch in Fractions."""
+    d, n = params.d, params.n
+    slots: list[tuple[int, int]] = [
+        (s, j) for s in range(2, d + 1) for j in range(2, n + 1) if params.get(j, s) != 0
+    ]
+    weights = [1] + [j for (_, j) in slots]
+    elems = []
+    for k in range(n + 1):
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for combo in weighted_compositions(k, weights):
+            g1, rest = combo[0], combo[1:]
+            coef = Fraction(1, math.factorial(g1))
+            for (s, j), g in zip(slots, rest):
+                if g:
+                    coef *= params.get(j, s) ** g
+                    coef /= math.factorial(g)
+            exps = [g1] + [0] * (d - 1)
+            for (s, _), g in zip(slots, rest):
+                exps[s - 1] += g
+            key = tuple(exps)
+            terms[key] = terms.get(key, Fraction(0)) + coef
+        elems.append(Polynomial(d, terms))
+    return BasisSequence(tuple(elems))

@@ -357,6 +357,72 @@ class TestDigitLimit:
         assert captured.out == ""
 
 
+def _full_table(d: int, n: int) -> dict:
+    return {"d": d, "n": n, "a": {f"{i},{j}": f"{i + j}/{j}" for i in range(2, n + 1) for j in range(2, d + 1)}}
+
+
+class TestSizeGuard:
+    """basis --source explicit, verify --what equivalence and scan refuse,
+    before any build, a spec whose closed-form walk would visit more count
+    vectors than MAX_CLOSED_FORM_WORK // (d + 2)."""
+
+    @pytest.fixture(autouse=True)
+    def no_builds(self, monkeypatch):
+        def forbidden(spec):
+            raise AssertionError("built before the size guard")
+
+        for name in ("build_recursive", "build_explicit", "build_general", "build_generating"):
+            monkeypatch.setattr(dinv.cli, name, forbidden)
+
+    def _refused(self, argv, capsys, count, allowed):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error:")
+        assert f"at least {count:,} compositions" in captured.err
+        assert f"more than the {allowed:,} allowed" in captured.err
+        assert f"({dinv.cli.MAX_CLOSED_FORM_WORK:,} / (d + 2))" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv", [["basis", "--source", "explicit"], ["verify", "--what", "equivalence"]], ids=["basis", "equivalence"]
+    )
+    def test_full_d6_table_past_the_bound(self, argv, tmp_path, capsys):
+        assert dinv.cli.MAX_CLOSED_FORM_WORK == 5_000_000
+        # Full d = 6 tables visit 145,546 vectors at n = 16 and 1,180,415 at
+        # n = 20; the count stops once it passes 5,000,000 // 8.
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(_full_table(6, 20)))
+        self._refused([*argv, "--spec", str(path)], capsys, 637207, 625000)
+
+    def test_general_spec_equivalence(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 60, "d": 1, "b": list(range(1, 61)), "c": [["1"] * 60]}))
+        assert main(["verify", "--what", "equivalence", "--spec", str(path)]) == 2
+        assert "more than the 1,666,666 allowed in 1 variables" in capsys.readouterr().err
+
+    def test_top_alone_refuses(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"d": 2, "n": 10**9, "a": {}}))
+        self._refused(["basis", "--source", "explicit", "--spec", str(path)], capsys, 10**9 + 1, 1250000)
+
+    @pytest.mark.parametrize(
+        "flags, count, allowed",
+        [(["--d-max", "6", "--n-max", "19"], 630395, 625000), (["--n-max", "100000"], 2500100001, 833333)],
+        ids=["d6-n19", "n100000"],
+    )
+    def test_scan(self, flags, count, allowed, capsys):
+        self._refused(["scan", *flags], capsys, count, allowed)
+
+    def test_exactly_at_the_bound(self, spec_file, monkeypatch, capsys):
+        # The example table (d = 2, weights 1..4, top 4) visits 12 vectors.
+        monkeypatch.undo()
+        monkeypatch.setattr(dinv.cli, "MAX_CLOSED_FORM_WORK", 12 * 4)
+        assert main(["verify", "--what", "equivalence", "--spec", spec_file]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(dinv.cli, "MAX_CLOSED_FORM_WORK", 12 * 4 - 1)
+        self._refused(["verify", "--what", "equivalence", "--spec", spec_file], capsys, 12, 11)
+
+
 class TestPoints:
     def test_symbolic_pretty(self, spec_file, capsys):
         assert main(["points", "--scheme", "b", "--spec", spec_file, "--pretty"]) == 0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,12 +21,12 @@ from dinv import (
     build_recursive,
     check_closure,
     degrees,
-    enumerate_weight_solutions,
     span_contains,
     specialize,
 )
+from dinv.compositions import count_compositions
 from dinv.linalg import rank
-from oracles import check_closure_fraction
+from oracles import build_explicit_fraction, build_general_fraction, check_closure_fraction, enumerate_weight_solutions
 
 F = Fraction
 
@@ -247,6 +248,32 @@ def _zero_heavy_general_spec(rng) -> GeneralSpec:
     return GeneralSpec(n=spec.n, d=spec.d, b=spec.b, c=tuple(tuple(row) for row in c))
 
 
+def _walk_visits(build, spec) -> tuple[BasisSequence, int]:
+    """build(spec), and the number of count vectors the closed-form walk
+    visited: its inner function walk is called once per vector."""
+    visits = 0
+    previous = sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal visits
+        code = frame.f_code
+        if event == "call" and code.co_name == "walk" and code.co_filename == dinv.subspace.__file__:
+            visits += 1
+
+    sys.setprofile(profile)
+    try:
+        basis = build(spec)
+    finally:
+        sys.setprofile(previous)
+    return basis, visits
+
+
+def _slot_weights(spec) -> list[int]:
+    """The weights b_j of the nonzero c_ij of a spec of either kind."""
+    b, c = spec.weights
+    return [bj for j, bj in enumerate(b) for row in c if row[j]]
+
+
 class TestBuildGeneral:
     def test_element_zero_is_one(self):
         spec = GeneralSpec(n=2, d=2, b=(1, 2), c=((F(1), F(0)), (F(0), F(1))))
@@ -274,18 +301,14 @@ class TestBuildGeneral:
             assert 2 * zeros >= spec.d * spec.n
             assert build_general(spec).elements == _unpruned_general(spec)
 
-    def test_enumerates_only_nonzero_slots(self, monkeypatch):
-        seen = []
-        original = dinv.subspace.weighted_compositions
-
-        def recording(total, weights):
-            seen.append(list(weights))
-            return original(total, weights)
-
-        monkeypatch.setattr(dinv.subspace, "weighted_compositions", recording)
+    def test_enumerates_only_nonzero_slots(self):
+        # The walk makes one call per count vector it visits; on the nonzero
+        # slots (weights 1, 2, 4) there are fewer than on all six.
         spec = GeneralSpec(n=3, d=2, b=(1, 2, 4), c=((F(1), F(0), F(3)), (F(0), F(2), F(0))))
-        build_general(spec)
-        assert seen and all(w == [1, 2, 4] for w in seen)
+        basis, visits = _walk_visits(build_general, spec)
+        assert visits == count_compositions(4, [1, 2, 4]) == 10
+        assert count_compositions(4, [1, 1, 2, 2, 4, 4]) > visits
+        assert basis.elements == build_general_fraction(spec).elements
 
     def test_specialize_needs_degree_two(self):
         with pytest.raises(ValueError):
@@ -359,10 +382,10 @@ class TestBuildGenerating:
         assert list(build_generating(spec)) == [P("1"), P("x1"), P("1/2*x1^2 + x2")]
 
     def test_enumerates_no_compositions(self, monkeypatch):
-        def forbidden(total, weights):
+        def forbidden(b, c, top):
             raise AssertionError("build_generating enumerated compositions")
 
-        monkeypatch.setattr(dinv.subspace, "weighted_compositions", forbidden)
+        monkeypatch.setattr(dinv.subspace, "_closed_form_elements", forbidden)
         spec = GeneralSpec(n=3, d=2, b=(1, 2, 4), c=((F(1), F(0), F(3)), (F(0), F(2), F(0))))
         assert check_closure(build_generating(spec), spec).ok
 
@@ -628,6 +651,79 @@ def _perturbed(rng, basis: BasisSequence, kind: str) -> BasisSequence:
         q = q * F(rng.choice((2, -3, 5)), rng.choice(_OTHER_PRIMES))
     elems[k] = q
     return BasisSequence(tuple(elems))
+
+
+class TestClosedForm:
+    """build_explicit and build_general, one integer walk over the weights
+    (b, c), against their per-composition Fraction versions, termwise."""
+
+    def test_seeded_tables(self):
+        rng = make_rng(130)
+        ns = set()
+        for trial in range(60):
+            n = 1 if trial % 10 == 0 else rng.randint(2, 7)
+            t = random_param_table(rng, d=rng.choice((2, 3, 4, 5)), n=n, fill=rng.choice((0.3, 0.8, 1.0)))
+            ns.add(t.n)
+            assert build_explicit(t).elements == build_explicit_fraction(t).elements
+        assert 1 in ns
+
+    def test_one_variable(self):
+        rng = make_rng(131)
+        for _ in range(25):
+            spec = random_general_spec(rng, n_max=5, bn_max=12, d_max=1)
+            assert spec.d == 1
+            assert build_general(spec).elements == build_general_fraction(spec).elements
+
+    def test_gaps_in_b(self):
+        rng = make_rng(132)
+        gaps = 0
+        for _ in range(40):
+            spec = random_general_spec(rng, n_max=4, bn_max=12, d_max=3)
+            gaps += any(spec.b[k + 1] - spec.b[k] > 1 for k in range(spec.n - 1))
+            assert build_general(spec).elements == build_general_fraction(spec).elements
+        assert gaps >= 30
+
+    def test_zero_heavy_and_all_zero_columns(self):
+        rng = make_rng(133)
+        for _ in range(25):
+            spec = _zero_heavy_general_spec(rng)
+            assert build_general(spec).elements == build_general_fraction(spec).elements
+            col = rng.randrange(1, spec.n)
+            c = tuple(tuple(F(0) if j == col else v for j, v in enumerate(row)) for row in spec.c)
+            spec = GeneralSpec(n=spec.n, d=spec.d, b=spec.b, c=c)
+            assert build_general(spec).elements == build_general_fraction(spec).elements
+        for _ in range(25):
+            t = random_param_table(rng, d=rng.choice((3, 4)), n=rng.randint(2, 6))
+            s, i = rng.randrange(2, t.d + 1), rng.randrange(2, t.n + 1)
+            a = {(k, j): v for (k, j), v in t.a.items() if j != s and k != i}
+            t = ParamTable(d=t.d, n=t.n, a=a)
+            assert build_explicit(t).elements == build_explicit_fraction(t).elements
+
+    def test_coprime_denominators(self):
+        rng = make_rng(134)
+        kinds = set()
+        for _ in range(60):
+            spec = _coprime_spec(rng)
+            if isinstance(spec, ParamTable):
+                basis, oracle = build_explicit(spec), build_explicit_fraction(spec)
+            else:
+                basis, oracle = build_general(spec), build_general_fraction(spec)
+            kinds.add(type(spec))
+            assert basis.elements == oracle.elements
+            for q in basis:
+                for v in q.terms.values():
+                    assert type(v) is F and v != 0 and math.gcd(v.numerator, v.denominator) == 1
+        assert kinds == {ParamTable, GeneralSpec}
+
+    def test_visits_are_the_predicted_count(self):
+        rng = make_rng(135)
+        for _ in range(20):
+            t = random_param_table(rng, d=rng.choice((2, 3)), n=rng.randint(1, 6), fill=0.5)
+            _, visits = _walk_visits(build_explicit, t)
+            assert visits == count_compositions(t.n, _slot_weights(t))
+            spec = random_general_spec(rng, n_max=4, bn_max=9, d_max=3)
+            _, visits = _walk_visits(build_general, spec)
+            assert visits == count_compositions(spec.top_weight, _slot_weights(spec))
 
 
 class TestIntegerKernel:
