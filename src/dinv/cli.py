@@ -27,18 +27,21 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import random
 import statistics
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .compositions import count_compositions
 from .discretize import SCHEMES, SweepRow, expansion_check, stencil, sweep, sweep_to_csv
 from .identities import falling_factorial_sum, signed_power_sum, vandermonde_oracle
+from .linalg import common_denominator
 from .poly import DigitLimitError, Polynomial, parse_rational, rational_text
 from .subspace import (
     BasisSequence,
@@ -131,14 +134,46 @@ def _parse_point(text: str | None, d: int) -> tuple[Fraction, ...]:
 
 
 def _emit(args, text: str) -> None:
+    _emit_chunks(args, [text])
+
+
+def _emit_chunks(args, chunks: Iterable[str]) -> None:
+    """Write the chunks in order to --out, or to stdout."""
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                for chunk in chunks:
+                    fh.write(chunk)
         except OSError as exc:
             raise CliError(f"cannot write {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+
+
+@functools.cache
+def _power_of_ten(k: int) -> int:
+    return 10 ** k
+
+
+def _basis_chunks(basis: BasisSequence, pretty: bool) -> Iterator[str]:
+    """The text of basis in small pieces, one element's at a time; joined,
+    they are json.dumps(basis.to_list(), indent=2) + "\n" (the basis is
+    never empty), or one rendered element per line."""
+    if pretty:
+        for p in basis:
+            yield p.render() + "\n"
+        return
+    # An element's pieces are joined 4096 at a time: few writes, and no
+    # element's whole text in memory.
+    encoder = json.JSONEncoder(indent=2)
+    yield "["
+    for k, p in enumerate(basis):
+        yield ",\n  " if k else "\n  "
+        pieces = encoder.iterencode(p.to_dict())
+        while batch := list(itertools.islice(pieces, 4096)):
+            yield "".join(batch).replace("\n", "\n  ")
+    yield "\n]\n"
 
 
 def _note(msg: str) -> None:
@@ -172,8 +207,52 @@ def _check_closed_form_size(what: str, top: int, d: int, weights) -> None:
         )
 
 
-def _check_table_size(path: str, params: ParamTable) -> None:
-    _check_closed_form_size(path, params.n, params.d, lambda: [1] + [i for (i, _) in params.a])
+def _top_and_slots(spec: ParamTable | GeneralSpec) -> tuple[int, list[tuple[int, Fraction]]]:
+    """b_n and the (b_j, c_ij) of every nonzero c_ij of the spec's weights,
+    read from a table's entries without building its weights (n may be
+    far larger than the input)."""
+    if isinstance(spec, ParamTable):
+        return spec.n, [(1, Fraction(1))] + [(i, v) for (i, _), v in spec.a.items()]
+    b, c = spec.weights
+    return b[-1], [(bj, row[j]) for j, bj in enumerate(b) for row in c if row[j]]
+
+
+def _check_spec_closed_form_size(path: str, spec: ParamTable | GeneralSpec) -> None:
+    top, slots = _top_and_slots(spec)
+    _check_closed_form_size(path, top, spec.d, lambda: [w for w, _ in slots])
+
+
+# Every builder of B_0..B_top computes on integers of about the size of
+# top! * max(D, N)^top, D the common denominator of the spec's c and N the
+# largest of its numerators over D: the generating recurrence's E_top =
+# top! * D^top * B_top is a sum of products of top of those numerators, over
+# the scale top! * D^top.  Its terms number at most the count vectors of the
+# closed-form walk.  So the work is predicted, before any build, as those
+# visits times those decimal digits, and a spec may predict at most
+# MAX_RECURRENCE_WORK.  On one core of a 2-vCPU host the slowest family per
+# unit measured is d = 1 with b = (1, B) and c = (1, 1), whose few terms
+# carry the most digits: at B = 5300 (9.2e7 predicted) verify took 5.2 s for
+# equivalence, 2.9 s for closure and 7.2 s for breadth, as a subprocess.
+# Full d = 6 tables predict 2.8e7 at n = 18 and 8.9e7 at n = 20.
+MAX_RECURRENCE_WORK = 100_000_000
+
+
+def _check_recurrence_size(what: str, spec: ParamTable | GeneralSpec) -> None:
+    """Refuse, before any build, a spec whose predicted builder work
+    (closed-form visits times the digits of top! * max(D, N)^top) exceeds
+    MAX_RECURRENCE_WORK."""
+    top, slots = _top_and_slots(spec)
+    den, nums = common_denominator(v for _, v in slots)
+    big = max(den, max(abs(v) for v in nums))
+    digits = int(math.lgamma(top + 1) / math.log(10) + top * math.log10(big)) + 1
+    allowed = MAX_RECURRENCE_WORK // digits
+    visits = count_compositions(top, [w for w, _ in slots], cap=allowed)
+    if visits > allowed:
+        raise CliError(
+            f"{what}: building the basis would take at least {visits * digits:,} digit-steps "
+            f"({visits:,} composition visits x {digits:,} digits of top! * max(D, N)^top), "
+            f"more than the {MAX_RECURRENCE_WORK:,} allowed"
+        )
 
 
 def _require_at_least(args, **least: int) -> None:
@@ -191,18 +270,22 @@ def _cmd_basis(args) -> int:
     if args.source == "general":
         if not isinstance(spec, GeneralSpec):
             raise CliError(f"{args.spec}: source 'general' needs a general spec (keys n, d, b, c)")
-        basis = build_generating(spec)
-    else:
-        if not isinstance(spec, ParamTable):
-            raise CliError(f"{args.spec}: this command needs a parameter-table spec (keys d, n, a)")
-        if args.source == "explicit":
-            _check_table_size(args.spec, spec)
-        basis = build_recursive(spec) if args.source == "recursive" else build_explicit(spec)
-    if args.pretty:
-        text = "".join(p.render() + "\n" for p in basis)
-    else:
-        text = json.dumps(basis.to_list(), indent=2) + "\n"
-    _emit(args, text)
+    elif not isinstance(spec, ParamTable):
+        raise CliError(f"{args.spec}: this command needs a parameter-table spec (keys d, n, a)")
+    if args.source == "explicit":
+        _check_spec_closed_form_size(args.spec, spec)
+    _check_recurrence_size(args.spec, spec)
+    build = {"recursive": build_recursive, "explicit": build_explicit, "general": build_generating}[args.source]
+    basis = build(spec)
+    # The text is written as it is made, so a coefficient too long to
+    # write is looked for first: its error must leave no partial output.
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        too_long = _power_of_ten(limit)
+        for p in basis:
+            if any(abs(v.numerator) >= too_long or v.denominator >= too_long for v in p.terms.values()):
+                (p.render if args.pretty else p.to_dict)()  # raises DigitLimitError
+    _emit_chunks(args, _basis_chunks(basis, args.pretty))
     return 0
 
 
@@ -255,7 +338,11 @@ def _cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
 
     if args.what == "closure":
-        basis = _load_basis(args.basis) if args.basis else build_generating(spec)
+        if args.basis:
+            basis = _load_basis(args.basis)
+        else:
+            _check_recurrence_size(args.spec, spec)
+            basis = build_generating(spec)
         try:
             rep = check_closure(basis, spec)
         except ValueError as exc:
@@ -265,15 +352,12 @@ def _cmd_verify(args) -> int:
         return 0 if rep.ok else 1
 
     if args.what == "equivalence":
+        _check_spec_closed_form_size(args.spec, spec)
+        _check_recurrence_size(args.spec, spec)
         if isinstance(spec, GeneralSpec):
-            b, c = spec.weights
-            _check_closed_form_size(
-                args.spec, b[-1], spec.d, lambda: [bj for j, bj in enumerate(b) for row in c if row[j]]
-            )
             ok = build_generating(spec).elements == build_general(spec).elements
             report = {"what": "equivalence", "generating_vs_general": ok, "ok": ok}
         else:
-            _check_table_size(args.spec, spec)
             _, rec_vs_exp, gen_vs_rec = _compare_builders(spec)
             ok = rec_vs_exp and gen_vs_rec is not False
             report = {
@@ -287,6 +371,7 @@ def _cmd_verify(args) -> int:
         return 0 if ok else 1
 
     if args.what == "breadth":
+        _check_recurrence_size(args.spec, spec)
         basis = build_generating(spec)
         value = breadth(list(basis))
         ok = value == 1

@@ -7,9 +7,13 @@ denominators, each new row divided by the gcd of its entries) and builds
 Fractions only once, at the end; the row space is unchanged by that
 scaling, so the reduced row echelon form is the same unique matrix that
 Fraction Gauss-Jordan gives.  common_denominator, the scaling that starts
-it, is shared with the integer kernels of subspace.  Matrices are plain
-lists of lists and are never mutated by callers' reference: every
-function copies its input first.
+it, is shared with the integer kernels of subspace.
+
+The elimination itself is eliminate, which reduces integer rows in place
+and returns the pivot columns; rref scales its rational rows into it and
+builds the Fraction output from its pivot rows, and subspace.breadth feeds
+it integer rows of its own and reads only the pivots.  Matrices are plain
+lists of lists; rref, rank and solve copy their input first.
 """
 
 from __future__ import annotations
@@ -54,26 +58,28 @@ def common_denominator(values: Iterable[Fraction | int]) -> tuple[int, list[int]
     return scale, [v.numerator * (scale // v.denominator) for v in vals]
 
 
-def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
-    """The primitive integer row proportional to a rational row."""
-    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
-    return _primitive(common_denominator(vals)[1])
+def _rational(v: Fraction | int) -> Fraction | int:
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
-def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot column indices.
+def eliminate(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns the
+    pivot columns.
 
-    Fraction-free Gauss-Jordan: rows are primitive integer vectors, a row
-    is cleared in the pivot column by row*p - a*pivot_row (p and a divided
-    by their gcd first) and made primitive again, and each pivot row is
-    divided by its pivot once at the end.
+    Each row is made primitive, a row is cleared in the pivot column by
+    row*p - a*pivot_row (p and a divided by their gcd first) and made
+    primitive again.  Afterwards rows[r] is the primitive pivot row of
+    pivot column r for r < len(pivots), zero in every other pivot column,
+    and the rows after them are zero.
     """
-    m = [_integer_row(row) for row in rows]
+    m = rows
     if not m:
-        return [], []
+        return []
     ncols = len(m[0])
     if any(len(r) != ncols for r in m):
         raise ValueError("ragged matrix")
+    for i, row in enumerate(m):
+        m[i] = _primitive(row)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -93,8 +99,20 @@ def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
         r += 1
         if r == len(m):
             break
+    return pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot column indices.
+
+    Each rational row is scaled to integers by common_denominator and
+    reduced by eliminate; each pivot row is then divided by its pivot once.
+    """
+    m = [common_denominator(_rational(v) for v in row)[1] for row in rows]
+    pivots = eliminate(m)
+    ncols = len(m[0]) if m else 0
     out = [[Fraction(v, m[i][c]) if v else _ZERO for v in m[i]] for i, c in enumerate(pivots)]
-    out += [[_ZERO] * ncols for _ in range(len(m) - r)]
+    out += [[_ZERO] * ncols for _ in range(len(m) - len(pivots))]
     return out, pivots
 
 

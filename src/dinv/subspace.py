@@ -10,7 +10,8 @@ c_1 = e_1, c_s = (0, a_{2,s}, ...) (both as .weights).  Three independent
 constructions build the graded bases {B_0, ..., B_N}:
 
   * build_recursive: degree-by-degree recursion driven by antiderivatives
-    of the lower-degree elements (tables only),
+    of the lower-degree elements (tables only), run on integer numerators
+    over one scale per element,
   * one closed-form enumeration, _closed_form_elements: a single walk over
     the count vectors of the nonzero c_ij, summing
     prod (c_ij * x_i)^(g_ij) / g_ij!; build_explicit runs it on a table's
@@ -23,11 +24,12 @@ constructions build the graded bases {B_0, ..., B_N}:
 It also provides the exact verifiers used by the test suite and CLI:
 span membership, derivative-closure reports, breadth, and degrees.
 
-Values cross the API as Fractions.  The closed-form enumeration, the
-generating recurrence and the closure check compute on integer numerators
-over a common denominator (linalg.common_denominator) and build each output
-Fraction once, at the end; the Fraction versions of all three are kept as
-test oracles.
+Values cross the API as Fractions.  The recursion, the closed-form
+enumeration, the generating recurrence, the closure check and breadth
+compute on integer numerators over a common denominator
+(linalg.common_denominator), and the builders build each output Fraction
+once, at the end; the Fraction versions of the three builders and of the
+closure check are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import common_denominator, rref, solve
+from .linalg import common_denominator, eliminate, solve
 from .poly import Polynomial, json_array, json_int, json_rational
 
 
@@ -328,6 +330,74 @@ def build_generating(spec: ParamTable | GeneralSpec) -> BasisSequence:
     return BasisSequence(tuple(_generating_elements(b, c, b[-1])))
 
 
+def _exact_div(a: int, b: int) -> int:
+    """a / b where b divides a, as the recursion's scales guarantee."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{b} does not divide {a}")
+    return q
+
+
+def _recursive_numerators(params: ParamTable) -> list[tuple[int, dict[tuple[int, ...], int]]]:
+    """(S_k, P_k) with B_k = P_k / S_k for k = 0..n, by the recursion of
+    build_recursive on integers.  S_k > 0 has no factor common to all of
+    P_k's integer numerators, so S_k is the lcm of B_k's denominators."""
+    d, n = params.d, params.n
+    den, nums = common_denominator(params.a.values())
+    num = dict(zip(params.a, nums))  # a[i, j] = num[i, j] / den
+    units = [tuple(int(t == v) for t in range(d)) for v in range(d)]
+    elems = [(1, {(0,) * d: 1}), (1, {units[0]: 1})]
+
+    def by_lead(p: dict[tuple[int, ...], int]) -> list[list[tuple[tuple[int, ...], int]]]:
+        """The (e, v) of p in buckets by the index of e's first nonzero
+        exponent (d for the constant): the part free of x1..x_j is [j:]."""
+        buckets: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(d + 1)]
+        for e, v in p.items():
+            buckets[next((z for z in range(d) if e[z]), d)].append((e, v))
+        return buckets
+
+    leads = [by_lead(p) for _, p in elems]
+    lcm_k = 1
+    for k in range(2, n + 1):
+        s_prev, p_prev = elems[k - 1]
+        scale = math.lcm(s_prev, den)
+        for i in range(2, k):
+            scale = math.lcm(scale, den * elems[k - i][0])
+        lcm_k = math.lcm(lcm_k, k)
+        # e_j + 1 <= k for every term, so each lcm_k / (e_j + 1) is exact.
+        inv = [0] + [_exact_div(lcm_k, t) for t in range(1, k + 1)]
+        c = _exact_div(scale, s_prev)
+        acc = {(e[0] + 1,) + e[1:]: c * inv[e[0] + 1] * v for e, v in p_prev.items()}
+        for j in range(1, d):
+            for i in range(2, k):
+                n_ij = num.get((i, j + 1))
+                if not n_ij:
+                    continue
+                c = n_ij * _exact_div(scale, den * elems[k - i][0])
+                coef = [c * q for q in inv]
+                for bucket in leads[k - i][j:]:
+                    for e, v in bucket:
+                        t = e[j] + 1
+                        key = e[:j] + (t,) + e[j + 1:]
+                        acc[key] = acc.get(key, 0) + coef[t] * v
+        lin = _exact_div(scale, den) * lcm_k
+        for j in range(1, d):
+            n_kj = num.get((k, j + 1))
+            if n_kj:
+                acc[units[j]] = acc.get(units[j], 0) + n_kj * lin
+        s_k = scale * lcm_k
+        g = s_k
+        for v in acc.values():
+            if v:
+                g = math.gcd(g, v)
+                if g == 1:
+                    break
+        p_k = {e: v // g for e, v in acc.items() if v}
+        elems.append((s_k // g, p_k))
+        leads.append(by_lead(p_k))
+    return elems[: n + 1]
+
+
 def build_recursive(params: ParamTable) -> BasisSequence:
     """Degree-by-degree recursion.  B_0 = 1, B_1 = x1, and for k >= 2
 
@@ -336,24 +406,26 @@ def build_recursive(params: ParamTable) -> BasisSequence:
         M_j = a[2,j]*B_{k-2} + ... + a[k-1,j]*B_1,
 
     where I_j is the monomial-wise antiderivative in x_j and j runs over
-    2..d."""
-    d, n = params.d, params.n
-    elems = [Polynomial.constant(d, 1), Polynomial.variable(d, 1)]
-    for k in range(2, n + 1):
-        v = elems[k - 1].integrate(1)
-        for j in range(2, d + 1):
-            m_j = Polynomial.zero(d)
-            for i in range(2, k):
-                coef = params.get(i, j)
-                if coef:
-                    m_j = m_j + coef * elems[k - i]
-            v = v + m_j.free_of_leading(j).integrate(j)
-        for j in range(2, d + 1):
-            coef = params.get(k, j)
-            if coef:
-                v = v + coef * Polynomial.variable(d, j)
-        elems.append(v)
-    return BasisSequence(tuple(elems[: n + 1]))
+    2..d.
+
+    Run on integers (_recursive_numerators): each element is B_k = P_k / S_k
+    and each entry a[i,j] = n_ij / D over the table's common denominator D.
+    With L = lcm(S_{k-1}, D * S_{k-i} for 2 <= i < k, D), L times every
+    summand of B_k before integration is integral, and
+
+        S_k = L * lcm(1..k)
+
+    makes every antiderivative exact as well: a term of B_{k-1} or M_j has
+    degree at most k - 1, so its divisor e_j + 1 is at most k and divides
+    lcm(1..k).  Each P_k is then divided by its gcd with S_k, and each
+    coefficient of B_k is one Fraction, P_k[e] / S_k, built at the end.
+    Shares no code with the closed-form walk or the generating recurrence
+    apart from common_denominator."""
+    d = params.d
+    return BasisSequence(tuple(
+        Polynomial(d, {e: Fraction(v, s) for e, v in p.items()}, _trusted=True)
+        for s, p in _recursive_numerators(params)
+    ))
 
 
 def build_explicit(params: ParamTable) -> BasisSequence:
@@ -470,9 +542,11 @@ def breadth(basis: Sequence[Polynomial]) -> int:
     space containing a nonzero element has it); raises ValueError if not.
 
     One reduction gives both ranks and the membership of 1.  The basis x
-    support matrix is put in reduced row echelon form with its columns in
-    descending total degree, so the degree >= 2 columns form a prefix and
-    the constant column comes last.  The rank of a column prefix is its
+    support matrix, each row the integer numerators of one element over its
+    common denominator, is put in reduced row echelon form by
+    linalg.eliminate with its columns in descending total degree, so the
+    degree >= 2 columns form a prefix and the constant column comes last;
+    only the pivot columns are read.  The rank of a column prefix is its
     pivot count: the span has dimension len(pivots), and its intersection
     with {degree <= 1} dimension len(pivots) minus the pivots in degree >= 2
     columns.  The constant 1 lies in the span iff the constant column is a
@@ -487,7 +561,14 @@ def breadth(basis: Sequence[Polynomial]) -> int:
     if any(q.dim != dim for q in basis):
         raise ValueError("basis elements must share one dimension")
     support = sorted(set().union(*(q.terms.keys() for q in basis)), key=lambda e: (-sum(e), e))
-    _, pivots = rref([[q.coeff(e) for e in support] for q in basis])
+    index = {e: k for k, e in enumerate(support)}
+    rows = []
+    for q in basis:
+        row = [0] * len(support)
+        for e, v in zip(q.terms, common_denominator(q.terms.values())[1]):
+            row[index[e]] = v
+        rows.append(row)
+    pivots = eliminate(rows)
     if not pivots or sum(support[pivots[-1]]) != 0:
         raise ValueError("span does not contain the constant 1")
     r_high = sum(1 for col in pivots if sum(support[col]) >= 2)

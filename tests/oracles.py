@@ -176,3 +176,27 @@ def build_explicit_fraction(params: ParamTable) -> BasisSequence:
             terms[key] = terms.get(key, Fraction(0)) + coef
         elems.append(Polynomial(d, terms))
     return BasisSequence(tuple(elems))
+
+
+def build_recursive_fraction(params: ParamTable) -> BasisSequence:
+    """The degree-by-degree recursion of build_recursive in Fraction
+    Polynomial arithmetic: B_k = I_1(B_{k-1}) + sum_j I_j(part of M_j free
+    of x1..x_{j-1}) + sum_j a[k,j] * x_j, M_j = sum_{2 <= i < k} a[i,j] *
+    B_{k-i}."""
+    d, n = params.d, params.n
+    elems = [Polynomial.constant(d, 1), Polynomial.variable(d, 1)]
+    for k in range(2, n + 1):
+        v = elems[k - 1].integrate(1)
+        for j in range(2, d + 1):
+            m_j = Polynomial.zero(d)
+            for i in range(2, k):
+                coef = params.get(i, j)
+                if coef:
+                    m_j = m_j + coef * elems[k - i]
+            v = v + m_j.free_of_leading(j).integrate(j)
+        for j in range(2, d + 1):
+            coef = params.get(k, j)
+            if coef:
+                v = v + coef * Polynomial.variable(d, j)
+        elems.append(v)
+    return BasisSequence(tuple(elems[: n + 1]))

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,10 @@ GENERAL_SPEC = {"n": 2, "d": 2, "b": [1, 2], "c": [["1", "0"], ["0", "1"]]}
 
 def P(text, dim=2):
     return Polynomial.parse(text, dim)
+
+
+def _full_table(d: int, n: int) -> dict:
+    return {"d": d, "n": n, "a": {f"{i},{j}": f"{i + j}/{j}" for i in range(2, n + 1) for j in range(2, d + 1)}}
 
 
 @pytest.fixture
@@ -75,6 +80,28 @@ class TestBasis:
         assert main(["basis", "--source", "general", "--spec", general_file, "--pretty"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines() == ["1", "x1", "1/2*x1^2 + x2"]
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("source", ["recursive", "explicit", "general"])
+    def test_streamed_json_is_one_dumps(self, source, to_file, tmp_path, capsys):
+        # The d = 6, n = 9 table's top element is written in several pieces.
+        spec = _full_table(6, 9) if source != "general" else {
+            "n": 4, "d": 3, "b": [1, 2, 4, 7], "c": [["1", "-2/3", "0", "5/7"], ["0", "1/11", "3", "0"], ["2", "0", "-1/13", "1"]]
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        build = {"recursive": dinv.build_recursive, "explicit": dinv.build_explicit, "general": dinv.build_generating}
+        basis = build[source](dinv.cli._load_spec(str(path)))
+        expect = json.dumps(basis.to_list(), indent=2) + "\n"
+        out = tmp_path / "basis.json"
+        argv = ["basis", "--source", source, "--spec", str(path)]
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+        captured = capsys.readouterr().out
+        assert (out.read_text() if to_file else captured) == expect
+        assert captured == ("" if to_file else expect)
+        pretty = tmp_path / "basis.txt"
+        assert main([*argv, "--pretty", "--out", str(pretty)]) == 0
+        assert pretty.read_text() == "".join(q.render() + "\n" for q in basis)
 
     def test_general_source_rejects_param_table(self, spec_file, capsys):
         assert main(["basis", "--source", "general", "--spec", spec_file]) == 2
@@ -356,15 +383,20 @@ class TestDigitLimit:
         assert f"limit of {sys.get_int_max_str_digits()}" in captured.err
         assert captured.out == ""
 
-
-def _full_table(d: int, n: int) -> dict:
-    return {"d": d, "n": n, "a": {f"{i},{j}": f"{i + j}/{j}" for i in range(2, n + 1) for j in range(2, d + 1)}}
+    def test_no_partial_out_file(self, tmp_path, capsys):
+        (tmp_path / "a.json").write_text(json.dumps(self.TABLE))
+        out = tmp_path / "basis.json"
+        assert main(["basis", "--source", "recursive", "--spec", str(tmp_path / "a.json"), "--out", str(out)]) == 2
+        assert "4994 digits" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSizeGuard:
     """basis --source explicit, verify --what equivalence and scan refuse,
     before any build, a spec whose closed-form walk would visit more count
-    vectors than MAX_CLOSED_FORM_WORK // (d + 2)."""
+    vectors than MAX_CLOSED_FORM_WORK // (d + 2); every command that builds
+    a basis from a spec refuses one whose visits times the digits of
+    top! * max(D, N)^top exceed MAX_RECURRENCE_WORK."""
 
     @pytest.fixture(autouse=True)
     def no_builds(self, monkeypatch):
@@ -412,6 +444,66 @@ class TestSizeGuard:
     )
     def test_scan(self, flags, count, allowed, capsys):
         self._refused(["scan", *flags], capsys, count, allowed)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "--source", "general"],
+            ["verify", "--what", "closure"],
+            ["verify", "--what", "breadth"],
+            ["verify", "--what", "equivalence"],
+        ],
+        ids=["basis", "closure", "breadth", "equivalence"],
+    )
+    def test_recurrence_digits_past_the_bound(self, argv, tmp_path, capsys):
+        # 100,001 visits (x1 alone, a lower bound) times the 456,574 digits
+        # of 100000!; the closed-form visits alone are within their bound.
+        assert dinv.cli.MAX_RECURRENCE_WORK == 100_000_000
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 2, "d": 1, "b": [1, 100000], "c": [["1", "1"]]}))
+        start = time.perf_counter()
+        assert main([*argv, "--spec", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error:")
+        assert "at least 45,657,856,574 digit-steps (100,001 composition visits x 456,574 digits" in captured.err
+        assert "more than the 100,000,000 allowed" in captured.err
+
+    def test_recurrence_huge_top_refused_without_weights(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"d": 2, "n": 10**9, "a": {}}))
+        for argv in (["basis", "--source", "recursive"], ["verify", "--what", "closure"]):
+            assert main([*argv, "--spec", str(path)]) == 2
+            assert "1,000,000,001 composition visits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            _full_table(6, 18),
+            _full_table(6, 12),
+            _full_table(8, 15),
+            {"n": 3, "d": 2, "b": [1, 3, 4], "c": [["1", "0", "2/3"], ["-1/2", "5", "0"]]},
+        ],
+        ids=["d6-n18", "d6-n12", "d8-n15", "ci-general"],
+    )
+    def test_recurrence_accepts(self, spec, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec))
+        dinv.cli._check_recurrence_size(str(path), dinv.cli._load_spec(str(path)))
+
+    @pytest.mark.parametrize("argv", [["verify", "--what", "closure"], ["basis", "--source", "recursive"]])
+    def test_recurrence_exactly_at_the_bound(self, argv, spec_file, monkeypatch, capsys):
+        # The example table visits 12 vectors; 4! * 4^4 has 4 digits.
+        monkeypatch.undo()
+        monkeypatch.setattr(dinv.cli, "MAX_RECURRENCE_WORK", 12 * 4)
+        assert main([*argv, "--spec", spec_file]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(dinv.cli, "MAX_RECURRENCE_WORK", 12 * 4 - 1)
+        assert main([*argv, "--spec", spec_file]) == 2
+        err = capsys.readouterr().err
+        assert "at least 48 digit-steps (12 composition visits x 4 digits" in err
+        assert "more than the 47 allowed" in err
 
     def test_exactly_at_the_bound(self, spec_file, monkeypatch, capsys):
         # The example table (d = 2, weights 1..4, top 4) visits 12 vectors.

@@ -2,13 +2,14 @@
 plain Fraction Gauss-Jordan of tests/oracles.py."""
 
 import copy
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dinv.linalg import common_denominator, rank, rref, solve
+from dinv.linalg import common_denominator, eliminate, rank, rref, solve
 from oracles import rref_fraction, solve_fraction
 
 F = Fraction
@@ -81,6 +82,20 @@ class TestAgainstFractionOracle:
         rref(rows)
         solve(rows, [1] * len(rows))
         assert rows == before
+
+
+@given(rows=matrices("mixed"))
+def test_eliminate_leaves_primitive_pivot_rows(rows):
+    """The core rref shares, on the integer rows of common_denominator: in
+    place, each pivot row primitive and proportional to the oracle's, the
+    other rows zero."""
+    reduced, pivots = rref_fraction(rows)
+    m = [common_denominator(F(v) for v in row)[1] for row in rows]
+    assert eliminate(m) == pivots
+    for i, c in enumerate(pivots):
+        assert math.gcd(*m[i]) == 1
+        assert [F(v, m[i][c]) for v in m[i]] == reduced[i]
+    assert not any(any(row) for row in m[len(pivots):])
 
 
 class TestEdgeCases:

@@ -26,7 +26,14 @@ from dinv import (
 )
 from dinv.compositions import count_compositions
 from dinv.linalg import rank
-from oracles import build_explicit_fraction, build_general_fraction, check_closure_fraction, enumerate_weight_solutions
+from dinv.linalg import common_denominator
+from oracles import (
+    build_explicit_fraction,
+    build_general_fraction,
+    build_recursive_fraction,
+    check_closure_fraction,
+    enumerate_weight_solutions,
+)
 
 F = Fraction
 
@@ -576,13 +583,13 @@ class TestBreadthAndDegrees:
 
     def test_single_reduction(self, monkeypatch):
         calls = []
-        original = dinv.subspace.rref
+        original = dinv.subspace.eliminate
 
         def counting(rows):
             calls.append(len(rows))
             return original(rows)
 
-        monkeypatch.setattr(dinv.subspace, "rref", counting)
+        monkeypatch.setattr(dinv.subspace, "eliminate", counting)
         assert breadth(EXAMPLE_BASIS) == 1
         assert calls == [len(EXAMPLE_BASIS)]
 
@@ -794,3 +801,186 @@ class TestIntegerKernel:
         with pytest.raises(ValueError) as oracle:
             check_closure_fraction(basis, spec)
         assert str(ours.value) == str(oracle.value)
+
+
+def _full_table(d: int, n: int) -> ParamTable:
+    return ParamTable(d=d, n=n, a={(i, j): F(i + j, j) for i in range(2, n + 1) for j in range(2, d + 1)})
+
+
+class TestIntegerRecursion:
+    """build_recursive, on integer numerators over one scale per element,
+    against its Fraction version, termwise."""
+
+    def test_seeded_tables(self):
+        rng = make_rng(140)
+        ns = set()
+        for trial in range(60):
+            n = 1 if trial % 10 == 0 else rng.randint(2, 8)
+            t = random_param_table(rng, d=rng.choice((2, 3, 4, 5)), n=n, fill=rng.choice((0.3, 0.8, 1.0)))
+            ns.add(t.n)
+            assert build_recursive(t).elements == build_recursive_fraction(t).elements
+        assert 1 in ns
+
+    @pytest.mark.parametrize("d, n", [(2, 15), (4, 10), (6, 12), (8, 15)])
+    def test_full_tables(self, d, n):
+        t = _full_table(d, n)
+        assert build_recursive(t).elements == build_recursive_fraction(t).elements
+
+    def test_coprime_denominators(self):
+        rng = make_rng(141)
+        dens = set()
+        for _ in range(30):
+            d, n = rng.choice((2, 3, 4)), rng.randint(2, 7)
+            t = ParamTable(d=d, n=n, a={(i, j): rng.choice(_COPRIME) for i in range(2, n + 1) for j in range(2, d + 1)})
+            dens.add(common_denominator(t.a.values())[0])
+            assert build_recursive(t).elements == build_recursive_fraction(t).elements
+        assert 7 * 11 * 13 * 1009 in dens
+
+    def test_all_zero_columns(self):
+        # A variable with no entry, a degree with no entry, or both.
+        rng = make_rng(142)
+        for trial in range(30):
+            t = random_param_table(rng, d=rng.choice((3, 4)), n=rng.randint(2, 7), fill=1.0)
+            s, i = rng.randrange(2, t.d + 1), rng.randrange(2, t.n + 1)
+            drop_var, drop_deg = trial % 3 != 1, trial % 3 != 0
+            a = {(k, j): v for (k, j), v in t.a.items() if not (drop_var and j == s or drop_deg and k == i)}
+            t = ParamTable(d=t.d, n=t.n, a=a)
+            assert build_recursive(t).elements == build_recursive_fraction(t).elements
+
+    def test_negative_entries(self):
+        rng = make_rng(143)
+        for _ in range(20):
+            d, n = rng.choice((2, 3, 4)), rng.randint(2, 7)
+            a = {(i, j): -abs(rational(rng, allow_zero=False)) for i in range(2, n + 1) for j in range(2, d + 1)}
+            t = ParamTable(d=d, n=n, a=a)
+            assert build_recursive(t).elements == build_recursive_fraction(t).elements
+
+    def test_every_division_is_exact(self, monkeypatch):
+        divisions = []
+        original = dinv.subspace._exact_div
+
+        def recording(a, b):
+            divisions.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(dinv.subspace, "_exact_div", recording)
+        rng = make_rng(144)
+        tables = [_coprime_spec_table(rng) for _ in range(20)] + [_full_table(6, 10)]
+        for t in tables:
+            build_recursive(t)
+        # Per element k >= 2: lcm(1..k) by each of 1..k, the scale by S_{k-1},
+        # by D * S_{k-i} per nonzero a[i,j] with i < k, and by D.
+        assert len(divisions) == sum(
+            k + 2 + sum(1 for (i, _) in t.a if i < k) for t in tables for k in range(2, t.n + 1)
+        )
+        assert all(a % b == 0 for a, b in divisions)
+        # Every antiderivative divisor e_j + 1 up to the top degree occurs.
+        assert set(range(1, 11)) <= {b for _, b in divisions}
+
+    def test_scale_is_least_common_denominator(self):
+        # The gcd reduction leaves S_k the lcm of B_k's denominators.
+        rng = make_rng(145)
+        for _ in range(20):
+            t = _coprime_spec_table(rng)
+            oracle = build_recursive_fraction(t)
+            for (s, p), q in zip(dinv.subspace._recursive_numerators(t), oracle, strict=True):
+                s_q, nums = common_denominator(q.terms.values())
+                assert s == s_q and p == dict(zip(q.terms, nums))
+
+    def test_no_fraction_or_polynomial_arithmetic_before_the_output(self, monkeypatch):
+        t = _full_table(4, 8)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Polynomial arithmetic in the integer recursion")
+
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "integrate", "free_of_leading", "coeff"):
+            monkeypatch.setattr(Polynomial, name, forbidden)
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(dinv.subspace, "Fraction", counting)
+        basis = build_recursive(t)
+        assert len(built) == sum(len(q.terms) for q in basis)
+        monkeypatch.undo()
+        assert basis.elements == build_recursive_fraction(t).elements
+        for q in basis:
+            for v in q.terms.values():
+                assert type(v) is F and v != 0 and math.gcd(v.numerator, v.denominator) == 1
+
+
+def _coprime_spec_table(rng) -> ParamTable:
+    """A table with entries from _COPRIME (zeros and negatives included)."""
+    d, n = rng.choice((2, 3)), rng.randint(1, 6)
+    return ParamTable(d=d, n=n, a={(i, j): rng.choice(_COPRIME) for i in range(2, n + 1) for j in range(2, d + 1)})
+
+
+class TestIntegerBreadth:
+    """breadth, one integer elimination over the elements' numerators,
+    against the three-rank definition (_breadth_three_ranks)."""
+
+    @pytest.mark.parametrize(
+        "texts, expect",
+        [
+            (["1"], 0),
+            (["3/7", "-2"], 0),
+            (["1", "x1", "1/2*x1^2 + 2*x2"], 1),
+            (["1", "x1", "x2"], 2),
+            (["1", "x1", "x2", "x1*x2 + 5/11"], 2),
+            (["x1 - 1/13", "x1", "x2 + x1", "x2^2"], 2),
+        ],
+    )
+    def test_hand_cases(self, texts, expect):
+        basis = [P(t) for t in texts]
+        assert breadth(basis) == expect == _breadth_three_ranks(basis)
+
+    def test_built_bases_and_extra_directions(self):
+        rng = make_rng(150)
+        values = set()
+        for trial in range(30):
+            if trial % 2:
+                built = list(build_recursive(_coprime_spec_table(rng)))
+            else:
+                built = list(build_generating(_coprime_spec(rng)))
+            dim = built[0].dim
+            extra = rng.randint(0, dim - 1)
+            basis = built + [Polynomial.variable(dim, dim - k) for k in range(extra)]
+            values.add(breadth(basis))
+            assert breadth(basis) == _breadth_three_ranks(basis)
+        assert {1, 2} <= values
+
+    def test_without_the_constant(self):
+        rng = make_rng(151)
+        for _ in range(10):
+            built = list(build_recursive(_coprime_spec_table(rng)))[1:]
+            with pytest.raises(ValueError, match="constant 1"):
+                _breadth_three_ranks(built)
+            with pytest.raises(ValueError, match="constant 1"):
+                breadth(built)
+
+    def test_dependent_spanning_sets(self):
+        rng = make_rng(152)
+        for _ in range(20):
+            built = list(build_recursive(_coprime_spec_table(rng)))
+            dim = built[0].dim
+            basis = list(built)
+            for _ in range(rng.randint(1, 4)):
+                comb = Polynomial.zero(dim)
+                for q in rng.sample(built, rng.randint(1, len(built))):
+                    comb = comb + rng.choice(_COPRIME[:5]) * q
+                basis.append(comb)
+            basis += [F(2, 7) * q for q in rng.sample(built, 1)]
+            rng.shuffle(basis)
+            assert breadth(basis) == _breadth_three_ranks(basis) == 1
+
+    def test_reads_no_coefficients(self, monkeypatch):
+        basis = list(build_recursive(_full_table(3, 6))) + [P("x3", 3)]
+        expect = _breadth_three_ranks(basis)
+
+        def forbidden(self, exps):
+            raise AssertionError("breadth read a coefficient through Polynomial.coeff")
+
+        monkeypatch.setattr(Polynomial, "coeff", forbidden)
+        assert breadth(basis) == expect == 2
