@@ -41,7 +41,6 @@ from typing import Iterable, Iterator, Sequence
 from .compositions import count_compositions
 from .discretize import SCHEMES, SweepRow, expansion_check, stencil, sweep, sweep_to_csv
 from .identities import falling_factorial_sum, signed_power_sum, vandermonde_oracle
-from .linalg import common_denominator
 from .poly import DigitLimitError, Polynomial, parse_rational, rational_text
 from .subspace import (
     BasisSequence,
@@ -54,7 +53,6 @@ from .subspace import (
     build_recursive,
     check_closure,
     degrees,
-    specialize,
 )
 
 
@@ -207,21 +205,6 @@ def _check_closed_form_size(what: str, top: int, d: int, weights) -> None:
         )
 
 
-def _top_and_slots(spec: ParamTable | GeneralSpec) -> tuple[int, list[tuple[int, Fraction]]]:
-    """b_n and the (b_j, c_ij) of every nonzero c_ij of the spec's weights,
-    read from a table's entries without building its weights (n may be
-    far larger than the input)."""
-    if isinstance(spec, ParamTable):
-        return spec.n, [(1, Fraction(1))] + [(i, v) for (i, _), v in spec.a.items()]
-    b, c = spec.weights
-    return b[-1], [(bj, row[j]) for j, bj in enumerate(b) for row in c if row[j]]
-
-
-def _check_spec_closed_form_size(path: str, spec: ParamTable | GeneralSpec) -> None:
-    top, slots = _top_and_slots(spec)
-    _check_closed_form_size(path, top, spec.d, lambda: [w for w, _ in slots])
-
-
 # Every builder of B_0..B_top computes on integers of about the size of
 # top! * max(D, N)^top, D the common denominator of the spec's c and N the
 # largest of its numerators over D: the generating recurrence's E_top =
@@ -240,13 +223,13 @@ MAX_RECURRENCE_WORK = 100_000_000
 def _check_recurrence_size(what: str, spec: ParamTable | GeneralSpec) -> None:
     """Refuse, before any build, a spec whose predicted builder work
     (closed-form visits times the digits of top! * max(D, N)^top) exceeds
-    MAX_RECURRENCE_WORK."""
-    top, slots = _top_and_slots(spec)
-    den, nums = common_denominator(v for _, v in slots)
-    big = max(den, max(abs(v) for v in nums))
+    MAX_RECURRENCE_WORK.  It reads spec.slots, which a table builds from
+    its entries alone, so n may be far larger than the input."""
+    top, (den, slots) = spec.top_weight, spec.slots
+    big = max(den, max(abs(n_ij) for _, _, n_ij in slots))
     digits = int(math.lgamma(top + 1) / math.log(10) + top * math.log10(big)) + 1
     allowed = MAX_RECURRENCE_WORK // digits
-    visits = count_compositions(top, [w for w, _ in slots], cap=allowed)
+    visits = count_compositions(top, [bj for bj, _, _ in slots], cap=allowed)
     if visits > allowed:
         raise CliError(
             f"{what}: building the basis would take at least {visits * digits:,} digit-steps "
@@ -273,7 +256,7 @@ def _cmd_basis(args) -> int:
     elif not isinstance(spec, ParamTable):
         raise CliError(f"{args.spec}: this command needs a parameter-table spec (keys d, n, a)")
     if args.source == "explicit":
-        _check_spec_closed_form_size(args.spec, spec)
+        _check_closed_form_size(args.spec, spec.top_weight, spec.d, lambda: [bj for bj, _, _ in spec.slots[1]])
     _check_recurrence_size(args.spec, spec)
     build = {"recursive": build_recursive, "explicit": build_explicit, "general": build_generating}[args.source]
     basis = build(spec)
@@ -289,12 +272,12 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _compare_builders(params: ParamTable) -> tuple[BasisSequence, bool, bool | None]:
-    """The recursive basis, whether the explicit one equals it, and whether the
-    specialized general one does (None for n = 1, outside the general family)."""
+def _compare_builders(params: ParamTable) -> tuple[BasisSequence, bool, bool]:
+    """The recursive basis, whether the explicit (closed-form) one equals it,
+    and whether the one of the generating recurrence does."""
     rec = build_recursive(params)
     rec_vs_exp = build_explicit(params).elements == rec.elements
-    gen_vs_rec = build_general(specialize(params)).elements == rec.elements if params.n >= 2 else None
+    gen_vs_rec = build_generating(params).elements == rec.elements
     return rec, rec_vs_exp, gen_vs_rec
 
 
@@ -352,14 +335,14 @@ def _cmd_verify(args) -> int:
         return 0 if rep.ok else 1
 
     if args.what == "equivalence":
-        _check_spec_closed_form_size(args.spec, spec)
+        _check_closed_form_size(args.spec, spec.top_weight, spec.d, lambda: [bj for bj, _, _ in spec.slots[1]])
         _check_recurrence_size(args.spec, spec)
         if isinstance(spec, GeneralSpec):
             ok = build_generating(spec).elements == build_general(spec).elements
             report = {"what": "equivalence", "generating_vs_general": ok, "ok": ok}
         else:
             _, rec_vs_exp, gen_vs_rec = _compare_builders(spec)
-            ok = rec_vs_exp and gen_vs_rec is not False
+            ok = rec_vs_exp and gen_vs_rec
             report = {
                 "what": "equivalence",
                 "recursive_vs_explicit": rec_vs_exp,
@@ -390,6 +373,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_points(args) -> int:
     spec = _load_spec(args.spec)
+    _check_recurrence_size(args.spec, spec)
     pts = SCHEMES[args.scheme](spec, _parse_point(args.z0, spec.d))
     if args.h is not None:
         try:
@@ -416,6 +400,7 @@ def _cmd_points(args) -> int:
 def _scheme_inputs(args):
     """f, z0 and the point set of --scheme, as limit and sweep take them."""
     spec = _load_spec(args.spec)
+    _check_recurrence_size(args.spec, spec)
     f = _load_poly(args.f, spec.d)
     z0 = _parse_point(args.z0, spec.d)
     return f, z0, SCHEMES[args.scheme](spec, z0)
@@ -478,6 +463,7 @@ _EXAMPLE_POINTS = {
 
 def _cmd_study(args) -> int:
     spec = _load_spec(args.spec) if args.spec else _EXAMPLE_PARAMS
+    _check_recurrence_size(args.spec or "the demo table", spec)
     f = _load_poly(args.f, spec.d) if args.f else _EXAMPLE_F
     z0 = _parse_point(args.z0, spec.d)
     # Every sweep runs before anything is written, so bad input leaves no output.

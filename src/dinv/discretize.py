@@ -1,6 +1,7 @@
 """Coalescing point schemes and the limit verification.
 
-Both spec kinds are read through their weights (b, c): the basis elements
+Both spec kinds are read through their weights (b, c), as .slots gives
+them (every nonzero c_ij as n_ij / D, sorted by weight): the basis elements
 B_m are the t^m coefficients of exp(sum_i x_i * p_i(t)) with
 p_i(t) = sum_j c_ij * t^(b_j), and Taylor's theorem gives
 
@@ -32,9 +33,11 @@ checks can rebuild the basis it belongs to.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .identities import falling_factorial
@@ -100,21 +103,18 @@ class SymbolicPointSet:
 
 def _points(scheme: str, h_coef, spec: ParamTable | GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
     """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i,  r = 0..b_n."""
-    b, c = spec.weights
+    den, slots = spec.slots
     base = tuple(Fraction(v) for v in z0)
-    if len(base) != len(c):
-        raise ValueError(f"base point has length {len(base)}, expected {len(c)}")
+    if len(base) != spec.d:
+        raise ValueError(f"base point has length {len(base)}, expected {spec.d}")
     pts = []
-    for r in range(b[-1] + 1):
-        powers = [(j, bj, k) for j, bj in enumerate(b) if (k := h_coef(r, bj))]
-        coords = []
-        for z, row in zip(base, c):
-            terms = {(0,): z}
-            for j, bj, k in powers:
-                if row[j]:
-                    terms[(bj,)] = row[j] * k
-            coords.append(Polynomial(1, terms, _trusted=True))
-        pts.append(tuple(coords))
+    for r in range(spec.top_weight + 1):
+        coords = [{(0,): z} for z in base]
+        for bj, group in itertools.groupby(slots, itemgetter(0)):
+            if k := h_coef(r, bj):
+                for _, i, n_ij in group:
+                    coords[i][(bj,)] = Fraction(n_ij * k, den)
+        pts.append(tuple(Polynomial(1, terms, _trusted=True) for terms in coords))
     return SymbolicPointSet(scheme=scheme, base=base, points=tuple(pts), spec=spec)
 
 
@@ -240,8 +240,7 @@ class ExpansionReport:
 def _target_value(f: Polynomial, z0: Sequence[Fraction], m: int, spec: ParamTable | GeneralSpec) -> Fraction:
     """(B_m(D)f)(z0) from the spec alone, with B_0..B_m built by the
     generating recurrence stopped at weight m."""
-    b, c = spec.weights
-    return DiffOperator(_generating_elements(b, c, m)[m]).apply_at(f, z0)
+    return DiffOperator(_generating_elements(spec, m)[m]).apply_at(f, z0)
 
 
 def expansion_check(

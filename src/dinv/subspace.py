@@ -6,8 +6,9 @@ single linear element, normalized here to x1.  The bases built here are
 the t^m coefficients B_m of exp(sum_i x_i * sum_j c_ij * t^(b_j)) for a
 weight vector b and coefficient vectors c: a GeneralSpec gives (b, c)
 directly, and a ParamTable is the specialization b = (1, 2, ..., n),
-c_1 = e_1, c_s = (0, a_{2,s}, ...) (both as .weights).  Three independent
-constructions build the graded bases {B_0, ..., B_N}:
+c_1 = e_1, c_s = (0, a_{2,s}, ...).  Both read it through .slots, every
+nonzero c_ij as an integer n_ij over one denominator D, sorted by weight.
+Three independent constructions build the graded bases {B_0, ..., B_N}:
 
   * build_recursive: degree-by-degree recursion driven by antiderivatives
     of the lower-degree elements (tables only), run on integer numerators
@@ -34,10 +35,12 @@ closure check are kept as test oracles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import common_denominator, eliminate, solve
@@ -77,15 +80,18 @@ class ParamTable:
         return self.a.get((i, j), Fraction(0))
 
     @cached_property
-    def weights(self) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
-        """The (b, c) of the generating identity: b = (1, 2, ..., n),
-        c_1 = (1, 0, ..., 0), c_s = (0, a[2,s], ..., a[n,s]); n = 1 included.
+    def slots(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """(D, ((b_j, i, n_ij), ...)) of the generating identity's weights
+        b = (1, 2, ..., n), c_1 = e_1, c_s = (0, a[2,s], ..., a[n,s]), read
+        from a alone (n = 1 included): x1's slot (1, 0, D), then (i, j - 1,
+        n_ij) per entry a[i, j] = n_ij / D, as GeneralSpec.slots orders them.
         Built on first access and kept (the table is immutable)."""
-        n, zero = self.n, Fraction(0)
-        rows = [(Fraction(1),) + (zero,) * (n - 1)]
-        for s in range(2, self.d + 1):
-            rows.append((zero,) + tuple(self.a.get((i, s), zero) for i in range(2, n + 1)))
-        return tuple(range(1, n + 1)), tuple(rows)
+        den, nums = common_denominator(self.a.values())
+        return den, ((1, 0, den),) + tuple(sorted((i, j - 1, v) for (i, j), v in zip(self.a, nums)))
+
+    @property
+    def top_weight(self) -> int:
+        return self.n
 
     def to_dict(self) -> dict:
         return {
@@ -152,10 +158,14 @@ class GeneralSpec:
     def top_weight(self) -> int:
         return self.b[-1]
 
-    @property
-    def weights(self) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
-        """The (b, c) of the generating identity, as given."""
-        return self.b, self.c
+    @cached_property
+    def slots(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """(D, ((b_j, i, n_ij), ...)): every nonzero c_ij as n_ij / D, D the
+        lcm of the denominators of c, sorted by weight b_j and then by the
+        0-based variable i."""
+        nonzero = [(bj, i, row[j]) for j, bj in enumerate(self.b) for i, row in enumerate(self.c) if row[j]]
+        den, nums = common_denominator(v for _, _, v in nonzero)
+        return den, tuple((bj, i, n_ij) for (bj, i, _), n_ij in zip(nonzero, nums))
 
     def to_dict(self) -> dict:
         return {
@@ -220,16 +230,16 @@ class BasisSequence:
         return cls(tuple(Polynomial.from_dict(item) for item in data))
 
 
-def _closed_form_elements(b: Sequence[int], c: Sequence[Sequence[Fraction]], top: int) -> list[Polynomial]:
-    """B_0..B_top of the weights (b, c) as the closed-form sum
+def _closed_form_elements(spec: ParamTable | GeneralSpec, top: int) -> list[Polynomial]:
+    """B_0..B_top of the spec's weights (b, c) as the closed-form sum
 
         B_m = [t^m] prod_{(i, j): c_ij != 0} exp(c_ij * x_i * t^(b_j))
             = sum_g prod_{i, j} (c_ij * x_i)^(g_ij) / g_ij!,
 
     over the count vectors g >= 0 on the nonzero slots with weight
     sum g_ij * b_j == m (a positive count on a zero c_ij would make the
-    product vanish, so those slots are never enumerated).  b must be
-    increasing, as both spec kinds give it.
+    product vanish, so those slots are never enumerated): the walk reads
+    spec.slots, which orders them by weight.
 
     One depth-first walk visits every g of weight <= top exactly once: a
     node is a count vector, and its children give one slot after its last
@@ -241,10 +251,8 @@ def _closed_form_elements(b: Sequence[int], c: Sequence[Sequence[Fraction]], top
     node adds the integer prod n^g * D^(m-G) * (m! // prod g!) to element
     m, and each coefficient of B_m is then one Fraction, that sum over
     m! * D^m."""
-    d, n = len(c), len(b)
-    den, num = common_denominator([v for row in c for v in row])
-    # (b_j, i, n_ij) per nonzero slot of weight <= top, b_j nondecreasing.
-    slots = [(bj, i, num[i * n + j]) for j, bj in enumerate(b) if bj <= top for i in range(d) if num[i * n + j]]
+    d = spec.d
+    den, slots = spec.slots
     fact = [math.factorial(m) for m in range(top + 1)]
     den_pow = [den ** k for k in range(top + 1)]
     elems: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
@@ -275,12 +283,11 @@ def build_general(spec: GeneralSpec) -> BasisSequence:
     """The general family as the closed-form sum over weighted compositions
     (_closed_form_elements on the spec's weights).  It is the oracle for
     build_generating, which builds the same basis by recurrence."""
-    b, c = spec.weights
-    return BasisSequence(tuple(_closed_form_elements(b, c, b[-1])))
+    return BasisSequence(tuple(_closed_form_elements(spec, spec.top_weight)))
 
 
-def _generating_elements(b: Sequence[int], c: Sequence[Sequence[Fraction]], top: int) -> list[Polynomial]:
-    """B_0..B_top of the weights (b, c).  Differentiating
+def _generating_elements(spec: ParamTable | GeneralSpec, top: int) -> list[Polynomial]:
+    """B_0..B_top of the spec's weights (b, c).  Differentiating
     G = exp(sum_j L_j(x) * t^(b_j)), L_j = sum_i c_ij * x_i, in t gives
 
         m * B_m = sum_{j: b_j <= m} b_j * L_j(x) * B_{m - b_j},
@@ -294,14 +301,10 @@ def _generating_elements(b: Sequence[int], c: Sequence[Sequence[Fraction]], top:
 
     ff(m-1, b_j-1) = (m-1)! / (m-b_j)!.  Each coefficient of B_m is then
     one Fraction, E_m[e] / (m! * D^m)."""
-    d, n = len(c), len(b)
-    den, num = common_denominator([v for row in c for v in row])
-    # (b_j, [(i, n_ij) for n_ij != 0]) per weight slot up to top with a nonzero N_j.
-    forms = []
-    for j, bj in enumerate(b):
-        form = [(i, num[i * n + j]) for i in range(d) if num[i * n + j]]
-        if bj <= top and form:
-            forms.append((bj, form))
+    d = spec.d
+    den, slots = spec.slots
+    # (b_j, [(i, n_ij) for n_ij != 0]) per weight with a nonzero N_j.
+    forms = [(bj, [(i, n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
     elems: list[dict[tuple[int, ...], int]] = [{(0,) * d: 1}]
     for m in range(1, top + 1):
         acc: dict[tuple[int, ...], int] = {}
@@ -326,8 +329,7 @@ def build_generating(spec: ParamTable | GeneralSpec) -> BasisSequence:
     """The basis of either spec kind by the generating recurrence over its
     weights (b, c).  Equal termwise to build_general, which enumerates the
     same coefficients as a sum over weighted compositions."""
-    b, c = spec.weights
-    return BasisSequence(tuple(_generating_elements(b, c, b[-1])))
+    return BasisSequence(tuple(_generating_elements(spec, spec.top_weight)))
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -343,8 +345,8 @@ def _recursive_numerators(params: ParamTable) -> list[tuple[int, dict[tuple[int,
     build_recursive on integers.  S_k > 0 has no factor common to all of
     P_k's integer numerators, so S_k is the lcm of B_k's denominators."""
     d, n = params.d, params.n
-    den, nums = common_denominator(params.a.values())
-    num = dict(zip(params.a, nums))  # a[i, j] = num[i, j] / den
+    den, slots = params.slots
+    num = {(i, j): n_ij for i, j, n_ij in slots[1:]}  # a[i, j + 1] = num[i, j] / den
     units = [tuple(int(t == v) for t in range(d)) for v in range(d)]
     elems = [(1, {(0,) * d: 1}), (1, {units[0]: 1})]
 
@@ -370,7 +372,7 @@ def _recursive_numerators(params: ParamTable) -> list[tuple[int, dict[tuple[int,
         acc = {(e[0] + 1,) + e[1:]: c * inv[e[0] + 1] * v for e, v in p_prev.items()}
         for j in range(1, d):
             for i in range(2, k):
-                n_ij = num.get((i, j + 1))
+                n_ij = num.get((i, j))
                 if not n_ij:
                     continue
                 c = n_ij * _exact_div(scale, den * elems[k - i][0])
@@ -382,7 +384,7 @@ def _recursive_numerators(params: ParamTable) -> list[tuple[int, dict[tuple[int,
                         acc[key] = acc.get(key, 0) + coef[t] * v
         lin = _exact_div(scale, den) * lcm_k
         for j in range(1, d):
-            n_kj = num.get((k, j + 1))
+            n_kj = num.get((k, j))
             if n_kj:
                 acc[units[j]] = acc.get(units[j], 0) + n_kj * lin
         s_k = scale * lcm_k
@@ -420,7 +422,7 @@ def build_recursive(params: ParamTable) -> BasisSequence:
     lcm(1..k).  Each P_k is then divided by its gcd with S_k, and each
     coefficient of B_k is one Fraction, P_k[e] / S_k, built at the end.
     Shares no code with the closed-form walk or the generating recurrence
-    apart from common_denominator."""
+    apart from the table's slots."""
     d = params.d
     return BasisSequence(tuple(
         Polynomial(d, {e: Fraction(v, s) for e, v in p.items()}, _trusted=True)
@@ -441,17 +443,20 @@ def build_explicit(params: ParamTable) -> BasisSequence:
     Deliberately shares no construction code with build_recursive: the
     termwise equality of the two outputs is a cross-check, not a tautology.
     """
-    b, c = params.weights
-    return BasisSequence(tuple(_closed_form_elements(b, c, params.n)))
+    return BasisSequence(tuple(_closed_form_elements(params, params.n)))
 
 
 def specialize(params: ParamTable) -> GeneralSpec:
     """The GeneralSpec of the table's weights, whose construction reproduces
-    the ParamTable family.  Needs n >= 2 (GeneralSpec has no n = 1 instance)."""
-    if params.n < 2:
+    the ParamTable family: b = (1, ..., n), c_1 = e_1 and
+    c_s = (0, a[2,s], ..., a[n,s]).  Needs n >= 2 (GeneralSpec has no n = 1
+    instance)."""
+    n = params.n
+    if n < 2:
         raise ValueError("specialization needs n >= 2")
-    b, c = params.weights
-    return GeneralSpec(n=params.n, d=params.d, b=b, c=c)
+    c = [(1,) + (0,) * (n - 1)]
+    c += [(0,) + tuple(params.a.get((i, s), 0) for i in range(2, n + 1)) for s in range(2, params.d + 1)]
+    return GeneralSpec(n=n, d=params.d, b=range(1, n + 1), c=c)
 
 
 def span_contains(basis: Sequence[Polynomial], p: Polynomial) -> list[Fraction] | None:
@@ -499,14 +504,13 @@ def check_closure(basis: BasisSequence, spec: ParamTable | GeneralSpec) -> Closu
     is a violation iff L/s_m * d(P_m)/dx_i differs from
     sum_j n_ij * L/(D * s_{m-b_j}) * P_{m-b_j}.
     """
-    b, c = spec.weights
-    top = b[-1]
+    top, d = spec.top_weight, spec.d
     if len(basis) != top + 1:
         raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")
-    if basis.dim != len(c):
-        raise ValueError(f"basis has dimension {basis.dim}, the spec needs {len(c)}")
-    n = len(b)
-    den, num = common_denominator([v for row in c for v in row])
+    if basis.dim != d:
+        raise ValueError(f"basis has dimension {basis.dim}, the spec needs {d}")
+    den, slots = spec.slots
+    by_var = [[(bj, n_ij) for bj, v, n_ij in slots if v == i] for i in range(d)]
     ints = []  # (s_k, P_k) per element
     for p in basis:
         s, nums = common_denominator(p.terms.values())
@@ -514,10 +518,10 @@ def check_closure(basis: BasisSequence, spec: ParamTable | GeneralSpec) -> Closu
     bad: list[tuple[int, int]] = []
     for m in range(1, top + 1):
         s_m, p_m = ints[m]
-        for i in range(len(c)):
-            slots = [(num[i * n + j], *ints[m - bj]) for j, bj in enumerate(b) if bj <= m and num[i * n + j]]
+        for i in range(d):
+            terms = [(n_ij, *ints[m - bj]) for bj, n_ij in by_var[i] if bj <= m]
             scale = s_m
-            for _, s, _ in slots:
+            for _, s, _ in terms:
                 scale = math.lcm(scale, den * s)
             acc: dict[tuple[int, ...], int] = {}
             k = scale // s_m
@@ -525,7 +529,7 @@ def check_closure(basis: BasisSequence, spec: ParamTable | GeneralSpec) -> Closu
                 ei = e[i]
                 if ei:
                     acc[e[:i] + (ei - 1,) + e[i + 1:]] = k * ei * v
-            for n_ij, s, p in slots:
+            for n_ij, s, p in terms:
                 k = n_ij * (scale // (den * s))
                 for e, v in p.items():
                     acc[e] = acc.get(e, 0) - k * v

@@ -76,19 +76,19 @@ def signed_power_sum_fraction(j: int, m: int, include_zero: bool = True) -> Frac
 def check_closure_fraction(basis: BasisSequence, spec: ParamTable | GeneralSpec) -> ClosureReport:
     """d(B_m)/dx_i == sum_{j: b_j <= m} c_ij * B_{m - b_j} for every m >= 1
     and variable i, both sides built as Polynomials in Fraction arithmetic."""
-    b, c = spec.weights
-    top = b[-1]
+    top = spec.top_weight
     if len(basis) != top + 1:
         raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")
-    if basis.dim != len(c):
-        raise ValueError(f"basis has dimension {basis.dim}, the spec needs {len(c)}")
+    if basis.dim != spec.d:
+        raise ValueError(f"basis has dimension {basis.dim}, the spec needs {spec.d}")
+    den, slots = spec.slots
     bad: list[tuple[int, int]] = []
     for m in range(1, top + 1):
-        for i, row in enumerate(c, start=1):
+        for i in range(1, spec.d + 1):
             expect = Polynomial.zero(basis.dim)
-            for bj, cij in zip(b, row):
-                if bj <= m and cij:
-                    expect = expect + cij * basis[m - bj]
+            for bj, v, n_ij in slots:
+                if v == i - 1 and bj <= m:
+                    expect = expect + Fraction(n_ij, den) * basis[m - bj]
             if basis[m].diff(i) != expect:
                 bad.append((m, i))
     return ClosureReport(ok=not bad, violations=tuple(bad))

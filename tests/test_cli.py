@@ -478,6 +478,33 @@ class TestSizeGuard:
             assert "1,000,000,001 composition visits" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["points", "--scheme", "a"],
+            ["limit", "--m", "1", "--scheme", "a"],
+            ["sweep", "--m", "1", "--scheme", "b"],
+            ["study"],
+        ],
+        ids=["points", "limit", "sweep", "study"],
+    )
+    def test_point_commands_refuse_huge_top(self, argv, tmp_path, capsys):
+        # Each point set has n + 1 points, so the guard must act before any is built.
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"d": 2, "n": 10**9, "a": {}}))
+        f = tmp_path / "f.txt"
+        f.write_text("x1^2 + x2")
+        extra = ["--out-dir", str(tmp_path / "out")] if argv[0] == "study" else []
+        if argv[0] in ("limit", "sweep", "study"):
+            extra += ["--f", str(f)]
+        start = time.perf_counter()
+        assert main([*argv, *extra, "--spec", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "composition visits" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "spec",
         [
             _full_table(6, 18),
@@ -820,7 +847,7 @@ class TestScan:
         "name, wrong, problem",
         [
             ("build_explicit", lambda spec: BasisSequence((Polynomial.constant(spec.d, 1),)), "explicit != recursive"),
-            ("build_general", lambda spec: BasisSequence((Polynomial.constant(spec.d, 1),)), "general != recursive"),
+            ("build_generating", lambda spec: BasisSequence((Polynomial.constant(spec.d, 1),)), "general != recursive"),
             ("check_closure", lambda basis, spec: ClosureReport(ok=False, violations=((2, 2),)),
              "closure violations ((2, 2),)"),
             ("breadth", lambda elements: 2, "breadth != 1"),

@@ -251,8 +251,8 @@ class TestTruncatedExpansion:
         seen = []
         generating = dinv.discretize._generating_elements
 
-        def recording(b, c, top):
-            built = generating(b, c, top)
+        def recording(spec, top):
+            built = generating(spec, top)
             seen.append((top, built))
             return built
 

@@ -83,13 +83,28 @@ class TestParamTable:
         with pytest.raises(ValueError):
             ParamTable.from_dict({"d": 2})
 
-    def test_weights_built_once(self):
-        t = ParamTable(d=3, n=4, a={(2, 2): F(1, 2), (4, 3): F(-3)})
+    def test_slots_built_once(self):
+        t = ParamTable(d=3, n=4, a={(4, 3): F(-3), (2, 2): F(1, 2)})
         before = (repr(t), t.to_dict())
-        assert t.weights is t.weights
-        assert t.weights == ((1, 2, 3, 4), ((1, 0, 0, 0), (0, F(1, 2), 0, 0), (0, 0, 0, F(-3))))
+        assert t.slots is t.slots
+        assert t.slots == (2, ((1, 0, 2), (2, 1, 1), (4, 2, -6)))
+        assert t.top_weight == 4
         assert (repr(t), t.to_dict()) == before
         assert t == ParamTable(d=3, n=4, a={(2, 2): F(1, 2), (4, 3): F(-3)})
+        assert ParamTable(d=3, n=1, a={}).slots == (1, ((1, 0, 1),))
+
+    def test_slots_coprime_denominators(self):
+        # Denominators 2, 3, 5 (and 2, 3, 7): D is their lcm; a table's x1 slot carries D itself.
+        t = ParamTable(d=3, n=3, a={(2, 2): F(1, 2), (3, 2): F(-2, 3), (3, 3): F(4, 5)})
+        assert t.slots == (30, ((1, 0, 30), (2, 1, 15), (3, 1, -20), (3, 2, 24)))
+        spec = GeneralSpec(n=2, d=2, b=(1, 2), c=((F(1, 2), F(0)), (F(1, 3), F(2, 7))))
+        assert spec.slots == (42, ((1, 0, 21), (1, 1, 14), (2, 1, 12)))
+
+    def test_slots_match_specialization(self):
+        rng = make_rng(110)
+        for _ in range(20):
+            t = random_param_table(rng, d=rng.choice((2, 3, 4)), n=rng.randint(2, 6))
+            assert t.slots == specialize(t).slots
 
 
 class TestGeneralSpec:
@@ -109,6 +124,13 @@ class TestGeneralSpec:
     def test_json_round_trip(self):
         spec = GeneralSpec(n=3, d=2, b=(1, 2, 5), c=((F(1), F(0), F(1, 3)), (F(0), F(-2), F(7))))
         assert GeneralSpec.from_dict(spec.to_dict()) == spec
+
+    def test_slots_skip_zero_entries(self):
+        # The weight-3 column is all zero; c_12 and c_23 are zero as well.
+        spec = GeneralSpec(n=3, d=2, b=(1, 3, 4), c=((F(1), F(0), F(2, 3)), (F(-1, 2), F(0), F(0))))
+        assert spec.slots is spec.slots
+        assert spec.slots == (6, ((1, 0, 6), (1, 1, -3), (4, 0, 4)))
+        assert spec.top_weight == 4
 
 
 class TestBasisSequence:
@@ -277,8 +299,7 @@ def _walk_visits(build, spec) -> tuple[BasisSequence, int]:
 
 def _slot_weights(spec) -> list[int]:
     """The weights b_j of the nonzero c_ij of a spec of either kind."""
-    b, c = spec.weights
-    return [bj for j, bj in enumerate(b) for row in c if row[j]]
+    return [bj for bj, _, _ in spec.slots[1]]
 
 
 class TestBuildGeneral:
@@ -389,7 +410,7 @@ class TestBuildGenerating:
         assert list(build_generating(spec)) == [P("1"), P("x1"), P("1/2*x1^2 + x2")]
 
     def test_enumerates_no_compositions(self, monkeypatch):
-        def forbidden(b, c, top):
+        def forbidden(spec, top):
             raise AssertionError("build_generating enumerated compositions")
 
         monkeypatch.setattr(dinv.subspace, "_closed_form_elements", forbidden)
