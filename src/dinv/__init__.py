@@ -34,7 +34,6 @@ from .subspace import (
     build_recursive,
     check_closure,
     degrees,
-    span_contains,
     specialize,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "points_scheme_a",
     "points_scheme_b",
     "signed_power_sum",
-    "span_contains",
     "specialize",
     "stencil",
     "sweep",

@@ -215,7 +215,8 @@ def _check_closed_form_size(what: str, top: int, d: int, weights) -> None:
 # MAX_RECURRENCE_WORK.  On one core of a 2-vCPU host the slowest family per
 # unit measured is d = 1 with b = (1, B) and c = (1, 1), whose few terms
 # carry the most digits: at B = 5300 (9.2e7 predicted) verify took 5.2 s for
-# equivalence, 2.9 s for closure and 7.2 s for breadth, as a subprocess.
+# equivalence, 2.9 s for closure and 2.9 s (38 MiB) for breadth, as a
+# subprocess; building the basis is most of each.
 # Full d = 6 tables predict 2.8e7 at n = 18 and 8.9e7 at n = 20.
 MAX_RECURRENCE_WORK = 100_000_000
 
@@ -235,6 +236,49 @@ def _check_recurrence_size(what: str, spec: ParamTable | GeneralSpec) -> None:
             f"{what}: building the basis would take at least {visits * digits:,} digit-steps "
             f"({visits:,} composition visits x {digits:,} digits of top! * max(D, N)^top), "
             f"more than the {MAX_RECURRENCE_WORK:,} allowed"
+        )
+
+
+# verify --what identities predicts its three scans, before any of them, in
+# steps of one integer operation on up to 100 digits (one step per 100 digits
+# on longer ones; m^m has about m * log10(m)): (m + 1)^2 + m^2 power-sum terms
+# per m <= --m-max, (m + 1)^3 Vandermonde cells per m <= --vand-max, and for
+# the falling-factorial sums 2 * (--i-max - 1) * S * (compositions + --r-max * S),
+# S = max(--r-max, --i-max): per node and cap, S slot products per composition
+# of each weight r <= --r-max (compositions.count_compositions) and S^2 steps of
+# slot bases per weight.  On one core of a 2-vCPU host a step took 0.16 to
+# 0.6 us in the first two scans and up to 1.4 us in the third (r_max = i_max =
+# 24: 8.7e6 steps, 11.2 s), so a run at the bound takes at most about 15 s.
+MAX_IDENTITY_WORK = 10_000_000
+
+
+def _identity_work(m_max: int, vand_max: int, r_max: int, i_max: int, cap: int) -> int:
+    """The predicted steps of the identity scans.  Each sum stops once past
+    cap, so the prediction is cheap, and is then a lower bound above cap."""
+    work = 0
+    for top, cells in ((m_max, lambda m: (m + 1) ** 2 + m * m), (vand_max, lambda m: (m + 1) ** 3)):
+        for m in range(top + 1):
+            work += cells(m) * (1 + int(m * math.log10(m or 1)) // 100)
+            if work > cap:
+                break
+    slots = max(r_max, i_max)
+    per_visit = 2 * (i_max - 1) * slots
+    # Each weight has a composition, so r_max is bounded before
+    # count_compositions builds a table of its length (and counts weight 0).
+    work += per_visit * r_max * (1 + slots)
+    if work <= cap:
+        visits = count_compositions(r_max, range(1, r_max + 1), cap=1 + r_max + (cap - work) // per_visit) - 1
+        work += per_visit * (visits - r_max)
+    return work
+
+
+def _check_identity_size(m_max: int, vand_max: int, r_max: int, i_max: int) -> None:
+    """Refuse, before any scan, bounds that predict more than MAX_IDENTITY_WORK steps."""
+    work = _identity_work(m_max, vand_max, r_max, i_max, MAX_IDENTITY_WORK)
+    if work > MAX_IDENTITY_WORK:
+        raise CliError(
+            f"verify --what identities: the scans would take at least {work:,} steps, "
+            f"more than the {MAX_IDENTITY_WORK:,} allowed"
         )
 
 
@@ -287,6 +331,7 @@ def _cmd_verify(args) -> int:
         _require_at_least(args, m_max=0, vand_max=0, r_max=1, i_max=2)
         m_max, vand_max = args.m_max, args.vand_max
         r_max, i_max = args.r_max, args.i_max
+        _check_identity_size(m_max, vand_max, r_max, i_max)
         ps_ok = all(
             signed_power_sum(j, m, include_zero=True) == (1 if j == m else 0)
             for m in range(m_max + 1)
@@ -427,11 +472,6 @@ def _sweep_rows(args, f: Polynomial, z0, m: int, pts) -> list[SweepRow]:
         return sweep(f, z0, m, pts, h0=h0, steps=args.steps)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    except ZeroDivisionError as exc:
-        raise CliError(
-            f"--steps {args.steps} halvings of --h0 {args.h0} underflow h**{m} to 0; "
-            "use fewer steps or a larger --h0"
-        ) from exc
     except OverflowError as exc:
         raise CliError(f"float overflow in the sweep from --h0 {args.h0}; use a smaller --h0") from exc
 

@@ -315,7 +315,10 @@ def sweep(
 
     The exact values (target, coefficients of f and of the points) are
     converted to floats before the loop, and one too large for a float is
-    refused with ValueError naming it; an OverflowError left is the loop's."""
+    refused with ValueError naming it; an OverflowError left is the float
+    arithmetic on h overflowing.  Before those, steps that would halve h**m
+    (h itself for m = 0) to 0.0 are refused with ValueError naming the most
+    steps accepted."""
     if h0 <= 0:
         raise ValueError(f"h0 must be positive, got {h0}")
     if steps < 2:
@@ -324,6 +327,14 @@ def sweep(
     if base != pts.base:
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
     _check_order(m, pts)
+    # 2.0 ** -1075 is 0.0, so every sweep longer than 1075 steps reaches h = 0.0.
+    hs = [h0 * 2.0 ** -k for k in range(min(steps, 1076))]
+    keep = next((k for k, h in enumerate(hs) if h == 0.0 or h ** m == 0.0), steps)
+    if keep < steps:
+        what = f"h**{m}" if m else "h"
+        raise ValueError(
+            f"--steps {steps} halvings of --h0 {h0!r} take {what} to 0.0; at most {keep} steps are accepted"
+        )
     weights = [float(c) for c in stencil(m).coeffs]
     exact = _to_float(_target_value(f, base, m, pts.spec), f"the exact target (B_{m}(D)f)(z0)")
     f_terms = _float_terms(f, "a coefficient of f")
@@ -333,8 +344,7 @@ def sweep(
     ]
     rows: list[SweepRow] = []
     prev_err: float | None = None
-    for k in range(steps):
-        h = h0 * 2.0 ** (-k)
+    for h in hs:
         acc = 0.0
         for w, coords in zip(weights, points):
             point = [_eval_float(coord, [h]) for coord in coords]

@@ -46,8 +46,8 @@ def vandermonde_oracle(m: int) -> tuple[Fraction, ...]:
     """
     if m < 0:
         raise ValueError(f"order must be non-negative, got {m}")
-    rows = [[Fraction(i ** j) for i in range(m + 1)] for j in range(m + 1)]
-    rhs = [Fraction(0)] * m + [Fraction(1)]
+    rows = [[i ** j for i in range(m + 1)] for j in range(m + 1)]
+    rhs = [0] * m + [1]
     y = solve(rows, rhs)
     if y is None:
         raise ArithmeticError("Vandermonde system at distinct nodes cannot be singular")

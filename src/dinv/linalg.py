@@ -1,50 +1,18 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact elimination over the rationals: one sparse fraction-free echelon.
 
-Small dense matrices only (dozens of rows).  Results are exact Fractions,
-so ranks and solutions are exact, never approximate.  rref eliminates on
-primitive integer rows (each rational row scaled by the lcm of its
-denominators, each new row divided by the gcd of its entries) and builds
-Fractions only once, at the end; the row space is unchanged by that
-scaling, so the reduced row echelon form is the same unique matrix that
-Fraction Gauss-Jordan gives.  common_denominator, the scaling that starts
-it, is shared with the integer kernels of subspace.
-
-The elimination itself is eliminate, which reduces integer rows in place
-and returns the pivot columns; rref scales its rational rows into it and
-builds the Fraction output from its pivot rows, and subspace.breadth feeds
-it integer rows of its own and reads only the pivots.  Matrices are plain
-lists of lists; rref, rank and solve copy their input first.
+A row is a mapping from column to int; a rational row enters as its
+integer numerators over common_denominator, which leaves its row space
+unchanged (common_denominator is shared with the integer kernels of
+subspace).  echelon's callers are solve, which back-substitutes on the
+augmented rows, and subspace.breadth, which orders the columns by
+descending total degree and reads only the leads.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-Matrix = list[list[Fraction]]
-
-_ZERO = Fraction(0)
-
-
-def _copy(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
-    return [[Fraction(v) for v in row] for row in rows]
-
-
-# gcd and lcm are folded pairwise: unpacking a row into one call would
-# build a tuple per row, and CPython keeps freed short tuples on a free
-# list, so peak memory would creep up with the number of rows reduced.
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """row divided by the gcd of its entries (unchanged if all zero)."""
-    g = 0
-    for v in row:
-        if v:
-            g = math.gcd(g, v)
-            if g == 1:
-                return row
-    return row if g == 0 else [v // g for v in row]
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 
 def common_denominator(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
@@ -58,85 +26,73 @@ def common_denominator(values: Iterable[Fraction | int]) -> tuple[int, list[int]
     return scale, [v.numerator * (scale // v.denominator) for v in vals]
 
 
-def _rational(v: Fraction | int) -> Fraction | int:
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+def echelon(
+    rows: Iterable[Mapping[Hashable, int]], key: Callable | None = None
+) -> dict[Hashable, dict[Hashable, int]]:
+    """Row echelon form of integer rows, as {lead: row}; the input is not
+    changed.
 
-
-def eliminate(rows: list[list[int]]) -> list[int]:
-    """Fraction-free Gauss-Jordan on integer rows, in place; returns the
-    pivot columns.
-
-    Each row is made primitive, a row is cleared in the pivot column by
-    row*p - a*pivot_row (p and a divided by their gcd first) and made
-    primitive again.  Afterwards rows[r] is the primitive pivot row of
-    pivot column r for r < len(pivots), zero in every other pivot column,
-    and the rows after them are zero.
+    A row's lead is its least column with a nonzero entry under key (the
+    columns' own order if None).  Each row is made primitive and, while its
+    lead is a kept row's lead, cleared there by row*p - a*kept (p, a the two
+    lead entries over their gcd) and made primitive again.  Rows that reach
+    zero are dropped.  The kept rows span the input's row space, and their
+    leads, all distinct, are the pivot columns of the reduced row echelon
+    form under the same column order.
     """
-    m = rows
-    if not m:
-        return []
-    ncols = len(m[0])
-    if any(len(r) != ncols for r in m):
-        raise ValueError("ragged matrix")
-    for i, row in enumerate(m):
-        m[i] = _primitive(row)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        prow = m[r]
-        p = prow[c]
-        for i, row in enumerate(m):
-            a = row[c]
-            if a and i != r:
-                g = math.gcd(p, a)
-                pg, ag = p // g, a // g
-                m[i] = _primitive([x * pg - ag * y for x, y in zip(row, prow)])
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return pivots
-
-
-def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot column indices.
-
-    Each rational row is scaled to integers by common_denominator and
-    reduced by eliminate; each pivot row is then divided by its pivot once.
-    """
-    m = [common_denominator(_rational(v) for v in row)[1] for row in rows]
-    pivots = eliminate(m)
-    ncols = len(m[0]) if m else 0
-    out = [[Fraction(v, m[i][c]) if v else _ZERO for v in m[i]] for i, c in enumerate(pivots)]
-    out += [[_ZERO] * ncols for _ in range(len(m) - len(pivots))]
-    return out, pivots
-
-
-def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    return len(rref(rows)[1])
+    kept: dict[Hashable, dict[Hashable, int]] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            # Folded pairwise: gcd(*row.values()) would build a tuple per row.
+            g = 0
+            for v in row.values():
+                g = math.gcd(g, v)
+                if g == 1:
+                    break
+            if g != 1:
+                row = {c: v // g for c, v in row.items()}
+            lead = min(row, key=key)
+            prow = kept.get(lead)
+            if prow is None:
+                kept[lead] = row
+                break
+            p, a = prow[lead], row[lead]
+            g = math.gcd(p, a)
+            p, a = p // g, a // g
+            row = {c: v * p for c, v in row.items()}
+            for c, v in prow.items():
+                v = row.get(c, 0) - a * v
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+    return kept
 
 
 def solve(a_rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
     """One exact solution x of A x = b, or None if the system is inconsistent.
 
-    Free variables are set to zero.
+    The augmented rows, as integer numerators, go through echelon in column
+    order: the system is inconsistent iff the right-hand side column is a
+    lead.  Otherwise the leads are solved for from the last to the first,
+    with the free variables set to zero; that solution is unique, and the
+    leads are the pivot columns of any echelon form, so it is the one that
+    reduced row echelon form gives.
     """
-    a = _copy(a_rows)
-    b = [Fraction(v) for v in rhs]
-    if len(a) != len(b):
-        raise ValueError(f"{len(a)} equations but {len(b)} right-hand sides")
-    if not a:
+    if len(a_rows) != len(rhs):
+        raise ValueError(f"{len(a_rows)} equations but {len(rhs)} right-hand sides")
+    if not a_rows:
         return []
-    ncols = len(a[0])
-    aug = [row + [bv] for row, bv in zip(a, b)]
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
+    ncols = len(a_rows[0])
+    if any(len(row) != ncols for row in a_rows):
+        raise ValueError("ragged matrix")
+    kept = echelon(dict(enumerate(common_denominator((*row, b))[1])) for row, b in zip(a_rows, rhs))
+    if ncols in kept:
         return None
     x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = reduced[i][ncols]
+    for lead in sorted(kept, reverse=True):
+        row = kept[lead]
+        known = sum(v * x[c] for c, v in row.items() if lead < c < ncols)
+        x[lead] = Fraction(row.get(ncols, 0) - known, row[lead])
     return x

@@ -23,7 +23,7 @@ Three independent constructions build the graded bases {B_0, ..., B_N}:
     is kept as its oracle.
 
 It also provides the exact verifiers used by the test suite and CLI:
-span membership, derivative-closure reports, breadth, and degrees.
+derivative-closure reports, breadth, and degrees.
 
 Values cross the API as Fractions.  The recursion, the closed-form
 enumeration, the generating recurrence, the closure check and breadth
@@ -43,7 +43,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import common_denominator, eliminate, solve
+from .linalg import common_denominator, echelon
 from .poly import Polynomial, json_array, json_int, json_rational
 
 
@@ -459,21 +459,6 @@ def specialize(params: ParamTable) -> GeneralSpec:
     return GeneralSpec(n=n, d=params.d, b=range(1, n + 1), c=c)
 
 
-def span_contains(basis: Sequence[Polynomial], p: Polynomial) -> list[Fraction] | None:
-    """Exact coordinates of p in the given spanning set, or None if p is
-    not in the span.  Solved over the union of monomial supports; free
-    coordinates (from dependent spanning sets) are returned as zero."""
-    basis = list(basis)
-    if not basis:
-        return [] if p.is_zero else None
-    if any(q.dim != p.dim for q in basis):
-        raise ValueError("dimension mismatch between basis and candidate")
-    support = sorted(set().union(*(q.terms.keys() for q in basis), p.terms.keys()))
-    a_rows = [[q.coeff(e) for q in basis] for e in support]
-    rhs = [p.coeff(e) for e in support]
-    return solve(a_rows, rhs)
-
-
 @dataclass(frozen=True)
 class ClosureReport:
     """Result of the derivative-identity check.  violations holds (k, j)
@@ -545,18 +530,13 @@ def breadth(basis: Sequence[Polynomial]) -> int:
     Requires the constant 1 to lie in the span (every derivative-closed
     space containing a nonzero element has it); raises ValueError if not.
 
-    One reduction gives both ranks and the membership of 1.  The basis x
-    support matrix, each row the integer numerators of one element over its
-    common denominator, is put in reduced row echelon form by
-    linalg.eliminate with its columns in descending total degree, so the
-    degree >= 2 columns form a prefix and the constant column comes last;
-    only the pivot columns are read.  The rank of a column prefix is its
-    pivot count: the span has dimension len(pivots), and its intersection
-    with {degree <= 1} dimension len(pivots) minus the pivots in degree >= 2
-    columns.  The constant 1 lies in the span iff the constant column is a
-    pivot column: the row holding that pivot is then exactly 1, and
-    otherwise every vector of the span that vanishes on all pivot columns
-    is zero.
+    The elements' integer numerators go through linalg.echelon with the
+    monomials in descending total degree.  A row with a lead of degree <= 1
+    vanishes in degree >= 2, and the rows with leads of degree >= 2 stay
+    independent there, so the leads of degree <= 1 count the dimension of
+    the span's part of degree <= 1.  1 lies in the span iff the constant,
+    the last monomial, is a lead.  A graded basis has distinct leads, one
+    per degree, and takes no reduction step.
     """
     basis = list(basis)
     if not basis:
@@ -564,19 +544,13 @@ def breadth(basis: Sequence[Polynomial]) -> int:
     dim = basis[0].dim
     if any(q.dim != dim for q in basis):
         raise ValueError("basis elements must share one dimension")
-    support = sorted(set().union(*(q.terms.keys() for q in basis)), key=lambda e: (-sum(e), e))
-    index = {e: k for k, e in enumerate(support)}
-    rows = []
-    for q in basis:
-        row = [0] * len(support)
-        for e, v in zip(q.terms, common_denominator(q.terms.values())[1]):
-            row[index[e]] = v
-        rows.append(row)
-    pivots = eliminate(rows)
-    if not pivots or sum(support[pivots[-1]]) != 0:
+    leads = echelon(
+        (dict(zip(q.terms, common_denominator(q.terms.values())[1])) for q in basis),
+        key=lambda e: (-sum(e), e),
+    )
+    if (0,) * dim not in leads:
         raise ValueError("span does not contain the constant 1")
-    r_high = sum(1 for col in pivots if sum(support[col]) >= 2)
-    return len(pivots) - r_high - 1
+    return sum(1 for e in leads if sum(e) <= 1) - 1
 
 
 def degrees(basis: Iterable[Polynomial]) -> tuple[int, ...]:

@@ -2,7 +2,8 @@
 
 Each is the straightforward Fraction version of a routine the library now
 computes another way, except enumerate_weight_solutions, the unpruned index
-set of the closed form; they are not part of the package.
+set of the closed form, and span_contains, span membership by
+solve_fraction; they are not part of the package.
 """
 
 from __future__ import annotations
@@ -61,6 +62,21 @@ def solve_fraction(a_rows, rhs) -> list[Fraction] | None:
     for i, c in enumerate(pivots):
         x[c] = reduced[i][ncols]
     return x
+
+
+def span_contains(basis: Sequence[Polynomial], p: Polynomial) -> list[Fraction] | None:
+    """Exact coordinates of p in the given spanning set, or None if p is
+    not in the span.  Solved by solve_fraction over the union of monomial
+    supports; free coordinates (from dependent spanning sets) are zero."""
+    basis = list(basis)
+    if not basis:
+        return [] if p.is_zero else None
+    if any(q.dim != p.dim for q in basis):
+        raise ValueError("dimension mismatch between basis and candidate")
+    support = sorted(set().union(*(q.terms.keys() for q in basis), p.terms.keys()))
+    a_rows = [[q.coeff(e) for q in basis] for e in support]
+    rhs = [p.coeff(e) for e in support]
+    return solve_fraction(a_rows, rhs)
 
 
 def signed_power_sum_fraction(j: int, m: int, include_zero: bool = True) -> Fraction:

@@ -26,12 +26,12 @@ from dinv import (
     points_scheme_a,
     points_scheme_b,
     signed_power_sum,
-    span_contains,
     specialize,
     stencil,
     sweep,
     vandermonde_oracle,
 )
+from oracles import span_contains
 
 F = Fraction
 

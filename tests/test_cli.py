@@ -542,6 +542,54 @@ class TestSizeGuard:
         self._refused(["verify", "--what", "equivalence", "--spec", spec_file], capsys, 12, 11)
 
 
+class TestIdentitySizeGuard:
+    """verify --what identities refuses, before any scan, bounds whose
+    predicted steps exceed MAX_IDENTITY_WORK, naming both."""
+
+    @pytest.fixture(autouse=True)
+    def no_scans(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scanned before the size guard")
+
+        for name in ("signed_power_sum", "vandermonde_oracle", "falling_factorial_sum"):
+            monkeypatch.setattr(dinv.cli, name, forbidden)
+
+    @pytest.mark.parametrize("flag", ["--m-max", "--vand-max", "--r-max", "--i-max"])
+    def test_huge_bound_refused_at_once(self, flag, capsys):
+        assert dinv.cli.MAX_IDENTITY_WORK == 10_000_000
+        start = time.perf_counter()
+        assert main(["verify", "--what", "identities", flag, "100000000"]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: verify --what identities: the scans would take at least ")
+        assert "steps, more than the 10,000,000 allowed" in captured.err
+
+    def test_prediction_by_hand(self):
+        # Power sums 1 + 5 + 13 terms, Vandermonde 1 + 8 cells; slots
+        # max(2, 2) = 2 for one node and two caps, 3 compositions of weights
+        # 1 and 2, and 2 * 2 base steps per weight.
+        assert dinv.cli._identity_work(2, 1, 2, 2, cap=10**9) == 19 + 9 + 2 * 1 * 2 * (3 + 2 * 2)
+        # Past 100 digits (m^m at m = 100 has 201) a term counts 3 steps.
+        assert dinv.cli._identity_work(100, 0, 1, 2, cap=10**9) - dinv.cli._identity_work(99, 0, 1, 2, cap=10**9) == 3 * (101**2 + 100**2)
+
+    @pytest.mark.parametrize(
+        "bounds, steps", [((20, 12, 8, 8), 29_022), ((40, 20, 12, 12), 208_882)], ids=["defaults", "bench-widest"]
+    )
+    def test_accepted_bounds(self, bounds, steps):
+        assert dinv.cli._identity_work(*bounds, cap=10**9) == steps <= dinv.cli.MAX_IDENTITY_WORK
+
+    def test_exactly_at_the_bound(self, monkeypatch, capsys):
+        monkeypatch.undo()
+        flags = ["--m-max", "2", "--vand-max", "1", "--r-max", "2", "--i-max", "2"]
+        monkeypatch.setattr(dinv.cli, "MAX_IDENTITY_WORK", 56)
+        assert main(["verify", "--what", "identities", *flags]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(dinv.cli, "MAX_IDENTITY_WORK", 55)
+        assert main(["verify", "--what", "identities", *flags]) == 2
+        assert "at least 56 steps, more than the 55 allowed" in capsys.readouterr().err
+
+
 class TestPoints:
     def test_symbolic_pretty(self, spec_file, capsys):
         assert main(["points", "--scheme", "b", "--spec", spec_file, "--pretty"]) == 0
@@ -675,6 +723,23 @@ class TestLimitAndSweep:
         assert code == 0
         assert out.read_text().startswith("h,approx,exact,abs_err,est_order")
 
+
+    @pytest.mark.parametrize("command", ["sweep", "study"])
+    def test_steps_past_h_zero_exit_2_at_once(self, command, spec_file, tmp_path, capsys):
+        # With m = 0 no h**m underflows, so only the count of halvings can stop it.
+        f = tmp_path / "f.txt"
+        f.write_text("x1^3")
+        out = tmp_path / "out"
+        argv = [command, "--spec", spec_file, "--f", str(f), "--steps", "3000000"]
+        argv += ["--m", "0", "--scheme", "a", "--out", str(out)] if command == "sweep" else ["--out-dir", str(out)]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --steps 3000000 halvings of --h0 0.25 take h to 0.0; at most 1073 steps are accepted\n"
+        )
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("scheme", ["a", "b"])
     def test_sweep_target_too_large_for_a_float_exits_2(self, scheme, tmp_path, capsys):

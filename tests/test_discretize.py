@@ -352,6 +352,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(P("x1"), ORIGIN2, 1, pts, h0=0.25, steps=1)
 
+    @pytest.mark.parametrize("m, keep", [(0, 1073), (1, 1073), (2, 536)])
+    def test_steps_that_reach_zero_are_refused(self, m, keep):
+        """0.25 * 2.0 ** -1073 is 0.0, and h**2 underflows from step 537:
+        the last accepted count runs, one more is refused before any work."""
+        pts = self.make_pts()
+        rows = sweep(P("x1^2"), ORIGIN2, m, pts, h0=0.25, steps=keep)
+        assert rows[-1].h > 0.0 and rows[-1].h ** m > 0.0
+        for steps in (keep + 1, 3_000_000, 10**400):
+            with pytest.raises(ValueError, match=f"--steps {steps} halvings of --h0 0.25 .* at most {keep} steps"):
+                sweep(P("x1^2"), ORIGIN2, m, pts, h0=0.25, steps=steps)
+
     def test_csv_format(self):
         rows = sweep(P("x1^3"), ORIGIN2, 2, self.make_pts(), h0=0.25, steps=3)
         text = sweep_to_csv(rows)

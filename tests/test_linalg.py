@@ -1,5 +1,5 @@
-"""Tests for exact elimination: rref on primitive integer rows against the
-plain Fraction Gauss-Jordan of tests/oracles.py."""
+"""Tests for exact elimination: the sparse integer echelon and solve against
+the plain Fraction Gauss-Jordan of tests/oracles.py."""
 
 import copy
 import math
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dinv.linalg import common_denominator, eliminate, rank, rref, solve
+from dinv.linalg import common_denominator, echelon, solve
 from oracles import rref_fraction, solve_fraction
 
 F = Fraction
@@ -47,17 +47,37 @@ def matrices(draw, kind: str):
     return rows
 
 
+def int_rows(rows):
+    """Each row as its integer numerators over its common denominator, a
+    mapping from column index to int: the input echelon takes."""
+    return [dict(enumerate(common_denominator(row)[1])) for row in rows]
+
+
+def dense(kept, ncols):
+    """The rows of echelon's output as lists, in lead order."""
+    return [[row.get(c, 0) for c in range(ncols)] for _, row in sorted(kept.items())]
+
+
 @pytest.mark.parametrize("kind", sorted(entries))
 class TestAgainstFractionOracle:
     @given(data=st.data())
     def test_rref(self, kind, data):
+        """echelon's leads are the rref pivot columns, and its rows span the
+        same row space: their rref is the input's, zero rows aside."""
         rows = data.draw(matrices(kind))
-        assert rref(rows) == rref_fraction(rows)
+        reduced, pivots = rref_fraction(rows)
+        kept = echelon(int_rows(rows))
+        assert sorted(kept) == pivots
+        ncols = len(rows[0]) if rows else 0
+        assert rref_fraction(dense(kept, ncols)) == (reduced[: len(pivots)], pivots)
 
     @given(data=st.data())
     def test_rank(self, kind, data):
+        """The number of leads is the rank under any column order."""
         rows = data.draw(matrices(kind))
-        assert rank(rows) == len(rref_fraction(rows)[1])
+        rank = len(rref_fraction(rows)[1])
+        assert len(echelon(int_rows(rows))) == rank
+        assert len(echelon(int_rows(rows), key=lambda c: -c)) == rank
 
     @given(data=st.data())
     def test_solve(self, kind, data):
@@ -79,67 +99,65 @@ class TestAgainstFractionOracle:
     def test_input_not_mutated(self, kind, data):
         rows = data.draw(matrices(kind))
         before = copy.deepcopy(rows)
-        rref(rows)
+        irows = int_rows(rows)
+        ibefore = copy.deepcopy(irows)
+        echelon(irows)
         solve(rows, [1] * len(rows))
-        assert rows == before
+        assert rows == before and irows == ibefore
 
 
-@given(rows=matrices("mixed"))
-def test_eliminate_leaves_primitive_pivot_rows(rows):
-    """The core rref shares, on the integer rows of common_denominator: in
-    place, each pivot row primitive and proportional to the oracle's, the
-    other rows zero."""
-    reduced, pivots = rref_fraction(rows)
-    m = [common_denominator(F(v) for v in row)[1] for row in rows]
-    assert eliminate(m) == pivots
-    for i, c in enumerate(pivots):
-        assert math.gcd(*m[i]) == 1
-        assert [F(v, m[i][c]) for v in m[i]] == reduced[i]
-    assert not any(any(row) for row in m[len(pivots):])
+@given(rows=matrices("mixed"), reverse=st.booleans())
+def test_echelon_keeps_primitive_rows(rows, reverse):
+    """Each kept row is primitive, nonzero at its lead and zero on every
+    column before it under the key."""
+    key = (lambda c: -c) if reverse else None
+    for lead, row in echelon(int_rows(rows), key=key).items():
+        assert math.gcd(*row.values()) == 1 and all(row.values())
+        assert min(row, key=key) == lead
 
 
 class TestEdgeCases:
     def test_empty_matrix(self):
-        assert rref([]) == ([], [])
-        assert rank([]) == 0
+        assert echelon([]) == {}
         assert solve([], []) == []
 
     def test_rows_of_width_zero(self):
-        assert rref([[], []]) == rref_fraction([[], []]) == ([[], []], [])
+        assert echelon([{}, {}]) == {}
+        assert solve([[], []], [0, 0]) == solve_fraction([[], []], [0, 0]) == []
+        assert solve([[], []], [0, 1]) is solve_fraction([[], []], [0, 1]) is None
 
     def test_zero_matrix(self):
         rows = [[0, 0, 0], [F(0), 0, F(0)]]
-        assert rref(rows) == rref_fraction(rows) == ([[F(0)] * 3, [F(0)] * 3], [])
+        assert echelon(int_rows(rows)) == {}
+        assert solve(rows, [0, 0]) == solve_fraction(rows, [0, 0]) == [F(0)] * 3
 
     def test_zero_columns_are_skipped(self):
         rows = [[0, 2, 0, 4], [0, 1, 0, F(1, 2)], [0, 3, 0, 6]]
-        reduced, pivots = rref(rows)
-        assert pivots == [1, 3]
-        assert (reduced, pivots) == rref_fraction(rows)
+        assert sorted(echelon(int_rows(rows))) == [1, 3] == rref_fraction(rows)[1]
 
     def test_duplicate_and_zero_rows(self):
         rows = [[1, 2, 3], [0, 0, 0], [1, 2, 3], [F(1, 3), F(2, 3), 1]]
-        reduced, pivots = rref(rows)
-        assert pivots == [0]
-        assert reduced == [[1, 2, 3], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
-        assert (reduced, pivots) == rref_fraction(rows)
+        assert echelon(int_rows(rows)) == {0: {0: 1, 1: 2, 2: 3}}
 
     def test_every_entry_is_a_fraction(self):
-        reduced, _ = rref([[2, 4], [1, 3], [0, 0]])
-        assert all(type(v) is Fraction for row in reduced for v in row)
+        x = solve([[2, 4], [1, 3], [0, 0]], [2, 1, 0])
+        assert x == [1, 0] and all(type(v) is Fraction for v in x)
 
     def test_negative_pivot_normalized(self):
-        assert rref([[-3, 6], [0, -2]]) == ([[1, 0], [0, 1]], [0, 1])
+        assert solve([[-3, 6], [0, -2]], [3, 4]) == [F(-5), F(-2)]
+        assert echelon([{0: -3, 1: 6}, {1: -2}]) == {0: {0: -1, 1: 2}, 1: {1: -1}}
 
     def test_large_entries(self):
         rows = [[F(10**40 + 1, 7**30), F(-3, 10**25), 5], [F(2, 3), F(10**30), F(-1, 10**20)], [1, 1, 1]]
-        assert rref(rows) == rref_fraction(rows)
+        assert sorted(echelon(int_rows(rows))) == rref_fraction(rows)[1] == [0, 1, 2]
+        rhs = [1, F(2, 7**20), -3]
+        assert solve(rows, rhs) == solve_fraction(rows, rhs)
 
     def test_ragged_raises(self):
         with pytest.raises(ValueError, match="ragged"):
-            rref([[1, 2], [3]])
+            solve([[1, 2], [3]], [1, 2])
         with pytest.raises(ValueError, match="ragged"):
-            rank([[1], [2, 3]])
+            solve([[1], [2, 3]], [1, 2])
 
     def test_solve_length_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -147,6 +165,14 @@ class TestEdgeCases:
 
     def test_inconsistent_system(self):
         assert solve([[1, 1], [2, 2]], [1, 3]) is None
+
+    def test_key_orders_the_columns(self):
+        """breadth's order: descending total degree, so a lead is a top-degree
+        monomial, and reduction happens only where leads collide."""
+        key = lambda e: (-sum(e), e)  # noqa: E731
+        rows = [{(0, 0): 1, (1, 0): 2}, {(1, 0): 1, (0, 2): 3}, {(0, 0): 5, (1, 0): 10}]
+        kept = echelon(rows, key=key)
+        assert kept == {(1, 0): {(0, 0): 1, (1, 0): 2}, (0, 2): {(1, 0): 1, (0, 2): 3}}
 
 
 class TestCommonDenominator:

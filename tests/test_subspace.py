@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,11 +22,9 @@ from dinv import (
     build_recursive,
     check_closure,
     degrees,
-    span_contains,
     specialize,
 )
 from dinv.compositions import count_compositions
-from dinv.linalg import rank
 from dinv.linalg import common_denominator
 from oracles import (
     build_explicit_fraction,
@@ -33,6 +32,8 @@ from oracles import (
     build_recursive_fraction,
     check_closure_fraction,
     enumerate_weight_solutions,
+    rref_fraction,
+    span_contains,
 )
 
 F = Fraction
@@ -510,14 +511,15 @@ class TestCheckClosure:
 
 def _breadth_three_ranks(basis: list[Polynomial]) -> int:
     """The definition breadth replaced, kept as its oracle: membership of 1
-    by span_contains, then rank(all columns) - rank(degree >= 2 columns) - 1."""
+    by span_contains, then rank(all columns) - rank(degree >= 2 columns) - 1,
+    both ranks by rref_fraction, so it shares no elimination with breadth."""
     if span_contains(basis, Polynomial.constant(basis[0].dim, 1)) is None:
         raise ValueError("span does not contain the constant 1")
     support = sorted(set().union(*(q.terms.keys() for q in basis)))
     high_cols = [e for e in support if sum(e) >= 2]
     full = [[q.coeff(e) for e in support] for q in basis]
     high = [[q.coeff(e) for e in high_cols] for q in basis]
-    return rank(full) - (rank(high) if high_cols else 0) - 1
+    return len(rref_fraction(full)[1]) - (len(rref_fraction(high)[1]) if high_cols else 0) - 1
 
 
 class TestBreadthAndDegrees:
@@ -602,17 +604,43 @@ class TestBreadthAndDegrees:
                 assert breadth(basis) == expect
         assert {"raises", 1, 2} <= outcomes
 
-    def test_single_reduction(self, monkeypatch):
-        calls = []
-        original = dinv.subspace.eliminate
+    def test_graded_basis_takes_no_reduction(self, monkeypatch):
+        """Every element of a graded basis is kept as it came, its primitive
+        numerator row under its own top monomial: no row was reduced."""
+        seen = []
+        original = dinv.subspace.echelon
 
-        def counting(rows):
-            calls.append(len(rows))
-            return original(rows)
+        def recording(rows, key=None):
+            rows = list(rows)
+            kept = original(rows, key=key)
+            seen.append((rows, kept))
+            return kept
 
-        monkeypatch.setattr(dinv.subspace, "eliminate", counting)
-        assert breadth(EXAMPLE_BASIS) == 1
-        assert calls == [len(EXAMPLE_BASIS)]
+        monkeypatch.setattr(dinv.subspace, "echelon", recording)
+        for basis in (EXAMPLE_BASIS, list(build_generating(_coprime_spec(make_rng(153))))):
+            seen.clear()
+            assert breadth(basis) == 1
+            [(rows, kept)] = seen
+            assert len(kept) == len(rows) == len(basis)
+            for q, row in zip(basis, rows):
+                g = math.gcd(*row.values())
+                assert kept[max(q.terms, key=lambda e: (sum(e), [-v for v in e]))] == {
+                    e: v // g for e, v in row.items()
+                }
+
+    def test_memory_of_a_deep_graded_basis(self):
+        """b = (1, 1500): 1501 elements over 1501 monomials.  A dense basis x
+        support matrix alone takes over 17 MiB; the rows as they are take
+        well under 1 MiB."""
+        spec = GeneralSpec(n=2, d=1, b=(1, 1500), c=((F(1), F(1)),))
+        basis = list(build_generating(spec))
+        tracemalloc.start()
+        try:
+            assert breadth(basis) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"breadth peaked at {peak / 2**20:.1f} MiB"
 
     def test_degrees_of_example(self):
         assert degrees(build_recursive(EXAMPLE_PARAMS)) == (0, 1, 2, 3, 4)
