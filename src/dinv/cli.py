@@ -242,33 +242,41 @@ def _check_recurrence_size(what: str, spec: ParamTable | GeneralSpec) -> None:
 # verify --what identities predicts its three scans, before any of them, in
 # steps of one integer operation on up to 100 digits (one step per 100 digits
 # on longer ones; m^m has about m * log10(m)): (m + 1)^2 + m^2 power-sum terms
-# per m <= --m-max, (m + 1)^3 Vandermonde cells per m <= --vand-max, and for
-# the falling-factorial sums 2 * (--i-max - 1) * S * (compositions + --r-max * S),
-# S = max(--r-max, --i-max): per node and cap, S slot products per composition
-# of each weight r <= --r-max (compositions.count_compositions) and S^2 steps of
-# slot bases per weight.  On one core of a 2-vCPU host a step took 0.16 to
-# 0.6 us in the first two scans and up to 1.4 us in the third (r_max = i_max =
-# 24: 8.7e6 steps, 11.2 s), so a run at the bound takes at most about 15 s.
+# per m <= --m-max, (m + 1)^3 Vandermonde cells per m <= --vand-max, and the
+# steps of the compositions recurrence behind the falling-factorial sums (see
+# _falling_factorial_work).  On one core of a 2-vCPU host a step took 0.16 to
+# 0.6 us in the first two scans.  The third alone, at the bound, took 1.0 s
+# at r = i (60), 0.45 s at r >> i (243, 2) and 4.9 s at i >> r (1, 1,250,000),
+# where the call per sum costs more than its few steps; so a run at the bound
+# takes at most about 6 s.
 MAX_IDENTITY_WORK = 10_000_000
 
 
+def _falling_factorial_work(r_max: int, i_max: int) -> int:
+    """The steps of the falling-factorial scan, in closed form.  Per node
+    i and weight r it makes two sums (cap = i and cap = r), each of which
+    fills a table of r + 1 entries and makes at most r slot passes of one
+    base product and r - t + 1 updates at slot t: (r^2 + 5r + 2) / 2 steps.
+    Over r <= r_max that is r_max * (r_max + 2) * (r_max + 7) / 3 per node.
+    Every integer is below (2 * i)^r (at most 2^r partitions of r, each
+    term below i^r), so a step counts one more per 100 digits of
+    (2 * i_max)^r_max."""
+    digits = int(r_max * math.log10(2 * i_max))
+    return (i_max - 1) * r_max * (r_max + 2) * (r_max + 7) // 3 * (1 + digits // 100)
+
+
 def _identity_work(m_max: int, vand_max: int, r_max: int, i_max: int, cap: int) -> int:
-    """The predicted steps of the identity scans.  Each sum stops once past
-    cap, so the prediction is cheap, and is then a lower bound above cap."""
-    work = 0
+    """The predicted steps of the identity scans.  The power-sum and
+    Vandermonde sums each stop once past cap, so the prediction is cheap,
+    is then a lower bound above cap, and is monotone in every bound."""
+    work = _falling_factorial_work(r_max, i_max)
     for top, cells in ((m_max, lambda m: (m + 1) ** 2 + m * m), (vand_max, lambda m: (m + 1) ** 3)):
+        scan = 0
         for m in range(top + 1):
-            work += cells(m) * (1 + int(m * math.log10(m or 1)) // 100)
-            if work > cap:
+            scan += cells(m) * (1 + int(m * math.log10(m or 1)) // 100)
+            if scan > cap:
                 break
-    slots = max(r_max, i_max)
-    per_visit = 2 * (i_max - 1) * slots
-    # Each weight has a composition, so r_max is bounded before
-    # count_compositions builds a table of its length (and counts weight 0).
-    work += per_visit * r_max * (1 + slots)
-    if work <= cap:
-        visits = count_compositions(r_max, range(1, r_max + 1), cap=1 + r_max + (cap - work) // per_visit) - 1
-        work += per_visit * (visits - r_max)
+        work += scan
     return work
 
 

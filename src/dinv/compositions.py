@@ -1,53 +1,39 @@
-"""Enumeration and counting of weighted integer compositions.
+"""Weighted integer compositions, counted and summed without enumeration.
 
-A weighted composition of `total` over positive `weights` is a tuple t of
-non-negative integers, one per weight, with sum(t[k] * weights[k]) == total.
-These index the terms of the combinatorial identity checks, so the
-enumeration order must be stable: tuples are produced in lexicographically
-descending order.  count_compositions counts them without enumerating, so
-that a command can refuse an input whose closed-form construction would
-visit too many of them.
+A weighted composition of s over positive weights w_1, ..., w_K is a tuple
+t of non-negative integers with sum(t[k] * w_k) == s.  One recurrence
+serves every sum over them: with a base per weight, the table
+
+    ways[s] = sum over the compositions t of s of prod_k base_k**t[k]
+
+is built over the weights in order by ways[s] += base_k * ways[s - w_k].
+count_compositions is its all-ones case, so that a command can refuse an
+input whose closed-form construction would visit too many compositions;
+identities.falling_factorial_sum is its weight-r entry.  Nothing here
+enumerates the compositions; the tests keep that enumeration as their
+oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
-def _check_weights(weights: Sequence[int]) -> None:
-    if any(w < 1 for w in weights):
-        raise ValueError(f"weights must be positive integers, got {list(weights)}")
-
-
-def weighted_compositions(total: int, weights: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All t >= 0 (componentwise) with sum(t[k]*weights[k]) == total,
-    lexicographically descending."""
-    if total < 0:
-        raise ValueError(f"total must be non-negative, got {total}")
-    _check_weights(weights)
-
-    def rec(idx: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if idx == len(weights) - 1:
-            w = weights[idx]
-            if remaining % w == 0:
-                yield (remaining // w,)
-            return
-        w = weights[idx]
-        for v in range(remaining // w, -1, -1):
-            for rest in rec(idx + 1, remaining - v * w):
-                yield (v,) + rest
-
-    if not weights:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, total)
+def _ways(top: int, slots: Iterable[tuple[int, int]]) -> Iterator[list[int]]:
+    """For slots (w_k, base_k) with positive weights, ways[s] for s = 0..top
+    as above, over the slots passed so far.  Yields the table after each
+    slot's pass, one list updated in place."""
+    ways = [1] + [0] * top
+    for w, base in slots:
+        for s in range(w, top + 1):
+            ways[s] += base * ways[s - w]
+        yield ways
 
 
 def count_compositions(top: int, weights: Sequence[int], cap: int | None = None) -> int:
     """The number of t >= 0 with sum(t[k]*weights[k]) <= top, by the
-    counting recurrence ways_k(s) = ways_{k-1}(s) + ways_k(s - weights[k])
-    over the weights in ascending order, in O(len(weights) * top) steps.
+    recurrence with every base 1 over the weights in ascending order, in
+    O(len(weights) * top) steps.
 
     With cap given, stops as soon as the count is known to exceed cap and
     returns the count reached so far: a lower bound above cap.  Before any
@@ -57,17 +43,15 @@ def count_compositions(top: int, weights: Sequence[int], cap: int | None = None)
     than it adds to the count, once a weight 1 has been counted."""
     if top < 0:
         raise ValueError(f"top must be non-negative, got {top}")
-    _check_weights(weights)
+    if any(w < 1 for w in weights):
+        raise ValueError(f"weights must be positive integers, got {list(weights)}")
     weights = sorted(w for w in weights if w <= top)
     if cap is not None:
         low = max(top // weights[0] + 1 if weights else 1, 1 + len(weights))
         if low > cap:
             return low
-    ways = [1] + [0] * top
     total = 1
-    for w in weights:
-        for s in range(w, top + 1):
-            ways[s] += ways[s - w]
+    for w, ways in zip(weights, _ways(top, ((w, 1) for w in weights))):
         # The pass added ways[s - w] (new values) for every s >= w.
         total += sum(ways[: top - w + 1])
         if cap is not None and total > cap:

@@ -9,7 +9,8 @@ Three families, all over exact rationals:
     the Vandermonde system at nodes 0..m by generic elimination, giving an
     independent witness for the closed form,
   * falling_factorial_sum: the weighted-composition sums whose cap
-    invariance justifies truncating the second point scheme.
+    invariance justifies truncating the second point scheme, summed by
+    the counting recurrence of dinv.compositions, not by enumeration.
 
 Convention 0**0 == 1 throughout (Python's native behaviour).
 """
@@ -18,8 +19,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
-from .compositions import weighted_compositions
+from .compositions import _ways
 from .linalg import solve
 
 
@@ -72,6 +75,11 @@ def falling_factorial_sum(r: int, i: int, cap: int) -> int:
     cannot be used at weight r, and slots past i have base 0 so they only
     contribute through g_t == 0.  Both caps are accepted so the agreement
     can be tested; other caps are rejected.
+
+    The sum is the weight-r entry of the compositions recurrence over the
+    slots t <= min(cap, r) that weight r can use, each base carried from
+    the last by one multiplication, ff(i, t) = ff(i, t-1) * (i - t + 1):
+    O(min(cap, r) * r) steps, with nothing enumerated.
     """
     if r < 1:
         raise ValueError(f"weight must be >= 1, got {r}")
@@ -79,12 +87,7 @@ def falling_factorial_sum(r: int, i: int, cap: int) -> int:
         raise ValueError(f"node must be >= 2, got {i}")
     if cap not in (i, r):
         raise ValueError(f"cap must be one of node={i} or weight={r}, got {cap}")
-    bases = [falling_factorial(i, t) for t in range(1, cap + 1)]
-    total = 0
-    for combo in weighted_compositions(r, list(range(1, cap + 1))):
-        term = 1
-        for base, g in zip(bases, combo):
-            if g:
-                term *= base ** g
-        total += term
-    return total
+    slots = min(cap, r)
+    bases = accumulate(range(i, i - slots, -1), mul)
+    *_, ways = _ways(r, zip(range(1, slots + 1), bases))
+    return ways[r]

@@ -1,9 +1,11 @@
 """Reference implementations kept for the tests to compare against.
 
 Each is the straightforward Fraction version of a routine the library now
-computes another way, except enumerate_weight_solutions, the unpruned index
-set of the closed form, and span_contains, span membership by
-solve_fraction; they are not part of the package.
+computes another way, except weighted_compositions, the enumeration the
+library now only counts and sums, falling_factorial_sum_enumerated, its
+sum by enumeration, enumerate_weight_solutions, the unpruned index set of
+the closed form, and span_contains, span membership by solve_fraction;
+they are not part of the package.
 """
 
 from __future__ import annotations
@@ -11,11 +13,52 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from dinv.compositions import weighted_compositions
+from dinv.identities import falling_factorial
 from dinv.poly import Polynomial
 from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec, ParamTable
+
+
+def weighted_compositions(total: int, weights: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All t >= 0 (componentwise) with sum(t[k]*weights[k]) == total,
+    lexicographically descending."""
+    if total < 0:
+        raise ValueError(f"total must be non-negative, got {total}")
+    if any(w < 1 for w in weights):
+        raise ValueError(f"weights must be positive integers, got {list(weights)}")
+
+    def rec(idx: int, remaining: int) -> Iterator[tuple[int, ...]]:
+        if idx == len(weights) - 1:
+            w = weights[idx]
+            if remaining % w == 0:
+                yield (remaining // w,)
+            return
+        w = weights[idx]
+        for v in range(remaining // w, -1, -1):
+            for rest in rec(idx + 1, remaining - v * w):
+                yield (v,) + rest
+
+    if not weights:
+        if total == 0:
+            yield ()
+        return
+    yield from rec(0, total)
+
+
+def falling_factorial_sum_enumerated(r: int, i: int, cap: int) -> int:
+    """falling_factorial_sum as one product per composition of r over the
+    slot weights 1..cap, each slot base falling_factorial(i, t) built from
+    scratch."""
+    bases = [falling_factorial(i, t) for t in range(1, cap + 1)]
+    total = 0
+    for combo in weighted_compositions(r, list(range(1, cap + 1))):
+        term = 1
+        for base, g in zip(bases, combo):
+            if g:
+                term *= base ** g
+        total += term
+    return total
 
 
 def rref_fraction(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -13,10 +13,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dinv
 import dinv.cli
 import dinv.discretize
+import dinv.identities
 import dinv.subspace
 from dinv import BasisSequence, ClosureReport, Polynomial
 from dinv.cli import main
@@ -566,28 +569,83 @@ class TestIdentitySizeGuard:
         assert "steps, more than the 10,000,000 allowed" in captured.err
 
     def test_prediction_by_hand(self):
-        # Power sums 1 + 5 + 13 terms, Vandermonde 1 + 8 cells; slots
-        # max(2, 2) = 2 for one node and two caps, 3 compositions of weights
-        # 1 and 2, and 2 * 2 base steps per weight.
-        assert dinv.cli._identity_work(2, 1, 2, 2, cap=10**9) == 19 + 9 + 2 * 1 * 2 * (3 + 2 * 2)
+        # Power sums (m + 1)^2 + m^2 = 1 + 5 + 13 terms for m <= 2,
+        # Vandermonde (m + 1)^3 = 1 + 8 cells for m <= 1.  Falling
+        # factorials, one node i = 2 and two caps: at r = 1 a table of 2
+        # entries and one slot pass of 1 update, 4 steps; at r = 2 a table of
+        # 3 and passes of 2 and 1 updates, 8 steps; (4 + 8) * 2 = 24 =
+        # 1 * 2 * 4 * 9 / 3, and 4^2 has far fewer than 100 digits.
+        assert dinv.cli._identity_work(2, 1, 2, 2, cap=10**9) == 19 + 9 + 24
+        assert dinv.cli._falling_factorial_work(2, 2) == 2 * (4 + 8) == 24
         # Past 100 digits (m^m at m = 100 has 201) a term counts 3 steps.
         assert dinv.cli._identity_work(100, 0, 1, 2, cap=10**9) - dinv.cli._identity_work(99, 0, 1, 2, cap=10**9) == 3 * (101**2 + 100**2)
+        # (2 * 2)^r_max has 121 digits at r_max = 200: each step counts 2.
+        assert dinv.cli._falling_factorial_work(200, 2) == 200 * 202 * 207 // 3 * 2
 
+    # Defaults (20, 12, 8, 8): power sums sum_{k<=21} k^2 + sum_{m<=20} m^2 =
+    # 3311 + 2870 = 6181 (m^m has at most 27 digits), Vandermonde
+    # sum_{m<=12} (m + 1)^3 = 91^2 = 8281, falling factorials 7 nodes *
+    # 8 * 10 * 15 / 3 = 2800 (16^8 has 10 digits): 17,262.  Bench-widest
+    # (40, 20, 12, 12): 23821 + 22140 = 45961, 231^2 = 53361 and 11 nodes *
+    # 12 * 14 * 19 / 3 = 11704: 111,026.
     @pytest.mark.parametrize(
-        "bounds, steps", [((20, 12, 8, 8), 29_022), ((40, 20, 12, 12), 208_882)], ids=["defaults", "bench-widest"]
+        "bounds, steps", [((20, 12, 8, 8), 17_262), ((40, 20, 12, 12), 111_026)], ids=["defaults", "bench-widest"]
     )
     def test_accepted_bounds(self, bounds, steps):
         assert dinv.cli._identity_work(*bounds, cap=10**9) == steps <= dinv.cli.MAX_IDENTITY_WORK
 
     def test_exactly_at_the_bound(self, monkeypatch, capsys):
+        # 19 + 9 + 24 = 52 steps, as in test_prediction_by_hand.
         monkeypatch.undo()
         flags = ["--m-max", "2", "--vand-max", "1", "--r-max", "2", "--i-max", "2"]
-        monkeypatch.setattr(dinv.cli, "MAX_IDENTITY_WORK", 56)
+        monkeypatch.setattr(dinv.cli, "MAX_IDENTITY_WORK", 52)
         assert main(["verify", "--what", "identities", *flags]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(dinv.cli, "MAX_IDENTITY_WORK", 55)
+        monkeypatch.setattr(dinv.cli, "MAX_IDENTITY_WORK", 51)
         assert main(["verify", "--what", "identities", *flags]) == 2
-        assert "at least 56 steps, more than the 55 allowed" in capsys.readouterr().err
+        assert "at least 52 steps, more than the 51 allowed" in capsys.readouterr().err
+
+    def test_falling_factorial_term_covers_the_recorded_steps(self, monkeypatch, capsys):
+        monkeypatch.undo()
+        ways = dinv.identities._ways
+        steps = 0
+
+        def recorded(top, slots):
+            nonlocal steps
+            steps += top + 1
+
+            def passes():
+                nonlocal steps
+                for w, base in slots:
+                    steps += 1 + max(0, top - w + 1)
+                    yield w, base
+
+            return ways(top, passes())
+
+        monkeypatch.setattr(dinv.identities, "_ways", recorded)
+        for r_max in range(1, 9):
+            for i_max in range(2, 9):
+                steps = 0
+                flags = ["--m-max", "0", "--vand-max", "0", "--r-max", str(r_max), "--i-max", str(i_max)]
+                assert main(["verify", "--what", "identities", *flags]) == 0
+                assert 0 < steps <= dinv.cli._falling_factorial_work(r_max, i_max)
+        capsys.readouterr()
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.tuples(*(st.one_of(st.integers(low, 60), st.integers(low, 10**9)) for low in (0, 0, 1, 2))),
+        st.integers(0, 3),
+        st.one_of(st.integers(1, 10), st.integers(1, 10**9)),
+    )
+    def test_monotone_and_prompt_in_every_bound(self, bounds, k, step):
+        grown = list(bounds)
+        grown[k] += step
+        works = []
+        for b in (bounds, grown):
+            start = time.perf_counter()
+            works.append(dinv.cli._identity_work(*b, cap=dinv.cli.MAX_IDENTITY_WORK))
+            assert time.perf_counter() - start < 0.01
+        assert works[0] <= works[1]
 
 
 class TestPoints:

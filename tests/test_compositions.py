@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from conftest import make_rng
-from dinv.compositions import count_compositions, weighted_compositions
+from dinv.compositions import count_compositions
+from oracles import weighted_compositions
 
 
 def _brute_count(top, weights):

@@ -1,5 +1,6 @@
 """Tests for the combinatorial identity module."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from dinv import (
     stencil,
     vandermonde_oracle,
 )
-from oracles import signed_power_sum_fraction
+from oracles import falling_factorial_sum_enumerated, signed_power_sum_fraction
 
 F = Fraction
 
@@ -113,3 +114,17 @@ class TestFallingFactorialSum:
         for r in range(1, 7):
             for i in range(2, 7):
                 assert falling_factorial_sum(r, i, cap=i) == falling_factorial_sum(r, i, cap=r)
+
+    def test_equals_the_enumeration(self):
+        grid = [(r, i) for r in range(1, 17) for i in range(2, 17)]
+        grid += [(r, i) for r in range(1, 5) for i in (100, 250, 400)]
+        for r, i in grid:
+            for cap in (i, r):
+                assert falling_factorial_sum(r, i, cap) == falling_factorial_sum_enumerated(r, i, cap)
+
+    def test_wide_node_scan_is_prompt(self):
+        start = time.perf_counter()
+        for r in range(1, 5):
+            for i in range(2, 401):
+                assert falling_factorial_sum(r, i, cap=i) == falling_factorial_sum(r, i, cap=r)
+        assert time.perf_counter() - start < 1
