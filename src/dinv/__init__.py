@@ -7,7 +7,6 @@ from .discretize import (
     Stencil,
     SweepRow,
     SymbolicPointSet,
-    combination_poly,
     expansion_check,
     points_scheme_a,
     points_scheme_b,
@@ -58,7 +57,6 @@ __all__ = [
     "build_generating",
     "build_recursive",
     "check_closure",
-    "combination_poly",
     "degrees",
     "expansion_check",
     "falling_factorial",

@@ -433,11 +433,13 @@ def _cmd_points(args) -> int:
             h = parse_rational(args.h)
         except _PARSE_ERRORS as exc:
             raise CliError(f"bad rational --h {args.h!r}: {exc}") from exc
-        numeric = pts.at(h)
+        # Each point is written out before the next is evaluated, so a
+        # coordinate too long to write stops the command at its point.
+        rows = [[rational_text(v) for v in pt] for pt in pts.at(h)]
         if args.pretty:
-            text = "".join("(" + ", ".join(rational_text(v) for v in pt) + ")\n" for pt in numeric)
+            text = "".join("(" + ", ".join(row) + ")\n" for row in rows)
         else:
-            text = json.dumps([[rational_text(v) for v in pt] for pt in numeric], indent=2) + "\n"
+            text = json.dumps(rows, indent=2) + "\n"
     else:
         if args.pretty:
             text = "".join(
@@ -450,12 +452,48 @@ def _cmd_points(args) -> int:
     return 0
 
 
+# limit, sweep and study evaluate every term x^e of f at z0 exactly: the
+# h^0 coefficient of the limit check's series and the target (B_m(D)f)(z0)
+# carry prod_i z0_i^(e_i).  The decimal digits of its numerator and
+# denominator are predicted from the logarithms of z0's, with no power
+# computed, and a run may predict at most MAX_POWER_DIGITS.  Python writes
+# at most 4300 digits of an integer as text and a float holds about 308, so
+# a result that can be printed is well inside the bound.  On one core of a
+# 2-vCPU host, at the bound (z0 = 3/2,3/2 and f = x1^20959), limit --m 4 on
+# the demo table took 0.4 s and limit --m 12 on a d = 2 spec with
+# b = (1, 12) took 3.8 s (4.9 to 5.7 s with f = x1^10479*x2^10479): the
+# work grows with the square of m and with f's terms too.
+MAX_POWER_DIGITS = 10_000
+
+
+def _power_digits(f: Polynomial, z0: Sequence[Fraction]) -> int:
+    """Predicted decimal digits of the largest numerator or denominator of
+    prod_i z0_i^(e_i) over f's terms x^e."""
+    logs = [(math.log10(abs(v.numerator) or 1), math.log10(v.denominator)) for v in z0]
+    return max(
+        (int(sum(ei * lg[part] for ei, lg in zip(e, logs))) + 1 for e in f.terms for part in (0, 1)),
+        default=1,
+    )
+
+
+def _check_power_size(f: Polynomial, z0: Sequence[Fraction]) -> None:
+    """Refuse, before any series or target work, an f whose terms raise z0
+    to more than MAX_POWER_DIGITS digits."""
+    digits = _power_digits(f, z0)
+    if digits > MAX_POWER_DIGITS:
+        raise CliError(
+            f"z0 raised to the exponents of f's terms would have about {digits:,} digits, "
+            f"more than the {MAX_POWER_DIGITS:,} allowed"
+        )
+
+
 def _scheme_inputs(args):
     """f, z0 and the point set of --scheme, as limit and sweep take them."""
     spec = _load_spec(args.spec)
     _check_recurrence_size(args.spec, spec)
     f = _load_poly(args.f, spec.d)
     z0 = _parse_point(args.z0, spec.d)
+    _check_power_size(f, z0)
     return f, z0, SCHEMES[args.scheme](spec, z0)
 
 
@@ -514,6 +552,7 @@ def _cmd_study(args) -> int:
     _check_recurrence_size(args.spec or "the demo table", spec)
     f = _load_poly(args.f, spec.d) if args.f else _EXAMPLE_F
     z0 = _parse_point(args.z0, spec.d)
+    _check_power_size(f, z0)
     # Every sweep runs before anything is written, so bad input leaves no output.
     runs = []
     for name, build in SCHEMES.items():

@@ -22,9 +22,11 @@ The check at order m computes only what it reports.  It expands the
 combination only to h^m: each coordinate is a dense list of
 h-coefficients and every product is cut after h^m, which is exact because
 the h^t coefficient of a product reads only its factors' coefficients up
-to h^t.  The target builds only B_0..B_m, by the generating recurrence
-stopped at weight m, and evaluates B_m(D)f at z0 as a scalar; it never
-reads the points, so it stays an independent witness.
+to h^t.  A coordinate's k-th power is made by repeated squaring of cut
+series (Brent & Kung 1978), so the work grows with log(deg f).  The
+target builds only B_0..B_m, by the generating recurrence stopped at
+weight m, and evaluates B_m(D)f at z0 as a scalar; it never reads the
+points, so it stays an independent witness.
 
 Point coordinates are univariate polynomials in h (dimension-1 Polynomial
 values); the generating spec travels with the point set so downstream
@@ -38,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .identities import falling_factorial
 from .poly import DiffOperator, Polynomial, _decimal_digits, rational_text
@@ -88,10 +90,13 @@ class SymbolicPointSet:
     def dim(self) -> int:
         return len(self.base)
 
-    def at(self, h: Fraction | int) -> list[tuple[Fraction, ...]]:
-        """Exact numeric points for a given rational h."""
+    def at(self, h: Fraction | int) -> Iterator[tuple[Fraction, ...]]:
+        """Exact numeric points for a given rational h, one at a time: a
+        caller that refuses a point stops before the later, larger ones
+        are evaluated."""
         hv = [Fraction(h)]
-        return [tuple(coord.eval(hv) for coord in pt) for pt in self.points]
+        for pt in self.points:
+            yield tuple(coord.eval(hv) for coord in pt)
 
     def to_dict(self) -> dict:
         return {
@@ -161,11 +166,25 @@ def _mul_cut(a: list[Fraction], b: list[Fraction], length: int) -> list[Fraction
     return out
 
 
+def _power_cut(powers: dict[int, list[Fraction]], k: int, length: int) -> list[Fraction]:
+    """powers[k], the k-th power of the series powers[1] cut after
+    h^(length-1), made by repeated squaring from the powers already kept:
+    O(log k) cut products, each power kept once made."""
+    power = powers.get(k)
+    if power is None:
+        half = _power_cut(powers, k // 2, length)
+        power = _mul_cut(half, half, length)
+        if k % 2:
+            power = _mul_cut(power, powers[1], length)
+        powers[k] = power
+    return power
+
+
 def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[Fraction]:
     """The h^0..h^(length-1) coefficients of sum_{r=0..m} A_r^(m) * f(z_r(h)).
 
     Each coordinate is a dense list of h-coefficients; its powers are
-    cached per point and every product is cut after h^(length-1)."""
+    kept per point and every product is cut after h^(length-1)."""
     total = [_ZERO] * length
     for w, point in zip(stencil(m).coeffs, pts.points):
         powers = []
@@ -176,15 +195,14 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
                     dense[t] = c
             while dense and not dense[-1]:
                 dense.pop()
-            powers.append([None, dense])  # powers[i][k] is coordinate i to the k-th
+            powers.append({1: dense})  # powers[i][k] is coordinate i to the k-th
         value = [_ZERO] * length
         for e, c in f.terms.items():
             prod = None
             for cache, k in zip(powers, e):
                 if k:
-                    while len(cache) <= k:
-                        cache.append(_mul_cut(cache[-1], cache[1], length))
-                    prod = cache[k] if prod is None else _mul_cut(prod, cache[k], length)
+                    power = _power_cut(cache, k, length)
+                    prod = power if prod is None else _mul_cut(prod, power, length)
                     if not prod:
                         break
             if prod is None:
@@ -196,17 +214,6 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
             if v:
                 total[t] += w * v
     return total
-
-
-def combination_poly(f: Polynomial, m: int, pts: SymbolicPointSet) -> Polynomial:
-    """sum_{r=0..m} A_r^(m) * f(z_r(h)), exactly, as a polynomial in h."""
-    if f.dim != pts.dim:
-        raise ValueError(f"dimension mismatch: f has {f.dim}, points have {pts.dim}")
-    _check_order(m, pts)
-    top = max(coord.degree for pt in pts.points[: m + 1] for coord in pt)
-    length = max(f.degree, 0) * max(top, 0) + 1
-    coeffs = _series(f, m, pts, length)
-    return Polynomial(1, {(t,): c for t, c in enumerate(coeffs)}, _trusted=True)
 
 
 @dataclass(frozen=True)

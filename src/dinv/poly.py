@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomial arithmetic over the rationals.
+"""Exact sparse multivariate polynomials over the rationals, as values.
 
 A polynomial in d variables x1..xd is stored as a mapping from exponent
 tuples to Fraction coefficients, e.g. for d=2:
@@ -6,9 +6,12 @@ tuples to Fraction coefficients, e.g. for d=2:
     x1^2/2 + 2*x2  ->  {(2, 0): Fraction(1, 2), (0, 1): Fraction(2)}
 
 Zero coefficients are never stored, so structural equality of the mapping
-is polynomial equality.  Every value is immutable after construction and
-every operation is pure, so polynomials can be shared freely between
-threads or processes.
+is polynomial equality.  A Polynomial is a vector: it adds, subtracts and
+scales, evaluates at a point, and reads and writes its text and JSON
+forms.  The builders and checks compute elsewhere, on integer numerators
+or dense h-series, and hand their results to this type.  Every value is
+immutable after construction and every operation is pure, so polynomials
+can be shared freely between threads or processes.
 
 All arithmetic is exact; there is no floating point anywhere in this
 module.  The convention 0**0 == 1 is used throughout (Python's native
@@ -23,7 +26,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Rational = Fraction
 Exponent = tuple[int, ...]
@@ -45,13 +48,16 @@ _EXPONENT_RE = re.compile(r"e([+-]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def _decimal_digits(n: int) -> int:
-    """Number of decimal digits of |n|, without converting it to text."""
+    """Number of decimal digits of |n|, without converting it to text.
+    One power of ten is computed (the costly step on a huge n); the
+    estimate from the bit length is then off by at most one."""
     n = abs(n)
     k = max(1, int(n.bit_length() * 0.30103))
-    while n >= 10 ** k:
-        k += 1
-    while k > 1 and n < 10 ** (k - 1):
-        k -= 1
+    low = 10 ** (k - 1)  # n has k digits iff low <= n < 10 * low
+    while n >= 10 * low:
+        k, low = k + 1, low * 10
+    while k > 1 and n < low:
+        k, low = k - 1, low // 10
     return k
 
 
@@ -117,16 +123,6 @@ def json_array(value, what: str) -> list:
 
 def json_rational(value) -> Fraction:
     return parse_rational(str(value))
-
-
-def _raw_mul(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]) -> dict[Exponent, Fraction]:
-    out: dict[Exponent, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(i + j for i, j in zip(ea, eb))
-            c = out.get(e)
-            out[e] = ca * cb if c is None else c + ca * cb
-    return out
 
 
 def _derivative_factor(e: Exponent, alpha: Exponent) -> int:
@@ -221,24 +217,17 @@ class Polynomial:
     def coeff(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), _ZERO)
 
-    def homogeneous_part(self, k: int) -> Polynomial:
-        """The degree-k homogeneous component."""
-        return Polynomial(self.dim, {e: c for e, c in self.terms.items() if sum(e) == k}, _trusted=True)
-
     def canonical_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in graded-lexicographic descending order, x1 > x2 > ... > xd."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_same_dim(self, other: Polynomial) -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+    # -- vector-space operations -------------------------------------------
 
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_same_dim(other)
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, _ZERO) + c
@@ -252,10 +241,8 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        if isinstance(other, Polynomial):
-            self._check_same_dim(other)
-            return Polynomial(self.dim, _raw_mul(self.terms, other.terms), _trusted=True)
+    def __mul__(self, other: Fraction | int) -> Polynomial:
+        """Scalar multiple."""
         if isinstance(other, (Fraction, int)):
             c = Fraction(other)
             return Polynomial(self.dim, {e: c * v for e, v in self.terms.items()}, _trusted=True)
@@ -263,18 +250,6 @@ class Polynomial:
 
     def __rmul__(self, other: Fraction | int) -> Polynomial:
         return self.__mul__(other)
-
-    def __pow__(self, n: int) -> Polynomial:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(self.dim, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -287,90 +262,7 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial.parse({self.render()!r}, dim={self.dim})"
 
-    # -- calculus ----------------------------------------------------------
-
-    def diff(self, j: int) -> Polynomial:
-        """Partial derivative with respect to x_j."""
-        if not 1 <= j <= self.dim:
-            raise ValueError(f"variable index {j} out of range 1..{self.dim}")
-        i = j - 1
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[ne] = out.get(ne, _ZERO) + c * e[i]
-        return Polynomial(self.dim, out, _trusted=True)
-
-    def diff_multi(self, alpha: Sequence[int]) -> Polynomial:
-        """Mixed partial derivative of multi-order alpha, in one pass.
-
-        A term c*x^e contributes c * prod_i e_i!/(e_i-alpha_i)! * x^(e-alpha)
-        when e >= alpha componentwise, and nothing otherwise.
-        """
-        alpha = tuple(alpha)
-        if len(alpha) != self.dim:
-            raise ValueError(f"multi-order has length {len(alpha)}, expected {self.dim}")
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            factor = _derivative_factor(e, alpha)
-            if factor == 0:
-                continue
-            ne = tuple(ei - ai for ei, ai in zip(e, alpha))
-            out[ne] = out.get(ne, _ZERO) + c * factor
-        return Polynomial(self.dim, out, _trusted=True)
-
-    def integrate(self, j: int) -> Polynomial:
-        """Monomial-wise antiderivative in x_j: x^e -> x^e * x_j / (e_j + 1).
-
-        Right inverse of diff(j); the constant of integration is zero.
-        """
-        if not 1 <= j <= self.dim:
-            raise ValueError(f"variable index {j} out of range 1..{self.dim}")
-        i = j - 1
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = e[:i] + (e[i] + 1,) + e[i + 1:]
-            out[ne] = c / (e[i] + 1)
-        return Polynomial(self.dim, out, _trusted=True)
-
-    def free_of_leading(self, j: int) -> Polynomial:
-        """The part made of terms containing none of x1..x_{j-1}.
-
-        free_of_leading(1) keeps everything.
-        """
-        if not 1 <= j <= self.dim:
-            raise ValueError(f"variable index {j} out of range 1..{self.dim}")
-        keep = {e: c for e, c in self.terms.items() if all(v == 0 for v in e[:j - 1])}
-        return Polynomial(self.dim, keep, _trusted=True)
-
-    # -- substitution and evaluation ---------------------------------------
-
-    def compose(self, subs: Sequence[Polynomial]) -> Polynomial:
-        """Substitute x_i -> subs[i-1]; all substituted polynomials must share
-        one ambient dimension (which becomes the result's dimension)."""
-        if len(subs) != self.dim:
-            raise ValueError(f"expected {self.dim} substitutions, got {len(subs)}")
-        tdim = subs[0].dim
-        for s in subs:
-            if s.dim != tdim:
-                raise ValueError("substituted polynomials must share one dimension")
-        unit: dict[Exponent, Fraction] = {(0,) * tdim: _ONE}
-        # Powers of each substituted polynomial, built incrementally on demand.
-        pows: list[list[dict[Exponent, Fraction]]] = [[unit] for _ in subs]
-        acc: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            prod = unit
-            for i, ei in enumerate(e):
-                if ei == 0:
-                    continue
-                cache = pows[i]
-                while len(cache) <= ei:
-                    cache.append(_raw_mul(cache[-1], subs[i].terms))
-                prod = _raw_mul(prod, cache[ei])
-            for pe, pc in prod.items():
-                acc[pe] = acc.get(pe, _ZERO) + c * pc
-        return Polynomial(tdim, acc, _trusted=True)
+    # -- evaluation and text and JSON forms -------------------------------
 
     def eval(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact value at a rational point (0**0 == 1)."""
@@ -385,8 +277,6 @@ class Polynomial:
                     term *= v ** ei
             total += term
         return total
-
-    # -- text and JSON forms -------------------------------------------------
 
     def render(self, names: Sequence[str] | None = None) -> str:
         """Canonical text form, terms in graded-lex descending order.
@@ -495,29 +385,20 @@ class DiffOperator:
     def __init__(self, source: Polynomial):
         self.source = source
 
-    def apply(self, f: Polynomial) -> Polynomial:
-        if f.dim != self.source.dim:
-            raise ValueError(f"dimension mismatch: {self.source.dim} vs {f.dim}")
-        out: dict[Exponent, Fraction] = {}
-        for alpha, c in self.source.terms.items():
-            for e, v in f.diff_multi(alpha).terms.items():
-                out[e] = out.get(e, _ZERO) + c * v
-        return Polynomial(f.dim, out, _trusted=True)
-
     def apply_at(self, f: Polynomial, point: Sequence[Fraction | int]) -> Fraction:
         """Value of the functional: apply the operator to f, evaluate at point.
 
-        Sums c_alpha * c_e * prod_i e_i!/(e_i-alpha_i)! * point^(e-alpha)
+        Sums c_alpha * c_e * prod_i e_i!/(e_i-alpha_i)! * point_i^(e_i-alpha_i)
         over source terms alpha and terms e >= alpha of f, as scalars: no
-        derivative or sum polynomial is built.  Equal to
-        apply(f).eval(point).
+        derivative or sum polynomial is built.  Each point_i^k is taken once,
+        by Python's repeated squaring, so the work grows with log(deg f).
         """
         if f.dim != self.source.dim:
             raise ValueError(f"dimension mismatch: {self.source.dim} vs {f.dim}")
         vals = [Fraction(v) for v in point]
         if len(vals) != f.dim:
             raise ValueError(f"point has length {len(vals)}, expected {f.dim}")
-        powers: list[list[Fraction]] = [[_ONE] for _ in vals]
+        powers: dict[tuple[int, int], Fraction] = {}
         total = _ZERO
         for alpha, ca in self.source.terms.items():
             for e, ce in f.terms.items():
@@ -526,12 +407,11 @@ class DiffOperator:
                     continue
                 value = ca * ce * factor
                 for i, (ei, ai) in enumerate(zip(e, alpha)):
-                    k = ei - ai
-                    if k:
-                        cache = powers[i]
-                        while len(cache) <= k:
-                            cache.append(cache[-1] * vals[i])
-                        value *= cache[k]
+                    if k := ei - ai:
+                        power = powers.get((i, k))
+                        if power is None:
+                            power = powers[i, k] = vals[i] ** k
+                        value *= power
                         if not value:
                             break
                 total += value

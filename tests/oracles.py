@@ -6,6 +6,12 @@ library now only counts and sums, falling_factorial_sum_enumerated, its
 sum by enumeration, enumerate_weight_solutions, the unpruned index set of
 the closed form, and span_contains, span membership by solve_fraction;
 they are not part of the package.
+
+The polynomial calculus the library no longer needs lives here too, as
+free functions on Polynomial terms: diff, integrate, free_of_leading, mul
+and compose (the full substitution whose prefix the limit check's cut
+series must equal).  apply_operator, source(D) f by iterated single-variable
+diff, shares no code with DiffOperator.apply_at, which it witnesses.
 """
 
 from __future__ import annotations
@@ -18,6 +24,76 @@ from typing import Iterator, Sequence
 from dinv.identities import falling_factorial
 from dinv.poly import Polynomial
 from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec, ParamTable
+
+
+def diff(p: Polynomial, j: int) -> Polynomial:
+    """Partial derivative of p with respect to x_j (1-based)."""
+    if not 1 <= j <= p.dim:
+        raise ValueError(f"variable index {j} out of range 1..{p.dim}")
+    i = j - 1
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            ne = e[:i] + (e[i] - 1,) + e[i + 1:]
+            out[ne] = out.get(ne, 0) + c * e[i]
+    return Polynomial(p.dim, out)
+
+
+def integrate(p: Polynomial, j: int) -> Polynomial:
+    """Monomial-wise antiderivative in x_j, x^e -> x^e * x_j / (e_j + 1):
+    a right inverse of diff(., j) with zero constant of integration."""
+    i = j - 1
+    return Polynomial(p.dim, {e[:i] + (e[i] + 1,) + e[i + 1:]: c / (e[i] + 1) for e, c in p.terms.items()})
+
+
+def free_of_leading(p: Polynomial, j: int) -> Polynomial:
+    """The terms of p containing none of x1..x_{j-1}."""
+    return Polynomial(p.dim, {e: c for e, c in p.terms.items() if not any(e[: j - 1])})
+
+
+def mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The ring product, term by term."""
+    if p.dim != q.dim:
+        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    out: dict[tuple[int, ...], Fraction] = {}
+    for ep, cp in p.terms.items():
+        for eq, cq in q.terms.items():
+            e = tuple(a + b for a, b in zip(ep, eq))
+            out[e] = out.get(e, 0) + cp * cq
+    return Polynomial(p.dim, out)
+
+
+def compose(p: Polynomial, subs: Sequence[Polynomial]) -> Polynomial:
+    """p with x_i -> subs[i-1], each power of a substitute built from the
+    one below by mul; the substitutes share one dimension, the result's."""
+    if len(subs) != p.dim:
+        raise ValueError(f"expected {p.dim} substitutions, got {len(subs)}")
+    dim = subs[0].dim
+    if any(s.dim != dim for s in subs):
+        raise ValueError("substituted polynomials must share one dimension")
+    powers = [[Polynomial.constant(dim, 1)] for _ in subs]  # powers[i][k] is subs[i]^k
+    total = Polynomial.zero(dim)
+    for e, c in p.terms.items():
+        term = Polynomial.constant(dim, c)
+        for s, k, cache in zip(subs, e, powers):
+            while len(cache) <= k:
+                cache.append(mul(cache[-1], s))
+            term = mul(term, cache[k])
+        total = total + term
+    return total
+
+
+def apply_operator(source: Polynomial, f: Polynomial) -> Polynomial:
+    """source(D) f: each term c*x^alpha of source contributes c times f
+    differentiated alpha_j times in each x_j, one diff at a time."""
+    total = Polynomial.zero(f.dim)
+    for alpha, c in source.terms.items():
+        g = f
+        for j, times in enumerate(alpha, start=1):
+            for _ in range(times):
+                g = diff(g, j)
+        total = total + c * g
+    return total
 
 
 def weighted_compositions(total: int, weights: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -148,7 +224,7 @@ def check_closure_fraction(basis: BasisSequence, spec: ParamTable | GeneralSpec)
             for bj, v, n_ij in slots:
                 if v == i - 1 and bj <= m:
                     expect = expect + Fraction(n_ij, den) * basis[m - bj]
-            if basis[m].diff(i) != expect:
+            if diff(basis[m], i) != expect:
                 bad.append((m, i))
     return ClosureReport(ok=not bad, violations=tuple(bad))
 
@@ -245,14 +321,14 @@ def build_recursive_fraction(params: ParamTable) -> BasisSequence:
     d, n = params.d, params.n
     elems = [Polynomial.constant(d, 1), Polynomial.variable(d, 1)]
     for k in range(2, n + 1):
-        v = elems[k - 1].integrate(1)
+        v = integrate(elems[k - 1], 1)
         for j in range(2, d + 1):
             m_j = Polynomial.zero(d)
             for i in range(2, k):
                 coef = params.get(i, j)
                 if coef:
                     m_j = m_j + coef * elems[k - i]
-            v = v + m_j.free_of_leading(j).integrate(j)
+            v = v + integrate(free_of_leading(m_j, j), j)
         for j in range(2, d + 1):
             coef = params.get(k, j)
             if coef:

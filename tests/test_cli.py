@@ -5,11 +5,14 @@ in-process; stdout/stderr are captured with capsys and files live in
 tmp_path.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -674,6 +677,21 @@ class TestPoints:
         assert main(["points", "--scheme", "a", "--spec", spec_file, *flags]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_oversized_point_refused_before_the_later_points(self, tmp_path, capsys):
+        # Point 1 is h + h^600 with a 1000-digit h; the 599 points after it,
+        # each larger, are never evaluated.
+        spec = tmp_path / "b600.json"
+        spec.write_text(json.dumps({"n": 2, "d": 1, "b": [1, 600], "c": [["1", "1"]]}))
+        start = time.perf_counter()
+        assert main(["points", "--scheme", "a", "--spec", str(spec), "--h", "7" * 1000]) == 2
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: a result coefficient has 599935 digits, more than Python's limit of "
+            f"{sys.get_int_max_str_digits()} for writing an integer as text (sys.get_int_max_str_digits())\n"
+        )
+        assert captured.out == ""
+
 
 class TestLimitAndSweep:
     def test_limit_pass(self, spec_file, tmp_path, capsys):
@@ -819,6 +837,97 @@ class TestLimitAndSweep:
         assert main(["sweep", "--spec", spec_file, "--f", str(f), "--m", "4", "--scheme", "a"]) == 2
         err = capsys.readouterr().err
         assert err == "error: a coefficient of f has 401 digits before the point; no float can hold it\n"
+
+
+class TestPowerDigitGuard:
+    """limit, sweep and study refuse, before any series or target work, an
+    f whose terms raise z0 to more than MAX_POWER_DIGITS digits; a huge
+    degree at z0 in {0, 1, -1} is accepted and runs at once."""
+
+    ARGV = {
+        "limit": ["limit", "--m", "2", "--scheme", "a"],
+        "sweep": ["sweep", "--m", "2", "--scheme", "b"],
+        "study": ["study", "--steps", "3"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_refused_at_once(self, command, spec_file, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("x1^99999999 + x2")
+        start = time.perf_counter()
+        argv = [*self.ARGV[command], "--spec", spec_file, "--f", str(f), "--z0", "3/2,1"]
+        assert main([*argv, "--out-dir", str(tmp_path / "out")] if command == "study" else argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: z0 raised to the exponents of f's terms would have about 47,712,125 digits, "
+            "more than the 10,000 allowed\n"
+        )
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("z0", ["0,0", "1,1", "-1,1", "1,-1"])
+    def test_huge_degree_at_unit_points_passes(self, z0, spec_file, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("x1^99999999")
+        start = time.perf_counter()
+        assert main(["limit", "--m", "4", "--scheme", "b", "--spec", spec_file, "--f", str(f), f"--z0={z0}"]) == 0
+        assert time.perf_counter() - start < 2
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    def test_prediction_by_hand(self):
+        # 1000^3 has 10 digits and the denominator 100 has 3.
+        z0 = (Fraction(1000), Fraction(1, 100))
+        assert dinv.cli._power_digits(P("x1^3*x2 + 5"), z0) == 10
+        assert dinv.cli._power_digits(P("x2^7"), z0) == 15
+        assert dinv.cli._power_digits(P("x1^99999999"), (Fraction(0), Fraction(-1))) == 1
+        assert dinv.cli._power_digits(P("x2^99999999"), (Fraction(0), Fraction(-1))) == 1
+
+    def test_exactly_at_the_bound(self, spec_file, tmp_path, monkeypatch, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("x1^3*x2")
+        argv = ["limit", "--m", "4", "--scheme", "a", "--spec", spec_file, "--f", str(f), "--z0", "1000,1/100"]
+        monkeypatch.setattr(dinv.cli, "MAX_POWER_DIGITS", 10)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(dinv.cli, "MAX_POWER_DIGITS", 9)
+        assert main(argv) == 2
+        assert "about 10 digits, more than the 9 allowed" in capsys.readouterr().err
+
+
+# Rationals from the unit values up to MAX_RATIONAL_DIGITS digits, which
+# take powers of z0 and h past every size guard and text limit.
+_EXTREME_RATIONALS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "-3/2"]),
+    st.integers(1, MAX_RATIONAL_DIGITS).map(lambda k: "7" * k),
+    st.integers(1, MAX_RATIONAL_DIGITS).map(lambda k: "-1/" + "3" * k),
+)
+
+
+@settings(max_examples=40, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["limit", "points", "sweep"]),
+    general=st.booleans(),
+    exps=st.tuples(*[st.one_of(st.integers(0, 12), st.integers(0, 40000), st.integers(0, 10**9))] * 2),
+    z0=st.tuples(_EXTREME_RATIONALS, _EXTREME_RATIONALS),
+    h=st.one_of(st.none(), _EXTREME_RATIONALS),
+    m=st.one_of(st.integers(-1, 5), st.integers(0, 10**9)),
+    scheme=st.sampled_from("ab"),
+)
+def test_extreme_valid_inputs_exit_0_1_or_2(tmp_path, command, general, exps, z0, h, m, scheme):
+    """Valid input of extreme size: an exit code in {0, 1, 2}, never an
+    exception, within the deadline."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(TestEitherSpec.GENERAL if general else EXAMPLE_SPEC))
+    f = tmp_path / "f.txt"
+    f.write_text(f"x1^{exps[0]}*x2^{exps[1]} - 2*x2 + 1")
+    argv = [command, "--spec", str(spec), "--scheme", scheme, f"--z0={z0[0]},{z0[1]}"]
+    if command == "points":
+        argv += [] if h is None else [f"--h={h}"]
+    else:
+        argv += ["--f", str(f), f"--m={m}"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestEitherSpec:

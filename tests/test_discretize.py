@@ -1,10 +1,12 @@
 """Tests for the coalescing point schemes and the limit verification."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+import dinv.discretize
 from conftest import make_rng, random_general_spec, random_param_table, random_poly, rational
 from dinv import (
     DiffOperator,
@@ -13,7 +15,6 @@ from dinv import (
     Polynomial,
     build_general,
     build_recursive,
-    combination_poly,
     expansion_check,
     points_scheme_a,
     points_scheme_b,
@@ -21,6 +22,7 @@ from dinv import (
     sweep,
     sweep_to_csv,
 )
+from oracles import apply_operator, compose
 
 F = Fraction
 
@@ -187,22 +189,25 @@ class TestExpansionCheck:
 
 
 class TestCombinationPoly:
+    """The stencil combination sum_r A_r^(m) * f(z_r(h)) as the cut series
+    computes it; expansion_check reads its first m + 1 coefficients."""
+
     def test_cubic_gives_exact_multiple(self):
         t = ParamTable(d=2, n=2, a={(2, 2): F(1)})
         pts = points_scheme_a(t, ORIGIN2)
-        assert combination_poly(P("x1^3"), 2, pts) == h_poly({3: 3})
+        assert dinv.discretize._series(P("x1^3"), 2, pts, 6) == [0, 0, 0, 3, 0, 0]
 
     def test_dimension_checked(self):
         pts = points_scheme_a(EXAMPLE_PARAMS, ORIGIN2)
-        with pytest.raises(ValueError):
-            combination_poly(Polynomial.variable(3, 1), 2, pts)
+        with pytest.raises(ValueError, match="dimension mismatch: f has 3, points have 2"):
+            expansion_check(Polynomial.variable(3, 1), ORIGIN2, 2, pts)
 
 
 def oracle_coeffs(f: Polynomial, m: int, pts) -> list[Fraction]:
     """Coefficients of sum_r A_r^(m) * f(z_r(h)) by full composition."""
     total = Polynomial.zero(1)
     for r, w in enumerate(stencil(m).coeffs):
-        total = total + w * f.compose(list(pts.points[r]))
+        total = total + w * compose(f, list(pts.points[r]))
     return [total.coeff((t,)) for t in range(max(total.degree, m) + 1)]
 
 
@@ -238,16 +243,17 @@ class TestTruncatedExpansion:
                     assert all(isinstance(c, Fraction) for c in (*report.low_coeffs, report.lead))
 
     def test_combination_poly_equals_full_composition(self):
+        # The series uncut: long enough for every power of every coordinate.
         for t, f, z0 in random_draws(204, 16):
             for build in (points_scheme_a, points_scheme_b):
                 pts = build(t, z0)
                 for m in range(t.n + 1):
-                    want = Polynomial(1, {(e,): c for e, c in enumerate(oracle_coeffs(f, m, pts))})
-                    assert combination_poly(f, m, pts) == want
+                    want = oracle_coeffs(f, m, pts)
+                    length = max(f.degree * t.n, m) + 1
+                    got = dinv.discretize._series(f, m, pts, length)
+                    assert got == want + [0] * (length - len(want))
 
     def test_target_builds_only_up_to_order(self, monkeypatch):
-        import dinv.discretize
-
         seen = []
         generating = dinv.discretize._generating_elements
 
@@ -266,19 +272,63 @@ class TestTruncatedExpansion:
                 ((top, built),) = seen
                 assert top == m and len(built) == m + 1
                 assert tuple(built) == full.elements[: m + 1]
-                assert report.target == DiffOperator(full[m]).apply(f).eval(z0)
+                assert report.target == apply_operator(full[m], f).eval(z0)
 
     def test_check_never_composes(self, monkeypatch):
-        def refuse(self, subs):
-            raise AssertionError("the limit check must not compose")
+        # Every product of the check is cut after h^m: no full composition.
+        lengths = set()
+        mul_cut = dinv.discretize._mul_cut
 
-        monkeypatch.setattr(Polynomial, "compose", refuse)
+        def recording(a, b, length):
+            lengths.add(length)
+            out = mul_cut(a, b, length)
+            assert len(out) <= length
+            return out
+
+        monkeypatch.setattr(dinv.discretize, "_mul_cut", recording)
         for t, f, z0 in random_draws(206, 8):
             for build in (points_scheme_a, points_scheme_b):
                 pts = build(t, z0)
                 for m in range(t.n + 1):
+                    lengths.clear()
                     assert expansion_check(f, z0, m, pts).passed
-                    combination_poly(f, m, pts)
+                    assert lengths <= {m + 1}
+
+    def test_high_exponents_equal_the_oracles(self):
+        # Powers up to 64 take the squaring path through several odd and
+        # even steps; the target's powers of z0 are memoized per (i, k).
+        rng = make_rng(208)
+        for k in range(8):
+            t = random_general_spec(rng, n_max=2, bn_max=3, d_max=2)
+            f = Polynomial(t.d, {
+                tuple(rng.randint(0, 64) if i == top else rng.randint(0, 3) for i in range(t.d)): rational(rng)
+                for top in (rng.randrange(t.d) for _ in range(3))
+            })
+            z0 = (F(0),) * t.d if k % 3 == 0 else tuple(rational(rng) for _ in range(t.d))
+            basis = build_general(t)
+            for build in (points_scheme_a, points_scheme_b):
+                pts = build(t, z0)
+                values = [compose(f, list(point)) for point in pts.points]
+                for m in range(t.top_weight + 1):
+                    combo = Polynomial.zero(1)
+                    for w, value in zip(stencil(m).coeffs, values):
+                        combo = combo + w * value
+                    report = expansion_check(f, z0, m, pts)
+                    assert report.low_coeffs == tuple(combo.coeff((j,)) for j in range(m))
+                    assert report.lead == combo.coeff((m,))
+                    assert report.target == apply_operator(basis[m], f).eval(z0)
+                    assert report.passed
+
+    def test_huge_degree_at_unit_points(self):
+        f = P("x1^99999999 + x1^12345678*x2^3")
+        start = time.perf_counter()
+        for z0 in ((0, 0), (1, 1), (-1, 1), (1, -1), (-1, -1)):
+            z0 = tuple(F(v) for v in z0)
+            for build in (points_scheme_a, points_scheme_b):
+                pts = build(EXAMPLE_PARAMS, z0)
+                for m in range(5):
+                    assert expansion_check(f, z0, m, pts).passed
+        assert time.perf_counter() - start < 2
 
     @pytest.mark.parametrize("m", [3, 99, -1])
     def test_order_out_of_range_rejected_before_target(self, m):
@@ -287,7 +337,6 @@ class TestTruncatedExpansion:
         for call in (
             lambda: expansion_check(P("x1"), ORIGIN2, m, pts),
             lambda: sweep(P("x1"), ORIGIN2, m, pts, h0=0.25, steps=4),
-            lambda: combination_poly(P("x1"), m, pts),
         ):
             with pytest.raises(ValueError, match=rf"^order {m} exceeds available points 0\.\.2$"):
                 call()
@@ -311,7 +360,7 @@ class TestGeneralSpecs:
                 for m in range(spec.top_weight + 1):
                     report = expansion_check(f, z0, m, pts)
                     assert report.passed
-                    assert report.target == DiffOperator(basis[m]).apply(f).eval(z0)
+                    assert report.target == apply_operator(basis[m], f).eval(z0)
 
     def test_point_coordinates(self):
         spec = GeneralSpec(n=3, d=2, b=(1, 3, 4), c=((F(1), F(0), F(2, 3)), (F(-1, 2), F(5), F(0))))
@@ -387,6 +436,6 @@ class TestPointSetSerialization:
 
     def test_numeric_points(self):
         pts = points_scheme_a(EXAMPLE_PARAMS, ORIGIN2)
-        at_half = pts.at(F(1, 2))
+        at_half = list(pts.at(F(1, 2)))
         assert at_half[2] == (F(1), F(9))
         assert at_half[1] == (F(1, 2), F(2, 4) + F(3, 8) + F(4, 16))

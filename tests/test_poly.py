@@ -1,4 +1,6 @@
-"""Unit and property tests for the exact polynomial core."""
+"""Unit and property tests for the exact polynomial value type and
+DiffOperator.apply_at, and for the calculus oracles of tests/oracles.py
+that the other suites compare against."""
 
 import sys
 from fractions import Fraction
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from dinv import DiffOperator, Polynomial
 from dinv.poly import DigitLimitError, rational_text
+from oracles import apply_operator, compose, diff, free_of_leading, integrate, mul
 
 F = Fraction
 
@@ -81,81 +84,70 @@ class TestArithmetic:
         assert P("1/2*x1^2 + 2*x2") + P("1/2*x1^2") == P("x1^2 + 2*x2")
 
     def test_mul_monomials(self):
-        assert P("x1") * P("x2") == P("x1*x2")
+        assert mul(P("x1"), P("x2")) == P("x1*x2")
 
     def test_difference_of_squares(self):
-        assert P("x1 + 1") * P("x1 - 1") == P("x1^2 - 1")
+        assert mul(P("x1 + 1"), P("x1 - 1")) == P("x1^2 - 1")
 
     def test_square_of_binomial(self):
-        assert P("1/2*x1^2 + 2*x2") ** 2 == P("1/4*x1^4 + 2*x1^2*x2 + 4*x2^2")
+        p = P("1/2*x1^2 + 2*x2")
+        assert mul(p, p) == P("1/4*x1^4 + 2*x1^2*x2 + 4*x2^2")
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             Polynomial.variable(2, 1) + Polynomial.variable(3, 1)
         with pytest.raises(ValueError):
-            Polynomial.variable(2, 1) * Polynomial.variable(3, 1)
+            mul(Polynomial.variable(2, 1), Polynomial.variable(3, 1))
+        with pytest.raises(TypeError):  # the value type has no ring product
+            Polynomial.variable(2, 1) * Polynomial.variable(2, 1)
 
     def test_scalar_multiplication(self):
         assert 3 * P("x1") == P("3*x1")
         assert P("x1") * F(1, 2) == P("1/2*x1")
 
-    def test_pow_zero(self):
-        assert P("x1 + x2") ** 0 == Polynomial.constant(2, 1)
-
-    def test_pow_negative_rejected(self):
-        with pytest.raises(ValueError):
-            P("x1") ** -1
-
 
 class TestCalculus:
     def test_power_rule(self):
-        assert P("1/6*x1^3").diff(1) == P("1/2*x1^2")
+        assert diff(P("1/6*x1^3"), 1) == P("1/2*x1^2")
 
     def test_partial_other_variable(self):
-        assert P("1/2*x1^2 + 2*x2").diff(2) == P("2")
+        assert diff(P("1/2*x1^2 + 2*x2"), 2) == P("2")
 
     def test_diff_index_range(self):
         with pytest.raises(ValueError):
-            P("x1").diff(3)
+            diff(P("x1"), 3)
 
     def test_integrate_basic(self):
-        assert P("x1^2", 1).integrate(1) == P("1/3*x1^3", 1)
+        assert integrate(P("x1^2", 1), 1) == P("1/3*x1^3", 1)
 
     def test_integrate_fresh_variable(self):
-        assert Polynomial.constant(2, 1).integrate(2) == P("x2")
+        assert integrate(Polynomial.constant(2, 1), 2) == P("x2")
 
     def test_integrate_is_right_inverse_example(self):
         p = P("x1^2*x2 + 3*x2^2")
-        assert p.integrate(2).diff(2) == p
+        assert diff(integrate(p, 2), 2) == p
 
     def test_free_of_leading(self):
-        assert P("x1*x2 + x2^2").free_of_leading(2) == P("x2^2")
+        assert free_of_leading(P("x1*x2 + x2^2"), 2) == P("x2^2")
         p = P("x1*x2 + x2^2")
-        assert p.free_of_leading(1) == p
-        assert Polynomial.parse("x1 + x2 + x3^2", 3).free_of_leading(3) == Polynomial.parse("x3^2", 3)
-
-    def test_diff_multi_matches_iterated_diff(self):
-        p = P("x1^3*x2^2 + 2*x1*x2")
-        assert p.diff_multi((2, 1)) == p.diff(1).diff(1).diff(2)
-
-    def test_diff_multi_annihilates_low_degrees(self):
-        assert P("x1*x2").diff_multi((2, 0)).is_zero
+        assert free_of_leading(p, 1) == p
+        assert free_of_leading(Polynomial.parse("x1 + x2 + x3^2", 3), 3) == Polynomial.parse("x3^2", 3)
 
     @given(polys(), st.integers(1, 3))
     def test_integrate_right_inverse_of_diff(self, p, j):
         if j > p.dim:
             j = 1
-        assert p.integrate(j).diff(j) == p
+        assert diff(integrate(p, j), j) == p
 
     @given(polys(dim=2), polys(dim=2), rationals(), rationals(), st.integers(1, 2))
     def test_diff_linear(self, p, q, a, b, j):
         combo = a * p + b * q
-        assert combo.diff(j) == a * p.diff(j) + b * q.diff(j)
+        assert diff(combo, j) == a * diff(p, j) + b * diff(q, j)
 
     @given(polys(dim=2), polys(dim=2), rationals(), rationals(), st.integers(1, 2))
     def test_integrate_linear(self, p, q, a, b, j):
         combo = a * p + b * q
-        assert combo.integrate(j) == a * p.integrate(j) + b * q.integrate(j)
+        assert integrate(combo, j) == a * integrate(p, j) + b * integrate(q, j)
 
 
 class TestDiffOperator:
@@ -173,8 +165,8 @@ class TestDiffOperator:
         assert op.apply_at(P("x1^2"), (0, 0)) == 1
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            DiffOperator(P("x1")).apply(Polynomial.variable(3, 1))
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            DiffOperator(Polynomial.variable(3, 1)).apply_at(P("x1"), (0, 0))
 
     @given(polys(dim=2, max_exp=3, max_terms=3), polys(dim=2, max_exp=3, max_terms=3), rationals(), rationals())
     def test_bilinear_in_source(self, s, t, a, b):
@@ -204,14 +196,13 @@ class TestDiffOperator:
     )
     def test_apply_at_equals_apply_then_eval(self, args):
         source, f, point = args
-        op = DiffOperator(source)
-        assert op.apply_at(f, point) == op.apply(f).eval(point)
+        assert DiffOperator(source).apply_at(f, point) == apply_operator(source, f).eval(point)
 
     def test_apply_at_at_origin_and_integer_point(self):
-        op = DiffOperator(P("x1^2 - 3*x1*x2 + 1/2"))
+        source = P("x1^2 - 3*x1*x2 + 1/2")
         f = P("x1^4*x2 + 2*x1^2 + x1*x2^3 - 7")
         for point in ((0, 0), (F(0), F(3)), (2, -1)):
-            assert op.apply_at(f, point) == op.apply(f).eval(point)
+            assert DiffOperator(source).apply_at(f, point) == apply_operator(source, f).eval(point)
 
     def test_apply_at_errors(self):
         op = DiffOperator(P("x1"))
@@ -243,10 +234,7 @@ class TestTrustedResults:
     def test_every_operation_is_clean(self, p, q, a, k):
         x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
         results = [
-            p + q, p - q, p - p, -p, p * q, p * a, a * p, p * k, p ** 2,
-            p.diff(1), p.diff_multi((1, 2)), p.integrate(2), p.free_of_leading(2),
-            p.homogeneous_part(2), p.compose([q, x1 + x2]),
-            DiffOperator(q).apply(p), Polynomial.zero(2), x2,
+            p + q, p - q, p - p, -p, p * a, a * p, p * k, Polynomial.zero(2), x1, x2,
         ]
         for r in results:
             self.assert_clean(r)
@@ -264,24 +252,24 @@ class TestTrustedResults:
 class TestComposeEval:
     def test_compose_univariate_square(self):
         h = Polynomial.variable(1, 1)
-        assert Polynomial.parse("x1^2", 1).compose([h]) == Polynomial.parse("x1^2", 1)
+        assert compose(Polynomial.parse("x1^2", 1), [h]) == Polynomial.parse("x1^2", 1)
 
     def test_compose_sum(self):
         h = Polynomial.variable(1, 1)
         f = P("x1 + x2")
-        assert f.compose([2 * h, h * h]) == Polynomial.parse("x1^2 + 2*x1", 1)
+        assert compose(f, [2 * h, mul(h, h)]) == Polynomial.parse("x1^2 + 2*x1", 1)
 
     def test_compose_cube(self):
         h = Polynomial.variable(1, 1)
-        assert Polynomial.parse("x1^3", 1).compose([3 * h]) == Polynomial.parse("27*x1^3", 1)
+        assert compose(Polynomial.parse("x1^3", 1), [3 * h]) == Polynomial.parse("27*x1^3", 1)
 
     def test_compose_arity_checked(self):
         with pytest.raises(ValueError):
-            P("x1 + x2").compose([Polynomial.variable(1, 1)])
+            compose(P("x1 + x2"), [Polynomial.variable(1, 1)])
 
     def test_compose_mixed_target_dims_rejected(self):
         with pytest.raises(ValueError):
-            P("x1 + x2").compose([Polynomial.variable(1, 1), Polynomial.variable(2, 1)])
+            compose(P("x1 + x2"), [Polynomial.variable(1, 1), Polynomial.variable(2, 1)])
 
     def test_eval_example(self):
         assert P("1/2*x1^2 + 2*x2").eval((2, 1)) == 4
@@ -304,7 +292,7 @@ class TestComposeEval:
     def test_compose_respects_eval(self, f):
         subs = [P("x1 + x2^2"), P("2*x1*x2 - 1")]
         z = (F(1, 2), F(-3, 4))
-        assert f.compose(subs).eval(z) == f.eval(tuple(s.eval(z) for s in subs))
+        assert compose(f, subs).eval(z) == f.eval(tuple(s.eval(z) for s in subs))
 
 
 class TestTextAndJson:
