@@ -17,7 +17,9 @@ from .discretize import (
 from .identities import (
     falling_factorial,
     falling_factorial_sum,
+    falling_factorial_sums,
     signed_power_sum,
+    signed_power_sums,
     vandermonde_oracle,
 )
 from .poly import DiffOperator, Exponent, Polynomial, Rational
@@ -61,9 +63,11 @@ __all__ = [
     "expansion_check",
     "falling_factorial",
     "falling_factorial_sum",
+    "falling_factorial_sums",
     "points_scheme_a",
     "points_scheme_b",
     "signed_power_sum",
+    "signed_power_sums",
     "specialize",
     "stencil",
     "sweep",

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import random
@@ -40,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .compositions import count_compositions
 from .discretize import SCHEMES, SweepRow, expansion_check, stencil, sweep, sweep_to_csv
-from .identities import falling_factorial_sum, signed_power_sum, vandermonde_oracle
+from .identities import falling_factorial_sums, signed_power_sums, vandermonde_oracle
 from .poly import DigitLimitError, Polynomial, parse_rational, rational_text
 from .subspace import (
     BasisSequence,
@@ -154,23 +153,36 @@ def _power_of_ten(k: int) -> int:
     return 10 ** k
 
 
-def _basis_chunks(basis: BasisSequence, pretty: bool) -> Iterator[str]:
+# One term of Polynomial.to_dict as json.dumps(..., indent=2) lays it out
+# inside a list of elements, and the separator of its exponents.  The
+# coefficient needs no escaping: rational_text writes only [-0-9/].
+_TERM_JSON = '\n      {{\n        "exp": [\n          {}\n        ],\n        "coef": "{}"\n      }}'
+_EXP_SEP = ",\n          "
+
+
+def _basis_chunks(basis: Iterable[Polynomial], pretty: bool) -> Iterator[str]:
     """The text of basis in small pieces, one element's at a time; joined,
-    they are json.dumps(basis.to_list(), indent=2) + "\n" (the basis is
-    never empty), or one rendered element per line."""
+    they are json.dumps([p.to_dict() for p in basis], indent=2) + "\n" for
+    a non-empty basis, or one rendered element per line.  The JSON is
+    written for to_dict's fixed shape, an element's terms 256 at a time:
+    few writes, and no element's whole text in memory."""
     if pretty:
         for p in basis:
             yield p.render() + "\n"
         return
-    # An element's pieces are joined 4096 at a time: few writes, and no
-    # element's whole text in memory.
-    encoder = json.JSONEncoder(indent=2)
     yield "["
     for k, p in enumerate(basis):
-        yield ",\n  " if k else "\n  "
-        pieces = encoder.iterencode(p.to_dict())
-        while batch := list(itertools.islice(pieces, 4096)):
-            yield "".join(batch).replace("\n", "\n  ")
+        head = (",\n  {" if k else "\n  {") + f'\n    "dim": {p.dim},\n    "terms": '
+        terms = p.canonical_terms()
+        if not terms:
+            yield head + "[]\n  }"
+            continue
+        yield head + "["
+        for start in range(0, len(terms), 256):
+            yield ("," if start else "") + ",".join(
+                _TERM_JSON.format(_EXP_SEP.join(map(str, e)), rational_text(c)) for e, c in terms[start : start + 256]
+            )
+        yield "\n    ]\n  }"
     yield "\n]\n"
 
 
@@ -244,23 +256,27 @@ def _check_recurrence_size(what: str, spec: ParamTable | GeneralSpec) -> None:
 # on longer ones; m^m has about m * log10(m)): (m + 1)^2 + m^2 power-sum terms
 # per m <= --m-max, (m + 1)^3 Vandermonde cells per m <= --vand-max, and the
 # steps of the compositions recurrence behind the falling-factorial sums (see
-# _falling_factorial_work).  On one core of a 2-vCPU host a step took 0.16 to
-# 0.6 us in the first two scans.  The third alone, at the bound, took 1.0 s
-# at r = i (60), 0.45 s at r >> i (243, 2) and 4.9 s at i >> r (1, 1,250,000),
-# where the call per sum costs more than its few steps; so a run at the bound
-# takes at most about 6 s.
+# _falling_factorial_work).  A power-sum step is one product, a term carried
+# from power j to j + 1.  On one core of a 2-vCPU host, each scan alone at the
+# bound as a subprocess, a step took 0.05 us in the power sums (--m-max 166,
+# 0.7 s) and 0.18 us in the Vandermonde cells (--vand-max 69, 1.9 s).  The
+# falling-factorial scan took 0.13 s at r = i (60), 0.12 s at r >> i (243, 2)
+# and 3.6 s at i >> r (1, 1,250,000), where the call per node costs more than
+# its few steps; so a run at the bound takes at most about 4 s.
 MAX_IDENTITY_WORK = 10_000_000
 
 
 def _falling_factorial_work(r_max: int, i_max: int) -> int:
-    """The steps of the falling-factorial scan, in closed form.  Per node
-    i and weight r it makes two sums (cap = i and cap = r), each of which
-    fills a table of r + 1 entries and makes at most r slot passes of one
-    base product and r - t + 1 updates at slot t: (r^2 + 5r + 2) / 2 steps.
+    """An upper bound on the steps of the falling-factorial scan, in
+    closed form.  It counts, per node i and weight r, two sums
+    (falling_factorial_sum at cap = i and at cap = r), each of which fills a
+    table of r + 1 entries and makes at most r slot passes of one base
+    product and r - t + 1 updates at slot t: (r^2 + 5r + 2) / 2 steps.
     Over r <= r_max that is r_max * (r_max + 2) * (r_max + 7) / 3 per node.
-    Every integer is below (2 * i)^r (at most 2^r partitions of r, each
-    term below i^r), so a step counts one more per 100 digits of
-    (2 * i_max)^r_max."""
+    The scan makes one run of falling_factorial_sums per node, the steps of
+    the single sum at r = r_max, so it takes fewer.  Every integer is below
+    (2 * i)^r (at most 2^r partitions of r, each term below i^r), so a step
+    counts one more per 100 digits of (2 * i_max)^r_max."""
     digits = int(r_max * math.log10(2 * i_max))
     return (i_max - 1) * r_max * (r_max + 2) * (r_max + 7) // 3 * (1 + digits // 100)
 
@@ -340,21 +356,15 @@ def _cmd_verify(args) -> int:
         m_max, vand_max = args.m_max, args.vand_max
         r_max, i_max = args.r_max, args.i_max
         _check_identity_size(m_max, vand_max, r_max, i_max)
+        # The sums of order m over j = 0..m are m! * [j == m], from j = 1
+        # when the i = 0 term is left out.
         ps_ok = all(
-            signed_power_sum(j, m, include_zero=True) == (1 if j == m else 0)
+            signed_power_sums(m, include_zero)[low:] == ([0] * m + [math.factorial(m)])[low:]
             for m in range(m_max + 1)
-            for j in range(m + 1)
-        ) and all(
-            signed_power_sum(j, m, include_zero=False) == (1 if j == m else 0)
-            for m in range(m_max + 1)
-            for j in range(1, m + 1)
+            for include_zero, low in ((True, 0), (False, 1))
         )
         vand_ok = all(vandermonde_oracle(m) == stencil(m).coeffs for m in range(vand_max + 1))
-        ff_ok = all(
-            falling_factorial_sum(r, i, cap=i) == falling_factorial_sum(r, i, cap=r)
-            for r in range(1, r_max + 1)
-            for i in range(2, i_max + 1)
-        )
+        ff_ok = all(cap_i == cap_r for cap_i, cap_r in (falling_factorial_sums(r_max, i) for i in range(2, i_max + 1)))
         ok = ps_ok and vand_ok and ff_ok
         report = {
             "what": "identities",

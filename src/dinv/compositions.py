@@ -9,7 +9,7 @@ serves every sum over them: with a base per weight, the table
 is built over the weights in order by ways[s] += base_k * ways[s - w_k].
 count_compositions is its all-ones case, so that a command can refuse an
 input whose closed-form construction would visit too many compositions;
-identities.falling_factorial_sum is its weight-r entry.  Nothing here
+identities.falling_factorial_sums reads its entries.  Nothing here
 enumerates the compositions; the tests keep that enumeration as their
 oracle.
 """

@@ -2,15 +2,19 @@
 
 Three families, all over exact rationals:
 
-  * signed_power_sum: the alternating factorial-weighted power sums that
-    make a finite-difference stencil reproduce one derivative order and
-    annihilate the lower ones,
+  * signed_power_sums: the alternating binomial power sums that make a
+    finite-difference stencil reproduce one derivative order and
+    annihilate the lower ones, every power j of one order m from one set
+    of terms carried from j to j + 1; signed_power_sum is one of them
+    over m!,
   * vandermonde_oracle: the same stencil coefficients recovered by solving
     the Vandermonde system at nodes 0..m by generic elimination, giving an
     independent witness for the closed form,
-  * falling_factorial_sum: the weighted-composition sums whose cap
-    invariance justifies truncating the second point scheme, summed by
-    the counting recurrence of dinv.compositions, not by enumeration.
+  * falling_factorial_sums: the weighted-composition sums whose cap
+    invariance justifies truncating the second point scheme, every weight
+    at one node from one run of the counting recurrence of
+    dinv.compositions, not by enumeration; falling_factorial_sum is one
+    of them.
 
 Convention 0**0 == 1 throughout (Python's native behaviour).
 """
@@ -26,20 +30,38 @@ from .compositions import _ways
 from .linalg import solve
 
 
+def signed_power_sums(m: int, include_zero: bool = True, j_max: int | None = None) -> list[int]:
+    """[sum over i of (-1)^(m-i) * C(m, i) * i^j for j = 0..j_max], i from
+    0 (or 1) to m, j_max defaulting to m.
+
+    Each is m! times the j-th stencil moment: m! when j == m and 0 when
+    j < m (for j >= 1 when the i = 0 term is excluded).  The m + 1 signed
+    binomials are made once; each term is multiplied by its i to go from
+    power j to power j + 1, so no power is taken: O(m * j_max) products.
+    """
+    if m < 0:
+        raise ValueError(f"order must be non-negative, got {m}")
+    j_max = m if j_max is None else j_max
+    if j_max < 0:
+        raise ValueError(f"power must be non-negative, got {j_max}")
+    nodes = range(0 if include_zero else 1, m + 1)
+    terms = [-math.comb(m, i) if (m - i) % 2 else math.comb(m, i) for i in nodes]
+    sums = [sum(terms)]
+    for _ in range(j_max):
+        terms = list(map(mul, terms, nodes))
+        sums.append(sum(terms))
+    return sums
+
+
 def signed_power_sum(j: int, m: int, include_zero: bool = True) -> Fraction:
     """sum over i of (-1)^(m-i) * i^j / (i! * (m-i)!), i from 0 (or 1) to m.
 
     Equals 1 when j == m and 0 when j < m (for j >= 1 when the i = 0 term
-    is excluded).  Computed as one integer sum over a common denominator,
-    sum_i (-1)^(m-i) * C(m, i) * i^j / m!.
+    is excluded): signed_power_sums(m, include_zero, j)[j] / m!.
     """
     if j < 0 or m < 0:
         raise ValueError("j and m must be non-negative")
-    total = sum(
-        (-1 if (m - i) % 2 else 1) * math.comb(m, i) * i ** j
-        for i in range(0 if include_zero else 1, m + 1)
-    )
-    return Fraction(total, math.factorial(m))
+    return Fraction(signed_power_sums(m, include_zero, j)[j], math.factorial(m))
 
 
 def vandermonde_oracle(m: int) -> tuple[Fraction, ...]:
@@ -67,6 +89,30 @@ def falling_factorial(i: int, j: int) -> int:
     return out
 
 
+def falling_factorial_sums(r_max: int, i: int) -> tuple[list[int], list[int]]:
+    """falling_factorial_sum(r, i, cap) for r = 0..r_max, at cap = i and at
+    cap = r: two lists indexed by r, both 1 at r = 0.
+
+    One run of the compositions recurrence over the slots t = 1..r_max,
+    each base carried from the last by one multiplication,
+    ff(i, t) = ff(i, t-1) * (i - t + 1), serves every r: slots past r
+    cannot be used at weight r, so the cap = r sum is the weight-r entry
+    after slot r, and the cap = i sum the one after slot min(i, r).
+    O(r_max^2) steps, with nothing enumerated.
+    """
+    if r_max < 0:
+        raise ValueError(f"weight must be >= 0, got {r_max}")
+    if i < 2:
+        raise ValueError(f"node must be >= 2, got {i}")
+    bases = accumulate(range(i, i - r_max, -1), mul)
+    cap_r, cap_i = [1], None
+    for t, ways in enumerate(_ways(r_max, zip(range(1, r_max + 1), bases)), 1):
+        cap_r.append(ways[t])
+        if t == i:
+            cap_i = cap_r + ways[t + 1 :]
+    return (cap_r.copy() if cap_i is None else cap_i), cap_r
+
+
 def falling_factorial_sum(r: int, i: int, cap: int) -> int:
     """sum over (g_1, ..., g_cap) with sum t*g_t == r of
     prod_t falling_factorial(i, t)^g_t, with 0**0 == 1.
@@ -74,12 +120,8 @@ def falling_factorial_sum(r: int, i: int, cap: int) -> int:
     The value is independent of whether cap == i or cap == r: slots past r
     cannot be used at weight r, and slots past i have base 0 so they only
     contribute through g_t == 0.  Both caps are accepted so the agreement
-    can be tested; other caps are rejected.
-
-    The sum is the weight-r entry of the compositions recurrence over the
-    slots t <= min(cap, r) that weight r can use, each base carried from
-    the last by one multiplication, ff(i, t) = ff(i, t-1) * (i - t + 1):
-    O(min(cap, r) * r) steps, with nothing enumerated.
+    can be tested; other caps are rejected.  The sum is the weight-r entry
+    of falling_factorial_sums(r, i) at its cap.
     """
     if r < 1:
         raise ValueError(f"weight must be >= 1, got {r}")
@@ -87,7 +129,5 @@ def falling_factorial_sum(r: int, i: int, cap: int) -> int:
         raise ValueError(f"node must be >= 2, got {i}")
     if cap not in (i, r):
         raise ValueError(f"cap must be one of node={i} or weight={r}, got {cap}")
-    slots = min(cap, r)
-    bases = accumulate(range(i, i - slots, -1), mul)
-    *_, ways = _ways(r, zip(range(1, slots + 1), bases))
-    return ways[r]
+    by_cap_i, by_cap_r = falling_factorial_sums(r, i)
+    return (by_cap_i if cap == i else by_cap_r)[r]

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -108,6 +109,30 @@ class TestBasis:
         pretty = tmp_path / "basis.txt"
         assert main([*argv, "--pretty", "--out", str(pretty)]) == 0
         assert pretty.read_text() == "".join(q.render() + "\n" for q in basis)
+
+    @pytest.mark.parametrize("d", [1, 6])
+    @pytest.mark.parametrize("count", [0, 1, 256, 257, 600])
+    def test_writer_is_one_dumps(self, d, count):
+        # Zero elements, multi-digit negative rationals and elements of
+        # 256 and 257 terms, at the writer's batch boundary.
+        rng = random.Random(d * 1000 + count)
+        elements = [Polynomial.constant(d, 1), Polynomial.zero(d)]
+        for _ in range(2):
+            terms = {}
+            while len(terms) < count:
+                exps = tuple(rng.randint(0, 3000 if d == 1 else 9) for _ in range(d))
+                terms[exps] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**40), rng.randint(1, 10**25))
+            elements.append(Polynomial(d, terms))
+        elements.append(Polynomial(d, {(0,) * d: Fraction(-123456789, 1000)}))
+        expect = json.dumps([p.to_dict() for p in elements], indent=2) + "\n"
+        assert "".join(dinv.cli._basis_chunks(elements, False)) == expect
+        assert "".join(dinv.cli._basis_chunks(elements[:1], False)) == json.dumps([elements[0].to_dict()], indent=2) + "\n"
+
+    def test_writer_batches_an_element_256_terms_at_a_time(self):
+        big = Polynomial(1, {(k,): Fraction(-k - 1, 7) for k in range(600)})
+        pieces = list(dinv.cli._basis_chunks([Polynomial.constant(1, 1), big], False))
+        assert max(piece.count('"coef"') for piece in pieces) == 256
+        assert sum(piece.count('"coef"') for piece in pieces) == 601
 
     def test_general_source_rejects_param_table(self, spec_file, capsys):
         assert main(["basis", "--source", "general", "--spec", spec_file]) == 2
@@ -286,6 +311,37 @@ class TestVerify:
 
     def test_spec_required(self, capsys):
         assert main(["verify", "--what", "closure"]) == 2
+
+    def test_identities_off_by_one_power_sum_fails(self, monkeypatch, capsys):
+        carried = dinv.identities.signed_power_sums
+
+        def off_by_one(m, include_zero=True, j_max=None):
+            sums = carried(m, include_zero, j_max)
+            if m == 5 and not include_zero:
+                sums[3] += 1
+            return sums
+
+        monkeypatch.setattr(dinv.cli, "signed_power_sums", off_by_one)
+        assert main(["verify", "--what", "identities", "--m-max", "6"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["power_sums"] == {"m_max": 6, "ok": False}
+        assert report["vandermonde"]["ok"] and report["falling_factorial"]["ok"] and not report["ok"]
+
+    @pytest.mark.parametrize("cap", [0, 1], ids=["cap-i", "cap-r"])
+    def test_identities_off_by_one_falling_factorial_fails(self, cap, monkeypatch, capsys):
+        carried = dinv.identities.falling_factorial_sums
+
+        def off_by_one(r_max, i):
+            sums = carried(r_max, i)
+            if i == 3:
+                sums[cap][5] += 1
+            return sums
+
+        monkeypatch.setattr(dinv.cli, "falling_factorial_sums", off_by_one)
+        assert main(["verify", "--what", "identities", "--r-max", "6", "--i-max", "4"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["falling_factorial"] == {"r_max": 6, "i_max": 4, "ok": False}
+        assert report["power_sums"]["ok"] and report["vandermonde"]["ok"] and not report["ok"]
 
     @pytest.mark.parametrize(
         "flag, value", [("--m-max", "-5"), ("--vand-max", "-1"), ("--r-max", "0"), ("--i-max", "1")]
@@ -557,7 +613,7 @@ class TestIdentitySizeGuard:
         def forbidden(*args, **kwargs):
             raise AssertionError("scanned before the size guard")
 
-        for name in ("signed_power_sum", "vandermonde_oracle", "falling_factorial_sum"):
+        for name in ("signed_power_sums", "vandermonde_oracle", "falling_factorial_sums"):
             monkeypatch.setattr(dinv.cli, name, forbidden)
 
     @pytest.mark.parametrize("flag", ["--m-max", "--vand-max", "--r-max", "--i-max"])

@@ -1,5 +1,6 @@
 """Tests for the combinatorial identity module."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from dinv import (
     falling_factorial,
     falling_factorial_sum,
+    falling_factorial_sums,
     signed_power_sum,
+    signed_power_sums,
     stencil,
     vandermonde_oracle,
 )
@@ -57,6 +60,31 @@ class TestSignedPowerSum:
                     got = signed_power_sum(j, m, include_zero)
                     assert type(got) is Fraction
                     assert got == signed_power_sum_fraction(j, m, include_zero)
+
+
+class TestSignedPowerSums:
+    def test_carried_sums_equal_the_direct_fraction_sums(self):
+        # The direct sum, one Fraction per term, is the independent witness.
+        for m in range(61):
+            for include_zero in (True, False):
+                sums = signed_power_sums(m, include_zero)
+                assert len(sums) == m + 1
+                for j, total in enumerate(sums):
+                    assert type(total) is int
+                    assert Fraction(total, math.factorial(m)) == signed_power_sum_fraction(j, m, include_zero)
+
+    def test_powers_past_the_order(self):
+        # Past j == m the sums are m! * S(j, m), Stirling numbers of the second kind.
+        assert signed_power_sums(2, True, 5) == [0, 0, 2, 6, 14, 30]
+        assert signed_power_sums(0, True, 3) == [1, 0, 0, 0]
+        assert signed_power_sums(0, False, 3) == [0, 0, 0, 0]
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            signed_power_sums(-1)
+        with pytest.raises(ValueError):
+            signed_power_sums(2, True, -1)
+
 
 class TestVandermondeOracle:
     def test_order_two(self):
@@ -121,6 +149,21 @@ class TestFallingFactorialSum:
         for r, i in grid:
             for cap in (i, r):
                 assert falling_factorial_sum(r, i, cap) == falling_factorial_sum_enumerated(r, i, cap)
+
+    def test_one_run_per_node_equals_the_enumeration(self):
+        for r_max in range(9):
+            for i in range(2, 12):
+                by_cap_i, by_cap_r = falling_factorial_sums(r_max, i)
+                assert by_cap_i[0] == by_cap_r[0] == 1
+                for r in range(1, r_max + 1):
+                    assert by_cap_i[r] == falling_factorial_sum_enumerated(r, i, i)
+                    assert by_cap_r[r] == falling_factorial_sum_enumerated(r, i, r)
+
+    def test_sums_rejects_bad_bounds(self):
+        with pytest.raises(ValueError):
+            falling_factorial_sums(-1, 2)
+        with pytest.raises(ValueError):
+            falling_factorial_sums(3, 1)
 
     def test_wide_node_scan_is_prompt(self):
         start = time.perf_counter()
