@@ -11,9 +11,10 @@ study     sweeps of every order under both schemes: one CSV each, a summary tabl
 scan      seeded random tables, each built three ways and checked for closure, breadth
 example1  reproduce and verify the built-in worked example end to end
 
-A spec is a parameter table (keys d, n, a) or a general spec (keys n, d,
-b, c).  verify, points, limit, sweep and study take either kind; basis
---source recursive|explicit needs a table and --source general the other.
+A spec file holds a general spec (keys n, d, b, c) or a parameter table
+(keys d, n, a); both load as one GeneralSpec, and a general spec of table
+shape is a table.  Every command takes either form, except that basis
+--source recursive needs a spec of table shape.
 
 Conventions: data goes to stdout (or --out), diagnostics go to stderr.
 Exit code 0 means every requested check passed; 1 means a check failed;
@@ -42,6 +43,7 @@ from .discretize import SCHEMES, SweepRow, expansion_check, stencil, sweep, swee
 from .identities import falling_factorial_sums, signed_power_sums, vandermonde_oracle
 from .poly import DigitLimitError, Polynomial, parse_rational, rational_text
 from .subspace import (
+    TABLE_SHAPE,
     BasisSequence,
     GeneralSpec,
     ParamTable,
@@ -75,14 +77,12 @@ def _load_json(path: str):
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_spec(path: str) -> ParamTable | GeneralSpec:
+def _load_spec(path: str) -> GeneralSpec:
     data = _load_json(path)
     if not isinstance(data, dict):
         raise CliError(f"{path}: expected a JSON object")
     try:
-        if "b" in data or "c" in data:
-            return GeneralSpec.from_dict(data)
-        return ParamTable.from_dict(data)
+        return GeneralSpec.from_dict(data)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -233,7 +233,7 @@ def _check_closed_form_size(what: str, top: int, d: int, weights) -> None:
 MAX_RECURRENCE_WORK = 100_000_000
 
 
-def _check_recurrence_size(what: str, spec: ParamTable | GeneralSpec) -> None:
+def _check_recurrence_size(what: str, spec: GeneralSpec) -> None:
     """Refuse, before any build, a spec whose predicted builder work
     (closed-form visits times the digits of top! * max(D, N)^top) exceeds
     MAX_RECURRENCE_WORK.  It reads spec.slots, which a table builds from
@@ -260,9 +260,9 @@ def _check_recurrence_size(what: str, spec: ParamTable | GeneralSpec) -> None:
 # from power j to j + 1.  On one core of a 2-vCPU host, each scan alone at the
 # bound as a subprocess, a step took 0.05 us in the power sums (--m-max 166,
 # 0.7 s) and 0.18 us in the Vandermonde cells (--vand-max 69, 1.9 s).  The
-# falling-factorial scan took 0.13 s at r = i (60), 0.12 s at r >> i (243, 2)
-# and 3.6 s at i >> r (1, 1,250,000), where the call per node costs more than
-# its few steps; so a run at the bound takes at most about 4 s.
+# falling-factorial scan, which runs only the nodes i < r_max, took at most
+# 0.2 s at r = i (60), at r >> i (243, 2) and at i >> r (1, 1,250,000); so a
+# run at the bound takes at most about 2 s.
 MAX_IDENTITY_WORK = 10_000_000
 
 
@@ -273,10 +273,12 @@ def _falling_factorial_work(r_max: int, i_max: int) -> int:
     table of r + 1 entries and makes at most r slot passes of one base
     product and r - t + 1 updates at slot t: (r^2 + 5r + 2) / 2 steps.
     Over r <= r_max that is r_max * (r_max + 2) * (r_max + 7) / 3 per node.
-    The scan makes one run of falling_factorial_sums per node, the steps of
-    the single sum at r = r_max, so it takes fewer.  Every integer is below
-    (2 * i)^r (at most 2^r partitions of r, each term below i^r), so a step
-    counts one more per 100 digits of (2 * i_max)^r_max."""
+    The scan makes one run of falling_factorial_sums, the steps of the
+    single sum at r = r_max, and only at the nodes i < r_max (at i >= r_max
+    its two lists are one snapshot), so the prediction is an upper bound.
+    Every integer is below (2 * i)^r (at most 2^r partitions of r, each
+    term below i^r), so a step counts one more per 100 digits of
+    (2 * i_max)^r_max."""
     digits = int(r_max * math.log10(2 * i_max))
     return (i_max - 1) * r_max * (r_max + 2) * (r_max + 7) // 3 * (1 + digits // 100)
 
@@ -318,11 +320,8 @@ def _require_at_least(args, **least: int) -> None:
 
 def _cmd_basis(args) -> int:
     spec = _load_spec(args.spec)
-    if args.source == "general":
-        if not isinstance(spec, GeneralSpec):
-            raise CliError(f"{args.spec}: source 'general' needs a general spec (keys n, d, b, c)")
-    elif not isinstance(spec, ParamTable):
-        raise CliError(f"{args.spec}: this command needs a parameter-table spec (keys d, n, a)")
+    if args.source == "recursive" and spec.a is None:
+        raise CliError(f"{args.spec}: source 'recursive' needs a spec of table shape ({TABLE_SHAPE})")
     if args.source == "explicit":
         _check_closed_form_size(args.spec, spec.top_weight, spec.d, lambda: [bj for bj, _, _ in spec.slots[1]])
     _check_recurrence_size(args.spec, spec)
@@ -340,7 +339,7 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _compare_builders(params: ParamTable) -> tuple[BasisSequence, bool, bool]:
+def _compare_builders(params: GeneralSpec) -> tuple[BasisSequence, bool, bool]:
     """The recursive basis, whether the explicit (closed-form) one equals it,
     and whether the one of the generating recurrence does."""
     rec = build_recursive(params)
@@ -364,7 +363,9 @@ def _cmd_verify(args) -> int:
             for include_zero, low in ((True, 0), (False, 1))
         )
         vand_ok = all(vandermonde_oracle(m) == stencil(m).coeffs for m in range(vand_max + 1))
-        ff_ok = all(cap_i == cap_r for cap_i, cap_r in (falling_factorial_sums(r_max, i) for i in range(2, i_max + 1)))
+        # A node i >= r_max reads both lists after slot min(i, r) = r: one snapshot.
+        nodes = range(2, min(i_max + 1, r_max))
+        ff_ok = all(cap_i == cap_r for cap_i, cap_r in (falling_factorial_sums(r_max, i) for i in nodes))
         ok = ps_ok and vand_ok and ff_ok
         report = {
             "what": "identities",
@@ -400,7 +401,7 @@ def _cmd_verify(args) -> int:
     if args.what == "equivalence":
         _check_closed_form_size(args.spec, spec.top_weight, spec.d, lambda: [bj for bj, _, _ in spec.slots[1]])
         _check_recurrence_size(args.spec, spec)
-        if isinstance(spec, GeneralSpec):
+        if spec.a is None:
             ok = build_generating(spec).elements == build_general(spec).elements
             report = {"what": "equivalence", "generating_vs_general": ok, "ok": ok}
         else:
@@ -570,7 +571,7 @@ def _cmd_study(args) -> int:
         runs += [(name, m, _sweep_rows(args, f, z0, m, pts)) for m in range(len(pts.points))]
     out_dir = Path(args.out_dir)
     z0_text = ", ".join(str(c) for c in z0)
-    if isinstance(spec, ParamTable):
+    if spec.a is not None:
         shape = f"table: d={spec.d} n={spec.n}"
     else:
         shape = f"general spec: d={spec.d} b={list(spec.b)}"
@@ -594,7 +595,7 @@ def _cmd_study(args) -> int:
     return 0
 
 
-def _random_table(rng: random.Random, d_max: int, n_max: int) -> ParamTable:
+def _random_table(rng: random.Random, d_max: int, n_max: int) -> GeneralSpec:
     d, n = rng.randint(2, d_max), rng.randint(2, n_max)
     a = {
         (i, j): Fraction(rng.randint(-10, 10), rng.randint(1, 10))

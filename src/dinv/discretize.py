@@ -1,9 +1,10 @@
 """Coalescing point schemes and the limit verification.
 
-Both spec kinds are read through their weights (b, c), as .slots gives
-them (every nonzero c_ij as n_ij / D, sorted by weight): the basis elements
-B_m are the t^m coefficients of exp(sum_i x_i * p_i(t)) with
-p_i(t) = sum_j c_ij * t^(b_j), and Taylor's theorem gives
+Every spec, a parameter table included, is read through its weights
+(b, c), as .slots gives them (every nonzero c_ij as n_ij / D, sorted by
+weight): the basis elements B_m are the t^m coefficients of
+exp(sum_i x_i * p_i(t)) with p_i(t) = sum_j c_ij * t^(b_j), and Taylor's
+theorem gives
 
     f(z0 + p(t)) = sum_k t^k * (B_k(D)f)(z0).
 
@@ -44,7 +45,7 @@ from typing import Iterator, Sequence
 
 from .identities import falling_factorial
 from .poly import DiffOperator, Polynomial, _decimal_digits, rational_text
-from .subspace import GeneralSpec, ParamTable, _generating_elements
+from .subspace import GeneralSpec, _generating_elements
 
 _ZERO = Fraction(0)
 
@@ -77,14 +78,14 @@ class SymbolicPointSet:
     """b_n + 1 points with coordinates given as exact polynomials in h.
 
     scheme is "a" or "b"; base is the common limit point z0; spec is the
-    table or general spec the points were generated from (carried so
+    spec the points were generated from (carried so
     verification code can rebuild the matching basis).
     """
 
     scheme: str
     base: tuple[Fraction, ...]
     points: tuple[tuple[Polynomial, ...], ...]
-    spec: ParamTable | GeneralSpec
+    spec: GeneralSpec
 
     @property
     def dim(self) -> int:
@@ -106,7 +107,7 @@ class SymbolicPointSet:
         }
 
 
-def _points(scheme: str, h_coef, spec: ParamTable | GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
+def _points(scheme: str, h_coef, spec: GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
     """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i,  r = 0..b_n."""
     den, slots = spec.slots
     base = tuple(Fraction(v) for v in z0)
@@ -123,7 +124,7 @@ def _points(scheme: str, h_coef, spec: ParamTable | GeneralSpec, z0: Sequence[Fr
     return SymbolicPointSet(scheme=scheme, base=base, points=tuple(pts), spec=spec)
 
 
-def points_scheme_a(spec: ParamTable | GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
+def points_scheme_a(spec: GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
     """First scheme: z_r(h) = z0 + p(r*h), r = 0..b_n, that is
 
         z_r(h) = z0 + (sum_j c_ij * (r*h)^(b_j))_i.
@@ -131,7 +132,7 @@ def points_scheme_a(spec: ParamTable | GeneralSpec, z0: Sequence[Fraction | int]
     return _points("a", pow, spec, z0)
 
 
-def points_scheme_b(spec: ParamTable | GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
+def points_scheme_b(spec: GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
     """Second scheme: the falling-factorial rule, r = 0..b_n,
 
         z_r(h) = z0 + (sum_j ff(r, b_j) * c_ij * h^(b_j))_i
@@ -244,7 +245,7 @@ class ExpansionReport:
         }
 
 
-def _target_value(f: Polynomial, z0: Sequence[Fraction], m: int, spec: ParamTable | GeneralSpec) -> Fraction:
+def _target_value(f: Polynomial, z0: Sequence[Fraction], m: int, spec: GeneralSpec) -> Fraction:
     """(B_m(D)f)(z0) from the spec alone, with B_0..B_m built by the
     generating recurrence stopped at weight m."""
     return DiffOperator(_generating_elements(spec, m)[m]).apply_at(f, z0)

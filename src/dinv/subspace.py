@@ -4,23 +4,23 @@ A derivative-closed (D-invariant) subspace of polynomials is one closed
 under every partial derivative.  Breadth one means its basis contains a
 single linear element, normalized here to x1.  The bases built here are
 the t^m coefficients B_m of exp(sum_i x_i * sum_j c_ij * t^(b_j)) for a
-weight vector b and coefficient vectors c: a GeneralSpec gives (b, c)
-directly, and a ParamTable is the specialization b = (1, 2, ..., n),
-c_1 = e_1, c_s = (0, a_{2,s}, ...).  Both read it through .slots, every
-nonzero c_ij as an integer n_ij over one denominator D, sorted by weight.
-Three independent constructions build the graded bases {B_0, ..., B_N}:
+weight vector b and coefficient vectors c, which one GeneralSpec holds.
+A parameter table is the case b = (1, 2, ..., n), c_1 = e_1,
+c_s = (0, a_{2,s}, ...): ParamTable builds that spec, and .a reads a spec
+of that shape back as a table.  Everything reads the weights through
+.slots, every nonzero c_ij as an integer n_ij over one denominator D,
+sorted by weight.  Three independent constructions build the graded bases
+{B_0, ..., B_N}:
 
   * build_recursive: degree-by-degree recursion driven by antiderivatives
-    of the lower-degree elements (tables only), run on integer numerators
-    over one scale per element,
-  * one closed-form enumeration, _closed_form_elements: a single walk over
-    the count vectors of the nonzero c_ij, summing
-    prod (c_ij * x_i)^(g_ij) / g_ij!; build_explicit runs it on a table's
-    weights and build_general on a general spec's.  It shares no code with
-    the recursion or the recurrence,
+    of the lower-degree elements (specs of table shape only), run on
+    integer numerators over one scale per element,
+  * build_general (also named build_explicit): one closed-form walk,
+    _closed_form_elements, over the count vectors of the nonzero c_ij,
+    summing prod (c_ij * x_i)^(g_ij) / g_ij!.  It shares no code with the
+    recursion or the recurrence,
   * build_generating: the recurrence m*B_m = sum_j b_j * L_j(x) * B_{m-b_j}
-    that differentiating in t gives, for either spec kind; build_general
-    is kept as its oracle.
+    that differentiating in t gives; build_general is kept as its oracle.
 
 It also provides the exact verifiers used by the test suite and CLI:
 derivative-closure reports, breadth, and degrees.
@@ -47,112 +47,68 @@ from .linalg import common_denominator, echelon
 from .poly import Polynomial, json_array, json_int, json_rational
 
 
-@dataclass(frozen=True)
-class ParamTable:
-    """Parameters a[(i, j)] of the recursive construction.
-
-    d is the number of variables (>= 2), n the top degree (>= 1).  The
-    entry a[(i, j)] is the coefficient attached to degree i and variable
-    j, for 2 <= i <= n and 2 <= j <= d; absent entries read as zero.
-    """
-
-    d: int
-    n: int
-    a: Mapping[tuple[int, int], Fraction]
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"need d >= 2, got {self.d}")
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (i, j), v in self.a.items():
-            if not (2 <= i <= self.n and 2 <= j <= self.d):
-                raise ValueError(f"parameter index ({i},{j}) outside 2..{self.n} x 2..{self.d}")
-            v = Fraction(v)
-            if v != 0:
-                clean[(i, j)] = v
-        object.__setattr__(self, "a", clean)
-
-    def get(self, i: int, j: int) -> Fraction:
-        if not (2 <= i <= self.n and 2 <= j <= self.d):
-            raise ValueError(f"parameter index ({i},{j}) outside 2..{self.n} x 2..{self.d}")
-        return self.a.get((i, j), Fraction(0))
-
-    @cached_property
-    def slots(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-        """(D, ((b_j, i, n_ij), ...)) of the generating identity's weights
-        b = (1, 2, ..., n), c_1 = e_1, c_s = (0, a[2,s], ..., a[n,s]), read
-        from a alone (n = 1 included): x1's slot (1, 0, D), then (i, j - 1,
-        n_ij) per entry a[i, j] = n_ij / D, as GeneralSpec.slots orders them.
-        Built on first access and kept (the table is immutable)."""
-        den, nums = common_denominator(self.a.values())
-        return den, ((1, 0, den),) + tuple(sorted((i, j - 1, v) for (i, j), v in zip(self.a, nums)))
-
-    @property
-    def top_weight(self) -> int:
-        return self.n
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "a": {f"{i},{j}": str(v) for (i, j), v in sorted(self.a.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> ParamTable:
-        try:
-            d = json_int(data["d"], "d")
-            n = json_int(data["n"], "n")
-            a = {}
-            for key, v in data.get("a", {}).items():
-                i_s, j_s = str(key).split(",")
-                a[(int(i_s), int(j_s))] = json_rational(v)
-        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed parameter table: {exc}") from exc
-        return cls(d=d, n=n, a=a)
+# What GeneralSpec.a needs to read a spec as a parameter table.
+TABLE_SHAPE = "d >= 2, b = 1..n, and c_11 = 1 the only nonzero entry of x1 and of weight 1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneralSpec:
-    """Inputs of the general construction.
+    """The weights (b, c) of the generating identity: B_m is the t^m
+    coefficient of exp(sum_i x_i * sum_j c_ij * t^(b_j)).
 
-    b is a strictly increasing integer weight vector with b[0] == 1 and
-    b[1] >= 2; c holds d coefficient vectors of length n whose first
-    coordinates are not all zero (otherwise no linear element would be
-    produced and the construction degenerates).
+    b is a strictly increasing integer weight vector with b[0] == 1, of
+    length n >= 1; c holds d >= 1 coefficient vectors of length n whose
+    first coordinates are not all zero (otherwise no linear element would
+    be produced and the construction degenerates).
+
+    Stored are d, b (as range(1, n + 1) when b is 1..n) and entries, the
+    (j, i, c_ij) of every nonzero c_ij, 0-based slot j and variable i, in
+    ascending order; n, top_weight, slots and the dense c derive from them,
+    so equal specs compare equal however they were written.  A parameter
+    table is a spec of table shape (TABLE_SHAPE), read back by .a.
     """
 
-    n: int
     d: int
-    b: tuple[int, ...]
-    c: tuple[tuple[Fraction, ...], ...]
+    b: Sequence[int]
+    entries: tuple[tuple[int, int, Fraction], ...]
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if self.d < 1:
-            raise ValueError(f"need d >= 1, got {self.d}")
-        b = tuple(int(v) for v in self.b)
-        if len(b) != self.n:
-            raise ValueError(f"b has length {len(b)}, expected {self.n}")
+    def __init__(self, n: int, d: int, b: Iterable[int], c: Iterable[Iterable[Fraction | int]]):
+        b = tuple(int(v) for v in b)
+        if len(b) != n:
+            raise ValueError(f"b has length {len(b)}, expected {n}")
+        c = tuple(tuple(Fraction(v) for v in row) for row in c)
+        if len(c) != d:
+            raise ValueError(f"c has {len(c)} vectors, expected {d}")
+        for row in c:
+            if len(row) != n:
+                raise ValueError(f"c vector has length {len(row)}, expected {n}")
+        self._store(d, b, [(j, i, v) for j in range(n) for i, row in enumerate(c) if (v := row[j])])
+
+    def _store(self, d: int, b: Sequence[int], entries: Iterable[tuple[int, int, Fraction]]) -> None:
+        """Validate and keep d, b and the nonzero entries (j, i, c_ij), whose
+        indices the caller has put in range."""
+        if d < 1:
+            raise ValueError(f"need d >= 1, got {d}")
+        if len(b) < 1:
+            raise ValueError(f"need n >= 1, got {len(b)}")
         if b[0] != 1:
             raise ValueError(f"b[0] must be 1, got {b[0]}")
-        if b[1] < 2:
-            raise ValueError(f"b[1] must be >= 2, got {b[1]}")
-        if any(b[k] >= b[k + 1] for k in range(1, self.n - 1)):
-            raise ValueError(f"b must be strictly increasing from slot 2, got {b}")
-        c = tuple(tuple(Fraction(v) for v in row) for row in self.c)
-        if len(c) != self.d:
-            raise ValueError(f"c has {len(c)} vectors, expected {self.d}")
-        for row in c:
-            if len(row) != self.n:
-                raise ValueError(f"c vector has length {len(row)}, expected {self.n}")
-        if all(row[0] == 0 for row in c):
+        # A range(1, n + 1) is 1..n already; only other weights are read.
+        if not isinstance(b, range):
+            if any(u >= v for u, v in zip(b, b[1:])):
+                raise ValueError(f"b must be strictly increasing, got {b}")
+            if b[-1] == len(b):
+                b = range(1, len(b) + 1)
+        entries = tuple(sorted(entries))
+        if not entries or entries[0][0] != 0:
             raise ValueError("first coordinates of the c vectors must not all be zero")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "entries", entries)
+
+    @property
+    def n(self) -> int:
+        return len(self.b)
 
     @property
     def top_weight(self) -> int:
@@ -162,29 +118,77 @@ class GeneralSpec:
     def slots(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         """(D, ((b_j, i, n_ij), ...)): every nonzero c_ij as n_ij / D, D the
         lcm of the denominators of c, sorted by weight b_j and then by the
-        0-based variable i."""
-        nonzero = [(bj, i, row[j]) for j, bj in enumerate(self.b) for i, row in enumerate(self.c) if row[j]]
-        den, nums = common_denominator(v for _, _, v in nonzero)
-        return den, tuple((bj, i, n_ij) for (bj, i, _), n_ij in zip(nonzero, nums))
+        0-based variable i.  Built on first access from the entries alone,
+        so a table's n may be far larger than its input."""
+        den, nums = common_denominator(v for _, _, v in self.entries)
+        return den, tuple((self.b[j], i, n_ij) for (j, i, _), n_ij in zip(self.entries, nums))
+
+    @cached_property
+    def c(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The d dense coefficient vectors of length n."""
+        rows = [[Fraction(0)] * self.n for _ in range(self.d)]
+        for j, i, v in self.entries:
+            rows[i][j] = v
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def a(self) -> dict[tuple[int, int], Fraction] | None:
+        """The table view {(i, j): a_ij}: entry a_ij = c_ji is attached to
+        degree i and variable j, for 2 <= i <= n and 2 <= j <= d, absent
+        entries reading as zero.  None unless the spec has table shape."""
+        first = [e for e in self.entries if 0 in e[:2]]  # the entries of x1 or of weight 1
+        if self.d < 2 or not isinstance(self.b, range) or first != [(0, 0, 1)]:
+            return None
+        return {(j + 1, i + 1): v for j, i, v in self.entries[1:]}
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "b": list(self.b),
-            "c": [[str(v) for v in row] for row in self.c],
-        }
+        """The table form {"d", "n", "a"} for a spec of table shape, the
+        general form {"n", "d", "b", "c"} otherwise."""
+        if self.a is not None:
+            return {"d": self.d, "n": self.n, "a": {f"{i},{j}": str(v) for (i, j), v in self.a.items()}}
+        return {"n": self.n, "d": self.d, "b": list(self.b), "c": [[str(v) for v in row] for row in self.c]}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> GeneralSpec:
+        """Either JSON form: an object with a "b" or "c" key is a general
+        spec, any other a parameter table."""
+        general = "b" in data or "c" in data
         try:
             n = json_int(data["n"], "n")
             d = json_int(data["d"], "d")
-            b = tuple(json_int(v, "b entry") for v in json_array(data["b"], "b"))
-            c = tuple(tuple(json_rational(v) for v in json_array(row, "c row")) for row in json_array(data["c"], "c"))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed general spec: {exc}") from exc
-        return cls(n=n, d=d, b=b, c=c)
+            if general:
+                b = tuple(json_int(v, "b entry") for v in json_array(data["b"], "b"))
+                rows = json_array(data["c"], "c")
+                c = tuple(tuple(json_rational(v) for v in json_array(row, "c row")) for row in rows)
+            else:
+                a = {}
+                for key, v in data.get("a", {}).items():
+                    i_s, j_s = str(key).split(",")
+                    a[(int(i_s), int(j_s))] = json_rational(v)
+        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed {'general spec' if general else 'parameter table'}: {exc}") from exc
+        return cls(n=n, d=d, b=b, c=c) if general else ParamTable(d=d, n=n, a=a)
+
+
+def ParamTable(d: int, n: int, a: Mapping[tuple[int, int], Fraction | int]) -> GeneralSpec:
+    """The spec of a parameter table: d >= 2 variables, top degree n >= 1,
+    and a[(i, j)] the coefficient attached to degree i and variable j, for
+    2 <= i <= n and 2 <= j <= d (absent entries read as zero).  Its weights
+    are b = (1, ..., n), c_1 = e_1 and c_s = (0, a[2,s], ..., a[n,s]).
+    Reads only the entries of a, never 1..n."""
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    entries = [(0, 0, Fraction(1))]
+    for (i, j), v in a.items():
+        if not (2 <= i <= n and 2 <= j <= d):
+            raise ValueError(f"parameter index ({i},{j}) outside 2..{n} x 2..{d}")
+        if v := Fraction(v):
+            entries.append((i - 1, j - 1, v))
+    spec = object.__new__(GeneralSpec)
+    spec._store(d, range(1, n + 1), entries)
+    return spec
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,7 @@ class BasisSequence:
         return cls(tuple(Polynomial.from_dict(item) for item in data))
 
 
-def _closed_form_elements(spec: ParamTable | GeneralSpec, top: int) -> list[Polynomial]:
+def _closed_form_elements(spec: GeneralSpec, top: int) -> list[Polynomial]:
     """B_0..B_top of the spec's weights (b, c) as the closed-form sum
 
         B_m = [t^m] prod_{(i, j): c_ij != 0} exp(c_ij * x_i * t^(b_j))
@@ -280,13 +284,22 @@ def _closed_form_elements(spec: ParamTable | GeneralSpec, top: int) -> list[Poly
 
 
 def build_general(spec: GeneralSpec) -> BasisSequence:
-    """The general family as the closed-form sum over weighted compositions
+    """The basis as the closed-form sum over weighted compositions
     (_closed_form_elements on the spec's weights).  It is the oracle for
-    build_generating, which builds the same basis by recurrence."""
+    build_generating, which builds the same basis by recurrence, and, as
+    build_explicit, for build_recursive on a table."""
     return BasisSequence(tuple(_closed_form_elements(spec, spec.top_weight)))
 
 
-def _generating_elements(spec: ParamTable | GeneralSpec, top: int) -> list[Polynomial]:
+# The closed form of a table: element k sums over all (g, {g[s,j]}) with
+# g + sum_j j*g[s,j] == k the monomial x1^g * prod_s x_s^(sum_j g[s,j])
+# with coefficient prod a[j,s]^g[s,j] / (g! * prod g[s,j]!).  It shares no
+# construction code with build_recursive, so the termwise equality of the
+# two outputs is a cross-check, not a tautology.
+build_explicit = build_general
+
+
+def _generating_elements(spec: GeneralSpec, top: int) -> list[Polynomial]:
     """B_0..B_top of the spec's weights (b, c).  Differentiating
     G = exp(sum_j L_j(x) * t^(b_j)), L_j = sum_i c_ij * x_i, in t gives
 
@@ -325,9 +338,9 @@ def _generating_elements(spec: ParamTable | GeneralSpec, top: int) -> list[Polyn
     return out
 
 
-def build_generating(spec: ParamTable | GeneralSpec) -> BasisSequence:
-    """The basis of either spec kind by the generating recurrence over its
-    weights (b, c).  Equal termwise to build_general, which enumerates the
+def build_generating(spec: GeneralSpec) -> BasisSequence:
+    """The basis by the generating recurrence over the spec's weights
+    (b, c).  Equal termwise to build_general, which enumerates the
     same coefficients as a sum over weighted compositions."""
     return BasisSequence(tuple(_generating_elements(spec, spec.top_weight)))
 
@@ -340,7 +353,7 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _recursive_numerators(params: ParamTable) -> list[tuple[int, dict[tuple[int, ...], int]]]:
+def _recursive_numerators(params: GeneralSpec) -> list[tuple[int, dict[tuple[int, ...], int]]]:
     """(S_k, P_k) with B_k = P_k / S_k for k = 0..n, by the recursion of
     build_recursive on integers.  S_k > 0 has no factor common to all of
     P_k's integer numerators, so S_k is the lcm of B_k's denominators."""
@@ -400,7 +413,7 @@ def _recursive_numerators(params: ParamTable) -> list[tuple[int, dict[tuple[int,
     return elems[: n + 1]
 
 
-def build_recursive(params: ParamTable) -> BasisSequence:
+def build_recursive(params: GeneralSpec) -> BasisSequence:
     """Degree-by-degree recursion.  B_0 = 1, B_1 = x1, and for k >= 2
 
         B_k = V_k + sum_j a[k,j] * x_j,
@@ -422,7 +435,10 @@ def build_recursive(params: ParamTable) -> BasisSequence:
     lcm(1..k).  Each P_k is then divided by its gcd with S_k, and each
     coefficient of B_k is one Fraction, P_k[e] / S_k, built at the end.
     Shares no code with the closed-form walk or the generating recurrence
-    apart from the table's slots."""
+    apart from the table's slots.  Raises ValueError unless the spec has
+    table shape (.a is not None)."""
+    if params.a is None:
+        raise ValueError(f"the recursion needs a spec of table shape ({TABLE_SHAPE})")
     d = params.d
     return BasisSequence(tuple(
         Polynomial(d, {e: Fraction(v, s) for e, v in p.items()}, _trusted=True)
@@ -430,33 +446,10 @@ def build_recursive(params: ParamTable) -> BasisSequence:
     ))
 
 
-def build_explicit(params: ParamTable) -> BasisSequence:
-    """Closed-form construction for the same family as build_recursive.
-
-    Element k sums over all (g, {g[s,j]}) with g + sum_j j*g[s,j] == k
-    (g >= 0 attached to x1; s over variables 2..d, j over degrees 2..n)
-    the monomial x1^g * prod_s x_s^(sum_j g[s,j]) with coefficient
-    prod a[j,s]^g[s,j] / (g! * prod g[s,j]!): the closed-form sum of
-    _closed_form_elements over the table's weights, b = (1, ..., n) and
-    c_1 = e_1, c_s = (0, a[2,s], ..., a[n,s]).
-
-    Deliberately shares no construction code with build_recursive: the
-    termwise equality of the two outputs is a cross-check, not a tautology.
-    """
-    return BasisSequence(tuple(_closed_form_elements(params, params.n)))
-
-
-def specialize(params: ParamTable) -> GeneralSpec:
-    """The GeneralSpec of the table's weights, whose construction reproduces
-    the ParamTable family: b = (1, ..., n), c_1 = e_1 and
-    c_s = (0, a[2,s], ..., a[n,s]).  Needs n >= 2 (GeneralSpec has no n = 1
-    instance)."""
-    n = params.n
-    if n < 2:
-        raise ValueError("specialization needs n >= 2")
-    c = [(1,) + (0,) * (n - 1)]
-    c += [(0,) + tuple(params.a.get((i, s), 0) for i in range(2, n + 1)) for s in range(2, params.d + 1)]
-    return GeneralSpec(n=n, d=params.d, b=range(1, n + 1), c=c)
+def specialize(spec: GeneralSpec) -> GeneralSpec:
+    """The spec itself: a parameter table is a GeneralSpec already.  Kept
+    only for bench/workloads.py, which still calls it."""
+    return spec
 
 
 @dataclass(frozen=True)
@@ -472,7 +465,7 @@ class ClosureReport:
         return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
 
 
-def check_closure(basis: BasisSequence, spec: ParamTable | GeneralSpec) -> ClosureReport:
+def check_closure(basis: BasisSequence, spec: GeneralSpec) -> ClosureReport:
     """Exact derivative identities of the generating function
     G = exp(sum_i x_i * sum_j c_ij * t^(b_j)), whose t^m coefficient is B_m.
     Since dG/dx_i = (sum_j c_ij * t^(b_j)) * G,

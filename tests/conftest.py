@@ -37,13 +37,23 @@ def rational(rng: random.Random, max_num: int = 10, max_den: int = 10, allow_zer
             return v
 
 
-def random_param_table(rng: random.Random, d: int, n: int, fill: float = 0.8) -> ParamTable:
+def random_param_table(rng: random.Random, d: int, n: int, fill: float = 0.8) -> GeneralSpec:
     a = {}
     for i in range(2, n + 1):
         for j in range(2, d + 1):
             if rng.random() < fill:
                 a[(i, j)] = rational(rng)
     return ParamTable(d=d, n=n, a=a)
+
+
+def general_form(t: GeneralSpec) -> GeneralSpec:
+    """The table t written out as a general spec, through the dense
+    constructor: b = (1, ..., n), c_1 = e_1 and c_s = (0, a[2,s], ...,
+    a[n,s])."""
+    n = t.n
+    c = [(1,) + (0,) * (n - 1)]
+    c += [(0,) + tuple(t.a.get((i, s), 0) for i in range(2, n + 1)) for s in range(2, t.d + 1)]
+    return GeneralSpec(n=n, d=t.d, b=tuple(range(1, n + 1)), c=c)
 
 
 def random_general_spec(

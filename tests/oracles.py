@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 from dinv.identities import falling_factorial
 from dinv.poly import Polynomial
-from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec, ParamTable
+from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec
 
 
 def diff(p: Polynomial, j: int) -> Polynomial:
@@ -208,7 +208,7 @@ def signed_power_sum_fraction(j: int, m: int, include_zero: bool = True) -> Frac
     return total
 
 
-def check_closure_fraction(basis: BasisSequence, spec: ParamTable | GeneralSpec) -> ClosureReport:
+def check_closure_fraction(basis: BasisSequence, spec: GeneralSpec) -> ClosureReport:
     """d(B_m)/dx_i == sum_{j: b_j <= m} c_ij * B_{m - b_j} for every m >= 1
     and variable i, both sides built as Polynomials in Fraction arithmetic."""
     top = spec.top_weight
@@ -284,14 +284,14 @@ def build_general_fraction(spec: GeneralSpec) -> BasisSequence:
     return BasisSequence(tuple(elems))
 
 
-def build_explicit_fraction(params: ParamTable) -> BasisSequence:
+def build_explicit_fraction(params: GeneralSpec) -> BasisSequence:
     """Element k sums over all (g, {g[s,j]}) with g + sum_j j*g[s,j] == k
     on the nonzero a[j,s] the monomial x1^g * prod_s x_s^(sum_j g[s,j])
     with coefficient prod a[j,s]^g[s,j] / (g! * prod g[s,j]!), each
     composition's coefficient built from scratch in Fractions."""
     d, n = params.d, params.n
     slots: list[tuple[int, int]] = [
-        (s, j) for s in range(2, d + 1) for j in range(2, n + 1) if params.get(j, s) != 0
+        (s, j) for s in range(2, d + 1) for j in range(2, n + 1) if params.a.get((j, s), 0) != 0
     ]
     weights = [1] + [j for (_, j) in slots]
     elems = []
@@ -302,7 +302,7 @@ def build_explicit_fraction(params: ParamTable) -> BasisSequence:
             coef = Fraction(1, math.factorial(g1))
             for (s, j), g in zip(slots, rest):
                 if g:
-                    coef *= params.get(j, s) ** g
+                    coef *= params.a.get((j, s), 0) ** g
                     coef /= math.factorial(g)
             exps = [g1] + [0] * (d - 1)
             for (s, _), g in zip(slots, rest):
@@ -313,7 +313,7 @@ def build_explicit_fraction(params: ParamTable) -> BasisSequence:
     return BasisSequence(tuple(elems))
 
 
-def build_recursive_fraction(params: ParamTable) -> BasisSequence:
+def build_recursive_fraction(params: GeneralSpec) -> BasisSequence:
     """The degree-by-degree recursion of build_recursive in Fraction
     Polynomial arithmetic: B_k = I_1(B_{k-1}) + sum_j I_j(part of M_j free
     of x1..x_{j-1}) + sum_j a[k,j] * x_j, M_j = sum_{2 <= i < k} a[i,j] *
@@ -325,12 +325,12 @@ def build_recursive_fraction(params: ParamTable) -> BasisSequence:
         for j in range(2, d + 1):
             m_j = Polynomial.zero(d)
             for i in range(2, k):
-                coef = params.get(i, j)
+                coef = params.a.get((i, j), 0)
                 if coef:
                     m_j = m_j + coef * elems[k - i]
             v = v + integrate(free_of_leading(m_j, j), j)
         for j in range(2, d + 1):
-            coef = params.get(k, j)
+            coef = params.a.get((k, j), 0)
             if coef:
                 v = v + coef * Polynomial.variable(d, j)
         elems.append(v)

@@ -10,7 +10,7 @@ import functools
 import time
 from fractions import Fraction
 
-from conftest import make_rng, random_param_table, random_general_spec, random_poly, rational
+from conftest import general_form, make_rng, random_param_table, random_general_spec, random_poly, rational
 from dinv import (
     ParamTable,
     Polynomial,
@@ -25,7 +25,6 @@ from dinv import (
     points_scheme_a,
     points_scheme_b,
     signed_power_sum,
-    specialize,
     stencil,
     sweep,
     vandermonde_oracle,
@@ -101,7 +100,7 @@ def test_criterion_3_builder_equivalence_200_random():
     for t in _shared_tables():
         rec = build_recursive(t)
         assert build_explicit(t).elements == rec.elements
-        assert build_general(specialize(t)).elements == rec.elements
+        assert build_general(general_form(t)).elements == rec.elements
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"budget 60s exceeded: {elapsed:.3f}s"
     print(f"\n[criterion 3] PASS: recursive, explicit and general builders agree on 200 random tables ({elapsed:.3f}s)")

@@ -33,6 +33,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXAMPLE_SPEC = {"d": 2, "n": 4, "a": {"2,2": "2", "3,2": "3", "4,2": "4"}}
 GENERAL_SPEC = {"n": 2, "d": 2, "b": [1, 2], "c": [["1", "0"], ["0", "1"]]}
+# Two general specs not of table shape: a gap in b (CI's), and n = 1, the
+# spaces of every zero of multiplicity 2, with x2 at weight 1.
+GAPPED_SPEC = {"n": 3, "d": 2, "b": [1, 3, 4], "c": [["1", "0", "2/3"], ["-1/2", "5", "0"]]}
+GENERAL_N1 = {"n": 1, "d": 2, "b": [1], "c": [["1"], ["-2/3"]]}
 
 
 def P(text, dim=2):
@@ -134,9 +138,35 @@ class TestBasis:
         assert max(piece.count('"coef"') for piece in pieces) == 256
         assert sum(piece.count('"coef"') for piece in pieces) == 601
 
-    def test_general_source_rejects_param_table(self, spec_file, capsys):
-        assert main(["basis", "--source", "general", "--spec", spec_file]) == 2
-        assert "general spec" in capsys.readouterr().err
+    def test_general_source_takes_param_table(self, spec_file, capsys):
+        assert main(["basis", "--source", "general", "--spec", spec_file]) == 0
+        general = capsys.readouterr().out
+        assert main(["basis", "--source", "recursive", "--spec", spec_file]) == 0
+        assert capsys.readouterr().out == general
+
+    @pytest.mark.parametrize("spec", [GENERAL_N1, GAPPED_SPEC], ids=["n1", "gap-in-b"])
+    def test_recursive_source_needs_table_shape(self, spec, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(spec))
+        assert main(["basis", "--source", "recursive", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "needs a spec of table shape" in captured.err
+        for source in ("explicit", "general"):
+            assert main(["basis", "--source", source, "--spec", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)
+
+    def test_n1_table_and_its_general_form(self, tmp_path, capsys):
+        table, general = tmp_path / "t.json", tmp_path / "g.json"
+        table.write_text(json.dumps({"d": 2, "n": 1, "a": {}}))
+        general.write_text(json.dumps({"n": 1, "d": 2, "b": [1], "c": [["1"], ["0"]]}))
+        assert dinv.cli._load_spec(str(table)) == dinv.cli._load_spec(str(general))
+        for source in ("recursive", "explicit", "general"):
+            outs = []
+            for path in (table, general):
+                assert main(["basis", "--source", source, "--spec", str(path)]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
+            assert [BasisSequence.from_list(json.loads(outs[0]))[k].render() for k in (0, 1)] == ["1", "x1"]
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["basis", "--source", "recursive", "--spec", str(tmp_path / "nope.json")]) == 2
@@ -269,7 +299,10 @@ class TestVerify:
         assert report == {"what": "equivalence", "generating_vs_general": True, "ok": True}
 
     @pytest.mark.parametrize("name", ["build_generating", "build_general"])
-    def test_equivalence_general_spec_wrong_builder(self, name, general_file, monkeypatch, capsys):
+    def test_equivalence_general_spec_wrong_builder(self, name, tmp_path, monkeypatch, capsys):
+        # GENERAL_SPEC has table shape, which equivalence checks as a table.
+        spec = tmp_path / "g.json"
+        spec.write_text(json.dumps(GAPPED_SPEC))
         right = getattr(dinv.cli, name)
 
         def wrong(spec):
@@ -277,10 +310,17 @@ class TestVerify:
             return BasisSequence(top.elements[:-1] + (top.elements[-1] + P("x1"),))
 
         monkeypatch.setattr(dinv.cli, name, wrong)
-        assert main(["verify", "--what", "equivalence", "--spec", general_file]) == 1
+        assert main(["verify", "--what", "equivalence", "--spec", str(spec)]) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out) == {"what": "equivalence", "generating_vs_general": False, "ok": False}
         assert "equivalence: FAIL" in captured.err
+
+    def test_general_form_of_table_shape_is_a_table(self, general_file, tmp_path, capsys):
+        assert main(["verify", "--what", "equivalence", "--spec", general_file]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"what": "equivalence", "recursive_vs_explicit": True, "general_vs_recursive": True, "ok": True}
+        assert main(["study", "--spec", general_file, "--steps", "2", "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("table: d=2 n=2, f = ")
 
     def test_general_spec_path_never_enumerates(self, general_file, monkeypatch, capsys):
         def forbidden(spec):
@@ -342,6 +382,13 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["falling_factorial"] == {"r_max": 6, "i_max": 4, "ok": False}
         assert report["power_sums"]["ok"] and report["vandermonde"]["ok"] and not report["ok"]
+
+    def test_identities_nodes_from_r_max_on_are_not_scanned(self, capsys):
+        # Predicted within MAX_IDENTITY_WORK; at r_max = 1 no node i < r_max is left.
+        start = time.perf_counter()
+        assert main(["verify", "--what", "identities", "--m-max", "0", "--vand-max", "0", "--r-max", "1", "--i-max", "1250000"]) == 0
+        assert time.perf_counter() - start < 1
+        assert json.loads(capsys.readouterr().out)["falling_factorial"] == {"r_max": 1, "i_max": 1250000, "ok": True}
 
     @pytest.mark.parametrize(
         "flag, value", [("--m-max", "-5"), ("--vand-max", "-1"), ("--r-max", "0"), ("--i-max", "1")]
@@ -687,7 +734,9 @@ class TestIdentitySizeGuard:
                 steps = 0
                 flags = ["--m-max", "0", "--vand-max", "0", "--r-max", str(r_max), "--i-max", str(i_max)]
                 assert main(["verify", "--what", "identities", *flags]) == 0
-                assert 0 < steps <= dinv.cli._falling_factorial_work(r_max, i_max)
+                assert steps <= dinv.cli._falling_factorial_work(r_max, i_max)
+                # Only the nodes 2 <= i < r_max are scanned.
+                assert (steps > 0) == (r_max > 2)
         capsys.readouterr()
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1010,6 +1059,19 @@ class TestEitherSpec:
                 assert main(["limit", "--spec", spec_file, "--f", str(f), "--m", str(m), "--scheme", scheme]) == 0
                 assert main(["sweep", "--spec", spec_file, "--f", str(f), "--m", str(m), "--scheme", scheme]) == 0
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_n1_general_spec(self, tmp_path, capsys):
+        spec = tmp_path / "n1.json"
+        spec.write_text(json.dumps(GENERAL_N1))
+        f = tmp_path / "f.txt"
+        f.write_text("x1^3 + x1*x2 - x2^2 + 1")
+        runs = [["verify", "--what", what] for what in ("closure", "breadth", "equivalence")]
+        runs += [["basis", "--source", source] for source in ("explicit", "general")]
+        runs += [["limit", "--f", str(f), "--m", m, "--scheme", scheme, "--z0", "1/2,3"] for m in "01" for scheme in "ab"]
+        for argv in runs:
+            assert main([*argv, "--spec", str(spec)]) == 0, argv
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "FAIL" not in captured.err
 
     def test_general_spec(self, tmp_path, capsys):
         spec = tmp_path / "g.json"

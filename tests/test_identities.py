@@ -159,6 +159,14 @@ class TestFallingFactorialSum:
                     assert by_cap_i[r] == falling_factorial_sum_enumerated(r, i, i)
                     assert by_cap_r[r] == falling_factorial_sum_enumerated(r, i, r)
 
+    def test_nodes_from_r_max_on_give_one_snapshot(self):
+        # At i >= r_max every weight r <= r_max reads both caps after slot r,
+        # so verify --what identities scans only the nodes i < r_max.
+        for r_max in range(9):
+            for i in range(max(r_max, 2), r_max + 5):
+                by_cap_i, by_cap_r = falling_factorial_sums(r_max, i)
+                assert by_cap_i == by_cap_r and len(by_cap_r) == r_max + 1
+
     def test_sums_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             falling_factorial_sums(-1, 2)

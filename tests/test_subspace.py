@@ -1,15 +1,17 @@
 """Tests for the three basis constructions and their exact verifiers."""
 
 import itertools
+import json
 import math
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import dinv.subspace
-from conftest import make_rng, random_general_spec, random_param_table, rational
+from conftest import general_form, make_rng, random_general_spec, random_param_table, rational
 from dinv import (
     BasisSequence,
     GeneralSpec,
@@ -22,7 +24,6 @@ from dinv import (
     build_recursive,
     check_closure,
     degrees,
-    specialize,
 )
 from dinv.compositions import count_compositions
 from dinv.linalg import common_denominator
@@ -59,7 +60,7 @@ EXAMPLE_BASIS = [
 class TestParamTable:
     def test_missing_entries_read_zero(self):
         t = ParamTable(d=2, n=3, a={(2, 2): F(1)})
-        assert t.get(3, 2) == 0
+        assert t.c[1][2] == 0
 
     def test_index_bounds(self):
         with pytest.raises(ValueError):
@@ -70,21 +71,20 @@ class TestParamTable:
             ParamTable(d=1, n=3, a={})
 
     def test_get_bounds(self):
-        t = ParamTable(d=2, n=3, a={})
         with pytest.raises(ValueError):
-            t.get(1, 2)
+            ParamTable(d=2, n=3, a={(1, 2): F(1)})
 
     def test_json_round_trip(self):
         t = ParamTable(d=3, n=4, a={(2, 2): F(1, 2), (4, 3): F(-3)})
-        assert ParamTable.from_dict(t.to_dict()) == t
+        assert GeneralSpec.from_dict(t.to_dict()) == t
 
     def test_from_dict_example_shape(self):
-        t = ParamTable.from_dict({"d": 2, "n": 4, "a": {"2,2": "2", "3,2": "3", "4,2": "4"}})
+        t = GeneralSpec.from_dict({"d": 2, "n": 4, "a": {"2,2": "2", "3,2": "3", "4,2": "4"}})
         assert t == EXAMPLE_PARAMS
 
     def test_from_dict_malformed(self):
         with pytest.raises(ValueError):
-            ParamTable.from_dict({"d": 2})
+            GeneralSpec.from_dict({"d": 2})
 
     def test_slots_built_once(self):
         t = ParamTable(d=3, n=4, a={(4, 3): F(-3), (2, 2): F(1, 2)})
@@ -107,7 +107,7 @@ class TestParamTable:
         rng = make_rng(110)
         for _ in range(20):
             t = random_param_table(rng, d=rng.choice((2, 3, 4)), n=rng.randint(2, 6))
-            assert t.slots == specialize(t).slots
+            assert t.slots == general_form(t).slots
 
 
 class TestGeneralSpec:
@@ -134,6 +134,85 @@ class TestGeneralSpec:
         assert spec.slots is spec.slots
         assert spec.slots == (6, ((1, 0, 6), (1, 1, -3), (4, 0, 4)))
         assert spec.top_weight == 4
+
+    def test_n1(self):
+        # b = (1,): the spaces {1, L} of the zeros of multiplicity 2.
+        spec = GeneralSpec(n=1, d=2, b=(1,), c=((F(1),), (F(-2, 3),)))
+        assert (spec.n, spec.top_weight, spec.a) == (1, 1, None)
+        basis = build_generating(spec)
+        assert list(basis) == [P("1"), P("x1 - 2/3*x2")]
+        assert basis.elements == build_general(spec).elements
+        assert check_closure(basis, spec).ok and breadth(list(basis)) == 1
+
+    @pytest.mark.parametrize(
+        "b, c, a",
+        [
+            ((1, 2), ((1, 0), (0, 1), (0, 0)), {(2, 2): 1}),
+            ((1,), ((1,),), None),
+            ((1, 3), ((1, 0), (0, 1)), None),
+            ((1, 2), ((2, 0), (0, 1)), None),
+            ((1, 2), ((1, 1), (0, 1)), None),
+            ((1, 2), ((1, 0), (1, 1)), None),
+        ],
+        ids=["table", "one-variable", "gap-in-b", "c11-not-1", "x1-at-weight-2", "x2-at-weight-1"],
+    )
+    def test_table_view(self, b, c, a):
+        spec = GeneralSpec(n=len(b), d=len(c), b=b, c=c)
+        assert spec.a == a
+        if a is None:
+            assert spec.to_dict() == {"n": len(b), "d": len(c), "b": list(b), "c": [[str(v) for v in row] for row in c]}
+        else:
+            assert spec.to_dict() == {"d": 3, "n": 2, "a": {"2,2": "1"}}
+            assert spec == ParamTable(d=3, n=2, a={(2, 2): F(1)})
+
+
+def _spec_forms(rng) -> list:
+    """Seeded tables (n = 1 included) and general specs: gaps in b, all-zero
+    columns, and general specs of table shape."""
+    specs = []
+    for trial in range(30):
+        n = 1 if trial % 6 == 0 else rng.randint(2, 6)
+        specs.append(random_param_table(rng, d=rng.choice((2, 3, 4)), n=n, fill=rng.choice((0.3, 0.8))))
+    for trial in range(30):
+        spec = random_general_spec(rng, n_max=4, bn_max=10, d_max=3)
+        if trial % 3 == 0:
+            col = rng.randrange(1, spec.n)
+            spec = GeneralSpec(n=spec.n, d=spec.d, b=spec.b, c=[[F(0) if j == col else v for j, v in enumerate(row)] for row in spec.c])
+        specs.append(spec)
+    specs += [general_form(random_param_table(rng, d=rng.choice((2, 3)), n=rng.randint(1, 5))) for _ in range(10)]
+    return specs
+
+
+class TestSpecForms:
+    """A table and a general spec are one GeneralSpec; from_dict reads both
+    JSON forms and to_dict writes the table form exactly for table shape."""
+
+    def test_json_round_trip(self):
+        specs = _spec_forms(make_rng(140))
+        for spec in specs:
+            data = json.loads(json.dumps(spec.to_dict()))
+            assert set(data) == ({"d", "n", "a"} if spec.a is not None else {"n", "d", "b", "c"})
+            assert GeneralSpec.from_dict(data) == spec
+        assert any(s.a is not None and s.n == 1 for s in specs)
+        assert any(s.a is None and any(v - u > 1 for u, v in zip(s.b, s.b[1:])) for s in specs)
+        assert any(s.a is None and any(not any(row[j] for row in s.c) for j in range(s.n)) for s in specs)
+
+    def test_table_and_its_general_form_load_equal(self):
+        rng = make_rng(141)
+        for trial in range(30):
+            t = random_param_table(rng, d=rng.choice((2, 3, 4)), n=1 if trial % 5 == 0 else rng.randint(2, 6))
+            general = {"n": t.n, "d": t.d, "b": list(range(1, t.n + 1)), "c": [[str(v) for v in row] for row in t.c]}
+            loaded = GeneralSpec.from_dict(general)
+            assert loaded == t and hash(loaded) == hash(t)
+            assert loaded.slots == t.slots and loaded.a == t.a
+            assert loaded.to_dict() == t.to_dict() == GeneralSpec.from_dict(t.to_dict()).to_dict()
+
+    def test_huge_table_loads_at_once(self):
+        start = time.perf_counter()
+        spec = GeneralSpec.from_dict({"d": 2, "n": 10**9, "a": {}})
+        assert time.perf_counter() - start < 0.01
+        assert spec.n == spec.top_weight == 10**9 and spec.a == {}
+        assert spec.slots == (1, ((1, 0, 1),))
 
 
 class TestBasisSequence:
@@ -322,7 +401,7 @@ class TestBuildGeneral:
         rng = make_rng(102)
         for _ in range(25):
             t = random_param_table(rng, d=rng.choice((2, 3, 4)), n=rng.randint(2, 6))
-            assert build_general(specialize(t)).elements == build_recursive(t).elements
+            assert build_general(general_form(t)).elements == build_recursive(t).elements
 
     def test_zero_heavy_specs_match_unpruned_sum(self):
         rng = make_rng(109)
@@ -340,10 +419,6 @@ class TestBuildGeneral:
         assert visits == count_compositions(4, [1, 2, 4]) == 10
         assert count_compositions(4, [1, 1, 2, 2, 4, 4]) > visits
         assert basis.elements == build_general_fraction(spec).elements
-
-    def test_specialize_needs_degree_two(self):
-        with pytest.raises(ValueError):
-            specialize(ParamTable(d=2, n=1, a={}))
 
     def test_top_homogeneous_part(self):
         rng = make_rng(103)
@@ -407,8 +482,8 @@ class TestBuildGenerating:
         rng = make_rng(114)
         for _ in range(20):
             t = random_param_table(rng, d=rng.choice((2, 3, 4)), n=rng.randint(2, 6))
-            assert build_generating(specialize(t)).elements == build_recursive(t).elements
-            assert build_generating(specialize(t)).elements == build_general(specialize(t)).elements
+            assert build_generating(general_form(t)).elements == build_recursive(t).elements
+            assert build_generating(general_form(t)).elements == build_general(general_form(t)).elements
 
     def test_hand_summed_weight_two(self):
         spec = GeneralSpec(n=2, d=2, b=(1, 2), c=((F(1), F(0)), (F(0), F(1))))
@@ -651,13 +726,20 @@ class TestBreadthAndDegrees:
 
 
 class TestEquivalence:
+    def test_explicit_is_general(self):
+        assert build_explicit is build_general
+
+    def test_recursion_needs_table_shape(self):
+        with pytest.raises(ValueError, match="table shape"):
+            build_recursive(GeneralSpec(n=2, d=2, b=(1, 2), c=((F(1), F(0)), (F(1), F(1)))))
+
     def test_three_way_random(self):
         rng = make_rng(107)
         for _ in range(20):
             t = random_param_table(rng, d=rng.choice((2, 3, 4)), n=rng.randint(2, 6))
             rec = build_recursive(t)
             assert build_explicit(t).elements == rec.elements
-            assert build_general(specialize(t)).elements == rec.elements
+            assert build_general(general_form(t)).elements == rec.elements
 
     def test_recursive_equals_explicit_n1(self):
         t = ParamTable(d=2, n=1, a={})
@@ -764,16 +846,16 @@ class TestClosedForm:
         kinds = set()
         for _ in range(60):
             spec = _coprime_spec(rng)
-            if isinstance(spec, ParamTable):
+            if spec.a is not None:
                 basis, oracle = build_explicit(spec), build_explicit_fraction(spec)
             else:
                 basis, oracle = build_general(spec), build_general_fraction(spec)
-            kinds.add(type(spec))
+            kinds.add(spec.a is not None)
             assert basis.elements == oracle.elements
             for q in basis:
                 for v in q.terms.values():
                     assert type(v) is F and v != 0 and math.gcd(v.numerator, v.denominator) == 1
-        assert kinds == {ParamTable, GeneralSpec}
+        assert kinds == {True, False}
 
     def test_visits_are_the_predicted_count(self):
         rng = make_rng(135)
@@ -794,10 +876,9 @@ class TestIntegerKernel:
         rng = make_rng(120)
         for _ in range(40):
             spec = _coprime_spec(rng)
-            general = specialize(spec) if isinstance(spec, ParamTable) and spec.n >= 2 else spec
-            if isinstance(general, GeneralSpec):
-                assert build_generating(spec).elements == build_general(general).elements
-            else:
+            general = general_form(spec) if spec.a is not None else spec
+            assert build_generating(spec).elements == build_general(general).elements
+            if spec.a is not None:
                 assert build_generating(spec).elements == build_recursive(spec).elements
 
     def test_output_coefficients_are_normalized_fractions(self):
@@ -821,7 +902,7 @@ class TestIntegerKernel:
             assert check_closure(basis, spec) == expect
             pairs += 1
             refuted += not expect.ok
-            seen_kinds.add((kind, isinstance(spec, ParamTable)))
+            seen_kinds.add((kind, spec.a is not None))
         assert pairs >= 200
         assert refuted >= 150
         assert len(seen_kinds) == 2 * len(kinds)
