@@ -46,14 +46,17 @@ from .subspace import (
     TABLE_SHAPE,
     BasisSequence,
     GeneralSpec,
+    Numerators,
     ParamTable,
-    breadth,
+    _closed_form_elements,
+    _generating_elements,
+    _recursive_numerators,
+    breadth_numerators,
     build_explicit,
-    build_general,
-    build_generating,
     build_recursive,
     check_closure,
-    degrees,
+    check_closure_numerators,
+    numerator_polynomial,
 )
 
 
@@ -155,32 +158,38 @@ def _power_of_ten(k: int) -> int:
 
 # One term of Polynomial.to_dict as json.dumps(..., indent=2) lays it out
 # inside a list of elements, and the separator of its exponents.  The
-# coefficient needs no escaping: rational_text writes only [-0-9/].
+# coefficient needs no escaping: _ratio_text writes only [-0-9/].
 _TERM_JSON = '\n      {{\n        "exp": [\n          {}\n        ],\n        "coef": "{}"\n      }}'
 _EXP_SEP = ",\n          "
 
 
-def _basis_chunks(basis: Iterable[Polynomial], pretty: bool) -> Iterator[str]:
-    """The text of basis in small pieces, one element's at a time; joined,
-    they are json.dumps([p.to_dict() for p in basis], indent=2) + "\n" for
-    a non-empty basis, or one rendered element per line.  The JSON is
-    written for to_dict's fixed shape, an element's terms 256 at a time:
-    few writes, and no element's whole text in memory."""
+def _ratio_text(v: int, scale: int) -> str:
+    """str(Fraction(v, scale)) for scale > 0, by one gcd."""
+    g = math.gcd(v, scale)
+    return str(v // g) if g == scale else f"{v // g}/{scale // g}"
+
+
+def _basis_chunks(d: int, elems: Numerators, pretty: bool) -> Iterator[str]:
+    """The text of the basis (s_k, P_k) in d variables in small pieces;
+    joined, they are json.dumps([p.to_dict() for p in basis], indent=2) +
+    "\n" for a non-empty basis, or one rendered element per line.  The JSON
+    is written for to_dict's fixed shape, an element's terms 256 at a time:
+    few writes, no Fraction, and no element's whole text in memory."""
     if pretty:
-        for p in basis:
-            yield p.render() + "\n"
+        for s, p in elems:
+            yield numerator_polynomial(d, s, p).render() + "\n"
         return
     yield "["
-    for k, p in enumerate(basis):
-        head = (",\n  {" if k else "\n  {") + f'\n    "dim": {p.dim},\n    "terms": '
-        terms = p.canonical_terms()
-        if not terms:
+    for k, (s, p) in enumerate(elems):
+        head = (",\n  {" if k else "\n  {") + f'\n    "dim": {d},\n    "terms": '
+        if not p:
             yield head + "[]\n  }"
             continue
+        terms = sorted(p.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
         yield head + "["
         for start in range(0, len(terms), 256):
             yield ("," if start else "") + ",".join(
-                _TERM_JSON.format(_EXP_SEP.join(map(str, e)), rational_text(c)) for e, c in terms[start : start + 256]
+                _TERM_JSON.format(_EXP_SEP.join(map(str, e)), _ratio_text(v, s)) for e, v in terms[start : start + 256]
             )
         yield "\n    ]\n  }"
     yield "\n]\n"
@@ -224,11 +233,12 @@ def _check_closed_form_size(what: str, top: int, d: int, weights) -> None:
 # the scale top! * D^top.  Its terms number at most the count vectors of the
 # closed-form walk.  So the work is predicted, before any build, as those
 # visits times those decimal digits, and a spec may predict at most
-# MAX_RECURRENCE_WORK.  On one core of a 2-vCPU host the slowest family per
-# unit measured is d = 1 with b = (1, B) and c = (1, 1), whose few terms
-# carry the most digits: at B = 5300 (9.2e7 predicted) verify took 5.2 s for
-# equivalence, 2.9 s for closure and 2.9 s (38 MiB) for breadth, as a
-# subprocess; building the basis is most of each.
+# MAX_RECURRENCE_WORK.  On one core of a 2-vCPU host, as subprocesses, d = 1
+# with b = (1, B) and c = (1, 1) at B = 5300 (9.2e7 predicted) took 0.4 s for
+# closure (38 MiB peak), 0.3 s for breadth (39 MiB) and 0.3 to 0.5 s for
+# equivalence (75 MiB).  Large rationals cost more per unit: d = 2,
+# b = (1, 44) with 1000-digit ones (9.1e7) took 2.0 s for closure, and
+# d = 3, b = (1, 19) with 1000-digit ones (5.9e7) 3.0 s.
 # Full d = 6 tables predict 2.8e7 at n = 18 and 8.9e7 at n = 20.
 MAX_RECURRENCE_WORK = 100_000_000
 
@@ -261,26 +271,26 @@ def _check_recurrence_size(what: str, spec: GeneralSpec) -> None:
 # bound as a subprocess, a step took 0.05 us in the power sums (--m-max 166,
 # 0.7 s) and 0.18 us in the Vandermonde cells (--vand-max 69, 1.9 s).  The
 # falling-factorial scan, which runs only the nodes i < r_max, took at most
-# 0.2 s at r = i (60), at r >> i (243, 2) and at i >> r (1, 1,250,000); so a
-# run at the bound takes at most about 2 s.
+# 0.2 s at r = i (60, and 60 with any larger --i-max) and at r >> i (243, 2);
+# so a run at the bound takes at most about 2 s.
 MAX_IDENTITY_WORK = 10_000_000
 
 
 def _falling_factorial_work(r_max: int, i_max: int) -> int:
     """An upper bound on the steps of the falling-factorial scan, in
-    closed form.  It counts, per node i and weight r, two sums
-    (falling_factorial_sum at cap = i and at cap = r), each of which fills a
-    table of r + 1 entries and makes at most r slot passes of one base
-    product and r - t + 1 updates at slot t: (r^2 + 5r + 2) / 2 steps.
-    Over r <= r_max that is r_max * (r_max + 2) * (r_max + 7) / 3 per node.
-    The scan makes one run of falling_factorial_sums, the steps of the
-    single sum at r = r_max, and only at the nodes i < r_max (at i >= r_max
-    its two lists are one snapshot), so the prediction is an upper bound.
+    closed form, over the nodes it runs, 2 <= i <= min(i_max, r_max - 1).
+    It counts, per node i and weight r, two sums (falling_factorial_sum at
+    cap = i and at cap = r), each of which fills a table of r + 1 entries
+    and makes at most r slot passes of one base product and r - t + 1
+    updates at slot t: (r^2 + 5r + 2) / 2 steps.  Over r <= r_max that is
+    r_max * (r_max + 2) * (r_max + 7) / 3 per node, where one run of
+    falling_factorial_sums makes the steps of the single sum at r = r_max.
     Every integer is below (2 * i)^r (at most 2^r partitions of r, each
     term below i^r), so a step counts one more per 100 digits of
-    (2 * i_max)^r_max."""
-    digits = int(r_max * math.log10(2 * i_max))
-    return (i_max - 1) * r_max * (r_max + 2) * (r_max + 7) // 3 * (1 + digits // 100)
+    (2 * i)^r_max at the last node i."""
+    last = max(1, min(i_max, r_max - 1))
+    digits = int(r_max * math.log10(2 * last))
+    return (last - 1) * r_max * (r_max + 2) * (r_max + 7) // 3 * (1 + digits // 100)
 
 
 def _identity_work(m_max: int, vand_max: int, r_max: int, i_max: int, cap: int) -> int:
@@ -325,26 +335,48 @@ def _cmd_basis(args) -> int:
     if args.source == "explicit":
         _check_closed_form_size(args.spec, spec.top_weight, spec.d, lambda: [bj for bj, _, _ in spec.slots[1]])
     _check_recurrence_size(args.spec, spec)
-    build = {"recursive": build_recursive, "explicit": build_explicit, "general": build_generating}[args.source]
-    basis = build(spec)
-    # The text is written as it is made, so a coefficient too long to
-    # write is looked for first: its error must leave no partial output.
+    elems = _build_numerators(args.source, spec)
+    # The text is written as it is made, so a coefficient too long to write
+    # is looked for first (no longer than its scale or its numerator): its
+    # error must leave no partial output.
     limit = sys.get_int_max_str_digits()
     if limit:
         too_long = _power_of_ten(limit)
-        for p in basis:
-            if any(abs(v.numerator) >= too_long or v.denominator >= too_long for v in p.terms.values()):
-                (p.render if args.pretty else p.to_dict)()  # raises DigitLimitError
-    _emit_chunks(args, _basis_chunks(basis, args.pretty))
+        for s, p in elems:
+            if s >= too_long or any(abs(v) >= too_long for v in p.values()):
+                q = numerator_polynomial(spec.d, s, p)
+                (q.render if args.pretty else q.to_dict)()  # raises DigitLimitError on a term too long
+    _emit_chunks(args, _basis_chunks(spec.d, elems, args.pretty))
     return 0
 
 
-def _compare_builders(params: GeneralSpec) -> tuple[BasisSequence, bool, bool]:
-    """The recursive basis, whether the explicit (closed-form) one equals it,
-    and whether the one of the generating recurrence does."""
-    rec = build_recursive(params)
-    rec_vs_exp = build_explicit(params).elements == rec.elements
-    gen_vs_rec = build_generating(params).elements == rec.elements
+def _build_numerators(source: str, spec: GeneralSpec) -> Numerators:
+    """The numerators (s_k, P_k) of B_0..B_top by the builder of --source."""
+    if source == "recursive":
+        return _recursive_numerators(spec)
+    build = _closed_form_elements if source == "explicit" else _generating_elements
+    return build(spec, spec.top_weight)
+
+
+def _same_elements(x: Numerators, y: Numerators) -> bool:
+    """Whether x and y are the same basis: per element, P / s == Q / t
+    termwise, cross-multiplied by t / g and s / g, g = gcd(s, t)."""
+    if len(x) != len(y):
+        return False
+    for (s, p), (t, q) in zip(x, y):
+        g = math.gcd(s, t)
+        a, b = t // g, s // g
+        if p.keys() != q.keys() or any(v * a != q[e] * b for e, v in p.items()):
+            return False
+    return True
+
+
+def _compare_builders(params: GeneralSpec) -> tuple[Numerators, bool, bool]:
+    """The recursive basis's numerators, whether the explicit (closed-form)
+    basis equals it, and whether the one of the generating recurrence does."""
+    rec = _build_numerators("recursive", params)
+    rec_vs_exp = _same_elements(_build_numerators("explicit", params), rec)
+    gen_vs_rec = _same_elements(_build_numerators("general", params), rec)
     return rec, rec_vs_exp, gen_vs_rec
 
 
@@ -387,13 +419,13 @@ def _cmd_verify(args) -> int:
     if args.what == "closure":
         if args.basis:
             basis = _load_basis(args.basis)
+            try:
+                rep = check_closure(basis, spec)
+            except ValueError as exc:
+                raise CliError(f"{args.basis}: {exc}") from exc
         else:
             _check_recurrence_size(args.spec, spec)
-            basis = build_generating(spec)
-        try:
-            rep = check_closure(basis, spec)
-        except ValueError as exc:
-            raise CliError(f"{args.basis}: {exc}") from exc
+            rep = check_closure_numerators(_build_numerators("general", spec), spec)
         _emit(args, json.dumps({"what": "closure", **rep.to_dict()}, indent=2) + "\n")
         _note("closure: ok" if rep.ok else f"closure: FAIL at (element, variable) {list(rep.violations)}")
         return 0 if rep.ok else 1
@@ -402,7 +434,7 @@ def _cmd_verify(args) -> int:
         _check_closed_form_size(args.spec, spec.top_weight, spec.d, lambda: [bj for bj, _, _ in spec.slots[1]])
         _check_recurrence_size(args.spec, spec)
         if spec.a is None:
-            ok = build_generating(spec).elements == build_general(spec).elements
+            ok = _same_elements(_build_numerators("general", spec), _build_numerators("explicit", spec))
             report = {"what": "equivalence", "generating_vs_general": ok, "ok": ok}
         else:
             _, rec_vs_exp, gen_vs_rec = _compare_builders(spec)
@@ -419,13 +451,13 @@ def _cmd_verify(args) -> int:
 
     if args.what == "breadth":
         _check_recurrence_size(args.spec, spec)
-        basis = build_generating(spec)
-        value = breadth(list(basis))
+        elems = _build_numerators("general", spec)
+        value = breadth_numerators(spec.d, (p for _, p in elems))
         ok = value == 1
         report = {
             "what": "breadth",
             "value": value,
-            "degrees": list(degrees(basis)),
+            "degrees": [max(map(sum, p), default=-1) for _, p in elems],
             "ok": ok,
         }
         _emit(args, json.dumps(report, indent=2) + "\n")
@@ -619,12 +651,12 @@ def _cmd_scan(args) -> int:
     for k in range(args.count):
         t = _random_table(rng, args.d_max, args.n_max)
         rec, rec_vs_exp, gen_vs_rec = _compare_builders(t)
-        closure = check_closure(rec, t)
+        closure = check_closure_numerators(rec, t)
         checks = (
             (rec_vs_exp, "explicit != recursive"),
             (gen_vs_rec, "general != recursive"),
             (closure.ok, f"closure violations {closure.violations}"),
-            (breadth(list(rec)) == 1, "breadth != 1"),
+            (breadth_numerators(t.d, (p for _, p in rec)) == 1, "breadth != 1"),
         )
         problems = [msg for passed, msg in checks if not passed]
         if problems:

@@ -45,7 +45,7 @@ from typing import Iterator, Sequence
 
 from .identities import falling_factorial
 from .poly import DiffOperator, Polynomial, _decimal_digits, rational_text
-from .subspace import GeneralSpec, _generating_elements
+from .subspace import GeneralSpec, _generating_elements, numerator_polynomial
 
 _ZERO = Fraction(0)
 
@@ -248,7 +248,7 @@ class ExpansionReport:
 def _target_value(f: Polynomial, z0: Sequence[Fraction], m: int, spec: GeneralSpec) -> Fraction:
     """(B_m(D)f)(z0) from the spec alone, with B_0..B_m built by the
     generating recurrence stopped at weight m."""
-    return DiffOperator(_generating_elements(spec, m)[m]).apply_at(f, z0)
+    return DiffOperator(numerator_polynomial(spec.d, *_generating_elements(spec, m)[m])).apply_at(f, z0)
 
 
 def expansion_check(

@@ -22,15 +22,12 @@ sorted by weight.  Three independent constructions build the graded bases
   * build_generating: the recurrence m*B_m = sum_j b_j * L_j(x) * B_{m-b_j}
     that differentiating in t gives; build_general is kept as its oracle.
 
-It also provides the exact verifiers used by the test suite and CLI:
-derivative-closure reports, breadth, and degrees.
-
-Values cross the API as Fractions.  The recursion, the closed-form
-enumeration, the generating recurrence, the closure check and breadth
-compute on integer numerators over a common denominator
-(linalg.common_denominator), and the builders build each output Fraction
-once, at the end; the Fraction versions of the three builders and of the
-closure check are kept as test oracles.
+Each builder returns integer numerators over one scale per element
+(Numerators), which the exact verifiers, check_closure_numerators and
+breadth_numerators, read as they are; numerator_basis makes build_*'s
+Fractions, and check_closure and breadth reach the same cores through
+linalg.common_denominator.  The Fraction builders and closure check are
+kept as test oracles.
 """
 
 from __future__ import annotations
@@ -40,11 +37,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import common_denominator, echelon
-from .poly import Polynomial, json_array, json_int, json_rational
+from .poly import Exponent, Polynomial, json_array, json_int, json_rational
+
+# Elements B_k = P_k / s_k as integer numerators: (s_k > 0, {exponent: P_k[e] != 0}).
+Numerators = list[tuple[int, dict[Exponent, int]]]
 
 
 # What GeneralSpec.a needs to read a spec as a parameter table.
@@ -234,7 +234,7 @@ class BasisSequence:
         return cls(tuple(Polynomial.from_dict(item) for item in data))
 
 
-def _closed_form_elements(spec: GeneralSpec, top: int) -> list[Polynomial]:
+def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
     """B_0..B_top of the spec's weights (b, c) as the closed-form sum
 
         B_m = [t^m] prod_{(i, j): c_ij != 0} exp(c_ij * x_i * t^(b_j))
@@ -253,12 +253,12 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> list[Polynomial]:
     n_ij / D, D the lcm of the denominators of c), prod g_ij!, the
     exponent vector and G = sum g.  With m! * D^m * B_m integral, each
     node adds the integer prod n^g * D^(m-G) * (m! // prod g!) to element
-    m, and each coefficient of B_m is then one Fraction, that sum over
-    m! * D^m."""
+    m, and B_m is that sum over the scale m! * D^m."""
     d = spec.d
     den, slots = spec.slots
-    fact = [math.factorial(m) for m in range(top + 1)]
-    den_pow = [den ** k for k in range(top + 1)]
+    # Running products: top + 1 separate powers would cost O(top^2) digits.
+    fact = list(itertools.accumulate(range(1, top + 1), mul, initial=1))
+    den_pow = list(itertools.accumulate([den] * top, mul, initial=1))
     elems: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
 
     def walk(start: int, m: int, total: int, prod_n: int, prod_fact: int, e: tuple[int, ...]) -> None:
@@ -276,11 +276,19 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> list[Polynomial]:
                 walk(k + 1, w, total + g, p_n, p_f, ex)
 
     walk(0, 0, 0, 1, 1, (0,) * d)
-    out = []
-    for m, terms in enumerate(elems):
-        scale = fact[m] * den_pow[m]
-        out.append(Polynomial(d, {e: Fraction(v, scale) for e, v in terms.items() if v}, _trusted=True))
-    return out
+    # A sum that cancelled to 0 keeps its key; the scan for one is cheap.
+    elems = [p if 0 not in p.values() else {e: v for e, v in p.items() if v} for p in elems]
+    return [(fact[m] * den_pow[m], terms) for m, terms in enumerate(elems)]
+
+
+def numerator_polynomial(d: int, scale: int, nums: Mapping[Exponent, int]) -> Polynomial:
+    """nums / scale in d variables, each coefficient one reduced Fraction."""
+    return Polynomial(d, {e: Fraction(v, scale) for e, v in nums.items()}, _trusted=True)
+
+
+def numerator_basis(d: int, elems: Numerators) -> BasisSequence:
+    """The BasisSequence of a builder's numerators."""
+    return BasisSequence(tuple(numerator_polynomial(d, s, p) for s, p in elems))
 
 
 def build_general(spec: GeneralSpec) -> BasisSequence:
@@ -288,7 +296,7 @@ def build_general(spec: GeneralSpec) -> BasisSequence:
     (_closed_form_elements on the spec's weights).  It is the oracle for
     build_generating, which builds the same basis by recurrence, and, as
     build_explicit, for build_recursive on a table."""
-    return BasisSequence(tuple(_closed_form_elements(spec, spec.top_weight)))
+    return numerator_basis(spec.d, _closed_form_elements(spec, spec.top_weight))
 
 
 # The closed form of a table: element k sums over all (g, {g[s,j]}) with
@@ -299,7 +307,7 @@ def build_general(spec: GeneralSpec) -> BasisSequence:
 build_explicit = build_general
 
 
-def _generating_elements(spec: GeneralSpec, top: int) -> list[Polynomial]:
+def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
     """B_0..B_top of the spec's weights (b, c).  Differentiating
     G = exp(sum_j L_j(x) * t^(b_j)), L_j = sum_i c_ij * x_i, in t gives
 
@@ -312,13 +320,13 @@ def _generating_elements(spec: GeneralSpec, top: int) -> list[Polynomial]:
 
         E_m = sum_{j: b_j <= m} b_j * ff(m-1, b_j-1) * D^(b_j-1) * N_j(x) * E_{m - b_j},
 
-    ff(m-1, b_j-1) = (m-1)! / (m-b_j)!.  Each coefficient of B_m is then
-    one Fraction, E_m[e] / (m! * D^m)."""
+    ff(m-1, b_j-1) = (m-1)! / (m-b_j)!, and B_m is E_m over the scale
+    m! * D^m."""
     d = spec.d
     den, slots = spec.slots
     # (b_j, [(i, n_ij) for n_ij != 0]) per weight with a nonzero N_j.
     forms = [(bj, [(i, n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
-    elems: list[dict[tuple[int, ...], int]] = [{(0,) * d: 1}]
+    elems: Numerators = [(1, {(0,) * d: 1})]
     for m in range(1, top + 1):
         acc: dict[tuple[int, ...], int] = {}
         for bj, form in forms:
@@ -326,23 +334,19 @@ def _generating_elements(spec: GeneralSpec, top: int) -> list[Polynomial]:
                 break
             k = bj * math.perm(m - 1, bj - 1) * den ** (bj - 1)
             scaled = [(i, k * w) for i, w in form]
-            for e, coef in elems[m - bj].items():
+            for e, coef in elems[m - bj][1].items():
                 for i, w in scaled:
                     key = e[:i] + (e[i] + 1,) + e[i + 1:]
                     acc[key] = acc.get(key, 0) + w * coef
-        elems.append({e: v for e, v in acc.items() if v})
-    out = []
-    for m, terms in enumerate(elems):
-        scale = math.factorial(m) * den ** m
-        out.append(Polynomial(d, {e: Fraction(v, scale) for e, v in terms.items()}, _trusted=True))
-    return out
+        elems.append((elems[-1][0] * m * den, {e: v for e, v in acc.items() if v}))
+    return elems
 
 
 def build_generating(spec: GeneralSpec) -> BasisSequence:
     """The basis by the generating recurrence over the spec's weights
     (b, c).  Equal termwise to build_general, which enumerates the
     same coefficients as a sum over weighted compositions."""
-    return BasisSequence(tuple(_generating_elements(spec, spec.top_weight)))
+    return numerator_basis(spec.d, _generating_elements(spec, spec.top_weight))
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -353,7 +357,7 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _recursive_numerators(params: GeneralSpec) -> list[tuple[int, dict[tuple[int, ...], int]]]:
+def _recursive_numerators(params: GeneralSpec) -> Numerators:
     """(S_k, P_k) with B_k = P_k / S_k for k = 0..n, by the recursion of
     build_recursive on integers.  S_k > 0 has no factor common to all of
     P_k's integer numerators, so S_k is the lcm of B_k's denominators."""
@@ -432,18 +436,13 @@ def build_recursive(params: GeneralSpec) -> BasisSequence:
 
     makes every antiderivative exact as well: a term of B_{k-1} or M_j has
     degree at most k - 1, so its divisor e_j + 1 is at most k and divides
-    lcm(1..k).  Each P_k is then divided by its gcd with S_k, and each
-    coefficient of B_k is one Fraction, P_k[e] / S_k, built at the end.
+    lcm(1..k).  Each P_k is then divided by its gcd with S_k.
     Shares no code with the closed-form walk or the generating recurrence
     apart from the table's slots.  Raises ValueError unless the spec has
     table shape (.a is not None)."""
     if params.a is None:
         raise ValueError(f"the recursion needs a spec of table shape ({TABLE_SHAPE})")
-    d = params.d
-    return BasisSequence(tuple(
-        Polynomial(d, {e: Fraction(v, s) for e, v in p.items()}, _trusted=True)
-        for s, p in _recursive_numerators(params)
-    ))
+    return numerator_basis(params.d, _recursive_numerators(params))
 
 
 def specialize(spec: GeneralSpec) -> GeneralSpec:
@@ -465,7 +464,24 @@ class ClosureReport:
         return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
 
 
+def _numerators(p: Polynomial) -> tuple[int, dict[Exponent, int]]:
+    """(s, P) with p = P / s, s the lcm of p's denominators."""
+    s, nums = common_denominator(p.terms.values())
+    return s, dict(zip(p.terms, nums))
+
+
 def check_closure(basis: BasisSequence, spec: GeneralSpec) -> ClosureReport:
+    """check_closure_numerators on the basis's integer numerators; ValueError
+    unless it has b_n + 1 elements in the spec's d variables."""
+    top, d = spec.top_weight, spec.d
+    if len(basis) != top + 1:
+        raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")
+    if basis.dim != d:
+        raise ValueError(f"basis has dimension {basis.dim}, the spec needs {d}")
+    return check_closure_numerators([_numerators(p) for p in basis], spec)
+
+
+def check_closure_numerators(elems: Numerators, spec: GeneralSpec) -> ClosureReport:
     """Exact derivative identities of the generating function
     G = exp(sum_i x_i * sum_j c_ij * t^(b_j)), whose t^m coefficient is B_m.
     Since dG/dx_i = (sum_j c_ij * t^(b_j)) * G,
@@ -473,31 +489,21 @@ def check_closure(basis: BasisSequence, spec: GeneralSpec) -> ClosureReport:
         d(B_m)/dx_i == sum_{j: b_j <= m} c_ij * B_{m - b_j}
 
     for every m >= 1 and every variable i, read from the spec's weights.
-    Raises ValueError unless the basis has b_n + 1 elements in the spec's d
-    variables.
+    elems holds B_0..B_{b_n} in the spec's d variables as B_k = P_k / s_k,
+    s_k any positive scale (m! * D^m as well as the lcm of denominators).
 
-    Checked on integers: with B_k = P_k / s_k (s_k the lcm of B_k's
-    denominators) and c_ij = n_ij / D, both sides of each identity are
-    multiplied by L = lcm(s_m, D * s_{m-b_j} over its slots), and (m, i)
+    Checked on integers: with c_ij = n_ij / D, both sides of each identity
+    are multiplied by L = lcm(s_m, D * s_{m-b_j} over its slots), and (m, i)
     is a violation iff L/s_m * d(P_m)/dx_i differs from
     sum_j n_ij * L/(D * s_{m-b_j}) * P_{m-b_j}.
     """
-    top, d = spec.top_weight, spec.d
-    if len(basis) != top + 1:
-        raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")
-    if basis.dim != d:
-        raise ValueError(f"basis has dimension {basis.dim}, the spec needs {d}")
-    den, slots = spec.slots
+    d, (den, slots) = spec.d, spec.slots
     by_var = [[(bj, n_ij) for bj, v, n_ij in slots if v == i] for i in range(d)]
-    ints = []  # (s_k, P_k) per element
-    for p in basis:
-        s, nums = common_denominator(p.terms.values())
-        ints.append((s, dict(zip(p.terms, nums))))
     bad: list[tuple[int, int]] = []
-    for m in range(1, top + 1):
-        s_m, p_m = ints[m]
+    for m in range(1, spec.top_weight + 1):
+        s_m, p_m = elems[m]
         for i in range(d):
-            terms = [(n_ij, *ints[m - bj]) for bj, n_ij in by_var[i] if bj <= m]
+            terms = [(n_ij, *elems[m - bj]) for bj, n_ij in by_var[i] if bj <= m]
             scale = s_m
             for _, s, _ in terms:
                 scale = math.lcm(scale, den * s)
@@ -517,30 +523,40 @@ def check_closure(basis: BasisSequence, spec: GeneralSpec) -> ClosureReport:
 
 
 def breadth(basis: Sequence[Polynomial]) -> int:
-    """Number of independent linear (degree-exactly-1) directions in the
-    span: dim(span intersect {degree <= 1}) - 1.
-
-    Requires the constant 1 to lie in the span (every derivative-closed
-    space containing a nonzero element has it); raises ValueError if not.
-
-    The elements' integer numerators go through linalg.echelon with the
-    monomials in descending total degree.  A row with a lead of degree <= 1
-    vanishes in degree >= 2, and the rows with leads of degree >= 2 stay
-    independent there, so the leads of degree <= 1 count the dimension of
-    the span's part of degree <= 1.  1 lies in the span iff the constant,
-    the last monomial, is a lead.  A graded basis has distinct leads, one
-    per degree, and takes no reduction step.
-    """
+    """breadth_numerators on the elements' integer numerators; ValueError on
+    an empty basis or on elements of different dimensions."""
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
     dim = basis[0].dim
     if any(q.dim != dim for q in basis):
         raise ValueError("basis elements must share one dimension")
-    leads = echelon(
-        (dict(zip(q.terms, common_denominator(q.terms.values())[1])) for q in basis),
-        key=lambda e: (-sum(e), e),
-    )
+    return breadth_numerators(dim, (_numerators(q)[1] for q in basis))
+
+
+def breadth_numerators(dim: int, rows: Iterable[Mapping[Exponent, int]]) -> int:
+    """Number of independent linear (degree-exactly-1) directions in the
+    span of the rows, each an element's integer numerators in dim variables
+    (a positive multiple of it, with no zero entry):
+    dim(span intersect {degree <= 1}) - 1.
+
+    Requires the constant 1 to lie in the span (every derivative-closed
+    space containing a nonzero element has it); raises ValueError if not.
+
+    The leads are those of linalg.echelon with the monomials in descending
+    total degree.  A row with a lead of degree <= 1 vanishes in degree >= 2,
+    and the rows with leads of degree >= 2 stay independent there, so the
+    leads of degree <= 1 count the dimension of the span's part of
+    degree <= 1.  1 lies in the span iff the constant, the last monomial, is
+    a lead.  Rows with distinct leads, as a graded basis has (one per
+    degree), are echelon's leads with no reduction step: then no row is
+    eliminated, nor made primitive by gcds that would decide nothing.
+    """
+    key = lambda e: (-sum(e), e)
+    rows = [row for row in rows if row]
+    leads = {min(row, key=key) for row in rows}
+    if len(leads) < len(rows):
+        leads = echelon(rows, key=key)
     if (0,) * dim not in leads:
         raise ValueError("span does not contain the constant 1")
     return sum(1 for e in leads if sum(e) <= 1) - 1

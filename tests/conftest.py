@@ -72,6 +72,47 @@ def random_general_spec(
     return GeneralSpec(n=n, d=d, b=b, c=tuple(tuple(row) for row in c))
 
 
+COPRIME = (Fraction(1, 7), Fraction(5, 11), Fraction(-3, 13), Fraction(1, 1009), Fraction(2), Fraction(-1), Fraction(0))
+
+
+def coprime_spec(rng: random.Random) -> GeneralSpec:
+    """A table or general spec with coefficients from COPRIME; general
+    specs get an all-zero c column (other than the first) half the time."""
+    if rng.random() < 0.4:
+        d, n = rng.choice((2, 3)), rng.randint(1, 5)
+        a = {(i, j): rng.choice(COPRIME) for i in range(2, n + 1) for j in range(2, d + 1)}
+        return ParamTable(d=d, n=n, a=a)
+    n, d = rng.randint(2, 4), rng.randint(1, 3)
+    b = tuple([1] + sorted(rng.sample(range(2, 8), n - 1)))
+    c = [[rng.choice(COPRIME) for _ in range(n)] for _ in range(d)]
+    c[rng.randrange(d)][0] = rng.choice(COPRIME[:5])
+    if rng.random() < 0.5:
+        col = rng.randrange(1, n)
+        for row in c:
+            row[col] = Fraction(0)
+    return GeneralSpec(n=n, d=d, b=b, c=tuple(tuple(row) for row in c))
+
+
+def seeded_specs(rng: random.Random, count: int) -> list[GeneralSpec]:
+    """count specs, cycling through four kinds: a table (n = 1 every eighth
+    spec), a general spec with gaps in b, a general spec with n = 1, and a
+    spec with coprime denominators (coprime_spec)."""
+    specs = []
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            specs.append(random_param_table(rng, d=rng.choice((2, 3)), n=1 if k % 8 == 0 else rng.randint(2, 6)))
+        elif kind == 1:
+            specs.append(random_general_spec(rng, n_max=4, bn_max=9, d_max=3))
+        elif kind == 2:
+            d = rng.randint(1, 3)
+            c = [(rational(rng, allow_zero=i > 0),) for i in range(d)]
+            specs.append(GeneralSpec(n=1, d=d, b=(1,), c=c))
+        else:
+            specs.append(coprime_spec(rng))
+    return specs
+
+
 def random_poly(
     rng: random.Random,
     dim: int,

@@ -14,10 +14,11 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import dinv
@@ -27,7 +28,10 @@ import dinv.identities
 import dinv.subspace
 from dinv import BasisSequence, ClosureReport, Polynomial
 from dinv.cli import main
-from dinv.poly import MAX_RATIONAL_DIGITS
+from dinv.poly import MAX_RATIONAL_DIGITS, parse_rational
+from dinv.subspace import _numerators
+from conftest import make_rng, seeded_specs
+from oracles import build_general_fraction
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -37,6 +41,9 @@ GENERAL_SPEC = {"n": 2, "d": 2, "b": [1, 2], "c": [["1", "0"], ["0", "1"]]}
 # spaces of every zero of multiplicity 2, with x2 at weight 1.
 GAPPED_SPEC = {"n": 3, "d": 2, "b": [1, 3, 4], "c": [["1", "0", "2/3"], ["-1/2", "5", "0"]]}
 GENERAL_N1 = {"n": 1, "d": 2, "b": [1], "c": [["1"], ["-2/3"]]}
+SOURCES = ("recursive", "explicit", "general")
+# The builders of the integer numerators that basis, closure and breadth read.
+NUMERATOR_BUILDERS = ("_recursive_numerators", "_closed_form_elements", "_generating_elements")
 
 
 def P(text, dim=2):
@@ -118,7 +125,9 @@ class TestBasis:
     @pytest.mark.parametrize("count", [0, 1, 256, 257, 600])
     def test_writer_is_one_dumps(self, d, count):
         # Zero elements, multi-digit negative rationals and elements of
-        # 256 and 257 terms, at the writer's batch boundary.
+        # 256 and 257 terms, at the writer's batch boundary, written from
+        # numerators over the lcm of each element's denominators and over
+        # multiples of it.
         rng = random.Random(d * 1000 + count)
         elements = [Polynomial.constant(d, 1), Polynomial.zero(d)]
         for _ in range(2):
@@ -129,12 +138,31 @@ class TestBasis:
             elements.append(Polynomial(d, terms))
         elements.append(Polynomial(d, {(0,) * d: Fraction(-123456789, 1000)}))
         expect = json.dumps([p.to_dict() for p in elements], indent=2) + "\n"
-        assert "".join(dinv.cli._basis_chunks(elements, False)) == expect
-        assert "".join(dinv.cli._basis_chunks(elements[:1], False)) == json.dumps([elements[0].to_dict()], indent=2) + "\n"
+        for k in (1, rng.randint(2, 10**30)):
+            elems = [(s * k, {e: v * k for e, v in p.items()}) for s, p in map(_numerators, elements)]
+            assert "".join(dinv.cli._basis_chunks(d, elems, False)) == expect
+            assert "".join(dinv.cli._basis_chunks(d, elems, True)) == "".join(p.render() + "\n" for p in elements)
+        one = [_numerators(elements[0])]
+        assert "".join(dinv.cli._basis_chunks(d, one, False)) == json.dumps([elements[0].to_dict()], indent=2) + "\n"
+
+    def test_integer_writer_matches_fraction_text(self):
+        # Every source's numerators, written by the integer writer, against
+        # json.dumps of the Fraction oracle's basis, on seeded tables and
+        # general specs (n = 1, gaps in b, coprime denominators).
+        written = set()
+        for spec in seeded_specs(make_rng(170), 40):
+            oracle = build_general_fraction(spec)
+            expect = json.dumps([p.to_dict() for p in oracle], indent=2) + "\n"
+            for source in [s for s in SOURCES if spec.a is not None or s != "recursive"]:
+                elems = dinv.cli._build_numerators(source, spec)
+                assert "".join(dinv.cli._basis_chunks(spec.d, elems, False)) == expect
+                assert "".join(dinv.cli._basis_chunks(spec.d, elems, True)) == "".join(p.render() + "\n" for p in oracle)
+                written.add(source)
+        assert written == set(SOURCES)
 
     def test_writer_batches_an_element_256_terms_at_a_time(self):
         big = Polynomial(1, {(k,): Fraction(-k - 1, 7) for k in range(600)})
-        pieces = list(dinv.cli._basis_chunks([Polynomial.constant(1, 1), big], False))
+        pieces = list(dinv.cli._basis_chunks(1, [_numerators(Polynomial.constant(1, 1)), _numerators(big)], False))
         assert max(piece.count('"coef"') for piece in pieces) == 256
         assert sum(piece.count('"coef"') for piece in pieces) == 601
 
@@ -301,15 +329,20 @@ class TestVerify:
     @pytest.mark.parametrize("name", ["build_generating", "build_general"])
     def test_equivalence_general_spec_wrong_builder(self, name, tmp_path, monkeypatch, capsys):
         # GENERAL_SPEC has table shape, which equivalence checks as a table.
+        # The numerators behind the builder named get x1 added to their top
+        # element.
         spec = tmp_path / "g.json"
         spec.write_text(json.dumps(GAPPED_SPEC))
-        right = getattr(dinv.cli, name)
+        elements = {"build_generating": "_generating_elements", "build_general": "_closed_form_elements"}[name]
+        right = getattr(dinv.cli, elements)
 
-        def wrong(spec):
-            top = right(spec)
-            return BasisSequence(top.elements[:-1] + (top.elements[-1] + P("x1"),))
+        def wrong(spec, top):
+            elems = right(spec, top)
+            s, p = elems[-1]
+            x1 = (1,) + (0,) * (spec.d - 1)
+            return elems[:-1] + [(s, {**p, x1: p.get(x1, 0) + s})]
 
-        monkeypatch.setattr(dinv.cli, name, wrong)
+        monkeypatch.setattr(dinv.cli, elements, wrong)
         assert main(["verify", "--what", "equivalence", "--spec", str(spec)]) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out) == {"what": "equivalence", "generating_vs_general": False, "ok": False}
@@ -323,11 +356,12 @@ class TestVerify:
         assert capsys.readouterr().out.startswith("table: d=2 n=2, f = ")
 
     def test_general_spec_path_never_enumerates(self, general_file, monkeypatch, capsys):
-        def forbidden(spec):
-            raise AssertionError("build_general called")
+        def forbidden(*args):
+            raise AssertionError("the closed-form walk was called")
 
-        monkeypatch.setattr(dinv.cli, "build_general", forbidden)
         monkeypatch.setattr(dinv.subspace, "build_general", forbidden)
+        monkeypatch.setattr(dinv.subspace, "_closed_form_elements", forbidden)
+        monkeypatch.setattr(dinv.cli, "_closed_form_elements", forbidden)
         assert main(["basis", "--source", "general", "--spec", general_file, "--pretty"]) == 0
         assert capsys.readouterr().out.splitlines() == ["1", "x1", "1/2*x1^2 + x2"]
         assert main(["verify", "--what", "closure", "--spec", general_file]) == 0
@@ -389,6 +423,29 @@ class TestVerify:
         assert main(["verify", "--what", "identities", "--m-max", "0", "--vand-max", "0", "--r-max", "1", "--i-max", "1250000"]) == 0
         assert time.perf_counter() - start < 1
         assert json.loads(capsys.readouterr().out)["falling_factorial"] == {"r_max": 1, "i_max": 1250000, "ok": True}
+
+    @pytest.mark.parametrize(
+        "flags, nodes",
+        [
+            (["--m-max", "0", "--vand-max", "0", "--r-max", "1", "--i-max", "2000000"], 0),
+            (["--r-max", "30", "--i-max", "100000"], 28),
+        ],
+        ids=["r1-i2000000", "r30-i100000"],
+    )
+    def test_identities_guard_counts_only_the_scanned_nodes(self, flags, nodes, monkeypatch, capsys):
+        scanned = []
+        carried = dinv.identities.falling_factorial_sums
+
+        def recording(r_max, i):
+            scanned.append(i)
+            return carried(r_max, i)
+
+        monkeypatch.setattr(dinv.cli, "falling_factorial_sums", recording)
+        start = time.perf_counter()
+        assert main(["verify", "--what", "identities", *flags]) == 0
+        assert time.perf_counter() - start < 2
+        assert len(scanned) == nodes
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
     @pytest.mark.parametrize(
         "flag, value", [("--m-max", "-5"), ("--vand-max", "-1"), ("--r-max", "0"), ("--i-max", "1")]
@@ -475,11 +532,14 @@ class TestDigitLimit:
     @pytest.mark.parametrize(
         "argv, digits",
         [
-            (["basis", "--source", "recursive"], 4994),
-            (["basis", "--source", "recursive", "--pretty"], 4994),
+            *((["basis", "--source", source, *pretty], 4994) for source in SOURCES for pretty in ([], ["--pretty"])),
             (["limit", "--f", "{tmp}/f.txt", "--m", "10", "--scheme", "a"], 4996),
         ],
-        ids=["basis", "basis-pretty", "limit"],
+        ids=[
+            "basis" + ("" if source == "recursive" else f"-{source}") + pretty
+            for source in SOURCES
+            for pretty in ("", "-pretty")
+        ] + ["limit"],
     )
     def test_exits_2_naming_digits_and_limit(self, argv, digits, tmp_path, capsys):
         (tmp_path / "a.json").write_text(json.dumps(self.TABLE))
@@ -495,9 +555,10 @@ class TestDigitLimit:
     def test_no_partial_out_file(self, tmp_path, capsys):
         (tmp_path / "a.json").write_text(json.dumps(self.TABLE))
         out = tmp_path / "basis.json"
-        assert main(["basis", "--source", "recursive", "--spec", str(tmp_path / "a.json"), "--out", str(out)]) == 2
-        assert "4994 digits" in capsys.readouterr().err
-        assert not out.exists()
+        for source in SOURCES:
+            assert main(["basis", "--source", source, "--spec", str(tmp_path / "a.json"), "--out", str(out)]) == 2
+            assert "4994 digits" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestSizeGuard:
@@ -509,10 +570,10 @@ class TestSizeGuard:
 
     @pytest.fixture(autouse=True)
     def no_builds(self, monkeypatch):
-        def forbidden(spec):
+        def forbidden(*args):
             raise AssertionError("built before the size guard")
 
-        for name in ("build_recursive", "build_explicit", "build_general", "build_generating"):
+        for name in ("build_recursive", "build_explicit", *NUMERATOR_BUILDERS):
             monkeypatch.setattr(dinv.cli, name, forbidden)
 
     def _refused(self, argv, capsys, count, allowed):
@@ -666,8 +727,12 @@ class TestIdentitySizeGuard:
     @pytest.mark.parametrize("flag", ["--m-max", "--vand-max", "--r-max", "--i-max"])
     def test_huge_bound_refused_at_once(self, flag, capsys):
         assert dinv.cli.MAX_IDENTITY_WORK == 10_000_000
+        # Only the nodes i < r_max are scanned: a huge --i-max is refused
+        # with an --r-max that leaves it many nodes (at i_max = 8 the same
+        # --r-max 100 predicts 5,107,662 steps).
+        extra = ["--r-max", "100"] if flag == "--i-max" else []
         start = time.perf_counter()
-        assert main(["verify", "--what", "identities", flag, "100000000"]) == 2
+        assert main(["verify", "--what", "identities", flag, "100000000", *extra]) == 2
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
@@ -677,12 +742,19 @@ class TestIdentitySizeGuard:
     def test_prediction_by_hand(self):
         # Power sums (m + 1)^2 + m^2 = 1 + 5 + 13 terms for m <= 2,
         # Vandermonde (m + 1)^3 = 1 + 8 cells for m <= 1.  Falling
-        # factorials, one node i = 2 and two caps: at r = 1 a table of 2
+        # factorials at r_max = 3, i_max = 2: the one node i = 2 (the nodes
+        # 2 <= i < min(i_max + 1, r_max)) and two caps: at r = 1 a table of 2
         # entries and one slot pass of 1 update, 4 steps; at r = 2 a table of
-        # 3 and passes of 2 and 1 updates, 8 steps; (4 + 8) * 2 = 24 =
-        # 1 * 2 * 4 * 9 / 3, and 4^2 has far fewer than 100 digits.
-        assert dinv.cli._identity_work(2, 1, 2, 2, cap=10**9) == 19 + 9 + 24
-        assert dinv.cli._falling_factorial_work(2, 2) == 2 * (4 + 8) == 24
+        # 3 and passes of 2 and 1 updates, 8 steps; at r = 3 a table of 4 and
+        # passes of 3, 2 and 1 updates, 13 steps; (4 + 8 + 13) * 2 = 50 =
+        # 1 * 3 * 5 * 10 / 3, and 4^3 has far fewer than 100 digits.  At
+        # r_max = 2 no node is left.
+        assert dinv.cli._identity_work(2, 1, 3, 2, cap=10**9) == 19 + 9 + 50
+        assert dinv.cli._falling_factorial_work(3, 2) == 2 * (4 + 8 + 13) == 50
+        assert dinv.cli._falling_factorial_work(2, 2) == dinv.cli._falling_factorial_work(1, 10**9) == 0
+        # r_max = 30 leaves the 28 nodes 2..29 at any i_max >= 29; the
+        # largest integers are below 58^30 (52 digits).
+        assert dinv.cli._falling_factorial_work(30, 100000) == dinv.cli._falling_factorial_work(30, 29) == 28 * 11840
         # Past 100 digits (m^m at m = 100 has 201) a term counts 3 steps.
         assert dinv.cli._identity_work(100, 0, 1, 2, cap=10**9) - dinv.cli._identity_work(99, 0, 1, 2, cap=10**9) == 3 * (101**2 + 100**2)
         # (2 * 2)^r_max has 121 digits at r_max = 200: each step counts 2.
@@ -690,26 +762,27 @@ class TestIdentitySizeGuard:
 
     # Defaults (20, 12, 8, 8): power sums sum_{k<=21} k^2 + sum_{m<=20} m^2 =
     # 3311 + 2870 = 6181 (m^m has at most 27 digits), Vandermonde
-    # sum_{m<=12} (m + 1)^3 = 91^2 = 8281, falling factorials 7 nodes *
-    # 8 * 10 * 15 / 3 = 2800 (16^8 has 10 digits): 17,262.  Bench-widest
-    # (40, 20, 12, 12): 23821 + 22140 = 45961, 231^2 = 53361 and 11 nodes *
-    # 12 * 14 * 19 / 3 = 11704: 111,026.
+    # sum_{m<=12} (m + 1)^3 = 91^2 = 8281, falling factorials at the 6 nodes
+    # 2..7 below r_max, 6 * 8 * 10 * 15 / 3 = 2400 (14^8 has 10 digits):
+    # 16,862.  Bench-widest (40, 20, 12, 12): 23821 + 22140 = 45961,
+    # 231^2 = 53361 and the 10 nodes 2..11, 10 * 12 * 14 * 19 / 3 = 10640:
+    # 109,962.
     @pytest.mark.parametrize(
-        "bounds, steps", [((20, 12, 8, 8), 17_262), ((40, 20, 12, 12), 111_026)], ids=["defaults", "bench-widest"]
+        "bounds, steps", [((20, 12, 8, 8), 16_862), ((40, 20, 12, 12), 109_962)], ids=["defaults", "bench-widest"]
     )
     def test_accepted_bounds(self, bounds, steps):
         assert dinv.cli._identity_work(*bounds, cap=10**9) == steps <= dinv.cli.MAX_IDENTITY_WORK
 
     def test_exactly_at_the_bound(self, monkeypatch, capsys):
-        # 19 + 9 + 24 = 52 steps, as in test_prediction_by_hand.
+        # 19 + 9 + 50 = 78 steps, as in test_prediction_by_hand.
         monkeypatch.undo()
-        flags = ["--m-max", "2", "--vand-max", "1", "--r-max", "2", "--i-max", "2"]
-        monkeypatch.setattr(dinv.cli, "MAX_IDENTITY_WORK", 52)
+        flags = ["--m-max", "2", "--vand-max", "1", "--r-max", "3", "--i-max", "2"]
+        monkeypatch.setattr(dinv.cli, "MAX_IDENTITY_WORK", 78)
         assert main(["verify", "--what", "identities", *flags]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(dinv.cli, "MAX_IDENTITY_WORK", 51)
+        monkeypatch.setattr(dinv.cli, "MAX_IDENTITY_WORK", 77)
         assert main(["verify", "--what", "identities", *flags]) == 2
-        assert "at least 52 steps, more than the 51 allowed" in capsys.readouterr().err
+        assert "at least 78 steps, more than the 77 allowed" in capsys.readouterr().err
 
     def test_falling_factorial_term_covers_the_recorded_steps(self, monkeypatch, capsys):
         monkeypatch.undo()
@@ -1035,6 +1108,64 @@ def test_extreme_valid_inputs_exit_0_1_or_2(tmp_path, command, general, exps, z0
     assert "Traceback" not in err.getvalue()
 
 
+@st.composite
+def _extreme_specs(draw) -> dict:
+    """A valid spec of extreme shape: a table, n = 1, gaps in b (up to
+    b_n = 30, or from 5500 on, where d = 1, b = (1, b_n), c = (1, 1) first
+    predicts more than MAX_RECURRENCE_WORK), with rationals of up to
+    MAX_RATIONAL_DIGITS digits."""
+    d = draw(st.integers(1, 3))
+    if d > 1 and draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        keys = st.tuples(st.integers(2, n), st.integers(2, d)).map(lambda ij: f"{ij[0]},{ij[1]}")
+        return {"d": d, "n": n, "a": draw(st.dictionaries(keys, _EXTREME_RATIONALS, max_size=6)) if n > 1 else {}}
+    b = [1] + draw(st.one_of(
+        st.just([]),
+        st.lists(st.integers(2, 12), min_size=1, max_size=2, unique=True).map(sorted),
+        st.integers(13, 30).map(lambda v: [v]),
+        st.integers(5500, 10**9).map(lambda v: [v]),
+    ))
+    c = [[draw(_EXTREME_RATIONALS) for _ in b] for _ in range(d)]
+    if all(parse_rational(row[0]) == 0 for row in c):
+        c[0][0] = "1"
+    return {"n": len(b), "d": d, "b": b, "c": c}
+
+
+def _predicts_at_most(spec: dict, work: int) -> bool:
+    """Whether the CLI's recurrence guard predicts at most work for spec."""
+    with mock.patch.object(dinv.cli, "MAX_RECURRENCE_WORK", work):
+        try:
+            dinv.cli._check_recurrence_size("spec", dinv.GeneralSpec.from_dict(spec))
+        except dinv.cli.CliError:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("command", ["basis", "closure", "breadth", "equivalence"])
+@settings(max_examples=40, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_extreme_specs(), source=st.sampled_from(SOURCES), pretty=st.booleans())
+def test_extreme_specs_exit_0_1_or_2(tmp_path, command, spec, source, pretty):
+    """basis from every source, with and without --pretty, and verify
+    --what closure|breadth|equivalence on valid specs of extreme size: an
+    exit code in {0, 1, 2}, never an exception, within the deadline.
+
+    A spec is either refused by the recurrence guard or predicts at most a
+    tenth of MAX_RECURRENCE_WORK: nearer the bound an accepted run takes
+    seconds (d = 3, b = (1, 2, 12) with an 815-digit denominator, 5.4e7
+    predicted, takes 3.0 s for equivalence)."""
+    assume(_predicts_at_most(spec, dinv.cli.MAX_RECURRENCE_WORK // 10)
+           or not _predicts_at_most(spec, dinv.cli.MAX_RECURRENCE_WORK))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    if command == "basis":
+        argv = ["basis", "--source", source, "--spec", str(path), *(["--pretty"] if pretty else [])]
+    else:
+        argv = ["verify", "--what", command, "--spec", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 class TestEitherSpec:
     """points, limit, sweep and study take either spec kind through its
     weights (b, c); on a table, these and verify --what closure|breadth
@@ -1043,12 +1174,12 @@ class TestEitherSpec:
     GENERAL = {"n": 3, "d": 2, "b": [1, 3, 4], "c": [["1", "0", "2/3"], ["-1/2", "5", "0"]]}
 
     def test_table_paths_never_call_the_table_builders(self, spec_file, tmp_path, monkeypatch, capsys):
-        def forbidden(params):
+        def forbidden(*args):
             raise AssertionError("table builder called")
 
         for module in (dinv, dinv.cli, dinv.subspace, dinv.discretize):
-            monkeypatch.setattr(module, "build_recursive", forbidden, raising=False)
-            monkeypatch.setattr(module, "build_explicit", forbidden, raising=False)
+            for name in ("build_recursive", "build_explicit", "_recursive_numerators", "_closed_form_elements"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
         f = tmp_path / "f.txt"
         f.write_text("x1^4 + x1^2*x2 + x2^2")
         for what in ("closure", "breadth"):
@@ -1196,11 +1327,11 @@ class TestScan:
     @pytest.mark.parametrize(
         "name, wrong, problem",
         [
-            ("build_explicit", lambda spec: BasisSequence((Polynomial.constant(spec.d, 1),)), "explicit != recursive"),
-            ("build_generating", lambda spec: BasisSequence((Polynomial.constant(spec.d, 1),)), "general != recursive"),
-            ("check_closure", lambda basis, spec: ClosureReport(ok=False, violations=((2, 2),)),
+            ("_closed_form_elements", lambda spec, top: [(1, {(0,) * spec.d: 1})], "explicit != recursive"),
+            ("_generating_elements", lambda spec, top: [(1, {(0,) * spec.d: 1})], "general != recursive"),
+            ("check_closure_numerators", lambda elems, spec: ClosureReport(ok=False, violations=((2, 2),)),
              "closure violations ((2, 2),)"),
-            ("breadth", lambda elements: 2, "breadth != 1"),
+            ("breadth_numerators", lambda dim, rows: 2, "breadth != 1"),
         ],
         ids=["explicit", "general", "closure", "breadth"],
     )

@@ -22,6 +22,7 @@ from dinv import (
     sweep,
     sweep_to_csv,
 )
+from dinv.subspace import numerator_basis
 from oracles import apply_operator, compose
 
 F = Fraction
@@ -271,7 +272,7 @@ class TestTruncatedExpansion:
                 report = expansion_check(f, z0, m, pts)
                 ((top, built),) = seen
                 assert top == m and len(built) == m + 1
-                assert tuple(built) == full.elements[: m + 1]
+                assert numerator_basis(t.d, built).elements == full.elements[: m + 1]
                 assert report.target == apply_operator(full[m], f).eval(z0)
 
     def test_check_never_composes(self, monkeypatch):

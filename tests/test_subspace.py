@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 
 import dinv.subspace
-from conftest import general_form, make_rng, random_general_spec, random_param_table, rational
+from conftest import COPRIME as _COPRIME
+from conftest import coprime_spec as _coprime_spec
+from conftest import general_form, make_rng, random_general_spec, random_param_table, rational, seeded_specs
 from dinv import (
     BasisSequence,
     GeneralSpec,
@@ -27,6 +29,15 @@ from dinv import (
 )
 from dinv.compositions import count_compositions
 from dinv.linalg import common_denominator
+from dinv.subspace import (
+    _closed_form_elements,
+    _generating_elements,
+    _numerators,
+    _recursive_numerators,
+    breadth_numerators,
+    check_closure_numerators,
+    numerator_basis,
+)
 from oracles import (
     build_explicit_fraction,
     build_general_fraction,
@@ -684,28 +695,21 @@ class TestBreadthAndDegrees:
         assert {"raises", 1, 2} <= outcomes
 
     def test_graded_basis_takes_no_reduction(self, monkeypatch):
-        """Every element of a graded basis is kept as it came, its primitive
-        numerator row under its own top monomial: no row was reduced."""
-        seen = []
+        """The elements of a graded basis have distinct leads, their top
+        monomials, which breadth reads without eliminating: echelon is not
+        called.  One more row on a lead already taken goes through it."""
+        calls = []
         original = dinv.subspace.echelon
 
         def recording(rows, key=None):
-            rows = list(rows)
-            kept = original(rows, key=key)
-            seen.append((rows, kept))
-            return kept
+            calls.append(len(rows))
+            return original(rows, key=key)
 
         monkeypatch.setattr(dinv.subspace, "echelon", recording)
         for basis in (EXAMPLE_BASIS, list(build_generating(_coprime_spec(make_rng(153))))):
-            seen.clear()
-            assert breadth(basis) == 1
-            [(rows, kept)] = seen
-            assert len(kept) == len(rows) == len(basis)
-            for q, row in zip(basis, rows):
-                g = math.gcd(*row.values())
-                assert kept[max(q.terms, key=lambda e: (sum(e), [-v for v in e]))] == {
-                    e: v // g for e, v in row.items()
-                }
+            calls.clear()
+            assert breadth(basis) == 1 and calls == []
+            assert breadth(basis + [F(-2, 3) * basis[-1]]) == 1 and calls == [len(basis) + 1]
 
     def test_memory_of_a_deep_graded_basis(self):
         """b = (1, 1500): 1501 elements over 1501 monomials.  A dense basis x
@@ -748,26 +752,7 @@ class TestEquivalence:
 
 # Coefficients with pairwise coprime denominators, so the common denominator
 # D of a spec is their product, and primes that divide none of them.
-_COPRIME = (F(1, 7), F(5, 11), F(-3, 13), F(1, 1009), F(2), F(-1), F(0))
 _OTHER_PRIMES = (17, 19, 23, 29, 31)
-
-
-def _coprime_spec(rng):
-    """A table or general spec with coefficients from _COPRIME; general
-    specs get an all-zero c column (other than the first) half the time."""
-    if rng.random() < 0.4:
-        d, n = rng.choice((2, 3)), rng.randint(1, 5)
-        a = {(i, j): rng.choice(_COPRIME) for i in range(2, n + 1) for j in range(2, d + 1)}
-        return ParamTable(d=d, n=n, a=a)
-    n, d = rng.randint(2, 4), rng.randint(1, 3)
-    b = tuple([1] + sorted(rng.sample(range(2, 8), n - 1)))
-    c = [[rng.choice(_COPRIME) for _ in range(n)] for _ in range(d)]
-    c[rng.randrange(d)][0] = rng.choice(_COPRIME[:5])
-    if rng.random() < 0.5:
-        col = rng.randrange(1, n)
-        for row in c:
-            row[col] = F(0)
-    return GeneralSpec(n=n, d=d, b=b, c=tuple(tuple(row) for row in c))
 
 
 def _perturbed(rng, basis: BasisSequence, kind: str) -> BasisSequence:
@@ -1118,3 +1103,104 @@ class TestIntegerBreadth:
 
         monkeypatch.setattr(Polynomial, "coeff", forbidden)
         assert breadth(basis) == expect == 2
+
+
+def _builder_numerators(spec) -> dict:
+    """Each builder's numerators of the spec: the generating recurrence and
+    the closed-form walk over the unreduced scales m! * D^m, the recursion
+    (tables only) over the lcm of each element's denominators."""
+    top = spec.top_weight
+    out = {"general": _generating_elements(spec, top), "explicit": _closed_form_elements(spec, top)}
+    if spec.a is not None:
+        out["recursive"] = _recursive_numerators(spec)
+    return out
+
+
+def _rescaled(rng, elems):
+    """elems with each element's scale and numerators multiplied by one
+    random factor: the same basis over a larger scale."""
+    out = []
+    for s, p in elems:
+        k = rng.randint(1, 10**12)
+        out.append((s * k, {e: v * k for e, v in p.items()}))
+    return out
+
+
+class TestNumeratorCores:
+    """check_closure_numerators and breadth_numerators on the builders'
+    numerators, whatever their scales, against the Fraction oracles, on
+    seeded tables and general specs (n = 1, gaps in b, coprime
+    denominators)."""
+
+    def test_scales(self):
+        for spec in seeded_specs(make_rng(160), 24):
+            d, den = spec.d, spec.slots[0]
+            for source, elems in _builder_numerators(spec).items():
+                assert len(elems) == spec.top_weight + 1
+                for m, (s, p) in enumerate(elems):
+                    assert p and all(p.values())
+                    if source == "recursive":
+                        assert (s, p) == _numerators(numerator_basis(d, elems)[m])
+                    else:
+                        assert s == math.factorial(m) * den**m
+
+    def test_closure_core_matches_fraction_oracle(self):
+        rng = make_rng(161)
+        refuted, sources = 0, set()
+        for spec in seeded_specs(rng, 60):
+            for source, elems in _builder_numerators(spec).items():
+                sources.add(source)
+                basis = numerator_basis(spec.d, elems)
+                assert check_closure_numerators(elems, spec) == check_closure_fraction(basis, spec)
+                assert check_closure_numerators(elems, spec).ok
+                tampered = _perturbed(rng, basis, rng.choice(("shift", "add", "drop", "scale")))
+                expect = check_closure_fraction(tampered, spec)
+                refuted += not expect.ok
+                assert check_closure_numerators(_rescaled(rng, [_numerators(q) for q in tampered]), spec) == expect
+                assert check_closure(tampered, spec) == expect
+        assert sources == {"general", "explicit", "recursive"}
+        assert refuted >= 60
+
+    def test_one_perturbed_numerator_is_located(self):
+        rng = make_rng(162)
+        refuted = 0
+        for spec in seeded_specs(rng, 40):
+            top, d = spec.top_weight, spec.d
+            delta = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+            # delta * x_i^top in E_top changes only d/dx_i of the top element,
+            # which no other identity reads.
+            i = rng.randrange(d)
+            e = tuple(top if t == i else 0 for t in range(d))
+            elems = list(_generating_elements(spec, top))
+            s, p = elems[top]
+            elems[top] = (s, {**p, e: p.get(e, 0) + delta})
+            assert check_closure_numerators(elems, spec).violations == ((top, i + 1),)
+            # A numerator of lower degree in E_m, m <= top: where the oracle says.
+            m = rng.randint(1, top)
+            exps = [0] * d
+            for _ in range(rng.randrange(m)):
+                exps[rng.randrange(d)] += 1
+            elems = list(_generating_elements(spec, top))
+            s, p = elems[m]
+            e = tuple(exps)
+            elems[m] = (s, {k: v for k, v in {**p, e: p.get(e, 0) + delta}.items() if v})
+            report = check_closure_numerators(elems, spec)
+            assert report == check_closure_fraction(numerator_basis(d, elems), spec)
+            assert all(k >= m for k, _ in report.violations)
+            refuted += not report.ok
+        assert refuted >= 20
+
+    def test_breadth_core_matches_three_ranks(self):
+        rng = make_rng(163)
+        values = set()
+        for spec in seeded_specs(rng, 40):
+            d = spec.d
+            for elems in _builder_numerators(spec).values():
+                basis = list(numerator_basis(d, elems))
+                assert breadth_numerators(d, (p for _, p in elems)) == _breadth_three_ranks(basis) == breadth(basis) == 1
+                extra = [Polynomial.variable(d, d - k) for k in range(rng.randint(0, d - 1))]
+                rows = [p for _, p in _rescaled(rng, elems)] + [_numerators(q)[1] for q in extra]
+                expect = _breadth_three_ranks(basis + extra)
+                values.add(expect)
+                assert breadth_numerators(d, rows) == expect
+        assert {1, 2, 3} <= values
