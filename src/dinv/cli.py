@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import count_compositions
-from .discretize import SCHEMES, SweepRow, expansion_check, stencil, sweep, sweep_to_csv
+from .discretize import SCHEMES, SweepRow, expansion_check, h_coef_log10, stencil, sweep, sweep_to_csv
 from .identities import falling_factorial_sums, signed_power_sums, vandermonde_oracle
 from .poly import DigitLimitError, Polynomial, parse_rational, rational_text
 from .subspace import (
@@ -467,17 +467,74 @@ def _cmd_verify(args) -> int:
     raise CliError(f"unknown verification {args.what!r}")
 
 
+def _log10_height(v: Fraction) -> float:
+    """log10 of max(|numerator|, denominator)."""
+    return math.log10(max(abs(v.numerator), v.denominator))
+
+
+def _check_point_sizes(spec: GeneralSpec, scheme: str, z0: Sequence[Fraction], h: Fraction) -> None:
+    """Refuse, before any point is built, the first coordinate at --h too
+    long to write, with the DigitLimitError that rational_text would raise
+    on it, its digits predicted from logarithms with no power taken.
+
+    Coordinate i of point r is sum_t a_t * h^t, a_0 = z0_i and
+    a_(b_j) = c_ij * h_coef(r, b_j).  With H(x) = max(|numerator|,
+    denominator), H(x + y) <= 2 * H(x) * H(y) and H(x * y) <= H(x) * H(y)
+    bound H of the coordinate above by its terms' bounds, and below through
+    its top term a_T * h^T, since H(h)^T <= H(a_T) * H(a_T * h^T): by H(h)^T
+    over the bounds of a_T and of the other terms.  Coordinates are taken
+    in the order they are written: one below the limit passes, one above it
+    is refused, with the digits of its largest term over the denominators
+    of z0, c and h^T; at one in between the prediction stops, and the
+    evaluation decides from there on."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or not h:
+        return
+    log_h, log_q = _log10_height(h), math.log10(h.denominator)
+    log_abs_h = math.log10(abs(h.numerator)) - log_q
+    den, slots = spec.slots
+    # (b_j, i, denominator, log10 H, log10 |.|) of each nonzero c_ij.
+    logs = []
+    for bj, i, n in slots:
+        c = Fraction(n, den)
+        logs.append((bj, i, c.denominator, _log10_height(c), math.log10(abs(n)) - math.log10(den)))
+    for r in range(spec.top_weight + 1):
+        for i, z in enumerate(z0):
+            # (t, log10 H(a_t), log10 |a_t|) per nonzero term a_t * h^t, and
+            # the lcm of the denominators of z0_i and its c_ij.
+            terms = [(0, _log10_height(z), math.log10(abs(z.numerator)) - math.log10(z.denominator))] if z else []
+            lcm = z.denominator
+            for bj, v, c_den, height, size in logs:
+                if v == i and (k := h_coef_log10(scheme, r, bj)) is not None:
+                    terms.append((bj, height + k, size + k))
+                    lcm = math.lcm(lcm, c_den)
+            top = max((t for t, _, _ in terms), default=0)
+            carries = max(len(terms) - 1, 0) * math.log10(2)
+            upper = sum(a + t * log_h for t, a, _ in terms) + carries
+            if upper < limit - 1:
+                continue
+            lower = 2 * top * log_h - sum(a + t * log_h for t, a, _ in terms) - carries
+            if lower <= limit + 1:
+                return
+            denominator = math.log10(lcm) + top * log_q
+            largest = max(size + t * log_abs_h for t, _, size in terms) + denominator
+            raise DigitLimitError(int(max(largest, denominator, lower)) + 1)
+
+
 def _cmd_points(args) -> int:
     spec = _load_spec(args.spec)
     _check_recurrence_size(args.spec, spec)
-    pts = SCHEMES[args.scheme](spec, _parse_point(args.z0, spec.d))
+    z0 = _parse_point(args.z0, spec.d)
     if args.h is not None:
         try:
             h = parse_rational(args.h)
         except _PARSE_ERRORS as exc:
             raise CliError(f"bad rational --h {args.h!r}: {exc}") from exc
-        # Each point is written out before the next is evaluated, so a
-        # coordinate too long to write stops the command at its point.
+        _check_point_sizes(spec, args.scheme, z0, h)
+    pts = SCHEMES[args.scheme](spec, z0)
+    if args.h is not None:
+        # Each point is evaluated and checked in turn, so a coordinate too
+        # long to write stops the command at its point.
         rows = [[rational_text(v) for v in pt] for pt in pts.at(h)]
         if args.pretty:
             text = "".join("(" + ", ".join(row) + ")\n" for row in rows)
@@ -530,18 +587,73 @@ def _check_power_size(f: Polynomial, z0: Sequence[Fraction]) -> None:
         )
 
 
-def _scheme_inputs(args):
-    """f, z0 and the point set of --scheme, as limit and sweep take them."""
+# limit at order m sums A_r^(m) * f(z_r(h)) over the m + 1 points z_0..z_m,
+# each term of f a chain of cut products of dense h-series of at most m + 1
+# coefficients.  A series coefficient multiplies z0's powers (_power_digits)
+# by coordinate coefficients c_ij * h_coef(r, b_j), r <= m, whose weights
+# b_j sum to at most m, and by a binomial of f's exponents, over the
+# stencil's r! * (m - r)! <= m!.  So the work is predicted, before any point
+# is built, as (m + 1) points times f's cut products (one per variable of
+# each term, plus the squarings of each variable's largest power) times
+# (m + 1)^2 cells times those digits, and an order may predict at most
+# MAX_SERIES_WORK.  The dense cells overcount a sparse spec, whose short
+# coordinates leave most cells empty; they stand for its stencil and
+# accumulation, which also grow with m.  On one core of a 2-vCPU host, as
+# subprocesses: a d = 1 spec with b = (1, ..., 40), every c_1j = 7/3, and
+# nine terms x1^(1 + 7k) at z0 = 3/2, --m 40 (2.5e8 predicted) took 8.7 s,
+# and b = (1, ..., 30) with nine terms x1^(1 + 70k), --m 30 (2.6e8) 6.8 s;
+# CI's b = (1, 5300) with f = x1^3 + x1^2 took 4.4 s at --m 60 (2.1e8),
+# 4 s of it building the 5301 points, and --m 5300 (2.4e16), which ran
+# past 100 s, is refused in 0.1 s.
+MAX_SERIES_WORK = 300_000_000
+
+
+def _series_work(spec: GeneralSpec, scheme: str, f: Polynomial, z0: Sequence[Fraction], m: int) -> tuple[int, int, int]:
+    """(work, cut products, coefficient digits) of limit at order m, for
+    0 <= m <= b_n."""
+    den, slots = spec.slots
+    # The digits per unit weight of a coordinate coefficient, at r = m, where
+    # h_coef is largest, and of f's binomials.
+    per_weight = max(
+        ((_log10_height(Fraction(n_ij, den)) + h_coef_log10(scheme, m, bj)) / bj for bj, _, n_ij in slots if bj <= m),
+        default=0,
+    ) + math.log10(max(f.degree, 0) + 1)
+    digits = _power_digits(f, z0) + int(m * per_weight + math.lgamma(m + 1) / math.log(10)) + 1
+    exps = list(f.terms)
+    products = sum(sum(1 for k in e if k) for e in exps)
+    products += sum(max(e[i] for e in exps).bit_length() for i in range(f.dim)) if exps else 0
+    return (m + 1) ** 3 * products * digits, products, digits
+
+
+def _check_series_size(spec: GeneralSpec, scheme: str, f: Polynomial, z0: Sequence[Fraction], m: int) -> None:
+    """Refuse, before any point is built, an order whose limit series
+    predicts more than MAX_SERIES_WORK; an order outside 0..b_n is left to
+    expansion_check's own refusal."""
+    if not 0 <= m <= spec.top_weight:
+        return
+    work, products, digits = _series_work(spec, scheme, f, z0, m)
+    if work > MAX_SERIES_WORK:
+        raise CliError(
+            f"limit --m {m}: the series would take about {work:,} digit-steps ({m + 1:,} points x "
+            f"{products:,} cut products x {m + 1:,}^2 cells x {digits:,} coefficient digits), "
+            f"more than the {MAX_SERIES_WORK:,} allowed"
+        )
+
+
+def _scheme_inputs(args) -> tuple[GeneralSpec, Polynomial, tuple[Fraction, ...]]:
+    """The spec, f and z0, as limit and sweep take them."""
     spec = _load_spec(args.spec)
     _check_recurrence_size(args.spec, spec)
     f = _load_poly(args.f, spec.d)
     z0 = _parse_point(args.z0, spec.d)
     _check_power_size(f, z0)
-    return f, z0, SCHEMES[args.scheme](spec, z0)
+    return spec, f, z0
 
 
 def _cmd_limit(args) -> int:
-    f, z0, pts = _scheme_inputs(args)
+    spec, f, z0 = _scheme_inputs(args)
+    _check_series_size(spec, args.scheme, f, z0, args.m)
+    pts = SCHEMES[args.scheme](spec, z0)
     try:
         report = expansion_check(f, z0, args.m, pts)
     except ValueError as exc:
@@ -566,7 +678,8 @@ def _sweep_rows(args, f: Polynomial, z0, m: int, pts) -> list[SweepRow]:
 
 
 def _cmd_sweep(args) -> int:
-    f, z0, pts = _scheme_inputs(args)
+    spec, f, z0 = _scheme_inputs(args)
+    pts = SCHEMES[args.scheme](spec, z0)
     _emit(args, sweep_to_csv(_sweep_rows(args, f, z0, args.m, pts)))
     return 0
 

@@ -145,6 +145,17 @@ def points_scheme_b(spec: GeneralSpec, z0: Sequence[Fraction | int]) -> Symbolic
 SCHEMES = {"a": points_scheme_a, "b": points_scheme_b}
 
 
+def h_coef_log10(scheme: str, r: int, b: int) -> float | None:
+    """log10 of the h_coef(r, b) of scheme "a" (r^b) or "b" (ff(r, b)),
+    for b >= 1, from floats with no power taken; None where it is 0.  For
+    size predictions made before any point is built."""
+    if r == 0 or (scheme == "b" and b > r):
+        return None
+    if scheme == "a":
+        return b * math.log10(r)
+    return (math.lgamma(r + 1) - math.lgamma(r - b + 1)) / math.log(10)
+
+
 def _check_order(m: int, pts: SymbolicPointSet) -> None:
     top = len(pts.points) - 1
     if not 0 <= m <= top:

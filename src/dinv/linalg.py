@@ -1,10 +1,9 @@
 """Exact elimination over the rationals: one sparse fraction-free echelon.
 
 A row is a mapping from column to int; a rational row enters as its
-integer numerators over common_denominator, which leaves its row space
-unchanged (common_denominator is shared with the integer kernels of
-subspace).  echelon's callers are solve, which back-substitutes on the
-augmented rows, and subspace.breadth, which orders the columns by
+integer numerators over poly.common_denominator, which leaves its row
+space unchanged.  echelon's callers are solve, which back-substitutes on
+the augmented rows, and subspace.breadth, which orders the columns by
 descending total degree and reads only the leads.
 """
 
@@ -14,16 +13,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-
-def common_denominator(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
-    """(s, nums): s the lcm of the denominators of the values (1 if there
-    are none) and nums[k] = values[k] * s, the integer numerators over it."""
-    vals = list(values)
-    scale = 1
-    for v in vals:
-        if scale % v.denominator:
-            scale = math.lcm(scale, v.denominator)
-    return scale, [v.numerator * (scale // v.denominator) for v in vals]
+from .poly import common_denominator
 
 
 def echelon(

@@ -1,17 +1,27 @@
 """Exact sparse multivariate polynomials over the rationals, as values.
 
-A polynomial in d variables x1..xd is stored as a mapping from exponent
-tuples to Fraction coefficients, e.g. for d=2:
+A polynomial in d variables x1..xd is stored exactly as integers: its
+numerators, a mapping from exponent tuples to nonzero ints, over one
+positive scale with no factor common to the scale and every numerator,
+e.g. for d=2:
 
-    x1^2/2 + 2*x2  ->  {(2, 0): Fraction(1, 2), (0, 1): Fraction(2)}
+    x1^2/2 + 2*x2  ->  scale 2, numerators {(2, 0): 1, (0, 1): 4}
 
-Zero coefficients are never stored, so structural equality of the mapping
-is polynomial equality.  A Polynomial is a vector: it adds, subtracts and
-scales, evaluates at a point, and reads and writes its text and JSON
-forms.  The builders and checks compute elsewhere, on integer numerators
-or dense h-series, and hand their results to this type.  Every value is
-immutable after construction and every operation is pure, so polynomials
-can be shared freely between threads or processes.
+That form is canonical (the scale is the lcm of the coefficients'
+denominators), so polynomial equality is int and dict equality of dim,
+scale and numerators.  The read-only view `terms`, {exponent: Fraction},
+is made on first read and kept; a polynomial made from Fractions (the
+public constructor, parse, from_dict, and the kernel's own Fraction
+results) keeps them as that view and derives its numerators once, on
+first need.  Degree and zero tests read only the exponents.
+
+A Polynomial is a vector: it adds, subtracts and scales (on its integer
+form), evaluates at a point, and reads and writes its text and JSON forms.
+The builders and checks compute elsewhere, on integer numerators or dense
+h-series, and hand their results to this type.  Every value is immutable
+after construction (caching a derived form changes no value) and every
+operation is pure, so polynomials can be shared freely between threads or
+processes.
 
 All arithmetic is exact; there is no floating point anywhere in this
 module.  The convention 0**0 == 1 is used throughout (Python's native
@@ -23,10 +33,11 @@ the usual mathematical notation.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 Exponent = tuple[int, ...]
@@ -90,6 +101,12 @@ def parse_rational(text: str) -> Fraction:
 class DigitLimitError(ValueError):
     """A rational with more digits than Python writes as text."""
 
+    def __init__(self, digits: int):
+        super().__init__(
+            f"a result coefficient has {digits} digits, more than Python's limit of "
+            f"{sys.get_int_max_str_digits()} for writing an integer as text (sys.get_int_max_str_digits())"
+        )
+
 
 def rational_text(value: Fraction) -> str:
     """str(value); where str refuses a numerator or denominator past
@@ -98,11 +115,18 @@ def rational_text(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError:
-        digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
-        raise DigitLimitError(
-            f"a result coefficient has {digits} digits, more than Python's limit of "
-            f"{sys.get_int_max_str_digits()} for writing an integer as text (sys.get_int_max_str_digits())"
-        ) from None
+        raise DigitLimitError(max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))) from None
+
+
+def common_denominator(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
+    """(s, nums): s the lcm of the denominators of the values (1 if there
+    are none) and nums[k] = values[k] * s, the integer numerators over it."""
+    vals = list(values)
+    scale = 1
+    for v in vals:
+        if scale % v.denominator:
+            scale = math.lcm(scale, v.denominator)
+    return scale, [v.numerator * (scale // v.denominator) for v in vals]
 
 
 # One rule for numbers in decoded JSON, shared by every from_dict: integers
@@ -137,15 +161,27 @@ def _derivative_factor(e: Exponent, alpha: Exponent) -> int:
     return factor
 
 
+_set = object.__setattr__
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
     `dim` is the ambient number of variables; a constant in 2 variables is
-    a different value from a constant in 3 variables.  Do not mutate
-    `terms` after construction.
+    a different value from a constant in 3 variables.  `scale` and
+    `numerators` are the canonical integer form (see the module docstring)
+    and `terms` the {exponent: Fraction} view.  One of the two is stored;
+    the other's slots stay empty until first read, when __getattr__ makes
+    it once and fills them.  Do not mutate the mappings.
+
+    _trusted=True takes internal Fraction results as they are: exponent
+    tuples of length dim by construction, and only zeros need dropping.
+    _scale=s takes internal integer results: nonzero int numerators over a
+    positive scale s, reduced here by their gcd with s.
     """
 
-    __slots__ = ("dim", "terms")
+    # _keys is the stored mapping, whose exponents both forms share.
+    __slots__ = ("dim", "_keys", "terms", "scale", "numerators")
 
     def __init__(
         self,
@@ -153,36 +189,65 @@ class Polynomial:
         terms: Mapping[Exponent, Fraction | int] | None = None,
         *,
         _trusted: bool = False,
+        _scale: int | None = None,
     ):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        if _trusted:
-            # Internal results: exponent tuples of length dim and Fraction
-            # coefficients by construction; only zeros need dropping.
-            object.__setattr__(self, "dim", dim)
-            object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
-            return
-        clean: dict[Exponent, Fraction] = {}
-        for exps, coef in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != dim:
-                raise ValueError(f"exponent {exps} has length {len(exps)}, expected {dim}")
-            if any(e < 0 or not isinstance(e, int) for e in exps):
-                raise ValueError(f"exponents must be non-negative integers, got {exps}")
-            c = Fraction(coef)
-            if c != 0:
-                clean[exps] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        if _scale is not None:
+            # One gcd fold, stopped at 1: math.gcd(*nums) would build a tuple.
+            g = _scale
+            for v in terms.values():
+                g = math.gcd(g, v)
+                if g == 1:
+                    break
+            if g != 1:
+                terms = {e: v // g for e, v in terms.items()}
+            _set(self, "scale", _scale // g)
+            _set(self, "numerators", terms)
+        else:
+            if _trusted:
+                terms = {e: c for e, c in terms.items() if c}
+            else:
+                clean: dict[Exponent, Fraction] = {}
+                for exps, coef in (terms or {}).items():
+                    exps = tuple(exps)
+                    if len(exps) != dim:
+                        raise ValueError(f"exponent {exps} has length {len(exps)}, expected {dim}")
+                    if any(e < 0 or not isinstance(e, int) for e in exps):
+                        raise ValueError(f"exponents must be non-negative integers, got {exps}")
+                    c = Fraction(coef)
+                    if c != 0:
+                        clean[exps] = c
+                terms = clean
+            _set(self, "terms", terms)
+        _set(self, "dim", dim)
+        _set(self, "_keys", terms)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Polynomial is immutable")
+
+    def __getattr__(self, name: str):
+        """The form not stored, made once on its first read (Python calls
+        this only for an empty slot).  The lcm of the denominators is the
+        canonical scale: a prime at its highest power in the lcm divides
+        that coefficient's denominator, so not its numerator."""
+        if name == "terms":
+            s = self.scale
+            _set(self, "terms", {e: Fraction(v, s) for e, v in self._keys.items()})
+        elif name in ("scale", "numerators"):
+            keys = self._keys
+            scale, nums = common_denominator(keys.values())
+            _set(self, "scale", scale)
+            _set(self, "numerators", dict(zip(keys, nums)))
+        else:
+            raise AttributeError(f"'Polynomial' object has no attribute {name!r}")
+        return getattr(self, name)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int) -> Polynomial:
-        return cls(dim, {}, _trusted=True)
+        return cls(dim, {}, _scale=1)
 
     @classmethod
     def constant(cls, dim: int, value: Fraction | int) -> Polynomial:
@@ -195,7 +260,7 @@ class Polynomial:
             raise ValueError(f"variable index {j} out of range 1..{dim}")
         exps = [0] * dim
         exps[j - 1] = 1
-        return cls(dim, {tuple(exps): _ONE}, _trusted=True)
+        return cls(dim, {tuple(exps): 1}, _scale=1)
 
     @classmethod
     def monomial(cls, dim: int, exps: Sequence[int], coef: Fraction | int = 1) -> Polynomial:
@@ -205,14 +270,13 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        keys = self._keys
+        return max(map(sum, keys)) if keys else -1
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), _ZERO)
@@ -221,20 +285,23 @@ class Polynomial:
         """Terms in graded-lexicographic descending order, x1 > x2 > ... > xd."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    # -- vector-space operations -------------------------------------------
+    # -- vector-space operations, on the integer form ----------------------
 
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, _ZERO) + c
-        return Polynomial(self.dim, out, _trusted=True)
+        s, t = self.scale, other.scale
+        scale = math.lcm(s, t)
+        a, b = scale // s, scale // t
+        out = {e: v * a for e, v in self.numerators.items()}
+        for e, v in other.numerators.items():
+            out[e] = out.get(e, 0) + v * b
+        return Polynomial(self.dim, {e: v for e, v in out.items() if v}, _scale=scale)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()}, _trusted=True)
+        return Polynomial(self.dim, {e: -v for e, v in self.numerators.items()}, _scale=self.scale)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -243,10 +310,12 @@ class Polynomial:
 
     def __mul__(self, other: Fraction | int) -> Polynomial:
         """Scalar multiple."""
-        if isinstance(other, (Fraction, int)):
-            c = Fraction(other)
-            return Polynomial(self.dim, {e: c * v for e, v in self.terms.items()}, _trusted=True)
-        return NotImplemented
+        if not isinstance(other, (Fraction, int)):
+            return NotImplemented
+        num = other.numerator
+        if not num:
+            return Polynomial.zero(self.dim)
+        return Polynomial(self.dim, {e: v * num for e, v in self.numerators.items()}, _scale=self.scale * other.denominator)
 
     def __rmul__(self, other: Fraction | int) -> Polynomial:
         return self.__mul__(other)
@@ -254,10 +323,10 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self.scale == other.scale and self.numerators == other.numerators
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._keys)
 
     def __repr__(self) -> str:
         return f"Polynomial.parse({self.render()!r}, dim={self.dim})"
@@ -284,7 +353,7 @@ class Polynomial:
         Example: '1/2*x1^2 + 2*x2'.  Coefficients +-1 are left implicit in
         front of a non-constant monomial.
         """
-        if not self.terms:
+        if not self._keys:
             return "0"
         if names is None:
             names = [f"x{i}" for i in range(1, self.dim + 1)]
@@ -388,8 +457,9 @@ class DiffOperator:
     def apply_at(self, f: Polynomial, point: Sequence[Fraction | int]) -> Fraction:
         """Value of the functional: apply the operator to f, evaluate at point.
 
-        Sums c_alpha * c_e * prod_i e_i!/(e_i-alpha_i)! * point_i^(e_i-alpha_i)
-        over source terms alpha and terms e >= alpha of f, as scalars: no
+        Sums n_alpha * c_e * prod_i e_i!/(e_i-alpha_i)! * point_i^(e_i-alpha_i)
+        over the source's integer numerators n_alpha and the terms e >= alpha
+        of f, as scalars, and divides once by the source's scale: no
         derivative or sum polynomial is built.  Each point_i^k is taken once,
         by Python's repeated squaring, so the work grows with log(deg f).
         """
@@ -400,12 +470,12 @@ class DiffOperator:
             raise ValueError(f"point has length {len(vals)}, expected {f.dim}")
         powers: dict[tuple[int, int], Fraction] = {}
         total = _ZERO
-        for alpha, ca in self.source.terms.items():
+        for alpha, na in self.source.numerators.items():
             for e, ce in f.terms.items():
                 factor = _derivative_factor(e, alpha)
                 if not factor:
                     continue
-                value = ca * ce * factor
+                value = ce * (na * factor)
                 for i, (ei, ai) in enumerate(zip(e, alpha)):
                     if k := ei - ai:
                         power = powers.get((i, k))
@@ -415,7 +485,7 @@ class DiffOperator:
                         if not value:
                             break
                 total += value
-        return total
+        return total / self.source.scale
 
     def __repr__(self) -> str:
         return f"DiffOperator({self.source!r})"

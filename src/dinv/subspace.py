@@ -24,10 +24,12 @@ sorted by weight.  Three independent constructions build the graded bases
 
 Each builder returns integer numerators over one scale per element
 (Numerators), which the exact verifiers, check_closure_numerators and
-breadth_numerators, read as they are; numerator_basis makes build_*'s
-Fractions, and check_closure and breadth reach the same cores through
-linalg.common_denominator.  The Fraction builders and closure check are
-kept as test oracles.
+breadth_numerators, read as they are.  numerator_basis hands them to
+Polynomial's integer form, reduced by one gcd fold and with no Fraction
+made, so build_* return bases that hold Fractions only once .terms is
+read; check_closure and breadth reach the same cores through _numerators,
+a read of each element's (scale, numerators).  The Fraction builders and
+closure check are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import common_denominator, echelon
-from .poly import Exponent, Polynomial, json_array, json_int, json_rational
+from .linalg import echelon
+from .poly import Exponent, Polynomial, common_denominator, json_array, json_int, json_rational
 
 # Elements B_k = P_k / s_k as integer numerators: (s_k > 0, {exponent: P_k[e] != 0}).
 Numerators = list[tuple[int, dict[Exponent, int]]]
@@ -206,8 +208,9 @@ class BasisSequence:
         dim = elems[0].dim
         if any(p.dim != dim for p in elems):
             raise ValueError("basis elements must share one dimension")
-        if elems[0] != Polynomial.constant(dim, 1):
-            raise ValueError(f"element 0 must be the constant 1, got {elems[0]!r}")
+        first = elems[0]
+        if first.scale != 1 or first.numerators != {(0,) * dim: 1}:
+            raise ValueError(f"element 0 must be the constant 1, got {first!r}")
         for k, p in enumerate(elems):
             if p.degree != k:
                 raise ValueError(f"element {k} has degree {p.degree}, expected {k}")
@@ -282,8 +285,9 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
 
 
 def numerator_polynomial(d: int, scale: int, nums: Mapping[Exponent, int]) -> Polynomial:
-    """nums / scale in d variables, each coefficient one reduced Fraction."""
-    return Polynomial(d, {e: Fraction(v, scale) for e, v in nums.items()}, _trusted=True)
+    """nums / scale in d variables (nonzero nums, scale > 0) as Polynomial's
+    integer form, reduced by one gcd fold: no Fraction is made."""
+    return Polynomial(d, nums, _scale=scale)
 
 
 def numerator_basis(d: int, elems: Numerators) -> BasisSequence:
@@ -466,8 +470,7 @@ class ClosureReport:
 
 def _numerators(p: Polynomial) -> tuple[int, dict[Exponent, int]]:
     """(s, P) with p = P / s, s the lcm of p's denominators."""
-    s, nums = common_denominator(p.terms.values())
-    return s, dict(zip(p.terms, nums))
+    return p.scale, p.numerators
 
 
 def check_closure(basis: BasisSequence, spec: GeneralSpec) -> ClosureReport:
@@ -531,7 +534,7 @@ def breadth(basis: Sequence[Polynomial]) -> int:
     dim = basis[0].dim
     if any(q.dim != dim for q in basis):
         raise ValueError("basis elements must share one dimension")
-    return breadth_numerators(dim, (_numerators(q)[1] for q in basis))
+    return breadth_numerators(dim, (q.numerators for q in basis))
 
 
 def breadth_numerators(dim: int, rows: Iterable[Mapping[Exponent, int]]) -> int:

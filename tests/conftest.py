@@ -127,3 +127,16 @@ def random_poly(
             exps[rng.randrange(dim)] += 1
         terms[tuple(exps)] = rational(rng, allow_zero=False)
     return Polynomial(dim, terms)
+
+
+def forbid_fractions(monkeypatch) -> None:
+    """Make every Fraction construction raise AssertionError until
+    monkeypatch.undo(): Fraction(...) through __new__, and on Python 3.12+
+    the results of Fraction arithmetic through _from_coprime_ints."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fraction was made")
+
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(forbidden))

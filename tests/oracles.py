@@ -12,6 +12,11 @@ free functions on Polynomial terms: diff, integrate, free_of_leading, mul
 and compose (the full substitution whose prefix the limit check's cut
 series must equal).  apply_operator, source(D) f by iterated single-variable
 diff, shares no code with DiffOperator.apply_at, which it witnesses.
+
+The dict_* functions are the polynomial vector space on plain
+{exponent: Fraction} dicts with no zero value, the reference for
+Polynomial's integer form: sum, scalar multiple, value at a point and
+text.
 """
 
 from __future__ import annotations
@@ -94,6 +99,43 @@ def apply_operator(source: Polynomial, f: Polynomial) -> Polynomial:
                 g = diff(g, j)
         total = total + c * g
     return total
+
+
+Terms = dict[tuple[int, ...], Fraction]
+
+
+def dict_add(p: Terms, q: Terms) -> Terms:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def dict_scaled(p: Terms, a: Fraction | int) -> Terms:
+    return {e: a * c for e, c in p.items() if a * c}
+
+
+def dict_eval(p: Terms, point: Sequence[Fraction | int]) -> Fraction:
+    total = Fraction(0)
+    for e, c in p.items():
+        total += c * math.prod(Fraction(v) ** k for v, k in zip(point, e))
+    return total
+
+
+def dict_render(p: Terms, dim: int) -> str:
+    """Terms in graded-lex descending order, a coefficient +-1 left out in
+    front of a monomial, each sign but a leading + written between terms."""
+    if not p:
+        return "0"
+    pieces = []
+    for e, c in sorted(p.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        mono = "*".join(f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in zip(range(1, dim + 1), e) if k)
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        if pieces:
+            pieces.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            pieces.append(f"-{body}" if c < 0 else body)
+    return " ".join(pieces)
 
 
 def weighted_compositions(total: int, weights: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -30,7 +30,7 @@ from dinv import BasisSequence, ClosureReport, Polynomial
 from dinv.cli import main
 from dinv.poly import MAX_RATIONAL_DIGITS, parse_rational
 from dinv.subspace import _numerators
-from conftest import make_rng, seeded_specs
+from conftest import make_rng, random_param_table, random_poly, rational, seeded_specs
 from oracles import build_general_fraction
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1070,6 +1070,136 @@ class TestPowerDigitGuard:
         monkeypatch.setattr(dinv.cli, "MAX_POWER_DIGITS", 9)
         assert main(argv) == 2
         assert "about 10 digits, more than the 9 allowed" in capsys.readouterr().err
+
+
+# CI's accepted spec with a gap up to weight 5300.
+B5300 = {"n": 2, "d": 1, "b": [1, 5300], "c": [["1", "1"]]}
+
+
+class TestSeriesSizeGuard:
+    """limit refuses, before any point is built, an order whose series
+    predicts more than MAX_SERIES_WORK digit-steps."""
+
+    @pytest.mark.parametrize("scheme", "ab")
+    def test_order_5300_of_b5300_refused_at_once(self, scheme, tmp_path, capsys):
+        spec = tmp_path / "b5300.json"
+        spec.write_text(json.dumps(B5300))
+        f = tmp_path / "f.txt"
+        f.write_text("x1^3 + x1^2")
+        start = time.perf_counter()
+        assert main(["limit", "--m", "5300", "--scheme", scheme, "--spec", str(spec), "--f", str(f), "--z0", "1/3"]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: limit --m 5300: the series would take about ")
+        assert "(5,301 points x 4 cut products x 5,301^2 cells x " in captured.err
+        assert captured.err.endswith(" coefficient digits), more than the 300,000,000 allowed\n")
+        assert captured.out == ""
+
+    def test_ci_limit_calls_accepted(self, tmp_path, capsys):
+        runs = [
+            (GAPPED_SPEC, "x1^5*x2 + x2^3 - 2*x1^2 + 3", "4", scheme, []) for scheme in "ab"
+        ] + [
+            (GENERAL_N1, "x1^3 + x1*x2 - x2^2 + 1", m, scheme, ["--z0", "1/2,3"]) for m in "01" for scheme in "ab"
+        ] + [({"d": 2, "n": 3, "a": {"2,2": "1", "3,2": "2"}}, "x1^99999999", "2", "a", [])]
+        for k, (spec, text, m, scheme, z0) in enumerate(runs):
+            (tmp_path / f"s{k}.json").write_text(json.dumps(spec))
+            (tmp_path / f"f{k}.txt").write_text(text)
+            argv = ["limit", "--spec", str(tmp_path / f"s{k}.json"), "--f", str(tmp_path / f"f{k}.txt"), "--m", m]
+            assert main([*argv, "--scheme", scheme, *z0]) == 0, (spec, m, scheme)
+            assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    def test_acceptance_draws_predict_far_below_the_bound(self):
+        # The limit checks of acceptance criterion 6: tables with d in 2..3
+        # and n in 1..6, f of degree up to n + 2, at the origin and at a
+        # rational point, every order and both schemes.
+        rng = make_rng(701)
+        for _ in range(60):
+            t = random_param_table(rng, d=rng.choice((2, 3)), n=rng.randint(1, 6))
+            f = random_poly(rng, t.d, t.n + 2, max_terms=4)
+            for z0 in ((Fraction(0),) * t.d, tuple(rational(rng) for _ in range(t.d))):
+                for m in range(t.n + 1):
+                    for scheme in "ab":
+                        work = dinv.cli._series_work(t, scheme, f, z0, m)[0]
+                        assert work < dinv.cli.MAX_SERIES_WORK // 100
+
+    def test_prediction_by_hand(self):
+        # b = (1, 5300) at m = 2: the weight-1 slot alone, h_coef(2, 1) = 2;
+        # f = x1^3 + x1^2 makes 2 products and squares x1 twice.  Digits:
+        # 1 (z0 = 1) + int(2 * (log10 2 + log10 4) + log10 2!) + 1 = 4.
+        spec = dinv.GeneralSpec.from_dict(B5300)
+        assert dinv.cli._series_work(spec, "a", P("x1^3 + x1^2", 1), (Fraction(1),), 2) == (3**3 * 4 * 4, 4, 4)
+
+    def test_exactly_at_the_bound(self, spec_file, tmp_path, monkeypatch, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("x1^3*x2 + x2^2")
+        argv = ["limit", "--m", "4", "--scheme", "b", "--spec", spec_file, "--f", str(f), "--z0", "3/2,-1"]
+        work = dinv.cli._series_work(dinv.GeneralSpec.from_dict(EXAMPLE_SPEC), "b", P("x1^3*x2 + x2^2"), (Fraction(3, 2), Fraction(-1)), 4)[0]
+        monkeypatch.setattr(dinv.cli, "MAX_SERIES_WORK", work)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(dinv.cli, "MAX_SERIES_WORK", work - 1)
+        assert main(argv) == 2
+        assert f"about {work:,} digit-steps" in capsys.readouterr().err
+
+
+class TestPointSizeGuard:
+    """points --h refuses, before any point is built, the first coordinate
+    too long to write, with rational_text's message; a coordinate it
+    cannot decide from logarithms is evaluated, as before."""
+
+    def test_b5300_refused_at_once(self, tmp_path, capsys):
+        # Point 1 of scheme a is h + h^5300 with a 1000-digit h: 5.3 million
+        # digits, predicted exactly, as evaluating it would count them.
+        spec = tmp_path / "b5300.json"
+        spec.write_text(json.dumps(B5300))
+        start = time.perf_counter()
+        assert main(["points", "--scheme", "a", "--spec", str(spec), "--h", "7" * 1000]) == 2
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: a result coefficient has 5299422 digits, more than Python's limit of "
+            f"{sys.get_int_max_str_digits()} for writing an integer as text (sys.get_int_max_str_digits())\n"
+        )
+        assert captured.out == ""
+
+    def test_refuses_only_what_evaluation_refuses(self):
+        # Seeded gapped specs, z0 and h (integral and not) under Python's
+        # least digit limit, 640: the guard refuses only where evaluating
+        # the points in order refuses, and its predicted digits fall short
+        # of the evaluated ones by at most the carry of a sum (cancellation
+        # against the denominators makes them an overcount).
+        rng = make_rng(702)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            refused = 0
+            for _ in range(150):
+                d = rng.randint(1, 3)
+                b = [1] + sorted(rng.sample(range(2, 60), rng.randint(0, 3)))
+                c = [[Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in b] for _ in range(d)]
+                c[0][0] = c[0][0] or Fraction(1)
+                spec = dinv.GeneralSpec(n=len(b), d=d, b=b, c=c)
+                z0 = tuple(Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)) for _ in range(d))
+                h = Fraction(rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(1, 40)), rng.choice((1, rng.randint(1, 10**20))))
+                scheme = rng.choice("ab")
+                try:
+                    dinv.cli._check_point_sizes(spec, scheme, z0, h)
+                    predicted = None
+                except dinv.poly.DigitLimitError as exc:
+                    predicted = int(str(exc).split()[4])
+                evaluated = None
+                try:
+                    for pt in dinv.discretize.SCHEMES[scheme](spec, z0).at(h):
+                        for v in pt:
+                            dinv.poly.rational_text(v)
+                except dinv.poly.DigitLimitError as exc:
+                    evaluated = int(str(exc).split()[4])
+                if predicted is not None:
+                    refused += 1
+                    assert evaluated is not None and predicted >= evaluated - 1
+            assert refused >= 20
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 # Rationals from the unit values up to MAX_RATIONAL_DIGITS digits, which

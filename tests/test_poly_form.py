@@ -1,0 +1,174 @@
+"""Polynomial's stored form: integer numerators over one positive scale,
+with the {exponent: Fraction} view made on first read.
+
+Every way of making a polynomial (the public constructor, _trusted
+Fraction results, numerator_polynomial on unreduced scales, parse and
+from_dict) and every vector-space operation is compared with the plain
+Fraction-dict oracle of tests/oracles.py, and every result must hold the
+canonical form: scale > 0, no zero numerator, gcd(scale, numerators) == 1.
+DiffOperator.apply_at, which reads its source's numerators, is compared
+with the term-by-term oracle apply_operator.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import forbid_fractions, make_rng, seeded_specs
+from dinv import DiffOperator, Polynomial, build_general, build_generating, build_recursive
+from dinv.subspace import numerator_polynomial
+from oracles import apply_operator, dict_add, dict_eval, dict_render, dict_scaled
+
+F = Fraction
+
+_COEFS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@st.composite
+def term_dicts(draw, dim: int) -> dict:
+    """{exponent: Fraction} in dim variables, zeros dropped."""
+    keys = st.tuples(*[st.integers(0, 4)] * dim)
+    raw = draw(st.dictionaries(keys, _COEFS, max_size=6))
+    return {e: c for e, c in raw.items() if c}
+
+
+def all_ways(terms: dict, dim: int, k: int = 6) -> list[Polynomial]:
+    """The polynomial of terms made five ways: the public constructor (with
+    a zero coefficient to drop and int coefficients where integral), a
+    _trusted Fraction result, numerator_polynomial over k times the least
+    scale (the gcd fold must reduce it), parse and from_dict."""
+    scale = k * math.lcm(1, *(c.denominator for c in terms.values()))
+    public = {e: int(c) if c.denominator == 1 else c for e, c in terms.items()}
+    public.setdefault((0,) * dim, 0)
+    return [
+        Polynomial(dim, public),
+        Polynomial(dim, dict(terms), _trusted=True),
+        numerator_polynomial(dim, scale, {e: int(c * scale) for e, c in terms.items()}),
+        Polynomial.parse(dict_render(terms, dim), dim),
+        Polynomial.from_dict({"dim": dim, "terms": [{"exp": list(e), "coef": str(c)} for e, c in terms.items()]}),
+    ]
+
+
+@st.composite
+def made(draw, dim: int) -> tuple[dict, Polynomial]:
+    """(oracle terms, the same polynomial made one of the five ways)."""
+    terms = draw(term_dicts(dim))
+    return terms, draw(st.sampled_from(all_ways(terms, dim, draw(st.integers(1, 36)))))
+
+
+def assert_canonical(p: Polynomial) -> None:
+    assert type(p.scale) is int and p.scale > 0
+    assert all(type(v) is int and v != 0 for v in p.numerators.values())
+    assert math.gcd(p.scale, *p.numerators.values()) == 1
+    assert p.terms.keys() == p.numerators.keys()
+    assert all(type(c) is F and c == F(p.numerators[e], p.scale) for e, c in p.terms.items())
+
+
+def assert_is(p: Polynomial, terms: dict, dim: int) -> None:
+    assert p.dim == dim and p.terms == terms
+    assert_canonical(p)
+    assert p.degree == max(map(sum, terms), default=-1)
+    assert p.is_zero == (not terms) == (not p)
+
+
+dims = st.integers(1, 3)
+
+
+@given(st.data(), dims)
+def test_every_construction_matches_the_oracle(data, dim):
+    terms, p = data.draw(made(dim))
+    assert_is(p, terms, dim)
+
+
+@given(st.data(), dims, st.integers(1, 36))
+def test_equal_polynomials_made_different_ways_compare_equal(data, dim, k):
+    terms, p = data.draw(made(dim))
+    for r in all_ways(terms, dim, k) + [Polynomial.from_dict(p.to_dict()), Polynomial.parse(p.render(), dim)]:
+        assert r == p and p == r
+        assert (r.scale, r.numerators) == (p.scale, p.numerators)
+    # A different dimension or one coefficient off is a different value.
+    assert p != Polynomial(dim + 1, {e + (0,): c for e, c in terms.items()})
+    assert p != p + Polynomial.constant(dim, F(1, 7))
+
+
+@given(st.data(), dims, _COEFS, st.integers(-5, 5))
+def test_vector_space_operations_match_the_oracle(data, dim, a, k):
+    tp, p = data.draw(made(dim))
+    tq, q = data.draw(made(dim))
+    assert_is(p + q, dict_add(tp, tq), dim)
+    assert_is(p - q, dict_add(tp, dict_scaled(tq, -1)), dim)
+    assert_is(-p, dict_scaled(tp, -1), dim)
+    assert_is(p * a, dict_scaled(tp, a), dim)
+    assert_is(a * p, dict_scaled(tp, a), dim)
+    assert_is(k * p, dict_scaled(tp, k), dim)
+    assert_is(p - p, {}, dim)
+    # The operands are unchanged.
+    assert_is(p, tp, dim)
+    assert_is(q, tq, dim)
+
+
+@given(st.data(), dims, st.lists(_COEFS, min_size=3, max_size=3))
+def test_eval_render_and_round_trips_match_the_oracle(data, dim, point):
+    terms, p = data.draw(made(dim))
+    assert p.eval(point[:dim]) == dict_eval(terms, point[:dim])
+    assert p.render() == dict_render(terms, dim)
+    assert p.to_dict() == Polynomial(dim, terms).to_dict()
+    assert_is(Polynomial.from_dict(p.to_dict()), terms, dim)
+    assert_is(Polynomial.parse(p.render(), dim), terms, dim)
+
+
+@given(st.data(), dims, st.lists(_COEFS, min_size=3, max_size=3))
+def test_apply_at_reads_either_form_of_its_source(data, dim, point):
+    # DiffOperator sums over its source's numerators and divides once by
+    # the scale; the oracle differentiates term by term and evaluates.
+    terms, source = data.draw(made(dim))
+    f_terms, f = data.draw(made(dim))
+    expected = apply_operator(Polynomial(dim, terms), Polynomial(dim, f_terms)).eval(point[:dim])
+    assert DiffOperator(source).apply_at(f, point[:dim]) == expected
+
+
+def test_the_zero_polynomial_has_scale_one():
+    for p in (Polynomial.zero(2), Polynomial(2, {}), numerator_polynomial(2, 35, {}), Polynomial(2, {(1, 0): 0})):
+        assert (p.scale, p.numerators, p.terms, p.degree) == (1, {}, {}, -1)
+        assert p == Polynomial.zero(2) and not p
+
+
+def test_numerator_polynomial_reduces_to_the_least_scale():
+    p = numerator_polynomial(2, 360, {(1, 0): 120, (0, 2): -90, (0, 0): 48})
+    assert (p.scale, p.numerators) == (60, {(1, 0): 20, (0, 2): -15, (0, 0): 8})
+    assert p.terms == {(1, 0): F(1, 3), (0, 2): F(-1, 4), (0, 0): F(2, 15)}
+
+
+def test_forbid_fractions_catches_construction_and_arithmetic(monkeypatch):
+    half = F(1, 2)
+    forbid_fractions(monkeypatch)
+    with pytest.raises(AssertionError):
+        F(1, 3)
+    with pytest.raises(AssertionError):
+        half + half
+    monkeypatch.undo()
+    assert half + half == 1
+
+
+def test_builders_and_equality_make_no_fraction_until_terms_is_read(monkeypatch):
+    specs = seeded_specs(make_rng(501), 24)
+    for spec in specs:
+        spec.slots  # the spec's own Fractions are made before the check
+    forbid_fractions(monkeypatch)
+    built = []
+    for spec in specs:
+        bases = [build_general(spec), build_generating(spec)]
+        if spec.a is not None:
+            bases.append(build_recursive(spec))
+        assert all(basis.elements == bases[0].elements for basis in bases)
+        assert all(p == p and p.degree == k for k, p in enumerate(bases[0]))
+        built.append(bases)
+    monkeypatch.undo()
+    # Read now, the view holds the reduced Fractions of the numerators.
+    for bases in built:
+        for basis in bases:
+            for p in basis:
+                assert_canonical(p)
