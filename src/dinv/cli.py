@@ -587,12 +587,29 @@ def _check_power_size(f: Polynomial, z0: Sequence[Fraction]) -> None:
         )
 
 
+def _lifted_digits(f: Polynomial, z0: Sequence[Fraction]) -> int:
+    """Predicted decimal digits of the largest integer the limit series
+    lifts a term x^e of f to, with z0's powers: f.numerators[e] *
+    prod_i q_i^(deg_i - e_i) * max(|p_i|, q_i)^(e_i), where z0_i = p_i / q_i
+    and deg_i is the degree of f in x_i.  At least _power_digits(f, z0)."""
+    logs = [(math.log10(v.denominator), _log10_height(v)) for v in z0]
+    degs = [max(ks) for ks in zip(*f.numerators)]
+    return max(
+        (
+            int(math.log10(abs(c)) + sum((deg - k) * lq + k * lh for (lq, lh), deg, k in zip(logs, degs, e))) + 1
+            for e, c in f.numerators.items()
+        ),
+        default=1,
+    )
+
+
 # limit at order m sums A_r^(m) * f(z_r(h)) over the m + 1 points z_0..z_m,
-# each term of f a chain of cut products of dense h-series of at most m + 1
-# coefficients.  A series coefficient multiplies z0's powers (_power_digits)
-# by coordinate coefficients c_ij * h_coef(r, b_j), r <= m, whose weights
-# b_j sum to at most m, and by a binomial of f's exponents, over the
-# stencil's r! * (m - r)! <= m!.  So the work is predicted, before any point
+# each term of f a chain of cut products of dense integer series of at most
+# m + 1 coefficients (discretize._series, in u = h / D).  A series integer
+# multiplies a lifted term of f with z0's powers (_lifted_digits) by
+# coordinate coefficients n_ij * h_coef(r, b_j) * D^(b_j - 1), r <= m, whose
+# weights b_j sum to at most m, and by a binomial of f's exponents, and
+# the stencil's C(m, r) <= m!.  So the work is predicted, before any point
 # is built, as (m + 1) points times f's cut products (one per variable of
 # each term, plus the squarings of each variable's largest power) times
 # (m + 1)^2 cells times those digits, and an order may predict at most
@@ -600,11 +617,13 @@ def _check_power_size(f: Polynomial, z0: Sequence[Fraction]) -> None:
 # coordinates leave most cells empty; they stand for its stencil and
 # accumulation, which also grow with m.  On one core of a 2-vCPU host, as
 # subprocesses: a d = 1 spec with b = (1, ..., 40), every c_1j = 7/3, and
-# nine terms x1^(1 + 7k) at z0 = 3/2, --m 40 (2.5e8 predicted) took 8.7 s,
-# and b = (1, ..., 30) with nine terms x1^(1 + 70k), --m 30 (2.6e8) 6.8 s;
-# CI's b = (1, 5300) with f = x1^3 + x1^2 took 4.4 s at --m 60 (2.1e8),
-# 4 s of it building the 5301 points, and --m 5300 (2.4e16), which ran
-# past 100 s, is refused in 0.1 s.
+# nine terms x1^(1 + 7k) at z0 = 3/2, --m 40 (2.5e8 predicted) took 0.6 s
+# with either scheme, and b = (1, ..., 30) with nine terms x1^(1 + 70k),
+# --m 30 (2.6e8) 0.6 s; CI's b = (1, 5300) with f = x1^3 + x1^2 at
+# z0 = 1/3 took 0.3 s at --m 60 (2.1e8) and --m 65 with scheme b, but
+# 4.1 and 4.3 s with scheme a, nearly all of it building the 5301 points
+# (r^5300 for every r, which this guard does not see), and --m 66 (3.1e8)
+# and --m 5300 (2.4e16) are refused in 0.3 s.
 MAX_SERIES_WORK = 300_000_000
 
 
@@ -612,13 +631,14 @@ def _series_work(spec: GeneralSpec, scheme: str, f: Polynomial, z0: Sequence[Fra
     """(work, cut products, coefficient digits) of limit at order m, for
     0 <= m <= b_n."""
     den, slots = spec.slots
-    # The digits per unit weight of a coordinate coefficient, at r = m, where
-    # h_coef is largest, and of f's binomials.
+    # The digits per unit weight of a coordinate's integer coefficient
+    # n_ij * h_coef(r, b_j) * D^(b_j - 1) <= max(|n_ij|, D)^(b_j) * h_coef,
+    # at r = m, where h_coef is largest, and of f's binomials.
     per_weight = max(
-        ((_log10_height(Fraction(n_ij, den)) + h_coef_log10(scheme, m, bj)) / bj for bj, _, n_ij in slots if bj <= m),
+        ((math.log10(max(abs(n_ij), den)) + h_coef_log10(scheme, m, bj)) / bj for bj, _, n_ij in slots if bj <= m),
         default=0,
     ) + math.log10(max(f.degree, 0) + 1)
-    digits = _power_digits(f, z0) + int(m * per_weight + math.lgamma(m + 1) / math.log(10)) + 1
+    digits = _lifted_digits(f, z0) + int(m * per_weight + math.lgamma(m + 1) / math.log(10)) + 1
     exps = list(f.terms)
     products = sum(sum(1 for k in e if k) for e in exps)
     products += sum(max(e[i] for e in exps).bit_length() for i in range(f.dim)) if exps else 0

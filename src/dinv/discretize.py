@@ -19,15 +19,27 @@ and the vanishing of the low-order coefficients is checked as an identity,
 not up to a tolerance.  A float h-sweep is provided as a human-facing
 diagnostic of the same limit.
 
-The check at order m computes only what it reports.  It expands the
-combination only to h^m: each coordinate is a dense list of
-h-coefficients and every product is cut after h^m, which is exact because
-the h^t coefficient of a product reads only its factors' coefficients up
-to h^t.  A coordinate's k-th power is made by repeated squaring of cut
-series (Brent & Kung 1978), so the work grows with log(deg f).  The
-target builds only B_0..B_m, by the generating recurrence stopped at
-weight m, and evaluates B_m(D)f at z0 as a scalar; it never reads the
-points, so it stays an independent witness.
+The check at order m computes only what it reports, on ints.  It expands
+the combination only to h^m, in u = h / D with D the common denominator
+of c (spec.slots): each h^t coefficient of a coordinate is an integer
+over D^t, so coordinate i of a point is
+
+    (p_i + q_i * sum_t a_t * u^t) / q_i,   z0_i = p_i / q_i,
+
+with integer a_t.  Each coordinate is a dense list of those integer
+u-coefficients and every product is cut after u^m, which is exact
+because the u^t coefficient of a product reads only its factors'
+coefficients up to u^t.  A coordinate's k-th power is made by repeated
+squaring of cut series (Brent & Kung 1978), so the work grows with
+log(deg f).  The terms of f are lifted once per check to integers over
+one scale, f.scale * prod_i q_i^(deg_i) with deg_i the degree of f in
+x_i, and the stencil weights are the integers (-1)^(m-r) * C(m, r) over
+m!.  So the u^t coefficient of the combination is one integer over
+scale * m!, and the h^t coefficient is that integer over
+scale * m! * D^t, the only Fraction the series makes.  The target builds
+only B_0..B_m, by the generating recurrence stopped at weight m, and
+evaluates B_m(D)f at z0 as a scalar; it never reads the points, so it
+stays an independent witness.
 
 Point coordinates are univariate polynomials in h (dimension-1 Polynomial
 values); the generating spec travels with the point set so downstream
@@ -46,9 +58,6 @@ from typing import Iterator, Sequence
 from .identities import falling_factorial
 from .poly import DiffOperator, Polynomial, _decimal_digits, rational_text
 from .subspace import GeneralSpec, _generating_elements, numerator_polynomial
-
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class Stencil:
@@ -162,12 +171,12 @@ def _check_order(m: int, pts: SymbolicPointSet) -> None:
         raise ValueError(f"order {m} exceeds available points 0..{top}")
 
 
-def _mul_cut(a: list[Fraction], b: list[Fraction], length: int) -> list[Fraction]:
-    """Product of two dense h-series, cut after h^(length-1), trailing zeros
-    dropped.  Its h^t coefficient reads only the factors' coefficients up
-    to h^t, so the cut is exact."""
+def _mul_cut(a: list[int], b: list[int], length: int) -> list[int]:
+    """Product of two dense integer series, cut after the power length-1,
+    trailing zeros dropped.  Its t-th coefficient reads only the factors'
+    coefficients up to t, so the cut is exact."""
     size = min(len(a) + len(b) - 1, length)
-    out = [_ZERO] * size
+    out = [0] * size
     for i, ai in enumerate(a[:size]):
         if ai:
             for j, bj in enumerate(b[: size - i], i):
@@ -178,9 +187,9 @@ def _mul_cut(a: list[Fraction], b: list[Fraction], length: int) -> list[Fraction
     return out
 
 
-def _power_cut(powers: dict[int, list[Fraction]], k: int, length: int) -> list[Fraction]:
-    """powers[k], the k-th power of the series powers[1] cut after
-    h^(length-1), made by repeated squaring from the powers already kept:
+def _power_cut(powers: dict[int, list[int]], k: int, length: int) -> list[int]:
+    """powers[k], the k-th power of the series powers[1] cut after the
+    power length-1, made by repeated squaring from the powers already kept:
     O(log k) cut products, each power kept once made."""
     power = powers.get(k)
     if power is None:
@@ -193,23 +202,41 @@ def _power_cut(powers: dict[int, list[Fraction]], k: int, length: int) -> list[F
 
 
 def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[Fraction]:
-    """The h^0..h^(length-1) coefficients of sum_{r=0..m} A_r^(m) * f(z_r(h)).
+    """The h^0..h^(length-1) coefficients of sum_{r=0..m} A_r^(m) * f(z_r(h)),
+    computed on ints in u = h / D as the module docstring says.
 
-    Each coordinate is a dense list of h-coefficients; its powers are
-    kept per point and every product is cut after h^(length-1)."""
-    total = [_ZERO] * length
-    for w, point in zip(stencil(m).coeffs, pts.points):
+    Coordinate i's u^t coefficient is its h^t coefficient times q_i * D^t,
+    read from the point's integer form; the term x^e of f becomes
+    f.numerators[e] * prod_i q_i^(deg_i - e_i).  The powers of each
+    coordinate are kept per point, and every product is cut after
+    u^(length-1)."""
+    den = pts.spec.slots[0]
+    qs = [v.denominator for v in pts.base]
+    degs = [max(ks) for ks in zip(*f.numerators)]
+    scale = f.scale
+    for q, deg in zip(qs, degs):
+        scale *= q ** deg
+    terms = []
+    for e, v in f.numerators.items():
+        for q, deg, k in zip(qs, degs, e):
+            if deg - k:
+                v *= q ** (deg - k)
+        terms.append((e, v))
+    den_powers = [den ** t for t in range(length)]
+    total = [0] * length
+    for r, point in enumerate(pts.points[: m + 1]):
         powers = []
-        for coord in point:
-            dense = [_ZERO] * min(coord.degree + 1, length)
-            for (t,), c in coord.terms.items():
+        for q, coord in zip(qs, point):
+            s = coord.scale
+            dense = [0] * min(coord.degree + 1, length)
+            for (t,), v in coord.numerators.items():
                 if t < length:
-                    dense[t] = c
+                    dense[t] = v * q * den_powers[t] // s
             while dense and not dense[-1]:
                 dense.pop()
             powers.append({1: dense})  # powers[i][k] is coordinate i to the k-th
-        value = [_ZERO] * length
-        for e, c in f.terms.items():
+        value = [0] * length
+        for e, c in terms:
             prod = None
             for cache, k in zip(powers, e):
                 if k:
@@ -222,10 +249,12 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
             else:
                 for t, v in enumerate(prod):
                     value[t] += c * v
+        w = -math.comb(m, r) if (m - r) % 2 else math.comb(m, r)
         for t, v in enumerate(value):
             if v:
                 total[t] += w * v
-    return total
+    scale *= math.factorial(m)
+    return [Fraction(v, scale * dp) for v, dp in zip(total, den_powers)]
 
 
 @dataclass(frozen=True)

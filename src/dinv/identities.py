@@ -80,9 +80,14 @@ def vandermonde_oracle(m: int) -> tuple[Fraction, ...]:
 
 
 def falling_factorial(i: int, j: int) -> int:
-    """i * (i-1) * ... * (i-j+1), the j-term falling product (1 for j == 0)."""
+    """i * (i-1) * ... * (i-j+1), the j-term falling product (1 for j == 0).
+
+    For i >= 0 it is math.perm(i, j), which is 0 at once for j > i; the
+    product loop is kept for negative i, where no factor is 0."""
     if j < 0:
         raise ValueError(f"length must be non-negative, got {j}")
+    if i >= 0:
+        return math.perm(i, j)
     out = 1
     for t in range(j):
         out *= i - t

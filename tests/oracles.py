@@ -12,6 +12,8 @@ free functions on Polynomial terms: diff, integrate, free_of_leading, mul
 and compose (the full substitution whose prefix the limit check's cut
 series must equal).  apply_operator, source(D) f by iterated single-variable
 diff, shares no code with DiffOperator.apply_at, which it witnesses.
+series_fraction is that cut series with a Fraction in every cell, the
+reference for the library's integer series.
 
 The dict_* functions are the polynomial vector space on plain
 {exponent: Fraction} dicts with no zero value, the reference for
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from dinv.identities import falling_factorial
+from dinv.discretize import SymbolicPointSet, stencil
 from dinv.poly import Polynomial
 from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec
 
@@ -101,6 +103,70 @@ def apply_operator(source: Polynomial, f: Polynomial) -> Polynomial:
     return total
 
 
+def _mul_cut_fraction(a: list[Fraction], b: list[Fraction], length: int) -> list[Fraction]:
+    """Product of two dense h-series, cut after h^(length-1), trailing zeros
+    dropped."""
+    size = min(len(a) + len(b) - 1, length)
+    out = [Fraction(0)] * size
+    for i, ai in enumerate(a[:size]):
+        if ai:
+            for j, bj in enumerate(b[: size - i], i):
+                if bj:
+                    out[j] += ai * bj
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _power_cut_fraction(powers: dict[int, list[Fraction]], k: int, length: int) -> list[Fraction]:
+    """powers[k], the k-th power of powers[1] cut after h^(length-1), by
+    repeated squaring from the powers already kept."""
+    power = powers.get(k)
+    if power is None:
+        half = _power_cut_fraction(powers, k // 2, length)
+        power = _mul_cut_fraction(half, half, length)
+        if k % 2:
+            power = _mul_cut_fraction(power, powers[1], length)
+        powers[k] = power
+    return power
+
+
+def series_fraction(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[Fraction]:
+    """The h^0..h^(length-1) coefficients of sum_{r=0..m} A_r^(m) * f(z_r(h)),
+    every cell a Fraction: each coordinate a dense list of its
+    h-coefficients, its powers kept per point, every product cut after
+    h^(length-1), and the stencil's Fraction weights."""
+    total = [Fraction(0)] * length
+    for w, point in zip(stencil(m).coeffs, pts.points):
+        powers = []
+        for coord in point:
+            dense = [Fraction(0)] * min(coord.degree + 1, length)
+            for (t,), c in coord.terms.items():
+                if t < length:
+                    dense[t] = c
+            while dense and not dense[-1]:
+                dense.pop()
+            powers.append({1: dense})
+        value = [Fraction(0)] * length
+        for e, c in f.terms.items():
+            prod = None
+            for cache, k in zip(powers, e):
+                if k:
+                    power = _power_cut_fraction(cache, k, length)
+                    prod = power if prod is None else _mul_cut_fraction(prod, power, length)
+                    if not prod:
+                        break
+            if prod is None:
+                value[0] += c
+            else:
+                for t, v in enumerate(prod):
+                    value[t] += c * v
+        for t, v in enumerate(value):
+            if v:
+                total[t] += w * v
+    return total
+
+
 Terms = dict[tuple[int, ...], Fraction]
 
 
@@ -164,11 +230,19 @@ def weighted_compositions(total: int, weights: Sequence[int]) -> Iterator[tuple[
     yield from rec(0, total)
 
 
+def falling_factorial_product(i: int, j: int) -> int:
+    """i * (i-1) * ... * (i-j+1), one factor at a time, for j >= 0."""
+    out = 1
+    for t in range(j):
+        out *= i - t
+    return out
+
+
 def falling_factorial_sum_enumerated(r: int, i: int, cap: int) -> int:
     """falling_factorial_sum as one product per composition of r over the
-    slot weights 1..cap, each slot base falling_factorial(i, t) built from
-    scratch."""
-    bases = [falling_factorial(i, t) for t in range(1, cap + 1)]
+    slot weights 1..cap, each slot base falling_factorial_product(i, t)
+    built from scratch."""
+    bases = [falling_factorial_product(i, t) for t in range(1, cap + 1)]
     total = 0
     for combo in weighted_compositions(r, list(range(1, cap + 1))):
         term = 1

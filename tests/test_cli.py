@@ -30,7 +30,7 @@ from dinv import BasisSequence, ClosureReport, Polynomial
 from dinv.cli import main
 from dinv.poly import MAX_RATIONAL_DIGITS, parse_rational
 from dinv.subspace import _numerators
-from conftest import make_rng, random_param_table, random_poly, rational, seeded_specs
+from conftest import make_rng, random_general_spec, random_param_table, random_poly, rational, seeded_specs
 from oracles import build_general_fraction
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1121,6 +1121,41 @@ class TestSeriesSizeGuard:
                     for scheme in "ab":
                         work = dinv.cli._series_work(t, scheme, f, z0, m)[0]
                         assert work < dinv.cli.MAX_SERIES_WORK // 100
+
+    def test_prediction_bounds_the_series_integers(self, monkeypatch):
+        # The integers the series carries: every cut product, and the u^t
+        # sums over scale * m! * D^t that become the returned Fractions.
+        # Over z0 with large numerators and denominators in several
+        # variables the common scale prod_i q_i^(deg_i) adds digits that
+        # z0's powers term by term do not show.
+        carried = []
+        mul_cut = dinv.discretize._mul_cut
+        new = Fraction.__new__
+
+        def recording(a, b, length):
+            out = mul_cut(a, b, length)
+            carried.extend(out)
+            return out
+
+        def numerators(cls, numerator=0, denominator=None, **kwargs):
+            carried.append(numerator)
+            return new(cls, numerator, denominator, **kwargs)
+
+        rng = make_rng(702)
+        for _ in range(40):
+            spec = random_general_spec(rng, n_max=4, bn_max=7, d_max=3)
+            f = random_poly(rng, spec.d, rng.randint(1, 12), max_terms=5)
+            z0 = tuple(rational(rng, rng.choice((10, 10**6)), rng.choice((10, 10**6))) for _ in range(spec.d))
+            for scheme in "ab":
+                pts = dinv.discretize.SCHEMES[scheme](spec, z0)
+                for m in range(spec.top_weight + 1):
+                    carried.clear()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(dinv.discretize, "_mul_cut", recording)
+                        patch.setattr(Fraction, "__new__", numerators)
+                        dinv.discretize._series(f, m, pts, m + 1)
+                    digits = max((len(str(abs(v))) for v in carried if v), default=1)
+                    assert digits <= dinv.cli._series_work(spec, scheme, f, z0, m)[2]
 
     def test_prediction_by_hand(self):
         # b = (1, 5300) at m = 2: the weight-1 slot alone, h_coef(2, 1) = 2;

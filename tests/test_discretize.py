@@ -23,7 +23,7 @@ from dinv import (
     sweep_to_csv,
 )
 from dinv.subspace import numerator_basis
-from oracles import apply_operator, compose
+from oracles import apply_operator, compose, series_fraction
 
 F = Fraction
 
@@ -60,6 +60,12 @@ class TestStencil:
             for j in range(m + 1):
                 moment = sum(c * i ** j for i, c in enumerate(coeffs))
                 assert moment == (1 if j == m else 0)
+
+    def test_integer_weights_over_factorial(self):
+        # The series weights the points by (-1)^(m-r) * C(m, r) over m!.
+        for m in range(31):
+            for r, c in enumerate(stencil(m).coeffs):
+                assert c * math.factorial(m) == (-1) ** (m - r) * math.comb(m, r)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -341,6 +347,69 @@ class TestTruncatedExpansion:
         ):
             with pytest.raises(ValueError, match=rf"^order {m} exceeds available points 0\.\.2$"):
                 call()
+
+
+class TestIntegerSeries:
+    """The series runs on ints in u = h / D; series_fraction, the same cut
+    series with a Fraction in every cell, is its reference."""
+
+    @staticmethod
+    def draw(rng, k: int):
+        """(spec, f, z0): c over denominators up to 12 (so D > 1), weights
+        with gaps, the last variable zero at every point on odd k (its c row
+        zero and z0 coordinate 0), z0 mixing 0, negative integers and
+        non-integers, and f with a constant term and one variable raised
+        higher than the others."""
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        b = tuple([1] + sorted(rng.sample(range(2, 7), n - 1)))
+        c = [[rational(rng, max_den=12) for _ in range(n)] for _ in range(d)]
+        c[0][0] = rational(rng, max_den=12, allow_zero=False)
+        zero_var = d - 1 if d > 1 and k % 2 else None
+        if zero_var is not None:
+            c[zero_var] = [0] * n
+        spec = GeneralSpec(n=n, d=d, b=b, c=c)
+        z0 = tuple(
+            F(0) if i == zero_var else rng.choice((F(0), F(-rng.randint(1, 5)), F(rng.randint(-9, 9), rng.randint(2, 7))))
+            for i in range(d)
+        )
+        terms = dict(random_poly(rng, dim=d, max_deg=3, max_terms=4).terms)
+        terms[(0,) * d] = rational(rng, allow_zero=False)
+        high = rng.randrange(d)
+        terms[tuple(rng.randint(5, 11) if i == high else rng.randint(0, 1) for i in range(d))] = rational(rng, allow_zero=False)
+        return spec, Polynomial(d, terms), z0
+
+    def test_equals_the_fraction_series(self):
+        rng = make_rng(209)
+        rescaled = zero_coordinate = 0
+        for k in range(40):
+            spec, f, z0 = self.draw(rng, k)
+            den = spec.slots[0]
+            rescaled += den > 1 and spec.top_weight > 1
+            for build in (points_scheme_a, points_scheme_b):
+                pts = build(spec, z0)
+                zero_coordinate += any(all(point[i].is_zero for point in pts.points) for i in range(spec.d))
+                for m in range(spec.top_weight + 1):
+                    for length in (m + 1, m + 4):
+                        got = dinv.discretize._series(f, m, pts, length)
+                        assert got == series_fraction(f, m, pts, length), (spec, f, z0, m, length)
+                        assert all(type(v) is Fraction for v in got)
+        assert rescaled >= 20 and zero_coordinate >= 10
+
+    def test_only_the_returned_coefficients_are_fractions(self, monkeypatch):
+        spec, f, z0 = self.draw(make_rng(210), 1)
+        pts = points_scheme_b(spec, z0)
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        for m in range(spec.top_weight + 1):
+            made.clear()
+            dinv.discretize._series(f, m, pts, m + 1)
+            assert len(made) == m + 1
 
 
 class TestGeneralSpecs:

@@ -17,7 +17,7 @@ from dinv import (
     stencil,
     vandermonde_oracle,
 )
-from oracles import falling_factorial_sum_enumerated, signed_power_sum_fraction
+from oracles import falling_factorial_product, falling_factorial_sum_enumerated, signed_power_sum_fraction
 
 F = Fraction
 
@@ -114,6 +114,17 @@ class TestFallingFactorial:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             falling_factorial(3, -1)
+
+    def test_equals_the_product(self):
+        for i in range(-5, 41):
+            for j in range(46):
+                assert falling_factorial(i, j) == falling_factorial_product(i, j), (i, j)
+
+    def test_zero_factor_ends_the_product(self):
+        # 5300 factors for every i < 5300 of scheme b on b = (1, 5300).
+        start = time.perf_counter()
+        assert all(falling_factorial(i, 5300) == 0 for i in range(5300))
+        assert time.perf_counter() - start < 1
 
 
 class TestFallingFactorialSum:
