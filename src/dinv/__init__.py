@@ -21,6 +21,7 @@ from .identities import (
     signed_power_sum,
     signed_power_sums,
     vandermonde_oracle,
+    vandermonde_oracles,
 )
 from .poly import DiffOperator, Exponent, Polynomial, Rational
 from .subspace import (
@@ -73,4 +74,5 @@ __all__ = [
     "sweep",
     "sweep_to_csv",
     "vandermonde_oracle",
+    "vandermonde_oracles",
 ]

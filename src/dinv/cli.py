@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .compositions import count_compositions
 from .discretize import SCHEMES, SweepRow, expansion_check, h_coef_log10, stencil, sweep, sweep_to_csv
-from .identities import falling_factorial_sums, signed_power_sums, vandermonde_oracle
+from .identities import falling_factorial_sums, signed_power_sums, vandermonde_oracles
 from .poly import DigitLimitError, Polynomial, parse_rational, rational_text
 from .subspace import (
     TABLE_SHAPE,
@@ -267,12 +267,15 @@ def _check_recurrence_size(what: str, spec: GeneralSpec) -> None:
 # per m <= --m-max, (m + 1)^3 Vandermonde cells per m <= --vand-max, and the
 # steps of the compositions recurrence behind the falling-factorial sums (see
 # _falling_factorial_work).  A power-sum step is one product, a term carried
-# from power j to j + 1.  On one core of a 2-vCPU host, each scan alone at the
-# bound as a subprocess, a step took 0.05 us in the power sums (--m-max 166,
-# 0.7 s) and 0.18 us in the Vandermonde cells (--vand-max 69, 1.9 s).  The
-# falling-factorial scan, which runs only the nodes i < r_max, took at most
-# 0.2 s at r = i (60, and 60 with any larger --i-max) and at r >> i (243, 2);
-# so a run at the bound takes at most about 2 s.
+# from power j to j + 1.  The Vandermonde scan is one elimination of the
+# largest order's system and a back-substitution per order, O(M^3) cells in
+# all, so the (m + 1)^3 per order over-predicts it.  On one core of a
+# 2-vCPU host, each scan alone at the bound as a subprocess, a step took
+# 0.05 us in the power sums (--m-max 166, 0.7 to 0.9 s) and 0.02 us in the
+# Vandermonde cells (--vand-max 69, 0.4 s, of which 0.2 s is starting
+# Python).  The falling-factorial scan, which runs only the nodes i < r_max,
+# took at most 0.2 s at r = i (60, and 60 with any larger --i-max) and at
+# r >> i (243, 2); so a run at the bound takes at most about 1 s.
 MAX_IDENTITY_WORK = 10_000_000
 
 
@@ -394,7 +397,7 @@ def _cmd_verify(args) -> int:
             for m in range(m_max + 1)
             for include_zero, low in ((True, 0), (False, 1))
         )
-        vand_ok = all(vandermonde_oracle(m) == stencil(m).coeffs for m in range(vand_max + 1))
+        vand_ok = vandermonde_oracles(vand_max) == [stencil(m).coeffs for m in range(vand_max + 1)]
         # A node i >= r_max reads both lists after slot min(i, r) = r: one snapshot.
         nodes = range(2, min(i_max + 1, r_max))
         ff_ok = all(cap_i == cap_r for cap_i, cap_r in (falling_factorial_sums(r_max, i) for i in nodes))
@@ -559,10 +562,14 @@ def _cmd_points(args) -> int:
 # computed, and a run may predict at most MAX_POWER_DIGITS.  Python writes
 # at most 4300 digits of an integer as text and a float holds about 308, so
 # a result that can be printed is well inside the bound.  On one core of a
-# 2-vCPU host, at the bound (z0 = 3/2,3/2 and f = x1^20959), limit --m 4 on
-# the demo table took 0.4 s and limit --m 12 on a d = 2 spec with
-# b = (1, 12) took 3.8 s (4.9 to 5.7 s with f = x1^10479*x2^10479): the
-# work grows with the square of m and with f's terms too.
+# 2-vCPU host, as subprocesses near the bound (9,934 digits: z0 = 1/2,1/2
+# and f = x1^33000 or x1^16500*x2^16500), study on the demo table (every
+# order, both schemes) and sweep --m 12 on a d = 2 spec with b = (1, 12),
+# each at --h0 1/1000 --steps 3, ran to exit 0 in 0.2 s, and limit --m 8 on
+# that spec computed its series and target in 0.2 s, to stop on a result
+# coefficient of 9,932 digits (DigitLimitError, exit 2), as limit --m 4 on
+# the demo table at z0 = 3/2,3/2 with f = x1^20959 (10,000 digits) did on
+# one of 10,014.  limit's series guard bounds the growth with m and f.
 MAX_POWER_DIGITS = 10_000
 
 

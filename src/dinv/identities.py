@@ -7,9 +7,11 @@ Three families, all over exact rationals:
     annihilate the lower ones, every power j of one order m from one set
     of terms carried from j to j + 1; signed_power_sum is one of them
     over m!,
-  * vandermonde_oracle: the same stencil coefficients recovered by solving
-    the Vandermonde system at nodes 0..m by generic elimination, giving an
-    independent witness for the closed form,
+  * vandermonde_oracles: the same stencil coefficients recovered by
+    solving the Vandermonde system at nodes 0..m by generic elimination,
+    giving an independent witness for the closed form; one elimination of
+    the largest system serves every order up to it, each order then one
+    back-substitution; vandermonde_oracle is one of them,
   * falling_factorial_sums: the weighted-composition sums whose cap
     invariance justifies truncating the second point scheme, every weight
     at one node from one run of the counting recurrence of
@@ -27,7 +29,7 @@ from itertools import accumulate
 from operator import mul
 
 from .compositions import _ways
-from .linalg import solve
+from .linalg import back_substitute, echelon
 
 
 def signed_power_sums(m: int, include_zero: bool = True, j_max: int | None = None) -> list[int]:
@@ -64,19 +66,37 @@ def signed_power_sum(j: int, m: int, include_zero: bool = True) -> Fraction:
     return Fraction(signed_power_sums(m, include_zero, j)[j], math.factorial(m))
 
 
-def vandermonde_oracle(m: int) -> tuple[Fraction, ...]:
-    """Solve sum_i y_i * i^j == [j == m] for j = 0..m at nodes i = 0..m by
-    exact elimination.  Deliberately avoids the closed-form answer so it
-    can serve as an independent cross-check of the stencil coefficients.
+def vandermonde_oracles(top: int) -> list[tuple[Fraction, ...]]:
+    """[the solution y of sum_i y_i * i^j == [j == m] for j = 0..m at nodes
+    i = 0..m, for m = 0..top], by exact elimination.  Deliberately avoids
+    the closed-form answer so it can serve as an independent cross-check of
+    the stencil coefficients.
+
+    One linalg.echelon of the augmented rows [V | I], row j the powers i^j
+    at the nodes i <= top and a 1 at column top + 1 + j, serves every
+    order.  Row j only meets the kept rows of leads below its own, and
+    every leading block V_m (rows and nodes 0..m) is nonsingular, so kept
+    row k has lead k and is a combination of the rows 0..k alone: the kept
+    rows 0..m, read at the nodes 0..m, are an echelon form of V_m, and the
+    same row operations take e_m to zero but at row m, where it is that
+    row's entry at column top + 1 + m.  Each order is then one
+    back-substitution.
     """
-    if m < 0:
-        raise ValueError(f"order must be non-negative, got {m}")
-    rows = [[i ** j for i in range(m + 1)] for j in range(m + 1)]
-    rhs = [0] * m + [1]
-    y = solve(rows, rhs)
-    if y is None:
+    if top < 0:
+        raise ValueError(f"order must be non-negative, got {top}")
+    n = top + 1
+    kept = echelon({**{i: i**j for i in range(n)}, n + j: 1} for j in range(n))
+    if sorted(kept) != list(range(n)):
         raise ArithmeticError("Vandermonde system at distinct nodes cannot be singular")
-    return tuple(y)
+    return [
+        tuple(back_substitute([(k, kept[k], 0) for k in range(m)] + [(m, kept[m], kept[m][n + m])], m + 1))
+        for m in range(n)
+    ]
+
+
+def vandermonde_oracle(m: int) -> tuple[Fraction, ...]:
+    """The stencil coefficients of order m by elimination: vandermonde_oracles(m)[m]."""
+    return vandermonde_oracles(m)[m]
 
 
 def falling_factorial(i: int, j: int) -> int:

@@ -3,14 +3,18 @@
 A row is a mapping from column to int; a rational row enters as its
 integer numerators over poly.common_denominator, which leaves its row
 space unchanged.  echelon's callers are solve, which back-substitutes on
-the augmented rows, and subspace.breadth, which orders the columns by
-descending total degree and reads only the leads.
+the augmented rows, identities.vandermonde_oracles, which back-substitutes
+on leading blocks of one echelon form, and subspace.breadth, which orders
+the columns by descending total degree and reads only the leads.  Both
+back-substitutions are back_substitute's, on integers over one common
+denominator.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .poly import common_denominator
@@ -60,15 +64,42 @@ def echelon(
     return kept
 
 
+def back_substitute(rows: Iterable[tuple[int, Mapping[int, int], int]], ncols: int) -> list[Fraction]:
+    """The solution x of the echelon system given by rows, (lead, row, b)
+    for row . x == b, with the unknowns not a lead set to zero.
+
+    The leads must be distinct columns below ncols, and a row zero on the
+    columns below its lead; its entries at columns ncols and up are not
+    read.  The unknowns are solved for from the last lead to the first and
+    kept as integers over one common denominator: a lead's numerator is
+    b * den - (row . x) * den, over row[lead], divided by their gcd; what
+    is left of row[lead] multiplies den and the numerators found so far.
+    One Fraction is made per unknown, at the end.
+    """
+    den = 1
+    nums = [0] * ncols
+    for lead, row, b in sorted(rows, key=itemgetter(0), reverse=True):
+        p = row[lead]
+        t = b * den - sum(v * nums[c] for c, v in row.items() if lead < c < ncols)
+        g = math.gcd(t, p)
+        t, p = t // g, p // g
+        if p != 1:
+            den *= p
+            for c in range(lead + 1, ncols):
+                nums[c] *= p
+        nums[lead] = t
+    return [Fraction(v, den) for v in nums]
+
+
 def solve(a_rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
     """One exact solution x of A x = b, or None if the system is inconsistent.
 
     The augmented rows, as integer numerators, go through echelon in column
     order: the system is inconsistent iff the right-hand side column is a
-    lead.  Otherwise the leads are solved for from the last to the first,
-    with the free variables set to zero; that solution is unique, and the
-    leads are the pivot columns of any echelon form, so it is the one that
-    reduced row echelon form gives.
+    lead.  Otherwise back_substitute solves for the leads, with the free
+    variables set to zero; that solution is unique, and the leads are the
+    pivot columns of any echelon form, so it is the one that reduced row
+    echelon form gives.
     """
     if len(a_rows) != len(rhs):
         raise ValueError(f"{len(a_rows)} equations but {len(rhs)} right-hand sides")
@@ -80,9 +111,4 @@ def solve(a_rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | i
     kept = echelon(dict(enumerate(common_denominator((*row, b))[1])) for row, b in zip(a_rows, rhs))
     if ncols in kept:
         return None
-    x = [Fraction(0)] * ncols
-    for lead in sorted(kept, reverse=True):
-        row = kept[lead]
-        known = sum(v * x[c] for c, v in row.items() if lead < c < ncols)
-        x[lead] = Fraction(row.get(ncols, 0) - known, row[lead])
-    return x
+    return back_substitute(((lead, row, row.get(ncols, 0)) for lead, row in kept.items()), ncols)

@@ -11,9 +11,10 @@ That form is canonical (the scale is the lcm of the coefficients'
 denominators), so polynomial equality is int and dict equality of dim,
 scale and numerators.  The read-only view `terms`, {exponent: Fraction},
 is made on first read and kept; a polynomial made from Fractions (the
-public constructor, parse, from_dict, and the kernel's own Fraction
-results) keeps them as that view and derives its numerators once, on
-first need.  Degree and zero tests read only the exponents.
+public constructor, parse, and the kernel's own Fraction results) keeps
+them as that view and derives its numerators once, on first need, and
+from_dict reads its JSON text straight to the integer form.  Degree and
+zero tests read only the exponents.
 
 A Polynomial is a vector: it adds, subtracts and scales (on its integer
 form), evaluates at a point, and reads and writes its text and JSON forms.
@@ -56,6 +57,9 @@ MAX_RATIONAL_DIGITS = 1000
 
 _TOO_MANY_DIGITS = 10 ** MAX_RATIONAL_DIGITS
 _EXPONENT_RE = re.compile(r"e([+-]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# The text json_ratio reads by int() alone: an integer or p/q in ASCII
+# digits, neither of more than MAX_RATIONAL_DIGITS.
+_RATIO_RE = re.compile(r"(-?[0-9]{1,%d})(?:/([0-9]{1,%d}))?\Z" % (MAX_RATIONAL_DIGITS, MAX_RATIONAL_DIGITS))
 
 
 def _decimal_digits(n: int) -> int:
@@ -145,8 +149,21 @@ def json_array(value, what: str) -> list:
     return value
 
 
-def json_rational(value) -> Fraction:
-    return parse_rational(str(value))
+def json_ratio(value) -> tuple[int, int]:
+    """(p, q), q > 0, with p / q the value of parse_rational(str(value)),
+    not necessarily in lowest terms; raises what that raises.  An integer
+    or p/q with a nonzero q and at most MAX_RATIONAL_DIGITS digits each
+    (so within parse_rational's bound) is read by int(), with no Fraction
+    made; every other text goes through parse_rational."""
+    text = str(value)
+    m = _RATIO_RE.match(text)
+    if m:
+        q = m.group(2)
+        q = int(q) if q else 1
+        if q:
+            return int(m.group(1)), q
+    v = parse_rational(text)
+    return v.numerator, v.denominator
 
 
 def _derivative_factor(e: Exponent, alpha: Exponent) -> int:
@@ -159,6 +176,14 @@ def _derivative_factor(e: Exponent, alpha: Exponent) -> int:
         for t in range(ei, ei - ai, -1):
             factor *= t
     return factor
+
+
+def _check_exponent(exps: Exponent, dim: int) -> None:
+    """Refuse an exponent tuple that is not dim non-negative ints."""
+    if len(exps) != dim:
+        raise ValueError(f"exponent {exps} has length {len(exps)}, expected {dim}")
+    if any(e < 0 or not isinstance(e, int) for e in exps):
+        raise ValueError(f"exponents must be non-negative integers, got {exps}")
 
 
 _set = object.__setattr__
@@ -211,10 +236,7 @@ class Polynomial:
                 clean: dict[Exponent, Fraction] = {}
                 for exps, coef in (terms or {}).items():
                     exps = tuple(exps)
-                    if len(exps) != dim:
-                        raise ValueError(f"exponent {exps} has length {len(exps)}, expected {dim}")
-                    if any(e < 0 or not isinstance(e, int) for e in exps):
-                        raise ValueError(f"exponents must be non-negative integers, got {exps}")
+                    _check_exponent(exps, dim)
                     c = Fraction(coef)
                     if c != 0:
                         clean[exps] = c
@@ -430,15 +452,27 @@ class Polynomial:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> Polynomial:
+        """Inverse of to_dict.  A repeated exponent takes its last
+        coefficient.  The coefficients are read by json_ratio and kept as
+        the integer form: the nonzero numerators over the lcm of their
+        denominators, which the gcd fold makes canonical."""
         try:
             dim = json_int(data["dim"], "dim")
             terms = {
-                tuple(json_int(v, "exponent") for v in json_array(t["exp"], "exp")): json_rational(t["coef"])
+                tuple(json_int(v, "exponent") for v in json_array(t["exp"], "exp")): json_ratio(t["coef"])
                 for t in json_array(data["terms"], "terms")
             }
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial object: {exc}") from exc
-        return cls(dim, terms)
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
+        scale = 1
+        for exps, (p, q) in terms.items():
+            _check_exponent(exps, dim)
+            if p and scale % q:
+                scale = math.lcm(scale, q)
+        nums = {e: p * (scale // q) for e, (p, q) in terms.items() if p}
+        return cls(dim, nums, _scale=scale)
 
 
 class DiffOperator:

@@ -43,7 +43,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import echelon
-from .poly import Exponent, Polynomial, common_denominator, json_array, json_int, json_rational
+from .poly import Exponent, Polynomial, common_denominator, json_array, json_int, json_ratio
 
 # Elements B_k = P_k / s_k as integer numerators: (s_k > 0, {exponent: P_k[e] != 0}).
 Numerators = list[tuple[int, dict[Exponent, int]]]
@@ -161,12 +161,12 @@ class GeneralSpec:
             if general:
                 b = tuple(json_int(v, "b entry") for v in json_array(data["b"], "b"))
                 rows = json_array(data["c"], "c")
-                c = tuple(tuple(json_rational(v) for v in json_array(row, "c row")) for row in rows)
+                c = tuple(tuple(Fraction(*json_ratio(v)) for v in json_array(row, "c row")) for row in rows)
             else:
                 a = {}
                 for key, v in data.get("a", {}).items():
                     i_s, j_s = str(key).split(",")
-                    a[(int(i_s), int(j_s))] = json_rational(v)
+                    a[(int(i_s), int(j_s))] = Fraction(*json_ratio(v))
         except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed {'general spec' if general else 'parameter table'}: {exc}") from exc
         return cls(n=n, d=d, b=b, c=c) if general else ParamTable(d=d, n=n, a=a)

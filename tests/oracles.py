@@ -5,7 +5,11 @@ computes another way, except weighted_compositions, the enumeration the
 library now only counts and sums, falling_factorial_sum_enumerated, its
 sum by enumeration, enumerate_weight_solutions, the unpruned index set of
 the closed form, and span_contains, span membership by solve_fraction;
-they are not part of the package.
+they are not part of the package.  solve_backsub_fraction is linalg.solve
+with its back-substitution in Fractions, vandermonde_oracle_per_order
+solves each order's Vandermonde system on its own by it, and
+polynomial_from_dict_fraction reads a polynomial's JSON through
+parse_rational and Fractions.
 
 The polynomial calculus the library no longer needs lives here too, as
 free functions on Polynomial terms: diff, integrate, free_of_leading, mul
@@ -29,7 +33,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from dinv.discretize import SymbolicPointSet, stencil
-from dinv.poly import Polynomial
+from dinv.linalg import echelon
+from dinv.poly import Polynomial, common_denominator, json_array, json_int, parse_rational
 from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec
 
 
@@ -297,6 +302,50 @@ def solve_fraction(a_rows, rhs) -> list[Fraction] | None:
     for i, c in enumerate(pivots):
         x[c] = reduced[i][ncols]
     return x
+
+
+def solve_backsub_fraction(a_rows, rhs) -> list[Fraction] | None:
+    """One solution of A x = b (free variables zero), or None if the system
+    is inconsistent: linalg.echelon of the augmented integer rows, then a
+    Fraction back-substitution, one division per lead."""
+    if len(a_rows) != len(rhs):
+        raise ValueError(f"{len(a_rows)} equations but {len(rhs)} right-hand sides")
+    if not a_rows:
+        return []
+    ncols = len(a_rows[0])
+    if any(len(row) != ncols for row in a_rows):
+        raise ValueError("ragged matrix")
+    kept = echelon(dict(enumerate(common_denominator((*row, b))[1])) for row, b in zip(a_rows, rhs))
+    if ncols in kept:
+        return None
+    x = [Fraction(0)] * ncols
+    for lead in sorted(kept, reverse=True):
+        row = kept[lead]
+        known = sum(v * x[c] for c, v in row.items() if lead < c < ncols)
+        x[lead] = Fraction(row.get(ncols, 0) - known, row[lead])
+    return x
+
+
+def vandermonde_oracle_per_order(m: int) -> tuple[Fraction, ...]:
+    """The solution y of sum_i y_i * i^j == [j == m] for j = 0..m at the
+    nodes i = 0..m, from its own (m + 1)^2 system by
+    solve_backsub_fraction."""
+    rows = [[i**j for i in range(m + 1)] for j in range(m + 1)]
+    return tuple(solve_backsub_fraction(rows, [0] * m + [1]))
+
+
+def polynomial_from_dict_fraction(data) -> Polynomial:
+    """Polynomial.from_dict by way of Fractions: each coefficient through
+    parse_rational(str(coef)), then the public constructor."""
+    try:
+        dim = json_int(data["dim"], "dim")
+        terms = {
+            tuple(json_int(v, "exponent") for v in json_array(t["exp"], "exp")): parse_rational(str(t["coef"]))
+            for t in json_array(data["terms"], "terms")
+        }
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed polynomial object: {exc}") from exc
+    return Polynomial(dim, terms)
 
 
 def span_contains(basis: Sequence[Polynomial], p: Polynomial) -> list[Fraction] | None:

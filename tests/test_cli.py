@@ -721,8 +721,10 @@ class TestIdentitySizeGuard:
         def forbidden(*args, **kwargs):
             raise AssertionError("scanned before the size guard")
 
-        for name in ("signed_power_sums", "vandermonde_oracle", "falling_factorial_sums"):
-            monkeypatch.setattr(dinv.cli, name, forbidden)
+        # In the library too, where vandermonde_oracle reaches its scan.
+        for module in (dinv.cli, dinv.identities):
+            for name in ("signed_power_sums", "vandermonde_oracles", "falling_factorial_sums"):
+                monkeypatch.setattr(module, name, forbidden)
 
     @pytest.mark.parametrize("flag", ["--m-max", "--vand-max", "--r-max", "--i-max"])
     def test_huge_bound_refused_at_once(self, flag, capsys):

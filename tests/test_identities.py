@@ -16,8 +16,14 @@ from dinv import (
     signed_power_sums,
     stencil,
     vandermonde_oracle,
+    vandermonde_oracles,
 )
-from oracles import falling_factorial_product, falling_factorial_sum_enumerated, signed_power_sum_fraction
+from oracles import (
+    falling_factorial_product,
+    falling_factorial_sum_enumerated,
+    signed_power_sum_fraction,
+    vandermonde_oracle_per_order,
+)
 
 F = Fraction
 
@@ -103,6 +109,23 @@ class TestVandermondeOracle:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             vandermonde_oracle(-1)
+        with pytest.raises(ValueError, match="order must be non-negative, got -1"):
+            vandermonde_oracles(-1)
+
+    def test_one_elimination_equals_each_order_alone(self):
+        """Every order read from one elimination of the largest system is the
+        solution of its own system and the closed-form stencil."""
+        per_order = [vandermonde_oracle_per_order(m) for m in range(26)]
+        assert per_order == [stencil(m).coeffs for m in range(26)]
+        for top in range(26):
+            scan = vandermonde_oracles(top)
+            assert scan == per_order[: top + 1]
+            assert all(type(y) is F for ys in scan for y in ys)
+            assert vandermonde_oracle(top) == per_order[top]
+
+    def test_scan_at_the_guard_bound(self):
+        # --vand-max 69 is the largest order verify --what identities accepts.
+        assert vandermonde_oracles(69) == [stencil(m).coeffs for m in range(70)]
 
 
 class TestFallingFactorial:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dinv.linalg import common_denominator, echelon, solve
-from oracles import rref_fraction, solve_fraction
+from dinv.linalg import back_substitute, common_denominator, echelon, solve
+from oracles import rref_fraction, solve_backsub_fraction, solve_fraction
 
 F = Fraction
 
@@ -96,6 +96,22 @@ class TestAgainstFractionOracle:
         assert [sum((F(a) * v for a, v in zip(row, got)), F(0)) for row in rows] == rhs
 
     @given(data=st.data())
+    def test_solve_equals_fraction_back_substitution(self, kind, data):
+        """The integer back-substitution over one denominator gives what a
+        Fraction division per lead gave, on consistent, inconsistent and
+        rank-deficient systems alike."""
+        rows = data.draw(matrices(kind))
+        ncols = len(rows[0]) if rows else 0
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(entries[kind], min_size=ncols, max_size=ncols))
+            rhs = [sum((F(a) * v for a, v in zip(row, x)), F(0)) for row in rows]
+        else:
+            rhs = data.draw(st.lists(entries[kind], min_size=len(rows), max_size=len(rows)))
+        got = solve(rows, rhs)
+        assert got == solve_backsub_fraction(rows, rhs)
+        assert got is None or all(type(v) is Fraction for v in got)
+
+    @given(data=st.data())
     def test_input_not_mutated(self, kind, data):
         rows = data.draw(matrices(kind))
         before = copy.deepcopy(rows)
@@ -114,6 +130,34 @@ def test_echelon_keeps_primitive_rows(rows, reverse):
     for lead, row in echelon(int_rows(rows), key=key).items():
         assert math.gcd(*row.values()) == 1 and all(row.values())
         assert min(row, key=key) == lead
+
+
+@st.composite
+def echelon_systems(draw):
+    """(rows, ncols) for back_substitute: distinct leads below ncols in any
+    order, each row zero before its lead and nonzero there, with entries
+    past ncols (not read) and right-hand sides of either sign."""
+    ncols = draw(st.integers(0, 6))
+    leads = draw(st.lists(st.integers(0, ncols - 1), unique=True)) if ncols else []
+    rows = []
+    for lead in leads:
+        row = {lead: draw(st.integers(-40, 40).filter(bool))}
+        for c in range(lead + 1, ncols + 2):
+            if v := draw(st.integers(-40, 40)):
+                row[c] = v
+        rows.append((lead, row, draw(st.integers(-40, 40))))
+    return rows, ncols
+
+
+@given(echelon_systems())
+def test_back_substitute_solves_the_echelon_system(system):
+    rows, ncols = system
+    x = back_substitute(rows, ncols)
+    assert len(x) == ncols and all(type(v) is Fraction for v in x)
+    for lead, row, b in rows:
+        assert sum((v * x[c] for c, v in row.items() if c < ncols), F(0)) == b
+    leads = {lead for lead, _, _ in rows}
+    assert all(x[c] == 0 for c in range(ncols) if c not in leads)
 
 
 class TestEdgeCases:

@@ -6,12 +6,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import forbid_fractions
 from dinv import DiffOperator, Polynomial
-from dinv.poly import DigitLimitError, rational_text
-from oracles import apply_operator, compose, diff, free_of_leading, integrate, mul
+from dinv.poly import MAX_RATIONAL_DIGITS, DigitLimitError, json_ratio, parse_rational, rational_text
+from oracles import apply_operator, compose, diff, free_of_leading, integrate, mul, polynomial_from_dict_fraction
 
 F = Fraction
 
@@ -381,3 +382,154 @@ class TestTextAndJson:
     @given(polys())
     def test_repr_is_evaluable(self, p):
         assert eval(repr(p), {"Polynomial": Polynomial}) == p
+
+
+# Texts near the integer and p/q forms: signs, leading zeros, whitespace,
+# underscores, non-ASCII digits, decimals, exponents and stray characters.
+_digit_runs = st.one_of(
+    st.text("0123456789", max_size=6),
+    st.integers(0, 10**40).map(str),
+    st.sampled_from(["00000", "\u0663", "1_0", "\uff11"]),
+)
+_ratio_texts = st.builds(
+    lambda sign, p, q, tail: sign + p + ("" if q is None else "/" + q) + tail,
+    st.sampled_from(["", "-", "+", "--", " ", "-+", "\t"]),
+    _digit_runs,
+    st.none() | _digit_runs,
+    st.sampled_from(["", " ", "\n", "_0", ".1", ".", "e3", "E-2", "/", "x", "j"]),
+)
+# What a decoded JSON coefficient can be.
+_json_values = st.one_of(
+    _ratio_texts,
+    st.integers(-(10**40), 10**40),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+    st.lists(st.integers(), max_size=2),
+)
+_EDGE_VALUES = [
+    "1" * MAX_RATIONAL_DIGITS,
+    "1" * (MAX_RATIONAL_DIGITS + 1),
+    "-" + "9" * MAX_RATIONAL_DIGITS + "/" + "7" * MAX_RATIONAL_DIGITS,
+    "1/" + "3" * (MAX_RATIONAL_DIGITS + 1),
+    "0" * (MAX_RATIONAL_DIGITS + 1) + "5",
+    "2" * MAX_RATIONAL_DIGITS + "/" + "4" * MAX_RATIONAL_DIGITS,
+    10**MAX_RATIONAL_DIGITS,
+    10**MAX_RATIONAL_DIGITS - 1,
+    "-0", "0/5", "-0/3", "1/0", "0/0", "-1/0", " 3", "3 ", "1_0", "0.1", "1e3", "1e10000000",
+    "2/4", "-6/4", "007/010", "+3", "1/-2", "\u0663", True, False, 0, -12, 0.1, 2.0, 1e308, 5e-324, None, [1],
+]
+
+
+def _outcome(read, value):
+    """(value as a Fraction, None) from read(value), or (None, (exception
+    class, message))."""
+    try:
+        got = read(value)
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+    return (F(*got) if isinstance(got, tuple) else got), None
+
+
+class TestJsonRatio:
+    """json_ratio reads what parse_rational(str(v)) reads, to the same value
+    or the same error, and its integer and p/q texts with no Fraction made."""
+
+    @pytest.mark.parametrize("value", _EDGE_VALUES, ids=range(len(_EDGE_VALUES)))
+    def test_edge_values(self, value):
+        assert _outcome(json_ratio, value) == _outcome(lambda v: parse_rational(str(v)), value)
+
+    @given(_json_values)
+    def test_same_value_or_error_as_parse_rational(self, value):
+        got = _outcome(json_ratio, value)
+        assert got == _outcome(lambda v: parse_rational(str(v)), value)
+        if got[1] is None:
+            assert json_ratio(value)[1] > 0
+
+    def test_integer_forms_make_no_fraction(self, monkeypatch):
+        forbid_fractions(monkeypatch)
+        widest = "9" * MAX_RATIONAL_DIGITS
+        got = [json_ratio(v) for v in ("2/4", "-7", "-0", "007/010", widest + "/" + widest, 12, -3)]
+        monkeypatch.undo()
+        assert got == [(2, 4), (-7, 1), (0, 1), (7, 10), (int(widest), int(widest)), (12, 1), (-3, 1)]
+
+
+@st.composite
+def json_polys(draw):
+    """A decoded JSON polynomial object, mostly well formed: exponents
+    sometimes of the wrong length or negative, repeated, and coefficients
+    from every JSON form."""
+    dim = draw(st.integers(0, 3))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        if terms and draw(st.integers(0, 4)) == 0:
+            exp = list(draw(st.sampled_from(terms))["exp"])
+        else:
+            length = dim if draw(st.integers(0, 9)) else draw(st.integers(0, 4))
+            exp = draw(st.lists(st.integers(-1 if draw(st.integers(0, 9)) == 0 else 0, 4), min_size=length, max_size=length))
+        coef = draw(
+            st.one_of(
+                st.builds(lambda p, q: f"{p}/{q}", st.integers(-12, 12), st.integers(1, 12)),
+                st.integers(-5, 5),
+                st.sampled_from(["0", "-0", "0/7", "0.25", "1e-2", " 3"]),
+                _json_values,
+            )
+        )
+        terms.append({"exp": exp, "coef": coef})
+    return {"dim": dim, "terms": terms}
+
+
+class TestFromDict:
+    """from_dict reads the integer form directly; it must equal the
+    polynomial that the public constructor makes from the same text read
+    as Fractions, or fail with the same message."""
+
+    @given(json_polys())
+    @example({"dim": 1, "terms": [{"exp": [1], "coef": "2/4"}, {"exp": [0], "coef": "6/4"}]})
+    @example({"dim": 1, "terms": [{"exp": [1], "coef": "1/0"}, {"exp": [0, 1], "coef": "1"}]})
+    @example({"dim": 2, "terms": [{"exp": [1, 0, 0], "coef": "1"}, {"exp": [0, 1], "coef": "1/0"}]})
+    @example({"dim": 0, "terms": [{"exp": [], "coef": "x"}]})
+    def test_equals_the_fraction_reading(self, data):
+        got, error = _outcome(Polynomial.from_dict, data)
+        want, want_error = _outcome(polynomial_from_dict_fraction, data)
+        assert error == want_error
+        if error is None:
+            assert got == want and got.terms == want.terms
+            assert got.scale == want.scale and got.numerators == want.numerators
+
+    def test_unreduced_coefficients_are_reduced(self):
+        p = Polynomial.from_dict({"dim": 1, "terms": [{"exp": [2], "coef": "2/4"}, {"exp": [0], "coef": "6/4"}]})
+        assert (p.scale, p.numerators) == (2, {(2,): 1, (0,): 3})
+        assert Polynomial.from_dict({"dim": 1, "terms": [{"exp": [1], "coef": "3/6"}]}).scale == 2
+
+    def test_last_repeated_exponent_wins(self):
+        p = Polynomial.from_dict(
+            {"dim": 2, "terms": [{"exp": [1, 0], "coef": "7"}, {"exp": [0, 1], "coef": "1"}, {"exp": [1, 0], "coef": "1/3"}]}
+        )
+        assert p.terms == {(1, 0): F(1, 3), (0, 1): F(1)} and list(p.numerators) == [(1, 0), (0, 1)]
+
+    def test_zeros_are_dropped(self):
+        zeros = [{"exp": [k], "coef": c} for k, c in enumerate(["0", "-0", "0/7", 0, 0.0, "0e5"])]
+        p = Polynomial.from_dict({"dim": 1, "terms": [*zeros, {"exp": [9], "coef": "1/2"}]})
+        assert (p.scale, p.numerators) == (2, {(9,): 1})
+        empty = Polynomial.from_dict({"dim": 1, "terms": zeros})
+        assert empty.is_zero and empty == Polynomial.zero(1) and empty.scale == 1
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"dim": 0, "terms": []}, "dimension must be >= 1, got 0"),
+            ({"dim": 2, "terms": [{"exp": [1], "coef": "1"}]}, "exponent (1,) has length 1, expected 2"),
+            ({"dim": 2, "terms": [{"exp": [1, -1], "coef": "1"}]}, "exponents must be non-negative integers, got (1, -1)"),
+            ({"dim": 2, "terms": [{"exp": [-1], "coef": "1"}]}, "exponent (-1,) has length 1, expected 2"),
+            ({"dim": 1, "terms": [{"exp": [1], "coef": "1/0"}]}, "malformed polynomial object: Fraction(1, 0)"),
+            ({"dim": 1, "terms": [{"exp": [1], "coef": True}]}, "malformed polynomial object: Invalid literal for Fraction: 'True'"),
+            ({"dim": 1, "terms": [{"coef": "1"}]}, "malformed polynomial object: 'exp'"),
+        ],
+        ids=["dim", "length", "negative", "negative-and-length", "zero-denominator", "bool", "no-exp"],
+    )
+    def test_error_messages(self, data, message):
+        with pytest.raises(ValueError) as info:
+            Polynomial.from_dict(data)
+        assert str(info.value) == message

@@ -29,6 +29,7 @@ from dinv import (
 )
 from dinv.compositions import count_compositions
 from dinv.linalg import common_denominator
+from dinv.poly import parse_rational
 from dinv.subspace import (
     _closed_form_elements,
     _generating_elements,
@@ -217,6 +218,18 @@ class TestSpecForms:
             assert loaded == t and hash(loaded) == hash(t)
             assert loaded.slots == t.slots and loaded.a == t.a
             assert loaded.to_dict() == t.to_dict() == GeneralSpec.from_dict(t.to_dict()).to_dict()
+
+    def test_coefficient_texts_read_as_parse_rational_reads_them(self):
+        texts = ["2/4", "-0", "0/7", " 3", "1_0", "0.25", "1e-2", 5, -2.5, "007/010", "-6/4"]
+        general = {"n": len(texts), "d": 2, "b": list(range(1, len(texts) + 1)), "c": [["1"] + texts[1:], texts]}
+        want = GeneralSpec(n=len(texts), d=2, b=general["b"], c=[[parse_rational(str(v)) for v in row] for row in general["c"]])
+        assert GeneralSpec.from_dict(general) == want
+        table = {"d": 2, "n": 3, "a": {"2,2": "2/4", "3,2": " -3"}}
+        assert GeneralSpec.from_dict(table) == ParamTable(d=2, n=3, a={(2, 2): F(1, 2), (3, 2): F(-3)})
+        for bad, error in (("1/0", ZeroDivisionError), (True, ValueError), ("1/" + "3" * 1001, ValueError)):
+            with pytest.raises(ValueError, match="malformed parameter table: ") as info:
+                GeneralSpec.from_dict({"d": 2, "n": 3, "a": {"2,2": bad}})
+            assert type(info.value.__cause__) is error
 
     def test_huge_table_loads_at_once(self):
         start = time.perf_counter()
@@ -1155,6 +1168,25 @@ class TestNumeratorCores:
                 assert check_closure(tampered, spec) == expect
         assert sources == {"general", "explicit", "recursive"}
         assert refuted >= 60
+
+    def test_basis_read_from_json_reaches_the_verdict_with_no_fraction(self, monkeypatch):
+        """verify --what closure --basis: from_dict reads the integer form and
+        check_closure reads it as it is, so once the spec is loaded no
+        Fraction is made; the verdict is the Fraction oracle's."""
+        rng = make_rng(164)
+        refuted = 0
+        for spec in seeded_specs(rng, 24):
+            basis = build_general(spec)
+            for b in (basis, _perturbed(rng, basis, rng.choice(("shift", "add", "drop", "scale")))):
+                data = json.loads(json.dumps(b.to_list()))
+                expect = check_closure_fraction(b, spec)
+                refuted += not expect.ok
+                spec.slots  # read once, as loading the spec does
+                forbid_fractions(monkeypatch)
+                got = check_closure(BasisSequence.from_list(data), spec)
+                monkeypatch.undo()
+                assert got == expect
+        assert refuted >= 12
 
     def test_one_perturbed_numerator_is_located(self):
         rng = make_rng(162)
