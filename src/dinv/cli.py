@@ -199,126 +199,91 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-# The closed-form builders (build_explicit, build_general) visit every count
-# vector on the spec's nonzero weight slots of weight <= top; that number is
-# compositions.count_compositions(top, slot weights).  A visit, with the
-# other builders of the same command, costs about as much as d + 2 exponent
-# entries, so a spec in d variables may have at most
-# MAX_CLOSED_FORM_WORK // (d + 2) of them.  On one core of a 2-vCPU host,
-# verify --what equivalence took 0.4 to 2.2 us per visit and per d + 2
-# (full tables with d = 2..80, dense general specs with d = 1..4), so at
-# most about 11 s at the bound; the largest accepted input measured, a
-# d = 1 spec with b = (1, ..., 51) and 1,535,914 visits, took 10.2 s.
-MAX_CLOSED_FORM_WORK = 5_000_000
+# -- the work guard --------------------------------------------------------
+#
+# A command predicts its work before doing any, in three units (README.md,
+# "Work guard", defines them and gives the calibration), and exits 2 on a
+# prediction past WORK_BUDGET_S seconds.  SECONDS_PER_UNIT is measured on
+# one core of a 2-vCPU x86-64 host under CPython 3.11.
+WORK_BUDGET_S = 2.0
+SECONDS_PER_UNIT = {"visit": 4.5e-7, "cell": 1e-7, "digit-step": 1e-7}
+
+Part = tuple[int, str, str]  # (count, unit, how it was counted): one part of a prediction
 
 
-def _check_closed_form_size(what: str, top: int, d: int, weights) -> None:
-    """Refuse, before any build, a spec whose closed-form construction
-    would visit more count vectors than its d allows.  weights() gives the
-    weights of its nonzero slots; it is called only once top is in bounds
-    (x1 has weight 1, so the walk visits at least top + 1 vectors)."""
-    allowed = MAX_CLOSED_FORM_WORK // (d + 2)
-    count = top + 1 if top + 1 > allowed else count_compositions(top, weights(), cap=allowed)
-    if count > allowed:
-        raise CliError(
-            f"{what}: the closed-form construction would enumerate at least {count:,} compositions, "
-            f"more than the {allowed:,} allowed in {d} variables ({MAX_CLOSED_FORM_WORK:,} / (d + 2))"
-        )
+def _digit_steps(ops: int, a: int, b: int = 0) -> int:
+    """The digit-steps of ops multiply-adds of an a-digit integer by a b-digit one, b <= a."""
+    return int(ops * (a // 100) * (1 + b // 100) ** 0.585)
 
 
-# Every builder of B_0..B_top computes on integers of about the size of
-# top! * max(D, N)^top, D the common denominator of the spec's c and N the
-# largest of its numerators over D: the generating recurrence's E_top =
-# top! * D^top * B_top is a sum of products of top of those numerators, over
-# the scale top! * D^top.  Its terms number at most the count vectors of the
-# closed-form walk.  So the work is predicted, before any build, as those
-# visits times those decimal digits, and a spec may predict at most
-# MAX_RECURRENCE_WORK.  On one core of a 2-vCPU host, as subprocesses, d = 1
-# with b = (1, B) and c = (1, 1) at B = 5300 (9.2e7 predicted) took 0.4 s for
-# closure (38 MiB peak), 0.3 s for breadth (39 MiB) and 0.3 to 0.5 s for
-# equivalence (75 MiB).  Large rationals cost more per unit: d = 2,
-# b = (1, 44) with 1000-digit ones (9.1e7) took 2.0 s for closure, and
-# d = 3, b = (1, 19) with 1000-digit ones (5.9e7) 3.0 s.
-# Full d = 6 tables predict 2.8e7 at n = 18 and 8.9e7 at n = 20.
-MAX_RECURRENCE_WORK = 100_000_000
+def _seconds(parts: Iterable[Part]) -> float:
+    """The predicted seconds of the parts, a count past 10^300 (which no float holds) as 10^300."""
+    return sum(min(count, 10**300) * SECONDS_PER_UNIT[unit] for count, unit, _ in parts)
 
 
-def _check_recurrence_size(what: str, spec: GeneralSpec) -> None:
-    """Refuse, before any build, a spec whose predicted builder work
-    (closed-form visits times the digits of top! * max(D, N)^top) exceeds
-    MAX_RECURRENCE_WORK.  It reads spec.slots, which a table builds from
-    its entries alone, so n may be far larger than the input."""
-    top, (den, slots) = spec.top_weight, spec.slots
-    big = max(den, max(abs(n_ij) for _, _, n_ij in slots))
-    digits = int(math.lgamma(top + 1) / math.log(10) + top * math.log10(big)) + 1
-    allowed = MAX_RECURRENCE_WORK // digits
-    visits = count_compositions(top, [bj for bj, _, _ in slots], cap=allowed)
-    if visits > allowed:
-        raise CliError(
-            f"{what}: building the basis would take at least {visits * digits:,} digit-steps "
-            f"({visits:,} composition visits x {digits:,} digits of top! * max(D, N)^top), "
-            f"more than the {MAX_RECURRENCE_WORK:,} allowed"
-        )
+def _amount(n: int) -> str:
+    return f"{n:,}" if n < 10**24 else f"~10^{int(math.log10(n))}"
 
 
-# verify --what identities predicts its three scans, before any of them, in
-# steps of one integer operation on up to 100 digits (one step per 100 digits
-# on longer ones; m^m has about m * log10(m)): (m + 1)^2 + m^2 power-sum terms
-# per m <= --m-max, (m + 1)^3 Vandermonde cells per m <= --vand-max, and the
-# steps of the compositions recurrence behind the falling-factorial sums (see
-# _falling_factorial_work).  A power-sum step is one product, a term carried
-# from power j to j + 1.  The Vandermonde scan is one elimination of the
-# largest order's system and a back-substitution per order, O(M^3) cells in
-# all, so the (m + 1)^3 per order over-predicts it.  On one core of a
-# 2-vCPU host, each scan alone at the bound as a subprocess, a step took
-# 0.05 us in the power sums (--m-max 166, 0.7 to 0.9 s) and 0.02 us in the
-# Vandermonde cells (--vand-max 69, 0.4 s, of which 0.2 s is starting
-# Python).  The falling-factorial scan, which runs only the nodes i < r_max,
-# took at most 0.2 s at r = i (60, and 60 with any larger --i-max) and at
-# r >> i (243, 2); so a run at the bound takes at most about 1 s.
-MAX_IDENTITY_WORK = 10_000_000
+def _refuse_past_budget(what: str, parts: Sequence[Part]) -> None:
+    """Refuse a prediction past WORK_BUDGET_S, naming it, its parts and the budget."""
+    seconds = _seconds(parts)
+    if seconds > WORK_BUDGET_S:
+        detail = " + ".join(f"{_amount(count)} {unit}s ({how})" for count, unit, how in parts)
+        raise CliError(f"{what}: the work would take about {seconds:.3g} s ({detail}), "
+                       f"more than the {WORK_BUDGET_S:g} s budget")
 
 
-def _falling_factorial_work(r_max: int, i_max: int) -> int:
-    """An upper bound on the steps of the falling-factorial scan, in
-    closed form, over the nodes it runs, 2 <= i <= min(i_max, r_max - 1).
-    It counts, per node i and weight r, two sums (falling_factorial_sum at
-    cap = i and at cap = r), each of which fills a table of r + 1 entries
-    and makes at most r slot passes of one base product and r - t + 1
-    updates at slot t: (r^2 + 5r + 2) / 2 steps.  Over r <= r_max that is
-    r_max * (r_max + 2) * (r_max + 7) / 3 per node, where one run of
-    falling_factorial_sums makes the steps of the single sum at r = r_max.
-    Every integer is below (2 * i)^r (at most 2^r partitions of r, each
-    term below i^r), so a step counts one more per 100 digits of
-    (2 * i)^r_max at the last node i."""
-    last = max(1, min(i_max, r_max - 1))
-    digits = int(r_max * math.log10(2 * last))
-    return (last - 1) * r_max * (r_max + 2) * (r_max + 7) // 3 * (1 + digits // 100)
+# Multiply-adds per count vector of the builders and the closure check.
+_BUILD_OPS = 16
 
 
-def _identity_work(m_max: int, vand_max: int, r_max: int, i_max: int, cap: int) -> int:
-    """The predicted steps of the identity scans.  The power-sum and
-    Vandermonde sums each stop once past cap, so the prediction is cheap,
-    is then a lower bound above cap, and is monotone in every bound."""
-    work = _falling_factorial_work(r_max, i_max)
-    for top, cells in ((m_max, lambda m: (m + 1) ** 2 + m * m), (vand_max, lambda m: (m + 1) ** 3)):
-        scan = 0
-        for m in range(top + 1):
-            scan += cells(m) * (1 + int(m * math.log10(m or 1)) // 100)
-            if scan > cap:
-                break
-        work += scan
-    return work
+def _build_parts(d: int, top: int, size: int, slots, walks: bool) -> list[Part]:
+    """The work of building and checking B_0..B_top in d variables, with the
+    closed form when walks.  slots() gives the size nonzero c_ij as
+    GeneralSpec.slots does; it is called only once top + 1 and size + 1,
+    least counts of the walk's vectors, are in bounds."""
+    cap = int(WORK_BUDGET_S / SECONDS_PER_UNIT["visit"]) // (d + 3)
+    low = max(top, size) + 1
+    if low > cap:
+        return [(low * (d + 3), "visit", f"at least {_amount(low)} vectors x (d + 3)")]
+    den, nums = slots()
+    visits = count_compositions(top, [bj for bj, _, _ in nums], cap=cap)
+    log_den, log_fact = math.log10(den), math.lgamma(top + 1) / math.log(10)
+    logs = [(bj, math.log10(abs(n))) for bj, _, n in nums]
+    powers = top * (log_den + max(0.0, max((log_n - log_den) / bj for bj, log_n in logs)))
+    digits = int(powers + log_fact) + 1
+    multiplier = int(max(log_den, max(log_n for _, log_n in logs))) + 1
+    steps = _digit_steps(_BUILD_OPS * visits, digits, multiplier)
+    how = f"{_BUILD_OPS} multiply-adds per vector of {digits:,} digits by {multiplier:,}"
+    if walks:
+        factor = int(min(powers, log_fact) + powers / 2)
+        steps += _digit_steps(visits, digits, factor)
+        how += f", and the closed form's one by {factor:,}"
+    vectors = f"{'at least ' if visits > cap else ''}{visits:,} vectors x (d + 3 = {d + 3})"
+    return [(visits * (d + 3), "visit", vectors), (steps, "digit-step", how)]
 
 
-def _check_identity_size(m_max: int, vand_max: int, r_max: int, i_max: int) -> None:
-    """Refuse, before any scan, bounds that predict more than MAX_IDENTITY_WORK steps."""
-    work = _identity_work(m_max, vand_max, r_max, i_max, MAX_IDENTITY_WORK)
-    if work > MAX_IDENTITY_WORK:
-        raise CliError(
-            f"verify --what identities: the scans would take at least {work:,} steps, "
-            f"more than the {MAX_IDENTITY_WORK:,} allowed"
-        )
+def _check_build(what: str, spec: GeneralSpec, walks: bool = False) -> None:
+    _refuse_past_budget(what, _build_parts(spec.d, spec.top_weight, len(spec.slots[1]), lambda: spec.slots, walks))
+
+
+def _identity_parts(m_max: int, vand_max: int, r_max: int, i_max: int) -> list[Part]:
+    """The work of the identity scans in closed form, monotone in every
+    bound; a bound past 10^9, already far past the budget, counts as 10^9.
+    The falling-factorial scan runs the nodes 2 <= i <= last."""
+    m, v, r, i = (min(b, 10**9) for b in (m_max, vand_max, r_max, i_max))
+    last = max(1, min(i, r - 1))
+    scans = (
+        ((m + 1) * (m + 2) * (2 * m + 3) // 6 + m * (m + 1) * (2 * m + 1) // 6, m * math.log10(2 * m or 1)),
+        (4 * (v + 1) ** 3, v * math.log10(v or 1)),
+        ((last - 1) * r * (r + 2) * (r + 7) // 3, r * math.log10(2 * last)),
+    )
+    how = "{} power-sum terms + {} Vandermonde cells + {} composition steps".format(*(_amount(n) for n, _ in scans))
+    return [
+        (sum(n for n, _ in scans), "cell", how),
+        (sum(_digit_steps(n, int(digits)) for n, digits in scans), "digit-step", "on each scan's digits"),
+    ]
 
 
 def _require_at_least(args, **least: int) -> None:
@@ -335,9 +300,7 @@ def _cmd_basis(args) -> int:
     spec = _load_spec(args.spec)
     if args.source == "recursive" and spec.a is None:
         raise CliError(f"{args.spec}: source 'recursive' needs a spec of table shape ({TABLE_SHAPE})")
-    if args.source == "explicit":
-        _check_closed_form_size(args.spec, spec.top_weight, spec.d, lambda: [bj for bj, _, _ in spec.slots[1]])
-    _check_recurrence_size(args.spec, spec)
+    _check_build(args.spec, spec, walks=args.source == "explicit")
     elems = _build_numerators(args.source, spec)
     # The text is written as it is made, so a coefficient too long to write
     # is looked for first (no longer than its scale or its numerator): its
@@ -389,7 +352,7 @@ def _cmd_verify(args) -> int:
         _require_at_least(args, m_max=0, vand_max=0, r_max=1, i_max=2)
         m_max, vand_max = args.m_max, args.vand_max
         r_max, i_max = args.r_max, args.i_max
-        _check_identity_size(m_max, vand_max, r_max, i_max)
+        _refuse_past_budget("verify --what identities", _identity_parts(m_max, vand_max, r_max, i_max))
         # The sums of order m over j = 0..m are m! * [j == m], from j = 1
         # when the i = 0 term is left out.
         ps_ok = all(
@@ -427,15 +390,14 @@ def _cmd_verify(args) -> int:
             except ValueError as exc:
                 raise CliError(f"{args.basis}: {exc}") from exc
         else:
-            _check_recurrence_size(args.spec, spec)
+            _check_build(args.spec, spec)
             rep = check_closure_numerators(_build_numerators("general", spec), spec)
         _emit(args, json.dumps({"what": "closure", **rep.to_dict()}, indent=2) + "\n")
         _note("closure: ok" if rep.ok else f"closure: FAIL at (element, variable) {list(rep.violations)}")
         return 0 if rep.ok else 1
 
     if args.what == "equivalence":
-        _check_closed_form_size(args.spec, spec.top_weight, spec.d, lambda: [bj for bj, _, _ in spec.slots[1]])
-        _check_recurrence_size(args.spec, spec)
+        _check_build(args.spec, spec, walks=True)
         if spec.a is None:
             ok = _same_elements(_build_numerators("general", spec), _build_numerators("explicit", spec))
             report = {"what": "equivalence", "generating_vs_general": ok, "ok": ok}
@@ -453,7 +415,7 @@ def _cmd_verify(args) -> int:
         return 0 if ok else 1
 
     if args.what == "breadth":
-        _check_recurrence_size(args.spec, spec)
+        _check_build(args.spec, spec)
         elems = _build_numerators("general", spec)
         value = breadth_numerators(spec.d, (p for _, p in elems))
         ok = value == 1
@@ -526,7 +488,7 @@ def _check_point_sizes(spec: GeneralSpec, scheme: str, z0: Sequence[Fraction], h
 
 def _cmd_points(args) -> int:
     spec = _load_spec(args.spec)
-    _check_recurrence_size(args.spec, spec)
+    _check_build(args.spec, spec)
     z0 = _parse_point(args.z0, spec.d)
     if args.h is not None:
         try:
@@ -559,17 +521,10 @@ def _cmd_points(args) -> int:
 # h^0 coefficient of the limit check's series and the target (B_m(D)f)(z0)
 # carry prod_i z0_i^(e_i).  The decimal digits of its numerator and
 # denominator are predicted from the logarithms of z0's, with no power
-# computed, and a run may predict at most MAX_POWER_DIGITS.  Python writes
-# at most 4300 digits of an integer as text and a float holds about 308, so
-# a result that can be printed is well inside the bound.  On one core of a
-# 2-vCPU host, as subprocesses near the bound (9,934 digits: z0 = 1/2,1/2
-# and f = x1^33000 or x1^16500*x2^16500), study on the demo table (every
-# order, both schemes) and sweep --m 12 on a d = 2 spec with b = (1, 12),
-# each at --h0 1/1000 --steps 3, ran to exit 0 in 0.2 s, and limit --m 8 on
-# that spec computed its series and target in 0.2 s, to stop on a result
-# coefficient of 9,932 digits (DigitLimitError, exit 2), as limit --m 4 on
-# the demo table at z0 = 3/2,3/2 with f = x1^20959 (10,000 digits) did on
-# one of 10,014.  limit's series guard bounds the growth with m and f.
+# computed, and a run may predict at most MAX_POWER_DIGITS: a bound on the
+# output's size, not the work.  Python writes at most 4300 digits of an
+# integer as text and a float holds about 308, so a result that can be
+# printed is well inside the bound.
 MAX_POWER_DIGITS = 10_000
 
 
@@ -610,67 +565,42 @@ def _lifted_digits(f: Polynomial, z0: Sequence[Fraction]) -> int:
     )
 
 
-# limit at order m sums A_r^(m) * f(z_r(h)) over the m + 1 points z_0..z_m,
-# each term of f a chain of cut products of dense integer series of at most
-# m + 1 coefficients (discretize._series, in u = h / D).  A series integer
-# multiplies a lifted term of f with z0's powers (_lifted_digits) by
-# coordinate coefficients n_ij * h_coef(r, b_j) * D^(b_j - 1), r <= m, whose
-# weights b_j sum to at most m, and by a binomial of f's exponents, and
-# the stencil's C(m, r) <= m!.  So the work is predicted, before any point
-# is built, as (m + 1) points times f's cut products (one per variable of
-# each term, plus the squarings of each variable's largest power) times
-# (m + 1)^2 cells times those digits, and an order may predict at most
-# MAX_SERIES_WORK.  The dense cells overcount a sparse spec, whose short
-# coordinates leave most cells empty; they stand for its stencil and
-# accumulation, which also grow with m.  On one core of a 2-vCPU host, as
-# subprocesses: a d = 1 spec with b = (1, ..., 40), every c_1j = 7/3, and
-# nine terms x1^(1 + 7k) at z0 = 3/2, --m 40 (2.5e8 predicted) took 0.6 s
-# with either scheme, and b = (1, ..., 30) with nine terms x1^(1 + 70k),
-# --m 30 (2.6e8) 0.6 s; CI's b = (1, 5300) with f = x1^3 + x1^2 at
-# z0 = 1/3 took 0.3 s at --m 60 (2.1e8) and --m 65 with scheme b, but
-# 4.1 and 4.3 s with scheme a, nearly all of it building the 5301 points
-# (r^5300 for every r, which this guard does not see), and --m 66 (3.1e8)
-# and --m 5300 (2.4e16) are refused in 0.3 s.
-MAX_SERIES_WORK = 300_000_000
-
-
-def _series_work(spec: GeneralSpec, scheme: str, f: Polynomial, z0: Sequence[Fraction], m: int) -> tuple[int, int, int]:
-    """(work, cut products, coefficient digits) of limit at order m, for
-    0 <= m <= b_n."""
+def _series_parts(spec: GeneralSpec, scheme: str, f: Polynomial, z0: Sequence[Fraction], m: int) -> list[Part]:
+    """The work of limit's series at order m, 0 <= m <= b_n
+    (discretize._series): per point, f's cut products, each of at most
+    nonzero times width u-coefficients of at most digits, and the
+    stencil's sums, which add the digits of (m + 1)!.  Coordinate i has
+    counts[i] nonzero u-coefficients below u^(m+1), up to u^reach[i]."""
     den, slots = spec.slots
-    # The digits per unit weight of a coordinate's integer coefficient
-    # n_ij * h_coef(r, b_j) * D^(b_j - 1) <= max(|n_ij|, D)^(b_j) * h_coef,
-    # at r = m, where h_coef is largest, and of f's binomials.
+    counts, reach = [1] * spec.d, [0] * spec.d
+    for bj, i, _ in slots:
+        if bj <= m:
+            counts[i], reach[i] = counts[i] + 1, bj
+    exps = list(f.terms)
+    products = sum(sum(1 for k in e if k) for e in exps)
+    products += sum(max(e[i] for e in exps).bit_length() for i in range(f.dim)) if exps else 0
+    width = min(m + 1, 1 + max((sum(k * w for k, w in zip(e, reach)) for e in exps), default=0))
+    supports = (math.prod(math.comb(n - 1 + k, min(k, n - 1)) for n, k in zip(counts, e)) for e in exps)
+    nonzero = min(width, max(supports, default=1))
     per_weight = max(
         ((math.log10(max(abs(n_ij), den)) + h_coef_log10(scheme, m, bj)) / bj for bj, _, n_ij in slots if bj <= m),
         default=0,
     ) + math.log10(max(f.degree, 0) + 1)
-    digits = _lifted_digits(f, z0) + int(m * per_weight + math.lgamma(m + 1) / math.log(10)) + 1
-    exps = list(f.terms)
-    products = sum(sum(1 for k in e if k) for e in exps)
-    products += sum(max(e[i] for e in exps).bit_length() for i in range(f.dim)) if exps else 0
-    return (m + 1) ** 3 * products * digits, products, digits
-
-
-def _check_series_size(spec: GeneralSpec, scheme: str, f: Polynomial, z0: Sequence[Fraction], m: int) -> None:
-    """Refuse, before any point is built, an order whose limit series
-    predicts more than MAX_SERIES_WORK; an order outside 0..b_n is left to
-    expansion_check's own refusal."""
-    if not 0 <= m <= spec.top_weight:
-        return
-    work, products, digits = _series_work(spec, scheme, f, z0, m)
-    if work > MAX_SERIES_WORK:
-        raise CliError(
-            f"limit --m {m}: the series would take about {work:,} digit-steps ({m + 1:,} points x "
-            f"{products:,} cut products x {m + 1:,}^2 cells x {digits:,} coefficient digits), "
-            f"more than the {MAX_SERIES_WORK:,} allowed"
-        )
+    digits = _lifted_digits(f, z0) + int((width - 1) * per_weight) + 1
+    stencil = int(math.lgamma(m + 2) / math.log(10)) + 1
+    cells, sums = (m + 1) * products * nonzero * width, (m + 1) * width
+    steps = _digit_steps(cells, digits, digits) + _digit_steps(sums, digits + stencil, stencil)
+    per_point = f"{products:,} cut products x {nonzero:,} x {width:,} + {width:,} sums"
+    return [
+        (cells + sums, "cell", f"{m + 1:,} points x ({per_point})"),
+        (steps, "digit-step", f"on {digits:,} digits, the sums on {digits + stencil:,} by {stencil:,}"),
+    ]
 
 
 def _scheme_inputs(args) -> tuple[GeneralSpec, Polynomial, tuple[Fraction, ...]]:
     """The spec, f and z0, as limit and sweep take them."""
     spec = _load_spec(args.spec)
-    _check_recurrence_size(args.spec, spec)
+    _check_build(args.spec, spec)
     f = _load_poly(args.f, spec.d)
     z0 = _parse_point(args.z0, spec.d)
     _check_power_size(f, z0)
@@ -679,7 +609,9 @@ def _scheme_inputs(args) -> tuple[GeneralSpec, Polynomial, tuple[Fraction, ...]]
 
 def _cmd_limit(args) -> int:
     spec, f, z0 = _scheme_inputs(args)
-    _check_series_size(spec, args.scheme, f, z0, args.m)
+    # An order outside 0..b_n is left to expansion_check's own refusal.
+    if 0 <= args.m <= spec.top_weight:
+        _refuse_past_budget(f"limit --m {args.m}", _series_parts(spec, args.scheme, f, z0, args.m))
     pts = SCHEMES[args.scheme](spec, z0)
     try:
         report = expansion_check(f, z0, args.m, pts)
@@ -732,7 +664,9 @@ _EXAMPLE_POINTS = {
 
 def _cmd_study(args) -> int:
     spec = _load_spec(args.spec) if args.spec else _EXAMPLE_PARAMS
-    _check_recurrence_size(args.spec or "the demo table", spec)
+    if not args.f and spec.d != _EXAMPLE_F.dim:
+        raise CliError(f"{args.spec}: the demo f is in {_EXAMPLE_F.dim} variables, the spec in {spec.d}; pass --f")
+    _check_build(args.spec or "the demo table", spec)
     f = _load_poly(args.f, spec.d) if args.f else _EXAMPLE_F
     z0 = _parse_point(args.z0, spec.d)
     _check_power_size(f, z0)
@@ -781,10 +715,15 @@ def _random_table(rng: random.Random, d_max: int, n_max: int) -> GeneralSpec:
 def _cmd_scan(args) -> int:
     _require_at_least(args, count=1, d_max=2, n_max=2)
     d_max, n_max = args.d_max, args.n_max
-    _check_closed_form_size(
-        f"scan --d-max {d_max} --n-max {n_max} (a full table of that size)", n_max, d_max,
-        lambda: [1] + [j for j in range(2, n_max + 1) for _ in range(d_max - 1)],
-    )
+    # Each table predicts as the full one of (--d-max, --n-max), its entries
+    # at _random_table's largest (D = lcm(1..10) = 2520, |n_ij| <= 25200),
+    # and 1,500 cells for its draw and the setup of its five builds and
+    # checks.  A count past 10^9, already far past the budget, counts as 10^9.
+    tables = min(args.count, 10**9)
+    slots = lambda: (2520, [(1, 0, 2520)] + [(j, 1, 25200) for j in range(2, n_max + 1) for _ in range(d_max - 1)])
+    table = _build_parts(d_max, n_max, 1 + (n_max - 1) * (d_max - 1), slots, True) + [(1500, "cell", "1,500 of setup")]
+    parts = [(tables * n, unit, f"{tables:,} tables x {how}") for n, unit, how in table]
+    _refuse_past_budget(f"scan --count {args.count} --d-max {d_max} --n-max {n_max}", parts)
     rng = random.Random(args.seed)
     failures = []
     start = time.perf_counter()

@@ -116,8 +116,21 @@ class SymbolicPointSet:
         }
 
 
-def _points(scheme: str, h_coef, spec: GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
+# Each scheme's point rule h_coef(r, b) for b >= 1, and its log10 from
+# floats with no power taken, None where h_coef is 0: for size predictions
+# made before any point is built.
+SCHEME_RULES = {
+    "a": (pow, lambda r, b: b * math.log10(r) if r else None),
+    "b": (
+        falling_factorial,
+        lambda r, b: (math.lgamma(r + 1) - math.lgamma(r - b + 1)) / math.log(10) if b <= r else None,
+    ),
+}
+
+
+def _points(scheme: str, spec: GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
     """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i,  r = 0..b_n."""
+    h_coef = SCHEME_RULES[scheme][0]
     den, slots = spec.slots
     base = tuple(Fraction(v) for v in z0)
     if len(base) != spec.d:
@@ -138,7 +151,7 @@ def points_scheme_a(spec: GeneralSpec, z0: Sequence[Fraction | int]) -> Symbolic
 
         z_r(h) = z0 + (sum_j c_ij * (r*h)^(b_j))_i.
     """
-    return _points("a", pow, spec, z0)
+    return _points("a", spec, z0)
 
 
 def points_scheme_b(spec: GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
@@ -148,21 +161,16 @@ def points_scheme_b(spec: GeneralSpec, z0: Sequence[Fraction | int]) -> Symbolic
 
     with ff(r, k) = r*(r-1)*...*(r-k+1), which vanishes for k > r; so
     z_0(h) = z0 and, for a table, z_1(h) = z0 + (h, 0, ..., 0)."""
-    return _points("b", falling_factorial, spec, z0)
+    return _points("b", spec, z0)
 
 
 SCHEMES = {"a": points_scheme_a, "b": points_scheme_b}
 
 
 def h_coef_log10(scheme: str, r: int, b: int) -> float | None:
-    """log10 of the h_coef(r, b) of scheme "a" (r^b) or "b" (ff(r, b)),
-    for b >= 1, from floats with no power taken; None where it is 0.  For
-    size predictions made before any point is built."""
-    if r == 0 or (scheme == "b" and b > r):
-        return None
-    if scheme == "a":
-        return b * math.log10(r)
-    return (math.lgamma(r + 1) - math.lgamma(r - b + 1)) / math.log(10)
+    """log10 of scheme's h_coef(r, b), b >= 1, with no power taken; None
+    where it is 0."""
+    return SCHEME_RULES[scheme][1](r, b)
 
 
 def _check_order(m: int, pts: SymbolicPointSet) -> None:

@@ -10,15 +10,15 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from unittest import mock
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dinv
@@ -418,7 +418,7 @@ class TestVerify:
         assert report["power_sums"]["ok"] and report["vandermonde"]["ok"] and not report["ok"]
 
     def test_identities_nodes_from_r_max_on_are_not_scanned(self, capsys):
-        # Predicted within MAX_IDENTITY_WORK; at r_max = 1 no node i < r_max is left.
+        # Predicted within WORK_BUDGET_S; at r_max = 1 no node i < r_max is left.
         start = time.perf_counter()
         assert main(["verify", "--what", "identities", "--m-max", "0", "--vand-max", "0", "--r-max", "1", "--i-max", "1250000"]) == 0
         assert time.perf_counter() - start < 1
@@ -561,12 +561,28 @@ class TestDigitLimit:
             assert not out.exists()
 
 
+def _build_seconds(spec: dict, walks: bool = False) -> float:
+    """The build guard's predicted seconds for spec."""
+    spec = dinv.GeneralSpec.from_dict(spec)
+    return dinv.cli._seconds(dinv.cli._build_parts(spec.d, spec.top_weight, len(spec.slots[1]), lambda: spec.slots, walks))
+
+
+def _assert_refused(captured, *named: str) -> None:
+    """An exit-2 refusal before any output, naming the prediction, its parts and the budget."""
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error:") and " the work would take about " in captured.err
+    assert captured.err.endswith(" s budget\n") and " s (" in captured.err
+    for text in named:
+        assert text in captured.err, (text, captured.err)
+
+
 class TestSizeGuard:
-    """basis --source explicit, verify --what equivalence and scan refuse,
-    before any build, a spec whose closed-form walk would visit more count
-    vectors than MAX_CLOSED_FORM_WORK // (d + 2); every command that builds
-    a basis from a spec refuses one whose visits times the digits of
-    top! * max(D, N)^top exceed MAX_RECURRENCE_WORK."""
+    """Every command that builds a basis or a point set from a spec refuses,
+    before any build, a spec whose predicted build and check pass
+    WORK_BUDGET_S: count vectors of the closed-form walk (d + 3 visits
+    each) and digit-steps on the spec's integers.  basis --source explicit,
+    verify --what equivalence and scan also count the closed form's products;
+    scan counts its full table --count times."""
 
     @pytest.fixture(autouse=True)
     def no_builds(self, monkeypatch):
@@ -576,44 +592,43 @@ class TestSizeGuard:
         for name in ("build_recursive", "build_explicit", *NUMERATOR_BUILDERS):
             monkeypatch.setattr(dinv.cli, name, forbidden)
 
-    def _refused(self, argv, capsys, count, allowed):
+    def _refused(self, argv, capsys, *named):
+        start = time.perf_counter()
         assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-        assert captured.err.startswith("error:")
-        assert f"at least {count:,} compositions" in captured.err
-        assert f"more than the {allowed:,} allowed" in captured.err
-        assert f"({dinv.cli.MAX_CLOSED_FORM_WORK:,} / (d + 2))" in captured.err
+        assert time.perf_counter() - start < 1
+        _assert_refused(capsys.readouterr(), "more than the 2 s budget", *named)
 
     @pytest.mark.parametrize(
         "argv", [["basis", "--source", "explicit"], ["verify", "--what", "equivalence"]], ids=["basis", "equivalence"]
     )
     def test_full_d6_table_past_the_bound(self, argv, tmp_path, capsys):
-        assert dinv.cli.MAX_CLOSED_FORM_WORK == 5_000_000
-        # Full d = 6 tables visit 145,546 vectors at n = 16 and 1,180,415 at
-        # n = 20; the count stops once it passes 5,000,000 // 8.
+        assert dinv.cli.WORK_BUDGET_S == 2.0
+        # Full d = 6 tables visit 423,832 vectors at n = 18 (accepted below)
+        # and 1,180,415 at n = 20; the count stops once past the budget.
         path = tmp_path / "t.json"
         path.write_text(json.dumps(_full_table(6, 20)))
-        self._refused([*argv, "--spec", str(path)], capsys, 637207, 625000)
+        self._refused([*argv, "--spec", str(path)], capsys, "visits (at least 521,961 vectors x (d + 3 = 9))")
 
     def test_general_spec_equivalence(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"n": 60, "d": 1, "b": list(range(1, 61)), "c": [["1"] * 60]}))
-        assert main(["verify", "--what", "equivalence", "--spec", str(path)]) == 2
-        assert "more than the 1,666,666 allowed in 1 variables" in capsys.readouterr().err
+        self._refused(["verify", "--what", "equivalence", "--spec", str(path)], capsys, "vectors x (d + 3 = 4)")
 
     def test_top_alone_refuses(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"d": 2, "n": 10**9, "a": {}}))
-        self._refused(["basis", "--source", "explicit", "--spec", str(path)], capsys, 10**9 + 1, 1250000)
+        self._refused(["basis", "--source", "explicit", "--spec", str(path)], capsys, "at least 1,000,000,001 vectors x (d + 3)")
 
     @pytest.mark.parametrize(
-        "flags, count, allowed",
-        [(["--d-max", "6", "--n-max", "19"], 630395, 625000), (["--n-max", "100000"], 2500100001, 833333)],
+        "flags, named",
+        [
+            (["--d-max", "6", "--n-max", "19"], "scan --count 200 --d-max 6 --n-max 19: "),
+            (["--n-max", "100000"], "visits (200 tables x at least "),
+        ],
         ids=["d6-n19", "n100000"],
     )
-    def test_scan(self, flags, count, allowed, capsys):
-        self._refused(["scan", *flags], capsys, count, allowed)
+    def test_scan(self, flags, named, capsys):
+        self._refused(["scan", *flags], capsys, named, "tables x 1,500 of setup)")
 
     @pytest.mark.parametrize(
         "argv",
@@ -626,26 +641,20 @@ class TestSizeGuard:
         ids=["basis", "closure", "breadth", "equivalence"],
     )
     def test_recurrence_digits_past_the_bound(self, argv, tmp_path, capsys):
-        # 100,001 visits (x1 alone, a lower bound) times the 456,574 digits
-        # of 100000!; the closed-form visits alone are within their bound.
-        assert dinv.cli.MAX_RECURRENCE_WORK == 100_000_000
+        # 100,002 vectors, each 16 multiply-adds on the 456,574 digits of
+        # 100000!: 16 * 100,002 * 4,565 digit-steps.
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"n": 2, "d": 1, "b": [1, 100000], "c": [["1", "1"]]}))
-        start = time.perf_counter()
-        assert main([*argv, "--spec", str(path)]) == 2
-        assert time.perf_counter() - start < 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-        assert captured.err.startswith("error:")
-        assert "at least 45,657,856,574 digit-steps (100,001 composition visits x 456,574 digits" in captured.err
-        assert "more than the 100,000,000 allowed" in captured.err
+        self._refused(
+            [*argv, "--spec", str(path)], capsys,
+            "400,008 visits (100,002 vectors x (d + 3 = 4))", "16 multiply-adds per vector of 456,574 digits by 1",
+        )
 
     def test_recurrence_huge_top_refused_without_weights(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"d": 2, "n": 10**9, "a": {}}))
         for argv in (["basis", "--source", "recursive"], ["verify", "--what", "closure"]):
-            assert main([*argv, "--spec", str(path)]) == 2
-            assert "1,000,000,001 composition visits" in capsys.readouterr().err
+            self._refused([*argv, "--spec", str(path)], capsys, "at least 1,000,000,001 vectors")
 
     @pytest.mark.parametrize(
         "argv",
@@ -666,12 +675,7 @@ class TestSizeGuard:
         extra = ["--out-dir", str(tmp_path / "out")] if argv[0] == "study" else []
         if argv[0] in ("limit", "sweep", "study"):
             extra += ["--f", str(f)]
-        start = time.perf_counter()
-        assert main([*argv, *extra, "--spec", str(path)]) == 2
-        assert time.perf_counter() - start < 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-        assert "composition visits" in captured.err
+        self._refused([*argv, *extra, "--spec", str(path)], capsys, "at least 1,000,000,001 vectors x (d + 3)")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -685,36 +689,58 @@ class TestSizeGuard:
         ids=["d6-n18", "d6-n12", "d8-n15", "ci-general"],
     )
     def test_recurrence_accepts(self, spec, tmp_path):
+        # With the closed form as well: CI runs equivalence on d8-n15.
         path = tmp_path / "s.json"
         path.write_text(json.dumps(spec))
-        dinv.cli._check_recurrence_size(str(path), dinv.cli._load_spec(str(path)))
+        for walks in (False, True):
+            dinv.cli._check_build(str(path), dinv.cli._load_spec(str(path)), walks)
 
     @pytest.mark.parametrize("argv", [["verify", "--what", "closure"], ["basis", "--source", "recursive"]])
     def test_recurrence_exactly_at_the_bound(self, argv, spec_file, monkeypatch, capsys):
-        # The example table visits 12 vectors; 4! * 4^4 has 4 digits.
+        # The example table visits 12 vectors of (d + 3 = 5) visits each and
+        # makes no digit-steps: a budget of those 60 visits accepts it, one
+        # visit less refuses it.
         monkeypatch.undo()
-        monkeypatch.setattr(dinv.cli, "MAX_RECURRENCE_WORK", 12 * 4)
+        seconds = _build_seconds(EXAMPLE_SPEC)
+        assert seconds == 60 * dinv.cli.SECONDS_PER_UNIT["visit"]
+        monkeypatch.setattr(dinv.cli, "WORK_BUDGET_S", seconds)
         assert main([*argv, "--spec", spec_file]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(dinv.cli, "MAX_RECURRENCE_WORK", 12 * 4 - 1)
+        monkeypatch.setattr(dinv.cli, "WORK_BUDGET_S", seconds - dinv.cli.SECONDS_PER_UNIT["visit"])
         assert main([*argv, "--spec", spec_file]) == 2
-        err = capsys.readouterr().err
-        assert "at least 48 digit-steps (12 composition visits x 4 digits" in err
-        assert "more than the 47 allowed" in err
+        _assert_refused(capsys.readouterr(), "vectors x (d + 3 = 5)", f"more than the {dinv.cli.WORK_BUDGET_S:g} s budget")
 
     def test_exactly_at_the_bound(self, spec_file, monkeypatch, capsys):
-        # The example table (d = 2, weights 1..4, top 4) visits 12 vectors.
+        # The same with the closed form, whose products are on too few
+        # digits to count.
         monkeypatch.undo()
-        monkeypatch.setattr(dinv.cli, "MAX_CLOSED_FORM_WORK", 12 * 4)
+        seconds = _build_seconds(EXAMPLE_SPEC, walks=True)
+        monkeypatch.setattr(dinv.cli, "WORK_BUDGET_S", seconds)
         assert main(["verify", "--what", "equivalence", "--spec", spec_file]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(dinv.cli, "MAX_CLOSED_FORM_WORK", 12 * 4 - 1)
-        self._refused(["verify", "--what", "equivalence", "--spec", spec_file], capsys, 12, 11)
+        monkeypatch.setattr(dinv.cli, "WORK_BUDGET_S", seconds - dinv.cli.SECONDS_PER_UNIT["visit"])
+        assert main(["verify", "--what", "equivalence", "--spec", spec_file]) == 2
+        _assert_refused(capsys.readouterr(), "the closed form's one by")
+
+    def test_prediction_monotone(self):
+        # Seeded general specs: the prediction grows with the top weight and
+        # with the numerators and denominators of c.
+        rng = make_rng(703)
+        for _ in range(30):
+            spec = random_general_spec(rng, n_max=4, bn_max=9, d_max=3).to_dict()
+            seconds = _build_seconds(spec)
+            assert _build_seconds(dict(spec, b=[*spec["b"][:-1], spec["b"][-1] + rng.randint(1, 5)])) >= seconds
+            scale = Fraction(rng.choice((7, 1)) * 10 ** rng.randint(1, 300), rng.choice((1, 3)))
+            assert _build_seconds(dict(spec, c=[[str(Fraction(v) * scale) for v in row] for row in spec["c"]])) >= seconds
+
+
+def _identity_seconds(*bounds: int) -> float:
+    return dinv.cli._seconds(dinv.cli._identity_parts(*bounds))
 
 
 class TestIdentitySizeGuard:
     """verify --what identities refuses, before any scan, bounds whose
-    predicted steps exceed MAX_IDENTITY_WORK, naming both."""
+    predicted cells and digit-steps pass WORK_BUDGET_S, naming them."""
 
     @pytest.fixture(autouse=True)
     def no_scans(self, monkeypatch):
@@ -728,63 +754,64 @@ class TestIdentitySizeGuard:
 
     @pytest.mark.parametrize("flag", ["--m-max", "--vand-max", "--r-max", "--i-max"])
     def test_huge_bound_refused_at_once(self, flag, capsys):
-        assert dinv.cli.MAX_IDENTITY_WORK == 10_000_000
+        assert dinv.cli.WORK_BUDGET_S == 2.0
         # Only the nodes i < r_max are scanned: a huge --i-max is refused
         # with an --r-max that leaves it many nodes (at i_max = 8 the same
-        # --r-max 100 predicts 5,107,662 steps).
+        # --r-max 100 predicts 0.5 s).
         extra = ["--r-max", "100"] if flag == "--i-max" else []
         start = time.perf_counter()
         assert main(["verify", "--what", "identities", flag, "100000000", *extra]) == 2
         assert time.perf_counter() - start < 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-        assert captured.err.startswith("error: verify --what identities: the scans would take at least ")
-        assert "steps, more than the 10,000,000 allowed" in captured.err
+        _assert_refused(capsys.readouterr(), "error: verify --what identities: ", "cells (", "digit-steps (", "more than the 2 s budget")
 
     def test_prediction_by_hand(self):
         # Power sums (m + 1)^2 + m^2 = 1 + 5 + 13 terms for m <= 2,
-        # Vandermonde (m + 1)^3 = 1 + 8 cells for m <= 1.  Falling
-        # factorials at r_max = 3, i_max = 2: the one node i = 2 (the nodes
-        # 2 <= i < min(i_max + 1, r_max)) and two caps: at r = 1 a table of 2
-        # entries and one slot pass of 1 update, 4 steps; at r = 2 a table of
-        # 3 and passes of 2 and 1 updates, 8 steps; at r = 3 a table of 4 and
-        # passes of 3, 2 and 1 updates, 13 steps; (4 + 8 + 13) * 2 = 50 =
-        # 1 * 3 * 5 * 10 / 3, and 4^3 has far fewer than 100 digits.  At
-        # r_max = 2 no node is left.
-        assert dinv.cli._identity_work(2, 1, 3, 2, cap=10**9) == 19 + 9 + 50
-        assert dinv.cli._falling_factorial_work(3, 2) == 2 * (4 + 8 + 13) == 50
-        assert dinv.cli._falling_factorial_work(2, 2) == dinv.cli._falling_factorial_work(1, 10**9) == 0
-        # r_max = 30 leaves the 28 nodes 2..29 at any i_max >= 29; the
-        # largest integers are below 58^30 (52 digits).
-        assert dinv.cli._falling_factorial_work(30, 100000) == dinv.cli._falling_factorial_work(30, 29) == 28 * 11840
-        # Past 100 digits (m^m at m = 100 has 201) a term counts 3 steps.
-        assert dinv.cli._identity_work(100, 0, 1, 2, cap=10**9) - dinv.cli._identity_work(99, 0, 1, 2, cap=10**9) == 3 * (101**2 + 100**2)
-        # (2 * 2)^r_max has 121 digits at r_max = 200: each step counts 2.
-        assert dinv.cli._falling_factorial_work(200, 2) == 200 * 202 * 207 // 3 * 2
+        # Vandermonde 4 * (1 + 1)^3 cells.  Falling factorials at r_max = 3,
+        # i_max = 2: the one node i = 2 (the nodes 2 <= i < min(i_max + 1,
+        # r_max)) and two caps: at r = 1 a table of 2 entries and one slot
+        # pass of 1 update, 4 steps; at r = 2 a table of 3 and passes of 2
+        # and 1 updates, 8 steps; at r = 3 a table of 4 and passes of 3, 2
+        # and 1 updates, 13 steps; (4 + 8 + 13) * 2 = 50 = 1 * 3 * 5 * 10 / 3.
+        # No integer reaches 100 digits.  At r_max = 2 no node is left.
+        assert dinv.cli._identity_parts(2, 1, 3, 2) == [
+            (19 + 32 + 50, "cell", "19 power-sum terms + 32 Vandermonde cells + 50 composition steps"),
+            (0, "digit-step", "on each scan's digits"),
+        ]
+        ff = lambda r_max, i_max: dinv.cli._identity_parts(0, 0, r_max, i_max)[0][0] - 5
+        assert ff(2, 2) == ff(1, 10**9) == 0
+        # r_max = 30 leaves the 28 nodes 2..29 at any i_max >= 29.
+        assert ff(30, 100000) == ff(30, 29) == 28 * 11840
+        # m = 100: 686,901 power-sum terms on the 230 digits of 200^100, two
+        # digit-steps each.
+        assert dinv.cli._identity_parts(100, 0, 1, 2)[1][0] == 2 * (101 * 102 * 203 // 6 + 100 * 101 * 201 // 6)
+        # (2 * 2)^200 has 120 digits: one digit-step per falling-factorial step.
+        assert dinv.cli._identity_parts(0, 0, 200, 2)[1][0] == 200 * 202 * 207 // 3
 
     # Defaults (20, 12, 8, 8): power sums sum_{k<=21} k^2 + sum_{m<=20} m^2 =
-    # 3311 + 2870 = 6181 (m^m has at most 27 digits), Vandermonde
-    # sum_{m<=12} (m + 1)^3 = 91^2 = 8281, falling factorials at the 6 nodes
-    # 2..7 below r_max, 6 * 8 * 10 * 15 / 3 = 2400 (14^8 has 10 digits):
-    # 16,862.  Bench-widest (40, 20, 12, 12): 23821 + 22140 = 45961,
-    # 231^2 = 53361 and the 10 nodes 2..11, 10 * 12 * 14 * 19 / 3 = 10640:
-    # 109,962.
+    # 3311 + 2870 = 6181, Vandermonde 4 * 13^3 = 8788, falling factorials at
+    # the 6 nodes 2..7 below r_max, 6 * 8 * 10 * 15 / 3 = 2400: 17,369
+    # cells.  Bench-widest (40, 20, 12, 12): 23821 + 22140 = 45961,
+    # 4 * 21^3 = 37044 and the 10 nodes 2..11, 10 * 12 * 14 * 19 / 3 = 10640:
+    # 93,645.  No integer reaches 100 digits.
     @pytest.mark.parametrize(
-        "bounds, steps", [((20, 12, 8, 8), 16_862), ((40, 20, 12, 12), 109_962)], ids=["defaults", "bench-widest"]
+        "bounds, cells", [((20, 12, 8, 8), 17_369), ((40, 20, 12, 12), 93_645)], ids=["defaults", "bench-widest"]
     )
-    def test_accepted_bounds(self, bounds, steps):
-        assert dinv.cli._identity_work(*bounds, cap=10**9) == steps <= dinv.cli.MAX_IDENTITY_WORK
+    def test_accepted_bounds(self, bounds, cells):
+        parts = dinv.cli._identity_parts(*bounds)
+        assert [n for n, _, _ in parts] == [cells, 0]
+        assert dinv.cli._seconds(parts) <= dinv.cli.WORK_BUDGET_S / 100
 
     def test_exactly_at_the_bound(self, monkeypatch, capsys):
-        # 19 + 9 + 50 = 78 steps, as in test_prediction_by_hand.
+        # 19 + 32 + 50 = 101 cells, as in test_prediction_by_hand.
         monkeypatch.undo()
         flags = ["--m-max", "2", "--vand-max", "1", "--r-max", "3", "--i-max", "2"]
-        monkeypatch.setattr(dinv.cli, "MAX_IDENTITY_WORK", 78)
+        seconds = _identity_seconds(2, 1, 3, 2)
+        monkeypatch.setattr(dinv.cli, "WORK_BUDGET_S", seconds)
         assert main(["verify", "--what", "identities", *flags]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(dinv.cli, "MAX_IDENTITY_WORK", 77)
+        monkeypatch.setattr(dinv.cli, "WORK_BUDGET_S", seconds - dinv.cli.SECONDS_PER_UNIT["cell"])
         assert main(["verify", "--what", "identities", *flags]) == 2
-        assert "at least 78 steps, more than the 77 allowed" in capsys.readouterr().err
+        _assert_refused(capsys.readouterr(), "(101 cells (19 power-sum terms", f"more than the {dinv.cli.WORK_BUDGET_S:g} s budget")
 
     def test_falling_factorial_term_covers_the_recorded_steps(self, monkeypatch, capsys):
         monkeypatch.undo()
@@ -809,7 +836,8 @@ class TestIdentitySizeGuard:
                 steps = 0
                 flags = ["--m-max", "0", "--vand-max", "0", "--r-max", str(r_max), "--i-max", str(i_max)]
                 assert main(["verify", "--what", "identities", *flags]) == 0
-                assert steps <= dinv.cli._falling_factorial_work(r_max, i_max)
+                # The cells past those of --m-max 0 --vand-max 0 (1 + 4).
+                assert steps <= dinv.cli._identity_parts(0, 0, r_max, i_max)[0][0] - 5
                 # Only the nodes 2 <= i < r_max are scanned.
                 assert (steps > 0) == (r_max > 2)
         capsys.readouterr()
@@ -823,12 +851,12 @@ class TestIdentitySizeGuard:
     def test_monotone_and_prompt_in_every_bound(self, bounds, k, step):
         grown = list(bounds)
         grown[k] += step
-        works = []
+        predictions = []
         for b in (bounds, grown):
             start = time.perf_counter()
-            works.append(dinv.cli._identity_work(*b, cap=dinv.cli.MAX_IDENTITY_WORK))
+            predictions.append([n for n, _, _ in dinv.cli._identity_parts(*b)])
             assert time.perf_counter() - start < 0.01
-        assert works[0] <= works[1]
+        assert all(a <= b for a, b in zip(*predictions))
 
 
 class TestPoints:
@@ -1080,7 +1108,9 @@ B5300 = {"n": 2, "d": 1, "b": [1, 5300], "c": [["1", "1"]]}
 
 class TestSeriesSizeGuard:
     """limit refuses, before any point is built, an order whose series
-    predicts more than MAX_SERIES_WORK digit-steps."""
+    predicts past WORK_BUDGET_S: per point and cut product, the nonzero
+    u-coefficients a term of f can have below u^(m+1) times the width it
+    reaches, and the stencil's sums, with their digit-steps."""
 
     @pytest.mark.parametrize("scheme", "ab")
     def test_order_5300_of_b5300_refused_at_once(self, scheme, tmp_path, capsys):
@@ -1091,11 +1121,19 @@ class TestSeriesSizeGuard:
         start = time.perf_counter()
         assert main(["limit", "--m", "5300", "--scheme", scheme, "--spec", str(spec), "--f", str(f), "--z0", "1/3"]) == 2
         assert time.perf_counter() - start < 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: limit --m 5300: the series would take about ")
-        assert "(5,301 points x 4 cut products x 5,301^2 cells x " in captured.err
-        assert captured.err.endswith(" coefficient digits), more than the 300,000,000 allowed\n")
-        assert captured.out == ""
+        _assert_refused(
+            capsys.readouterr(), "error: limit --m 5300: the work would take about ",
+            "cells (5,301 points x (4 cut products x 10 x 5,301 + 5,301 sums))", "more than the 2 s budget",
+        )
+
+    @pytest.mark.parametrize("m, accepted", [(66, True), (200, True), (3000, True), (5000, False)])
+    def test_b5300_orders_follow_the_series_length(self, m, accepted):
+        # f = x1^3 + x1^2 reaches u^3 only: 4 coefficients per product at
+        # any order below 5300; the stencil's sums on m!-sized integers
+        # refuse --m 5000.
+        parts = dinv.cli._series_parts(dinv.GeneralSpec.from_dict(B5300), "b", P("x1^3 + x1^2", 1), (Fraction(1, 3),), m)
+        assert parts[0][2] == f"{m + 1:,} points x (4 cut products x 4 x 4 + 4 sums)"
+        assert (dinv.cli._seconds(parts) <= dinv.cli.WORK_BUDGET_S) == accepted
 
     def test_ci_limit_calls_accepted(self, tmp_path, capsys):
         runs = [
@@ -1121,27 +1159,31 @@ class TestSeriesSizeGuard:
             for z0 in ((Fraction(0),) * t.d, tuple(rational(rng) for _ in range(t.d))):
                 for m in range(t.n + 1):
                     for scheme in "ab":
-                        work = dinv.cli._series_work(t, scheme, f, z0, m)[0]
-                        assert work < dinv.cli.MAX_SERIES_WORK // 100
+                        seconds = dinv.cli._seconds(dinv.cli._series_parts(t, scheme, f, z0, m))
+                        assert seconds < dinv.cli.WORK_BUDGET_S / 100
 
     def test_prediction_bounds_the_series_integers(self, monkeypatch):
-        # The integers the series carries: every cut product, and the u^t
-        # sums over scale * m! * D^t that become the returned Fractions.
+        # The integers the series carries: every cut product within the
+        # predicted digits, and the u^t sums over scale * m! * D^t that
+        # become the returned Fractions within those and the stencil's.
         # Over z0 with large numerators and denominators in several
         # variables the common scale prod_i q_i^(deg_i) adds digits that
         # z0's powers term by term do not show.
-        carried = []
+        products, sums = [], []
         mul_cut = dinv.discretize._mul_cut
         new = Fraction.__new__
 
         def recording(a, b, length):
             out = mul_cut(a, b, length)
-            carried.extend(out)
+            products.extend(out)
             return out
 
         def numerators(cls, numerator=0, denominator=None, **kwargs):
-            carried.append(numerator)
+            sums.append(numerator)
             return new(cls, numerator, denominator, **kwargs)
+
+        def digits(values):
+            return max((len(str(abs(v))) for v in values if v), default=1)
 
         rng = make_rng(702)
         for _ in range(40):
@@ -1151,32 +1193,56 @@ class TestSeriesSizeGuard:
             for scheme in "ab":
                 pts = dinv.discretize.SCHEMES[scheme](spec, z0)
                 for m in range(spec.top_weight + 1):
-                    carried.clear()
+                    products.clear()
+                    sums.clear()
                     with monkeypatch.context() as patch:
                         patch.setattr(dinv.discretize, "_mul_cut", recording)
                         patch.setattr(Fraction, "__new__", numerators)
                         dinv.discretize._series(f, m, pts, m + 1)
-                    digits = max((len(str(abs(v))) for v in carried if v), default=1)
-                    assert digits <= dinv.cli._series_work(spec, scheme, f, z0, m)[2]
+                    how = dinv.cli._series_parts(spec, scheme, f, z0, m)[1][2]
+                    cell_digits, sum_digits, _ = (int(v.replace(",", "")) for v in re.findall(r"[0-9][0-9,]*", how))
+                    assert digits(products) <= cell_digits
+                    assert digits(sums) <= sum_digits
 
     def test_prediction_by_hand(self):
-        # b = (1, 5300) at m = 2: the weight-1 slot alone, h_coef(2, 1) = 2;
-        # f = x1^3 + x1^2 makes 2 products and squares x1 twice.  Digits:
-        # 1 (z0 = 1) + int(2 * (log10 2 + log10 4) + log10 2!) + 1 = 4.
+        # b = (1, 5300) at m = 2: the weight-1 slot alone, so f = x1^3 + x1^2
+        # reaches u^3 and a product has min(3, 4) = 3 coefficients; it makes
+        # 2 products and squares x1 twice.  Digits: 1 (z0 = 1) +
+        # int(2 * (log10 2 + log10 4)) + 1 = 3, and the stencil's log10(3!).
         spec = dinv.GeneralSpec.from_dict(B5300)
-        assert dinv.cli._series_work(spec, "a", P("x1^3 + x1^2", 1), (Fraction(1),), 2) == (3**3 * 4 * 4, 4, 4)
+        f = P("x1^3 + x1^2", 1)
+        assert dinv.cli._series_parts(spec, "a", f, (Fraction(1),), 2) == [
+            (3 * (4 * 9 + 3), "cell", "3 points x (4 cut products x 3 x 3 + 3 sums)"),
+            (0, "digit-step", "on 3 digits, the sums on 4 by 1"),
+        ]
 
     def test_exactly_at_the_bound(self, spec_file, tmp_path, monkeypatch, capsys):
         f = tmp_path / "f.txt"
         f.write_text("x1^3*x2 + x2^2")
         argv = ["limit", "--m", "4", "--scheme", "b", "--spec", spec_file, "--f", str(f), "--z0", "3/2,-1"]
-        work = dinv.cli._series_work(dinv.GeneralSpec.from_dict(EXAMPLE_SPEC), "b", P("x1^3*x2 + x2^2"), (Fraction(3, 2), Fraction(-1)), 4)[0]
-        monkeypatch.setattr(dinv.cli, "MAX_SERIES_WORK", work)
+        parts = dinv.cli._series_parts(dinv.GeneralSpec.from_dict(EXAMPLE_SPEC), "b", P("x1^3*x2 + x2^2"), (Fraction(3, 2), Fraction(-1)), 4)
+        # The series predicts more than the table's build, so the budget
+        # decides at the series.
+        assert dinv.cli._seconds(parts) > _build_seconds(EXAMPLE_SPEC)
+        monkeypatch.setattr(dinv.cli, "WORK_BUDGET_S", dinv.cli._seconds(parts))
         assert main(argv) == 0
         capsys.readouterr()
-        monkeypatch.setattr(dinv.cli, "MAX_SERIES_WORK", work - 1)
+        monkeypatch.setattr(dinv.cli, "WORK_BUDGET_S", dinv.cli._seconds(parts) - dinv.cli.SECONDS_PER_UNIT["cell"])
         assert main(argv) == 2
-        assert f"about {work:,} digit-steps" in capsys.readouterr().err
+        _assert_refused(capsys.readouterr(), f"{parts[0][0]:,} cells ({parts[0][2]})")
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 11), st.integers(1, 60), st.integers(1, 10**6))
+    def test_monotone_in_the_order_and_the_degree(self, m, k, height):
+        # b = (1, 3, 7, 12) in two variables: a higher order or a higher
+        # power of f, or a z0 of larger height, predicts no less.
+        spec = dinv.GeneralSpec(n=4, d=2, b=[1, 3, 7, 12], c=[[1, 0, Fraction(2, 3), 1], [Fraction(-1, 2), 5, 0, 3]])
+        z0 = (Fraction(height, 7), Fraction(-2))
+        seconds = lambda m, f, z0: dinv.cli._seconds(dinv.cli._series_parts(spec, "a", f, z0, m))
+        f = P(f"x1^{k}*x2 + x2^2")
+        assert seconds(min(m + 1, 12), f, z0) >= seconds(m, f, z0)
+        assert seconds(m, P(f"x1^{k + 1}*x2 + x2^2"), z0) >= seconds(m, f, z0)
+        assert seconds(m, f, (Fraction(height * 10, 7), Fraction(-2))) >= seconds(m, f, z0)
 
 
 class TestPointSizeGuard:
@@ -1278,8 +1344,8 @@ def test_extreme_valid_inputs_exit_0_1_or_2(tmp_path, command, general, exps, z0
 @st.composite
 def _extreme_specs(draw) -> dict:
     """A valid spec of extreme shape: a table, n = 1, gaps in b (up to
-    b_n = 30, or from 5500 on, where d = 1, b = (1, b_n), c = (1, 1) first
-    predicts more than MAX_RECURRENCE_WORK), with rationals of up to
+    b_n = 30, or from 5500 on, near where d = 1, b = (1, b_n), c = (1, 1)
+    first predicts more than WORK_BUDGET_S), with rationals of up to
     MAX_RATIONAL_DIGITS digits."""
     d = draw(st.integers(1, 3))
     if d > 1 and draw(st.booleans()):
@@ -1298,36 +1364,49 @@ def _extreme_specs(draw) -> dict:
     return {"n": len(b), "d": d, "b": b, "c": c}
 
 
-def _predicts_at_most(spec: dict, work: int) -> bool:
-    """Whether the CLI's recurrence guard predicts at most work for spec."""
-    with mock.patch.object(dinv.cli, "MAX_RECURRENCE_WORK", work):
-        try:
-            dinv.cli._check_recurrence_size("spec", dinv.GeneralSpec.from_dict(spec))
-        except dinv.cli.CliError:
-            return False
-    return True
-
-
 @pytest.mark.parametrize("command", ["basis", "closure", "breadth", "equivalence"])
 @settings(max_examples=40, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(spec=_extreme_specs(), source=st.sampled_from(SOURCES), pretty=st.booleans())
 def test_extreme_specs_exit_0_1_or_2(tmp_path, command, spec, source, pretty):
     """basis from every source, with and without --pretty, and verify
     --what closure|breadth|equivalence on valid specs of extreme size: an
-    exit code in {0, 1, 2}, never an exception, within the deadline.
-
-    A spec is either refused by the recurrence guard or predicts at most a
-    tenth of MAX_RECURRENCE_WORK: nearer the bound an accepted run takes
-    seconds (d = 3, b = (1, 2, 12) with an 815-digit denominator, 5.4e7
-    predicted, takes 3.0 s for equivalence)."""
-    assume(_predicts_at_most(spec, dinv.cli.MAX_RECURRENCE_WORK // 10)
-           or not _predicts_at_most(spec, dinv.cli.MAX_RECURRENCE_WORK))
+    exit code in {0, 1, 2}, never an exception, within the deadline.  The
+    build guard counts the multiplier's digits, so every spec it accepts
+    runs within the deadline."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     if command == "basis":
         argv = ["basis", "--source", source, "--spec", str(path), *(["--pretty"] if pretty else [])]
     else:
         argv = ["verify", "--what", command, "--spec", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def _small_or_huge(low: int, small: int) -> st.SearchStrategy:
+    return st.one_of(st.integers(low, small), st.integers(low, 10**9))
+
+
+@settings(max_examples=40, deadline=2000)
+@given(bounds=st.tuples(*(_small_or_huge(low, 60) for low in (-1, -1, 0, 1))))
+def test_extreme_identity_bounds_exit_0_1_or_2(bounds):
+    """verify --what identities with scan bounds from the empty ones up to
+    10^9: an exit code in {0, 1, 2}, never an exception, within the
+    deadline."""
+    flags = [f"--{name}={v}" for name, v in zip(("m-max", "vand-max", "r-max", "i-max"), bounds)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["verify", "--what", "identities", *flags]) in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=40, deadline=2000)
+@given(count=_small_or_huge(0, 30), d_max=_small_or_huge(1, 6), n_max=_small_or_huge(1, 8), seed=st.integers(0, 10**9))
+def test_extreme_scans_exit_0_1_or_2(count, d_max, n_max, seed):
+    """scan with --count, --d-max and --n-max from the empty ones up to
+    10^9: an exit code in {0, 1, 2}, never an exception, within the
+    deadline."""
+    argv = ["scan", f"--count={count}", f"--d-max={d_max}", f"--n-max={n_max}", f"--seed={seed}"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
         assert main(argv) in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
@@ -1469,6 +1548,19 @@ class TestStudy:
         assert captured.err == "error: a coefficient of point 1 has 1000 digits before the point; no float can hold it\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec", [B5300, {"d": 3, "n": 2, "a": {"2,3": "1"}}], ids=["b5300", "d3"])
+    def test_spec_not_in_two_variables_needs_f(self, spec, tmp_path, capsys):
+        # The demo f is in 2 variables: refused at once, before any point.
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        assert main(["study", "--spec", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        d = dinv.GeneralSpec.from_dict(spec).d
+        assert captured.err == f"error: {path}: the demo f is in 2 variables, the spec in {d}; pass --f\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_out_dir_is_a_file_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
