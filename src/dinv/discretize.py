@@ -38,12 +38,21 @@ m!.  So the u^t coefficient of the combination is one integer over
 scale * m!, and the h^t coefficient is that integer over
 scale * m! * D^t, the only Fraction the series makes.  The target builds
 only B_0..B_m, by the generating recurrence stopped at weight m, and
-evaluates B_m(D)f at z0 as a scalar; it never reads the points, so it
-stays an independent witness.
+evaluates B_m(D)f at z0 as a scalar on integers (DiffOperator.apply_at,
+one Fraction at the end); it never reads the points, so it stays an
+independent witness.  So a check makes no Fraction but z0's coordinates,
+its m + 1 coefficients and its target.
 
 Point coordinates are univariate polynomials in h (dimension-1 Polynomial
-values); the generating spec travels with the point set so downstream
-checks can rebuild the basis it belongs to.
+values), made directly in Polynomial's integer form: coordinate i of
+point r is
+
+    (p_i * D + q_i * sum_j n_ij * h_coef(r, b_j) * h^(b_j)) / (q_i * D),
+
+reduced by one gcd, so a point set makes no Fraction but z0's and the
+series reads each coordinate's scale and numerators as stored.  The
+generating spec travels with the point set so downstream checks can
+rebuild the basis it belongs to.
 """
 
 from __future__ import annotations
@@ -129,20 +138,25 @@ SCHEME_RULES = {
 
 
 def _points(scheme: str, spec: GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
-    """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i,  r = 0..b_n."""
+    """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i,  r = 0..b_n,
+    each coordinate made in Polynomial's integer form over q_i * D (see
+    the module docstring)."""
     h_coef = SCHEME_RULES[scheme][0]
     den, slots = spec.slots
     base = tuple(Fraction(v) for v in z0)
     if len(base) != spec.d:
         raise ValueError(f"base point has length {len(base)}, expected {spec.d}")
+    qs = [v.denominator for v in base]
+    scales = [q * den for q in qs]
+    consts = [{(0,): v.numerator * den} if v else {} for v in base]
     pts = []
     for r in range(spec.top_weight + 1):
-        coords = [{(0,): z} for z in base]
+        coords = [dict(c) for c in consts]
         for bj, group in itertools.groupby(slots, itemgetter(0)):
             if k := h_coef(r, bj):
                 for _, i, n_ij in group:
-                    coords[i][(bj,)] = Fraction(n_ij * k, den)
-        pts.append(tuple(Polynomial(1, terms, _trusted=True) for terms in coords))
+                    coords[i][(bj,)] = n_ij * k * qs[i]
+        pts.append(tuple(Polynomial(1, terms, _scale=s) for terms, s in zip(coords, scales)))
     return SymbolicPointSet(scheme=scheme, base=base, points=tuple(pts), spec=spec)
 
 

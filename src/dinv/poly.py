@@ -11,8 +11,7 @@ That form is canonical (the scale is the lcm of the coefficients'
 denominators), so polynomial equality is int and dict equality of dim,
 scale and numerators.  The read-only view `terms`, {exponent: Fraction},
 is made on first read and kept; a polynomial made from Fractions (the
-public constructor, parse, and the kernel's own Fraction results) keeps
-them as that view and derives its numerators once, on first need, and
+public constructor and parse) keeps them as that view and derives its numerators once, on first need, and
 from_dict reads its JSON text straight to the integer form.  Degree and
 zero tests read only the exponents.
 
@@ -199,8 +198,6 @@ class Polynomial:
     the other's slots stay empty until first read, when __getattr__ makes
     it once and fills them.  Do not mutate the mappings.
 
-    _trusted=True takes internal Fraction results as they are: exponent
-    tuples of length dim by construction, and only zeros need dropping.
     _scale=s takes internal integer results: nonzero int numerators over a
     positive scale s, reduced here by their gcd with s.
     """
@@ -213,7 +210,6 @@ class Polynomial:
         dim: int,
         terms: Mapping[Exponent, Fraction | int] | None = None,
         *,
-        _trusted: bool = False,
         _scale: int | None = None,
     ):
         if dim < 1:
@@ -230,17 +226,14 @@ class Polynomial:
             _set(self, "scale", _scale // g)
             _set(self, "numerators", terms)
         else:
-            if _trusted:
-                terms = {e: c for e, c in terms.items() if c}
-            else:
-                clean: dict[Exponent, Fraction] = {}
-                for exps, coef in (terms or {}).items():
-                    exps = tuple(exps)
-                    _check_exponent(exps, dim)
-                    c = Fraction(coef)
-                    if c != 0:
-                        clean[exps] = c
-                terms = clean
+            clean: dict[Exponent, Fraction] = {}
+            for exps, coef in (terms or {}).items():
+                exps = tuple(exps)
+                _check_exponent(exps, dim)
+                c = Fraction(coef)
+                if c != 0:
+                    clean[exps] = c
+            terms = clean
             _set(self, "terms", terms)
         _set(self, "dim", dim)
         _set(self, "_keys", terms)
@@ -491,35 +484,44 @@ class DiffOperator:
     def apply_at(self, f: Polynomial, point: Sequence[Fraction | int]) -> Fraction:
         """Value of the functional: apply the operator to f, evaluate at point.
 
-        Sums n_alpha * c_e * prod_i e_i!/(e_i-alpha_i)! * point_i^(e_i-alpha_i)
-        over the source's integer numerators n_alpha and the terms e >= alpha
-        of f, as scalars, and divides once by the source's scale: no
-        derivative or sum polynomial is built.  Each point_i^k is taken once,
-        by Python's repeated squaring, so the work grows with log(deg f).
+        Runs on integers, with point_i = p_i / q_i and deg_i the degree of f
+        in x_i.  Sums n_alpha * c_e * prod_i e_i!/(e_i-alpha_i)! *
+        p_i^(e_i-alpha_i) * q_i^(deg_i-e_i+alpha_i) over the source's
+        numerators n_alpha and the numerators c_e of f's terms e >= alpha,
+        and makes one Fraction, over source.scale * f.scale *
+        prod_i q_i^deg_i: no derivative, sum polynomial or Fraction is
+        built before it.  Each p_i^k * q_i^(deg_i-k) is taken once, by
+        Python's repeated squaring, so the work grows with log(deg f).
         """
-        if f.dim != self.source.dim:
-            raise ValueError(f"dimension mismatch: {self.source.dim} vs {f.dim}")
-        vals = [Fraction(v) for v in point]
-        if len(vals) != f.dim:
-            raise ValueError(f"point has length {len(vals)}, expected {f.dim}")
-        powers: dict[tuple[int, int], Fraction] = {}
-        total = _ZERO
-        for alpha, na in self.source.numerators.items():
-            for e, ce in f.terms.items():
-                factor = _derivative_factor(e, alpha)
-                if not factor:
+        source = self.source
+        if f.dim != source.dim:
+            raise ValueError(f"dimension mismatch: {source.dim} vs {f.dim}")
+        ratios = [(v.numerator, v.denominator) for v in point]
+        if len(ratios) != f.dim:
+            raise ValueError(f"point has length {len(ratios)}, expected {f.dim}")
+        nums = f.numerators
+        degs = [max(ks) for ks in zip(*nums)]
+        powers: dict[tuple[int, int], int] = {}  # (i, k): p_i^k * q_i^(deg_i - k)
+        total = 0
+        for alpha, na in source.numerators.items():
+            for e, ce in nums.items():
+                value = _derivative_factor(e, alpha)
+                if not value:
                     continue
-                value = ce * (na * factor)
+                value *= na * ce
                 for i, (ei, ai) in enumerate(zip(e, alpha)):
-                    if k := ei - ai:
-                        power = powers.get((i, k))
-                        if power is None:
-                            power = powers[i, k] = vals[i] ** k
-                        value *= power
-                        if not value:
-                            break
+                    power = powers.get((i, ei - ai))
+                    if power is None:
+                        p, q = ratios[i]
+                        power = powers[i, ei - ai] = p ** (ei - ai) * q ** (degs[i] - ei + ai)
+                    value *= power
+                    if not value:
+                        break
                 total += value
-        return total / self.source.scale
+        scale = source.scale * f.scale
+        for (_, q), deg in zip(ratios, degs):
+            scale *= q ** deg
+        return Fraction(total, scale)
 
     def __repr__(self) -> str:
         return f"DiffOperator({self.source!r})"

@@ -91,8 +91,8 @@ class GeneralSpec:
         indices the caller has put in range."""
         if d < 1:
             raise ValueError(f"need d >= 1, got {d}")
-        if len(b) < 1:
-            raise ValueError(f"need n >= 1, got {len(b)}")
+        if not b:
+            raise ValueError("need n >= 1, got 0")
         if b[0] != 1:
             raise ValueError(f"b[0] must be 1, got {b[0]}")
         # A range(1, n + 1) is 1..n already; only other weights are read.
@@ -110,7 +110,10 @@ class GeneralSpec:
 
     @property
     def n(self) -> int:
-        return len(self.b)
+        """len(b), read from a range's last weight: len() refuses a range
+        past sys.maxsize."""
+        b = self.b
+        return b[-1] if isinstance(b, range) else len(b)
 
     @property
     def top_weight(self) -> int:

@@ -129,14 +129,40 @@ def random_poly(
     return Polynomial(dim, terms)
 
 
+def _hook_fractions(monkeypatch, hook) -> None:
+    """Call hook(args) at every Fraction made until monkeypatch.undo():
+    Fraction(...) through __new__, and on Python 3.12+ the results of
+    Fraction arithmetic through _from_coprime_ints."""
+    new = Fraction.__new__
+
+    def hooked_new(cls, *args, **kwargs):
+        hook(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", hooked_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+
+        def hooked_coprime(cls, *args):
+            hook(args)
+            return coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(hooked_coprime))
+
+
 def forbid_fractions(monkeypatch) -> None:
     """Make every Fraction construction raise AssertionError until
-    monkeypatch.undo(): Fraction(...) through __new__, and on Python 3.12+
-    the results of Fraction arithmetic through _from_coprime_ints."""
+    monkeypatch.undo()."""
 
-    def forbidden(*args, **kwargs):
+    def forbidden(args):
         raise AssertionError("a Fraction was made")
 
-    monkeypatch.setattr(Fraction, "__new__", forbidden)
-    if hasattr(Fraction, "_from_coprime_ints"):
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(forbidden))
+    _hook_fractions(monkeypatch, forbidden)
+
+
+def count_fractions(monkeypatch) -> list:
+    """The arguments of every Fraction made until monkeypatch.undo(), in a
+    list the caller may clear between the calls it counts."""
+    made = []
+    _hook_fractions(monkeypatch, made.append)
+    return made

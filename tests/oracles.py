@@ -16,8 +16,9 @@ free functions on Polynomial terms: diff, integrate, free_of_leading, mul
 and compose (the full substitution whose prefix the limit check's cut
 series must equal).  apply_operator, source(D) f by iterated single-variable
 diff, shares no code with DiffOperator.apply_at, which it witnesses.
-series_fraction is that cut series with a Fraction in every cell, the
-reference for the library's integer series.
+apply_at_fraction is apply_at's sum with Fraction powers of the point,
+and series_fraction is that cut series with a Fraction in every cell: the
+references for the library's integer target and integer series.
 
 The dict_* functions are the polynomial vector space on plain
 {exponent: Fraction} dicts with no zero value, the reference for
@@ -34,7 +35,7 @@ from typing import Iterator, Sequence
 
 from dinv.discretize import SymbolicPointSet, stencil
 from dinv.linalg import echelon
-from dinv.poly import Polynomial, common_denominator, json_array, json_int, parse_rational
+from dinv.poly import Polynomial, _derivative_factor, common_denominator, json_array, json_int, parse_rational
 from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec
 
 
@@ -106,6 +107,36 @@ def apply_operator(source: Polynomial, f: Polynomial) -> Polynomial:
                 g = diff(g, j)
         total = total + c * g
     return total
+
+
+def apply_at_fraction(source: Polynomial, f: Polynomial, point: Sequence[Fraction | int]) -> Fraction:
+    """(source(D) f)(point) in Fractions: the sum over the source's
+    numerators n_alpha and f's Fraction terms c_e, e >= alpha, of
+    n_alpha * c_e * prod_i e_i!/(e_i-alpha_i)! * point_i^(e_i-alpha_i),
+    divided once by the source's scale, each point_i^k taken once."""
+    if f.dim != source.dim:
+        raise ValueError(f"dimension mismatch: {source.dim} vs {f.dim}")
+    vals = [Fraction(v) for v in point]
+    if len(vals) != f.dim:
+        raise ValueError(f"point has length {len(vals)}, expected {f.dim}")
+    powers: dict[tuple[int, int], Fraction] = {}
+    total = Fraction(0)
+    for alpha, na in source.numerators.items():
+        for e, ce in f.terms.items():
+            factor = _derivative_factor(e, alpha)
+            if not factor:
+                continue
+            value = ce * (na * factor)
+            for i, (ei, ai) in enumerate(zip(e, alpha)):
+                if k := ei - ai:
+                    power = powers.get((i, k))
+                    if power is None:
+                        power = powers[i, k] = vals[i] ** k
+                    value *= power
+                    if not value:
+                        break
+            total += value
+    return total / source.scale
 
 
 def _mul_cut_fraction(a: list[Fraction], b: list[Fraction], length: int) -> list[Fraction]:

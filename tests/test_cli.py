@@ -679,6 +679,35 @@ class TestSizeGuard:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "--source", "general"],
+            ["basis", "--source", "recursive"],
+            ["basis", "--source", "explicit"],
+            ["verify", "--what", "closure"],
+            ["verify", "--what", "breadth"],
+            ["verify", "--what", "equivalence"],
+            ["points", "--scheme", "a"],
+            ["limit", "--m", "1", "--scheme", "b"],
+            ["sweep", "--m", "1", "--scheme", "a"],
+            ["study"],
+        ],
+        ids=["general", "recursive", "explicit", "closure", "breadth", "equivalence", "points", "limit", "sweep", "study"],
+    )
+    def test_table_past_ssize_t_refused(self, argv, tmp_path, capsys):
+        # n = 10^19 > sys.maxsize: no len() of range(1, n + 1) may be taken
+        # before the guard, which refuses the spec like any other huge table.
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"d": 2, "n": 10**19, "a": {}}))
+        f = tmp_path / "f.txt"
+        f.write_text("x1^2 + x2")
+        extra = ["--out-dir", str(tmp_path / "out")] if argv[0] == "study" else []
+        if argv[0] in ("limit", "sweep", "study"):
+            extra += ["--f", str(f)]
+        self._refused([*argv, *extra, "--spec", str(path)], capsys, "at least 10,000,000,000,000,000,001 vectors x (d + 3)")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "spec",
         [
             _full_table(6, 18),

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import dinv.discretize
-from conftest import make_rng, random_general_spec, random_param_table, random_poly, rational
+from conftest import count_fractions, make_rng, random_general_spec, random_param_table, random_poly, rational
 from dinv import (
     DiffOperator,
     GeneralSpec,
@@ -398,18 +398,28 @@ class TestIntegerSeries:
     def test_only_the_returned_coefficients_are_fractions(self, monkeypatch):
         spec, f, z0 = self.draw(make_rng(210), 1)
         pts = points_scheme_b(spec, z0)
-        made = []
-        new = Fraction.__new__
-
-        def counting(cls, *args, **kwargs):
-            made.append(args)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", counting)
+        made = count_fractions(monkeypatch)
         for m in range(spec.top_weight + 1):
             made.clear()
             dinv.discretize._series(f, m, pts, m + 1)
             assert len(made) == m + 1
+
+    def test_points_and_check_make_no_fraction_before_their_answers(self, monkeypatch):
+        """A point set makes a Fraction only for each coordinate of z0; the
+        check makes those, its m + 1 series coefficients and its target."""
+        rng = make_rng(211)
+        for k in range(6):
+            spec, f, z0 = self.draw(rng, k)
+            made = count_fractions(monkeypatch)
+            for build in (points_scheme_a, points_scheme_b):
+                made.clear()
+                pts = build(spec, z0)
+                assert len(made) == spec.d
+                for m in range(spec.top_weight + 1):
+                    made.clear()
+                    expansion_check(f, z0, m, pts)
+                    assert len(made) == spec.d + m + 2, (spec, m, made)
+            monkeypatch.undo()
 
 
 class TestGeneralSpecs:

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import forbid_fractions
+from conftest import forbid_fractions, make_rng, random_poly
 from dinv import DiffOperator, Polynomial
 from dinv.poly import MAX_RATIONAL_DIGITS, DigitLimitError, json_ratio, parse_rational, rational_text
-from oracles import apply_operator, compose, diff, free_of_leading, integrate, mul, polynomial_from_dict_fraction
+from oracles import apply_at_fraction, apply_operator, compose, diff, free_of_leading, integrate, mul, polynomial_from_dict_fraction
 
 F = Fraction
 
@@ -204,6 +204,27 @@ class TestDiffOperator:
         f = P("x1^4*x2 + 2*x1^2 + x1*x2^3 - 7")
         for point in ((0, 0), (F(0), F(3)), (2, -1)):
             assert DiffOperator(source).apply_at(f, point) == apply_operator(source, f).eval(point)
+
+    def test_equals_the_fraction_oracle(self):
+        """The integer sum against apply_at_fraction, its Fraction body, at
+        points mixing 0, negative integers and non-integers, on zero f and
+        on sources with terms above f's degree."""
+        rng = make_rng(231)
+        above = nonzero = 0
+        for k in range(300):
+            d = rng.randint(1, 3)
+            source = random_poly(rng, d, max_deg=5)
+            f = Polynomial.zero(d) if k % 10 == 0 else random_poly(rng, d, max_deg=4)
+            point = tuple(
+                rng.choice((0, F(0), -rng.randint(1, 5), F(rng.randint(-9, 9), rng.randint(2, 7)), rng.randint(1, 5)))
+                for _ in range(d)
+            )
+            got = DiffOperator(source).apply_at(f, point)
+            assert type(got) is Fraction
+            assert got == apply_at_fraction(source, f, point), (source, f, point)
+            above += max(map(sum, source.numerators)) > f.degree
+            nonzero += got != 0
+        assert above >= 50 and nonzero >= 100
 
     def test_apply_at_errors(self):
         op = DiffOperator(P("x1"))

@@ -1,9 +1,8 @@
 """Polynomial's stored form: integer numerators over one positive scale,
 with the {exponent: Fraction} view made on first read.
 
-Every way of making a polynomial (the public constructor, _trusted
-Fraction results, numerator_polynomial on unreduced scales, parse and
-from_dict) and every vector-space operation is compared with the plain
+Every way of making a polynomial (the public constructor,
+numerator_polynomial on unreduced scales, parse and from_dict) and every vector-space operation is compared with the plain
 Fraction-dict oracle of tests/oracles.py, and every result must hold the
 canonical form: scale > 0, no zero numerator, gcd(scale, numerators) == 1.
 DiffOperator.apply_at, which reads its source's numerators, is compared
@@ -36,16 +35,15 @@ def term_dicts(draw, dim: int) -> dict:
 
 
 def all_ways(terms: dict, dim: int, k: int = 6) -> list[Polynomial]:
-    """The polynomial of terms made five ways: the public constructor (with
-    a zero coefficient to drop and int coefficients where integral), a
-    _trusted Fraction result, numerator_polynomial over k times the least
-    scale (the gcd fold must reduce it), parse and from_dict."""
+    """The polynomial of terms made four ways: the public constructor (with
+    a zero coefficient to drop and int coefficients where integral),
+    numerator_polynomial over k times the least scale (the gcd fold must
+    reduce it), parse and from_dict."""
     scale = k * math.lcm(1, *(c.denominator for c in terms.values()))
     public = {e: int(c) if c.denominator == 1 else c for e, c in terms.items()}
     public.setdefault((0,) * dim, 0)
     return [
         Polynomial(dim, public),
-        Polynomial(dim, dict(terms), _trusted=True),
         numerator_polynomial(dim, scale, {e: int(c * scale) for e, c in terms.items()}),
         Polynomial.parse(dict_render(terms, dim), dim),
         Polynomial.from_dict({"dim": dim, "terms": [{"exp": list(e), "coef": str(c)} for e, c in terms.items()]}),
@@ -54,7 +52,7 @@ def all_ways(terms: dict, dim: int, k: int = 6) -> list[Polynomial]:
 
 @st.composite
 def made(draw, dim: int) -> tuple[dict, Polynomial]:
-    """(oracle terms, the same polynomial made one of the five ways)."""
+    """(oracle terms, the same polynomial made one of the four ways)."""
     terms = draw(term_dicts(dim))
     return terms, draw(st.sampled_from(all_ways(terms, dim, draw(st.integers(1, 36)))))
 
