@@ -31,6 +31,7 @@ import functools
 import json
 import math
 import random
+import re
 import statistics
 import sys
 import time
@@ -46,6 +47,7 @@ from .subspace import (
     TABLE_SHAPE,
     BasisSequence,
     GeneralSpec,
+    MonomialCodes,
     Numerators,
     ParamTable,
     _closed_form_elements,
@@ -169,27 +171,34 @@ def _ratio_text(v: int, scale: int) -> str:
     return str(v // g) if g == scale else f"{v // g}/{scale // g}"
 
 
-def _basis_chunks(d: int, elems: Numerators, pretty: bool) -> Iterator[str]:
-    """The text of the basis (s_k, P_k) in d variables in small pieces;
-    joined, they are json.dumps([p.to_dict() for p in basis], indent=2) +
-    "\n" for a non-empty basis, or one rendered element per line.  The JSON
-    is written for to_dict's fixed shape, an element's terms 256 at a time:
-    few writes, no Fraction, and no element's whole text in memory."""
+def _basis_chunks(codes: MonomialCodes, elems: Numerators, pretty: bool) -> Iterator[str]:
+    """The text of the basis (s_k, P_k), keyed by codes' codes, in small
+    pieces; joined, they are json.dumps([p.to_dict() for p in basis],
+    indent=2) + "\n" for a non-empty basis, or one rendered element per
+    line.  The JSON is written for to_dict's fixed shape, an element's
+    terms 256 at a time: few writes, no Fraction, and no element's whole
+    text in memory.  An element's terms are its codes in descending order,
+    which is to_dict's graded-lex order, and each distinct code's exponent
+    text is made once per call."""
     if pretty:
         for s, p in elems:
-            yield numerator_polynomial(d, s, p).render() + "\n"
+            yield numerator_polynomial(codes, s, p).render() + "\n"
         return
+    texts: dict[int, str] = {}
     yield "["
     for k, (s, p) in enumerate(elems):
-        head = (",\n  {" if k else "\n  {") + f'\n    "dim": {d},\n    "terms": '
+        head = (",\n  {" if k else "\n  {") + f'\n    "dim": {codes.d},\n    "terms": '
         if not p:
             yield head + "[]\n  }"
             continue
-        terms = sorted(p.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        terms = sorted(p.items(), reverse=True)
+        exps = codes.exponents(p.keys())
+        for c in p.keys() - texts.keys():
+            texts[c] = _EXP_SEP.join(map(str, exps[c]))
         yield head + "["
         for start in range(0, len(terms), 256):
             yield ("," if start else "") + ",".join(
-                _TERM_JSON.format(_EXP_SEP.join(map(str, e)), _ratio_text(v, s)) for e, v in terms[start : start + 256]
+                _TERM_JSON.format(texts[c], _ratio_text(v, s)) for c, v in terms[start : start + 256]
             )
         yield "\n    ]\n  }"
     yield "\n]\n"
@@ -302,6 +311,7 @@ def _cmd_basis(args) -> int:
         raise CliError(f"{args.spec}: source 'recursive' needs a spec of table shape ({TABLE_SHAPE})")
     _check_build(args.spec, spec, walks=args.source == "explicit")
     elems = _build_numerators(args.source, spec)
+    codes = MonomialCodes.of(spec.d, spec.top_weight)
     # The text is written as it is made, so a coefficient too long to write
     # is looked for first (no longer than its scale or its numerator): its
     # error must leave no partial output.
@@ -310,14 +320,15 @@ def _cmd_basis(args) -> int:
         too_long = _power_of_ten(limit)
         for s, p in elems:
             if s >= too_long or any(abs(v) >= too_long for v in p.values()):
-                q = numerator_polynomial(spec.d, s, p)
+                q = numerator_polynomial(codes, s, p)
                 (q.render if args.pretty else q.to_dict)()  # raises DigitLimitError on a term too long
-    _emit_chunks(args, _basis_chunks(spec.d, elems, args.pretty))
+    _emit_chunks(args, _basis_chunks(codes, elems, args.pretty))
     return 0
 
 
 def _build_numerators(source: str, spec: GeneralSpec) -> Numerators:
-    """The numerators (s_k, P_k) of B_0..B_top by the builder of --source."""
+    """The numerators (s_k, P_k) of B_0..B_top by the builder of --source,
+    keyed by MonomialCodes(d, top)."""
     if source == "recursive":
         return _recursive_numerators(spec)
     build = _closed_form_elements if source == "explicit" else _generating_elements
@@ -325,8 +336,9 @@ def _build_numerators(source: str, spec: GeneralSpec) -> Numerators:
 
 
 def _same_elements(x: Numerators, y: Numerators) -> bool:
-    """Whether x and y are the same basis: per element, P / s == Q / t
-    termwise, cross-multiplied by t / g and s / g, g = gcd(s, t)."""
+    """Whether x and y, keyed by one MonomialCodes, are the same basis: per
+    element, P / s == Q / t termwise, cross-multiplied by t / g and s / g,
+    g = gcd(s, t)."""
     if len(x) != len(y):
         return False
     for (s, p), (t, q) in zip(x, y):
@@ -417,12 +429,13 @@ def _cmd_verify(args) -> int:
     if args.what == "breadth":
         _check_build(args.spec, spec)
         elems = _build_numerators("general", spec)
-        value = breadth_numerators(spec.d, (p for _, p in elems))
+        codes = MonomialCodes.of(spec.d, spec.top_weight)
+        value = breadth_numerators(codes, (p for _, p in elems))
         ok = value == 1
         report = {
             "what": "breadth",
             "value": value,
-            "degrees": [max(map(sum, p), default=-1) for _, p in elems],
+            "degrees": [codes.degree(max(p)) if p else -1 for _, p in elems],
             "ok": ok,
         }
         _emit(args, json.dumps(report, indent=2) + "\n")
@@ -735,7 +748,7 @@ def _cmd_scan(args) -> int:
             (rec_vs_exp, "explicit != recursive"),
             (gen_vs_rec, "general != recursive"),
             (closure.ok, f"closure violations {closure.violations}"),
-            (breadth_numerators(t.d, (p for _, p in rec)) == 1, "breadth != 1"),
+            (breadth_numerators(MonomialCodes.of(t.d, t.n), (p for _, p in rec)) == 1, "breadth != 1"),
         )
         problems = [msg for passed, msg in checks if not passed]
         if problems:
@@ -873,9 +886,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value, a rational or a point, may start with a minus sign.
+# argparse reads "--z0 -2,5" as --z0 missing its value, then an option, so
+# main passes such a pair on as "--z0=-2,5".  Only a value whose second
+# character is a digit or a point is joined: an option name after the
+# flag is still refused.
+_SIGNED_OPTIONS = frozenset({"--z0", "--h", "--h0"})
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_signed_values(argv: Sequence[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (CliError, DigitLimitError) as exc:

@@ -23,30 +23,121 @@ sorted by weight.  Three independent constructions build the graded bases
     that differentiating in t gives; build_general is kept as its oracle.
 
 Each builder returns integer numerators over one scale per element
-(Numerators), which the exact verifiers, check_closure_numerators and
-breadth_numerators, read as they are.  numerator_basis hands them to
-Polynomial's integer form, reduced by one gcd fold and with no Fraction
-made, so build_* return bases that hold Fractions only once .terms is
-read; check_closure and breadth reach the same cores through _numerators,
-a read of each element's (scale, numerators).  The Fraction builders and
-closure check are kept as test oracles.
+(Numerators), keyed by monomial codes: MonomialCodes(d, top) packs an
+exponent of total degree <= top into one int whose order is graded-lex
+order, so multiplying by x_i is one int addition and a lookup hashes an
+int, not a tuple.  The exact verifiers, check_closure_numerators and
+breadth_numerators, read the codes as they are.  Exponent tuples are made
+only at the Polynomial boundary: numerator_basis unpacks each distinct
+code once and hands the numerators to Polynomial's integer form, reduced
+by one gcd fold and with no Fraction made, so build_* return bases that
+hold Fractions only once .terms is read; check_closure and breadth pack
+each term of their Polynomials and reach the same cores.  The Fraction
+builders and closure check, and the exponent-tuple kernels, are kept as
+test oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property, lru_cache
+from operator import itemgetter, mul, neg
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .linalg import echelon
 from .poly import Exponent, Polynomial, common_denominator, json_array, json_int, json_ratio
 
-# Elements B_k = P_k / s_k as integer numerators: (s_k > 0, {exponent: P_k[e] != 0}).
-Numerators = list[tuple[int, dict[Exponent, int]]]
+# Elements B_0..B_top as integer numerators B_k = P_k / s_k: (s_k > 0,
+# {code: P_k[e] != 0}), each exponent e packed by MonomialCodes(d, top).
+Numerators = list[tuple[int, dict[int, int]]]
+
+
+class MonomialCodes:
+    """The exponents e of total degree <= top in d variables, each packed
+    into one int with base B = top + 1:
+
+        code(e) = sum_i e_i * (B^d + B^(d-1-i)),
+
+    the degree times B^d plus e read as d base-B digits.  So int order is
+    graded-lex order (x1 > x2 > ... > xd), the degree is code // B^d
+    (.high), multiplying by x_i adds units[i], and e_i is
+    code // powers[i] % B.  The constant is 0.  A code is a plain int,
+    past 2^64 once B^d is, and hashes as one; the kernels read the
+    attributes, not the methods, in their loops.
+
+    An instance keeps up to MEMO_LIMIT exponents it has unpacked, and their
+    codes, so a small basis made again unpacks nothing and packing it back
+    is one lookup per term.  The memo only caches a pure function, and a
+    full one is replaced, never emptied, so a mapping handed out stays
+    whole under threads.  MonomialCodes.of(d, top) shares one instance per
+    (d, top), the last 64 asked for, among the kernels."""
+
+    __slots__ = ("d", "base", "high", "powers", "units", "_exps", "_codes")
+
+    MEMO_LIMIT = 4096
+
+    def __init__(self, d: int, top: int):
+        base = top + 1
+        self.d, self.base, self.high = d, base, base**d
+        self.powers = [base ** (d - 1 - i) for i in range(d)]
+        self.units = [self.high + p for p in self.powers]
+        self._exps: dict[int, Exponent] = {}
+        self._codes: dict[Exponent, int] = {}
+
+    @classmethod
+    @lru_cache(maxsize=64)
+    def of(cls, d: int, top: int) -> MonomialCodes:
+        return cls(d, top)
+
+    def pack(self, e: Sequence[int]) -> int:
+        """The code of e; ValueError unless e is d non-negative ints of
+        total degree < B, the exponents among which no two share a code."""
+        if len(e) != self.d or min(e) < 0 or sum(e) >= self.base:
+            raise ValueError(f"exponent {tuple(e)} is not {self.d} non-negative ints of degree < {self.base}")
+        return sum(map(mul, e, self.units))
+
+    def unpack(self, code: int) -> Exponent:
+        """The exponent whose code is code."""
+        base = self.base
+        return tuple([code // p % base for p in self.powers])
+
+    def exponents(self, codes: AbstractSet[int]) -> Mapping[int, Exponent]:
+        """A read-only {code: exponent} holding every one of codes, each
+        unpacked at most once: the memo's codes are not unpacked again, and
+        the memo starts again when it would pass MEMO_LIMIT; more codes than
+        that are unpacked and not kept."""
+        memo = self._exps
+        if memo.keys() >= codes:
+            return memo
+        base, powers = self.base, self.powers
+        if len(codes) > self.MEMO_LIMIT:
+            return {c: tuple([c // p % base for p in powers]) for c in codes}
+        new = codes - memo.keys()
+        if len(memo) + len(new) > self.MEMO_LIMIT:
+            memo, new = {}, codes
+            self._exps, self._codes = memo, {}
+        exps = {c: tuple([c // p % base for p in powers]) for c in new}
+        memo.update(exps)
+        self._codes.update(zip(exps.values(), exps))
+        return memo
+
+    def packed(self, nums: Mapping[Exponent, int]) -> dict[int, int]:
+        """nums keyed by code instead of exponent, unchecked: every degree
+        must be below B.  One lookup per term when the memo holds every
+        exponent, as it does for a basis these codes unpacked."""
+        known = self._codes
+        try:
+            return {known[e]: v for e, v in nums.items()}
+        except KeyError:
+            units = self.units
+            return {sum(map(mul, e, units)): v for e, v in nums.items()}
+
+    def degree(self, code: int) -> int:
+        return code // self.high
 
 
 # What GeneralSpec.a needs to read a spec as a parameter table.
@@ -75,10 +166,13 @@ class GeneralSpec:
     entries: tuple[tuple[int, int, Fraction], ...]
 
     def __init__(self, n: int, d: int, b: Iterable[int], c: Iterable[Iterable[Fraction | int]]):
-        b = tuple(int(v) for v in b)
+        self._store_dense(n, d, tuple(int(v) for v in b), [[Fraction(v) for v in row] for row in c])
+
+    def _store_dense(self, n: int, d: int, b: tuple[int, ...], c: Sequence[Sequence[Fraction | int]]) -> None:
+        """Check that b has length n and c holds d vectors of length n, then
+        keep c's nonzero entries, Fractions or ints, by _store."""
         if len(b) != n:
             raise ValueError(f"b has length {len(b)}, expected {n}")
-        c = tuple(tuple(Fraction(v) for v in row) for row in c)
         if len(c) != d:
             raise ValueError(f"c has {len(c)} vectors, expected {d}")
         for row in c:
@@ -156,7 +250,9 @@ class GeneralSpec:
     @classmethod
     def from_dict(cls, data: Mapping) -> GeneralSpec:
         """Either JSON form: an object with a "b" or "c" key is a general
-        spec, any other a parameter table."""
+        spec, any other a parameter table.  A general spec's c entries are
+        read once, by json_ratio, and only the nonzero ones become
+        Fractions."""
         general = "b" in data or "c" in data
         try:
             n = json_int(data["n"], "n")
@@ -164,7 +260,7 @@ class GeneralSpec:
             if general:
                 b = tuple(json_int(v, "b entry") for v in json_array(data["b"], "b"))
                 rows = json_array(data["c"], "c")
-                c = tuple(tuple(Fraction(*json_ratio(v)) for v in json_array(row, "c row")) for row in rows)
+                c = [[Fraction(p, q) if p else 0 for p, q in map(json_ratio, json_array(row, "c row"))] for row in rows]
             else:
                 a = {}
                 for key, v in data.get("a", {}).items():
@@ -172,7 +268,11 @@ class GeneralSpec:
                     a[(int(i_s), int(j_s))] = Fraction(*json_ratio(v))
         except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed {'general spec' if general else 'parameter table'}: {exc}") from exc
-        return cls(n=n, d=d, b=b, c=c) if general else ParamTable(d=d, n=n, a=a)
+        if not general:
+            return ParamTable(d=d, n=n, a=a)
+        spec = object.__new__(cls)
+        spec._store_dense(n, d, b, c)
+        return spec
 
 
 def ParamTable(d: int, n: int, a: Mapping[tuple[int, int], Fraction | int]) -> GeneralSpec:
@@ -257,45 +357,49 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
     compositions.count_compositions(top, weights of the nonzero slots).
     The walk carries the prefix products down: prod n_ij^g_ij (c_ij =
     n_ij / D, D the lcm of the denominators of c), prod g_ij!, the
-    exponent vector and G = sum g.  With m! * D^m * B_m integral, each
-    node adds the integer prod n^g * D^(m-G) * (m! // prod g!) to element
-    m, and B_m is that sum over the scale m! * D^m."""
-    d = spec.d
+    monomial's code (MonomialCodes(d, top)) and G = sum g.  With
+    m! * D^m * B_m integral, each node adds the integer
+    prod n^g * D^(m-G) * (m! // prod g!) to element m, and B_m is that sum
+    over the scale m! * D^m."""
+    units = MonomialCodes.of(spec.d, top).units
     den, slots = spec.slots
     # Running products: top + 1 separate powers would cost O(top^2) digits.
     fact = list(itertools.accumulate(range(1, top + 1), mul, initial=1))
     den_pow = list(itertools.accumulate([den] * top, mul, initial=1))
-    elems: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
+    elems: list[dict[int, int]] = [{} for _ in range(top + 1)]
 
-    def walk(start: int, m: int, total: int, prod_n: int, prod_fact: int, e: tuple[int, ...]) -> None:
+    def walk(start: int, m: int, total: int, prod_n: int, prod_fact: int, code: int) -> None:
         terms = elems[m]
-        terms[e] = terms.get(e, 0) + prod_n * den_pow[m - total] * (fact[m] // prod_fact)
+        terms[code] = terms.get(code, 0) + prod_n * den_pow[m - total] * (fact[m] // prod_fact)
         for k in range(start, len(slots)):
             bj, i, n_ij = slots[k]
             if m + bj > top:
                 break
-            w, g, p_n, p_f, ex = m, 0, prod_n, prod_fact, e
+            w, g, p_n, p_f, c, u = m, 0, prod_n, prod_fact, code, units[i]
             while w + bj <= top:
                 w, g = w + bj, g + 1
-                p_n, p_f = p_n * n_ij, p_f * g
-                ex = ex[:i] + (ex[i] + 1,) + ex[i + 1:]
-                walk(k + 1, w, total + g, p_n, p_f, ex)
+                p_n, p_f, c = p_n * n_ij, p_f * g, c + u
+                walk(k + 1, w, total + g, p_n, p_f, c)
 
-    walk(0, 0, 0, 1, 1, (0,) * d)
+    walk(0, 0, 0, 1, 1, 0)
     # A sum that cancelled to 0 keeps its key; the scan for one is cheap.
     elems = [p if 0 not in p.values() else {e: v for e, v in p.items() if v} for p in elems]
     return [(fact[m] * den_pow[m], terms) for m, terms in enumerate(elems)]
 
 
-def numerator_polynomial(d: int, scale: int, nums: Mapping[Exponent, int]) -> Polynomial:
-    """nums / scale in d variables (nonzero nums, scale > 0) as Polynomial's
-    integer form, reduced by one gcd fold: no Fraction is made."""
-    return Polynomial(d, nums, _scale=scale)
+def numerator_polynomial(codes: MonomialCodes, scale: int, nums: Mapping[int, int]) -> Polynomial:
+    """nums / scale (nonzero nums keyed by codes' codes, scale > 0) as
+    Polynomial's integer form, reduced by one gcd fold: no Fraction is
+    made."""
+    exps = codes.exponents(nums.keys())
+    return Polynomial(codes.d, {exps[c]: v for c, v in nums.items()}, _scale=scale)
 
 
-def numerator_basis(d: int, elems: Numerators) -> BasisSequence:
-    """The BasisSequence of a builder's numerators."""
-    return BasisSequence(tuple(numerator_polynomial(d, s, p) for s, p in elems))
+def numerator_basis(codes: MonomialCodes, elems: Numerators) -> BasisSequence:
+    """The BasisSequence of a builder's numerators, each distinct code
+    unpacked once."""
+    d, exps = codes.d, codes.exponents(set().union(*(p for _, p in elems)))
+    return BasisSequence(tuple(Polynomial(d, {exps[c]: v for c, v in p.items()}, _scale=s) for s, p in elems))
 
 
 def build_general(spec: GeneralSpec) -> BasisSequence:
@@ -303,7 +407,8 @@ def build_general(spec: GeneralSpec) -> BasisSequence:
     (_closed_form_elements on the spec's weights).  It is the oracle for
     build_generating, which builds the same basis by recurrence, and, as
     build_explicit, for build_recursive on a table."""
-    return numerator_basis(spec.d, _closed_form_elements(spec, spec.top_weight))
+    top = spec.top_weight
+    return numerator_basis(MonomialCodes.of(spec.d, top), _closed_form_elements(spec, top))
 
 
 # The closed form of a table: element k sums over all (g, {g[s,j]}) with
@@ -328,22 +433,22 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
         E_m = sum_{j: b_j <= m} b_j * ff(m-1, b_j-1) * D^(b_j-1) * N_j(x) * E_{m - b_j},
 
     ff(m-1, b_j-1) = (m-1)! / (m-b_j)!, and B_m is E_m over the scale
-    m! * D^m."""
-    d = spec.d
+    m! * D^m.  Multiplying by x_i adds its unit to a code."""
+    units = MonomialCodes.of(spec.d, top).units
     den, slots = spec.slots
-    # (b_j, [(i, n_ij) for n_ij != 0]) per weight with a nonzero N_j.
-    forms = [(bj, [(i, n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
-    elems: Numerators = [(1, {(0,) * d: 1})]
+    # (b_j, [(unit of x_i, n_ij) for n_ij != 0]) per weight with a nonzero N_j.
+    forms = [(bj, [(units[i], n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
+    elems: Numerators = [(1, {0: 1})]
     for m in range(1, top + 1):
-        acc: dict[tuple[int, ...], int] = {}
+        acc: dict[int, int] = {}
         for bj, form in forms:
             if bj > m:
                 break
             k = bj * math.perm(m - 1, bj - 1) * den ** (bj - 1)
-            scaled = [(i, k * w) for i, w in form]
+            scaled = [(u, k * w) for u, w in form]
             for e, coef in elems[m - bj][1].items():
-                for i, w in scaled:
-                    key = e[:i] + (e[i] + 1,) + e[i + 1:]
+                for u, w in scaled:
+                    key = e + u
                     acc[key] = acc.get(key, 0) + w * coef
         elems.append((elems[-1][0] * m * den, {e: v for e, v in acc.items() if v}))
     return elems
@@ -353,7 +458,8 @@ def build_generating(spec: GeneralSpec) -> BasisSequence:
     """The basis by the generating recurrence over the spec's weights
     (b, c).  Equal termwise to build_general, which enumerates the
     same coefficients as a sum over weighted compositions."""
-    return numerator_basis(spec.d, _generating_elements(spec, spec.top_weight))
+    top = spec.top_weight
+    return numerator_basis(MonomialCodes.of(spec.d, top), _generating_elements(spec, top))
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -367,19 +473,24 @@ def _exact_div(a: int, b: int) -> int:
 def _recursive_numerators(params: GeneralSpec) -> Numerators:
     """(S_k, P_k) with B_k = P_k / S_k for k = 0..n, by the recursion of
     build_recursive on integers.  S_k > 0 has no factor common to all of
-    P_k's integer numerators, so S_k is the lcm of B_k's denominators."""
+    P_k's integer numerators, so S_k is the lcm of B_k's denominators.
+    The numerators are keyed by MonomialCodes(d, n)."""
     d, n = params.d, params.n
     den, slots = params.slots
     num = {(i, j): n_ij for i, j, n_ij in slots[1:]}  # a[i, j + 1] = num[i, j] / den
-    units = [tuple(int(t == v) for t in range(d)) for v in range(d)]
-    elems = [(1, {(0,) * d: 1}), (1, {units[0]: 1})]
+    codes = MonomialCodes.of(d, n)
+    base, high, powers, units = codes.base, codes.high, codes.powers, codes.units
+    rising = powers[::-1]  # B^0, ..., B^(d-1)
+    elems = [(1, {0: 1}), (1, {units[0]: 1})]
 
-    def by_lead(p: dict[tuple[int, ...], int]) -> list[list[tuple[tuple[int, ...], int]]]:
-        """The (e, v) of p in buckets by the index of e's first nonzero
-        exponent (d for the constant): the part free of x1..x_j is [j:]."""
-        buckets: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(d + 1)]
+    def by_lead(p: dict[int, int]) -> list[list[tuple[int, int]]]:
+        """The (code, v) of p in buckets by the index of the first nonzero
+        exponent (d for the constant): the part free of x1..x_j is [j:].
+        That index is d less the number of powers B^k at most e's digits,
+        code % B^d."""
+        buckets: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
         for e, v in p.items():
-            buckets[next((z for z in range(d) if e[z]), d)].append((e, v))
+            buckets[d - bisect_right(rising, e % high)].append((e, v))
         return buckets
 
     leads = [by_lead(p) for _, p in elems]
@@ -393,8 +504,10 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
         # e_j + 1 <= k for every term, so each lcm_k / (e_j + 1) is exact.
         inv = [0] + [_exact_div(lcm_k, t) for t in range(1, k + 1)]
         c = _exact_div(scale, s_prev)
-        acc = {(e[0] + 1,) + e[1:]: c * inv[e[0] + 1] * v for e, v in p_prev.items()}
+        u, p = units[0], powers[0]
+        acc = {e + u: c * inv[e // p % base + 1] * v for e, v in p_prev.items()}
         for j in range(1, d):
+            u, p = units[j], powers[j]
             for i in range(2, k):
                 n_ij = num.get((i, j))
                 if not n_ij:
@@ -403,9 +516,8 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
                 coef = [c * q for q in inv]
                 for bucket in leads[k - i][j:]:
                     for e, v in bucket:
-                        t = e[j] + 1
-                        key = e[:j] + (t,) + e[j + 1:]
-                        acc[key] = acc.get(key, 0) + coef[t] * v
+                        key = e + u
+                        acc[key] = acc.get(key, 0) + coef[e // p % base + 1] * v
         lin = _exact_div(scale, den) * lcm_k
         for j in range(1, d):
             n_kj = num.get((k, j))
@@ -449,7 +561,7 @@ def build_recursive(params: GeneralSpec) -> BasisSequence:
     table shape (.a is not None)."""
     if params.a is None:
         raise ValueError(f"the recursion needs a spec of table shape ({TABLE_SHAPE})")
-    return numerator_basis(params.d, _recursive_numerators(params))
+    return numerator_basis(MonomialCodes.of(params.d, params.n), _recursive_numerators(params))
 
 
 def specialize(spec: GeneralSpec) -> GeneralSpec:
@@ -471,20 +583,17 @@ class ClosureReport:
         return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
 
 
-def _numerators(p: Polynomial) -> tuple[int, dict[Exponent, int]]:
-    """(s, P) with p = P / s, s the lcm of p's denominators."""
-    return p.scale, p.numerators
-
-
 def check_closure(basis: BasisSequence, spec: GeneralSpec) -> ClosureReport:
-    """check_closure_numerators on the basis's integer numerators; ValueError
+    """check_closure_numerators on the basis's integer numerators, packed by
+    MonomialCodes(d, b_n) (element k has degree k <= b_n); ValueError
     unless it has b_n + 1 elements in the spec's d variables."""
     top, d = spec.top_weight, spec.d
     if len(basis) != top + 1:
         raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")
     if basis.dim != d:
         raise ValueError(f"basis has dimension {basis.dim}, the spec needs {d}")
-    return check_closure_numerators([_numerators(p) for p in basis], spec)
+    codes = MonomialCodes.of(d, top)
+    return check_closure_numerators([(p.scale, codes.packed(p.numerators)) for p in basis], spec)
 
 
 def check_closure_numerators(elems: Numerators, spec: GeneralSpec) -> ClosureReport:
@@ -496,29 +605,34 @@ def check_closure_numerators(elems: Numerators, spec: GeneralSpec) -> ClosureRep
 
     for every m >= 1 and every variable i, read from the spec's weights.
     elems holds B_0..B_{b_n} in the spec's d variables as B_k = P_k / s_k,
-    s_k any positive scale (m! * D^m as well as the lcm of denominators).
+    s_k any positive scale (m! * D^m as well as the lcm of denominators),
+    P_k keyed by MonomialCodes(d, b_n).
 
     Checked on integers: with c_ij = n_ij / D, both sides of each identity
     are multiplied by L = lcm(s_m, D * s_{m-b_j} over its slots), and (m, i)
     is a violation iff L/s_m * d(P_m)/dx_i differs from
-    sum_j n_ij * L/(D * s_{m-b_j}) * P_{m-b_j}.
+    sum_j n_ij * L/(D * s_{m-b_j}) * P_{m-b_j}.  d/dx_i reads e_i from a
+    code's digit and subtracts x_i's unit.
     """
-    d, (den, slots) = spec.d, spec.slots
+    d, (den, slots), top = spec.d, spec.slots, spec.top_weight
+    codes = MonomialCodes.of(d, top)
+    base, powers, units = codes.base, codes.powers, codes.units
     by_var = [[(bj, n_ij) for bj, v, n_ij in slots if v == i] for i in range(d)]
     bad: list[tuple[int, int]] = []
-    for m in range(1, spec.top_weight + 1):
+    for m in range(1, top + 1):
         s_m, p_m = elems[m]
         for i in range(d):
             terms = [(n_ij, *elems[m - bj]) for bj, n_ij in by_var[i] if bj <= m]
             scale = s_m
             for _, s, _ in terms:
                 scale = math.lcm(scale, den * s)
-            acc: dict[tuple[int, ...], int] = {}
+            acc: dict[int, int] = {}
             k = scale // s_m
+            u, p = units[i], powers[i]
             for e, v in p_m.items():
-                ei = e[i]
+                ei = e // p % base
                 if ei:
-                    acc[e[:i] + (ei - 1,) + e[i + 1:]] = k * ei * v
+                    acc[e - u] = k * ei * v
             for n_ij, s, p in terms:
                 k = n_ij * (scale // (den * s))
                 for e, v in p.items():
@@ -529,43 +643,47 @@ def check_closure_numerators(elems: Numerators, spec: GeneralSpec) -> ClosureRep
 
 
 def breadth(basis: Sequence[Polynomial]) -> int:
-    """breadth_numerators on the elements' integer numerators; ValueError on
-    an empty basis or on elements of different dimensions."""
+    """breadth_numerators on the elements' integer numerators, packed by
+    MonomialCodes(dim, the largest degree); ValueError on an empty basis or
+    on elements of different dimensions."""
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
     dim = basis[0].dim
     if any(q.dim != dim for q in basis):
         raise ValueError("basis elements must share one dimension")
-    return breadth_numerators(dim, (q.numerators for q in basis))
+    codes = MonomialCodes.of(dim, max(0, *(q.degree for q in basis)))
+    return breadth_numerators(codes, (codes.packed(q.numerators) for q in basis))
 
 
-def breadth_numerators(dim: int, rows: Iterable[Mapping[Exponent, int]]) -> int:
+def breadth_numerators(codes: MonomialCodes, rows: Iterable[Mapping[int, int]]) -> int:
     """Number of independent linear (degree-exactly-1) directions in the
-    span of the rows, each an element's integer numerators in dim variables
-    (a positive multiple of it, with no zero entry):
+    span of the rows, each an element's integer numerators keyed by codes'
+    codes (a positive multiple of it, with no zero entry):
     dim(span intersect {degree <= 1}) - 1.
 
     Requires the constant 1 to lie in the span (every derivative-closed
     space containing a nonzero element has it); raises ValueError if not.
 
     The leads are those of linalg.echelon with the monomials in descending
-    total degree.  A row with a lead of degree <= 1 vanishes in degree >= 2,
-    and the rows with leads of degree >= 2 stay independent there, so the
-    leads of degree <= 1 count the dimension of the span's part of
-    degree <= 1.  1 lies in the span iff the constant, the last monomial, is
-    a lead.  Rows with distinct leads, as a graded basis has (one per
-    degree), are echelon's leads with no reduction step: then no row is
-    eliminated, nor made primitive by gcds that would decide nothing.
+    code order, which is descending total degree.  A row with a lead of
+    degree <= 1 vanishes in degree >= 2, and the rows with leads of
+    degree >= 2 stay independent there, so the leads of degree <= 1 count
+    the dimension of the span's part of degree <= 1 (any tie-break within
+    a degree gives that count).  1 lies in the span iff the constant, code
+    0 and the last monomial, is a lead.  Rows with distinct leads, as a
+    graded basis has (one per degree), are echelon's leads with no
+    reduction step: then no row is eliminated, nor made primitive by gcds
+    that would decide nothing.
     """
-    key = lambda e: (-sum(e), e)
     rows = [row for row in rows if row]
-    leads = {min(row, key=key) for row in rows}
+    leads = {max(row) for row in rows}
     if len(leads) < len(rows):
-        leads = echelon(rows, key=key)
-    if (0,) * dim not in leads:
+        leads = echelon(rows, key=neg)
+    if 0 not in leads:
         raise ValueError("span does not contain the constant 1")
-    return sum(1 for e in leads if sum(e) <= 1) - 1
+    linear = 2 * codes.high  # the codes of degree <= 1 are those below it
+    return sum(1 for c in leads if c < linear) - 1
 
 
 def degrees(basis: Iterable[Polynomial]) -> tuple[int, ...]:

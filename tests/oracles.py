@@ -24,19 +24,29 @@ The dict_* functions are the polynomial vector space on plain
 {exponent: Fraction} dicts with no zero value, the reference for
 Polynomial's integer form: sum, scalar multiple, value at a point and
 text.
+
+The *_tuple functions are subspace's integer kernels (the three
+builders, the closure identity and breadth) on numerators keyed by
+exponent tuples, where the library keys them by monomial codes
+(subspace.MonomialCodes).  packed and unpacked carry a builder's
+numerators between the two keys.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from dinv.discretize import SymbolicPointSet, stencil
 from dinv.linalg import echelon
+from operator import itemgetter
+
 from dinv.poly import Polynomial, _derivative_factor, common_denominator, json_array, json_int, parse_rational
-from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec
+from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec, MonomialCodes, _exact_div
 
 
 def diff(p: Polynomial, j: int) -> Polynomial:
@@ -531,3 +541,162 @@ def build_recursive_fraction(params: GeneralSpec) -> BasisSequence:
                 v = v + coef * Polynomial.variable(d, j)
         elems.append(v)
     return BasisSequence(tuple(elems[: n + 1]))
+
+
+TupleNumerators = list[tuple[int, dict[tuple[int, ...], int]]]
+
+
+def packed(codes: MonomialCodes, elems: TupleNumerators) -> list[tuple[int, dict[int, int]]]:
+    """elems with each exponent tuple replaced by its code."""
+    return [(s, {codes.pack(e): v for e, v in p.items()}) for s, p in elems]
+
+
+def unpacked(codes: MonomialCodes, elems) -> TupleNumerators:
+    """elems with each code replaced by its exponent tuple."""
+    return [(s, {codes.unpack(c): v for c, v in p.items()}) for s, p in elems]
+
+
+def closed_form_elements_tuple(spec: GeneralSpec, top: int) -> TupleNumerators:
+    """subspace._closed_form_elements on exponent tuples: the depth-first
+    walk over the count vectors g on the nonzero slots, each node adding
+    prod n^g * D^(m-G) * (m! // prod g!) to element m, over m! * D^m."""
+    d = spec.d
+    den, slots = spec.slots
+    fact = list(itertools.accumulate(range(1, top + 1), operator.mul, initial=1))
+    den_pow = list(itertools.accumulate([den] * top, operator.mul, initial=1))
+    elems: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
+
+    def walk(start: int, m: int, total: int, prod_n: int, prod_fact: int, e: tuple[int, ...]) -> None:
+        terms = elems[m]
+        terms[e] = terms.get(e, 0) + prod_n * den_pow[m - total] * (fact[m] // prod_fact)
+        for k in range(start, len(slots)):
+            bj, i, n_ij = slots[k]
+            if m + bj > top:
+                break
+            w, g, p_n, p_f, ex = m, 0, prod_n, prod_fact, e
+            while w + bj <= top:
+                w, g = w + bj, g + 1
+                p_n, p_f = p_n * n_ij, p_f * g
+                ex = ex[:i] + (ex[i] + 1,) + ex[i + 1:]
+                walk(k + 1, w, total + g, p_n, p_f, ex)
+
+    walk(0, 0, 0, 1, 1, (0,) * d)
+    elems = [{e: v for e, v in p.items() if v} for p in elems]
+    return [(fact[m] * den_pow[m], terms) for m, terms in enumerate(elems)]
+
+
+def generating_elements_tuple(spec: GeneralSpec, top: int) -> TupleNumerators:
+    """subspace._generating_elements on exponent tuples:
+    E_m = sum_j b_j * ff(m-1, b_j-1) * D^(b_j-1) * N_j(x) * E_{m - b_j},
+    over the scale m! * D^m."""
+    d = spec.d
+    den, slots = spec.slots
+    forms = [(bj, [(i, n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
+    elems: TupleNumerators = [(1, {(0,) * d: 1})]
+    for m in range(1, top + 1):
+        acc: dict[tuple[int, ...], int] = {}
+        for bj, form in forms:
+            if bj > m:
+                break
+            k = bj * math.perm(m - 1, bj - 1) * den ** (bj - 1)
+            scaled = [(i, k * w) for i, w in form]
+            for e, coef in elems[m - bj][1].items():
+                for i, w in scaled:
+                    key = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    acc[key] = acc.get(key, 0) + w * coef
+        elems.append((elems[-1][0] * m * den, {e: v for e, v in acc.items() if v}))
+    return elems
+
+
+def recursive_numerators_tuple(params: GeneralSpec) -> TupleNumerators:
+    """subspace._recursive_numerators on exponent tuples: (S_k, P_k) with
+    B_k = P_k / S_k, S_k the lcm of B_k's denominators."""
+    d, n = params.d, params.n
+    den, slots = params.slots
+    num = {(i, j): n_ij for i, j, n_ij in slots[1:]}
+    units = [tuple(int(t == v) for t in range(d)) for v in range(d)]
+    elems = [(1, {(0,) * d: 1}), (1, {units[0]: 1})]
+
+    def by_lead(p):
+        buckets = [[] for _ in range(d + 1)]
+        for e, v in p.items():
+            buckets[next((z for z in range(d) if e[z]), d)].append((e, v))
+        return buckets
+
+    leads = [by_lead(p) for _, p in elems]
+    lcm_k = 1
+    for k in range(2, n + 1):
+        s_prev, p_prev = elems[k - 1]
+        scale = math.lcm(s_prev, den)
+        for i in range(2, k):
+            scale = math.lcm(scale, den * elems[k - i][0])
+        lcm_k = math.lcm(lcm_k, k)
+        inv = [0] + [_exact_div(lcm_k, t) for t in range(1, k + 1)]
+        c = _exact_div(scale, s_prev)
+        acc = {(e[0] + 1,) + e[1:]: c * inv[e[0] + 1] * v for e, v in p_prev.items()}
+        for j in range(1, d):
+            for i in range(2, k):
+                n_ij = num.get((i, j))
+                if not n_ij:
+                    continue
+                c = n_ij * _exact_div(scale, den * elems[k - i][0])
+                coef = [c * q for q in inv]
+                for bucket in leads[k - i][j:]:
+                    for e, v in bucket:
+                        t = e[j] + 1
+                        key = e[:j] + (t,) + e[j + 1:]
+                        acc[key] = acc.get(key, 0) + coef[t] * v
+        lin = _exact_div(scale, den) * lcm_k
+        for j in range(1, d):
+            n_kj = num.get((k, j))
+            if n_kj:
+                acc[units[j]] = acc.get(units[j], 0) + n_kj * lin
+        s_k = scale * lcm_k
+        g = math.gcd(s_k, *acc.values())
+        p_k = {e: v // g for e, v in acc.items() if v}
+        elems.append((s_k // g, p_k))
+        leads.append(by_lead(p_k))
+    return elems[: n + 1]
+
+
+def check_closure_numerators_tuple(elems: TupleNumerators, spec: GeneralSpec) -> ClosureReport:
+    """subspace.check_closure_numerators on exponent tuples: (m, i) is a
+    violation iff L/s_m * d(P_m)/dx_i differs from
+    sum_j n_ij * L/(D * s_{m-b_j}) * P_{m-b_j}."""
+    d, (den, slots) = spec.d, spec.slots
+    by_var = [[(bj, n_ij) for bj, v, n_ij in slots if v == i] for i in range(d)]
+    bad: list[tuple[int, int]] = []
+    for m in range(1, spec.top_weight + 1):
+        s_m, p_m = elems[m]
+        for i in range(d):
+            terms = [(n_ij, *elems[m - bj]) for bj, n_ij in by_var[i] if bj <= m]
+            scale = s_m
+            for _, s, _ in terms:
+                scale = math.lcm(scale, den * s)
+            acc: dict[tuple[int, ...], int] = {}
+            k = scale // s_m
+            for e, v in p_m.items():
+                ei = e[i]
+                if ei:
+                    acc[e[:i] + (ei - 1,) + e[i + 1:]] = k * ei * v
+            for n_ij, s, p in terms:
+                k = n_ij * (scale // (den * s))
+                for e, v in p.items():
+                    acc[e] = acc.get(e, 0) - k * v
+            if any(acc.values()):
+                bad.append((m, i + 1))
+    return ClosureReport(ok=not bad, violations=tuple(bad))
+
+
+def breadth_numerators_tuple(dim: int, rows) -> int:
+    """subspace.breadth_numerators on exponent tuples: the leads of
+    linalg.echelon with the monomials in descending total degree, then
+    lexicographically, counted in degree <= 1, minus 1."""
+    key = lambda e: (-sum(e), e)
+    rows = [row for row in rows if row]
+    leads = {min(row, key=key) for row in rows}
+    if len(leads) < len(rows):
+        leads = echelon(rows, key=key)
+    if (0,) * dim not in leads:
+        raise ValueError("span does not contain the constant 1")
+    return sum(1 for e in leads if sum(e) <= 1) - 1

@@ -29,7 +29,7 @@ import dinv.subspace
 from dinv import BasisSequence, ClosureReport, Polynomial
 from dinv.cli import main
 from dinv.poly import MAX_RATIONAL_DIGITS, parse_rational
-from dinv.subspace import _numerators
+from dinv.subspace import MonomialCodes
 from conftest import make_rng, random_general_spec, random_param_table, random_poly, rational, seeded_specs
 from oracles import build_general_fraction
 
@@ -48,6 +48,11 @@ NUMERATOR_BUILDERS = ("_recursive_numerators", "_closed_form_elements", "_genera
 
 def P(text, dim=2):
     return Polynomial.parse(text, dim)
+
+
+def _numerators(codes: MonomialCodes, p: Polynomial) -> tuple[int, dict[int, int]]:
+    """(s, P) with p = P / s, s the lcm of p's denominators, P keyed by codes."""
+    return p.scale, {codes.pack(e): v for e, v in p.numerators.items()}
 
 
 def _full_table(d: int, n: int) -> dict:
@@ -138,12 +143,13 @@ class TestBasis:
             elements.append(Polynomial(d, terms))
         elements.append(Polynomial(d, {(0,) * d: Fraction(-123456789, 1000)}))
         expect = json.dumps([p.to_dict() for p in elements], indent=2) + "\n"
+        codes = MonomialCodes(d, max(p.degree for p in elements))
         for k in (1, rng.randint(2, 10**30)):
-            elems = [(s * k, {e: v * k for e, v in p.items()}) for s, p in map(_numerators, elements)]
-            assert "".join(dinv.cli._basis_chunks(d, elems, False)) == expect
-            assert "".join(dinv.cli._basis_chunks(d, elems, True)) == "".join(p.render() + "\n" for p in elements)
-        one = [_numerators(elements[0])]
-        assert "".join(dinv.cli._basis_chunks(d, one, False)) == json.dumps([elements[0].to_dict()], indent=2) + "\n"
+            elems = [(s * k, {e: v * k for e, v in p.items()}) for s, p in (_numerators(codes, q) for q in elements)]
+            assert "".join(dinv.cli._basis_chunks(codes, elems, False)) == expect
+            assert "".join(dinv.cli._basis_chunks(codes, elems, True)) == "".join(p.render() + "\n" for p in elements)
+        one = [_numerators(codes, elements[0])]
+        assert "".join(dinv.cli._basis_chunks(codes, one, False)) == json.dumps([elements[0].to_dict()], indent=2) + "\n"
 
     def test_integer_writer_matches_fraction_text(self):
         # Every source's numerators, written by the integer writer, against
@@ -153,16 +159,18 @@ class TestBasis:
         for spec in seeded_specs(make_rng(170), 40):
             oracle = build_general_fraction(spec)
             expect = json.dumps([p.to_dict() for p in oracle], indent=2) + "\n"
+            codes = MonomialCodes(spec.d, spec.top_weight)
             for source in [s for s in SOURCES if spec.a is not None or s != "recursive"]:
                 elems = dinv.cli._build_numerators(source, spec)
-                assert "".join(dinv.cli._basis_chunks(spec.d, elems, False)) == expect
-                assert "".join(dinv.cli._basis_chunks(spec.d, elems, True)) == "".join(p.render() + "\n" for p in oracle)
+                assert "".join(dinv.cli._basis_chunks(codes, elems, False)) == expect
+                assert "".join(dinv.cli._basis_chunks(codes, elems, True)) == "".join(p.render() + "\n" for p in oracle)
                 written.add(source)
         assert written == set(SOURCES)
 
     def test_writer_batches_an_element_256_terms_at_a_time(self):
         big = Polynomial(1, {(k,): Fraction(-k - 1, 7) for k in range(600)})
-        pieces = list(dinv.cli._basis_chunks(1, [_numerators(Polynomial.constant(1, 1)), _numerators(big)], False))
+        codes = MonomialCodes(1, big.degree)
+        pieces = list(dinv.cli._basis_chunks(codes, [_numerators(codes, Polynomial.constant(1, 1)), _numerators(codes, big)], False))
         assert max(piece.count('"coef"') for piece in pieces) == 256
         assert sum(piece.count('"coef"') for piece in pieces) == 601
 
@@ -339,7 +347,7 @@ class TestVerify:
         def wrong(spec, top):
             elems = right(spec, top)
             s, p = elems[-1]
-            x1 = (1,) + (0,) * (spec.d - 1)
+            x1 = MonomialCodes(spec.d, top).units[0]
             return elems[:-1] + [(s, {**p, x1: p.get(x1, 0) + s})]
 
         monkeypatch.setattr(dinv.cli, elements, wrong)
@@ -928,6 +936,65 @@ class TestPoints:
             f"{sys.get_int_max_str_digits()} for writing an integer as text (sys.get_int_max_str_digits())\n"
         )
         assert captured.out == ""
+
+
+class TestSignedValues:
+    """--z0, --h and --h0 take a value that starts with a minus sign, with
+    or without "=", and still refuse an option name in its place."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("points", "--z0", "-2/3,5/7"),
+            ("points", "--z0", "-2,5"),
+            ("points", "--h", "-7/5"),
+            ("limit", "--z0", "-2/3,5/7"),
+            ("limit", "--z0", "-2,5"),
+            ("sweep", "--z0", "-2,5"),
+            ("study", "--z0", "-2/3,5/7"),
+        ],
+    )
+    def test_negative_value_either_form(self, command, flag, value, spec_file, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("x1^3 + x1*x2 - x2^2 + 1")
+        argv = {
+            "points": ["points", "--scheme", "b", "--spec", spec_file],
+            "limit": ["limit", "--m", "3", "--scheme", "a", "--spec", spec_file, "--f", str(f)],
+            "sweep": ["sweep", "--m", "2", "--scheme", "a", "--steps", "3", "--spec", spec_file, "--f", str(f)],
+            "study": ["study", "--steps", "3", "--out-dir", str(tmp_path / "out")],
+        }[command]
+        outputs = []
+        for pair in ([flag, value], [f"{flag}={value}"]):
+            assert main([*argv, *pair]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+    def test_the_values_are_read(self, spec_file, capsys):
+        assert main(["points", "--scheme", "a", "--spec", spec_file, "--z0", "-2/3,5/7", "--h", "0"]) == 0
+        assert json.loads(capsys.readouterr().out) == [["-2/3", "5/7"]] * 5
+        assert main(["points", "--scheme", "b", "--spec", spec_file, "--z0", "-2,5", "--h", "-7/5", "--pretty"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["(-2, 5)", "(-17/5, 5)"]
+
+    @pytest.mark.parametrize("command", ["sweep", "study"])
+    def test_negative_h0_is_refused_by_the_sweep(self, command, spec_file, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("x1^2")
+        argv = {
+            "sweep": ["sweep", "--m", "1", "--scheme", "a", "--spec", spec_file, "--f", str(f)],
+            "study": ["study", "--out-dir", str(tmp_path / "out")],
+        }[command]
+        errors = []
+        for pair in (["--h0", "-1/4"], ["--h0=-1/4"]):
+            assert main([*argv, *pair]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "error: h0 must be positive, got -0.25\n"
+
+    @pytest.mark.parametrize("follower", ["--h", "--out", "-h"])
+    def test_an_option_name_is_still_refused(self, follower, spec_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["points", "--scheme", "a", "--spec", spec_file, "--z0", follower, "1"])
+        assert exc.value.code == 2
+        assert "argument --z0: expected one argument" in capsys.readouterr().err
 
 
 class TestLimitAndSweep:
@@ -1615,8 +1682,8 @@ class TestScan:
     @pytest.mark.parametrize(
         "name, wrong, problem",
         [
-            ("_closed_form_elements", lambda spec, top: [(1, {(0,) * spec.d: 1})], "explicit != recursive"),
-            ("_generating_elements", lambda spec, top: [(1, {(0,) * spec.d: 1})], "general != recursive"),
+            ("_closed_form_elements", lambda spec, top: [(1, {0: 1})], "explicit != recursive"),
+            ("_generating_elements", lambda spec, top: [(1, {0: 1})], "general != recursive"),
             ("check_closure_numerators", lambda elems, spec: ClosureReport(ok=False, violations=((2, 2),)),
              "closure violations ((2, 2),)"),
             ("breadth_numerators", lambda dim, rows: 2, "breadth != 1"),

@@ -22,7 +22,7 @@ from dinv import (
     sweep,
     sweep_to_csv,
 )
-from dinv.subspace import numerator_basis
+from dinv.subspace import MonomialCodes, numerator_basis
 from oracles import apply_operator, compose, series_fraction
 
 F = Fraction
@@ -278,7 +278,7 @@ class TestTruncatedExpansion:
                 report = expansion_check(f, z0, m, pts)
                 ((top, built),) = seen
                 assert top == m and len(built) == m + 1
-                assert numerator_basis(t.d, built).elements == full.elements[: m + 1]
+                assert numerator_basis(MonomialCodes(t.d, m), built).elements == full.elements[: m + 1]
                 assert report.target == apply_operator(full[m], f).eval(z0)
 
     def test_check_never_composes(self, monkeypatch):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import forbid_fractions, make_rng, seeded_specs
 from dinv import DiffOperator, Polynomial, build_general, build_generating, build_recursive
-from dinv.subspace import numerator_polynomial
+from dinv.subspace import MonomialCodes, numerator_polynomial
 from oracles import apply_operator, dict_add, dict_eval, dict_render, dict_scaled
 
 F = Fraction
@@ -42,9 +42,10 @@ def all_ways(terms: dict, dim: int, k: int = 6) -> list[Polynomial]:
     scale = k * math.lcm(1, *(c.denominator for c in terms.values()))
     public = {e: int(c) if c.denominator == 1 else c for e, c in terms.items()}
     public.setdefault((0,) * dim, 0)
+    codes = MonomialCodes(dim, max(map(sum, terms), default=0))
     return [
         Polynomial(dim, public),
-        numerator_polynomial(dim, scale, {e: int(c * scale) for e, c in terms.items()}),
+        numerator_polynomial(codes, scale, {codes.pack(e): int(c * scale) for e, c in terms.items()}),
         Polynomial.parse(dict_render(terms, dim), dim),
         Polynomial.from_dict({"dim": dim, "terms": [{"exp": list(e), "coef": str(c)} for e, c in terms.items()]}),
     ]
@@ -129,13 +130,14 @@ def test_apply_at_reads_either_form_of_its_source(data, dim, point):
 
 
 def test_the_zero_polynomial_has_scale_one():
-    for p in (Polynomial.zero(2), Polynomial(2, {}), numerator_polynomial(2, 35, {}), Polynomial(2, {(1, 0): 0})):
+    for p in (Polynomial.zero(2), Polynomial(2, {}), numerator_polynomial(MonomialCodes(2, 0), 35, {}), Polynomial(2, {(1, 0): 0})):
         assert (p.scale, p.numerators, p.terms, p.degree) == (1, {}, {}, -1)
         assert p == Polynomial.zero(2) and not p
 
 
 def test_numerator_polynomial_reduces_to_the_least_scale():
-    p = numerator_polynomial(2, 360, {(1, 0): 120, (0, 2): -90, (0, 0): 48})
+    codes = MonomialCodes(2, 2)
+    p = numerator_polynomial(codes, 360, {codes.pack(e): v for e, v in {(1, 0): 120, (0, 2): -90, (0, 0): 48}.items()})
     assert (p.scale, p.numerators) == (60, {(1, 0): 20, (0, 2): -15, (0, 0): 8})
     assert p.terms == {(1, 0): F(1, 3), (0, 2): F(-1, 4), (0, 0): F(2, 15)}
 

@@ -9,6 +9,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dinv.subspace
 from conftest import COPRIME as _COPRIME
@@ -31,24 +33,31 @@ from dinv.compositions import count_compositions
 from dinv.linalg import common_denominator
 from dinv.poly import parse_rational
 from dinv.subspace import (
+    MonomialCodes,
     _closed_form_elements,
     _generating_elements,
-    _numerators,
     _recursive_numerators,
     breadth_numerators,
     check_closure_numerators,
     numerator_basis,
 )
 from oracles import (
+    breadth_numerators_tuple,
     build_explicit_fraction,
     build_general_fraction,
     build_recursive_fraction,
     check_closure_fraction,
+    check_closure_numerators_tuple,
+    closed_form_elements_tuple,
     diff,
     enumerate_weight_solutions,
+    generating_elements_tuple,
     mul,
+    packed,
+    recursive_numerators_tuple,
     rref_fraction,
     span_contains,
+    unpacked,
 )
 
 F = Fraction
@@ -1015,7 +1024,8 @@ class TestIntegerRecursion:
         for _ in range(20):
             t = _coprime_spec_table(rng)
             oracle = build_recursive_fraction(t)
-            for (s, p), q in zip(dinv.subspace._recursive_numerators(t), oracle, strict=True):
+            elems = unpacked(MonomialCodes(t.d, t.n), dinv.subspace._recursive_numerators(t))
+            for (s, p), q in zip(elems, oracle, strict=True):
                 s_q, nums = common_denominator(q.terms.values())
                 assert s == s_q and p == dict(zip(q.terms, nums))
 
@@ -1114,9 +1124,10 @@ class TestIntegerBreadth:
 
 
 def _builder_numerators(spec) -> dict:
-    """Each builder's numerators of the spec: the generating recurrence and
-    the closed-form walk over the unreduced scales m! * D^m, the recursion
-    (tables only) over the lcm of each element's denominators."""
+    """Each builder's numerators of the spec, keyed by
+    MonomialCodes(d, b_n): the generating recurrence and the closed-form
+    walk over the unreduced scales m! * D^m, the recursion (tables only)
+    over the lcm of each element's denominators."""
     top = spec.top_weight
     out = {"general": _generating_elements(spec, top), "explicit": _closed_form_elements(spec, top)}
     if spec.a is not None:
@@ -1134,21 +1145,28 @@ def _rescaled(rng, elems):
     return out
 
 
+def _numerators(codes: MonomialCodes, p: Polynomial) -> tuple[int, dict[int, int]]:
+    """(s, P) with p = P / s, s the lcm of p's denominators, P keyed by codes."""
+    return p.scale, {codes.pack(e): v for e, v in p.numerators.items()}
+
+
 class TestNumeratorCores:
     """check_closure_numerators and breadth_numerators on the builders'
     numerators, whatever their scales, against the Fraction oracles, on
     seeded tables and general specs (n = 1, gaps in b, coprime
-    denominators)."""
+    denominators).  Numerators are keyed by MonomialCodes(d, b_n); a
+    Polynomial's are packed through it."""
 
     def test_scales(self):
         for spec in seeded_specs(make_rng(160), 24):
             d, den = spec.d, spec.slots[0]
+            codes = MonomialCodes(d, spec.top_weight)
             for source, elems in _builder_numerators(spec).items():
                 assert len(elems) == spec.top_weight + 1
                 for m, (s, p) in enumerate(elems):
                     assert p and all(p.values())
                     if source == "recursive":
-                        assert (s, p) == _numerators(numerator_basis(d, elems)[m])
+                        assert (s, p) == _numerators(codes, numerator_basis(codes, elems)[m])
                     else:
                         assert s == math.factorial(m) * den**m
 
@@ -1156,15 +1174,16 @@ class TestNumeratorCores:
         rng = make_rng(161)
         refuted, sources = 0, set()
         for spec in seeded_specs(rng, 60):
+            codes = MonomialCodes(spec.d, spec.top_weight)
             for source, elems in _builder_numerators(spec).items():
                 sources.add(source)
-                basis = numerator_basis(spec.d, elems)
+                basis = numerator_basis(codes, elems)
                 assert check_closure_numerators(elems, spec) == check_closure_fraction(basis, spec)
                 assert check_closure_numerators(elems, spec).ok
                 tampered = _perturbed(rng, basis, rng.choice(("shift", "add", "drop", "scale")))
                 expect = check_closure_fraction(tampered, spec)
                 refuted += not expect.ok
-                assert check_closure_numerators(_rescaled(rng, [_numerators(q) for q in tampered]), spec) == expect
+                assert check_closure_numerators(_rescaled(rng, [_numerators(codes, q) for q in tampered]), spec) == expect
                 assert check_closure(tampered, spec) == expect
         assert sources == {"general", "explicit", "recursive"}
         assert refuted >= 60
@@ -1193,11 +1212,12 @@ class TestNumeratorCores:
         refuted = 0
         for spec in seeded_specs(rng, 40):
             top, d = spec.top_weight, spec.d
+            codes = MonomialCodes(d, top)
             delta = rng.choice((-1, 1)) * rng.randint(1, 10**6)
             # delta * x_i^top in E_top changes only d/dx_i of the top element,
             # which no other identity reads.
             i = rng.randrange(d)
-            e = tuple(top if t == i else 0 for t in range(d))
+            e = codes.pack(tuple(top if t == i else 0 for t in range(d)))
             elems = list(_generating_elements(spec, top))
             s, p = elems[top]
             elems[top] = (s, {**p, e: p.get(e, 0) + delta})
@@ -1209,10 +1229,10 @@ class TestNumeratorCores:
                 exps[rng.randrange(d)] += 1
             elems = list(_generating_elements(spec, top))
             s, p = elems[m]
-            e = tuple(exps)
+            e = codes.pack(exps)
             elems[m] = (s, {k: v for k, v in {**p, e: p.get(e, 0) + delta}.items() if v})
             report = check_closure_numerators(elems, spec)
-            assert report == check_closure_fraction(numerator_basis(d, elems), spec)
+            assert report == check_closure_fraction(numerator_basis(codes, elems), spec)
             assert all(k >= m for k, _ in report.violations)
             refuted += not report.ok
         assert refuted >= 20
@@ -1222,12 +1242,197 @@ class TestNumeratorCores:
         values = set()
         for spec in seeded_specs(rng, 40):
             d = spec.d
+            codes = MonomialCodes(d, spec.top_weight)
             for elems in _builder_numerators(spec).values():
-                basis = list(numerator_basis(d, elems))
-                assert breadth_numerators(d, (p for _, p in elems)) == _breadth_three_ranks(basis) == breadth(basis) == 1
+                basis = list(numerator_basis(codes, elems))
+                assert breadth_numerators(codes, (p for _, p in elems)) == _breadth_three_ranks(basis) == breadth(basis) == 1
                 extra = [Polynomial.variable(d, d - k) for k in range(rng.randint(0, d - 1))]
-                rows = [p for _, p in _rescaled(rng, elems)] + [_numerators(q)[1] for q in extra]
+                rows = [p for _, p in _rescaled(rng, elems)] + [_numerators(codes, q)[1] for q in extra]
                 expect = _breadth_three_ranks(basis + extra)
                 values.add(expect)
-                assert breadth_numerators(d, rows) == expect
+                assert breadth_numerators(codes, rows) == expect
         assert {1, 2, 3} <= values
+
+
+@st.composite
+def _exponents(draw, d: int | None = None) -> tuple[int, int, tuple[int, ...]]:
+    """(d, top, e): e in d variables (1..6, or 40) of total degree <= top."""
+    if d is None:
+        d = draw(st.sampled_from((1, 2, 3, 4, 6, 40)))
+    top = draw(st.integers(0, 12))
+    e = [0] * d
+    for _ in range(draw(st.integers(0, top))):
+        e[draw(st.integers(0, d - 1))] += 1
+    return d, top, tuple(e)
+
+
+class TestMonomialCodes:
+    """The codec: code(e) = sum_i e_i * (B^d + B^(d-1-i)), B = top + 1."""
+
+    @given(_exponents())
+    def test_pack_then_unpack_is_the_identity(self, case):
+        d, top, e = case
+        codes = MonomialCodes(d, top)
+        code = codes.pack(e)
+        assert codes.unpack(code) == e and codes.exponents({code}) == {code: e}
+        assert codes.degree(code) == sum(e)
+
+    @given(st.sampled_from((1, 2, 3, 40)), st.integers(0, 6), st.data())
+    def test_int_order_is_graded_lex_order(self, d, top, data):
+        codes = MonomialCodes(d, top)
+        exps = [data.draw(_exponents(d))[2] for _ in range(8)]
+        exps = [e for e in exps if sum(e) <= top]
+        by_code = sorted(exps, key=codes.pack)
+        assert by_code == sorted(exps, key=lambda e: (sum(e), e))
+
+    def test_every_monomial_in_order_with_its_degree(self):
+        for d, top in ((1, 9), (2, 6), (3, 5), (4, 3)):
+            codes = MonomialCodes(d, top)
+            exps = sorted((e for e in itertools.product(range(top + 1), repeat=d) if sum(e) <= top),
+                          key=lambda e: (sum(e), e))
+            packed_codes = [codes.pack(e) for e in exps]
+            assert packed_codes == sorted(set(packed_codes))
+            assert [codes.degree(c) for c in packed_codes] == [sum(e) for e in exps]
+            assert packed_codes[0] == 0
+            for i in range(d):  # multiplying by x_i adds its unit
+                e = tuple(int(t == i) for t in range(d))
+                assert codes.pack(e) == codes.units[i]
+
+    def test_codes_past_a_machine_word(self):
+        codes = MonomialCodes(40, 2)
+        e = (1,) + (0,) * 38 + (1,)
+        code = codes.pack(e)
+        assert codes.high == 3**40 and code == 2 * 3**40 + 3**39 + 1 > 2**64
+        assert codes.unpack(code) == e and codes.degree(code) == 2
+        assert codes.pack((0,) * 39 + (2,)) < code < codes.pack((2,) + (0,) * 39)
+
+    @pytest.mark.parametrize(
+        "d, top, e",
+        [(1, 3, (4,)), (2, 3, (2, 2)), (2, 0, (0, 1)), (3, 5, (6, 0, 0)), (2, 3, (1,)), (2, 3, (0, 0, 1)), (2, 3, (-1, 2))],
+    )
+    def test_pack_refuses_what_has_no_code(self, d, top, e):
+        # A degree >= B would carry into the degree digit: (2, 2) at B = 4
+        # would share a code with (3, 0)... so it is refused.
+        with pytest.raises(ValueError):
+            MonomialCodes(d, top).pack(e)
+
+    def test_breadth_takes_the_base_from_the_largest_degree(self, monkeypatch):
+        tops = []
+
+        class Recording(MonomialCodes):
+            __slots__ = ()
+
+            def __init__(self, d, top):
+                tops.append(top)
+                super().__init__(d, top)
+
+        monkeypatch.setattr(dinv.subspace, "MonomialCodes", Recording)
+        # The base comes from the largest degree, 7, that of the last row.
+        basis = [P("1"), P("x1"), P("x1^3 + x2"), P("x2^7 + x1^2"), P("x2")]
+        assert breadth(basis) == _breadth_three_ranks(basis) == 2
+        assert tops == [7]
+        tops.clear()
+        assert breadth([P("3")]) == 0 and tops == [0]
+
+
+class TestCodedKernels:
+    """Every coded kernel against its exponent-tuple oracle (*_tuple in
+    tests/oracles.py), on seeded specs (tables, n = 1, gaps in b, coprime
+    denominators), on tops below b_n, and at d = 1 and d = 40."""
+
+    @staticmethod
+    def _specs():
+        rng = make_rng(180)
+        specs = seeded_specs(rng, 40)
+        specs.append(GeneralSpec(n=2, d=1, b=(1, 9), c=[(F(1), F(-2, 3))]))
+        specs.append(ParamTable(d=40, n=2, a={(2, j): F(j, 3) for j in range(2, 41)}))
+        specs.append(ParamTable(d=40, n=3, a={(2, 2): F(1), (3, 40): F(-5, 7)}))
+        return specs
+
+    def test_builders(self):
+        shapes = set()
+        for spec in self._specs():
+            d = spec.d
+            for top in sorted({0, spec.top_weight // 2, spec.top_weight}):
+                codes = MonomialCodes(d, top)
+                for coded, oracle in ((_generating_elements, generating_elements_tuple),
+                                      (_closed_form_elements, closed_form_elements_tuple)):
+                    got = coded(spec, top)
+                    assert unpacked(codes, got) == oracle(spec, top)
+                    assert got == packed(codes, oracle(spec, top))
+            if spec.a is not None:
+                codes = MonomialCodes(d, spec.n)
+                assert unpacked(codes, _recursive_numerators(spec)) == recursive_numerators_tuple(spec)
+            shapes.add((d, spec.n == 1, spec.a is not None))
+        assert {(1, True, False), (40, False, True)} <= shapes and any(a for _, _, a in shapes)
+
+    def test_closure(self):
+        rng = make_rng(181)
+        refuted = 0
+        for spec in self._specs():
+            codes = MonomialCodes(spec.d, spec.top_weight)
+            elems = _generating_elements(spec, spec.top_weight)
+            tuples = unpacked(codes, elems)
+            assert check_closure_numerators(elems, spec) == check_closure_numerators_tuple(tuples, spec)
+            basis = numerator_basis(codes, elems)
+            tampered = _perturbed(rng, basis, rng.choice(("shift", "add", "drop", "scale")))
+            rows = [(q.scale, q.numerators) for q in tampered]
+            report = check_closure_numerators(packed(codes, rows), spec)
+            assert report == check_closure_numerators_tuple(rows, spec) == check_closure(tampered, spec)
+            refuted += not report.ok
+        assert refuted >= 20
+
+    def test_breadth(self):
+        rng = make_rng(182)
+        values = set()
+        for spec in self._specs():
+            d = spec.d
+            codes = MonomialCodes(d, spec.top_weight)
+            basis = list(numerator_basis(codes, _generating_elements(spec, spec.top_weight)))
+            extra = [Polynomial.variable(d, d - k) for k in range(rng.randint(0, min(d, 3) - 1))]
+            # Repeated and combined rows take echelon's path, not the leads'.
+            rows = basis + extra + [basis[-1] + basis[0], F(2, 3) * basis[-1]]
+            rng.shuffle(rows)
+            tuples = [q.numerators for q in rows]
+            expect = breadth_numerators_tuple(d, tuples)
+            assert breadth_numerators(codes, [{codes.pack(e): v for e, v in p.items()} for p in tuples]) == expect
+            assert breadth(rows) == expect
+            values.add(expect)
+        assert {1, 2} <= values
+
+    def test_basis_is_unpacked_once_per_distinct_code(self):
+        spec = ParamTable(d=3, n=6, a={(i, j): F(i, j) for i in range(2, 7) for j in (2, 3)})
+        elems = _generating_elements(spec, 6)
+        codes = MonomialCodes(3, 6)
+        basis = numerator_basis(codes, elems)
+        distinct = set().union(*(p for _, p in elems))
+        assert set(codes.exponents(set())) == distinct and len(distinct) < sum(len(p) for _, p in elems)
+        # A monomial held by several elements is one tuple, and so is the
+        # same monomial in a basis made again.
+        again = numerator_basis(codes, elems)
+        first = {e: e for q in basis for e in q.numerators}
+        assert all(first[e] is e for q in list(basis) + list(again) for e in q.numerators)
+        assert basis.elements == again.elements == build_general_fraction(spec).elements
+        # Packing the basis back reads the memo; an exponent it lacks is packed.
+        assert [set(codes.packed(q.numerators)) for q in basis] == [set(p) for _, p in elems]
+        assert codes.packed({(0, 0, 6): 5}) == {codes.pack((0, 0, 6)): 5} and codes.pack((0, 0, 6)) not in distinct
+
+    def test_memo_is_bounded(self, monkeypatch):
+        codes = MonomialCodes(2, 30)
+        monkeypatch.setattr(MonomialCodes, "MEMO_LIMIT", 10)
+        first = {codes.pack((k, 0)) for k in range(8)}
+        second = {codes.pack((0, k)) for k in range(1, 8)}
+        more = {codes.pack((k, 1)) for k in range(11)}
+        held = codes.exponents(first)
+        assert held.keys() == first
+        exps = codes.exponents(second)  # 15 > 10: the memo starts again
+        assert exps.keys() == second and all(exps[c] == codes.unpack(c) for c in second)
+        assert held.keys() == first  # a mapping handed out is replaced, not emptied
+        exps = codes.exponents(more)  # more than 10: unpacked, not kept
+        assert exps.keys() == more and all(exps[c] == codes.unpack(c) for c in more)
+        assert codes.exponents(set()).keys() == second
+        assert codes.packed({(3, 0): 1, (0, 2): 2}) == {codes.pack((3, 0)): 1, codes.pack((0, 2)): 2}
+
+    def test_shared_instances(self):
+        assert MonomialCodes.of(3, 5) is MonomialCodes.of(3, 5) is not MonomialCodes.of(3, 6)
+        assert MonomialCodes.of(3, 5).units == MonomialCodes(3, 5).units
