@@ -47,7 +47,6 @@ from .subspace import (
     TABLE_SHAPE,
     BasisSequence,
     GeneralSpec,
-    MonomialCodes,
     Numerators,
     ParamTable,
     _closed_form_elements,
@@ -171,15 +170,16 @@ def _ratio_text(v: int, scale: int) -> str:
     return str(v // g) if g == scale else f"{v // g}/{scale // g}"
 
 
-def _basis_chunks(codes: MonomialCodes, elems: Numerators, pretty: bool) -> Iterator[str]:
-    """The text of the basis (s_k, P_k), keyed by codes' codes, in small
-    pieces; joined, they are json.dumps([p.to_dict() for p in basis],
-    indent=2) + "\n" for a non-empty basis, or one rendered element per
-    line.  The JSON is written for to_dict's fixed shape, an element's
-    terms 256 at a time: few writes, no Fraction, and no element's whole
-    text in memory.  An element's terms are its codes in descending order,
-    which is to_dict's graded-lex order, and each distinct code's exponent
-    text is made once per call."""
+def _basis_chunks(nums: Numerators, pretty: bool) -> Iterator[str]:
+    """The text of the basis (s_k, P_k) of nums in small pieces; joined,
+    they are json.dumps([p.to_dict() for p in basis], indent=2) + "\n" for
+    a non-empty basis, or one rendered element per line.  The JSON is
+    written for to_dict's fixed shape, an element's terms 256 at a time:
+    few writes, no Fraction, and no element's whole text in memory.  An
+    element's terms are its codes in descending order, which is to_dict's
+    graded-lex order, and each distinct code's exponent text is made once
+    per call."""
+    codes, elems = nums
     if pretty:
         for s, p in elems:
             yield numerator_polynomial(codes, s, p).render() + "\n"
@@ -192,9 +192,8 @@ def _basis_chunks(codes: MonomialCodes, elems: Numerators, pretty: bool) -> Iter
             yield head + "[]\n  }"
             continue
         terms = sorted(p.items(), reverse=True)
-        exps = codes.exponents(p.keys())
-        for c in p.keys() - texts.keys():
-            texts[c] = _EXP_SEP.join(map(str, exps[c]))
+        for c, e in codes.exponents(p.keys() - texts.keys()).items():
+            texts[c] = _EXP_SEP.join(map(str, e))
         yield head + "["
         for start in range(0, len(terms), 256):
             yield ("," if start else "") + ",".join(
@@ -310,25 +309,23 @@ def _cmd_basis(args) -> int:
     if args.source == "recursive" and spec.a is None:
         raise CliError(f"{args.spec}: source 'recursive' needs a spec of table shape ({TABLE_SHAPE})")
     _check_build(args.spec, spec, walks=args.source == "explicit")
-    elems = _build_numerators(args.source, spec)
-    codes = MonomialCodes.of(spec.d, spec.top_weight)
+    nums = _build_numerators(args.source, spec)
     # The text is written as it is made, so a coefficient too long to write
     # is looked for first (no longer than its scale or its numerator): its
     # error must leave no partial output.
     limit = sys.get_int_max_str_digits()
     if limit:
         too_long = _power_of_ten(limit)
-        for s, p in elems:
+        for s, p in nums.elems:
             if s >= too_long or any(abs(v) >= too_long for v in p.values()):
-                q = numerator_polynomial(codes, s, p)
+                q = numerator_polynomial(nums.codes, s, p)
                 (q.render if args.pretty else q.to_dict)()  # raises DigitLimitError on a term too long
-    _emit_chunks(args, _basis_chunks(codes, elems, args.pretty))
+    _emit_chunks(args, _basis_chunks(nums, args.pretty))
     return 0
 
 
 def _build_numerators(source: str, spec: GeneralSpec) -> Numerators:
-    """The numerators (s_k, P_k) of B_0..B_top by the builder of --source,
-    keyed by MonomialCodes(d, top)."""
+    """The numerators (s_k, P_k) of B_0..B_top by the builder of --source."""
     if source == "recursive":
         return _recursive_numerators(spec)
     build = _closed_form_elements if source == "explicit" else _generating_elements
@@ -336,12 +333,14 @@ def _build_numerators(source: str, spec: GeneralSpec) -> Numerators:
 
 
 def _same_elements(x: Numerators, y: Numerators) -> bool:
-    """Whether x and y, keyed by one MonomialCodes, are the same basis: per
+    """Whether x and y, keyed by equal codecs, are the same basis: per
     element, P / s == Q / t termwise, cross-multiplied by t / g and s / g,
     g = gcd(s, t)."""
-    if len(x) != len(y):
+    if x.codes != y.codes:
+        raise ValueError(f"numerators keyed by {x.codes!r} and by {y.codes!r}")
+    if len(x.elems) != len(y.elems):
         return False
-    for (s, p), (t, q) in zip(x, y):
+    for (s, p), (t, q) in zip(x.elems, y.elems):
         g = math.gcd(s, t)
         a, b = t // g, s // g
         if p.keys() != q.keys() or any(v * a != q[e] * b for e, v in p.items()):
@@ -428,14 +427,13 @@ def _cmd_verify(args) -> int:
 
     if args.what == "breadth":
         _check_build(args.spec, spec)
-        elems = _build_numerators("general", spec)
-        codes = MonomialCodes.of(spec.d, spec.top_weight)
-        value = breadth_numerators(codes, (p for _, p in elems))
+        nums = _build_numerators("general", spec)
+        value = breadth_numerators(nums)
         ok = value == 1
         report = {
             "what": "breadth",
             "value": value,
-            "degrees": [codes.degree(max(p)) if p else -1 for _, p in elems],
+            "degrees": [nums.codes.degree(max(p)) if p else -1 for _, p in nums.elems],
             "ok": ok,
         }
         _emit(args, json.dumps(report, indent=2) + "\n")
@@ -748,7 +746,7 @@ def _cmd_scan(args) -> int:
             (rec_vs_exp, "explicit != recursive"),
             (gen_vs_rec, "general != recursive"),
             (closure.ok, f"closure violations {closure.violations}"),
-            (breadth_numerators(MonomialCodes.of(t.d, t.n), (p for _, p in rec)) == 1, "breadth != 1"),
+            (breadth_numerators(rec) == 1, "breadth != 1"),
         )
         problems = [msg for passed, msg in checks if not passed]
         if problems:

@@ -38,7 +38,7 @@ m!.  So the u^t coefficient of the combination is one integer over
 scale * m!, and the h^t coefficient is that integer over
 scale * m! * D^t, the only Fraction the series makes.  The target builds
 only B_0..B_m, by the generating recurrence stopped at weight m on
-monomial codes (subspace.MonomialCodes(d, m)), unpacks only B_m's codes
+monomial codes (subspace.MonomialCodes), unpacks only B_m's codes
 to exponents, and evaluates B_m(D)f at z0 as a scalar on integers
 (DiffOperator.apply_at, one Fraction at the end); it never reads the
 points, so it stays an independent witness.  So a check makes no
@@ -67,7 +67,7 @@ from typing import Iterator, Sequence
 
 from .identities import falling_factorial
 from .poly import DiffOperator, Polynomial, _decimal_digits, rational_text
-from .subspace import GeneralSpec, MonomialCodes, _generating_elements, numerator_polynomial
+from .subspace import GeneralSpec, _generating_elements, numerator_polynomial
 
 @dataclass(frozen=True)
 class Stencil:
@@ -312,7 +312,8 @@ def _target_value(f: Polynomial, z0: Sequence[Fraction], m: int, spec: GeneralSp
     """(B_m(D)f)(z0) from the spec alone, with B_0..B_m built by the
     generating recurrence stopped at weight m on monomial codes; only B_m's
     are unpacked to exponents."""
-    return DiffOperator(numerator_polynomial(MonomialCodes.of(spec.d, m), *_generating_elements(spec, m)[m])).apply_at(f, z0)
+    codes, elems = _generating_elements(spec, m)
+    return DiffOperator(numerator_polynomial(codes, *elems[m])).apply_at(f, z0)
 
 
 def expansion_check(

@@ -22,19 +22,23 @@ sorted by weight.  Three independent constructions build the graded bases
   * build_generating: the recurrence m*B_m = sum_j b_j * L_j(x) * B_{m-b_j}
     that differentiating in t gives; build_general is kept as its oracle.
 
-Each builder returns integer numerators over one scale per element
-(Numerators), keyed by monomial codes: MonomialCodes(d, top) packs an
-exponent of total degree <= top into one int whose order is graded-lex
-order, so multiplying by x_i is one int addition and a lookup hashes an
-int, not a tuple.  The exact verifiers, check_closure_numerators and
-breadth_numerators, read the codes as they are.  Exponent tuples are made
-only at the Polynomial boundary: numerator_basis unpacks each distinct
-code once and hands the numerators to Polynomial's integer form, reduced
-by one gcd fold and with no Fraction made, so build_* return bases that
-hold Fractions only once .terms is read; check_closure and breadth pack
-each term of their Polynomials and reach the same cores.  The Fraction
-builders and closure check, and the exponent-tuple kernels, are kept as
-test oracles.
+Each builder returns integer numerators over one scale per element,
+keyed by monomial codes, together with the codec that packed them
+(Numerators): MonomialCodes(d, top) packs an exponent of total degree
+<= top into one int whose order is graded-lex order, so multiplying by
+x_i is one int addition and a lookup hashes an int, not a tuple.  A
+spec's own codec, MonomialCodes(d, b_n), is made once (GeneralSpec.codes)
+and keys every build up to b_n.  The exact verifiers,
+check_closure_numerators and breadth_numerators, read the codes as they
+are, through the codec handed with them.  Exponent tuples are made only at
+the Polynomial boundary: numerator_basis unpacks each distinct code once
+and hands the numerators to Polynomial's integer form, reduced by one gcd
+fold and with no Fraction made, so build_* return bases that hold
+Fractions only once .terms is read.  A built BasisSequence keeps its
+builder's Numerators, which check_closure and breadth read as they are;
+any other basis is packed by a codec whose base exceeds b_n and every
+degree.  The Fraction builders and closure check, and the exponent-tuple
+kernels, are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -42,18 +46,14 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter, mul, neg
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linalg import echelon
 from .poly import Exponent, Polynomial, common_denominator, json_array, json_int, json_ratio
-
-# Elements B_0..B_top as integer numerators B_k = P_k / s_k: (s_k > 0,
-# {code: P_k[e] != 0}), each exponent e packed by MonomialCodes(d, top).
-Numerators = list[tuple[int, dict[int, int]]]
 
 
 class MonomialCodes:
@@ -67,31 +67,25 @@ class MonomialCodes:
     (.high), multiplying by x_i adds units[i], and e_i is
     code // powers[i] % B.  The constant is 0.  A code is a plain int,
     past 2^64 once B^d is, and hashes as one; the kernels read the
-    attributes, not the methods, in their loops.
+    attributes, not the methods, in their loops.  Two codecs with the
+    same d and B are equal: they give every exponent the same code."""
 
-    An instance keeps up to MEMO_LIMIT exponents it has unpacked, and their
-    codes, so a small basis made again unpacks nothing and packing it back
-    is one lookup per term.  The memo only caches a pure function, and a
-    full one is replaced, never emptied, so a mapping handed out stays
-    whole under threads.  MonomialCodes.of(d, top) shares one instance per
-    (d, top), the last 64 asked for, among the kernels."""
-
-    __slots__ = ("d", "base", "high", "powers", "units", "_exps", "_codes")
-
-    MEMO_LIMIT = 4096
+    __slots__ = ("d", "base", "high", "powers", "units")
 
     def __init__(self, d: int, top: int):
         base = top + 1
         self.d, self.base, self.high = d, base, base**d
         self.powers = [base ** (d - 1 - i) for i in range(d)]
         self.units = [self.high + p for p in self.powers]
-        self._exps: dict[int, Exponent] = {}
-        self._codes: dict[Exponent, int] = {}
 
-    @classmethod
-    @lru_cache(maxsize=64)
-    def of(cls, d: int, top: int) -> MonomialCodes:
-        return cls(d, top)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MonomialCodes) and (self.d, self.base) == (other.d, other.base)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.base))
+
+    def __repr__(self) -> str:
+        return f"MonomialCodes({self.d}, {self.base - 1})"
 
     def pack(self, e: Sequence[int]) -> int:
         """The code of e; ValueError unless e is d non-negative ints of
@@ -105,39 +99,37 @@ class MonomialCodes:
         base = self.base
         return tuple([code // p % base for p in self.powers])
 
-    def exponents(self, codes: AbstractSet[int]) -> Mapping[int, Exponent]:
-        """A read-only {code: exponent} holding every one of codes, each
-        unpacked at most once: the memo's codes are not unpacked again, and
-        the memo starts again when it would pass MEMO_LIMIT; more codes than
-        that are unpacked and not kept."""
-        memo = self._exps
-        if memo.keys() >= codes:
-            return memo
+    def exponents(self, codes: Iterable[int]) -> dict[int, Exponent]:
+        """{code: exponent} for every one of codes, each unpacked once.
+        Plain loops: a comprehension per code, or an iterator per digit,
+        costs more than the digits of the few codes a small basis has."""
         base, powers = self.base, self.powers
-        if len(codes) > self.MEMO_LIMIT:
-            return {c: tuple([c // p % base for p in powers]) for c in codes}
-        new = codes - memo.keys()
-        if len(memo) + len(new) > self.MEMO_LIMIT:
-            memo, new = {}, codes
-            self._exps, self._codes = memo, {}
-        exps = {c: tuple([c // p % base for p in powers]) for c in new}
-        memo.update(exps)
-        self._codes.update(zip(exps.values(), exps))
-        return memo
+        out = {}
+        for c in codes:
+            digits = []
+            for p in powers:
+                digits.append(c // p % base)
+            out[c] = tuple(digits)
+        return out
 
     def packed(self, nums: Mapping[Exponent, int]) -> dict[int, int]:
-        """nums keyed by code instead of exponent, unchecked: every degree
-        must be below B.  One lookup per term when the memo holds every
-        exponent, as it does for a basis these codes unpacked."""
-        known = self._codes
-        try:
-            return {known[e]: v for e, v in nums.items()}
-        except KeyError:
-            units = self.units
-            return {sum(map(mul, e, units)): v for e, v in nums.items()}
+        """nums keyed by code instead of exponent, unchecked: the caller
+        picks B above every degree."""
+        units = self.units
+        return {sum(map(mul, e, units)): v for e, v in nums.items()}
 
     def degree(self, code: int) -> int:
         return code // self.high
+
+
+class Numerators(NamedTuple):
+    """Elements B_0..B_top as integer numerators B_k = P_k / s_k: elems holds
+    (s_k > 0, {code: P_k[e] != 0}), each exponent e packed by codes, whose
+    base exceeds every degree.  A builder returns its codec with its
+    numerators, so no reader of the codes restates (d, top)."""
+
+    codes: MonomialCodes
+    elems: list[tuple[int, dict[int, int]]]
 
 
 # What GeneralSpec.a needs to read a spec as a parameter table.
@@ -166,7 +158,11 @@ class GeneralSpec:
     entries: tuple[tuple[int, int, Fraction], ...]
 
     def __init__(self, n: int, d: int, b: Iterable[int], c: Iterable[Iterable[Fraction | int]]):
-        self._store_dense(n, d, tuple(int(v) for v in b), [[Fraction(v) for v in row] for row in c])
+        b = tuple(int(v) for v in b)
+        # A b of the wrong length is reported before any entry of c is read.
+        if len(b) == n:
+            c = [[Fraction(v) for v in row] for row in c]
+        self._store_dense(n, d, b, c)
 
     def _store_dense(self, n: int, d: int, b: tuple[int, ...], c: Sequence[Sequence[Fraction | int]]) -> None:
         """Check that b has length n and c holds d vectors of length n, then
@@ -221,6 +217,18 @@ class GeneralSpec:
         so a table's n may be far larger than its input."""
         den, nums = common_denominator(v for _, _, v in self.entries)
         return den, tuple((self.b[j], i, n_ij) for (j, i, _), n_ij in zip(self.entries, nums))
+
+    @cached_property
+    def codes(self) -> MonomialCodes:
+        """The codec of B_0..B_{b_n}'s monomials, MonomialCodes(d, b_n),
+        made once per spec for its builders."""
+        return MonomialCodes(self.d, self.top_weight)
+
+    def codes_to(self, top: int) -> MonomialCodes:
+        """A codec of the monomials of degree <= top: the spec's own up to
+        b_n, so the limit check's builds of B_0..B_m, one per order m,
+        make no codec."""
+        return self.codes if top <= self.top_weight else MonomialCodes(self.d, top)
 
     @cached_property
     def c(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -300,9 +308,15 @@ def ParamTable(d: int, n: int, a: Mapping[tuple[int, int], Fraction | int]) -> G
 class BasisSequence:
     """A graded basis: element k is exactly of total degree k, element 0
     is the constant 1.  Implies linear independence, so the sequence spans
-    a space of dimension len(elements)."""
+    a space of dimension len(elements).
+
+    _coded, for internal results, holds the builder's Numerators the
+    elements were made from: the degrees are read from their codes, and
+    check_closure and breadth read them as they are instead of packing the
+    elements again.  It takes no part in equality."""
 
     elements: tuple[Polynomial, ...]
+    _coded: Numerators | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         elems = tuple(self.elements)
@@ -314,9 +328,14 @@ class BasisSequence:
         first = elems[0]
         if first.scale != 1 or first.numerators != {(0,) * dim: 1}:
             raise ValueError(f"element 0 must be the constant 1, got {first!r}")
-        for k, p in enumerate(elems):
-            if p.degree != k:
-                raise ValueError(f"element {k} has degree {p.degree}, expected {k}")
+        if self._coded is None:
+            degrees = (p.degree for p in elems)
+        else:  # an element's degree is that of its largest code
+            high = self._coded.codes.high
+            degrees = (max(p) // high if p else -1 for _, p in self._coded.elems)
+        for k, degree in enumerate(degrees):
+            if degree != k:
+                raise ValueError(f"element {k} has degree {degree}, expected {k}")
         object.__setattr__(self, "elements", elems)
 
     @property
@@ -357,11 +376,12 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
     compositions.count_compositions(top, weights of the nonzero slots).
     The walk carries the prefix products down: prod n_ij^g_ij (c_ij =
     n_ij / D, D the lcm of the denominators of c), prod g_ij!, the
-    monomial's code (MonomialCodes(d, top)) and G = sum g.  With
+    monomial's code (spec.codes_to(top)) and G = sum g.  With
     m! * D^m * B_m integral, each node adds the integer
     prod n^g * D^(m-G) * (m! // prod g!) to element m, and B_m is that sum
     over the scale m! * D^m."""
-    units = MonomialCodes.of(spec.d, top).units
+    codes = spec.codes_to(top)
+    units = codes.units
     den, slots = spec.slots
     # Running products: top + 1 separate powers would cost O(top^2) digits.
     fact = list(itertools.accumulate(range(1, top + 1), mul, initial=1))
@@ -384,22 +404,23 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
     walk(0, 0, 0, 1, 1, 0)
     # A sum that cancelled to 0 keeps its key; the scan for one is cheap.
     elems = [p if 0 not in p.values() else {e: v for e, v in p.items() if v} for p in elems]
-    return [(fact[m] * den_pow[m], terms) for m, terms in enumerate(elems)]
+    return Numerators(codes, [(fact[m] * den_pow[m], terms) for m, terms in enumerate(elems)])
 
 
 def numerator_polynomial(codes: MonomialCodes, scale: int, nums: Mapping[int, int]) -> Polynomial:
     """nums / scale (nonzero nums keyed by codes' codes, scale > 0) as
     Polynomial's integer form, reduced by one gcd fold: no Fraction is
     made."""
-    exps = codes.exponents(nums.keys())
+    exps = codes.exponents(nums)
     return Polynomial(codes.d, {exps[c]: v for c, v in nums.items()}, _scale=scale)
 
 
-def numerator_basis(codes: MonomialCodes, elems: Numerators) -> BasisSequence:
+def numerator_basis(nums: Numerators) -> BasisSequence:
     """The BasisSequence of a builder's numerators, each distinct code
-    unpacked once."""
+    unpacked once, keeping the numerators as its _coded."""
+    codes, elems = nums
     d, exps = codes.d, codes.exponents(set().union(*(p for _, p in elems)))
-    return BasisSequence(tuple(Polynomial(d, {exps[c]: v for c, v in p.items()}, _scale=s) for s, p in elems))
+    return BasisSequence(tuple(Polynomial(d, {exps[c]: v for c, v in p.items()}, _scale=s) for s, p in elems), nums)
 
 
 def build_general(spec: GeneralSpec) -> BasisSequence:
@@ -408,7 +429,7 @@ def build_general(spec: GeneralSpec) -> BasisSequence:
     build_generating, which builds the same basis by recurrence, and, as
     build_explicit, for build_recursive on a table."""
     top = spec.top_weight
-    return numerator_basis(MonomialCodes.of(spec.d, top), _closed_form_elements(spec, top))
+    return numerator_basis(_closed_form_elements(spec, top))
 
 
 # The closed form of a table: element k sums over all (g, {g[s,j]}) with
@@ -434,11 +455,12 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
 
     ff(m-1, b_j-1) = (m-1)! / (m-b_j)!, and B_m is E_m over the scale
     m! * D^m.  Multiplying by x_i adds its unit to a code."""
-    units = MonomialCodes.of(spec.d, top).units
+    codes = spec.codes_to(top)
+    units = codes.units
     den, slots = spec.slots
     # (b_j, [(unit of x_i, n_ij) for n_ij != 0]) per weight with a nonzero N_j.
     forms = [(bj, [(units[i], n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
-    elems: Numerators = [(1, {0: 1})]
+    elems = [(1, {0: 1})]
     for m in range(1, top + 1):
         acc: dict[int, int] = {}
         for bj, form in forms:
@@ -451,7 +473,7 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
                     key = e + u
                     acc[key] = acc.get(key, 0) + w * coef
         elems.append((elems[-1][0] * m * den, {e: v for e, v in acc.items() if v}))
-    return elems
+    return Numerators(codes, elems)
 
 
 def build_generating(spec: GeneralSpec) -> BasisSequence:
@@ -459,7 +481,7 @@ def build_generating(spec: GeneralSpec) -> BasisSequence:
     (b, c).  Equal termwise to build_general, which enumerates the
     same coefficients as a sum over weighted compositions."""
     top = spec.top_weight
-    return numerator_basis(MonomialCodes.of(spec.d, top), _generating_elements(spec, top))
+    return numerator_basis(_generating_elements(spec, top))
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -474,11 +496,11 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
     """(S_k, P_k) with B_k = P_k / S_k for k = 0..n, by the recursion of
     build_recursive on integers.  S_k > 0 has no factor common to all of
     P_k's integer numerators, so S_k is the lcm of B_k's denominators.
-    The numerators are keyed by MonomialCodes(d, n)."""
+    The numerators are keyed by params.codes, MonomialCodes(d, n)."""
     d, n = params.d, params.n
     den, slots = params.slots
     num = {(i, j): n_ij for i, j, n_ij in slots[1:]}  # a[i, j + 1] = num[i, j] / den
-    codes = MonomialCodes.of(d, n)
+    codes = params.codes
     base, high, powers, units = codes.base, codes.high, codes.powers, codes.units
     rising = powers[::-1]  # B^0, ..., B^(d-1)
     elems = [(1, {0: 1}), (1, {units[0]: 1})]
@@ -533,7 +555,7 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
         p_k = {e: v // g for e, v in acc.items() if v}
         elems.append((s_k // g, p_k))
         leads.append(by_lead(p_k))
-    return elems[: n + 1]
+    return Numerators(codes, elems[: n + 1])
 
 
 def build_recursive(params: GeneralSpec) -> BasisSequence:
@@ -561,7 +583,7 @@ def build_recursive(params: GeneralSpec) -> BasisSequence:
     table shape (.a is not None)."""
     if params.a is None:
         raise ValueError(f"the recursion needs a spec of table shape ({TABLE_SHAPE})")
-    return numerator_basis(MonomialCodes.of(params.d, params.n), _recursive_numerators(params))
+    return numerator_basis(_recursive_numerators(params))
 
 
 def specialize(spec: GeneralSpec) -> GeneralSpec:
@@ -584,19 +606,23 @@ class ClosureReport:
 
 
 def check_closure(basis: BasisSequence, spec: GeneralSpec) -> ClosureReport:
-    """check_closure_numerators on the basis's integer numerators, packed by
-    MonomialCodes(d, b_n) (element k has degree k <= b_n); ValueError
-    unless it has b_n + 1 elements in the spec's d variables."""
+    """check_closure_numerators on the basis's integer numerators: those it
+    was built from, or else its elements' packed by a codec whose base
+    exceeds b_n and every degree.  ValueError unless it has b_n + 1
+    elements in the spec's d variables."""
     top, d = spec.top_weight, spec.d
     if len(basis) != top + 1:
         raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")
     if basis.dim != d:
         raise ValueError(f"basis has dimension {basis.dim}, the spec needs {d}")
-    codes = MonomialCodes.of(d, top)
-    return check_closure_numerators([(p.scale, codes.packed(p.numerators)) for p in basis], spec)
+    nums = basis._coded
+    if nums is None:
+        codes = MonomialCodes(d, max(top, *(p.degree for p in basis)))
+        nums = Numerators(codes, [(p.scale, codes.packed(p.numerators)) for p in basis])
+    return check_closure_numerators(nums, spec)
 
 
-def check_closure_numerators(elems: Numerators, spec: GeneralSpec) -> ClosureReport:
+def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureReport:
     """Exact derivative identities of the generating function
     G = exp(sum_i x_i * sum_j c_ij * t^(b_j)), whose t^m coefficient is B_m.
     Since dG/dx_i = (sum_j c_ij * t^(b_j)) * G,
@@ -604,9 +630,8 @@ def check_closure_numerators(elems: Numerators, spec: GeneralSpec) -> ClosureRep
         d(B_m)/dx_i == sum_{j: b_j <= m} c_ij * B_{m - b_j}
 
     for every m >= 1 and every variable i, read from the spec's weights.
-    elems holds B_0..B_{b_n} in the spec's d variables as B_k = P_k / s_k,
-    s_k any positive scale (m! * D^m as well as the lcm of denominators),
-    P_k keyed by MonomialCodes(d, b_n).
+    nums holds B_0..B_{b_n} in the spec's d variables as B_k = P_k / s_k,
+    s_k any positive scale (m! * D^m as well as the lcm of denominators).
 
     Checked on integers: with c_ij = n_ij / D, both sides of each identity
     are multiplied by L = lcm(s_m, D * s_{m-b_j} over its slots), and (m, i)
@@ -614,12 +639,12 @@ def check_closure_numerators(elems: Numerators, spec: GeneralSpec) -> ClosureRep
     sum_j n_ij * L/(D * s_{m-b_j}) * P_{m-b_j}.  d/dx_i reads e_i from a
     code's digit and subtracts x_i's unit.
     """
-    d, (den, slots), top = spec.d, spec.slots, spec.top_weight
-    codes = MonomialCodes.of(d, top)
+    d, (den, slots) = spec.d, spec.slots
+    codes, elems = nums
     base, powers, units = codes.base, codes.powers, codes.units
     by_var = [[(bj, n_ij) for bj, v, n_ij in slots if v == i] for i in range(d)]
     bad: list[tuple[int, int]] = []
-    for m in range(1, top + 1):
+    for m in range(1, spec.top_weight + 1):
         s_m, p_m = elems[m]
         for i in range(d):
             terms = [(n_ij, *elems[m - bj]) for bj, n_ij in by_var[i] if bj <= m]
@@ -643,23 +668,38 @@ def check_closure_numerators(elems: Numerators, spec: GeneralSpec) -> ClosureRep
 
 
 def breadth(basis: Sequence[Polynomial]) -> int:
-    """breadth_numerators on the elements' integer numerators, packed by
-    MonomialCodes(dim, the largest degree); ValueError on an empty basis or
-    on elements of different dimensions."""
-    basis = list(basis)
-    if not basis:
-        raise ValueError("empty basis")
-    dim = basis[0].dim
-    if any(q.dim != dim for q in basis):
-        raise ValueError("basis elements must share one dimension")
-    codes = MonomialCodes.of(dim, max(0, *(q.degree for q in basis)))
-    return breadth_numerators(codes, (codes.packed(q.numerators) for q in basis))
+    """breadth_numerators on the elements' integer numerators: a built
+    BasisSequence's own, or else the elements' packed by a codec whose base
+    exceeds every degree.  ValueError on an empty basis or on elements of
+    different dimensions.
+
+    The elements' leads are found on their exponents first, as the largest
+    (degree, e), which is graded-lex order as the codes' order is, and the
+    largest lead's degree is the largest degree.  Distinct leads settle the
+    count with no reduction (breadth_numerators), so then only the leads
+    are packed."""
+    nums = basis._coded if isinstance(basis, BasisSequence) else None
+    if nums is None:
+        basis = list(basis)
+        if not basis:
+            raise ValueError("empty basis")
+        dim = basis[0].dim
+        if any(q.dim != dim for q in basis):
+            raise ValueError("basis elements must share one dimension")
+        rows = list(filter(None, (q.numerators for q in basis)))
+        tops = {max(zip(map(sum, row), row)) for row in rows}
+        codes = MonomialCodes(dim, max(tops, default=(0,))[0])
+        if len(tops) == len(rows):
+            units = codes.units
+            return _linear_leads(codes, {sum(map(mul, e, units)) for _, e in tops})
+        nums = Numerators(codes, [(1, codes.packed(row)) for row in rows])
+    return breadth_numerators(nums)
 
 
-def breadth_numerators(codes: MonomialCodes, rows: Iterable[Mapping[int, int]]) -> int:
+def breadth_numerators(nums: Numerators) -> int:
     """Number of independent linear (degree-exactly-1) directions in the
-    span of the rows, each an element's integer numerators keyed by codes'
-    codes (a positive multiple of it, with no zero entry):
+    span of the rows of nums, each an element's integer numerators (a
+    positive multiple of it, with no zero entry; the scales are not read):
     dim(span intersect {degree <= 1}) - 1.
 
     Requires the constant 1 to lie in the span (every derivative-closed
@@ -670,16 +710,22 @@ def breadth_numerators(codes: MonomialCodes, rows: Iterable[Mapping[int, int]]) 
     degree <= 1 vanishes in degree >= 2, and the rows with leads of
     degree >= 2 stay independent there, so the leads of degree <= 1 count
     the dimension of the span's part of degree <= 1 (any tie-break within
-    a degree gives that count).  1 lies in the span iff the constant, code
-    0 and the last monomial, is a lead.  Rows with distinct leads, as a
-    graded basis has (one per degree), are echelon's leads with no
-    reduction step: then no row is eliminated, nor made primitive by gcds
-    that would decide nothing.
+    a degree gives that count).  Rows with distinct leads, as a graded
+    basis has (one per degree), are echelon's leads with no reduction step:
+    then no row is eliminated, nor made primitive by gcds that would decide
+    nothing.
     """
-    rows = [row for row in rows if row]
+    rows = [row for _, row in nums.elems if row]
     leads = {max(row) for row in rows}
     if len(leads) < len(rows):
         leads = echelon(rows, key=neg)
+    return _linear_leads(nums.codes, leads)
+
+
+def _linear_leads(codes: MonomialCodes, leads: Collection[int]) -> int:
+    """The breadth read from an echelon form's leads: those of degree <= 1,
+    less one for the constant.  1 lies in the span iff the constant, code 0
+    and the last monomial, is a lead; ValueError if not."""
     if 0 not in leads:
         raise ValueError("span does not contain the constant 1")
     linear = 2 * codes.high  # the codes of degree <= 1 are those below it

@@ -29,7 +29,7 @@ The *_tuple functions are subspace's integer kernels (the three
 builders, the closure identity and breadth) on numerators keyed by
 exponent tuples, where the library keys them by monomial codes
 (subspace.MonomialCodes).  packed and unpacked carry a builder's
-numerators between the two keys.
+numerators between the two keys: packed makes a subspace.Numerators.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dinv.linalg import echelon
 from operator import itemgetter
 
 from dinv.poly import Polynomial, _derivative_factor, common_denominator, json_array, json_int, parse_rational
-from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec, MonomialCodes, _exact_div
+from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec, MonomialCodes, Numerators, _exact_div
 
 
 def diff(p: Polynomial, j: int) -> Polynomial:
@@ -546,14 +546,14 @@ def build_recursive_fraction(params: GeneralSpec) -> BasisSequence:
 TupleNumerators = list[tuple[int, dict[tuple[int, ...], int]]]
 
 
-def packed(codes: MonomialCodes, elems: TupleNumerators) -> list[tuple[int, dict[int, int]]]:
-    """elems with each exponent tuple replaced by its code."""
-    return [(s, {codes.pack(e): v for e, v in p.items()}) for s, p in elems]
+def packed(codes: MonomialCodes, elems: TupleNumerators) -> Numerators:
+    """elems keyed by codes' codes instead of exponent tuples."""
+    return Numerators(codes, [(s, {codes.pack(e): v for e, v in p.items()}) for s, p in elems])
 
 
-def unpacked(codes: MonomialCodes, elems) -> TupleNumerators:
-    """elems with each code replaced by its exponent tuple."""
-    return [(s, {codes.unpack(c): v for c, v in p.items()}) for s, p in elems]
+def unpacked(nums: Numerators) -> TupleNumerators:
+    """nums keyed by exponent tuples instead of codes."""
+    return [(s, {nums.codes.unpack(c): v for c, v in p.items()}) for s, p in nums.elems]
 
 
 def closed_form_elements_tuple(spec: GeneralSpec, top: int) -> TupleNumerators:

@@ -29,7 +29,7 @@ import dinv.subspace
 from dinv import BasisSequence, ClosureReport, Polynomial
 from dinv.cli import main
 from dinv.poly import MAX_RATIONAL_DIGITS, parse_rational
-from dinv.subspace import MonomialCodes
+from dinv.subspace import MonomialCodes, Numerators
 from conftest import make_rng, random_general_spec, random_param_table, random_poly, rational, seeded_specs
 from oracles import build_general_fraction
 
@@ -145,11 +145,11 @@ class TestBasis:
         expect = json.dumps([p.to_dict() for p in elements], indent=2) + "\n"
         codes = MonomialCodes(d, max(p.degree for p in elements))
         for k in (1, rng.randint(2, 10**30)):
-            elems = [(s * k, {e: v * k for e, v in p.items()}) for s, p in (_numerators(codes, q) for q in elements)]
-            assert "".join(dinv.cli._basis_chunks(codes, elems, False)) == expect
-            assert "".join(dinv.cli._basis_chunks(codes, elems, True)) == "".join(p.render() + "\n" for p in elements)
-        one = [_numerators(codes, elements[0])]
-        assert "".join(dinv.cli._basis_chunks(codes, one, False)) == json.dumps([elements[0].to_dict()], indent=2) + "\n"
+            nums = Numerators(codes, [(s * k, {e: v * k for e, v in p.items()}) for s, p in (_numerators(codes, q) for q in elements)])
+            assert "".join(dinv.cli._basis_chunks(nums, False)) == expect
+            assert "".join(dinv.cli._basis_chunks(nums, True)) == "".join(p.render() + "\n" for p in elements)
+        one = Numerators(codes, [_numerators(codes, elements[0])])
+        assert "".join(dinv.cli._basis_chunks(one, False)) == json.dumps([elements[0].to_dict()], indent=2) + "\n"
 
     def test_integer_writer_matches_fraction_text(self):
         # Every source's numerators, written by the integer writer, against
@@ -159,20 +159,31 @@ class TestBasis:
         for spec in seeded_specs(make_rng(170), 40):
             oracle = build_general_fraction(spec)
             expect = json.dumps([p.to_dict() for p in oracle], indent=2) + "\n"
-            codes = MonomialCodes(spec.d, spec.top_weight)
             for source in [s for s in SOURCES if spec.a is not None or s != "recursive"]:
-                elems = dinv.cli._build_numerators(source, spec)
-                assert "".join(dinv.cli._basis_chunks(codes, elems, False)) == expect
-                assert "".join(dinv.cli._basis_chunks(codes, elems, True)) == "".join(p.render() + "\n" for p in oracle)
+                nums = dinv.cli._build_numerators(source, spec)
+                assert nums.codes == MonomialCodes(spec.d, spec.top_weight)
+                assert "".join(dinv.cli._basis_chunks(nums, False)) == expect
+                assert "".join(dinv.cli._basis_chunks(nums, True)) == "".join(p.render() + "\n" for p in oracle)
                 written.add(source)
         assert written == set(SOURCES)
 
     def test_writer_batches_an_element_256_terms_at_a_time(self):
         big = Polynomial(1, {(k,): Fraction(-k - 1, 7) for k in range(600)})
         codes = MonomialCodes(1, big.degree)
-        pieces = list(dinv.cli._basis_chunks(codes, [_numerators(codes, Polynomial.constant(1, 1)), _numerators(codes, big)], False))
+        nums = Numerators(codes, [_numerators(codes, Polynomial.constant(1, 1)), _numerators(codes, big)])
+        pieces = list(dinv.cli._basis_chunks(nums, False))
         assert max(piece.count('"coef"') for piece in pieces) == 256
         assert sum(piece.count('"coef"') for piece in pieces) == 601
+
+    def test_builders_are_compared_under_one_codec(self):
+        # Every builder of one spec hands back the spec's codec; numerators
+        # under two codecs are refused, not compared code by code.
+        spec = dinv.GeneralSpec.from_dict(GAPPED_SPEC)
+        x, y = (dinv.cli._build_numerators(source, spec) for source in ("explicit", "general"))
+        assert x.codes is y.codes is spec.codes and dinv.cli._same_elements(x, y)
+        other = Numerators(MonomialCodes(spec.d, spec.top_weight + 1), y.elems)
+        with pytest.raises(ValueError, match="keyed by MonomialCodes"):
+            dinv.cli._same_elements(x, other)
 
     def test_general_source_takes_param_table(self, spec_file, capsys):
         assert main(["basis", "--source", "general", "--spec", spec_file]) == 0
@@ -302,6 +313,18 @@ class TestVerify:
         assert main(["verify", "--what", "closure", "--spec", spec, "--basis", str(basis_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_closure_basis_element_past_b_n_exits_2(self, tmp_path, capsys):
+        # x1^2 in element 1 of a b = (1) spec: the basis is refused as it is
+        # read, before its terms are packed for the check.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"d": 1, "n": 1, "b": [1], "c": [[1]]}))
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps([P("1", 1).to_dict(), P("x1 + x1^2", 1).to_dict()]))
+        assert main(["verify", "--what", "closure", "--spec", str(spec), "--basis", str(basis_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {basis_path}: element 1 has degree 2, expected 1\n"
+
     def test_closure_basis_float_exponent_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"d": 2, "n": 1, "a": {}}))
@@ -345,10 +368,10 @@ class TestVerify:
         right = getattr(dinv.cli, elements)
 
         def wrong(spec, top):
-            elems = right(spec, top)
+            codes, elems = right(spec, top)
             s, p = elems[-1]
-            x1 = MonomialCodes(spec.d, top).units[0]
-            return elems[:-1] + [(s, {**p, x1: p.get(x1, 0) + s})]
+            x1 = codes.units[0]
+            return Numerators(codes, elems[:-1] + [(s, {**p, x1: p.get(x1, 0) + s})])
 
         monkeypatch.setattr(dinv.cli, elements, wrong)
         assert main(["verify", "--what", "equivalence", "--spec", str(spec)]) == 1
@@ -1682,11 +1705,11 @@ class TestScan:
     @pytest.mark.parametrize(
         "name, wrong, problem",
         [
-            ("_closed_form_elements", lambda spec, top: [(1, {0: 1})], "explicit != recursive"),
-            ("_generating_elements", lambda spec, top: [(1, {0: 1})], "general != recursive"),
+            ("_closed_form_elements", lambda spec, top: Numerators(MonomialCodes(spec.d, top), [(1, {0: 1})]), "explicit != recursive"),
+            ("_generating_elements", lambda spec, top: Numerators(MonomialCodes(spec.d, top), [(1, {0: 1})]), "general != recursive"),
             ("check_closure_numerators", lambda elems, spec: ClosureReport(ok=False, violations=((2, 2),)),
              "closure violations ((2, 2),)"),
-            ("breadth_numerators", lambda dim, rows: 2, "breadth != 1"),
+            ("breadth_numerators", lambda nums: 2, "breadth != 1"),
         ],
         ids=["explicit", "general", "closure", "breadth"],
     )

@@ -277,8 +277,8 @@ class TestTruncatedExpansion:
                 seen.clear()
                 report = expansion_check(f, z0, m, pts)
                 ((top, built),) = seen
-                assert top == m and len(built) == m + 1
-                assert numerator_basis(MonomialCodes(t.d, m), built).elements == full.elements[: m + 1]
+                assert top == m and len(built.elems) == m + 1 and built.codes is t.codes == MonomialCodes(t.d, t.n)
+                assert numerator_basis(built).elements == full.elements[: m + 1]
                 assert report.target == apply_operator(full[m], f).eval(z0)
 
     def test_check_never_composes(self, monkeypatch):

@@ -33,7 +33,9 @@ from dinv.compositions import count_compositions
 from dinv.linalg import common_denominator
 from dinv.poly import parse_rational
 from dinv.subspace import (
+    ClosureReport,
     MonomialCodes,
+    Numerators,
     _closed_form_elements,
     _generating_elements,
     _recursive_numerators,
@@ -144,6 +146,16 @@ class TestGeneralSpec:
             GeneralSpec(n=2, d=2, b=(1, 2), c=((F(0), F(1)), (F(0), F(1))))
         with pytest.raises(ValueError):
             GeneralSpec(n=2, d=2, b=(1, 2), c=((F(1),), (F(0), F(1))))
+
+    def test_messages_keep_their_order(self):
+        # b's length is checked before any entry of c is read, and each
+        # entry is read before the number of c vectors is checked.
+        with pytest.raises(ValueError, match="b has length 1, expected 2"):
+            GeneralSpec(n=2, d=1, b=(1,), c=[["x", "1"]])
+        with pytest.raises(ValueError, match="Invalid literal for Fraction: 'x'"):
+            GeneralSpec(n=2, d=2, b=(1, 2), c=[["1", "x"]])
+        with pytest.raises(ValueError, match="c has 1 vectors, expected 2"):
+            GeneralSpec(n=2, d=2, b=(1, 2), c=[["1", "0"]])
 
     def test_json_round_trip(self):
         spec = GeneralSpec(n=3, d=2, b=(1, 2, 5), c=((F(1), F(0), F(1, 3)), (F(0), F(-2), F(7))))
@@ -1024,7 +1036,7 @@ class TestIntegerRecursion:
         for _ in range(20):
             t = _coprime_spec_table(rng)
             oracle = build_recursive_fraction(t)
-            elems = unpacked(MonomialCodes(t.d, t.n), dinv.subspace._recursive_numerators(t))
+            elems = unpacked(dinv.subspace._recursive_numerators(t))
             for (s, p), q in zip(elems, oracle, strict=True):
                 s_q, nums = common_denominator(q.terms.values())
                 assert s == s_q and p == dict(zip(q.terms, nums))
@@ -1124,10 +1136,10 @@ class TestIntegerBreadth:
 
 
 def _builder_numerators(spec) -> dict:
-    """Each builder's numerators of the spec, keyed by
-    MonomialCodes(d, b_n): the generating recurrence and the closed-form
-    walk over the unreduced scales m! * D^m, the recursion (tables only)
-    over the lcm of each element's denominators."""
+    """Each builder's Numerators of the spec, keyed by MonomialCodes(d, b_n):
+    the generating recurrence and the closed-form walk over the unreduced
+    scales m! * D^m, the recursion (tables only) over the lcm of each
+    element's denominators."""
     top = spec.top_weight
     out = {"general": _generating_elements(spec, top), "explicit": _closed_form_elements(spec, top)}
     if spec.a is not None:
@@ -1135,14 +1147,14 @@ def _builder_numerators(spec) -> dict:
     return out
 
 
-def _rescaled(rng, elems):
-    """elems with each element's scale and numerators multiplied by one
+def _rescaled(rng, nums: Numerators) -> Numerators:
+    """nums with each element's scale and numerators multiplied by one
     random factor: the same basis over a larger scale."""
     out = []
-    for s, p in elems:
+    for s, p in nums.elems:
         k = rng.randint(1, 10**12)
         out.append((s * k, {e: v * k for e, v in p.items()}))
-    return out
+    return Numerators(nums.codes, out)
 
 
 def _numerators(codes: MonomialCodes, p: Polynomial) -> tuple[int, dict[int, int]]:
@@ -1161,12 +1173,13 @@ class TestNumeratorCores:
         for spec in seeded_specs(make_rng(160), 24):
             d, den = spec.d, spec.slots[0]
             codes = MonomialCodes(d, spec.top_weight)
-            for source, elems in _builder_numerators(spec).items():
-                assert len(elems) == spec.top_weight + 1
-                for m, (s, p) in enumerate(elems):
+            for source, nums in _builder_numerators(spec).items():
+                assert nums.codes == codes
+                assert len(nums.elems) == spec.top_weight + 1
+                for m, (s, p) in enumerate(nums.elems):
                     assert p and all(p.values())
                     if source == "recursive":
-                        assert (s, p) == _numerators(codes, numerator_basis(codes, elems)[m])
+                        assert (s, p) == _numerators(codes, numerator_basis(nums)[m])
                     else:
                         assert s == math.factorial(m) * den**m
 
@@ -1175,15 +1188,16 @@ class TestNumeratorCores:
         refuted, sources = 0, set()
         for spec in seeded_specs(rng, 60):
             codes = MonomialCodes(spec.d, spec.top_weight)
-            for source, elems in _builder_numerators(spec).items():
+            for source, nums in _builder_numerators(spec).items():
                 sources.add(source)
-                basis = numerator_basis(codes, elems)
-                assert check_closure_numerators(elems, spec) == check_closure_fraction(basis, spec)
-                assert check_closure_numerators(elems, spec).ok
+                basis = numerator_basis(nums)
+                assert check_closure_numerators(nums, spec) == check_closure_fraction(basis, spec)
+                assert check_closure_numerators(nums, spec).ok
                 tampered = _perturbed(rng, basis, rng.choice(("shift", "add", "drop", "scale")))
                 expect = check_closure_fraction(tampered, spec)
                 refuted += not expect.ok
-                assert check_closure_numerators(_rescaled(rng, [_numerators(codes, q) for q in tampered]), spec) == expect
+                rows = Numerators(codes, [_numerators(codes, q) for q in tampered])
+                assert check_closure_numerators(_rescaled(rng, rows), spec) == expect
                 assert check_closure(tampered, spec) == expect
         assert sources == {"general", "explicit", "recursive"}
         assert refuted >= 60
@@ -1218,21 +1232,21 @@ class TestNumeratorCores:
             # which no other identity reads.
             i = rng.randrange(d)
             e = codes.pack(tuple(top if t == i else 0 for t in range(d)))
-            elems = list(_generating_elements(spec, top))
+            elems = list(_generating_elements(spec, top).elems)
             s, p = elems[top]
             elems[top] = (s, {**p, e: p.get(e, 0) + delta})
-            assert check_closure_numerators(elems, spec).violations == ((top, i + 1),)
+            assert check_closure_numerators(Numerators(codes, elems), spec).violations == ((top, i + 1),)
             # A numerator of lower degree in E_m, m <= top: where the oracle says.
             m = rng.randint(1, top)
             exps = [0] * d
             for _ in range(rng.randrange(m)):
                 exps[rng.randrange(d)] += 1
-            elems = list(_generating_elements(spec, top))
+            elems = list(_generating_elements(spec, top).elems)
             s, p = elems[m]
             e = codes.pack(exps)
             elems[m] = (s, {k: v for k, v in {**p, e: p.get(e, 0) + delta}.items() if v})
-            report = check_closure_numerators(elems, spec)
-            assert report == check_closure_fraction(numerator_basis(codes, elems), spec)
+            report = check_closure_numerators(Numerators(codes, elems), spec)
+            assert report == check_closure_fraction(numerator_basis(Numerators(codes, elems)), spec)
             assert all(k >= m for k, _ in report.violations)
             refuted += not report.ok
         assert refuted >= 20
@@ -1243,14 +1257,14 @@ class TestNumeratorCores:
         for spec in seeded_specs(rng, 40):
             d = spec.d
             codes = MonomialCodes(d, spec.top_weight)
-            for elems in _builder_numerators(spec).values():
-                basis = list(numerator_basis(codes, elems))
-                assert breadth_numerators(codes, (p for _, p in elems)) == _breadth_three_ranks(basis) == breadth(basis) == 1
+            for nums in _builder_numerators(spec).values():
+                basis = list(numerator_basis(nums))
+                assert breadth_numerators(nums) == _breadth_three_ranks(basis) == breadth(basis) == 1
                 extra = [Polynomial.variable(d, d - k) for k in range(rng.randint(0, d - 1))]
-                rows = [p for _, p in _rescaled(rng, elems)] + [_numerators(codes, q)[1] for q in extra]
+                rows = Numerators(codes, _rescaled(rng, nums).elems + [_numerators(codes, q) for q in extra])
                 expect = _breadth_three_ranks(basis + extra)
                 values.add(expect)
-                assert breadth_numerators(codes, rows) == expect
+                assert breadth_numerators(rows) == expect
         assert {1, 2, 3} <= values
 
 
@@ -1316,6 +1330,12 @@ class TestMonomialCodes:
         with pytest.raises(ValueError):
             MonomialCodes(d, top).pack(e)
 
+    def test_codecs_of_one_shape_are_equal(self):
+        assert MonomialCodes(3, 5) == MonomialCodes(3, 5) != MonomialCodes(3, 6)
+        assert MonomialCodes(3, 5) != MonomialCodes(2, 5) and MonomialCodes(3, 5) != (3, 5)
+        assert len({MonomialCodes(3, 5), MonomialCodes(3, 5), MonomialCodes(2, 5)}) == 2
+        assert repr(MonomialCodes(3, 5)) == "MonomialCodes(3, 5)"
+
     def test_breadth_takes_the_base_from_the_largest_degree(self, monkeypatch):
         tops = []
 
@@ -1332,7 +1352,30 @@ class TestMonomialCodes:
         assert breadth(basis) == _breadth_three_ranks(basis) == 2
         assert tops == [7]
         tops.clear()
+        # Two rows on one lead are packed whole, by the same base.
+        assert breadth(basis + [P("x2^7")]) == _breadth_three_ranks(basis) == 2
+        assert tops == [7]
+        tops.clear()
         assert breadth([P("3")]) == 0 and tops == [0]
+
+    @staticmethod
+    def _unchecked_basis(elements) -> BasisSequence:
+        """A BasisSequence of elements that skips its degree check."""
+        basis = object.__new__(BasisSequence)
+        object.__setattr__(basis, "elements", tuple(elements))
+        object.__setattr__(basis, "_coded", None)
+        return basis
+
+    def test_closure_takes_the_base_from_the_largest_degree(self):
+        # An element of degree past b_n must not carry into the degree
+        # digit: d/dx1 (x1 + x1^2) = 1 + 2*x1 is not c_11 * B_0 = 1.
+        spec = GeneralSpec(n=1, d=1, b=(1,), c=[(F(1),)])
+        basis = self._unchecked_basis([Polynomial.constant(1, 1), Polynomial.parse("x1 + x1^2", 1)])
+        assert check_closure(basis, spec) == check_closure_fraction(basis, spec) == ClosureReport(False, ((1, 1),))
+        spec = ParamTable(d=2, n=2, a={(2, 2): F(1)})
+        basis = self._unchecked_basis([P("1"), P("x1"), P("1/2*x1^2 + x2 + x2^5")])
+        expect = check_closure_fraction(basis, spec)
+        assert check_closure(basis, spec) == expect and expect.violations == ((2, 2),)
 
 
 class TestCodedKernels:
@@ -1353,28 +1396,40 @@ class TestCodedKernels:
         shapes = set()
         for spec in self._specs():
             d = spec.d
+            # Every top up to b_n is keyed by the spec's own codec.
             for top in sorted({0, spec.top_weight // 2, spec.top_weight}):
-                codes = MonomialCodes(d, top)
+                codes = spec.codes
+                assert codes == MonomialCodes(d, spec.top_weight) and spec.codes_to(top) is codes
                 for coded, oracle in ((_generating_elements, generating_elements_tuple),
                                       (_closed_form_elements, closed_form_elements_tuple)):
                     got = coded(spec, top)
-                    assert unpacked(codes, got) == oracle(spec, top)
+                    assert got.codes == codes
+                    assert unpacked(got) == oracle(spec, top)
                     assert got == packed(codes, oracle(spec, top))
             if spec.a is not None:
-                codes = MonomialCodes(d, spec.n)
-                assert unpacked(codes, _recursive_numerators(spec)) == recursive_numerators_tuple(spec)
+                got = _recursive_numerators(spec)
+                assert got.codes == MonomialCodes(d, spec.n)
+                assert unpacked(got) == recursive_numerators_tuple(spec)
             shapes.add((d, spec.n == 1, spec.a is not None))
         assert {(1, True, False), (40, False, True)} <= shapes and any(a for _, _, a in shapes)
+
+    def test_builders_past_b_n(self):
+        spec = GeneralSpec(n=2, d=2, b=(1, 3), c=[(F(1), F(2)), (F(-1, 2), F(0))])
+        assert spec.codes_to(5) == MonomialCodes(2, 5) != spec.codes
+        for coded, oracle in ((_generating_elements, generating_elements_tuple),
+                              (_closed_form_elements, closed_form_elements_tuple)):
+            got = coded(spec, 5)
+            assert got.codes == MonomialCodes(2, 5) and unpacked(got) == oracle(spec, 5)
 
     def test_closure(self):
         rng = make_rng(181)
         refuted = 0
         for spec in self._specs():
             codes = MonomialCodes(spec.d, spec.top_weight)
-            elems = _generating_elements(spec, spec.top_weight)
-            tuples = unpacked(codes, elems)
-            assert check_closure_numerators(elems, spec) == check_closure_numerators_tuple(tuples, spec)
-            basis = numerator_basis(codes, elems)
+            nums = _generating_elements(spec, spec.top_weight)
+            tuples = unpacked(nums)
+            assert check_closure_numerators(nums, spec) == check_closure_numerators_tuple(tuples, spec)
+            basis = numerator_basis(nums)
             tampered = _perturbed(rng, basis, rng.choice(("shift", "add", "drop", "scale")))
             rows = [(q.scale, q.numerators) for q in tampered]
             report = check_closure_numerators(packed(codes, rows), spec)
@@ -1388,51 +1443,71 @@ class TestCodedKernels:
         for spec in self._specs():
             d = spec.d
             codes = MonomialCodes(d, spec.top_weight)
-            basis = list(numerator_basis(codes, _generating_elements(spec, spec.top_weight)))
+            built = numerator_basis(_generating_elements(spec, spec.top_weight))
+            basis = list(built)
             extra = [Polynomial.variable(d, d - k) for k in range(rng.randint(0, min(d, 3) - 1))]
             # Repeated and combined rows take echelon's path, not the leads'.
             rows = basis + extra + [basis[-1] + basis[0], F(2, 3) * basis[-1]]
             rng.shuffle(rows)
             tuples = [q.numerators for q in rows]
             expect = breadth_numerators_tuple(d, tuples)
-            assert breadth_numerators(codes, [{codes.pack(e): v for e, v in p.items()} for p in tuples]) == expect
+            assert breadth_numerators(packed(codes, [(1, p) for p in tuples])) == expect
             assert breadth(rows) == expect
+            assert breadth(built) == breadth(basis) == breadth_numerators_tuple(d, [q.numerators for q in basis])
             values.add(expect)
         assert {1, 2} <= values
 
-    def test_basis_is_unpacked_once_per_distinct_code(self):
+    def test_basis_is_unpacked_once_per_distinct_code(self, monkeypatch):
         spec = ParamTable(d=3, n=6, a={(i, j): F(i, j) for i in range(2, 7) for j in (2, 3)})
-        elems = _generating_elements(spec, 6)
-        codes = MonomialCodes(3, 6)
-        basis = numerator_basis(codes, elems)
-        distinct = set().union(*(p for _, p in elems))
-        assert set(codes.exponents(set())) == distinct and len(distinct) < sum(len(p) for _, p in elems)
-        # A monomial held by several elements is one tuple, and so is the
-        # same monomial in a basis made again.
-        again = numerator_basis(codes, elems)
+        nums = _generating_elements(spec, 6)
+        asked = []
+        exponents = MonomialCodes.exponents
+
+        def recording(self, codes):
+            codes = list(codes)
+            asked.append(codes)
+            return exponents(self, codes)
+
+        monkeypatch.setattr(MonomialCodes, "exponents", recording)
+        basis = numerator_basis(nums)
+        distinct = set().union(*(p for _, p in nums.elems))
+        ((codes,),) = [asked]
+        assert sorted(codes) == sorted(distinct) and len(distinct) < sum(len(p) for _, p in nums.elems)
+        # A monomial held by several elements is one tuple.
         first = {e: e for q in basis for e in q.numerators}
-        assert all(first[e] is e for q in list(basis) + list(again) for e in q.numerators)
-        assert basis.elements == again.elements == build_general_fraction(spec).elements
-        # Packing the basis back reads the memo; an exponent it lacks is packed.
-        assert [set(codes.packed(q.numerators)) for q in basis] == [set(p) for _, p in elems]
-        assert codes.packed({(0, 0, 6): 5}) == {codes.pack((0, 0, 6)): 5} and codes.pack((0, 0, 6)) not in distinct
+        assert all(first[e] is e for q in basis for e in q.numerators)
+        assert basis.elements == build_general_fraction(spec).elements
 
-    def test_memo_is_bounded(self, monkeypatch):
-        codes = MonomialCodes(2, 30)
-        monkeypatch.setattr(MonomialCodes, "MEMO_LIMIT", 10)
-        first = {codes.pack((k, 0)) for k in range(8)}
-        second = {codes.pack((0, k)) for k in range(1, 8)}
-        more = {codes.pack((k, 1)) for k in range(11)}
-        held = codes.exponents(first)
-        assert held.keys() == first
-        exps = codes.exponents(second)  # 15 > 10: the memo starts again
-        assert exps.keys() == second and all(exps[c] == codes.unpack(c) for c in second)
-        assert held.keys() == first  # a mapping handed out is replaced, not emptied
-        exps = codes.exponents(more)  # more than 10: unpacked, not kept
-        assert exps.keys() == more and all(exps[c] == codes.unpack(c) for c in more)
-        assert codes.exponents(set()).keys() == second
-        assert codes.packed({(3, 0): 1, (0, 2): 2}) == {codes.pack((3, 0)): 1, codes.pack((0, 2)): 2}
+    def test_built_basis_is_read_through_its_numerators(self, monkeypatch):
+        """A built basis keeps its builder's numerators: check_closure and
+        breadth read them and pack nothing, and they take no part in
+        equality."""
+        spec = ParamTable(d=3, n=6, a={(i, j): F(i, j) for i in range(2, 7) for j in (2, 3)})
+        built = {name: f(spec) for name, f in
+                 (("recursive", build_recursive), ("general", build_general), ("generating", build_generating))}
 
-    def test_shared_instances(self):
-        assert MonomialCodes.of(3, 5) is MonomialCodes.of(3, 5) is not MonomialCodes.of(3, 6)
-        assert MonomialCodes.of(3, 5).units == MonomialCodes(3, 5).units
+        def forbidden(*args):
+            raise AssertionError("a built basis was packed again")
+
+        monkeypatch.setattr(MonomialCodes, "packed", forbidden)
+        monkeypatch.setattr(MonomialCodes, "pack", forbidden)
+        for basis in built.values():
+            assert basis._coded is not None
+            assert check_closure(basis, spec).ok and breadth(basis) == 1
+        monkeypatch.undo()
+        oracle = build_general_fraction(spec)
+        assert oracle._coded is None
+        assert built["recursive"] == built["general"] == built["generating"] == oracle
+        assert check_closure(oracle, spec).ok and breadth(oracle) == 1
+
+    def test_built_numerators_are_checked_for_grading(self):
+        # numerator_basis reads each element's degree from its largest code,
+        # and refuses what BasisSequence refuses.
+        codes = MonomialCodes(2, 2)
+        x1_sq = codes.pack((2, 0))
+        with pytest.raises(ValueError, match="element 1 has degree 2, expected 1"):
+            numerator_basis(Numerators(codes, [(1, {0: 1}), (1, {x1_sq: 1})]))
+        with pytest.raises(ValueError, match="element 1 has degree -1, expected 1"):
+            numerator_basis(Numerators(codes, [(1, {0: 1}), (1, {})]))
+        with pytest.raises(ValueError, match="element 1 has degree 2, expected 1"):
+            BasisSequence((P("1"), P("x1^2")))
