@@ -544,7 +544,7 @@ def _power_digits(f: Polynomial, z0: Sequence[Fraction]) -> int:
     prod_i z0_i^(e_i) over f's terms x^e."""
     logs = [(math.log10(abs(v.numerator) or 1), math.log10(v.denominator)) for v in z0]
     return max(
-        (int(sum(ei * lg[part] for ei, lg in zip(e, logs))) + 1 for e in f.terms for part in (0, 1)),
+        (int(sum(ei * lg[part] for ei, lg in zip(e, logs))) + 1 for e in f.numerators for part in (0, 1)),
         default=1,
     )
 
@@ -587,7 +587,7 @@ def _series_parts(spec: GeneralSpec, scheme: str, f: Polynomial, z0: Sequence[Fr
     for bj, i, _ in slots:
         if bj <= m:
             counts[i], reach[i] = counts[i] + 1, bj
-    exps = list(f.terms)
+    exps = list(f.numerators)
     products = sum(sum(1 for k in e if k) for e in exps)
     products += sum(max(e[i] for e in exps).bit_length() for i in range(f.dim)) if exps else 0
     width = min(m + 1, 1 + max((sum(k * w for k, w in zip(e, reach)) for e in exps), default=0))
@@ -673,6 +673,24 @@ _EXAMPLE_POINTS = {
 }
 
 
+def _study_parts(spec: GeneralSpec, f: Polynomial, steps: int) -> list[Part]:
+    """The work of study, under both schemes.  The target recurrence runs
+    to each order m <= b_n: the vectors of weight <= m, summed over m, are
+    those of weight <= b_n with one more weight 1 (the slack b_n - m), so
+    the recurrences count as one build to b_n with that weight added.  Each
+    sweep step evaluates m + 1 points, d + 1 float evaluations per point of
+    10 cells plus one per term of f and slot; --steps counts up to 1076,
+    where h reaches 0.0, plus 10 for a point's stencil weight and floats."""
+    den, slots = spec.slots
+    top = spec.top_weight
+    builds = _build_parts(spec.d, top, len(slots) + 1, lambda: (den, [(1, 0, den), *slots]), False)
+    per_point = (len(f.numerators) + len(slots) + 11) * (spec.d + 1)
+    evals = (top + 1) * (top + 2) * (max(0, min(steps, 1076)) + 10)
+    return [(2 * n, unit, f"2 schemes x {how}") for n, unit, how in builds] + [
+        (evals * per_point, "cell", f"{evals:,} point evaluations x {per_point:,}")
+    ]
+
+
 def _cmd_study(args) -> int:
     spec = _load_spec(args.spec) if args.spec else _EXAMPLE_PARAMS
     if not args.f and spec.d != _EXAMPLE_F.dim:
@@ -681,6 +699,7 @@ def _cmd_study(args) -> int:
     f = _load_poly(args.f, spec.d) if args.f else _EXAMPLE_F
     z0 = _parse_point(args.z0, spec.d)
     _check_power_size(f, z0)
+    _refuse_past_budget("study", _study_parts(spec, f, args.steps))
     # Every sweep runs before anything is written, so bad input leaves no output.
     runs = []
     for name, build in SCHEMES.items():

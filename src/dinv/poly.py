@@ -9,19 +9,18 @@ e.g. for d=2:
 
 That form is canonical (the scale is the lcm of the coefficients'
 denominators), so polynomial equality is int and dict equality of dim,
-scale and numerators.  The read-only view `terms`, {exponent: Fraction},
-is made on first read and kept; a polynomial made from Fractions (the
-public constructor and parse) keeps them as that view and derives its numerators once, on first need, and
-from_dict reads its JSON text straight to the integer form.  Degree and
-zero tests read only the exponents.
+scale and numerators.  It is the only form stored: every constructor
+(the public one, parse, from_dict and the internal integer results) ends
+in it, and `terms`, {exponent: Fraction}, is a view made afresh on each
+read for the text and JSON writers.
 
 A Polynomial is a vector: it adds, subtracts and scales (on its integer
-form), evaluates at a point, and reads and writes its text and JSON forms.
-The builders and checks compute elsewhere, on integer numerators or dense
-h-series, and hand their results to this type.  Every value is immutable
-after construction (caching a derived form changes no value) and every
-operation is pure, so polynomials can be shared freely between threads or
-processes.
+form), evaluates at a point (the order-0 functional of DiffOperator), and
+reads and writes its text and JSON forms.  The builders and checks
+compute elsewhere, on integer numerators or dense h-series, and hand
+their results to this type.  Every value is immutable after
+construction and every operation is pure, so polynomials can be shared
+freely between threads or processes.
 
 All arithmetic is exact; there is no floating point anywhere in this
 module.  The convention 0**0 == 1 is used throughout (Python's native
@@ -193,17 +192,14 @@ class Polynomial:
 
     `dim` is the ambient number of variables; a constant in 2 variables is
     a different value from a constant in 3 variables.  `scale` and
-    `numerators` are the canonical integer form (see the module docstring)
-    and `terms` the {exponent: Fraction} view.  One of the two is stored;
-    the other's slots stay empty until first read, when __getattr__ makes
-    it once and fills them.  Do not mutate the mappings.
-
-    _scale=s takes internal integer results: nonzero int numerators over a
-    positive scale s, reduced here by their gcd with s.
+    `numerators` are the one stored form (see the module docstring); do
+    not mutate `numerators`.  The public constructor checks the exponents
+    of {exponent: Fraction or int} and drops zero coefficients; _scale=s
+    takes internal results, nonzero int numerators over a positive scale s.
+    Both end in one gcd fold with the scale.
     """
 
-    # _keys is the stored mapping, whose exponents both forms share.
-    __slots__ = ("dim", "_keys", "terms", "scale", "numerators")
+    __slots__ = ("dim", "scale", "numerators")
 
     def __init__(
         self,
@@ -214,18 +210,7 @@ class Polynomial:
     ):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        if _scale is not None:
-            # One gcd fold, stopped at 1: math.gcd(*nums) would build a tuple.
-            g = _scale
-            for v in terms.values():
-                g = math.gcd(g, v)
-                if g == 1:
-                    break
-            if g != 1:
-                terms = {e: v // g for e, v in terms.items()}
-            _set(self, "scale", _scale // g)
-            _set(self, "numerators", terms)
-        else:
+        if _scale is None:
             clean: dict[Exponent, Fraction] = {}
             for exps, coef in (terms or {}).items():
                 exps = tuple(exps)
@@ -233,30 +218,28 @@ class Polynomial:
                 c = Fraction(coef)
                 if c != 0:
                     clean[exps] = c
-            terms = clean
-            _set(self, "terms", terms)
+            _scale, nums = common_denominator(clean.values())
+            terms = dict(zip(clean, nums))
+        # One gcd fold, stopped at 1: math.gcd(*nums) would build a tuple.
+        g = _scale
+        for v in terms.values():
+            g = math.gcd(g, v)
+            if g == 1:
+                break
+        if g != 1:
+            terms = {e: v // g for e, v in terms.items()}
         _set(self, "dim", dim)
-        _set(self, "_keys", terms)
+        _set(self, "scale", _scale // g)
+        _set(self, "numerators", terms)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Polynomial is immutable")
 
-    def __getattr__(self, name: str):
-        """The form not stored, made once on its first read (Python calls
-        this only for an empty slot).  The lcm of the denominators is the
-        canonical scale: a prime at its highest power in the lcm divides
-        that coefficient's denominator, so not its numerator."""
-        if name == "terms":
-            s = self.scale
-            _set(self, "terms", {e: Fraction(v, s) for e, v in self._keys.items()})
-        elif name in ("scale", "numerators"):
-            keys = self._keys
-            scale, nums = common_denominator(keys.values())
-            _set(self, "scale", scale)
-            _set(self, "numerators", dict(zip(keys, nums)))
-        else:
-            raise AttributeError(f"'Polynomial' object has no attribute {name!r}")
-        return getattr(self, name)
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """{exponent: Fraction}, made afresh on each read."""
+        s = self.scale
+        return {e: Fraction(v, s) for e, v in self.numerators.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -285,16 +268,16 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self._keys
+        return not self.numerators
 
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        keys = self._keys
-        return max(map(sum, keys)) if keys else -1
+        nums = self.numerators
+        return max(map(sum, nums)) if nums else -1
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
+        return Fraction(self.numerators.get(tuple(exps), 0), self.scale)
 
     def canonical_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in graded-lexicographic descending order, x1 > x2 > ... > xd."""
@@ -341,7 +324,7 @@ class Polynomial:
         return self.dim == other.dim and self.scale == other.scale and self.numerators == other.numerators
 
     def __bool__(self) -> bool:
-        return bool(self._keys)
+        return bool(self.numerators)
 
     def __repr__(self) -> str:
         return f"Polynomial.parse({self.render()!r}, dim={self.dim})"
@@ -349,18 +332,10 @@ class Polynomial:
     # -- evaluation and text and JSON forms -------------------------------
 
     def eval(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Exact value at a rational point (0**0 == 1)."""
-        vals = [Fraction(v) for v in point]
-        if len(vals) != self.dim:
-            raise ValueError(f"point has length {len(vals)}, expected {self.dim}")
-        total = _ZERO
-        for e, c in self.terms.items():
-            term = c
-            for ei, v in zip(e, vals):
-                if ei:
-                    term *= v ** ei
-            total += term
-        return total
+        """Exact value at a rational point (0**0 == 1): the order-0
+        functional, DiffOperator(1).apply_at, on integers."""
+        one = Polynomial(self.dim, {(0,) * self.dim: 1}, _scale=1)
+        return DiffOperator(one).apply_at(self, [Fraction(v) for v in point])
 
     def render(self, names: Sequence[str] | None = None) -> str:
         """Canonical text form, terms in graded-lex descending order.
@@ -368,7 +343,7 @@ class Polynomial:
         Example: '1/2*x1^2 + 2*x2'.  Coefficients +-1 are left implicit in
         front of a non-constant monomial.
         """
-        if not self._keys:
+        if not self.numerators:
             return "0"
         if names is None:
             names = [f"x{i}" for i in range(1, self.dim + 1)]

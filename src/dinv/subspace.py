@@ -33,8 +33,8 @@ check_closure_numerators and breadth_numerators, read the codes as they
 are, through the codec handed with them.  Exponent tuples are made only at
 the Polynomial boundary: numerator_basis unpacks each distinct code once
 and hands the numerators to Polynomial's integer form, reduced by one gcd
-fold and with no Fraction made, so build_* return bases that hold
-Fractions only once .terms is read.  A built BasisSequence keeps its
+fold and with no Fraction made, so build_* return bases that hold no
+Fraction.  A built BasisSequence keeps its
 builder's Numerators, which check_closure and breadth read as they are;
 any other basis is packed by a codec whose base exceeds b_n and every
 degree.  The Fraction builders and closure check, and the exponent-tuple

@@ -1531,6 +1531,45 @@ def test_extreme_scans_exit_0_1_or_2(count, d_max, n_max, seed):
     assert "Traceback" not in err.getvalue()
 
 
+@settings(max_examples=40, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    spec=st.one_of(st.none(), _extreme_specs()),
+    exps=st.tuples(*[st.one_of(st.integers(0, 12), st.integers(0, 10**9))] * 2),
+    z0=st.tuples(*[_EXTREME_RATIONALS] * 3),
+    h0=st.one_of(st.sampled_from(["1/4", "1", "3/2"]), _EXTREME_RATIONALS),
+    steps=_small_or_huge(-1, 20),
+)
+def test_extreme_studies_exit_0_1_or_2(tmp_path, spec, exps, z0, h0, steps):
+    """study on the demo table or a valid spec of extreme size, with extreme
+    --z0, --h0 and --steps, writing to tmp_path: an exit code in {0, 1, 2},
+    never an exception, within the deadline."""
+    argv = ["study", f"--h0={h0}", f"--steps={steps}", "--out-dir", str(tmp_path / "out")]
+    d = 2
+    if spec is not None:
+        d = spec["d"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        f = tmp_path / "f.txt"
+        f.write_text(f"x1^{exps[0]}*x{d}^{exps[1]} - 2*x{d} + 1")
+        argv += ["--spec", str(path), "--f", str(f)]
+    argv.append(f"--z0={','.join(z0[:d])}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=10, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(out=st.sampled_from([None, "example.txt", ".", "missing/example.txt"]))
+def test_example1_exits_0_1_or_2(tmp_path, out):
+    """example1 to stdout, to a writable --out and to an unwritable one (a
+    directory, a file in a missing directory): an exit code in {0, 1, 2},
+    never an exception, within the deadline."""
+    argv = ["example1"] + ([] if out is None else ["--out", str(tmp_path / out)])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 class TestEitherSpec:
     """points, limit, sweep and study take either spec kind through its
     weights (b, c); on a table, these and verify --what closure|breadth
@@ -1679,6 +1718,29 @@ class TestStudy:
         captured = capsys.readouterr()
         d = dinv.GeneralSpec.from_dict(spec).d
         assert captured.err == f"error: {path}: the demo f is in 2 variables, the spec in {d}; pass --f\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_every_order_is_predicted_before_any_point(self, tmp_path, monkeypatch, capsys):
+        # study builds the target recurrence to every order under both
+        # schemes, 802 builds here where one (verify --what closure) is in
+        # budget: refused at once, before any point is built.
+        def forbidden(*args):
+            raise AssertionError("point set built")
+
+        path = tmp_path / "n400.json"
+        path.write_text(json.dumps({"d": 2, "n": 400, "a": {"2,2": "1"}}))
+        f = tmp_path / "f.txt"
+        f.write_text("x1 + x2")
+        assert main(["verify", "--what", "closure", "--spec", str(path)]) == 0
+        capsys.readouterr()
+        for scheme in "ab":
+            monkeypatch.setitem(dinv.cli.SCHEMES, scheme, forbidden)
+        start = time.perf_counter()
+        argv = ["study", "--spec", str(path), "--f", str(f), "--h0", "1", "--steps", "2", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: study: the work would take about ") and "2 s budget" in captured.err
         assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_out_dir_is_a_file_exits_2(self, tmp_path, capsys):

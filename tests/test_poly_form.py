@@ -1,5 +1,5 @@
-"""Polynomial's stored form: integer numerators over one positive scale,
-with the {exponent: Fraction} view made on first read.
+"""Polynomial's one stored form: integer numerators over one positive
+scale, with the {exponent: Fraction} view made afresh on each read.
 
 Every way of making a polynomial (the public constructor,
 numerator_polynomial on unreduced scales, parse and from_dict) and every vector-space operation is compared with the plain
@@ -112,7 +112,9 @@ def test_vector_space_operations_match_the_oracle(data, dim, a, k):
 @given(st.data(), dims, st.lists(_COEFS, min_size=3, max_size=3))
 def test_eval_render_and_round_trips_match_the_oracle(data, dim, point):
     terms, p = data.draw(made(dim))
-    assert p.eval(point[:dim]) == dict_eval(terms, point[:dim])
+    # The drawn point, and points with zero and negative coordinates.
+    for pt in (point[:dim], [0] * dim, [-1] * dim, [F(-3, 2), 0, 5][:dim], [0, F(-2, 7), -4][:dim]):
+        assert p.eval(pt) == dict_eval(terms, pt)
     assert p.render() == dict_render(terms, dim)
     assert p.to_dict() == Polynomial(dim, terms).to_dict()
     assert_is(Polynomial.from_dict(p.to_dict()), terms, dim)
@@ -127,6 +129,19 @@ def test_apply_at_reads_either_form_of_its_source(data, dim, point):
     f_terms, f = data.draw(made(dim))
     expected = apply_operator(Polynomial(dim, terms), Polynomial(dim, f_terms)).eval(point[:dim])
     assert DiffOperator(source).apply_at(f, point[:dim]) == expected
+
+
+def test_terms_is_a_view_that_cannot_change_the_polynomial():
+    # terms is made afresh on each read: writing into one read changes
+    # neither the polynomial nor the next read.
+    p, twin = Polynomial(1, {(1,): F(1, 2)}), Polynomial(1, {(1,): F(1, 2)})
+    p.terms[(2,)] = F(3)
+    view = p.terms
+    view[(1,)] = F(5)
+    del view[(1,)]
+    assert p.terms == {(1,): F(1, 2)} and p.terms is not p.terms
+    assert p.degree == 1 and p.render() == "1/2*x1" and p == twin
+    assert (p.scale, p.numerators) == (2, {(1,): 1})
 
 
 def test_the_zero_polynomial_has_scale_one():
