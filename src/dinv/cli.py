@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import count_compositions
-from .discretize import SCHEMES, SweepRow, expansion_check, h_coef_log10, stencil, sweep, sweep_to_csv
+from .discretize import SCHEMES, SweepRow, _target_values, expansion_check, h_coef_log10, stencil, sweep, sweep_to_csv
 from .identities import falling_factorial_sums, signed_power_sums, vandermonde_oracles
 from .poly import DigitLimitError, Polynomial, parse_rational, rational_text
 from .subspace import (
@@ -633,14 +633,14 @@ def _cmd_limit(args) -> int:
     return 0 if report.passed else 1
 
 
-def _sweep_rows(args, f: Polynomial, z0, m: int, pts) -> list[SweepRow]:
+def _sweep_rows(args, f: Polynomial, z0, m: int, pts, target: Fraction | None = None) -> list[SweepRow]:
     """sweep() from --h0 and --steps, its failures turned into CliError."""
     try:
         h0 = float(parse_rational(args.h0))
     except _PARSE_ERRORS as exc:
         raise CliError(f"bad --h0 {args.h0!r}: {exc}") from exc
     try:
-        return sweep(f, z0, m, pts, h0=h0, steps=args.steps)
+        return sweep(f, z0, m, pts, h0=h0, steps=args.steps, target=target)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except OverflowError as exc:
@@ -673,21 +673,21 @@ _EXAMPLE_POINTS = {
 }
 
 
-def _study_parts(spec: GeneralSpec, f: Polynomial, steps: int) -> list[Part]:
-    """The work of study, under both schemes.  The target recurrence runs
-    to each order m <= b_n: the vectors of weight <= m, summed over m, are
-    those of weight <= b_n with one more weight 1 (the slack b_n - m), so
-    the recurrences count as one build to b_n with that weight added.  Each
-    sweep step evaluates m + 1 points, d + 1 float evaluations per point of
-    10 cells plus one per term of f and slot; --steps counts up to 1076,
-    where h reaches 0.0, plus 10 for a point's stencil weight and floats."""
-    den, slots = spec.slots
-    top = spec.top_weight
-    builds = _build_parts(spec.d, top, len(slots) + 1, lambda: (den, [(1, 0, den), *slots]), False)
-    per_point = (len(f.numerators) + len(slots) + 11) * (spec.d + 1)
+def _study_parts(spec: GeneralSpec, f: Polynomial, z0: Sequence[Fraction], steps: int) -> list[Part]:
+    """The work of study (README.md, "Work guard"): one build to b_n; the
+    targets, each pair of a term of B_m and one of f; and the sweeps' float
+    point evaluations, --steps counted up to 1076, where h reaches 0.0."""
+    d, top, slots = spec.d, spec.top_weight, spec.slots[1]
+    build = _build_parts(d, top, len(slots), lambda: spec.slots, False)
+    least = {i: bj for bj, i, _ in reversed(slots)}  # the least weight of each x_i
+    pairs = min(build[0][0] // (d + 3), count_compositions(top, [*least.values(), 1])) * len(f.numerators)
+    per_pair, digits = 2 * d + 2 + min(top, max(f.degree, 0)), _lifted_digits(f, z0)
+    per_point = (len(f.numerators) + len(slots) + 11) * (d + 1)
     evals = (top + 1) * (top + 2) * (max(0, min(steps, 1076)) + 10)
-    return [(2 * n, unit, f"2 schemes x {how}") for n, unit, how in builds] + [
-        (evals * per_point, "cell", f"{evals:,} point evaluations x {per_point:,}")
+    return build + [
+        (pairs * per_pair, "cell", f"{pairs:,} pairs of a term of B_m and one of f x {per_pair}"),
+        (_digit_steps(pairs * d, digits, digits), "digit-step", f"{d} multiplies per pair on {digits:,} digits"),
+        (evals * per_point, "cell", f"{evals:,} point evaluations x {per_point:,}"),
     ]
 
 
@@ -699,12 +699,16 @@ def _cmd_study(args) -> int:
     f = _load_poly(args.f, spec.d) if args.f else _EXAMPLE_F
     z0 = _parse_point(args.z0, spec.d)
     _check_power_size(f, z0)
-    _refuse_past_budget("study", _study_parts(spec, f, args.steps))
+    _refuse_past_budget("study", _study_parts(spec, f, z0, args.steps))
+    # Both schemes share one recurrence, each target made when first swept.
+    targets, exact, runs = _target_values(f, z0, range(spec.top_weight + 1), spec), [], []
     # Every sweep runs before anything is written, so bad input leaves no output.
-    runs = []
     for name, build in SCHEMES.items():
         pts = build(spec, z0)
-        runs += [(name, m, _sweep_rows(args, f, z0, m, pts)) for m in range(len(pts.points))]
+        for m in range(len(pts.points)):
+            if m == len(exact):
+                exact.append(next(targets))
+            runs.append((name, m, _sweep_rows(args, f, z0, m, pts, exact[m])))
     out_dir = Path(args.out_dir)
     z0_text = ", ".join(str(c) for c in z0)
     if spec.a is not None:

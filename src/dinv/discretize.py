@@ -308,12 +308,12 @@ class ExpansionReport:
         }
 
 
-def _target_value(f: Polynomial, z0: Sequence[Fraction], m: int, spec: GeneralSpec) -> Fraction:
-    """(B_m(D)f)(z0) from the spec alone, with B_0..B_m built by the
-    generating recurrence stopped at weight m on monomial codes; only B_m's
-    are unpacked to exponents."""
-    codes, elems = _generating_elements(spec, m)
-    return DiffOperator(numerator_polynomial(codes, *elems[m])).apply_at(f, z0)
+def _target_values(f: Polynomial, z0: Sequence[Fraction], orders: range, spec: GeneralSpec) -> Iterator[Fraction]:
+    """(B_m(D)f)(z0) for each m in orders in turn, from the spec alone: one
+    recurrence on monomial codes to the last order, only these B_m unpacked."""
+    codes, elems = _generating_elements(spec, orders[-1])
+    for m in orders:
+        yield DiffOperator(numerator_polynomial(codes, *elems[m])).apply_at(f, z0)
 
 
 def expansion_check(
@@ -336,7 +336,7 @@ def expansion_check(
         raise ValueError(f"dimension mismatch: f has {f.dim}, points have {pts.dim}")
     _check_order(m, pts)
     coeffs = _series(f, m, pts, m + 1)
-    target = _target_value(f, base, m, pts.spec)
+    (target,) = _target_values(f, base, range(m, m + 1), pts.spec)
     return ExpansionReport(m=m, low_coeffs=tuple(coeffs[:m]), lead=coeffs[m], target=target)
 
 
@@ -351,17 +351,18 @@ class SweepRow:
     est_order: float | None
 
 
-def _to_float(value: Fraction, what: str) -> float:
-    """float(value); ValueError naming `what` if no float can hold it."""
+def _to_float(num: int, den: int, what: str) -> float:
+    """num / den, den > 0, rounded as float(Fraction(num, den)) is; ValueError naming `what` if too large."""
     try:
-        return float(value)
+        return num / den
     except OverflowError:
-        digits = _decimal_digits(value.numerator // value.denominator)
+        digits = _decimal_digits(num // den)
         raise ValueError(f"{what} has {digits} digits before the point; no float can hold it") from None
 
 
 def _float_terms(p: Polynomial, what: str) -> list[tuple[tuple[int, ...], float]]:
-    return [(e, _to_float(c, what)) for e, c in p.terms.items()]
+    s = p.scale
+    return [(e, _to_float(v, s, what)) for e, v in p.numerators.items()]
 
 
 def _eval_float(terms: Sequence[tuple[tuple[int, ...], float]], point: Sequence[float]) -> float:
@@ -381,10 +382,12 @@ def sweep(
     pts: SymbolicPointSet,
     h0: float = 0.25,
     steps: int = 12,
+    target: Fraction | None = None,
 ) -> list[SweepRow]:
     """Float h-sweep of (1/h^m) * sum_r A_r^(m) f(z_r(h)) against the exact
     target, halving h each row.  est_order is log2(err_prev / err) and is
-    absent on the first row and wherever either error is zero.
+    absent on the first row and wherever either error is zero.  target,
+    if given, is the order's exact (B_m(D)f)(z0).
 
     The exact values (target, coefficients of f and of the points) are
     converted to floats before the loop, and one too large for a float is
@@ -409,12 +412,11 @@ def sweep(
             f"--steps {steps} halvings of --h0 {h0!r} take {what} to 0.0; at most {keep} steps are accepted"
         )
     weights = [float(c) for c in stencil(m).coeffs]
-    exact = _to_float(_target_value(f, base, m, pts.spec), f"the exact target (B_{m}(D)f)(z0)")
+    if target is None:
+        (target,) = _target_values(f, base, range(m, m + 1), pts.spec)
+    exact = _to_float(target.numerator, target.denominator, f"the exact target (B_{m}(D)f)(z0)")
     f_terms = _float_terms(f, "a coefficient of f")
-    points = [
-        [_float_terms(coord, f"a coefficient of point {r}") for coord in pts.points[r]]
-        for r in range(m + 1)
-    ]
+    points = [[_float_terms(coord, f"a coefficient of point {r}") for coord in pts.points[r]] for r in range(m + 1)]
     rows: list[SweepRow] = []
     prev_err: float | None = None
     for h in hs:

@@ -332,8 +332,7 @@ class Polynomial:
     # -- evaluation and text and JSON forms -------------------------------
 
     def eval(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Exact value at a rational point (0**0 == 1): the order-0
-        functional, DiffOperator(1).apply_at, on integers."""
+        """Exact value at a rational point (0**0 == 1): the order-0 functional, on integers."""
         one = Polynomial(self.dim, {(0,) * self.dim: 1}, _scale=1)
         return DiffOperator(one).apply_at(self, [Fraction(v) for v in point])
 

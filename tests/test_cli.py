@@ -7,6 +7,7 @@ tmp_path.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -1721,9 +1722,9 @@ class TestStudy:
         assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_every_order_is_predicted_before_any_point(self, tmp_path, monkeypatch, capsys):
-        # study builds the target recurrence to every order under both
-        # schemes, 802 builds here where one (verify --what closure) is in
-        # budget: refused at once, before any point is built.
+        # study sweeps every order 0..400 under both schemes, 161,202 point
+        # evaluations a step, where the build alone (verify --what closure)
+        # is in budget: refused at once, before any point is built.
         def forbidden(*args):
             raise AssertionError("point set built")
 
@@ -1742,6 +1743,27 @@ class TestStudy:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: study: the work would take about ") and "2 s budget" in captured.err
         assert captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_targets_are_predicted(self, tmp_path):
+        # Each target walks every pair of a term of B_m and one of f: on a
+        # d = 6 table and an f of 200 terms, the prediction covers those
+        # pairs, and the run stays under it.
+        spec = dinv.ParamTable(d=6, n=8, a={(i, j): 1 for i in range(2, 9) for j in range(2, 7)})
+        exps = [e for e in itertools.product(range(7), repeat=6) if sum(e) <= 6][:200]
+        f = Polynomial(6, {e: k % 7 + 1 for k, e in enumerate(exps)})
+        z0 = (Fraction(1, 2),) * 6
+        parts = dinv.cli._study_parts(spec, f, z0, 2)
+        _, elems = dinv.subspace._generating_elements(spec, 8)
+        walked = sum(len(nums) for _, nums in elems) * len(f.numerators)
+        assert any(count >= walked * (2 * 6 + 2) and "pairs" in how for count, _, how in parts)
+        spec_path, f_path = tmp_path / "spec.json", tmp_path / "f.txt"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        f_path.write_text(f.render())
+        argv = ["study", "--spec", str(spec_path), "--f", str(f_path), "--z0=1/2,1/2,1/2,1/2,1/2,1/2", "--steps", "2"]
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+        assert time.perf_counter() - start < dinv.cli._seconds(parts) <= dinv.cli.WORK_BUDGET_S
 
     def test_out_dir_is_a_file_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
