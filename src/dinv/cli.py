@@ -27,6 +27,7 @@ deterministic given the arguments and input files (scan draws from its
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -40,7 +41,17 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import count_compositions
-from .discretize import SCHEMES, SweepRow, _target_values, expansion_check, h_coef_log10, stencil, sweep, sweep_to_csv
+from .discretize import (
+    SCHEMES,
+    SweepRow,
+    _target_values,
+    expansion_check,
+    h_coef_log10,
+    stencil,
+    sweep,
+    sweep_steps,
+    sweep_to_csv,
+)
 from .identities import falling_factorial_sums, signed_power_sums, vandermonde_oracles
 from .poly import DigitLimitError, Polynomial, parse_rational, rational_text
 from .subspace import (
@@ -520,7 +531,7 @@ def _cmd_points(args) -> int:
         if args.pretty:
             text = "".join(
                 "(" + ", ".join(coord.render(names=["h"]) for coord in pt) + ")\n"
-                for pt in pts.points
+                for pt in pts
             )
         else:
             text = json.dumps(pts.to_dict(), indent=2) + "\n"
@@ -633,24 +644,34 @@ def _cmd_limit(args) -> int:
     return 0 if report.passed else 1
 
 
-def _sweep_rows(args, f: Polynomial, z0, m: int, pts, target: Fraction | None = None) -> list[SweepRow]:
-    """sweep() from --h0 and --steps, its failures turned into CliError."""
+def _parse_h0(args) -> float:
     try:
-        h0 = float(parse_rational(args.h0))
+        return float(parse_rational(args.h0))
     except _PARSE_ERRORS as exc:
         raise CliError(f"bad --h0 {args.h0!r}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _sweep_errors(args) -> Iterator[None]:
+    """Turn the failures of a sweep, or of its step check, into CliError."""
     try:
-        return sweep(f, z0, m, pts, h0=h0, steps=args.steps, target=target)
+        yield
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except OverflowError as exc:
         raise CliError(f"float overflow in the sweep from --h0 {args.h0}; use a smaller --h0") from exc
 
 
+def _sweep_rows(args, h0: float, f: Polynomial, z0, m: int, pts, target: Fraction | None = None) -> list[SweepRow]:
+    """sweep() from h0 (--h0 as _parse_h0 reads it) and --steps."""
+    with _sweep_errors(args):
+        return sweep(f, z0, m, pts, h0=h0, steps=args.steps, target=target)
+
+
 def _cmd_sweep(args) -> int:
     spec, f, z0 = _scheme_inputs(args)
     pts = SCHEMES[args.scheme](spec, z0)
-    _emit(args, sweep_to_csv(_sweep_rows(args, f, z0, args.m, pts)))
+    _emit(args, sweep_to_csv(_sweep_rows(args, _parse_h0(args), f, z0, args.m, pts)))
     return 0
 
 
@@ -676,14 +697,14 @@ _EXAMPLE_POINTS = {
 def _study_parts(spec: GeneralSpec, f: Polynomial, z0: Sequence[Fraction], steps: int) -> list[Part]:
     """The work of study (README.md, "Work guard"): one build to b_n; the
     targets, each pair of a term of B_m and one of f; and the sweeps' float
-    point evaluations, --steps counted up to 1076, where h reaches 0.0."""
+    point evaluations over steps halvings, which sweep_steps has accepted."""
     d, top, slots = spec.d, spec.top_weight, spec.slots[1]
     build = _build_parts(d, top, len(slots), lambda: spec.slots, False)
     least = {i: bj for bj, i, _ in reversed(slots)}  # the least weight of each x_i
     pairs = min(build[0][0] // (d + 3), count_compositions(top, [*least.values(), 1])) * len(f.numerators)
     per_pair, digits = 2 * d + 2 + min(top, max(f.degree, 0)), _lifted_digits(f, z0)
     per_point = (len(f.numerators) + len(slots) + 11) * (d + 1)
-    evals = (top + 1) * (top + 2) * (max(0, min(steps, 1076)) + 10)
+    evals = (top + 1) * (top + 2) * (steps + 10)
     return build + [
         (pairs * per_pair, "cell", f"{pairs:,} pairs of a term of B_m and one of f x {per_pair}"),
         (_digit_steps(pairs * d, digits, digits), "digit-step", f"{d} multiplies per pair on {digits:,} digits"),
@@ -699,16 +720,22 @@ def _cmd_study(args) -> int:
     f = _load_poly(args.f, spec.d) if args.f else _EXAMPLE_F
     z0 = _parse_point(args.z0, spec.d)
     _check_power_size(f, z0)
+    h0, orders = _parse_h0(args), range(spec.top_weight + 1)
+    # Every order's steps are checked as its sweep would check them, before the work is predicted.
+    with _sweep_errors(args):
+        for m in orders:
+            sweep_steps(h0, args.steps, m, spec.top_weight)
     _refuse_past_budget("study", _study_parts(spec, f, z0, args.steps))
     # Both schemes share one recurrence, each target made when first swept.
-    targets, exact, runs = _target_values(f, z0, range(spec.top_weight + 1), spec), [], []
+    targets, exact, runs = _target_values(f, z0, orders, spec), [], []
     # Every sweep runs before anything is written, so bad input leaves no output.
+    # A scheme's sweeps share its points: order m makes only point m.
     for name, build in SCHEMES.items():
         pts = build(spec, z0)
-        for m in range(len(pts.points)):
+        for m in orders:
             if m == len(exact):
                 exact.append(next(targets))
-            runs.append((name, m, _sweep_rows(args, f, z0, m, pts, exact[m])))
+            runs.append((name, m, _sweep_rows(args, h0, f, z0, m, pts, exact[m])))
     out_dir = Path(args.out_dir)
     z0_text = ", ".join(str(c) for c in z0)
     if spec.a is not None:
@@ -800,7 +827,7 @@ def _cmd_example1(args) -> int:
     point_sets = {tag: build_pts(params, z0) for tag, build_pts in SCHEMES.items()}
     for tag, pts in point_sets.items():
         out.append(f"scheme {tag} points:")
-        for i, (pt, want) in enumerate(zip(pts.points, _EXAMPLE_POINTS[tag])):
+        for i, (pt, want) in enumerate(zip(pts, _EXAMPLE_POINTS[tag])):
             got = "(" + ", ".join(coord.render(names=["h"]) for coord in pt) + ")"
             out.append(f"  {got}")
             if got != want:

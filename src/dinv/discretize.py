@@ -51,7 +51,10 @@ point r is
     (p_i * D + q_i * sum_j n_ij * h_coef(r, b_j) * h^(b_j)) / (q_i * D),
 
 reduced by one gcd, so a point set makes no Fraction but z0's and the
-series reads each coordinate's scale and numerators as stored.  The
+series reads each coordinate's scale and numerators as stored.  A point
+set stores only its rule, (scheme, z0, spec), and makes point r when it
+is first read: the check and the sweep at order m read the points 0..m,
+and a writer that refuses a coefficient makes no later point.  The
 generating spec travels with the point set so downstream checks can
 rebuild the basis it belongs to.
 """
@@ -94,35 +97,57 @@ def stencil(m: int) -> Stencil:
 
 @dataclass(frozen=True)
 class SymbolicPointSet:
-    """b_n + 1 points with coordinates given as exact polynomials in h.
-
-    scheme is "a" or "b"; base is the common limit point z0; spec is the
-    spec the points were generated from (carried so
-    verification code can rebuild the matching basis).
-    """
+    """The b_n + 1 points z_r(h), r = 0..b_n, of scheme "a" or "b" around
+    the base point z0, stored as their rule (scheme, base, spec).  point(r)
+    makes point r when it is first read and keeps it outside equality;
+    iterating yields the points in order, so a reader that stops at point m
+    makes no later one."""
 
     scheme: str
     base: tuple[Fraction, ...]
-    points: tuple[tuple[Polynomial, ...], ...]
     spec: GeneralSpec
+
+    def __post_init__(self) -> None:
+        if len(self.base) != self.spec.d:
+            raise ValueError(f"base point has length {len(self.base)}, expected {self.spec.d}")
+        object.__setattr__(self, "_made", {})
 
     @property
     def dim(self) -> int:
         return len(self.base)
 
+    def point(self, r: int) -> tuple[Polynomial, ...]:
+        """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i, 0 <= r <= b_n,
+        each coordinate in Polynomial's integer form (module docstring)."""
+        if r not in self._made:
+            if not 0 <= r <= self.spec.top_weight:
+                raise IndexError(f"point {r} outside 0..{self.spec.top_weight}")
+            den, slots = self.spec.slots
+            coords = [{(0,): v.numerator * den} if v else {} for v in self.base]
+            for bj, group in itertools.groupby(slots, itemgetter(0)):
+                if k := SCHEME_RULES[self.scheme][0](r, bj):
+                    for _, i, n_ij in group:
+                        coords[i][(bj,)] = n_ij * k * self.base[i].denominator
+            self._made[r] = tuple(Polynomial(1, c, _scale=v.denominator * den) for c, v in zip(coords, self.base))
+        return self._made[r]
+
+    def __iter__(self) -> Iterator[tuple[Polynomial, ...]]:
+        return map(self.point, range(self.spec.top_weight + 1))
+
+    @property
+    def points(self) -> tuple[tuple[Polynomial, ...], ...]:
+        return tuple(self)
+
     def at(self, h: Fraction | int) -> Iterator[tuple[Fraction, ...]]:
-        """Exact numeric points for a given rational h, one at a time: a
-        caller that refuses a point stops before the later, larger ones
-        are evaluated."""
+        """The exact points at a rational h, one at a time."""
         hv = [Fraction(h)]
-        for pt in self.points:
-            yield tuple(coord.eval(hv) for coord in pt)
+        return (tuple(coord.eval(hv) for coord in pt) for pt in self)
 
     def to_dict(self) -> dict:
         return {
             "scheme": self.scheme,
             "base": [rational_text(v) for v in self.base],
-            "points": [[coord.to_dict() for coord in pt] for pt in self.points],
+            "points": [[coord.to_dict() for coord in pt] for pt in self],
         }
 
 
@@ -138,35 +163,12 @@ SCHEME_RULES = {
 }
 
 
-def _points(scheme: str, spec: GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
-    """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i,  r = 0..b_n,
-    each coordinate made in Polynomial's integer form over q_i * D (see
-    the module docstring)."""
-    h_coef = SCHEME_RULES[scheme][0]
-    den, slots = spec.slots
-    base = tuple(Fraction(v) for v in z0)
-    if len(base) != spec.d:
-        raise ValueError(f"base point has length {len(base)}, expected {spec.d}")
-    qs = [v.denominator for v in base]
-    scales = [q * den for q in qs]
-    consts = [{(0,): v.numerator * den} if v else {} for v in base]
-    pts = []
-    for r in range(spec.top_weight + 1):
-        coords = [dict(c) for c in consts]
-        for bj, group in itertools.groupby(slots, itemgetter(0)):
-            if k := h_coef(r, bj):
-                for _, i, n_ij in group:
-                    coords[i][(bj,)] = n_ij * k * qs[i]
-        pts.append(tuple(Polynomial(1, terms, _scale=s) for terms, s in zip(coords, scales)))
-    return SymbolicPointSet(scheme=scheme, base=base, points=tuple(pts), spec=spec)
-
-
 def points_scheme_a(spec: GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
     """First scheme: z_r(h) = z0 + p(r*h), r = 0..b_n, that is
 
         z_r(h) = z0 + (sum_j c_ij * (r*h)^(b_j))_i.
     """
-    return _points("a", spec, z0)
+    return SymbolicPointSet("a", tuple(map(Fraction, z0)), spec)
 
 
 def points_scheme_b(spec: GeneralSpec, z0: Sequence[Fraction | int]) -> SymbolicPointSet:
@@ -176,7 +178,7 @@ def points_scheme_b(spec: GeneralSpec, z0: Sequence[Fraction | int]) -> Symbolic
 
     with ff(r, k) = r*(r-1)*...*(r-k+1), which vanishes for k > r; so
     z_0(h) = z0 and, for a table, z_1(h) = z0 + (h, 0, ..., 0)."""
-    return _points("b", spec, z0)
+    return SymbolicPointSet("b", tuple(map(Fraction, z0)), spec)
 
 
 SCHEMES = {"a": points_scheme_a, "b": points_scheme_b}
@@ -188,8 +190,7 @@ def h_coef_log10(scheme: str, r: int, b: int) -> float | None:
     return SCHEME_RULES[scheme][1](r, b)
 
 
-def _check_order(m: int, pts: SymbolicPointSet) -> None:
-    top = len(pts.points) - 1
+def _check_order(m: int, top: int) -> None:
     if not 0 <= m <= top:
         raise ValueError(f"order {m} exceeds available points 0..{top}")
 
@@ -247,7 +248,8 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
         terms.append((e, v))
     den_powers = [den ** t for t in range(length)]
     total = [0] * length
-    for r, point in enumerate(pts.points[: m + 1]):
+    for r in range(m + 1):
+        point = pts.point(r)
         powers = []
         for q, coord in zip(qs, point):
             s = coord.scale
@@ -334,7 +336,7 @@ def expansion_check(
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
     if f.dim != pts.dim:
         raise ValueError(f"dimension mismatch: f has {f.dim}, points have {pts.dim}")
-    _check_order(m, pts)
+    _check_order(m, pts.spec.top_weight)
     coeffs = _series(f, m, pts, m + 1)
     (target,) = _target_values(f, base, range(m, m + 1), pts.spec)
     return ExpansionReport(m=m, low_coeffs=tuple(coeffs[:m]), lead=coeffs[m], target=target)
@@ -375,6 +377,27 @@ def _eval_float(terms: Sequence[tuple[tuple[int, ...], float]], point: Sequence[
     return total
 
 
+def sweep_steps(h0: float, steps: int, m: int, top: int) -> list[float]:
+    """The steps h0 * 2**-k, k < steps, of a sweep at order m over the
+    points 0..top.  Refuses with ValueError, in this order: h0 <= 0, fewer
+    than 2 steps, an order outside 0..top, and steps that would halve h**m
+    (h itself for m = 0) to 0.0, naming the most steps accepted."""
+    if h0 <= 0:
+        raise ValueError(f"h0 must be positive, got {h0}")
+    if steps < 2:
+        raise ValueError(f"need at least 2 steps, got {steps}")
+    _check_order(m, top)
+    # 2.0 ** -1075 is 0.0, so every sweep longer than 1075 steps reaches h = 0.0.
+    hs = [h0 * 2.0 ** -k for k in range(min(steps, 1076))]
+    keep = next((k for k, h in enumerate(hs) if h == 0.0 or h ** m == 0.0), steps)
+    if keep < steps:
+        what = f"h**{m}" if m else "h"
+        raise ValueError(
+            f"--steps {steps} halvings of --h0 {h0!r} take {what} to 0.0; at most {keep} steps are accepted"
+        )
+    return hs
+
+
 def sweep(
     f: Polynomial,
     z0: Sequence[Fraction | int],
@@ -389,34 +412,21 @@ def sweep(
     absent on the first row and wherever either error is zero.  target,
     if given, is the order's exact (B_m(D)f)(z0).
 
-    The exact values (target, coefficients of f and of the points) are
-    converted to floats before the loop, and one too large for a float is
-    refused with ValueError naming it; an OverflowError left is the float
-    arithmetic on h overflowing.  Before those, steps that would halve h**m
-    (h itself for m = 0) to 0.0 are refused with ValueError naming the most
-    steps accepted."""
-    if h0 <= 0:
-        raise ValueError(f"h0 must be positive, got {h0}")
-    if steps < 2:
-        raise ValueError(f"need at least 2 steps, got {steps}")
+    The steps are checked first (sweep_steps).  The exact values (target,
+    coefficients of f and of the points 0..m) are then converted to floats
+    before the loop, and one too large for a float is refused with
+    ValueError naming it; an OverflowError left is the float arithmetic on
+    h overflowing."""
     base = tuple(Fraction(v) for v in z0)
     if base != pts.base:
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
-    _check_order(m, pts)
-    # 2.0 ** -1075 is 0.0, so every sweep longer than 1075 steps reaches h = 0.0.
-    hs = [h0 * 2.0 ** -k for k in range(min(steps, 1076))]
-    keep = next((k for k, h in enumerate(hs) if h == 0.0 or h ** m == 0.0), steps)
-    if keep < steps:
-        what = f"h**{m}" if m else "h"
-        raise ValueError(
-            f"--steps {steps} halvings of --h0 {h0!r} take {what} to 0.0; at most {keep} steps are accepted"
-        )
+    hs = sweep_steps(h0, steps, m, pts.spec.top_weight)
     weights = [float(c) for c in stencil(m).coeffs]
     if target is None:
         (target,) = _target_values(f, base, range(m, m + 1), pts.spec)
     exact = _to_float(target.numerator, target.denominator, f"the exact target (B_{m}(D)f)(z0)")
     f_terms = _float_terms(f, "a coefficient of f")
-    points = [[_float_terms(coord, f"a coefficient of point {r}") for coord in pts.points[r]] for r in range(m + 1)]
+    points = [[_float_terms(coord, f"a coefficient of point {r}") for coord in pts.point(r)] for r in range(m + 1)]
     rows: list[SweepRow] = []
     prev_err: float | None = None
     for h in hs:

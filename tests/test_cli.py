@@ -6,6 +6,7 @@ tmp_path.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -414,6 +415,18 @@ class TestVerify:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
+
+    @pytest.mark.parametrize(
+        "flag, content, named",
+        [("--spec", [EXAMPLE_SPEC], "expected a JSON object"), ("--basis", {"dim": 2}, "expected a JSON array of polynomials")],
+    )
+    def test_closure_input_of_the_wrong_json_kind_exits_2(self, flag, content, named, spec_file, tmp_path, capsys):
+        path = tmp_path / "wrong.json"
+        path.write_text(json.dumps(content))
+        argv = ["verify", "--what", "closure", *(["--spec", spec_file] if flag == "--basis" else []), flag, str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {named}\n" and captured.out == ""
 
     def test_spec_required(self, capsys):
         assert main(["verify", "--what", "closure"]) == 2
@@ -1070,6 +1083,13 @@ class TestLimitAndSweep:
         assert main(["limit", "--spec", spec_file, "--f", str(f), "--m", "1", "--scheme", "a"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_limit_f_in_more_variables_than_the_spec_exits_2(self, spec_file, tmp_path, capsys):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(P("x1*x3 + x2", 3).to_dict()))
+        assert main(["limit", "--spec", spec_file, "--f", str(f), "--m", "1", "--scheme", "a"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {f}: polynomial has dimension 3, spec has 2\n" and captured.out == ""
+
     def test_limit_zero_denominator_in_f_exits_2(self, spec_file, tmp_path, capsys):
         f = tmp_path / "f.txt"
         f.write_text("1/0*x1")
@@ -1365,6 +1385,40 @@ class TestSeriesSizeGuard:
         assert seconds(m, f, (Fraction(height * 10, 7), Fraction(-2))) >= seconds(m, f, z0)
 
 
+class TestPointsMadeOnRead:
+    """On b = (1, 5300), a command makes only the points it reads: scheme a's
+    point r holds r^5300, so making all 5301 took seconds."""
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["limit", "--m", "2", "--scheme", "a", "--f", "{f}"], 0, "limit check m=2 scheme a: pass\n"),
+            (
+                ["points", "--scheme", "a"],
+                2,
+                f"error: a result coefficient has 4480 digits, more than Python's limit of "
+                f"{sys.get_int_max_str_digits()} for writing an integer as text (sys.get_int_max_str_digits())\n",
+            ),
+            (
+                ["sweep", "--m", "1000", "--scheme", "a", "--steps", "2", "--h0", "3/2", "--f", "{f}"],
+                2,
+                "error: a coefficient of point 2 has 1596 digits before the point; no float can hold it\n",
+            ),
+        ],
+        ids=["limit", "points", "sweep"],
+    )
+    def test_b5300_at_once(self, argv, code, err, tmp_path, capsys):
+        spec, f = tmp_path / "b5300.json", tmp_path / "f.txt"
+        spec.write_text(json.dumps(B5300))
+        f.write_text("x1^3 + x1^2")
+        start = time.perf_counter()
+        assert main([*(a.format(f=f) for a in argv), "--spec", str(spec), "--z0", "1/3"]) == code
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert (captured.out == "") == (code == 2)
+
+
 class TestPointSizeGuard:
     """points --h refuses, before any point is built, the first coordinate
     too long to write, with rational_text's message; a coordinate it
@@ -1644,6 +1698,35 @@ class TestExample1:
         assert "1/24*x1^4 + x1^2*x2 + 3*x1*x2 + 2*x2^2 + 4*x2" in out
         assert "(3*h, 18*h^3 + 12*h^2)" in out
 
+    @pytest.mark.parametrize("broken", ["basis", "point", "expansion"])
+    def test_failure_is_reported(self, broken, monkeypatch, capsys):
+        if broken == "basis":
+            texts = [*dinv.cli._EXAMPLE_BASIS_TEXT]
+            texts[2] = "1/2*x1^2 + 3*x2"
+            monkeypatch.setattr(dinv.cli, "_EXAMPLE_BASIS_TEXT", texts)
+            fails = [
+                f"FAIL: {source} element 2: got 1/2*x1^2 + 2*x2, expected 1/2*x1^2 + 3*x2"
+                for source in ("recursive", "explicit")
+            ]
+        elif broken == "point":
+            points = [*dinv.cli._EXAMPLE_POINTS["b"]]
+            points[2] = "(2*h, 5*h^2)"
+            monkeypatch.setitem(dinv.cli._EXAMPLE_POINTS, "b", points)
+            fails = ["FAIL: scheme b point 2: got (2*h, 4*h^2), expected (2*h, 5*h^2)"]
+        else:
+            check = dinv.cli.expansion_check
+
+            def off_by_one(f, z0, m, pts):
+                report = check(f, z0, m, pts)
+                return dataclasses.replace(report, lead=report.lead + 1) if (m, pts.scheme) == (3, "a") else report
+
+            monkeypatch.setattr(dinv.cli, "expansion_check", off_by_one)
+            fails = ["FAIL: expansion m=3 scheme a: {'m': 3, 'low_coeffs': ['0', '0', '0'], 'lead': '4', 'target': '3', 'pass': False}"]
+        assert main(["example1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("\nresult: FAILURES\n")
+        assert captured.err.splitlines() == fails
+
     def test_deterministic(self, capsys):
         assert main(["example1"]) == 0
         a = capsys.readouterr().out
@@ -1694,6 +1777,19 @@ class TestStudy:
         assert captured.err.startswith("error:") and named in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    def test_steps_are_checked_before_the_work_guard(self, tmp_path, capsys):
+        # h**27 underflows at the 40th halving of 1/2: the steps are named,
+        # where the work guard would refuse the same input as work.
+        spec = tmp_path / "n120.json"
+        spec.write_text(json.dumps({"d": 2, "n": 120, "a": {"2,2": "1/2", "120,2": "1/7"}}))
+        f = tmp_path / "f.txt"
+        f.write_text("x1 + x2")
+        argv = ["study", "--spec", str(spec), "--f", str(f), "--h0", "1/2", "--steps", "40"]
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --steps 40 halvings of --h0 0.5 take h**27 to 0.0; at most 39 steps are accepted\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_float_overflow_of_an_exact_value_exits_2(self, tmp_path, capsys):
         # Scheme a's first order already needs point 1, whose x2 coordinate is

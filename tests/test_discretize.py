@@ -1,5 +1,6 @@
 """Tests for the coalescing point schemes and the limit verification."""
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from dinv import (
     GeneralSpec,
     ParamTable,
     Polynomial,
+    SymbolicPointSet,
     build_general,
     build_recursive,
     expansion_check,
@@ -481,6 +483,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(P("x1"), ORIGIN2, 1, pts, h0=0.25, steps=1)
 
+    def test_base_other_than_the_point_sets_refused(self):
+        with pytest.raises(ValueError, match=r"^evaluation point .* differs from the point-set base"):
+            sweep(P("x1"), (F(1), F(0)), 1, self.make_pts(), h0=0.25, steps=4)
+
     @pytest.mark.parametrize("m, keep", [(0, 1073), (1, 1073), (2, 536)])
     def test_steps_that_reach_zero_are_refused(self, m, keep):
         """0.25 * 2.0 ** -1073 is 0.0, and h**2 underflows from step 537:
@@ -519,3 +525,69 @@ class TestPointSetSerialization:
         at_half = list(pts.at(F(1, 2)))
         assert at_half[2] == (F(1), F(9))
         assert at_half[1] == (F(1, 2), F(2, 4) + F(3, 8) + F(4, 16))
+
+
+class TestPointSetRule:
+    """A point set stores its rule (scheme, base, spec) and makes point r
+    once, when it is first read."""
+
+    SPEC = GeneralSpec(n=3, d=2, b=(1, 3, 9), c=((F(1), F(0), F(2, 3)), (F(-1, 2), F(5), F(1, 7))))
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The point indices r in the order their points are made: each
+        point takes h_coef(r, b_j) once per weight, first at b_j = 1."""
+        made = []
+        for scheme, (h_coef, log10) in list(dinv.discretize.SCHEME_RULES.items()):
+            def counted(r, b, h_coef=h_coef):
+                if b == 1:
+                    made.append(r)
+                return h_coef(r, b)
+            monkeypatch.setitem(dinv.discretize.SCHEME_RULES, scheme, (counted, log10))
+        return made
+
+    def test_compares_its_rule_alone(self):
+        assert [f.name for f in dataclasses.fields(SymbolicPointSet) if f.compare] == ["scheme", "base", "spec"]
+        for build in (points_scheme_a, points_scheme_b):
+            read, fresh = build(self.SPEC, (F(1, 2), F(-3))), build(self.SPEC, (F(1, 2), F(-3)))
+            read.points
+            assert read == fresh and hash(read) == hash(fresh)
+            assert read != build(self.SPEC, (F(1, 2), F(3)))
+        assert points_scheme_a(self.SPEC, ORIGIN2) != points_scheme_b(self.SPEC, ORIGIN2)
+
+    @pytest.mark.parametrize("build", [points_scheme_a, points_scheme_b])
+    def test_expansion_check_makes_exactly_the_points_it_reads(self, build, made):
+        f = P("x1^3*x2 + x2^2 - x1 + 1")
+        z0 = (F(2, 3), F(-1))
+        for m in range(self.SPEC.top_weight + 1):
+            made.clear()
+            pts = build(self.SPEC, z0)
+            assert expansion_check(f, z0, m, pts).passed
+            assert made == list(range(m + 1))
+
+    def test_each_point_is_made_once(self, made):
+        pts = points_scheme_a(self.SPEC, ORIGIN2)
+        first = pts.points
+        assert pts.points == first and pts.point(4) is first[4]
+        assert list(pts.at(F(1, 3))) == list(pts.at(F(1, 3)))
+        assert made == list(range(self.SPEC.top_weight + 1))
+
+    def test_sweeps_of_rising_orders_share_the_points(self, made):
+        # study sweeps one point set at m = 0, 1, ...: order m makes only point m.
+        pts = points_scheme_b(self.SPEC, ORIGIN2)
+        for m in range(4):
+            sweep(P("x1^2 + x2"), ORIGIN2, m, pts, h0=0.25, steps=3)
+            assert made == list(range(m + 1))
+
+    def test_a_writer_stops_at_the_point_it_refuses(self, made):
+        pts = points_scheme_a(self.SPEC, ORIGIN2)
+        for r, pt in enumerate(pts.at(F(1, 2))):
+            if r == 2:
+                break
+        assert made == [0, 1, 2]
+
+    @pytest.mark.parametrize("r", [-1, 10])
+    def test_point_outside_the_set_refused(self, r, made):
+        with pytest.raises(IndexError, match=rf"^point {r} outside 0\.\.9$"):
+            points_scheme_a(self.SPEC, ORIGIN2).point(r)
+        assert made == []
