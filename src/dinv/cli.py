@@ -592,7 +592,9 @@ def _series_parts(spec: GeneralSpec, scheme: str, f: Polynomial, z0: Sequence[Fr
     (discretize._series): per point, f's cut products, each of at most
     nonzero times width u-coefficients of at most digits, and the
     stencil's sums, which add the digits of (m + 1)!.  Coordinate i has
-    counts[i] nonzero u-coefficients below u^(m+1), up to u^reach[i]."""
+    counts[i] nonzero u-coefficients below u^(m+1), up to u^reach[i]:
+    exactly the series the check reads from the point rule
+    (SymbolicPointSet.u_series), which takes no h_coef past u^m."""
     den, slots = spec.slots
     counts, reach = [1] * spec.d, [0] * spec.d
     for bj, i, _ in slots:

@@ -26,12 +26,17 @@ over D^t, so coordinate i of a point is
 
     (p_i + q_i * sum_t a_t * u^t) / q_i,   z0_i = p_i / q_i,
 
-with integer a_t.  Each coordinate is a dense list of those integer
-u-coefficients and every product is cut after u^m, which is exact
-because the u^t coefficient of a product reads only its factors'
-coefficients up to u^t.  A coordinate's k-th power is made by repeated
-squaring of cut series (Brent & Kung 1978), so the work grows with
-log(deg f).  The terms of f are lifted once per check to integers over
+with integer a_t, t >= 1: a_(b_j) = n_ij * h_coef(r, b_j) * D^(b_j - 1)
+for each slot, c_ij = n_ij / D, and 0 at the other powers.  A point set
+stores only its rule, (scheme, z0, spec), and the check reads point r
+from it as the dense lists [p_i, q_i * a_1, q_i * a_2, ...] of integer
+u-coefficients over q_i, cut after u^m (SymbolicPointSet.u_series): it
+takes h_coef(r, b_j) only for the weights b_j <= m, makes no Polynomial
+for a point and keeps nothing.  Every product is cut after u^m too,
+which is exact because the u^t coefficient of a product reads only its
+factors' coefficients up to u^t.  A coordinate's k-th power is made by
+repeated squaring of cut series (Brent & Kung 1978), so the work grows
+with log(deg f).  The terms of f are lifted once per check to integers over
 one scale, f.scale * prod_i q_i^(deg_i) with deg_i the degree of f in
 x_i, and the stencil weights are the integers (-1)^(m-r) * C(m, r) over
 m!.  So the u^t coefficient of the combination is one integer over
@@ -44,18 +49,18 @@ to exponents, and evaluates B_m(D)f at z0 as a scalar on integers
 points, so it stays an independent witness.  So a check makes no
 Fraction but z0's coordinates, its m + 1 coefficients and its target.
 
-Point coordinates are univariate polynomials in h (dimension-1 Polynomial
-values), made directly in Polynomial's integer form: coordinate i of
-point r is
+The writers and the sweep read point(r) instead, the same point as
+univariate polynomials in h (dimension-1 Polynomial values), made
+directly in Polynomial's integer form: coordinate i of point r is
 
     (p_i * D + q_i * sum_j n_ij * h_coef(r, b_j) * h^(b_j)) / (q_i * D),
 
-reduced by one gcd, so a point set makes no Fraction but z0's and the
-series reads each coordinate's scale and numerators as stored.  A point
-set stores only its rule, (scheme, z0, spec), and makes point r when it
-is first read: the check and the sweep at order m read the points 0..m,
-and a writer that refuses a coefficient makes no later point.  The
-generating spec travels with the point set so downstream checks can
+reduced by one gcd, so a point set makes no Fraction but z0's.  point(r)
+makes point r when it is first read and keeps it, and the sweep keeps
+its float terms beside it: the sweep at order m reads the points 0..m,
+so study's sweeps of rising orders make and convert each point once per
+scheme, and a writer that refuses a coefficient makes no later point.
+The generating spec travels with the point set so downstream checks can
 rebuild the basis it belongs to.
 """
 
@@ -65,7 +70,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from .identities import falling_factorial
@@ -111,17 +116,42 @@ class SymbolicPointSet:
         if len(self.base) != self.spec.d:
             raise ValueError(f"base point has length {len(self.base)}, expected {self.spec.d}")
         object.__setattr__(self, "_made", {})
+        object.__setattr__(self, "_floats", {})
 
     @property
     def dim(self) -> int:
         return len(self.base)
 
+    def _check_index(self, r: int) -> None:
+        if not 0 <= r <= self.spec.top_weight:
+            raise IndexError(f"point {r} outside 0..{self.spec.top_weight}")
+
+    def u_series(self, r: int, length: int) -> list[list[int]]:
+        """Point r's coordinates as dense integer series in u = h / D, cut
+        after u^(length-1), trailing zeros dropped: coordinate i is
+        [p_i, ..., q_i * n_ij * h_coef(r, b_j) * D^(b_j - 1), ...] over
+        q_i, z0_i = p_i / q_i (module docstring).  h_coef is taken only
+        for the weights below the cut, and nothing is kept."""
+        self._check_index(r)
+        den, slots = self.spec.slots
+        h_coef = SCHEME_RULES[self.scheme][0]
+        coords = [[v.numerator] if v else [] for v in self.base]
+        for bj, group in itertools.groupby(slots, itemgetter(0)):
+            if bj >= length:
+                break
+            if k := h_coef(r, bj):
+                k *= den ** (bj - 1)
+                for _, i, n_ij in group:
+                    coord = coords[i]
+                    coord += [0] * (bj - len(coord))
+                    coord.append(self.base[i].denominator * n_ij * k)
+        return coords
+
     def point(self, r: int) -> tuple[Polynomial, ...]:
         """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i, 0 <= r <= b_n,
         each coordinate in Polynomial's integer form (module docstring)."""
         if r not in self._made:
-            if not 0 <= r <= self.spec.top_weight:
-                raise IndexError(f"point {r} outside 0..{self.spec.top_weight}")
+            self._check_index(r)
             den, slots = self.spec.slots
             coords = [{(0,): v.numerator * den} if v else {} for v in self.base]
             for bj, group in itertools.groupby(slots, itemgetter(0)):
@@ -130,6 +160,14 @@ class SymbolicPointSet:
                         coords[i][(bj,)] = n_ij * k * self.base[i].denominator
             self._made[r] = tuple(Polynomial(1, c, _scale=v.denominator * den) for c, v in zip(coords, self.base))
         return self._made[r]
+
+    def _float_point(self, r: int) -> list[list[tuple[tuple[int, ...], float]]]:
+        """point(r)'s coordinates as float terms, converted when first read
+        and kept beside the point, so sweeps of rising orders convert each
+        point once."""
+        if r not in self._floats:
+            self._floats[r] = [_float_terms(coord, f"a coefficient of point {r}") for coord in self.point(r)]
+        return self._floats[r]
 
     def __iter__(self) -> Iterator[tuple[Polynomial, ...]]:
         return map(self.point, range(self.spec.top_weight + 1))
@@ -229,8 +267,8 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
     """The h^0..h^(length-1) coefficients of sum_{r=0..m} A_r^(m) * f(z_r(h)),
     computed on ints in u = h / D as the module docstring says.
 
-    Coordinate i's u^t coefficient is its h^t coefficient times q_i * D^t,
-    read from the point's integer form; the term x^e of f becomes
+    Each point's coordinates are read from the rule as integer u-series
+    (SymbolicPointSet.u_series); the term x^e of f becomes
     f.numerators[e] * prod_i q_i^(deg_i - e_i).  The powers of each
     coordinate are kept per point, and every product is cut after
     u^(length-1)."""
@@ -249,17 +287,8 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
     den_powers = [den ** t for t in range(length)]
     total = [0] * length
     for r in range(m + 1):
-        point = pts.point(r)
-        powers = []
-        for q, coord in zip(qs, point):
-            s = coord.scale
-            dense = [0] * min(coord.degree + 1, length)
-            for (t,), v in coord.numerators.items():
-                if t < length:
-                    dense[t] = v * q * den_powers[t] // s
-            while dense and not dense[-1]:
-                dense.pop()
-            powers.append({1: dense})  # powers[i][k] is coordinate i to the k-th
+        # powers[i][k] is coordinate i to the k-th
+        powers = [{1: coord} for coord in pts.u_series(r, length)]
         value = [0] * length
         for e, c in terms:
             prod = None
@@ -421,12 +450,14 @@ def sweep(
     if base != pts.base:
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
     hs = sweep_steps(h0, steps, m, pts.spec.top_weight)
-    weights = [float(c) for c in stencil(m).coeffs]
+    # The stencil's A_k by int true division, rounded once as float(A_k) rounds it.
+    facts = list(itertools.accumulate(range(1, m + 1), mul, initial=1))
+    weights = [(-1) ** (m - k) / (facts[k] * facts[m - k]) for k in range(m + 1)]
     if target is None:
         (target,) = _target_values(f, base, range(m, m + 1), pts.spec)
     exact = _to_float(target.numerator, target.denominator, f"the exact target (B_{m}(D)f)(z0)")
     f_terms = _float_terms(f, "a coefficient of f")
-    points = [[_float_terms(coord, f"a coefficient of point {r}") for coord in pts.point(r)] for r in range(m + 1)]
+    points = [pts._float_point(r) for r in range(m + 1)]
     rows: list[SweepRow] = []
     prev_err: float | None = None
     for h in hs:

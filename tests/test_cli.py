@@ -1757,6 +1757,27 @@ class TestStudy:
         assert main(["sweep", *flags, "--scheme", "b", "--m", "2"]) == 0
         assert (tmp_path / "out" / "scheme_b_m2.csv").read_text() == capsys.readouterr().out
 
+    def test_each_point_is_converted_to_floats_once_per_scheme(self, general_file, tmp_path, monkeypatch, capsys):
+        # study sweeps orders 0..b_n, and the sweep at order m reads points
+        # 0..m as floats: each point's coordinates are converted once per
+        # scheme, (b_n + 1) * d conversions, not once per order.
+        float_terms, converted = dinv.discretize._float_terms, []
+
+        def counted(p, what):
+            if what.startswith("a coefficient of point"):
+                converted.append(what)
+            return float_terms(p, what)
+
+        monkeypatch.setattr(dinv.discretize, "_float_terms", counted)
+        f = tmp_path / "f.txt"
+        f.write_text("x1^5*x2 + x2^3 - 2*x1^2 + 3")
+        argv = ["study", "--spec", general_file, "--f", str(f), "--z0=-1/2,3", "--steps", "3"]
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        spec = dinv.GeneralSpec.from_dict(GENERAL_SPEC)
+        assert len(converted) == 2 * (spec.top_weight + 1) * spec.d
+        assert set(converted) == {f"a coefficient of point {r}" for r in range(spec.top_weight + 1)}
+
     @pytest.mark.parametrize(
         "argv, named",
         [

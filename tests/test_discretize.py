@@ -397,6 +397,63 @@ class TestIntegerSeries:
                         assert all(type(v) is Fraction for v in got)
         assert rescaled >= 20 and zero_coordinate >= 10
 
+    def test_rule_series_equals_the_rescaled_points(self):
+        """For every point, both schemes and every cut length 1..b_n + 1,
+        the rule's u-series is the Polynomial point's h^t coefficients
+        times q_i * D^t, an integer, cut and with trailing zeros dropped."""
+        rng = make_rng(212)
+        seen = set()
+        for k in range(40):
+            spec, f, z0 = self.draw(rng, k)
+            den, top = spec.slots[0], spec.top_weight
+            kinds = {
+                "D > 1": den > 1,
+                "zero": 0 in z0,
+                "negative": any(v < 0 for v in z0),
+                "non-integer": any(v.denominator > 1 for v in z0),
+            }
+            seen |= {kind for kind, has in kinds.items() if has}
+            for build in (points_scheme_a, points_scheme_b):
+                pts = build(spec, z0)
+                for r in range(top + 1):
+                    point = pts.point(r)
+                    for length in range(1, top + 2):
+                        want = []
+                        for v, coord in zip(z0, point):
+                            dense = [0] * length
+                            for (t,), num in coord.numerators.items():
+                                if t < length:
+                                    lifted, rest = divmod(num * v.denominator * den ** t, coord.scale)
+                                    assert rest == 0
+                                    dense[t] = lifted
+                            while dense and not dense[-1]:
+                                dense.pop()
+                            want.append(dense)
+                        assert pts.u_series(r, length) == want, (spec, z0, r, length)
+        assert seen == {"D > 1", "zero", "negative", "non-integer"}
+
+    def test_check_makes_one_polynomial_the_target(self, monkeypatch):
+        """expansion_check constructs exactly one Polynomial, the target's
+        B_m: the points are read from the rule."""
+        rng = make_rng(213)
+        init, made = Polynomial.__init__, []
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        for k in range(6):
+            spec, f, z0 = self.draw(rng, k)
+            basis = build_general(spec)
+            monkeypatch.setattr(Polynomial, "__init__", counted)
+            for build in (points_scheme_a, points_scheme_b):
+                for m in range(spec.top_weight + 1):
+                    pts = build(spec, z0)
+                    made.clear()
+                    assert expansion_check(f, z0, m, pts).passed
+                    assert made == [basis[m]], (spec, m)
+            monkeypatch.undo()
+
     def test_only_the_returned_coefficients_are_fractions(self, monkeypatch):
         spec, f, z0 = self.draw(make_rng(210), 1)
         pts = points_scheme_b(spec, z0)
@@ -476,6 +533,25 @@ class TestSweep:
             assert row.abs_err == 0.0
             assert row.est_order is None
 
+    def test_rows_equal_the_fraction_reference(self):
+        """Each approx is bit for bit the sum with the stencil's Fraction
+        weights and the points' Fraction coefficients each rounded by
+        float(), so CSVs do not move with how the floats are made."""
+        rng = make_rng(214)
+        eval_float = dinv.discretize._eval_float
+        for k in range(10):
+            spec, f, z0 = TestIntegerSeries.draw(rng, k)
+            f_terms = [(e, float(c)) for e, c in f.terms.items()]
+            for build in (points_scheme_a, points_scheme_b):
+                pts = build(spec, z0)
+                for m in range(spec.top_weight + 1):
+                    for row in sweep(f, z0, m, pts, h0=0.5, steps=3):
+                        acc = 0.0
+                        for w, point in zip(stencil(m).coeffs, pts.points):
+                            coords = [eval_float([(e, float(c)) for e, c in x.terms.items()], [row.h]) for x in point]
+                            acc += float(w) * eval_float(f_terms, coords)
+                        assert row.approx == acc / row.h ** m, (spec, m, row.h)
+
     def test_input_validation(self):
         pts = self.make_pts()
         with pytest.raises(ValueError):
@@ -532,19 +608,25 @@ class TestPointSetRule:
     once, when it is first read."""
 
     SPEC = GeneralSpec(n=3, d=2, b=(1, 3, 9), c=((F(1), F(0), F(2, 3)), (F(-1, 2), F(5), F(1, 7))))
+    # CI's spec with a gap up to weight 5300: scheme a's h_coef(r, 5300) is r^5300.
+    B5300 = GeneralSpec(n=2, d=1, b=(1, 5300), c=((F(1), F(1)),))
 
     @pytest.fixture
-    def made(self, monkeypatch):
-        """The point indices r in the order their points are made: each
-        point takes h_coef(r, b_j) once per weight, first at b_j = 1."""
-        made = []
+    def asked(self, monkeypatch):
+        """Every (r, b) the scheme rules are asked h_coef(r, b) for, in order."""
+        asked = []
         for scheme, (h_coef, log10) in list(dinv.discretize.SCHEME_RULES.items()):
             def counted(r, b, h_coef=h_coef):
-                if b == 1:
-                    made.append(r)
+                asked.append((r, b))
                 return h_coef(r, b)
             monkeypatch.setitem(dinv.discretize.SCHEME_RULES, scheme, (counted, log10))
-        return made
+        return asked
+
+    @staticmethod
+    def made(asked) -> list[int]:
+        """The point indices r in the order their points were made: each
+        point takes h_coef(r, b_j) once per weight, first at b_j = 1."""
+        return [r for r, b in asked if b == 1]
 
     def test_compares_its_rule_alone(self):
         assert [f.name for f in dataclasses.fields(SymbolicPointSet) if f.compare] == ["scheme", "base", "spec"]
@@ -556,38 +638,47 @@ class TestPointSetRule:
         assert points_scheme_a(self.SPEC, ORIGIN2) != points_scheme_b(self.SPEC, ORIGIN2)
 
     @pytest.mark.parametrize("build", [points_scheme_a, points_scheme_b])
-    def test_expansion_check_makes_exactly_the_points_it_reads(self, build, made):
-        f = P("x1^3*x2 + x2^2 - x1 + 1")
-        z0 = (F(2, 3), F(-1))
-        for m in range(self.SPEC.top_weight + 1):
-            made.clear()
-            pts = build(self.SPEC, z0)
-            assert expansion_check(f, z0, m, pts).passed
-            assert made == list(range(m + 1))
+    def test_expansion_check_makes_exactly_the_points_it_reads(self, build, asked):
+        """The check at order m makes no Polynomial point: it reads points
+        0..m from the rule as u-series cut after u^m, so it asks h_coef(r, b)
+        once for each r <= m and each weight b <= m, and nothing past the cut
+        (on B5300, no r^5300)."""
+        for spec, z0, f, orders in (
+            (self.SPEC, (F(2, 3), F(-1)), P("x1^3*x2 + x2^2 - x1 + 1"), range(self.SPEC.top_weight + 1)),
+            (self.B5300, (F(1, 3),), P("x1^3 + x1^2", 1), (0, 1, 2, 66)),
+        ):
+            for m in orders:
+                asked.clear()
+                pts = build(spec, z0)
+                assert expansion_check(f, z0, m, pts).passed
+                assert asked == [(r, b) for r in range(m + 1) for b in spec.b if b <= m]
+                assert pts._made == {}
 
-    def test_each_point_is_made_once(self, made):
+    def test_each_point_is_made_once(self, asked):
         pts = points_scheme_a(self.SPEC, ORIGIN2)
         first = pts.points
         assert pts.points == first and pts.point(4) is first[4]
         assert list(pts.at(F(1, 3))) == list(pts.at(F(1, 3)))
-        assert made == list(range(self.SPEC.top_weight + 1))
+        assert self.made(asked) == list(range(self.SPEC.top_weight + 1))
 
-    def test_sweeps_of_rising_orders_share_the_points(self, made):
+    def test_sweeps_of_rising_orders_share_the_points(self, asked):
         # study sweeps one point set at m = 0, 1, ...: order m makes only point m.
         pts = points_scheme_b(self.SPEC, ORIGIN2)
         for m in range(4):
             sweep(P("x1^2 + x2"), ORIGIN2, m, pts, h0=0.25, steps=3)
-            assert made == list(range(m + 1))
+            assert self.made(asked) == list(range(m + 1))
 
-    def test_a_writer_stops_at_the_point_it_refuses(self, made):
+    def test_a_writer_stops_at_the_point_it_refuses(self, asked):
         pts = points_scheme_a(self.SPEC, ORIGIN2)
         for r, pt in enumerate(pts.at(F(1, 2))):
             if r == 2:
                 break
-        assert made == [0, 1, 2]
+        assert self.made(asked) == [0, 1, 2]
 
     @pytest.mark.parametrize("r", [-1, 10])
-    def test_point_outside_the_set_refused(self, r, made):
-        with pytest.raises(IndexError, match=rf"^point {r} outside 0\.\.9$"):
-            points_scheme_a(self.SPEC, ORIGIN2).point(r)
-        assert made == []
+    def test_point_outside_the_set_refused(self, r, asked):
+        pts = points_scheme_a(self.SPEC, ORIGIN2)
+        for read in (pts.point, lambda r: pts.u_series(r, 10)):
+            with pytest.raises(IndexError, match=rf"^point {r} outside 0\.\.9$"):
+                read(r)
+        assert asked == []
