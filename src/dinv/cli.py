@@ -22,6 +22,10 @@ Exit code 0 means every requested check passed; 1 means a check failed;
 like "3/4"; only the sweep and study CSVs contain floats.  Stdout is
 deterministic given the arguments and input files (scan draws from its
 --seed); the environment variable DINV_SEED seeds only the test suite.
+
+Work is metered (dinv.fuel): main arms WORK_BUDGET_S / SECONDS_PER_CELL
+cells for one command, and a step past them exits 2 before any output,
+naming the command, the stage, the fuel spent and the budget.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from . import fuel
 from .compositions import count_compositions
 from .discretize import (
     SCHEMES,
@@ -62,6 +67,7 @@ from .subspace import (
     ParamTable,
     _closed_form_elements,
     _generating_elements,
+    _kept,
     _recursive_numerators,
     breadth_numerators,
     build_explicit,
@@ -218,91 +224,49 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-# -- the work guard --------------------------------------------------------
+# -- the work guard (README.md, "Work guard") -----------------------------
 #
-# A command predicts its work before doing any, in three units (README.md,
-# "Work guard", defines them and gives the calibration), and exits 2 on a
-# prediction past WORK_BUDGET_S seconds.  SECONDS_PER_UNIT is measured on
-# one core of a 2-vCPU x86-64 host under CPython 3.11.
+# SECONDS_PER_CELL is measured on one core of a 2-vCPU x86-64 host under
+# CPython 3.11.  The cells of a count vector of the closed-form walk, of
+# drawing a table of scan (and 150 per entry of its full table) and of
+# writing a term of a basis, each past its integers' digits; and the cheap
+# bound's seconds per exponent entry of a count vector.
 WORK_BUDGET_S = 2.0
-SECONDS_PER_UNIT = {"visit": 4.5e-7, "cell": 1e-7, "digit-step": 1e-7}
-
-Part = tuple[int, str, str]  # (count, unit, how it was counted): one part of a prediction
-
-
-def _digit_steps(ops: int, a: int, b: int = 0) -> int:
-    """The digit-steps of ops multiply-adds of an a-digit integer by a b-digit one, b <= a."""
-    return int(ops * (a // 100) * (1 + b // 100) ** 0.585)
+SECONDS_PER_CELL = 1e-7
+VECTOR_CELLS = 12
+SCAN_TABLE_CELLS = 2500
+TERM_CELLS = 60
+SECONDS_PER_VISIT = 4.5e-7
 
 
-def _seconds(parts: Iterable[Part]) -> float:
-    """The predicted seconds of the parts, a count past 10^300 (which no float holds) as 10^300."""
-    return sum(min(count, 10**300) * SECONDS_PER_UNIT[unit] for count, unit, _ in parts)
+def _budget_cells() -> int:
+    return int(WORK_BUDGET_S / SECONDS_PER_CELL)
 
 
-def _amount(n: int) -> str:
-    return f"{n:,}" if n < 10**24 else f"~10^{int(math.log10(n))}"
-
-
-def _refuse_past_budget(what: str, parts: Sequence[Part]) -> None:
-    """Refuse a prediction past WORK_BUDGET_S, naming it, its parts and the budget."""
-    seconds = _seconds(parts)
-    if seconds > WORK_BUDGET_S:
-        detail = " + ".join(f"{_amount(count)} {unit}s ({how})" for count, unit, how in parts)
-        raise CliError(f"{what}: the work would take about {seconds:.3g} s ({detail}), "
-                       f"more than the {WORK_BUDGET_S:g} s budget")
-
-
-# Multiply-adds per count vector of the builders and the closure check.
-_BUILD_OPS = 16
-
-
-def _build_parts(d: int, top: int, size: int, slots, walks: bool) -> list[Part]:
-    """The work of building and checking B_0..B_top in d variables, with the
-    closed form when walks.  slots() gives the size nonzero c_ij as
-    GeneralSpec.slots does; it is called only once top + 1 and size + 1,
-    least counts of the walk's vectors, are in bounds."""
-    cap = int(WORK_BUDGET_S / SECONDS_PER_UNIT["visit"]) // (d + 3)
-    low = max(top, size) + 1
+def _check_top(what: str, spec: GeneralSpec) -> None:
+    """The cheap bound: a build makes b_n + 1 elements and the walk a count
+    vector per slot, so a spec with more than int(WORK_BUDGET_S /
+    SECONDS_PER_VISIT) // (d + 3) of them is refused before any list of
+    weights is made."""
+    low = max(spec.top_weight, len(spec.slots[1])) + 1
+    cap = int(WORK_BUDGET_S / SECONDS_PER_VISIT) // (spec.d + 3)
     if low > cap:
-        return [(low * (d + 3), "visit", f"at least {_amount(low)} vectors x (d + 3)")]
-    den, nums = slots()
-    visits = count_compositions(top, [bj for bj, _, _ in nums], cap=cap)
-    log_den, log_fact = math.log10(den), math.lgamma(top + 1) / math.log(10)
-    logs = [(bj, math.log10(abs(n))) for bj, _, n in nums]
-    powers = top * (log_den + max(0.0, max((log_n - log_den) / bj for bj, log_n in logs)))
-    digits = int(powers + log_fact) + 1
-    multiplier = int(max(log_den, max(log_n for _, log_n in logs))) + 1
-    steps = _digit_steps(_BUILD_OPS * visits, digits, multiplier)
-    how = f"{_BUILD_OPS} multiply-adds per vector of {digits:,} digits by {multiplier:,}"
-    if walks:
-        factor = int(min(powers, log_fact) + powers / 2)
-        steps += _digit_steps(visits, digits, factor)
-        how += f", and the closed form's one by {factor:,}"
-    vectors = f"{'at least ' if visits > cap else ''}{visits:,} vectors x (d + 3 = {d + 3})"
-    return [(visits * (d + 3), "visit", vectors), (steps, "digit-step", how)]
+        raise CliError(f"{what}: the build makes at least {low:,} vectors x (d + 3), "
+                       f"more than the {cap:,} of the {WORK_BUDGET_S:g} s budget")
 
 
-def _check_build(what: str, spec: GeneralSpec, walks: bool = False) -> None:
-    _refuse_past_budget(what, _build_parts(spec.d, spec.top_weight, len(spec.slots[1]), lambda: spec.slots, walks))
-
-
-def _identity_parts(m_max: int, vand_max: int, r_max: int, i_max: int) -> list[Part]:
-    """The work of the identity scans in closed form, monotone in every
-    bound; a bound past 10^9, already far past the budget, counts as 10^9.
-    The falling-factorial scan runs the nodes 2 <= i <= last."""
-    m, v, r, i = (min(b, 10**9) for b in (m_max, vand_max, r_max, i_max))
-    last = max(1, min(i, r - 1))
-    scans = (
-        ((m + 1) * (m + 2) * (2 * m + 3) // 6 + m * (m + 1) * (2 * m + 1) // 6, m * math.log10(2 * m or 1)),
-        (4 * (v + 1) ** 3, v * math.log10(v or 1)),
-        ((last - 1) * r * (r + 2) * (r + 7) // 3, r * math.log10(2 * last)),
-    )
-    how = "{} power-sum terms + {} Vandermonde cells + {} composition steps".format(*(_amount(n) for n, _ in scans))
-    return [
-        (sum(n for n, _ in scans), "cell", how),
-        (sum(_digit_steps(n, int(digits)) for n, digits in scans), "digit-step", "on each scan's digits"),
-    ]
+def _charge_walk(spec: GeneralSpec) -> None:
+    """Charge the closed-form walk before it runs, per count vector:
+    VECTOR_CELLS, and its product prod n_ij^g_ij * D^(m-G) * (m! // prod g_ij!),
+    whose powers have at most b_n * (bits of max(|n_ij|, D) - 1) bits and
+    whose multinomial at most b_n * (bits of b_n); the vectors counted
+    exactly by count_compositions, up to the budget."""
+    den, slots = spec.slots
+    top = spec.top_weight
+    powers = top * max((abs(n) - 1).bit_length() for _, _, n in slots + ((0, 0, den),))
+    per_vector = VECTOR_CELLS + fuel.cells(2, powers + top * top.bit_length(), powers)
+    visits = count_compositions(top, [bj for bj, _, _ in slots], cap=_budget_cells() // per_vector)
+    fuel.charge(visits * per_vector, "the closed-form walk")
 
 
 def _require_at_least(args, **least: int) -> None:
@@ -319,11 +283,16 @@ def _cmd_basis(args) -> int:
     spec = _load_spec(args.spec)
     if args.source == "recursive" and spec.a is None:
         raise CliError(f"{args.spec}: source 'recursive' needs a spec of table shape ({TABLE_SHAPE})")
-    _check_build(args.spec, spec, walks=args.source == "explicit")
+    _check_top(args.spec, spec)
     nums = _build_numerators(args.source, spec)
-    # The text is written as it is made, so a coefficient too long to write
-    # is looked for first (no longer than its scale or its numerator): its
-    # error must leave no partial output.
+    # The text is written as it is made, so its cost is charged first, and a
+    # coefficient too long to write is looked for first (no longer than its
+    # scale or its numerator): its error must leave no partial output.
+    cells = 0
+    for s, p in nums.elems:
+        bits = max(s.bit_length(), *map(int.bit_length, p.values()))
+        cells += len(p) * (TERM_CELLS + fuel.cells(1, bits, bits))
+    fuel.charge(cells, "writing the basis")
     limit = sys.get_int_max_str_digits()
     if limit:
         too_long = _power_of_ten(limit)
@@ -339,8 +308,13 @@ def _build_numerators(source: str, spec: GeneralSpec) -> Numerators:
     """The numerators (s_k, P_k) of B_0..B_top by the builder of --source."""
     if source == "recursive":
         return _recursive_numerators(spec)
-    build = _closed_form_elements if source == "explicit" else _generating_elements
-    return build(spec, spec.top_weight)
+    if source == "general":
+        return _generating_elements(spec, spec.top_weight)
+    _charge_walk(spec)
+    nums = _closed_form_elements(spec, spec.top_weight)
+    for elem in nums.elems:
+        _kept(elem, "the closed-form walk")
+    return nums
 
 
 def _same_elements(x: Numerators, y: Numerators) -> bool:
@@ -374,7 +348,6 @@ def _cmd_verify(args) -> int:
         _require_at_least(args, m_max=0, vand_max=0, r_max=1, i_max=2)
         m_max, vand_max = args.m_max, args.vand_max
         r_max, i_max = args.r_max, args.i_max
-        _refuse_past_budget("verify --what identities", _identity_parts(m_max, vand_max, r_max, i_max))
         # The sums of order m over j = 0..m are m! * [j == m], from j = 1
         # when the i = 0 term is left out.
         ps_ok = all(
@@ -412,14 +385,14 @@ def _cmd_verify(args) -> int:
             except ValueError as exc:
                 raise CliError(f"{args.basis}: {exc}") from exc
         else:
-            _check_build(args.spec, spec)
+            _check_top(args.spec, spec)
             rep = check_closure_numerators(_build_numerators("general", spec), spec)
         _emit(args, json.dumps({"what": "closure", **rep.to_dict()}, indent=2) + "\n")
         _note("closure: ok" if rep.ok else f"closure: FAIL at (element, variable) {list(rep.violations)}")
         return 0 if rep.ok else 1
 
     if args.what == "equivalence":
-        _check_build(args.spec, spec, walks=True)
+        _check_top(args.spec, spec)
         if spec.a is None:
             ok = _same_elements(_build_numerators("general", spec), _build_numerators("explicit", spec))
             report = {"what": "equivalence", "generating_vs_general": ok, "ok": ok}
@@ -437,7 +410,7 @@ def _cmd_verify(args) -> int:
         return 0 if ok else 1
 
     if args.what == "breadth":
-        _check_build(args.spec, spec)
+        _check_top(args.spec, spec)
         nums = _build_numerators("general", spec)
         value = breadth_numerators(nums)
         ok = value == 1
@@ -510,7 +483,7 @@ def _check_point_sizes(spec: GeneralSpec, scheme: str, z0: Sequence[Fraction], h
 
 def _cmd_points(args) -> int:
     spec = _load_spec(args.spec)
-    _check_build(args.spec, spec)
+    _check_top(args.spec, spec)
     z0 = _parse_point(args.z0, spec.d)
     if args.h is not None:
         try:
@@ -571,60 +544,10 @@ def _check_power_size(f: Polynomial, z0: Sequence[Fraction]) -> None:
         )
 
 
-def _lifted_digits(f: Polynomial, z0: Sequence[Fraction]) -> int:
-    """Predicted decimal digits of the largest integer the limit series
-    lifts a term x^e of f to, with z0's powers: f.numerators[e] *
-    prod_i q_i^(deg_i - e_i) * max(|p_i|, q_i)^(e_i), where z0_i = p_i / q_i
-    and deg_i is the degree of f in x_i.  At least _power_digits(f, z0)."""
-    logs = [(math.log10(v.denominator), _log10_height(v)) for v in z0]
-    degs = [max(ks) for ks in zip(*f.numerators)]
-    return max(
-        (
-            int(math.log10(abs(c)) + sum((deg - k) * lq + k * lh for (lq, lh), deg, k in zip(logs, degs, e))) + 1
-            for e, c in f.numerators.items()
-        ),
-        default=1,
-    )
-
-
-def _series_parts(spec: GeneralSpec, scheme: str, f: Polynomial, z0: Sequence[Fraction], m: int) -> list[Part]:
-    """The work of limit's series at order m, 0 <= m <= b_n
-    (discretize._series): per point, f's cut products, each of at most
-    nonzero times width u-coefficients of at most digits, and the
-    stencil's sums, which add the digits of (m + 1)!.  Coordinate i has
-    counts[i] nonzero u-coefficients below u^(m+1), up to u^reach[i]:
-    exactly the series the check reads from the point rule
-    (SymbolicPointSet.u_series), which takes no h_coef past u^m."""
-    den, slots = spec.slots
-    counts, reach = [1] * spec.d, [0] * spec.d
-    for bj, i, _ in slots:
-        if bj <= m:
-            counts[i], reach[i] = counts[i] + 1, bj
-    exps = list(f.numerators)
-    products = sum(sum(1 for k in e if k) for e in exps)
-    products += sum(max(e[i] for e in exps).bit_length() for i in range(f.dim)) if exps else 0
-    width = min(m + 1, 1 + max((sum(k * w for k, w in zip(e, reach)) for e in exps), default=0))
-    supports = (math.prod(math.comb(n - 1 + k, min(k, n - 1)) for n, k in zip(counts, e)) for e in exps)
-    nonzero = min(width, max(supports, default=1))
-    per_weight = max(
-        ((math.log10(max(abs(n_ij), den)) + h_coef_log10(scheme, m, bj)) / bj for bj, _, n_ij in slots if bj <= m),
-        default=0,
-    ) + math.log10(max(f.degree, 0) + 1)
-    digits = _lifted_digits(f, z0) + int((width - 1) * per_weight) + 1
-    stencil = int(math.lgamma(m + 2) / math.log(10)) + 1
-    cells, sums = (m + 1) * products * nonzero * width, (m + 1) * width
-    steps = _digit_steps(cells, digits, digits) + _digit_steps(sums, digits + stencil, stencil)
-    per_point = f"{products:,} cut products x {nonzero:,} x {width:,} + {width:,} sums"
-    return [
-        (cells + sums, "cell", f"{m + 1:,} points x ({per_point})"),
-        (steps, "digit-step", f"on {digits:,} digits, the sums on {digits + stencil:,} by {stencil:,}"),
-    ]
-
-
 def _scheme_inputs(args) -> tuple[GeneralSpec, Polynomial, tuple[Fraction, ...]]:
     """The spec, f and z0, as limit and sweep take them."""
     spec = _load_spec(args.spec)
-    _check_build(args.spec, spec)
+    _check_top(args.spec, spec)
     f = _load_poly(args.f, spec.d)
     z0 = _parse_point(args.z0, spec.d)
     _check_power_size(f, z0)
@@ -633,9 +556,6 @@ def _scheme_inputs(args) -> tuple[GeneralSpec, Polynomial, tuple[Fraction, ...]]
 
 def _cmd_limit(args) -> int:
     spec, f, z0 = _scheme_inputs(args)
-    # An order outside 0..b_n is left to expansion_check's own refusal.
-    if 0 <= args.m <= spec.top_weight:
-        _refuse_past_budget(f"limit --m {args.m}", _series_parts(spec, args.scheme, f, z0, args.m))
     pts = SCHEMES[args.scheme](spec, z0)
     try:
         report = expansion_check(f, z0, args.m, pts)
@@ -696,38 +616,20 @@ _EXAMPLE_POINTS = {
 }
 
 
-def _study_parts(spec: GeneralSpec, f: Polynomial, z0: Sequence[Fraction], steps: int) -> list[Part]:
-    """The work of study (README.md, "Work guard"): one build to b_n; the
-    targets, each pair of a term of B_m and one of f; and the sweeps' float
-    point evaluations over steps halvings, which sweep_steps has accepted."""
-    d, top, slots = spec.d, spec.top_weight, spec.slots[1]
-    build = _build_parts(d, top, len(slots), lambda: spec.slots, False)
-    least = {i: bj for bj, i, _ in reversed(slots)}  # the least weight of each x_i
-    pairs = min(build[0][0] // (d + 3), count_compositions(top, [*least.values(), 1])) * len(f.numerators)
-    per_pair, digits = 2 * d + 2 + min(top, max(f.degree, 0)), _lifted_digits(f, z0)
-    per_point = (len(f.numerators) + len(slots) + 11) * (d + 1)
-    evals = (top + 1) * (top + 2) * (steps + 10)
-    return build + [
-        (pairs * per_pair, "cell", f"{pairs:,} pairs of a term of B_m and one of f x {per_pair}"),
-        (_digit_steps(pairs * d, digits, digits), "digit-step", f"{d} multiplies per pair on {digits:,} digits"),
-        (evals * per_point, "cell", f"{evals:,} point evaluations x {per_point:,}"),
-    ]
-
-
 def _cmd_study(args) -> int:
     spec = _load_spec(args.spec) if args.spec else _EXAMPLE_PARAMS
     if not args.f and spec.d != _EXAMPLE_F.dim:
         raise CliError(f"{args.spec}: the demo f is in {_EXAMPLE_F.dim} variables, the spec in {spec.d}; pass --f")
-    _check_build(args.spec or "the demo table", spec)
+    _check_top(args.spec or "the demo table", spec)
     f = _load_poly(args.f, spec.d) if args.f else _EXAMPLE_F
     z0 = _parse_point(args.z0, spec.d)
     _check_power_size(f, z0)
     h0, orders = _parse_h0(args), range(spec.top_weight + 1)
-    # Every order's steps are checked as its sweep would check them, before the work is predicted.
+    # Every order's steps are checked as its sweep would check them, before any work.
     with _sweep_errors(args):
         for m in orders:
+            fuel.charge(min(args.steps, 1076), "the step checks")
             sweep_steps(h0, args.steps, m, spec.top_weight)
-    _refuse_past_budget("study", _study_parts(spec, f, z0, args.steps))
     # Both schemes share one recurrence, each target made when first swept.
     targets, exact, runs = _target_values(f, z0, orders, spec), [], []
     # Every sweep runs before anything is written, so bad input leaves no output.
@@ -778,20 +680,13 @@ def _random_table(rng: random.Random, d_max: int, n_max: int) -> GeneralSpec:
 def _cmd_scan(args) -> int:
     _require_at_least(args, count=1, d_max=2, n_max=2)
     d_max, n_max = args.d_max, args.n_max
-    # Each table predicts as the full one of (--d-max, --n-max), its entries
-    # at _random_table's largest (D = lcm(1..10) = 2520, |n_ij| <= 25200),
-    # and 1,500 cells for its draw and the setup of its five builds and
-    # checks.  A count past 10^9, already far past the budget, counts as 10^9.
-    tables = min(args.count, 10**9)
-    slots = lambda: (2520, [(1, 0, 2520)] + [(j, 1, 25200) for j in range(2, n_max + 1) for _ in range(d_max - 1)])
-    table = _build_parts(d_max, n_max, 1 + (n_max - 1) * (d_max - 1), slots, True) + [(1500, "cell", "1,500 of setup")]
-    parts = [(tables * n, unit, f"{tables:,} tables x {how}") for n, unit, how in table]
-    _refuse_past_budget(f"scan --count {args.count} --d-max {d_max} --n-max {n_max}", parts)
     rng = random.Random(args.seed)
     failures = []
     start = time.perf_counter()
     for k in range(args.count):
-        t = _random_table(rng, args.d_max, args.n_max)
+        # Charged for the full table of (--d-max, --n-max) before the draw, whose size it bounds.
+        fuel.charge(SCAN_TABLE_CELLS + 150 * d_max * n_max, "drawing a table")
+        t = _random_table(rng, d_max, n_max)
         rec, rec_vs_exp, gen_vs_rec = _compare_builders(t)
         closure = check_closure_numerators(rec, t)
         checks = (
@@ -958,11 +853,18 @@ def _join_signed_values(argv: Sequence[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
+    fuel.arm(_budget_cells())
     try:
         return args.func(args)
     except (CliError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except fuel.OutOfFuel as exc:
+        command = f"verify --what {args.what}" if args.command == "verify" else args.command
+        print(f"error: {command}: {exc} ({WORK_BUDGET_S:g} s)", file=sys.stderr)
+        return 2
+    finally:
+        fuel.disarm()
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ serves every sum over them: with a base per weight, the table
     ways[s] = sum over the compositions t of s of prod_k base_k**t[k]
 
 is built over the weights in order by ways[s] += base_k * ways[s - w_k].
-count_compositions is its all-ones case, so that a command can refuse an
-input whose closed-form construction would visit too many compositions;
+count_compositions is its all-ones case, the visits of the closed-form
+walk, which the CLI charges to its fuel (dinv.fuel) before the walk runs;
 identities.falling_factorial_sums reads its entries.  Nothing here
 enumerates the compositions; the tests keep that enumeration as their
 oracle.

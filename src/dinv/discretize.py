@@ -73,8 +73,9 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
+from . import fuel
 from .identities import falling_factorial
-from .poly import DiffOperator, Polynomial, _decimal_digits, rational_text
+from .poly import DiffOperator, Exponent, Polynomial, _decimal_digits, rational_text
 from .subspace import GeneralSpec, _generating_elements, numerator_polynomial
 
 @dataclass(frozen=True)
@@ -135,10 +136,13 @@ class SymbolicPointSet:
         self._check_index(r)
         den, slots = self.spec.slots
         h_coef = SCHEME_RULES[self.scheme][0]
+        metered = fuel.metered
         coords = [[v.numerator] if v else [] for v in self.base]
         for bj, group in itertools.groupby(slots, itemgetter(0)):
             if bj >= length:
                 break
+            if metered:
+                fuel.charge(self._h_coef_cells(r, bj), "the point rule")
             if k := h_coef(r, bj):
                 k *= den ** (bj - 1)
                 for _, i, n_ij in group:
@@ -155,11 +159,19 @@ class SymbolicPointSet:
             den, slots = self.spec.slots
             coords = [{(0,): v.numerator * den} if v else {} for v in self.base]
             for bj, group in itertools.groupby(slots, itemgetter(0)):
+                if fuel.metered:
+                    fuel.charge(self._h_coef_cells(r, bj), "the point rule")
                 if k := SCHEME_RULES[self.scheme][0](r, bj):
                     for _, i, n_ij in group:
                         coords[i][(bj,)] = n_ij * k * self.base[i].denominator
             self._made[r] = tuple(Polynomial(1, c, _scale=v.denominator * den) for c, v in zip(coords, self.base))
         return self._made[r]
+
+    def _h_coef_cells(self, r: int, bj: int) -> int:
+        """h_coef(r, b_j) times D^(b_j - 1), charged as a product of two of its size."""
+        log10 = h_coef_log10(self.scheme, r, bj)
+        bits = 0 if log10 is None else int(log10 * 3.33) + bj * self.spec.slots[0].bit_length() + 1
+        return fuel.cells(1, bits, bits)
 
     def _float_point(self, r: int) -> list[list[tuple[tuple[int, ...], float]]]:
         """point(r)'s coordinates as float terms, converted when first read
@@ -287,8 +299,11 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
     den_powers = [den ** t for t in range(length)]
     total = [0] * length
     for r in range(m + 1):
+        coords = pts.u_series(r, length)
+        if fuel.metered:
+            fuel.charge(_point_cells(terms, coords, length, m), "the limit series")
         # powers[i][k] is coordinate i to the k-th
-        powers = [{1: coord} for coord in pts.u_series(r, length)]
+        powers = [{1: coord} for coord in coords]
         value = [0] * length
         for e, c in terms:
             prod = None
@@ -309,6 +324,43 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
                 total[t] += w * v
     scale *= math.factorial(m)
     return [Fraction(v, scale * dp) for v, dp in zip(total, den_powers)]
+
+
+def _point_cells(terms: list[tuple[Exponent, int]], coords: list[list[int]], length: int, m: int) -> int:
+    """The cells of one point of _series, from its coordinates' u-series:
+    2 per entry of its value; each power a term's _power_cut chain makes,
+    once per point; per term, a product per variable past its first and
+    its width by the lifted coefficient and the stencil weight.  The k-th
+    power of coordinate i has width min(length, 1 + k * span_i), span_i its
+    u-degree, and bits at most k * base_i + (width - 1) * rate_i plus a
+    binomial's, base_i the bits of its constant and rate_i the most bits per
+    unit of u of its others; a cut product of widths w and v is w * v / 2
+    multiply-adds, their coefficients half the largest on average."""
+    spans = [len(coord) - 1 for coord in coords]
+    bases = [(abs(coord[0]) - 1).bit_length() if coord and coord[0] else 0 for coord in coords]
+    rates = [max((v.bit_length() // t + 1 for t, v in enumerate(coord) if t), default=0) for coord in coords]
+
+    def size(i: int, k: int) -> tuple[int, int]:
+        width = max(1, min(length, 1 + k * spans[i]))
+        return width, k * bases[i] + (width - 1) * rates[i] + min(k, width) * (k + width).bit_length()
+
+    total, made = 2 * length, set()
+    for e, c in terms:
+        width, bits = 1, 0
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            while k > 1 and (i, k) not in made:
+                made.add((i, k))
+                w, b = size(i, k // 2)
+                total += fuel.cells(w * w // 2 + (k % 2) * w * (spans[i] + 1), b, b // 2)
+                k //= 2
+            w, b = size(i, e[i])
+            if bits:
+                total += fuel.cells(w * width // 2, b + bits, min(b, bits) // 2)
+            width, bits = min(length, width + w - 1), bits + b
+        total += fuel.cells(width, bits, c.bit_length() + m)
+    return total
 
 
 @dataclass(frozen=True)
@@ -460,7 +512,12 @@ def sweep(
     points = [pts._float_point(r) for r in range(m + 1)]
     rows: list[SweepRow] = []
     prev_err: float | None = None
+    if fuel.metered:  # per point, 4 cells a float term of it and of f per variable, 10 more
+        step = sum(4 * (sum(map(len, coords)) + len(f_terms) * (len(coords) + 1)) + 10 for coords in points)
+        fuel.charge(5 * len(points), "the sweep")
     for h in hs:
+        if fuel.metered:
+            fuel.charge(step, "the sweep")
         acc = 0.0
         for w, coords in zip(weights, points):
             point = [_eval_float(coord, [h]) for coord in coords]

@@ -28,6 +28,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
+from . import fuel
 from .compositions import _ways
 from .linalg import back_substitute, echelon
 
@@ -47,6 +48,10 @@ def signed_power_sums(m: int, include_zero: bool = True, j_max: int | None = Non
     if j_max < 0:
         raise ValueError(f"power must be non-negative, got {j_max}")
     nodes = range(0 if include_zero else 1, m + 1)
+    # Two cells a term of the j_max + 1 rows, of at most m bits of binomial
+    # and j_max * log2(m) of power.
+    if fuel.metered:
+        fuel.charge(fuel.cells(2 * (m + 1) * (j_max + 1), m + j_max * m.bit_length()), "the power sums")
     terms = [-math.comb(m, i) if (m - i) % 2 else math.comb(m, i) for i in nodes]
     sums = [sum(terms)]
     for _ in range(j_max):
@@ -85,13 +90,23 @@ def vandermonde_oracles(top: int) -> list[tuple[Fraction, ...]]:
     if top < 0:
         raise ValueError(f"order must be non-negative, got {top}")
     n = top + 1
-    kept = echelon({**{i: i**j for i in range(n)}, n + j: 1} for j in range(n))
+    kept = echelon(_vandermonde_row(n, j) for j in range(n))
     if sorted(kept) != list(range(n)):
         raise ArithmeticError("Vandermonde system at distinct nodes cannot be singular")
+    if fuel.metered:  # (m + 1)^2 steps per order on the kept rows' entries
+        bits = max(max(map(int.bit_length, row.values())) for row in kept.values())
+        fuel.charge(fuel.cells(n * (n + 1) * (2 * n + 1) // 6, bits), "the back-substitutions")
     return [
         tuple(back_substitute([(k, kept[k], 0) for k in range(m)] + [(m, kept[m], kept[m][n + m])], m + 1))
         for m in range(n)
     ]
+
+
+def _vandermonde_row(n: int, j: int) -> dict[int, int]:
+    """Row j of [V | I], its n powers charged first."""
+    if fuel.metered:
+        fuel.charge(fuel.cells(n, j * n.bit_length()), "the Vandermonde rows")
+    return {**{i: i**j for i in range(n)}, n + j: 1}
 
 
 def vandermonde_oracle(m: int) -> tuple[Fraction, ...]:
@@ -129,6 +144,9 @@ def falling_factorial_sums(r_max: int, i: int) -> tuple[list[int], list[int]]:
         raise ValueError(f"weight must be >= 0, got {r_max}")
     if i < 2:
         raise ValueError(f"node must be >= 2, got {i}")
+    # (r_max + 1)(r_max + 2) / 2 steps on sums below (2 * i)^r_max, two cells each.
+    if fuel.metered:
+        fuel.charge(fuel.cells((r_max + 1) * (r_max + 2), r_max * (2 * i).bit_length()), "the falling-factorial sums")
     bases = accumulate(range(i, i - r_max, -1), mul)
     cap_r, cap_i = [1], None
     for t, ways in enumerate(_ways(r_max, zip(range(1, r_max + 1), bases)), 1):

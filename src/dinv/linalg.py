@@ -17,6 +17,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
+from . import fuel
 from .poly import common_denominator
 
 
@@ -35,9 +36,13 @@ def echelon(
     form under the same column order.
     """
     kept: dict[Hashable, dict[Hashable, int]] = {}
+    sizes: dict[Hashable, int] = {}  # the bits of each kept row's largest entry, when metered
     for row in rows:
         row = {c: v for c, v in row.items() if v}
         while row:
+            if fuel.metered:  # 3 cells an entry: the row's gcds, then its reduction
+                bits = max(map(int.bit_length, row.values()))
+                fuel.charge(fuel.cells(3 * len(row), bits), "echelon")
             # Folded pairwise: gcd(*row.values()) would build a tuple per row.
             g = 0
             for v in row.values():
@@ -50,10 +55,16 @@ def echelon(
             prow = kept.get(lead)
             if prow is None:
                 kept[lead] = row
+                if fuel.metered:  # a cell per 64 bits kept
+                    sizes[lead] = bits
+                    fuel.charge((len(row) * bits) >> 6, "echelon")
                 break
             p, a = prow[lead], row[lead]
             g = math.gcd(p, a)
             p, a = p // g, a // g
+            if fuel.metered:
+                cells = fuel.cells(len(row), bits, p.bit_length()) + fuel.cells(len(prow), sizes[lead], a.bit_length())
+                fuel.charge(3 * cells, "echelon")
             row = {c: v * p for c, v in row.items()}
             for c, v in prow.items():
                 v = row.get(c, 0) - a * v

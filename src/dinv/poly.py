@@ -38,6 +38,8 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import fuel
+
 Rational = Fraction
 Exponent = tuple[int, ...]
 
@@ -475,6 +477,12 @@ class DiffOperator:
             raise ValueError(f"point has length {len(ratios)}, expected {f.dim}")
         nums = f.numerators
         degs = [max(ks) for ks in zip(*nums)]
+        if fuel.metered:
+            # d multiplies per pair of terms, by powers of at most deg_i * log2 max(|p_i|, q_i) bits.
+            sizes = [deg * (max(abs(p), q) - 1).bit_length() for (p, q), deg in zip(ratios, degs)]
+            bits = sum(sizes) + sum(max(map(int.bit_length, p.values()), default=0) for p in (source.numerators, nums))
+            pairs = len(source.numerators) * len(nums)
+            fuel.charge(fuel.cells(pairs * (f.dim + 1), bits, max(sizes, default=0)), "apply_at")
         powers: dict[tuple[int, int], int] = {}  # (i, k): p_i^k * q_i^(deg_i - k)
         total = 0
         for alpha, na in source.numerators.items():

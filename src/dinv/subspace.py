@@ -52,6 +52,7 @@ from functools import cached_property
 from operator import itemgetter, mul, neg
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from . import fuel
 from .linalg import echelon
 from .poly import Exponent, Polynomial, common_denominator, json_array, json_int, json_ratio
 
@@ -461,7 +462,12 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
     # (b_j, [(unit of x_i, n_ij) for n_ij != 0]) per weight with a nonzero N_j.
     forms = [(bj, [(units[i], n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
     elems = [(1, {0: 1})]
+    metered = fuel.metered
+    if metered:  # the bits of each element's largest numerator, and of each N_j's
+        sizes, n_bits = [1], [max(abs(w).bit_length() for _, w in form) for _, form in forms]
     for m in range(1, top + 1):
+        if metered:
+            fuel.charge(_recurrence_cells(forms, n_bits, elems, sizes, m, den.bit_length()), "the generating recurrence")
         acc: dict[int, int] = {}
         for bj, form in forms:
             if bj > m:
@@ -473,7 +479,39 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
                     key = e + u
                     acc[key] = acc.get(key, 0) + w * coef
         elems.append((elems[-1][0] * m * den, {e: v for e, v in acc.items() if v}))
+        if metered:
+            sizes.append(_kept(elems[-1], "the generating recurrence"))
     return Numerators(codes, elems)
+
+
+def _bits(p: Mapping[int, int]) -> int:
+    return max(map(int.bit_length, p.values()), default=0)
+
+
+def _kept(elem: tuple[int, dict[int, int]], stage: str) -> int:
+    """Charge an element (s, P) a builder keeps a cell per 64 bits of s and
+    of |P| numerators of the largest's bits, so the fuel bounds memory;
+    those bits."""
+    bits = _bits(elem[1])
+    fuel.charge((elem[0].bit_length() + len(elem[1]) * bits) >> 6, stage)
+    return bits
+
+
+def _recurrence_cells(forms, n_bits, elems, sizes: list[int], m: int, den_bits: int) -> int:
+    """The cells of element m of _generating_elements: 3 per multiply-add
+    of a term of E_(m-b_j) by b_j * ff(m-1, b_j-1) * D^(b_j-1) * n_ij, each
+    multiplier's making, and the scale's product."""
+    ops = bits = by = 0
+    made = fuel.cells(1, elems[-1][0].bit_length(), m.bit_length() + den_bits)
+    for (bj, form), nb in zip(forms, n_bits):
+        if bj > m:
+            break
+        ops += len(elems[m - bj][1]) * len(form)
+        bits = max(bits, sizes[m - bj])
+        k_bits = (bj - 1) * (m.bit_length() + den_bits) + bj.bit_length()
+        by = max(by, k_bits + nb)
+        made += fuel.cells(1, k_bits, k_bits)
+    return made + 3 * fuel.cells(ops, bits, by)
 
 
 def build_generating(spec: GeneralSpec) -> BasisSequence:
@@ -499,7 +537,8 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
     The numerators are keyed by params.codes, MonomialCodes(d, n)."""
     d, n = params.d, params.n
     den, slots = params.slots
-    num = {(i, j): n_ij for i, j, n_ij in slots[1:]}  # a[i, j + 1] = num[i, j] / den
+    rest = slots[1:]
+    num = {(i, j): n_ij for i, j, n_ij in rest}  # a[i, j + 1] = num[i, j] / den
     codes = params.codes
     base, high, powers, units = codes.base, codes.high, codes.powers, codes.units
     rising = powers[::-1]  # B^0, ..., B^(d-1)
@@ -517,8 +556,12 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
 
     leads = [by_lead(p) for _, p in elems]
     lcm_k = 1
+    metered = fuel.metered
+    sizes = [1, 1]  # the bits of each element's largest numerator, when metered
     for k in range(2, n + 1):
         s_prev, p_prev = elems[k - 1]
+        if metered:
+            fuel.charge(_recursion_cells(rest, leads, elems, sizes, k, d, den), "the recursion")
         scale = math.lcm(s_prev, den)
         for i in range(2, k):
             scale = math.lcm(scale, den * elems[k - i][0])
@@ -555,7 +598,22 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
         p_k = {e: v // g for e, v in acc.items() if v}
         elems.append((s_k // g, p_k))
         leads.append(by_lead(p_k))
+        if metered:
+            sizes.append(_kept(elems[-1], "the recursion"))
     return Numerators(codes, elems[: n + 1])
+
+
+def _recursion_cells(slots, leads, elems, sizes: list[int], k: int, d: int, den: int) -> int:
+    """The cells of element k of _recursive_numerators: k lcms of scales,
+    d * k lookups, and 4 per term of B_(k-1) and of each part of B_(k-i) it
+    integrates (k more per a[i, j]); slots are the (i, j, n_ij) past weight 1."""
+    s_bits = elems[k - 1][0].bit_length() + den.bit_length()
+    ops, bits, n_bits = len(elems[k - 1][1]), sizes[k - 1], 0
+    for i, j, n_ij in slots[: bisect_right(slots, (k,))]:
+        ops += sum(map(len, leads[k - i][j:])) + k
+        bits = max(bits, sizes[k - i])
+        n_bits = max(n_bits, abs(n_ij).bit_length())
+    return fuel.cells(k, s_bits) + d * k + 4 * fuel.cells(ops, bits, s_bits + n_bits + 2 * k)
 
 
 def build_recursive(params: GeneralSpec) -> BasisSequence:
@@ -644,8 +702,18 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
     base, powers, units = codes.base, codes.powers, codes.units
     by_var = [[(bj, n_ij) for bj, v, n_ij in slots if v == i] for i in range(d)]
     bad: list[tuple[int, int]] = []
+    metered = fuel.metered
+    if metered:  # the most terms, numerator bits and scale bits of an element so far
+        weights, n_bits = [bj for bj, _, _ in slots], max(abs(n).bit_length() for _, _, n in slots) + den.bit_length()
+        longest, bits, s_bits = 1, 1, 1
     for m in range(1, spec.top_weight + 1):
         s_m, p_m = elems[m]
+        if metered:
+            # 2 cells per term: d passes over P_m, one over P_(m-b_j) per slot of weight <= m.
+            longest, bits, s_bits = max(longest, len(p_m)), max(bits, _bits(p_m)), max(s_bits, s_m.bit_length())
+            sources = bisect_right(weights, m)
+            cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits)
+            fuel.charge(cells + fuel.cells(3 * (sources + d), s_bits + n_bits), "the closure check")
         for i in range(d):
             terms = [(n_ij, *elems[m - bj]) for bj, n_ij in by_var[i] if bj <= m]
             scale = s_m
