@@ -895,9 +895,8 @@ class TestFuel:
         ids=["limit-a", "limit-b", "sweep", "study-n200", "identities-r120"],
     )
     def test_fast_inputs_accepted(self, argv, tmp_path, monkeypatch, capsys):
-        # Inputs the forecasts refused as seconds of work, which run in
-        # milliseconds (the last two in a fraction of a second): exit 0 with
-        # the stdout of a run with the budget lifted.
+        # Each runs well within the budget (a build to b_n = 100000 would
+        # not): exit 0 with the stdout of a run with the budget lifted.
         (tmp_path / "deep.json").write_text(json.dumps(DEEP))
         (tmp_path / "n200.json").write_text(json.dumps({"d": 2, "n": 200, "a": {"2,2": "1"}}))
         (tmp_path / "f.txt").write_text("x1^3 + x1^2")
