@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import fuel
-from .compositions import count_compositions
 from .discretize import (
     SCHEMES,
     SweepRow,
@@ -67,7 +66,6 @@ from .subspace import (
     ParamTable,
     _closed_form_elements,
     _generating_elements,
-    _kept,
     _recursive_numerators,
     breadth_numerators,
     build_explicit,
@@ -227,13 +225,11 @@ def _note(msg: str) -> None:
 # -- the work guard (README.md, "Work guard") -----------------------------
 #
 # SECONDS_PER_CELL is measured on one core of a 2-vCPU x86-64 host under
-# CPython 3.11.  The cells of a count vector of the closed-form walk, of
-# drawing a table of scan (and 150 per entry of its full table) and of
-# writing a term of a basis, each past its integers' digits; and the cheap
-# bound's seconds per exponent entry of a count vector.
+# CPython 3.11.  The cells of drawing a table of scan (and 150 per entry of
+# its full table) and of writing a term of a basis, past its integers'
+# digits; and the cheap bound's seconds per exponent entry of a count vector.
 WORK_BUDGET_S = 2.0
 SECONDS_PER_CELL = 1e-7
-VECTOR_CELLS = 12
 SCAN_TABLE_CELLS = 2500
 TERM_CELLS = 60
 SECONDS_PER_VISIT = 4.5e-7
@@ -253,20 +249,6 @@ def _check_top(what: str, spec: GeneralSpec) -> None:
     if low > cap:
         raise CliError(f"{what}: the build makes at least {low:,} vectors x (d + 3), "
                        f"more than the {cap:,} of the {WORK_BUDGET_S:g} s budget")
-
-
-def _charge_walk(spec: GeneralSpec) -> None:
-    """Charge the closed-form walk before it runs, per count vector:
-    VECTOR_CELLS, and its product prod n_ij^g_ij * D^(m-G) * (m! // prod g_ij!),
-    whose powers have at most b_n * (bits of max(|n_ij|, D) - 1) bits and
-    whose multinomial at most b_n * (bits of b_n); the vectors counted
-    exactly by count_compositions, up to the budget."""
-    den, slots = spec.slots
-    top = spec.top_weight
-    powers = top * max((abs(n) - 1).bit_length() for _, _, n in slots + ((0, 0, den),))
-    per_vector = VECTOR_CELLS + fuel.cells(2, powers + top * top.bit_length(), powers)
-    visits = count_compositions(top, [bj for bj, _, _ in slots], cap=_budget_cells() // per_vector)
-    fuel.charge(visits * per_vector, "the closed-form walk")
 
 
 def _require_at_least(args, **least: int) -> None:
@@ -308,13 +290,8 @@ def _build_numerators(source: str, spec: GeneralSpec) -> Numerators:
     """The numerators (s_k, P_k) of B_0..B_top by the builder of --source."""
     if source == "recursive":
         return _recursive_numerators(spec)
-    if source == "general":
-        return _generating_elements(spec, spec.top_weight)
-    _charge_walk(spec)
-    nums = _closed_form_elements(spec, spec.top_weight)
-    for elem in nums.elems:
-        _kept(elem, "the closed-form walk")
-    return nums
+    build = _generating_elements if source == "general" else _closed_form_elements
+    return build(spec, spec.top_weight)
 
 
 def _same_elements(x: Numerators, y: Numerators) -> bool:

@@ -75,7 +75,7 @@ from typing import Iterator, Sequence
 
 from . import fuel
 from .identities import falling_factorial
-from .poly import DiffOperator, Exponent, Polynomial, _decimal_digits, rational_text
+from .poly import DiffOperator, Polynomial, _decimal_digits, rational_text
 from .subspace import GeneralSpec, _generating_elements, numerator_polynomial
 
 @dataclass(frozen=True)
@@ -245,11 +245,22 @@ def _check_order(m: int, top: int) -> None:
         raise ValueError(f"order {m} exceeds available points 0..{top}")
 
 
+def _nonzero_bits(s: list[int]) -> tuple[int, int]:
+    """The number of nonzero entries of s and their mean bits."""
+    n = len(s) - s.count(0)
+    return n, sum(map(int.bit_length, s)) // (n or 1)
+
+
 def _mul_cut(a: list[int], b: list[int], length: int) -> list[int]:
     """Product of two dense integer series, cut after the power length-1,
     trailing zeros dropped.  Its t-th coefficient reads only the factors'
-    coefficients up to t, so the cut is exact."""
+    coefficients up to t, so the cut is exact.  Charged first: a cell per
+    step of its inner loop and its products on the factors' mean bits."""
     size = min(len(a) + len(b) - 1, length)
+    if fuel.metered:
+        (na, a_bits), (nb, b_bits) = _nonzero_bits(a), _nonzero_bits(b)
+        steps = sum(min(len(b), size - i) for i, ai in enumerate(a[:size]) if ai)
+        fuel.charge(steps + fuel.cells(min(steps, na * nb), a_bits, b_bits), "the limit series")
     out = [0] * size
     for i, ai in enumerate(a[:size]):
         if ai:
@@ -296,12 +307,11 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
             if deg - k:
                 v *= q ** (deg - k)
         terms.append((e, v))
-    den_powers = [den ** t for t in range(length)]
+    metered = fuel.metered
     total = [0] * length
+    w = -1 if m % 2 else 1  # the weight (-1)^(m-r) * C(m, r), carried from r to r + 1
     for r in range(m + 1):
         coords = pts.u_series(r, length)
-        if fuel.metered:
-            fuel.charge(_point_cells(terms, coords, length, m), "the limit series")
         # powers[i][k] is coordinate i to the k-th
         powers = [{1: coord} for coord in coords]
         value = [0] * length
@@ -316,51 +326,21 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
             if prod is None:
                 value[0] += c
             else:
+                if metered:
+                    fuel.charge(fuel.cells(len(prod), _nonzero_bits(prod)[1], c.bit_length()), "the limit series")
                 for t, v in enumerate(prod):
                     value[t] += c * v
-        w = -math.comb(m, r) if (m - r) % 2 else math.comb(m, r)
+        if metered:
+            fuel.charge(length + fuel.cells(*_nonzero_bits(value), m), "the limit series")
         for t, v in enumerate(value):
             if v:
                 total[t] += w * v
+        w = -w * (m - r) // (r + 1)
     scale *= math.factorial(m)
-    return [Fraction(v, scale * dp) for v, dp in zip(total, den_powers)]
-
-
-def _point_cells(terms: list[tuple[Exponent, int]], coords: list[list[int]], length: int, m: int) -> int:
-    """The cells of one point of _series, from its coordinates' u-series:
-    2 per entry of its value; each power a term's _power_cut chain makes,
-    once per point; per term, a product per variable past its first and
-    its width by the lifted coefficient and the stencil weight.  The k-th
-    power of coordinate i has width min(length, 1 + k * span_i), span_i its
-    u-degree, and bits at most k * base_i + (width - 1) * rate_i plus a
-    binomial's, base_i the bits of its constant and rate_i the most bits per
-    unit of u of its others; a cut product of widths w and v is w * v / 2
-    multiply-adds, their coefficients half the largest on average."""
-    spans = [len(coord) - 1 for coord in coords]
-    bases = [(abs(coord[0]) - 1).bit_length() if coord and coord[0] else 0 for coord in coords]
-    rates = [max((v.bit_length() // t + 1 for t, v in enumerate(coord) if t), default=0) for coord in coords]
-
-    def size(i: int, k: int) -> tuple[int, int]:
-        width = max(1, min(length, 1 + k * spans[i]))
-        return width, k * bases[i] + (width - 1) * rates[i] + min(k, width) * (k + width).bit_length()
-
-    total, made = 2 * length, set()
-    for e, c in terms:
-        width, bits = 1, 0
-        for i, k in enumerate(e):
-            if not k:
-                continue
-            while k > 1 and (i, k) not in made:
-                made.add((i, k))
-                w, b = size(i, k // 2)
-                total += fuel.cells(w * w // 2 + (k % 2) * w * (spans[i] + 1), b, b // 2)
-                k //= 2
-            w, b = size(i, e[i])
-            if bits:
-                total += fuel.cells(w * width // 2, b + bits, min(b, bits) // 2)
-            width, bits = min(length, width + w - 1), bits + b
-        total += fuel.cells(width, bits, c.bit_length() + m)
-    return total
+    if metered:  # a nonzero coefficient's D^t, and its gcd, a limb by the larger integer per limb
+        sizes = [max(v.bit_length(), t * den.bit_length() + scale.bit_length()) for t, v in enumerate(total) if v]
+        fuel.charge(sum(fuel.cells((b >> 6) + 1, b) for b in sizes), "the limit series")
+    return [Fraction(v, scale * den**t) if v else Fraction(0) for t, v in enumerate(total)]
 
 
 @dataclass(frozen=True)

@@ -373,39 +373,70 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
 
     One depth-first walk visits every g of weight <= top exactly once: a
     node is a count vector, and its children give one slot after its last
-    nonzero one a positive count, so the visits number
-    compositions.count_compositions(top, weights of the nonzero slots).
-    The walk carries the prefix products down: prod n_ij^g_ij (c_ij =
-    n_ij / D, D the lcm of the denominators of c), prod g_ij!, the
-    monomial's code (spec.codes_to(top)) and G = sum g.  With
-    m! * D^m * B_m integral, each node adds the integer
-    prod n^g * D^(m-G) * (m! // prod g!) to element m, and B_m is that sum
-    over the scale m! * D^m."""
+    nonzero one a positive count.  With c_ij = n_ij / D (D the lcm of the
+    denominators of c), m! * D^m * B_m is integral, and since
+    m - G = sum g_ij * (b_j - 1) for G = sum g, the walk carries
+    q = prod (n_ij * D^(b_j - 1))^(g_ij) = prod n^g * D^(m-G) down with
+    prod g_ij! and the monomial's code (spec.codes_to(top)).  Each node adds
+    the integer q * (m! // prod g!) to element m, and B_m is that sum over
+    the scale m! * D^m.  Metered, the walk is charged first (_charge_walk)."""
     codes = spec.codes_to(top)
     units = codes.units
     den, slots = spec.slots
+    if fuel.metered:
+        _charge_walk(spec, top)
+    steps = [(bj, units[i], n_ij * den ** (bj - 1)) for bj, i, n_ij in slots]
     # Running products: top + 1 separate powers would cost O(top^2) digits.
     fact = list(itertools.accumulate(range(1, top + 1), mul, initial=1))
-    den_pow = list(itertools.accumulate([den] * top, mul, initial=1))
     elems: list[dict[int, int]] = [{} for _ in range(top + 1)]
 
-    def walk(start: int, m: int, total: int, prod_n: int, prod_fact: int, code: int) -> None:
+    def walk(start: int, m: int, q: int, prod_fact: int, code: int) -> None:
         terms = elems[m]
-        terms[code] = terms.get(code, 0) + prod_n * den_pow[m - total] * (fact[m] // prod_fact)
-        for k in range(start, len(slots)):
-            bj, i, n_ij = slots[k]
+        terms[code] = terms.get(code, 0) + q * (fact[m] // prod_fact)
+        for k in range(start, len(steps)):
+            bj, u, step = steps[k]
             if m + bj > top:
                 break
-            w, g, p_n, p_f, c, u = m, 0, prod_n, prod_fact, code, units[i]
+            w, g, p, p_f, c = m, 0, q, prod_fact, code
             while w + bj <= top:
                 w, g = w + bj, g + 1
-                p_n, p_f, c = p_n * n_ij, p_f * g, c + u
-                walk(k + 1, w, total + g, p_n, p_f, c)
+                p, p_f, c = p * step, p_f * g, c + u
+                walk(k + 1, w, p, p_f, c)
 
-    walk(0, 0, 0, 1, 1, 0)
+    walk(0, 0, 1, 1, 0)
     # A sum that cancelled to 0 keeps its key; the scan for one is cheap.
     elems = [p if 0 not in p.values() else {e: v for e, v in p.items() if v} for p in elems]
-    return Numerators(codes, [(fact[m] * den_pow[m], terms) for m, terms in enumerate(elems)])
+    scales = itertools.accumulate(range(1, top + 1), lambda s, m: s * m * den, initial=1)
+    return Numerators(codes, list(zip(scales, elems)))
+
+
+def _charge_walk(spec: GeneralSpec, top: int) -> None:
+    """Charge the closed-form walk to weight top before it runs, from a
+    table built as compositions._ways builds its own: ways[s] and bits[s],
+    the count vectors of weight s on the slots passed so far and their q's
+    bits summed (each step's log2, rounded up).  The table is charged
+    first, 2 cells a weight per slot and 20 for its last loop.  Per slot,
+    once its pass is made: its step's making, and a step per node it makes
+    at its parents' mean bits.  Per weight m: 12 cells a node, its division
+    of m! and product by q, and a cell per 64 bits kept."""
+    den, slots = spec.slots
+    den_bits = (den - 1).bit_length()
+    fuel.charge((2 * len(slots) + 20) * (top + 1), "the closed-form walk")
+    ways, bits = [1] + [0] * top, [0] * (top + 1)
+    for bj, _, n_ij in slots:
+        step = (abs(n_ij) - 1).bit_length() + (bj - 1) * den_bits
+        for s in range(bj, top + 1):
+            ways[s] += ways[s - bj]
+            bits[s] += bits[s - bj] + ways[s - bj] * step
+        # The slot's nodes, one per parent of weight <= top - b_j.
+        n, b = sum(ways[: top - bj + 1]), sum(bits[: top - bj + 1])
+        fuel.charge(fuel.cells(1, step, step) + fuel.cells(n, b // (n or 1), step), "the closed-form walk")
+    cells = f_bits = 0
+    for m, (n, b) in enumerate(zip(ways, bits)):
+        f_bits += m.bit_length()
+        kept = b + (n + 1) * f_bits + m * den_bits  # the numerators and the scale m! * D^m
+        cells += fuel.cells(n, f_bits) + fuel.cells(n, b // (n or 1), f_bits) + 12 * n + (kept >> 6)
+    fuel.charge(cells, "the closed-form walk")
 
 
 def numerator_polynomial(codes: MonomialCodes, scale: int, nums: Mapping[int, int]) -> Polynomial:
@@ -463,7 +494,7 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
     forms = [(bj, [(units[i], n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
     elems = [(1, {0: 1})]
     metered = fuel.metered
-    if metered:  # the bits of each element's largest numerator, and of each N_j's
+    if metered:  # the mean bits of each element's numerators, and of each N_j's largest
         sizes, n_bits = [1], [max(abs(w).bit_length() for _, w in form) for _, form in forms]
     for m in range(1, top + 1):
         if metered:
@@ -484,34 +515,27 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
     return Numerators(codes, elems)
 
 
-def _bits(p: Mapping[int, int]) -> int:
-    return max(map(int.bit_length, p.values()), default=0)
-
-
 def _kept(elem: tuple[int, dict[int, int]], stage: str) -> int:
     """Charge an element (s, P) a builder keeps a cell per 64 bits of s and
-    of |P| numerators of the largest's bits, so the fuel bounds memory;
-    those bits."""
-    bits = _bits(elem[1])
-    fuel.charge((elem[0].bit_length() + len(elem[1]) * bits) >> 6, stage)
-    return bits
+    of P's numerators, so the fuel bounds memory; their mean bits."""
+    bits = sum(map(int.bit_length, elem[1].values()))
+    fuel.charge((elem[0].bit_length() + bits) >> 6, stage)
+    return bits // max(len(elem[1]), 1)
 
 
 def _recurrence_cells(forms, n_bits, elems, sizes: list[int], m: int, den_bits: int) -> int:
-    """The cells of element m of _generating_elements: 3 per multiply-add
-    of a term of E_(m-b_j) by b_j * ff(m-1, b_j-1) * D^(b_j-1) * n_ij, each
-    multiplier's making, and the scale's product."""
-    ops = bits = by = 0
-    made = fuel.cells(1, elems[-1][0].bit_length(), m.bit_length() + den_bits)
+    """The cells of element m of _generating_elements: per weight b_j <= m,
+    3 per multiply-add of a term of E_(m-b_j), at its mean bits, by a
+    variable of N_j times b_j * ff(m-1, b_j-1) * D^(b_j-1), whose making
+    is charged too; and the scale's product."""
+    cells = fuel.cells(1, elems[-1][0].bit_length(), m.bit_length() + den_bits)
     for (bj, form), nb in zip(forms, n_bits):
         if bj > m:
             break
-        ops += len(elems[m - bj][1]) * len(form)
-        bits = max(bits, sizes[m - bj])
         k_bits = (bj - 1) * (m.bit_length() + den_bits) + bj.bit_length()
-        by = max(by, k_bits + nb)
-        made += fuel.cells(1, k_bits, k_bits)
-    return made + 3 * fuel.cells(ops, bits, by)
+        ops = len(elems[m - bj][1]) * len(form)
+        cells += fuel.cells(1, k_bits, k_bits) + 2 * ops + fuel.cells(ops, sizes[m - bj], k_bits + nb)
+    return cells
 
 
 def build_generating(spec: GeneralSpec) -> BasisSequence:
@@ -557,7 +581,7 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
     leads = [by_lead(p) for _, p in elems]
     lcm_k = 1
     metered = fuel.metered
-    sizes = [1, 1]  # the bits of each element's largest numerator, when metered
+    sizes = [1, 1]  # the mean bits of each element's numerators, when metered
     for k in range(2, n + 1):
         s_prev, p_prev = elems[k - 1]
         if metered:
@@ -710,7 +734,8 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
         s_m, p_m = elems[m]
         if metered:
             # 2 cells per term: d passes over P_m, one over P_(m-b_j) per slot of weight <= m.
-            longest, bits, s_bits = max(longest, len(p_m)), max(bits, _bits(p_m)), max(s_bits, s_m.bit_length())
+            longest, s_bits = max(longest, len(p_m)), max(s_bits, s_m.bit_length())
+            bits = max(bits, max(map(int.bit_length, p_m.values()), default=0))
             sources = bisect_right(weights, m)
             cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits)
             fuel.charge(cells + fuel.cells(3 * (sources + d), s_bits + n_bits), "the closure check")

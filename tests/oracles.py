@@ -2,7 +2,8 @@
 
 Each is the straightforward Fraction version of a routine the library now
 computes another way, except weighted_compositions, the enumeration the
-library now only counts and sums, falling_factorial_sum_enumerated, its
+library now only sums, count_compositions, the count of the closed-form
+walk's visits, falling_factorial_sum_enumerated, its
 sum by enumeration, enumerate_weight_solutions, the unpruned index set of
 the closed form, and span_contains, span membership by solve_fraction;
 they are not part of the package.  solve_backsub_fraction is linalg.solve
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from dinv.compositions import _ways
 from dinv.discretize import SymbolicPointSet, stencil
 from dinv.linalg import echelon
 from operator import itemgetter
@@ -248,6 +250,22 @@ def dict_render(p: Terms, dim: int) -> str:
         else:
             pieces.append(f"-{body}" if c < 0 else body)
     return " ".join(pieces)
+
+
+def count_compositions(top: int, weights: Sequence[int]) -> int:
+    """The number of t >= 0 with sum(t[k]*weights[k]) <= top, the visits
+    of the closed-form walk on slots of these weights: compositions._ways
+    with every base 1, in O(len(weights) * top) steps."""
+    if top < 0:
+        raise ValueError(f"top must be non-negative, got {top}")
+    if any(w < 1 for w in weights):
+        raise ValueError(f"weights must be positive integers, got {list(weights)}")
+    weights = [w for w in weights if w <= top]
+    total = 1
+    for w, ways in zip(weights, _ways(top, ((w, 1) for w in weights))):
+        # The pass added ways[s - w] (new values) for every s >= w.
+        total += sum(ways[: top - w + 1])
+    return total
 
 
 def weighted_compositions(total: int, weights: Sequence[int]) -> Iterator[tuple[int, ...]]:

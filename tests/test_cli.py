@@ -891,18 +891,28 @@ class TestFuel:
             ["sweep", "--m", "2", "--scheme", "b", "--spec", "{deep}", "--f", "{f}", "--z0", "1/3"],
             ["study", "--spec", "{n200}", "--f", "{lin}", "--h0", "1/2", "--steps", "2", "--out-dir", "{tmp}/out"],
             ["verify", "--what", "identities", "--r-max", "120", "--i-max", "120"],
+            # 1000-digit rationals: each product of the walk and the
+            # recurrence is charged from its own operands, not at E_44's size.
+            ["verify", "--what", "equivalence", "--spec", "{digits}"],
+            # Dense u-series of 61 terms, charged from the cut products made.
+            ["limit", "--m", "60", "--scheme", "a", "--spec", "{b60}", "--f", "{sparse}", "--z0", "3/2"],
         ],
-        ids=["limit-a", "limit-b", "sweep", "study-n200", "identities-r120"],
+        ids=["limit-a", "limit-b", "sweep", "study-n200", "identities-r120", "equivalence-digits", "limit-b60"],
     )
     def test_fast_inputs_accepted(self, argv, tmp_path, monkeypatch, capsys):
-        # Each runs well within the budget (a build to b_n = 100000 would
-        # not): exit 0 with the stdout of a run with the budget lifted.
+        # Each runs within the budget (a build to b_n = 100000 would not):
+        # exit 0 with the stdout of a run with the budget lifted.
+        a, b = "7" * 1000, "3" * 1000
         (tmp_path / "deep.json").write_text(json.dumps(DEEP))
         (tmp_path / "n200.json").write_text(json.dumps({"d": 2, "n": 200, "a": {"2,2": "1"}}))
+        (tmp_path / "digits.json").write_text(json.dumps({"n": 2, "d": 2, "b": [1, 44], "c": [[a, a], ["-1/" + b, a]]}))
+        (tmp_path / "b60.json").write_text(json.dumps({"n": 60, "d": 1, "b": list(range(1, 61)), "c": [["7/3"] * 60]}))
         (tmp_path / "f.txt").write_text("x1^3 + x1^2")
         (tmp_path / "lin.txt").write_text("x1 + x2")
+        (tmp_path / "sparse.txt").write_text(" + ".join(f"x1^{k}" for k in range(1, 58, 7)))
         names = {"deep": tmp_path / "deep.json", "n200": tmp_path / "n200.json", "f": tmp_path / "f.txt",
-                 "lin": tmp_path / "lin.txt", "tmp": tmp_path}
+                 "lin": tmp_path / "lin.txt", "tmp": tmp_path, "digits": tmp_path / "digits.json",
+                 "b60": tmp_path / "b60.json", "sparse": tmp_path / "sparse.txt"}
         argv = [a.format(**names) for a in argv]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -1192,6 +1202,63 @@ class TestLimitAndSweep:
         assert err == "error: a coefficient of f has 401 digits before the point; no float can hold it\n"
 
 
+def _abs_eval(p: Polynomial, point) -> Fraction:
+    """p with each coefficient made positive, at a point of non-negative values."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        term = abs(c)
+        for v, k in zip(point, e):
+            term *= v**k
+        total += term
+    return total
+
+
+class TestApproxColumn:
+    """The approx column of sweep and study at each h against the stencil
+    combination evaluated in Fractions at that h (a dyadic rational, as
+    every float is): a second witness of the float path.  The float sum
+    may lose a few ulps of each value it adds, so the tolerance is 1e-12 of
+    the sum of the values' sizes, coefficients made positive, over h^m."""
+
+    Z0 = (Fraction(-1, 2), Fraction(3))
+    F = "x1^5*x2 + x2^3 - 2*x1^2 + 3"
+
+    def _assert_rows_match(self, csv_text: str, scheme: str, m: int) -> None:
+        spec = dinv.GeneralSpec.from_dict(GAPPED_SPEC)
+        f, pts = P(self.F), dinv.discretize.SCHEMES[scheme](spec, self.Z0)
+        lines = csv_text.splitlines()
+        assert lines[0] == "h,approx,exact,abs_err,est_order" and len(lines) == 13
+        for line in lines[1:]:
+            h_text, approx = line.split(",")[:2]
+            h = Fraction(float(h_text))
+            exact = size = Fraction(0)
+            for r, w in enumerate(dinv.discretize.stencil(m).coeffs):
+                coords = pts.point(r)
+                exact += w * f.eval([c.eval([h]) for c in coords])
+                size += abs(w) * _abs_eval(f, [_abs_eval(c, [h]) for c in coords])
+            assert abs(Fraction(float(approx)) - exact / h**m) <= size / h**m / 10**12, (scheme, m, line)
+
+    @pytest.mark.parametrize("scheme", "ab")
+    def test_sweep(self, scheme, tmp_path, capsys):
+        (tmp_path / "s.json").write_text(json.dumps(GAPPED_SPEC))
+        (tmp_path / "f.txt").write_text(self.F)
+        for m in range(5):
+            argv = ["sweep", "--spec", str(tmp_path / "s.json"), "--f", str(tmp_path / "f.txt"), "--m", str(m)]
+            assert main([*argv, "--scheme", scheme, "--z0=-1/2,3"]) == 0
+            self._assert_rows_match(capsys.readouterr().out, scheme, m)
+
+    def test_study(self, tmp_path, capsys):
+        (tmp_path / "s.json").write_text(json.dumps(GAPPED_SPEC))
+        (tmp_path / "f.txt").write_text(self.F)
+        out = tmp_path / "out"
+        argv = ["study", "--spec", str(tmp_path / "s.json"), "--f", str(tmp_path / "f.txt"), "--z0=-1/2,3"]
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        for scheme in "ab":
+            for m in range(5):
+                self._assert_rows_match((out / f"scheme_{scheme}_m{m}.csv").read_text(), scheme, m)
+
+
 class TestPowerDigitGuard:
     """limit, sweep and study refuse, before any series or target work, an
     f whose terms raise z0 to more than MAX_POWER_DIGITS digits; a huge
@@ -1252,10 +1319,11 @@ B5300 = {"n": 2, "d": 1, "b": [1, 5300], "c": [["1", "1"]]}
 
 
 class TestSeriesSizeGuard:
-    """limit is metered: the point of the series that would pass the
-    budget is refused, exit 2 with no output, within 1.5 times it.  A point
-    is charged its value's length and the cut products of f's terms on the
-    bits of the coordinates' powers (discretize._point_cells)."""
+    """limit is metered: the step of the series that would pass the budget
+    is refused, exit 2 with no output, within 1.5 times it.  Each cut
+    product is charged from its factors (discretize._mul_cut), each term's
+    accumulation from its product's length, and each point's value from
+    its length."""
 
     @pytest.mark.parametrize("scheme", "ab")
     def test_order_5300_of_b5300_refused_at_once(self, scheme, tmp_path, capsys, small_budget):
@@ -1268,13 +1336,18 @@ class TestSeriesSizeGuard:
 
     @pytest.mark.parametrize("m, accepted", [(66, True), (200, True), (3000, True), (5000, False)])
     def test_b5300_orders_follow_the_series_length(self, m, accepted):
-        # f = x1^3 + x1^2 reaches u^3 only: a few cut products per point, and
-        # the point's value of m + 1 entries, whose charge refuses --m 5000.
+        # f = x1^3 + x1^2 reaches u^3 only: a few short cut products per
+        # point, and the point's value of m + 1 entries, whose charge
+        # refuses --m 5000 under the default budget.
         spec, f, z0 = dinv.GeneralSpec.from_dict(B5300), P("x1^3 + x1^2", 1), (Fraction(1, 3),)
-        pts = dinv.discretize.SCHEMES["b"](spec, z0)
-        terms = [(e, c * 3 ** (3 - e[0])) for e, c in f.numerators.items()]  # lifted over 3^3
-        cells = sum(dinv.discretize._point_cells(terms, pts.u_series(r, m + 1), m + 1, m) for r in range(m + 1))
-        assert (cells <= dinv.cli._budget_cells()) == accepted
+        dinv.fuel.arm(dinv.cli._budget_cells())
+        try:
+            report = dinv.discretize.expansion_check(f, z0, m, dinv.discretize.SCHEMES["b"](spec, z0))
+            assert accepted and report.passed
+        except dinv.fuel.OutOfFuel as exc:
+            assert not accepted and "out of fuel in the limit series" in str(exc)
+        finally:
+            dinv.fuel.disarm()
 
     def test_ci_limit_calls_accepted(self, tmp_path, capsys):
         runs = [
@@ -1444,6 +1517,50 @@ def test_extreme_valid_inputs_exit_0_1_or_2(tmp_path, small_budget, command, gen
     assert "Traceback" not in err.getvalue()
 
 
+_SMALL_RATIONALS = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2/3", "5"])
+
+
+def _assert_parseable(text: str) -> None:
+    """text is JSON, or rows of floats under the sweep's CSV header (est_order may be blank)."""
+    if not text.startswith("h,"):
+        json.loads(text)
+        return
+    header, *rows = text.splitlines()
+    assert header == "h,approx,exact,abs_err,est_order" and rows
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == 5
+        for v in fields[:4] + [fields[4] or "0"]:
+            float(v)
+
+
+@settings(max_examples=40, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["limit", "points", "sweep"]),
+    general=st.booleans(),
+    exps=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    z0=st.tuples(_SMALL_RATIONALS, _SMALL_RATIONALS),
+    h=st.one_of(st.none(), _SMALL_RATIONALS),
+    m=st.integers(0, 4),
+    scheme=st.sampled_from("ab"),
+)
+def test_small_valid_inputs_exit_0_or_1(tmp_path, small_budget, command, general, exps, z0, h, m, scheme):
+    """The companion of test_extreme_valid_inputs_exit_0_1_or_2, drawn
+    inside the small budget: exit 0 or 1 and a parseable stdout."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(TestEitherSpec.GENERAL if general else EXAMPLE_SPEC))
+    f = tmp_path / "f.txt"
+    f.write_text(f"x1^{exps[0]}*x2^{exps[1]} - 2*x2 + 1")
+    argv = [command, "--spec", str(spec), "--scheme", scheme, f"--z0={z0[0]},{z0[1]}"]
+    if command == "points":
+        argv += [] if h is None else [f"--h={h}"]
+    else:
+        argv += ["--f", str(f), f"--m={m}"]
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) in (0, 1), err.getvalue()
+    _assert_parseable(out.getvalue())
+
+
 @st.composite
 def _extreme_specs(draw) -> dict:
     """A valid spec of extreme shape: a table, n = 1, gaps in b (up to
@@ -1486,6 +1603,46 @@ def test_extreme_specs_exit_0_1_or_2(tmp_path, small_budget, command, spec, sour
     assert "Traceback" not in err.getvalue()
 
 
+@st.composite
+def _small_specs(draw) -> dict:
+    """A valid spec inside the small budget: a table of n <= 6, or a general
+    spec with b_n <= 12, each with short rationals."""
+    d = draw(st.integers(1, 3))
+    if d > 1 and draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        keys = st.tuples(st.integers(2, n), st.integers(2, d)).map(lambda ij: f"{ij[0]},{ij[1]}")
+        return {"d": d, "n": n, "a": draw(st.dictionaries(keys, _SMALL_RATIONALS, max_size=6)) if n > 1 else {}}
+    b = [1] + draw(st.lists(st.integers(2, 12), max_size=2, unique=True).map(sorted))
+    c = [[draw(_SMALL_RATIONALS) for _ in b] for _ in range(d)]
+    if all(parse_rational(row[0]) == 0 for row in c):
+        c[0][0] = "1"
+    return {"n": len(b), "d": d, "b": b, "c": c}
+
+
+@pytest.mark.parametrize("command", ["basis", "closure", "breadth", "equivalence"])
+@settings(max_examples=40, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_small_specs(), source=st.sampled_from(SOURCES), pretty=st.booleans())
+def test_small_specs_exit_0_or_1(tmp_path, small_budget, command, spec, source, pretty):
+    """The companion of test_extreme_specs_exit_0_1_or_2, drawn inside the
+    small budget: exit 0 or 1 and a parseable stdout, JSON or, with
+    --pretty, one polynomial per line.  The recursion reads only tables."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    if "a" not in spec and source == "recursive":
+        source = "general"
+    if command == "basis":
+        argv = ["basis", "--source", source, "--spec", str(path), *(["--pretty"] if pretty else [])]
+    else:
+        argv = ["verify", "--what", command, "--spec", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) in (0, 1), err.getvalue()
+    if command == "basis" and pretty:
+        lines = out.getvalue().splitlines()
+        assert [Polynomial.parse(line, spec["d"]).degree for line in lines] == list(range(len(lines)))
+    else:
+        _assert_parseable(out.getvalue())
+
+
 def _small_or_huge(low: int, small: int) -> st.SearchStrategy:
     return st.one_of(st.integers(low, small), st.integers(low, 10**9))
 
@@ -1515,6 +1672,17 @@ def test_extreme_scans_exit_0_1_or_2(small_budget, count, d_max, n_max, seed):
 
 
 @settings(max_examples=40, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(count=st.integers(1, 5), d_max=st.integers(2, 3), n_max=st.integers(2, 5), seed=st.integers(0, 10**9))
+def test_small_scans_exit_0_or_1(small_budget, count, d_max, n_max, seed):
+    """The companion of test_extreme_scans_exit_0_1_or_2, drawn inside the
+    small budget: exit 0 or 1 and a JSON report of every table."""
+    argv = ["scan", f"--count={count}", f"--d-max={d_max}", f"--n-max={n_max}", f"--seed={seed}"]
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) in (0, 1), err.getvalue()
+    assert json.loads(out.getvalue())["count"] == count
+
+
+@settings(max_examples=40, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     spec=st.one_of(st.none(), _extreme_specs()),
     exps=st.tuples(*[st.one_of(st.integers(0, 12), st.integers(0, 10**9))] * 2),
@@ -1539,6 +1707,39 @@ def test_extreme_studies_exit_0_1_or_2(tmp_path, small_budget, spec, exps, z0, h
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
         assert main(argv) in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=40, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    spec=st.one_of(st.none(), _small_specs()),
+    exps=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    z0=st.tuples(*[_SMALL_RATIONALS] * 3),
+    h0=st.sampled_from(["1/4", "1/2", "1", "3/2"]),
+    steps=st.integers(2, 20),
+)
+def test_small_studies_exit_0_or_1(tmp_path, small_budget, spec, exps, z0, h0, steps):
+    """The companion of test_extreme_studies_exit_0_1_or_2, drawn inside
+    the small budget: exit 0, a summary line per order and scheme, and
+    each order's CSV with the sweep's header and a row per step."""
+    out = tmp_path / "out"
+    argv = ["study", f"--h0={h0}", f"--steps={steps}", "--out-dir", str(out)]
+    d, top = 2, 4
+    if spec is not None:
+        d, top = spec["d"], spec["n"] if "a" in spec else spec["b"][-1]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        f = tmp_path / "f.txt"
+        f.write_text(f"x1^{exps[0]}*x{d}^{exps[1]} - 2*x{d} + 1")
+        argv += ["--spec", str(path), "--f", str(f)]
+    argv.append(f"--z0={','.join(z0[:d])}")
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) in (0, 1), err.getvalue()
+    assert len(stdout.getvalue().splitlines()) == 2 + 2 * (top + 1)
+    for scheme in "ab":
+        for m in range(top + 1):
+            text = (out / f"scheme_{scheme}_m{m}.csv").read_text()
+            _assert_parseable(text)
+            assert len(text.splitlines()) == steps + 1
 
 
 @settings(max_examples=10, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])

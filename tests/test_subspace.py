@@ -29,7 +29,6 @@ from dinv import (
     check_closure,
     degrees,
 )
-from dinv.compositions import count_compositions
 from dinv.linalg import common_denominator
 from dinv.poly import parse_rational
 from dinv.subspace import (
@@ -45,6 +44,7 @@ from dinv.subspace import (
 )
 from oracles import (
     breadth_numerators_tuple,
+    count_compositions,
     build_explicit_fraction,
     build_general_fraction,
     build_recursive_fraction,
