@@ -173,16 +173,12 @@ def _power_of_ten(k: int) -> int:
 
 
 # One term of Polynomial.to_dict as json.dumps(..., indent=2) lays it out
-# inside a list of elements, and the separator of its exponents.  The
-# coefficient needs no escaping: _ratio_text writes only [-0-9/].
-_TERM_JSON = '\n      {{\n        "exp": [\n          {}\n        ],\n        "coef": "{}"\n      }}'
+# inside a list of elements: _TERM_HEAD around the exponents joined by
+# _EXP_SEP (a head made once per code), the reduced coefficient, then
+# _TERM_TAIL.  The coefficient needs no escaping: its text has only [-0-9/].
+_TERM_HEAD = '\n      {{\n        "exp": [\n          {}\n        ],\n        "coef": "'
 _EXP_SEP = ",\n          "
-
-
-def _ratio_text(v: int, scale: int) -> str:
-    """str(Fraction(v, scale)) for scale > 0, by one gcd."""
-    g = math.gcd(v, scale)
-    return str(v // g) if g == scale else f"{v // g}/{scale // g}"
+_TERM_TAIL = '"\n      }'
 
 
 def _basis_chunks(nums: Numerators, pretty: bool) -> Iterator[str]:
@@ -192,14 +188,15 @@ def _basis_chunks(nums: Numerators, pretty: bool) -> Iterator[str]:
     written for to_dict's fixed shape, an element's terms 256 at a time:
     few writes, no Fraction, and no element's whole text in memory.  An
     element's terms are its codes in descending order, which is to_dict's
-    graded-lex order, and each distinct code's exponent text is made once
-    per call."""
+    graded-lex order, each coefficient str(Fraction(v, s)) by one gcd, and
+    each distinct code's term head is made once per call."""
     codes, elems = nums
     if pretty:
         for s, p in elems:
             yield numerator_polynomial(codes, s, p).render() + "\n"
         return
-    texts: dict[int, str] = {}
+    heads: dict[int, str] = {}
+    gcd, tail = math.gcd, _TERM_TAIL
     yield "["
     for k, (s, p) in enumerate(elems):
         head = (",\n  {" if k else "\n  {") + f'\n    "dim": {codes.d},\n    "terms": '
@@ -207,13 +204,15 @@ def _basis_chunks(nums: Numerators, pretty: bool) -> Iterator[str]:
             yield head + "[]\n  }"
             continue
         terms = sorted(p.items(), reverse=True)
-        for c, e in codes.exponents(p.keys() - texts.keys()).items():
-            texts[c] = _EXP_SEP.join(map(str, e))
+        for c, e in codes.exponents(p.keys() - heads.keys()).items():
+            heads[c] = _TERM_HEAD.format(_EXP_SEP.join(map(str, e)))
         yield head + "["
         for start in range(0, len(terms), 256):
-            yield ("," if start else "") + ",".join(
-                _TERM_JSON.format(texts[c], _ratio_text(v, s)) for c, v in terms[start : start + 256]
-            )
+            texts = []
+            for c, v in terms[start : start + 256]:
+                g = gcd(v, s)
+                texts.append(f"{heads[c]}{v // g}{tail}" if g == s else f"{heads[c]}{v // g}/{s // g}{tail}")
+            yield ("," if start else "") + ",".join(texts)
         yield "\n    ]\n  }"
     yield "\n]\n"
 
@@ -726,8 +725,13 @@ def _cmd_example1(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own parser by its name."""
     parser = argparse.ArgumentParser(
         prog="dinv",
         description="Exact construction and verification of breadth-one "
@@ -805,7 +809,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=_cmd_example1)
 
-    return parser
+    return parser, sub.choices
 
 
 # Options whose value, a rational or a point, may start with a minus sign.
@@ -827,9 +831,21 @@ def _join_signed_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """_build_parser().parse_args(argv): by argv[0]'s own parser when it
+    names a command and that parser reads every argument, and otherwise by
+    the full parser, so every usage error and help text is as it prints it."""
+    full, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return full.parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
+    args = _parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     fuel.arm(_budget_cells())
     try:
         return args.func(args)

@@ -44,7 +44,9 @@ def cells(ops: int, bits: int, by: int = 0) -> int:
     """The cells of ops multiply-adds of an integer of at most bits bits by
     one of at most by bits: one each, and one per 16 products of 64-bit
     limbs, as CPython's Karatsuba counts them past 32 limbs in each factor."""
-    short, long = sorted(((bits >> 6) + 1, (by >> 6) + 1))
+    short, long = (bits >> 6) + 1, (by >> 6) + 1
+    if short > long:
+        short, long = long, short
     if short > 32:
         short = int(32 * (short / 32) ** 0.585)
     return ops * (1 + short * long // 16)

@@ -494,22 +494,31 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
     forms = [(bj, [(units[i], n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
     elems = [(1, {0: 1})]
     metered = fuel.metered
-    if metered:  # the mean bits of each element's numerators, and of each N_j's largest
-        sizes, n_bits = [1], [max(abs(w).bit_length() for _, w in form) for _, form in forms]
+    if metered:  # the charge's constants per weight, and the mean bits of each element's numerators
+        weights = [(bj, bj - 1, bj.bit_length(), len(form), max(abs(w).bit_length() for _, w in form)) for bj, form in forms]
+        sizes, den_bits = [1], den.bit_length()
     for m in range(1, top + 1):
         if metered:
-            fuel.charge(_recurrence_cells(forms, n_bits, elems, sizes, m, den.bit_length()), "the generating recurrence")
+            fuel.charge(_recurrence_cells(weights, elems, sizes, m, den_bits), "the generating recurrence")
+        # One pass over E_(m-b_j) per variable of N_j; the first makes acc.
         acc: dict[int, int] = {}
         for bj, form in forms:
             if bj > m:
                 break
             k = bj * math.perm(m - 1, bj - 1) * den ** (bj - 1)
-            scaled = [(u, k * w) for u, w in form]
-            for e, coef in elems[m - bj][1].items():
-                for u, w in scaled:
-                    key = e + u
-                    acc[key] = acc.get(key, 0) + w * coef
-        elems.append((elems[-1][0] * m * den, {e: v for e, v in acc.items() if v}))
+            source = elems[m - bj][1]
+            for u, w in form:
+                w *= k
+                if not acc:
+                    acc = {e + u: w * c for e, c in source.items()}
+                    continue
+                get = acc.get
+                for e, c in source.items():
+                    e += u
+                    acc[e] = get(e, 0) + w * c
+        if 0 in acc.values():  # a term cancelled
+            acc = {e: v for e, v in acc.items() if v}
+        elems.append((elems[-1][0] * m * den, acc))
         if metered:
             sizes.append(_kept(elems[-1], "the generating recurrence"))
     return Numerators(codes, elems)
@@ -523,18 +532,20 @@ def _kept(elem: tuple[int, dict[int, int]], stage: str) -> int:
     return bits // max(len(elem[1]), 1)
 
 
-def _recurrence_cells(forms, n_bits, elems, sizes: list[int], m: int, den_bits: int) -> int:
+def _recurrence_cells(weights, elems, sizes: list[int], m: int, den_bits: int) -> int:
     """The cells of element m of _generating_elements: per weight b_j <= m,
     3 per multiply-add of a term of E_(m-b_j), at its mean bits, by a
     variable of N_j times b_j * ff(m-1, b_j-1) * D^(b_j-1), whose making
-    is charged too; and the scale's product."""
-    cells = fuel.cells(1, elems[-1][0].bit_length(), m.bit_length() + den_bits)
-    for (bj, form), nb in zip(forms, n_bits):
+    is charged too; and the scale's product.  weights holds, per weight,
+    (b_j, b_j - 1, the bits of b_j, |N_j|, the bits of N_j's largest entry)."""
+    step = m.bit_length() + den_bits
+    cells = fuel.cells(1, elems[-1][0].bit_length(), step)
+    for bj, bj_less, bj_bits, n, n_bits in weights:
         if bj > m:
             break
-        k_bits = (bj - 1) * (m.bit_length() + den_bits) + bj.bit_length()
-        ops = len(elems[m - bj][1]) * len(form)
-        cells += fuel.cells(1, k_bits, k_bits) + 2 * ops + fuel.cells(ops, sizes[m - bj], k_bits + nb)
+        k_bits = bj_less * step + bj_bits
+        ops = len(elems[m - bj][1]) * n
+        cells += fuel.cells(1, k_bits, k_bits) + 2 * ops + fuel.cells(ops, sizes[m - bj], k_bits + n_bits)
     return cells
 
 
@@ -727,16 +738,22 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
     by_var = [[(bj, n_ij) for bj, v, n_ij in slots if v == i] for i in range(d)]
     bad: list[tuple[int, int]] = []
     metered = fuel.metered
-    if metered:  # the most terms, numerator bits and scale bits of an element so far
-        weights, n_bits = [bj for bj, _, _ in slots], max(abs(n).bit_length() for _, _, n in slots) + den.bit_length()
-        longest, bits, s_bits = 1, 1, 1
+    if metered:  # the most terms, numerator bits and scale bits of an element so far; the slots of weight <= m
+        n_bits = max(abs(n).bit_length() for _, _, n in slots) + den.bit_length()
+        longest, bits, s_bits, sources = 1, 1, 1, 0
     for m in range(1, spec.top_weight + 1):
         s_m, p_m = elems[m]
         if metered:
             # 2 cells per term: d passes over P_m, one over P_(m-b_j) per slot of weight <= m.
-            longest, s_bits = max(longest, len(p_m)), max(s_bits, s_m.bit_length())
-            bits = max(bits, max(map(int.bit_length, p_m.values()), default=0))
-            sources = bisect_right(weights, m)
+            if len(p_m) > longest:
+                longest = len(p_m)
+            if s_m.bit_length() > s_bits:
+                s_bits = s_m.bit_length()
+            top_bits = max(map(int.bit_length, p_m.values()), default=0)
+            if top_bits > bits:
+                bits = top_bits
+            while sources < len(slots) and slots[sources][0] <= m:
+                sources += 1
             cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits)
             fuel.charge(cells + fuel.cells(3 * (sources + d), s_bits + n_bits), "the closure check")
         for i in range(d):

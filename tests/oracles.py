@@ -31,6 +31,12 @@ builders, the closure identity and breadth) on numerators keyed by
 exponent tuples, where the library keys them by monomial codes
 (subspace.MonomialCodes).  packed and unpacked carry a builder's
 numerators between the two keys: packed makes a subspace.Numerators.
+
+generating_fuel and closure_fuel are the cells that the generating
+recurrence and the closure check charge under fuel, each element's charge
+computed afresh from the whole run's lists (the closure check's slots of
+weight <= m by bisection), where the kernels keep constants and running
+counts across a run.
 """
 
 from __future__ import annotations
@@ -38,10 +44,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from dinv import fuel
 from dinv.compositions import _ways
 from dinv.discretize import SymbolicPointSet, stencil
 from dinv.linalg import echelon
@@ -718,3 +726,55 @@ def breadth_numerators_tuple(dim: int, rows) -> int:
     if (0,) * dim not in leads:
         raise ValueError("span does not contain the constant 1")
     return sum(1 for e in leads if sum(e) <= 1) - 1
+
+
+def recurrence_cells(forms, n_bits, elems, sizes: list[int], m: int, den_bits: int) -> int:
+    """The cells charged before element m of the generating recurrence,
+    elems holding E_0..E_(m-1): per weight b_j <= m, 3 per multiply-add of
+    a term of E_(m-b_j), at its mean bits, by a variable of N_j times
+    b_j * ff(m-1, b_j-1) * D^(b_j-1), whose making is charged too; and the
+    scale's product."""
+    cells = fuel.cells(1, elems[-1][0].bit_length(), m.bit_length() + den_bits)
+    for (bj, form), nb in zip(forms, n_bits):
+        if bj > m:
+            break
+        k_bits = (bj - 1) * (m.bit_length() + den_bits) + bj.bit_length()
+        ops = len(elems[m - bj][1]) * len(form)
+        cells += fuel.cells(1, k_bits, k_bits) + 2 * ops + fuel.cells(ops, sizes[m - bj], k_bits + nb)
+    return cells
+
+
+def generating_fuel(spec: GeneralSpec, elems: TupleNumerators) -> int:
+    """The cells of building elems = E_0..E_top of spec by the generating
+    recurrence: recurrence_cells before each element, and a cell per 64
+    bits of its scale and numerators after it."""
+    den, slots = spec.slots
+    forms = [(bj, list(form)) for bj, form in itertools.groupby(slots, itemgetter(0))]
+    n_bits = [max(abs(w).bit_length() for _, _, w in form) for _, form in forms]
+    sizes, total = [1], 0
+    for m in range(1, len(elems)):
+        total += recurrence_cells(forms, n_bits, elems[:m], sizes, m, den.bit_length())
+        s, p = elems[m]
+        bits = sum(map(int.bit_length, p.values()))
+        total += (s.bit_length() + bits) >> 6
+        sizes.append(bits // max(len(p), 1))
+    return total
+
+
+def closure_fuel(spec: GeneralSpec, elems: TupleNumerators) -> int:
+    """The cells of the closure check of elems = (s_0, P_0)..(s_top, P_top):
+    per element m, 2 per term of P_m per variable and per term of the
+    longest element so far per slot of weight <= m, on the most numerator
+    and scale bits so far, and its lcms and multipliers."""
+    d, (den, slots) = spec.d, spec.slots
+    weights = [bj for bj, _, _ in slots]
+    n_bits = max(abs(n).bit_length() for _, _, n in slots) + den.bit_length()
+    longest, bits, s_bits, total = 1, 1, 1, 0
+    for m in range(1, spec.top_weight + 1):
+        s_m, p_m = elems[m]
+        longest, s_bits = max(longest, len(p_m)), max(s_bits, s_m.bit_length())
+        bits = max(bits, max(map(int.bit_length, p_m.values()), default=0))
+        sources = bisect_right(weights, m)
+        cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits)
+        total += cells + fuel.cells(3 * (sources + d), s_bits + n_bits)
+    return total

@@ -41,6 +41,10 @@ GENERAL_SPEC = {"n": 2, "d": 2, "b": [1, 2], "c": [["1", "0"], ["0", "1"]]}
 # spaces of every zero of multiplicity 2, with x2 at weight 1.
 GAPPED_SPEC = {"n": 3, "d": 2, "b": [1, 3, 4], "c": [["1", "0", "2/3"], ["-1/2", "5", "0"]]}
 GENERAL_N1 = {"n": 1, "d": 2, "b": [1], "c": [["1"], ["-2/3"]]}
+# Specs whose elements lose a monomial to an exact cancellation: n = 3 with
+# L_1 = x1 + x2, L_2 = x1 - x2, and a table of shape (d, n) = (2, 6).
+CANCELLING_SPEC = {"n": 3, "d": 2, "b": [1, 2, 3], "c": [["1", "1", "0"], ["1", "-1", "0"]]}
+CANCELLING_TABLE = {"d": 2, "n": 6, "a": {"2,2": "1", "3,2": "1", "4,2": "-1/2"}}
 SOURCES = ("recursive", "explicit", "general")
 # The builders of the integer numerators that basis, closure and breadth read.
 NUMERATOR_BUILDERS = ("_recursive_numerators", "_closed_form_elements", "_generating_elements")
@@ -103,6 +107,26 @@ class TestBasis:
         assert main(["basis", "--source", "general", "--spec", general_file, "--pretty"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines() == ["1", "x1", "1/2*x1^2 + x2"]
+
+    @pytest.mark.parametrize("spec", [CANCELLING_SPEC, CANCELLING_TABLE], ids=["general", "table"])
+    def test_exact_cancellation_in_every_builder(self, spec, tmp_path, capsys):
+        # L_1 * L_2 = x1^2 - x2^2 leaves no x1*x2 in the general spec's B_3,
+        # and the table's x2^2 terms of B_6 (weights 2 + 4 and 3 + 3) cancel.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        loaded = dinv.cli._load_spec(str(path))
+        oracle = build_general_fraction(loaded)
+        cancelled = {(1, 1)} if spec is CANCELLING_SPEC else {(0, 2)}
+        assert not cancelled & set(oracle[-1].numerators)
+        sources = SOURCES if loaded.a is not None else SOURCES[1:]
+        written = set()
+        for source in sources:
+            nums = dinv.cli._build_numerators(source, loaded)
+            assert all(all(p.values()) for _, p in nums.elems), source
+            assert list(dinv.subspace.numerator_basis(nums)) == list(oracle), source
+            assert main(["basis", "--source", source, "--spec", str(path)]) == 0
+            written.add(capsys.readouterr().out)
+        assert len(written) == 1
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("source", ["recursive", "explicit", "general"])
@@ -1047,6 +1071,78 @@ class TestSignedValues:
             main(["points", "--scheme", "a", "--spec", spec_file, "--z0", follower, "1"])
         assert exc.value.code == 2
         assert "argument --z0: expected one argument" in capsys.readouterr().err
+
+
+class TestParsing:
+    """main reads a command's arguments with that command's own parser, and
+    falls back to the full parser when argv[0] names no command or an
+    argument is left unread: every list exits, prints and runs as it does
+    through _build_parser().parse_args."""
+
+    COMMANDS = ("basis", "verify", "points", "limit", "sweep", "study", "scan", "example1")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help", "basis"],
+            ["bogus"],
+            ["verif", "--what", "breadth"],
+            *([command, "-h"] for command in COMMANDS),
+            ["basis", "--source", "general"],
+            ["verify"],
+            ["verify", "--what", "everything", "--spec", "{spec}"],
+            ["basis", "--source", "symbolic", "--spec", "{spec}"],
+            ["limit", "--m", "two", "--scheme", "a", "--spec", "{spec}", "--f", "{f}"],
+            ["scan", "--count", "1.5"],
+            ["verify", "--what", "breadth", "--spec", "{spec}", "--bogus"],
+            ["verify", "--what", "breadth", "--spec", "{spec}", "stray"],
+            ["verify", "--what", "breadth", "--spec", "{spec}", "--bogus=1", "stray"],
+            ["limit", "--s", "{spec}"],
+            ["points", "--scheme", "a", "--spec", "{spec}", "--z0", "-h", "1"],
+            ["limit", "--m", "3", "--scheme", "a", "--spec", "{spec}", "--f", "{f}", "--z0", "-2/3,5/7"],
+            ["verify", "--wh", "breadth", "--spec", "{spec}"],
+            ["basis", "--source", "general", "--spec", "{spec}"],
+            ["verify", "--what", "closure", "--spec", "{spec}", "--out", "{out}"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-command",
+    )
+    def test_same_as_the_full_parser(self, argv, spec_file, tmp_path, monkeypatch, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("x1^3 + x1*x2 - x2^2 + 1")
+        out = tmp_path / "report.json"
+        argv = [a.format(spec=spec_file, f=f, out=out) for a in argv]
+
+        def run():
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, out.read_text() if out.exists() else None
+
+        ours = run()
+        out.unlink(missing_ok=True)
+        monkeypatch.setattr(dinv.cli, "_parse_args", lambda argv: dinv.cli._build_parser().parse_args(argv))
+        assert run() == ours
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--what", "breadth", "--spec", "s.json"],
+            ["verify", "--wh", "closure", "--spec", "s.json", "--basis", "b.json"],
+            ["limit", "--m", "3", "--scheme", "a", "--spec", "s.json", "--f", "f.txt", "--z0=-2/3,5/7"],
+            ["scan"],
+        ],
+    )
+    def test_a_command_is_read_by_its_own_parser(self, argv, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("parsed by the full parser")
+
+        expect = dinv.cli._build_parser().parse_args(argv)
+        monkeypatch.setattr(dinv.cli._build_parser(), "parse_args", forbidden)
+        assert dinv.cli._parse_args(argv) == expect
 
 
 class TestLimitAndSweep:

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dinv.subspace
+from dinv import fuel
 from conftest import COPRIME as _COPRIME
 from conftest import coprime_spec as _coprime_spec
 from conftest import forbid_fractions, general_form, make_rng, random_general_spec, random_param_table, rational, seeded_specs
@@ -51,9 +52,11 @@ from oracles import (
     check_closure_fraction,
     check_closure_numerators_tuple,
     closed_form_elements_tuple,
+    closure_fuel,
     diff,
     enumerate_weight_solutions,
     generating_elements_tuple,
+    generating_fuel,
     mul,
     packed,
     recursive_numerators_tuple,
@@ -541,6 +544,41 @@ class TestBuildGenerating:
         monkeypatch.setattr(dinv.subspace, "_closed_form_elements", forbidden)
         spec = GeneralSpec(n=3, d=2, b=(1, 2, 4), c=((F(1), F(0), F(3)), (F(0), F(2), F(0))))
         assert check_closure(build_generating(spec), spec).ok
+
+
+class TestCharges:
+    """The fuel of the generating recurrence and of the closure check,
+    armed, equals the oracles' per-element charges summed: the kernels'
+    running constants change no cell."""
+
+    @staticmethod
+    def _spent(kernel, *args):
+        fuel.arm(10**30)
+        try:
+            return kernel(*args), fuel._spent
+        finally:
+            fuel.disarm()
+
+    def _assert_charged(self, spec: GeneralSpec, top: int) -> None:
+        nums, spent = self._spent(_generating_elements, spec, top)
+        assert spent == generating_fuel(spec, generating_elements_tuple(spec, top))
+        if top < spec.top_weight:
+            nums = _generating_elements(spec, spec.top_weight)
+        report, spent = self._spent(check_closure_numerators, nums, spec)
+        assert report.ok
+        assert spent == closure_fuel(spec, unpacked(nums))
+
+    def test_seeded_specs(self):
+        for spec in seeded_specs(make_rng(120), 40):
+            self._assert_charged(spec, spec.top_weight)
+
+    def test_thousand_digit_rationals(self):
+        a, b = "7" * 1000, "3" * 1000
+        self._assert_charged(GeneralSpec.from_dict({"n": 2, "d": 2, "b": [1, 44], "c": [[a, a], ["-1/" + b, a]]}), 44)
+
+    def test_b5300_to_order_66(self):
+        # The recurrence to the order limit --m 66 builds; the closure check of the whole build.
+        self._assert_charged(GeneralSpec.from_dict({"n": 2, "d": 1, "b": [1, 5300], "c": [["1", "1"]]}), 66)
 
 
 class TestSpanContains:
