@@ -86,10 +86,20 @@ class CliError(Exception):
 _PARSE_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at path as open(path, encoding="utf-8").read()
+    gives it: its bytes read once and decoded as UTF-8, then universal
+    newlines (\r\n, then a lone \r, read as \n).  Raises what that raises."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _load_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(_read_text(path))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
@@ -120,8 +130,7 @@ def _load_poly(path: str, dim: int) -> Polynomial:
     """Polynomial file in dim variables: JSON object form, or the plain
     text form (whose ambient dimension is dim)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     stripped = text.strip()
@@ -217,6 +226,11 @@ def _basis_chunks(nums: Numerators, pretty: bool) -> Iterator[str]:
     yield "\n]\n"
 
 
+# Every JSON report and list is written as json.dumps(x, indent=2) writes
+# it, by one encoder made once.
+_REPORT = json.JSONEncoder(indent=2)
+
+
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -269,16 +283,19 @@ def _cmd_basis(args) -> int:
     # The text is written as it is made, so its cost is charged first, and a
     # coefficient too long to write is looked for first (no longer than its
     # scale or its numerator): its error must leave no partial output.
-    cells = 0
+    cells, widths = 0, []
     for s, p in nums.elems:
         bits = max(s.bit_length(), *map(int.bit_length, p.values()))
+        widths.append(bits)
         cells += len(p) * (TERM_CELLS + fuel.cells(1, bits, bits))
     fuel.charge(cells, "writing the basis")
     limit = sys.get_int_max_str_digits()
     if limit:
         too_long = _power_of_ten(limit)
-        for s, p in nums.elems:
-            if s >= too_long or any(abs(v) >= too_long for v in p.values()):
+        # Only an element whose widest integer is as wide as 10^limit can hold one past it.
+        wide = too_long.bit_length()
+        for (s, p), bits in zip(nums.elems, widths):
+            if bits >= wide and (s >= too_long or any(abs(v) >= too_long for v in p.values())):
                 q = numerator_polynomial(nums.codes, s, p)
                 (q.render if args.pretty else q.to_dict)()  # raises DigitLimitError on a term too long
     _emit_chunks(args, _basis_chunks(nums, args.pretty))
@@ -311,11 +328,24 @@ def _same_elements(x: Numerators, y: Numerators) -> bool:
 
 def _compare_builders(params: GeneralSpec) -> tuple[Numerators, bool, bool]:
     """The recursive basis's numerators, whether the explicit (closed-form)
-    basis equals it, and whether the one of the generating recurrence does."""
+    basis equals it, and whether the one of the generating recurrence does.
+    The closed form is built first: its walk is charged whole before it
+    starts, so a table past the budget is refused before the other
+    builders run."""
+    exp = _build_numerators("explicit", params)
     rec = _build_numerators("recursive", params)
-    rec_vs_exp = _same_elements(_build_numerators("explicit", params), rec)
+    rec_vs_exp = _same_elements(exp, rec)
     gen_vs_rec = _same_elements(_build_numerators("general", params), rec)
     return rec, rec_vs_exp, gen_vs_rec
+
+
+def _power_sums_hold(m: int) -> bool:
+    """Whether the signed power sums of order m over j = 0..m are
+    m! * [j == m], from node 0 and, for j >= 1, from node 1.  Node 0 adds
+    (-1)^m at j = 0 and 0^j = 0 past it, so the sums from node 0 are the
+    run from node 1 with (-1)^m added at j = 0: one run checks both."""
+    sums, want = signed_power_sums(m, False), [0] * m + [math.factorial(m)]
+    return sums[1:] == want[1:] and sums[0] + (-1) ** m == want[0]
 
 
 def _cmd_verify(args) -> int:
@@ -324,13 +354,7 @@ def _cmd_verify(args) -> int:
         _require_at_least(args, m_max=0, vand_max=0, r_max=1, i_max=2)
         m_max, vand_max = args.m_max, args.vand_max
         r_max, i_max = args.r_max, args.i_max
-        # The sums of order m over j = 0..m are m! * [j == m], from j = 1
-        # when the i = 0 term is left out.
-        ps_ok = all(
-            signed_power_sums(m, include_zero)[low:] == ([0] * m + [math.factorial(m)])[low:]
-            for m in range(m_max + 1)
-            for include_zero, low in ((True, 0), (False, 1))
-        )
+        ps_ok = all(_power_sums_hold(m) for m in range(m_max + 1))
         vand_ok = vandermonde_oracles(vand_max) == [stencil(m).coeffs for m in range(vand_max + 1)]
         # A node i >= r_max reads both lists after slot min(i, r) = r: one snapshot.
         nodes = range(2, min(i_max + 1, r_max))
@@ -343,7 +367,7 @@ def _cmd_verify(args) -> int:
             "falling_factorial": {"r_max": r_max, "i_max": i_max, "ok": ff_ok},
             "ok": ok,
         }
-        _emit(args, json.dumps(report, indent=2) + "\n")
+        _emit(args, _REPORT.encode(report) + "\n")
         _note(f"power sums (m <= {m_max}): {'ok' if ps_ok else 'FAIL'}")
         _note(f"stencil vs elimination oracle (m <= {vand_max}): {'ok' if vand_ok else 'FAIL'}")
         _note(f"falling-factorial cap identity (r <= {r_max}, i <= {i_max}): {'ok' if ff_ok else 'FAIL'}")
@@ -363,7 +387,7 @@ def _cmd_verify(args) -> int:
         else:
             _check_top(args.spec, spec)
             rep = check_closure_numerators(_build_numerators("general", spec), spec)
-        _emit(args, json.dumps({"what": "closure", **rep.to_dict()}, indent=2) + "\n")
+        _emit(args, _REPORT.encode({"what": "closure", **rep.to_dict()}) + "\n")
         _note("closure: ok" if rep.ok else f"closure: FAIL at (element, variable) {list(rep.violations)}")
         return 0 if rep.ok else 1
 
@@ -381,7 +405,7 @@ def _cmd_verify(args) -> int:
                 "general_vs_recursive": gen_vs_rec,
                 "ok": ok,
             }
-        _emit(args, json.dumps(report, indent=2) + "\n")
+        _emit(args, _REPORT.encode(report) + "\n")
         _note("equivalence: ok" if ok else "equivalence: FAIL")
         return 0 if ok else 1
 
@@ -396,7 +420,7 @@ def _cmd_verify(args) -> int:
             "degrees": [nums.codes.degree(max(p)) if p else -1 for _, p in nums.elems],
             "ok": ok,
         }
-        _emit(args, json.dumps(report, indent=2) + "\n")
+        _emit(args, _REPORT.encode(report) + "\n")
         _note(f"breadth: {value} ({'ok' if ok else 'FAIL, expected 1'})")
         return 0 if ok else 1
 
@@ -475,7 +499,7 @@ def _cmd_points(args) -> int:
         if args.pretty:
             text = "".join("(" + ", ".join(row) + ")\n" for row in rows)
         else:
-            text = json.dumps(rows, indent=2) + "\n"
+            text = _REPORT.encode(rows) + "\n"
     else:
         if args.pretty:
             text = "".join(
@@ -483,7 +507,7 @@ def _cmd_points(args) -> int:
                 for pt in pts
             )
         else:
-            text = json.dumps(pts.to_dict(), indent=2) + "\n"
+            text = _REPORT.encode(pts.to_dict()) + "\n"
     _emit(args, text)
     return 0
 
@@ -537,7 +561,7 @@ def _cmd_limit(args) -> int:
         report = expansion_check(f, z0, args.m, pts)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    _emit(args, json.dumps(report.to_dict(), indent=2) + "\n")
+    _emit(args, _REPORT.encode(report.to_dict()) + "\n")
     _note(f"limit check m={args.m} scheme {args.scheme}: {'pass' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 
@@ -676,7 +700,7 @@ def _cmd_scan(args) -> int:
             failures.append({"index": k, "table": t.to_dict(), "problems": problems})
     elapsed, bad = time.perf_counter() - start, len(failures)
     report = {"what": "scan", "count": args.count, "seed": args.seed, "failures": failures, "ok": not failures}
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(_REPORT.encode(report) + "\n")
     _note(f"checked {args.count} tables in {elapsed:.2f}s: {args.count - bad} ok, {bad} failed")
     return 1 if failures else 0
 

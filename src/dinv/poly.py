@@ -187,6 +187,7 @@ def _check_exponent(exps: Exponent, dim: int) -> None:
 
 
 _set = object.__setattr__
+_INT_TYPE = {int}  # the types of an exponent list of JSON ints only
 
 
 class Polynomial:
@@ -424,20 +425,25 @@ class Polynomial:
         """Inverse of to_dict.  A repeated exponent takes its last
         coefficient.  The coefficients are read by json_ratio and kept as
         the integer form: the nonzero numerators over the lcm of their
-        denominators, which the gcd fold makes canonical."""
+        denominators, which the gcd fold makes canonical.  An exponent list
+        of JSON ints only is type-checked in one pass; any other goes
+        through json_int entry by entry, which names the bad entry."""
         try:
             dim = json_int(data["dim"], "dim")
-            terms = {
-                tuple(json_int(v, "exponent") for v in json_array(t["exp"], "exp")): json_ratio(t["coef"])
-                for t in json_array(data["terms"], "terms")
-            }
+            terms = {}
+            for t in json_array(data["terms"], "terms"):
+                exp = json_array(t["exp"], "exp")
+                if {*map(type, exp)} != _INT_TYPE:
+                    exp = [json_int(v, "exponent") for v in exp]
+                terms[tuple(exp)] = json_ratio(t["coef"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial object: {exc}") from exc
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         scale = 1
         for exps, (p, q) in terms.items():
-            _check_exponent(exps, dim)
+            if len(exps) != dim or min(exps) < 0:
+                _check_exponent(exps, dim)
             if p and scale % q:
                 scale = math.lcm(scale, q)
         nums = {e: p * (scale // q) for e, (p, q) in terms.items() if p}

@@ -149,9 +149,15 @@ class GeneralSpec:
 
     Stored are d, b (as range(1, n + 1) when b is 1..n) and entries, the
     (j, i, c_ij) of every nonzero c_ij, 0-based slot j and variable i, in
-    ascending order; n, top_weight, slots and the dense c derive from them,
-    so equal specs compare equal however they were written.  A parameter
+    ascending order; n, top_weight and the dense c derive from them, so
+    equal specs compare equal however they were written.  A parameter
     table is a spec of table shape (TABLE_SHAPE), read back by .a.
+
+    slots, made with the entries and not compared, is (D, ((b_j, i, n_ij),
+    ...)): every nonzero c_ij as n_ij / D, D the lcm of the denominators
+    of c, sorted by weight b_j and then by the 0-based variable i.  It is
+    read from the entries alone, so a table's n may be far larger than its
+    input.
     """
 
     d: int
@@ -195,9 +201,12 @@ class GeneralSpec:
         entries = tuple(sorted(entries))
         if not entries or entries[0][0] != 0:
             raise ValueError("first coordinates of the c vectors must not all be zero")
+        den, nums = common_denominator(v for _, _, v in entries)
+        slots = tuple([(b[j], i, n_ij) for (j, i, _), n_ij in zip(entries, nums)])
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "slots", (den, slots))
 
     @property
     def n(self) -> int:
@@ -209,15 +218,6 @@ class GeneralSpec:
     @property
     def top_weight(self) -> int:
         return self.b[-1]
-
-    @cached_property
-    def slots(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-        """(D, ((b_j, i, n_ij), ...)): every nonzero c_ij as n_ij / D, D the
-        lcm of the denominators of c, sorted by weight b_j and then by the
-        0-based variable i.  Built on first access from the entries alone,
-        so a table's n may be far larger than its input."""
-        den, nums = common_denominator(v for _, _, v in self.entries)
-        return den, tuple((self.b[j], i, n_ij) for (j, i, _), n_ij in zip(self.entries, nums))
 
     @cached_property
     def codes(self) -> MonomialCodes:

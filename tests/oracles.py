@@ -32,6 +32,14 @@ exponent tuples, where the library keys them by monomial codes
 (subspace.MonomialCodes).  packed and unpacked carry a builder's
 numerators between the two keys: packed makes a subspace.Numerators.
 
+load_json_text_mode and load_poly_text_mode are cli's file readers as
+they read through a text-mode open; polynomial_from_dict_per_entry is
+Polynomial.from_dict with every exponent entry read by json_int and every
+term's exponent checked; spec_slots is GeneralSpec.slots by
+common_denominator over the entries; and power_sums_two_runs is the
+identity scan's power-sum check with one run from node 0 and one from
+node 1 per order.
+
 generating_fuel and closure_fuel are the cells that the generating
 recurrence and the closure check charge under fuel, each element's charge
 computed afresh from the whole run's lists (the closure check's slots of
@@ -42,6 +50,7 @@ counts across a run.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 from bisect import bisect_right
@@ -55,7 +64,18 @@ from dinv.discretize import SymbolicPointSet, stencil
 from dinv.linalg import echelon
 from operator import itemgetter
 
-from dinv.poly import Polynomial, _derivative_factor, common_denominator, json_array, json_int, parse_rational
+from dinv.cli import _PARSE_ERRORS, CliError
+from dinv.identities import signed_power_sums
+from dinv.poly import (
+    Polynomial,
+    _check_exponent,
+    _derivative_factor,
+    common_denominator,
+    json_array,
+    json_int,
+    json_ratio,
+    parse_rational,
+)
 from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec, MonomialCodes, Numerators, _exact_div
 
 
@@ -778,3 +798,73 @@ def closure_fuel(spec: GeneralSpec, elems: TupleNumerators) -> int:
         cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits)
         total += cells + fuel.cells(3 * (sources + d), s_bits + n_bits)
     return total
+
+
+def load_json_text_mode(path: str):
+    """cli._load_json through a text-mode open and json.load."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise CliError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_poly_text_mode(path: str, dim: int) -> Polynomial:
+    """cli._load_poly through a text-mode open."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+    stripped = text.strip()
+    try:
+        if stripped.startswith("{"):
+            f = Polynomial.from_dict(json.loads(stripped))
+        else:
+            f = Polynomial.parse(stripped, dim)
+    except (*_PARSE_ERRORS, RecursionError) as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    if f.dim != dim:
+        raise CliError(f"{path}: polynomial has dimension {f.dim}, spec has {dim}")
+    return f
+
+
+def polynomial_from_dict_per_entry(data) -> Polynomial:
+    """Polynomial.from_dict with each exponent entry read by json_int and
+    each term's exponent checked by _check_exponent."""
+    try:
+        dim = json_int(data["dim"], "dim")
+        terms = {
+            tuple(json_int(v, "exponent") for v in json_array(t["exp"], "exp")): json_ratio(t["coef"])
+            for t in json_array(data["terms"], "terms")
+        }
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed polynomial object: {exc}") from exc
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    scale = 1
+    for exps, (p, q) in terms.items():
+        _check_exponent(exps, dim)
+        if p and scale % q:
+            scale = math.lcm(scale, q)
+    nums = {e: p * (scale // q) for e, (p, q) in terms.items() if p}
+    return Polynomial(dim, nums, _scale=scale)
+
+
+def spec_slots(spec: GeneralSpec) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """GeneralSpec.slots by common_denominator over the spec's entries."""
+    den, nums = common_denominator(v for _, _, v in spec.entries)
+    return den, tuple((spec.b[j], i, n_ij) for (j, i, _), n_ij in zip(spec.entries, nums))
+
+
+def power_sums_two_runs(m_max: int) -> bool:
+    """The identity scan's power-sum verdict for orders 0..m_max: per
+    order, signed_power_sums from node 0 against m! * [j == m] at every j,
+    and from node 1 at every j >= 1."""
+    return all(
+        signed_power_sums(m, include_zero)[low:] == ([0] * m + [math.factorial(m)])[low:]
+        for m in range(m_max + 1)
+        for include_zero, low in ((True, 0), (False, 1))
+    )

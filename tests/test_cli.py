@@ -31,7 +31,7 @@ from dinv.cli import main
 from dinv.poly import MAX_RATIONAL_DIGITS, parse_rational
 from dinv.subspace import MonomialCodes, Numerators
 from conftest import make_rng, random_param_table, random_poly, rational, seeded_specs
-from oracles import build_general_fraction
+from oracles import build_general_fraction, load_json_text_mode, load_poly_text_mode, power_sums_two_runs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -468,6 +468,36 @@ class TestVerify:
         assert report["power_sums"] == {"m_max": 6, "ok": False}
         assert report["vandermonde"]["ok"] and report["falling_factorial"]["ok"] and not report["ok"]
 
+    def test_identities_node_zero_counted_twice_fails(self, monkeypatch, capsys):
+        # The sums from node 0 are the run from node 1 plus node 0's term:
+        # a run from node 1 that counts node 0 as well is refused.
+        carried = dinv.identities.signed_power_sums
+
+        def counts_node_zero(m, include_zero=True, j_max=None):
+            return carried(m, True, j_max)
+
+        monkeypatch.setattr(dinv.cli, "signed_power_sums", counts_node_zero)
+        assert main(["verify", "--what", "identities", "--m-max", "6"]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["power_sums"] == {"m_max": 6, "ok": False}
+        assert report["vandermonde"]["ok"] and report["falling_factorial"]["ok"] and not report["ok"]
+        assert "power sums (m <= 6): FAIL" in captured.err
+
+    def test_identities_power_sums_one_run_per_order(self, monkeypatch):
+        # One run from node 1 per order gives the verdict of a run from
+        # each node per order.
+        runs = []
+        carried = dinv.identities.signed_power_sums
+
+        def recording(m, include_zero=True, j_max=None):
+            runs.append((m, include_zero, j_max))
+            return carried(m, include_zero, j_max)
+
+        monkeypatch.setattr(dinv.cli, "signed_power_sums", recording)
+        assert all(dinv.cli._power_sums_hold(m) for m in range(61)) and power_sums_two_runs(60)
+        assert runs == [(m, False, None) for m in range(61)]
+
     @pytest.mark.parametrize("cap", [0, 1], ids=["cap-i", "cap-r"])
     def test_identities_off_by_one_falling_factorial_fails(self, cap, monkeypatch, capsys):
         carried = dinv.identities.falling_factorial_sums
@@ -619,6 +649,27 @@ class TestDigitLimit:
         assert f"limit of {sys.get_int_max_str_digits()}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["json", "pretty"])
+    def test_numerator_of_exactly_the_limit_is_written(self, pretty, tmp_path, capsys):
+        # B_1 = 10^700 * x1: a numerator of 701 digits, as wide in bits as
+        # 10^700, written at a limit of 701 and refused at 700.
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 1, "d": 1, "b": [1], "c": [["1e700"]]}))
+        argv = ["basis", "--source", "general", "--spec", str(path), *pretty]
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(701)
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == "" and "1" + "0" * 700 in captured.out
+            sys.set_int_max_str_digits(700)
+            assert main(argv) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "701 digits" in captured.err and "limit of 700" in captured.err
+
     def test_no_partial_out_file(self, tmp_path, capsys):
         (tmp_path / "a.json").write_text(json.dumps(self.TABLE))
         out = tmp_path / "basis.json"
@@ -626,6 +677,110 @@ class TestDigitLimit:
             assert main(["basis", "--source", source, "--spec", str(tmp_path / "a.json"), "--out", str(out)]) == 2
             assert "4994 digits" in capsys.readouterr().err
             assert not out.exists()
+
+
+_SPEC_TEXT = json.dumps(GAPPED_SPEC, indent=1) + "\n"
+_POLY_JSON = json.dumps({"dim": 2, "terms": [{"exp": [2, 1], "coef": "3/4"}, {"exp": [0, 0], "coef": "-1"}]}, indent=1)
+
+# Contents of an input file, each read by cli's readers and by a text-mode
+# read: LF, CRLF and lone-CR newlines (in JSON whitespace, inside a JSON
+# string, in polynomial text, and before an error whose message names its
+# line or quotes the text), a UTF-8 BOM, non-ASCII text and invalid UTF-8
+# at byte 0, past 8 KiB and at the end.
+_READER_CONTENTS = {
+    "lf": _SPEC_TEXT.encode(),
+    "crlf": _SPEC_TEXT.replace("\n", "\r\n").encode(),
+    "cr": _SPEC_TEXT.replace("\n", "\r").encode(),
+    "mixed": _SPEC_TEXT.replace("\n", "\r\n", 3).replace("\n", "\r", 2).encode() + b"\r\r\n\n\r",
+    "cr-in-string": b'{"n": 1, "d": 1, "b": [1], "c": [["1\r2"]]}',
+    "poly-json-crlf": _POLY_JSON.replace("\n", "\r\n").encode(),
+    "poly-text-cr": b"x1^2*x2\r + 3/4\r\n- x2\r",
+    "bad-json-crlf": b'{\r\n"n": 1,\r\n\r\n"d": ]\r\n',
+    "bad-json-cr": b'{\r"n": 1,\r\r"d": ]\r',
+    "bad-poly-crlf": b"x1^2\r\n+ y1\r\n- x2",
+    "bad-poly-cr": b"x1^2\r+ y1\r\r- x2",
+    "bom": b"\xef\xbb\xbf" + _SPEC_TEXT.encode(),
+    "bom-poly": b"\xef\xbb\xbfx1 + x2",
+    "non-ascii": '{"n": 1, "d": 1, "b": [1], "c": [["\u0661"]]}'.encode(),
+    "bad-byte-0": b"\xff" + _SPEC_TEXT.encode(),
+    "bad-past-8k": b" " * 9000 + b"\xc3(" + _SPEC_TEXT.encode(),
+    "truncated-end": _SPEC_TEXT.encode() + b"\xe2\x82",
+    "empty": b"",
+}
+
+
+def _read_outcome(read, *args):
+    """("value", result) from read(*args), or ("error", message) from a CliError."""
+    try:
+        return "value", read(*args)
+    except dinv.cli.CliError as exc:
+        return "error", str(exc)
+
+
+class TestReaders:
+    """cli reads each input file's bytes once and decodes them as UTF-8
+    with universal newlines: every value and error message is the one a
+    text-mode read gives."""
+
+    @pytest.mark.parametrize("name", sorted(_READER_CONTENTS))
+    def test_same_as_a_text_mode_read(self, name, tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(_READER_CONTENTS[name])
+        for dim in (1, 2):
+            assert _read_outcome(dinv.cli._load_poly, str(path), dim) == _read_outcome(load_poly_text_mode, str(path), dim)
+        assert _read_outcome(dinv.cli._load_json, str(path)) == _read_outcome(load_json_text_mode, str(path))
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_path(self, kind, tmp_path):
+        path = str(tmp_path if kind == "directory" else tmp_path / "missing.json")
+        got = _read_outcome(dinv.cli._load_json, path)
+        assert got == _read_outcome(load_json_text_mode, path) and got[1].startswith(f"cannot read {path}: ")
+        got = _read_outcome(dinv.cli._load_poly, path, 2)
+        assert got == _read_outcome(load_poly_text_mode, path, 2) and got[1].startswith(f"cannot read {path}: ")
+
+    def test_crlf_spec_runs_as_lf(self, tmp_path, capsys):
+        lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+        lf.write_bytes(_READER_CONTENTS["lf"])
+        crlf.write_bytes(_READER_CONTENTS["crlf"])
+        for argv in (["verify", "--what", "closure"], ["basis", "--source", "general"]):
+            outputs = []
+            for path in (lf, crlf):
+                assert main([*argv, "--spec", str(path)]) == 0
+                outputs.append(capsys.readouterr())
+            assert outputs[0] == outputs[1]
+
+
+class TestReports:
+    def test_one_encoder_writes_as_json_dumps(self, spec_file, general_file, tmp_path, monkeypatch, capsys):
+        # Every report and list cli writes as JSON: _REPORT.encode(x) is
+        # json.dumps(x, indent=2).
+        f = tmp_path / "f.txt"
+        f.write_text("x1^3 + x1*x2 - 1")
+        gapped = tmp_path / "gapped.json"
+        gapped.write_text(json.dumps(GAPPED_SPEC))
+        real, written = dinv.cli._REPORT, []
+
+        class Checked:
+            def encode(self, value):
+                text = real.encode(value)
+                assert text == json.dumps(value, indent=2)
+                written.append(value)
+                return text
+
+        monkeypatch.setattr(dinv.cli, "_REPORT", Checked())
+        commands = [
+            *(["verify", "--what", what, "--spec", path] for what in ("closure", "equivalence", "breadth")
+              for path in (spec_file, str(gapped))),
+            ["verify", "--what", "identities", "--m-max", "4", "--vand-max", "3", "--r-max", "3", "--i-max", "3"],
+            ["points", "--scheme", "a", "--spec", str(gapped), "--z0", "1/2,-3"],
+            ["points", "--scheme", "b", "--spec", str(gapped), "--h", "1/3"],
+            ["limit", "--spec", spec_file, "--f", str(f), "--m", "3", "--scheme", "b", "--z0", "1,2"],
+            ["scan", "--count", "3", "--seed", "4"],
+        ]
+        for argv in commands:
+            assert main(argv) == 0
+        assert len(written) == len(commands)
+        capsys.readouterr()
 
 
 # The budget of the tests of metered refusals: each ends within 1.5 times it.

@@ -12,7 +12,17 @@ from hypothesis import strategies as st
 from conftest import forbid_fractions, make_rng, random_poly
 from dinv import DiffOperator, Polynomial
 from dinv.poly import MAX_RATIONAL_DIGITS, DigitLimitError, json_ratio, parse_rational, rational_text
-from oracles import apply_at_fraction, apply_operator, compose, diff, free_of_leading, integrate, mul, polynomial_from_dict_fraction
+from oracles import (
+    apply_at_fraction,
+    apply_operator,
+    compose,
+    diff,
+    free_of_leading,
+    integrate,
+    mul,
+    polynomial_from_dict_fraction,
+    polynomial_from_dict_per_entry,
+)
 
 F = Fraction
 
@@ -554,3 +564,29 @@ class TestFromDict:
         with pytest.raises(ValueError) as info:
             Polynomial.from_dict(data)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "exp",
+        [[1, True], [False], [1, 1.0], [2.5, 0], ["1", 0], [0, "x"], [[1], 0], [0, [0, 1]], [0, {}], [None, 1],
+         [], [1, -1], [-3, 0], [1], [1, 0, 0], [0, 0], [7, 9]],
+        ids=["bool", "false", "float", "float-first", "string", "text", "nested", "nested-last", "object", "null",
+             "empty", "negative", "negative-first", "short", "long", "constant", "valid"],
+    )
+    def test_exponent_lists_as_read_entry_by_entry(self, exp):
+        # The one-pass type check and the length and sign check refuse what
+        # json_int per entry and _check_exponent refuse, with its message.
+        for terms in ([{"exp": exp, "coef": "3/4"}], [{"exp": [1, 1], "coef": "1"}, {"exp": exp, "coef": "-2"}]):
+            data = {"dim": 2, "terms": terms}
+            got, error = _outcome(Polynomial.from_dict, data)
+            want, want_error = _outcome(polynomial_from_dict_per_entry, data)
+            assert error == want_error
+            if error is None:
+                assert (got.scale, got.numerators) == (want.scale, want.numerators)
+
+    @given(json_polys())
+    def test_equals_the_per_entry_reading(self, data):
+        got, error = _outcome(Polynomial.from_dict, data)
+        want, want_error = _outcome(polynomial_from_dict_per_entry, data)
+        assert error == want_error
+        if error is None:
+            assert (got.dim, got.scale, got.numerators) == (want.dim, want.scale, want.numerators)

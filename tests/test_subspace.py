@@ -44,6 +44,7 @@ from dinv.subspace import (
     numerator_basis,
 )
 from oracles import (
+    spec_slots,
     breadth_numerators_tuple,
     count_compositions,
     build_explicit_fraction,
@@ -163,6 +164,22 @@ class TestGeneralSpec:
     def test_json_round_trip(self):
         spec = GeneralSpec(n=3, d=2, b=(1, 2, 5), c=((F(1), F(0), F(1, 3)), (F(0), F(-2), F(7))))
         assert GeneralSpec.from_dict(spec.to_dict()) == spec
+
+    def test_slots_made_with_the_entries(self):
+        # slots is stored when the entries are: common_denominator over them.
+        a, b = "7" * 1000, "3" * 1000
+        specs = [
+            *seeded_specs(make_rng(171), 40),
+            *(random_param_table(make_rng(172 + k), d=2 + k % 3, n=1 + k % 7) for k in range(20)),
+            GeneralSpec.from_dict({"n": 2, "d": 2, "b": [1, 44], "c": [[a, a], ["-1/" + b, a]]}),
+            GeneralSpec(n=1, d=2, b=(1,), c=((F(3, 4),), (F(-2, 9),))),
+            ParamTable(d=3, n=10**18, a={(2, 2): F(1, 6), (10**18, 3): F(-5, 4), (10**17, 2): F(7, 10)}),
+        ]
+        for spec in specs:
+            assert spec.slots == spec_slots(spec)
+            assert "slots" in vars(spec)
+            twin = GeneralSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+            assert twin == spec and twin.slots == spec.slots and hash(twin) == hash(spec)
 
     def test_slots_skip_zero_entries(self):
         # The weight-3 column is all zero; c_12 and c_23 are zero as well.
