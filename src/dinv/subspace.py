@@ -364,46 +364,40 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
     """B_0..B_top of the spec's weights (b, c) as the closed-form sum
 
         B_m = [t^m] prod_{(i, j): c_ij != 0} exp(c_ij * x_i * t^(b_j))
-            = sum_g prod_{i, j} (c_ij * x_i)^(g_ij) / g_ij!,
+            = sum_g prod_{i, j} (c_ij * x_i)^(g_ij) / g_ij!
 
-    over the count vectors g >= 0 on the nonzero slots with weight
-    sum g_ij * b_j == m (a positive count on a zero c_ij would make the
-    product vanish, so those slots are never enumerated): the walk reads
-    spec.slots, which orders them by weight.
-
-    One depth-first walk visits every g of weight <= top exactly once: a
-    node is a count vector, and its children give one slot after its last
+    over the count vectors g >= 0 on the nonzero slots (spec.slots, by
+    weight) with sum g_ij * b_j == m.  One depth-first walk visits each g of
+    weight <= top once; a node's children give one slot after its last
     nonzero one a positive count.  With c_ij = n_ij / D (D the lcm of the
-    denominators of c), m! * D^m * B_m is integral, and since
-    m - G = sum g_ij * (b_j - 1) for G = sum g, the walk carries
-    q = prod (n_ij * D^(b_j - 1))^(g_ij) = prod n^g * D^(m-G) down with
-    prod g_ij! and the monomial's code (spec.codes_to(top)).  Each node adds
-    the integer q * (m! // prod g!) to element m, and B_m is that sum over
-    the scale m! * D^m.  Metered, the walk is charged first (_charge_walk)."""
+    denominators of c) and m - G = sum g_ij * (b_j - 1), G = sum g, a node
+    carries its monomial's code (spec.codes_to(top)) and the integer v =
+    prod (n_ij * D^(b_j - 1))^(g_ij) * m! / prod g!, which it adds to
+    element m, over the scale m! * D^m.  The child that raises slot j's
+    count to g at weight w multiplies v by (w - b_j + 1)...w and by the
+    slot's step n_ij * D^(b_j - 1), then divides it by g: exactly, its own v
+    being an integer.  Metered, the walk is charged first."""
     codes = spec.codes_to(top)
-    units = codes.units
     den, slots = spec.slots
     if fuel.metered:
         _charge_walk(spec, top)
-    steps = [(bj, units[i], n_ij * den ** (bj - 1)) for bj, i, n_ij in slots]
-    # Running products: top + 1 separate powers would cost O(top^2) digits.
-    fact = list(itertools.accumulate(range(1, top + 1), mul, initial=1))
+    steps = [(bj, codes.units[i], n_ij * den ** (bj - 1)) for bj, i, n_ij in slots]
     elems: list[dict[int, int]] = [{} for _ in range(top + 1)]
 
-    def walk(start: int, m: int, q: int, prod_fact: int, code: int) -> None:
+    def walk(start: int, m: int, v: int, code: int) -> None:
         terms = elems[m]
-        terms[code] = terms.get(code, 0) + q * (fact[m] // prod_fact)
+        terms[code] = terms.get(code, 0) + v
         for k in range(start, len(steps)):
             bj, u, step = steps[k]
             if m + bj > top:
                 break
-            w, g, p, p_f, c = m, 0, q, prod_fact, code
+            w, g, p, c = m, 0, v, code
             while w + bj <= top:
-                w, g = w + bj, g + 1
-                p, p_f, c = p * step, p_f * g, c + u
-                walk(k + 1, w, p, p_f, c)
+                w, g, c = w + bj, g + 1, c + u
+                p = p * (step * math.perm(w, bj)) // g
+                walk(k + 1, w, p, c)
 
-    walk(0, 0, 1, 1, 0)
+    walk(0, 0, 1, 0)
     # A sum that cancelled to 0 keeps its key; the scan for one is cheap.
     elems = [p if 0 not in p.values() else {e: v for e, v in p.items() if v} for p in elems]
     scales = itertools.accumulate(range(1, top + 1), lambda s, m: s * m * den, initial=1)
@@ -413,30 +407,35 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
 def _charge_walk(spec: GeneralSpec, top: int) -> None:
     """Charge the closed-form walk to weight top before it runs, from a
     table built as compositions._ways builds its own: ways[s] and bits[s],
-    the count vectors of weight s on the slots passed so far and their q's
-    bits summed (each step's log2, rounded up).  The table is charged
-    first, 2 cells a weight per slot and 20 for its last loop.  Per slot,
-    once its pass is made: its step's making, and a step per node it makes
-    at its parents' mean bits.  Per weight m: 12 cells a node, its division
-    of m! and product by q, and a cell per 64 bits kept."""
+    the vectors of weight s on the slots passed so far and a bound on their
+    v's log2 summed.  A step adds its factor's log2, so a vector's rising
+    factors sum to log2 m!; after its pass, a slot's log2 g! is taken off,
+    by convexity at least the vectors' number times log2 of their mean
+    count's factorial.  The table is charged first, 6 cells a weight per
+    slot and 20 for its last loop.  Per slot, its step's making, and per
+    node it makes, its factor's (math.perm halves the run: a product of its
+    size per bit of b_j, then one by the step), the product by it and the
+    division by g (three limbs' work a limb) on its parents' mean bits.  Per
+    weight: 12 cells a node and a cell per 64 bits kept."""
     den, slots = spec.slots
-    den_bits = (den - 1).bit_length()
-    fuel.charge((2 * len(slots) + 20) * (top + 1), "the closed-form walk")
-    ways, bits = [1] + [0] * top, [0] * (top + 1)
-    for bj, _, n_ij in slots:
-        step = (abs(n_ij) - 1).bit_length() + (bj - 1) * den_bits
+    den_bits, ln2 = (den - 1).bit_length(), math.log(2)
+    fuel.charge((6 * len(slots) + 20) * (top + 1), "the closed-form walk")
+    ways, bits, log_fact = [1] + [0] * top, [0.0] * (top + 1), [math.lgamma(s + 1) / ln2 for s in range(top + 1)]
+    for bj, _, n_ij in itertools.takewhile(lambda slot: slot[0] <= top, slots):
+        step, counts = (abs(n_ij) - 1).bit_length() + (bj - 1) * den_bits, [0] * (top + 1)
         for s in range(bj, top + 1):
-            ways[s] += ways[s - bj]
-            bits[s] += bits[s - bj] + ways[s - bj] * step
-        # The slot's nodes, one per parent of weight <= top - b_j.
-        n, b = sum(ways[: top - bj + 1]), sum(bits[: top - bj + 1])
-        fuel.charge(fuel.cells(1, step, step) + fuel.cells(n, b // (n or 1), step), "the closed-form walk")
-    cells = f_bits = 0
-    for m, (n, b) in enumerate(zip(ways, bits)):
-        f_bits += m.bit_length()
-        kept = b + (n + 1) * f_bits + m * den_bits  # the numerators and the scale m! * D^m
-        cells += fuel.cells(n, f_bits) + fuel.cells(n, b // (n or 1), f_bits) + 12 * n + (kept >> 6)
-    fuel.charge(cells, "the closed-form walk")
+            w = ways[s - bj]
+            ways[s] += w
+            counts[s] = counts[s - bj] + w  # the slot's counts summed
+            bits[s] += bits[s - bj] + w * (step + log_fact[s] - log_fact[s - bj])
+        bits[bj:] = [b - n * math.lgamma(g / n + 1) / ln2 for b, n, g in zip(bits[bj:], ways[bj:], counts[bj:])]
+        k = top - bj + 1  # the slot's nodes, one per parent of weight < k; their rising factors' bits
+        n, b, rise = sum(ways[:k]), int(sum(bits[:k])), math.ceil(log_fact[top] - log_fact[k - 1])
+        f = step + rise
+        made = fuel.cells(1, step, step) + fuel.cells(n * bj.bit_length(), rise, rise) + fuel.cells(n, step, rise)
+        fuel.charge(made + fuel.cells(n, b // n, f) + fuel.cells(n, b // n + f, 128), "the closed-form walk")
+    scales = itertools.accumulate(m.bit_length() + den_bits for m in range(top + 1))  # bounds the bits of m! * D^m
+    fuel.charge(sum(12 * n + (int(b) + s >> 6) for n, b, s in zip(ways, bits, scales)), "the closed-form walk")
 
 
 def numerator_polynomial(codes: MonomialCodes, scale: int, nums: Mapping[int, int]) -> Polynomial:

@@ -605,7 +605,9 @@ def unpacked(nums: Numerators) -> TupleNumerators:
 def closed_form_elements_tuple(spec: GeneralSpec, top: int) -> TupleNumerators:
     """subspace._closed_form_elements on exponent tuples: the depth-first
     walk over the count vectors g on the nonzero slots, each node adding
-    prod n^g * D^(m-G) * (m! // prod g!) to element m, over m! * D^m."""
+    prod n^g * D^(m-G) * (m! // prod g!) to element m, over m! * D^m.  It
+    divides m! by prod g! at every vector, where the walk carries that
+    multinomial down from node to node, so the two share no arithmetic."""
     d = spec.d
     den, slots = spec.slots
     fact = list(itertools.accumulate(range(1, top + 1), operator.mul, initial=1))

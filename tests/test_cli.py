@@ -903,7 +903,9 @@ class TestSizeGuard:
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"n": 2, "d": 1, "b": [1, 50000], "c": [["1", "1"]]}))
         command = "basis" if argv[0] == "basis" else f"verify --what {argv[2]}"
-        _refused_in_time([*argv, "--spec", str(path)], capsys, command, "the generating recurrence")
+        # equivalence builds the closed form first, and its walk is charged whole before it starts.
+        stage = "the closed-form walk" if argv[-1] == "equivalence" else "the generating recurrence"
+        _refused_in_time([*argv, "--spec", str(path)], capsys, command, stage)
 
     def test_recurrence_huge_top_refused_without_weights(self, tmp_path, capsys, no_builds):
         path = tmp_path / "t.json"
@@ -1073,10 +1075,14 @@ class TestFuel:
             # 1000-digit rationals: each product of the walk and the
             # recurrence is charged from its own operands, not at E_44's size.
             ["verify", "--what", "equivalence", "--spec", "{digits}"],
+            # The walk's multinomials m! / prod g! reach 2000!, carried down
+            # the walk and never divided out of m! at a vector.
+            ["verify", "--what", "equivalence", "--spec", "{b2000}"],
             # Dense u-series of 61 terms, charged from the cut products made.
             ["limit", "--m", "60", "--scheme", "a", "--spec", "{b60}", "--f", "{sparse}", "--z0", "3/2"],
         ],
-        ids=["limit-a", "limit-b", "sweep", "study-n200", "identities-r120", "equivalence-digits", "limit-b60"],
+        ids=["limit-a", "limit-b", "sweep", "study-n200", "identities-r120", "equivalence-digits", "equivalence-b2000",
+             "limit-b60"],
     )
     def test_fast_inputs_accepted(self, argv, tmp_path, monkeypatch, capsys):
         # Each runs within the budget (a build to b_n = 100000 would not):
@@ -1085,13 +1091,14 @@ class TestFuel:
         (tmp_path / "deep.json").write_text(json.dumps(DEEP))
         (tmp_path / "n200.json").write_text(json.dumps({"d": 2, "n": 200, "a": {"2,2": "1"}}))
         (tmp_path / "digits.json").write_text(json.dumps({"n": 2, "d": 2, "b": [1, 44], "c": [[a, a], ["-1/" + b, a]]}))
+        (tmp_path / "b2000.json").write_text(json.dumps({"n": 3, "d": 1, "b": [1, 50, 2000], "c": [["1", "1", "1"]]}))
         (tmp_path / "b60.json").write_text(json.dumps({"n": 60, "d": 1, "b": list(range(1, 61)), "c": [["7/3"] * 60]}))
         (tmp_path / "f.txt").write_text("x1^3 + x1^2")
         (tmp_path / "lin.txt").write_text("x1 + x2")
         (tmp_path / "sparse.txt").write_text(" + ".join(f"x1^{k}" for k in range(1, 58, 7)))
         names = {"deep": tmp_path / "deep.json", "n200": tmp_path / "n200.json", "f": tmp_path / "f.txt",
                  "lin": tmp_path / "lin.txt", "tmp": tmp_path, "digits": tmp_path / "digits.json",
-                 "b60": tmp_path / "b60.json", "sparse": tmp_path / "sparse.txt"}
+                 "b2000": tmp_path / "b2000.json", "b60": tmp_path / "b60.json", "sparse": tmp_path / "sparse.txt"}
         argv = [a.format(**names) for a in argv]
         assert main(argv) == 0
         out = capsys.readouterr().out

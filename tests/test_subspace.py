@@ -1476,6 +1476,22 @@ class TestCodedKernels:
             got = coded(spec, 5)
             assert got.codes == MonomialCodes(2, 5) and unpacked(got) == oracle(spec, 5)
 
+    def test_large_weights(self):
+        # The walk carries m! / prod g! down from node to node; the oracle
+        # divides m! by prod g! at every vector.  Seeded specs of d = 1..3
+        # with weights past 50 and a top of a few hundred (x1 alone at
+        # weight 1, so the vectors stay few), and b = (1, 50, 2000) to 500.
+        rng = make_rng(182)
+        cases = [(GeneralSpec.from_dict({"n": 3, "d": 1, "b": [1, 50, 2000], "c": [["1", "1", "1"]]}), 500)]
+        for k in range(9):
+            d = k % 3 + 1
+            b = (1, rng.randint(50, 150), rng.randint(200, 400))
+            c = [[rational(rng, allow_zero=False) if i == 0 else 0, rational(rng), rational(rng)] for i in range(d)]
+            cases.append((GeneralSpec(n=3, d=d, b=b, c=c), b[-1]))
+        for spec, top in cases:
+            assert max(b for b, _, _ in spec.slots[1]) >= 50 and top >= 200
+            assert unpacked(_closed_form_elements(spec, top)) == closed_form_elements_tuple(spec, top)
+
     def test_closure(self):
         rng = make_rng(181)
         refuted = 0
