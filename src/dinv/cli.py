@@ -50,7 +50,6 @@ from .discretize import (
     SweepRow,
     _target_values,
     expansion_check,
-    h_coef_log10,
     stencil,
     sweep,
     sweep_steps,
@@ -69,6 +68,7 @@ from .subspace import (
     _recursive_numerators,
     breadth_numerators,
     build_explicit,
+    build_generating,
     build_recursive,
     check_closure,
     check_closure_numerators,
@@ -428,60 +428,6 @@ def _cmd_verify(args) -> int:
     raise CliError(f"unknown verification {args.what!r}")
 
 
-def _log10_height(v: Fraction) -> float:
-    """log10 of max(|numerator|, denominator)."""
-    return math.log10(max(abs(v.numerator), v.denominator))
-
-
-def _check_point_sizes(spec: GeneralSpec, scheme: str, z0: Sequence[Fraction], h: Fraction) -> None:
-    """Refuse, before any point is built, the first coordinate at --h too
-    long to write, with the DigitLimitError that rational_text would raise
-    on it, its digits predicted from logarithms with no power taken.
-
-    Coordinate i of point r is sum_t a_t * h^t, a_0 = z0_i and
-    a_(b_j) = c_ij * h_coef(r, b_j).  With H(x) = max(|numerator|,
-    denominator), H(x + y) <= 2 * H(x) * H(y) and H(x * y) <= H(x) * H(y)
-    bound H of the coordinate above by its terms' bounds, and below through
-    its top term a_T * h^T, since H(h)^T <= H(a_T) * H(a_T * h^T): by H(h)^T
-    over the bounds of a_T and of the other terms.  Coordinates are taken
-    in the order they are written: one below the limit passes, one above it
-    is refused, with the digits of its largest term over the denominators
-    of z0, c and h^T; at one in between the prediction stops, and the
-    evaluation decides from there on."""
-    limit = sys.get_int_max_str_digits()
-    if not limit or not h:
-        return
-    log_h, log_q = _log10_height(h), math.log10(h.denominator)
-    log_abs_h = math.log10(abs(h.numerator)) - log_q
-    den, slots = spec.slots
-    # (b_j, i, denominator, log10 H, log10 |.|) of each nonzero c_ij.
-    logs = []
-    for bj, i, n in slots:
-        c = Fraction(n, den)
-        logs.append((bj, i, c.denominator, _log10_height(c), math.log10(abs(n)) - math.log10(den)))
-    for r in range(spec.top_weight + 1):
-        for i, z in enumerate(z0):
-            # (t, log10 H(a_t), log10 |a_t|) per nonzero term a_t * h^t, and
-            # the lcm of the denominators of z0_i and its c_ij.
-            terms = [(0, _log10_height(z), math.log10(abs(z.numerator)) - math.log10(z.denominator))] if z else []
-            lcm = z.denominator
-            for bj, v, c_den, height, size in logs:
-                if v == i and (k := h_coef_log10(scheme, r, bj)) is not None:
-                    terms.append((bj, height + k, size + k))
-                    lcm = math.lcm(lcm, c_den)
-            top = max((t for t, _, _ in terms), default=0)
-            carries = max(len(terms) - 1, 0) * math.log10(2)
-            upper = sum(a + t * log_h for t, a, _ in terms) + carries
-            if upper < limit - 1:
-                continue
-            lower = 2 * top * log_h - sum(a + t * log_h for t, a, _ in terms) - carries
-            if lower <= limit + 1:
-                return
-            denominator = math.log10(lcm) + top * log_q
-            largest = max(size + t * log_abs_h for t, _, size in terms) + denominator
-            raise DigitLimitError(int(max(largest, denominator, lower)) + 1)
-
-
 def _cmd_points(args) -> int:
     spec = _load_spec(args.spec)
     _check_top(args.spec, spec)
@@ -491,7 +437,6 @@ def _cmd_points(args) -> int:
             h = parse_rational(args.h)
         except _PARSE_ERRORS as exc:
             raise CliError(f"bad rational --h {args.h!r}: {exc}") from exc
-        _check_point_sizes(spec, args.scheme, z0, h)
     pts = SCHEMES[args.scheme](spec, z0)
     if args.h is not None:
         # Each point is evaluated and checked in turn, so a coordinate too
@@ -513,45 +458,12 @@ def _cmd_points(args) -> int:
     return 0
 
 
-# limit, sweep and study evaluate every term x^e of f at z0 exactly: the
-# h^0 coefficient of the limit check's series and the target (B_m(D)f)(z0)
-# carry prod_i z0_i^(e_i).  The decimal digits of its numerator and
-# denominator are predicted from the logarithms of z0's, with no power
-# computed, and a run may predict at most MAX_POWER_DIGITS: a bound on the
-# output's size, not the work.  Python writes at most 4300 digits of an
-# integer as text and a float holds about 308, so a result that can be
-# printed is well inside the bound.
-MAX_POWER_DIGITS = 10_000
-
-
-def _power_digits(f: Polynomial, z0: Sequence[Fraction]) -> int:
-    """Predicted decimal digits of the largest numerator or denominator of
-    prod_i z0_i^(e_i) over f's terms x^e."""
-    logs = [(math.log10(abs(v.numerator) or 1), math.log10(v.denominator)) for v in z0]
-    return max(
-        (int(sum(ei * lg[part] for ei, lg in zip(e, logs))) + 1 for e in f.numerators for part in (0, 1)),
-        default=1,
-    )
-
-
-def _check_power_size(f: Polynomial, z0: Sequence[Fraction]) -> None:
-    """Refuse, before any series or target work, an f whose terms raise z0
-    to more than MAX_POWER_DIGITS digits."""
-    digits = _power_digits(f, z0)
-    if digits > MAX_POWER_DIGITS:
-        raise CliError(
-            f"z0 raised to the exponents of f's terms would have about {digits:,} digits, "
-            f"more than the {MAX_POWER_DIGITS:,} allowed"
-        )
-
-
 def _scheme_inputs(args) -> tuple[GeneralSpec, Polynomial, tuple[Fraction, ...]]:
     """The spec, f and z0, as limit and sweep take them."""
     spec = _load_spec(args.spec)
     _check_top(args.spec, spec)
     f = _load_poly(args.f, spec.d)
     z0 = _parse_point(args.z0, spec.d)
-    _check_power_size(f, z0)
     return spec, f, z0
 
 
@@ -624,7 +536,6 @@ def _cmd_study(args) -> int:
     _check_top(args.spec or "the demo table", spec)
     f = _load_poly(args.f, spec.d) if args.f else _EXAMPLE_F
     z0 = _parse_point(args.z0, spec.d)
-    _check_power_size(f, z0)
     h0, orders = _parse_h0(args), range(spec.top_weight + 1)
     # Every order's steps are checked as its sweep would check them, before any work.
     with _sweep_errors(args):
@@ -713,7 +624,8 @@ def _cmd_example1(args) -> int:
 
     expected_basis = [Polynomial.parse(t, 2) for t in _EXAMPLE_BASIS_TEXT]
     out.append("basis (degrees 0..4):")
-    for source, build in (("recursive", build_recursive), ("explicit", build_explicit)):
+    builders = (("recursive", build_recursive), ("explicit", build_explicit), ("general", build_generating))
+    for source, build in builders:
         got = list(build(params))
         for k, (g, e) in enumerate(zip(got, expected_basis)):
             if g != e:

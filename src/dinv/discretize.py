@@ -164,12 +164,14 @@ class SymbolicPointSet:
                 if k := SCHEME_RULES[self.scheme][0](r, bj):
                     for _, i, n_ij in group:
                         coords[i][(bj,)] = n_ij * k * self.base[i].denominator
+            if fuel.metered:  # making and writing it, timed as cli.TERM_CELLS was: 150 per coordinate and per term
+                fuel.charge(150 * sum(len(c) + 1 for c in coords), "making a point")
             self._made[r] = tuple(Polynomial(1, c, _scale=v.denominator * den) for c, v in zip(coords, self.base))
         return self._made[r]
 
     def _h_coef_cells(self, r: int, bj: int) -> int:
         """h_coef(r, b_j) times D^(b_j - 1), charged as a product of two of its size."""
-        log10 = h_coef_log10(self.scheme, r, bj)
+        log10 = SCHEME_RULES[self.scheme][1](r, bj)
         bits = 0 if log10 is None else int(log10 * 3.33) + bj * self.spec.slots[0].bit_length() + 1
         return fuel.cells(1, bits, bits)
 
@@ -202,8 +204,8 @@ class SymbolicPointSet:
 
 
 # Each scheme's point rule h_coef(r, b) for b >= 1, and its log10 from
-# floats with no power taken, None where h_coef is 0: for size predictions
-# made before any point is built.
+# floats with no power taken, None where h_coef is 0: the size a charge
+# reads before the rule is taken.
 SCHEME_RULES = {
     "a": (pow, lambda r, b: b * math.log10(r) if r else None),
     "b": (
@@ -232,12 +234,6 @@ def points_scheme_b(spec: GeneralSpec, z0: Sequence[Fraction | int]) -> Symbolic
 
 
 SCHEMES = {"a": points_scheme_a, "b": points_scheme_b}
-
-
-def h_coef_log10(scheme: str, r: int, b: int) -> float | None:
-    """log10 of scheme's h_coef(r, b), b >= 1, with no power taken; None
-    where it is 0."""
-    return SCHEME_RULES[scheme][1](r, b)
 
 
 def _check_order(m: int, top: int) -> None:
@@ -298,6 +294,12 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
     den = pts.spec.slots[0]
     qs = [v.denominator for v in pts.base]
     degs = [max(ks) for ks in zip(*f.numerators)]
+    if metered := fuel.metered:
+        # The lift: each term's q_i^(deg_i - e_i) and the scale's q_i^deg_i, on
+        # their bits; q_i = 1 lifts none, so a huge degree at an integer z0 is free.
+        bits = [(q - 1).bit_length() for q in qs]
+        lifts = [sum((g - k) * b for g, k, b in zip(degs, e, bits)) for e in (*f.numerators, (0,) * len(qs))]
+        fuel.charge(sum(fuel.cells(len(qs), n, n) for n in lifts if n), "the limit series")
     scale = f.scale
     for q, deg in zip(qs, degs):
         scale *= q ** deg
@@ -307,7 +309,6 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
             if deg - k:
                 v *= q ** (deg - k)
         terms.append((e, v))
-    metered = fuel.metered
     total = [0] * length
     w = -1 if m % 2 else 1  # the weight (-1)^(m-r) * C(m, r), carried from r to r + 1
     for r in range(m + 1):

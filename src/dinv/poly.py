@@ -484,11 +484,13 @@ class DiffOperator:
         nums = f.numerators
         degs = [max(ks) for ks in zip(*nums)]
         if fuel.metered:
-            # d multiplies per pair of terms, by powers of at most deg_i * log2 max(|p_i|, q_i) bits.
+            # 200 a call (timed as points --h calls it, a point's coordinate at a
+            # time), and d multiplies per pair of terms, by powers of at most
+            # deg_i * log2 max(|p_i|, q_i) bits.
             sizes = [deg * (max(abs(p), q) - 1).bit_length() for (p, q), deg in zip(ratios, degs)]
             bits = sum(sizes) + sum(max(map(int.bit_length, p.values()), default=0) for p in (source.numerators, nums))
             pairs = len(source.numerators) * len(nums)
-            fuel.charge(fuel.cells(pairs * (f.dim + 1), bits, max(sizes, default=0)), "apply_at")
+            fuel.charge(200 + fuel.cells(pairs * (f.dim + 1), bits, max(sizes, default=0)), "apply_at")
         powers: dict[tuple[int, int], int] = {}  # (i, k): p_i^k * q_i^(deg_i - k)
         total = 0
         for alpha, na in source.numerators.items():

@@ -1518,9 +1518,11 @@ class TestApproxColumn:
 
 
 class TestPowerDigitGuard:
-    """limit, sweep and study refuse, before any series or target work, an
-    f whose terms raise z0 to more than MAX_POWER_DIGITS digits; a huge
-    degree at z0 in {0, 1, -1} is accepted and runs at once."""
+    """limit, sweep and study raise z0 to the exponents of f's terms under
+    fuel alone: a huge degree at a point whose powers grow is refused for
+    fuel at once, in the limit series' lift of f's terms or its cut
+    products, or in the target's apply_at, and a huge degree at z0 in
+    {0, 1, -1} runs at once."""
 
     ARGV = {
         "limit": ["limit", "--m", "2", "--scheme", "a"],
@@ -1528,20 +1530,25 @@ class TestPowerDigitGuard:
         "study": ["study", "--steps", "3"],
     }
 
-    @pytest.mark.parametrize("command", sorted(ARGV))
-    def test_refused_at_once(self, command, spec_file, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, z0",
+        [pytest.param(c, z, id=c if z == "3/2,1" else f"{c}-{z}") for c in sorted(ARGV) for z in ("3/2,1", "3,1", "7,-1")],
+    )
+    def test_refused_at_once(self, command, z0, spec_file, tmp_path, capsys, small_budget):
+        # limit's first step at 3/2 lifts x2 and the scale by 2^99999999; at an
+        # integer z0 the lift is free and its cut products refuse.  sweep and
+        # study are refused in their target's apply_at.
         f = tmp_path / "f.txt"
         f.write_text("x1^99999999 + x2")
         start = time.perf_counter()
-        argv = [*self.ARGV[command], "--spec", spec_file, "--f", str(f), "--z0", "3/2,1"]
+        argv = [*self.ARGV[command], "--spec", spec_file, "--f", str(f), "--z0", z0]
         assert main([*argv, "--out-dir", str(tmp_path / "out")] if command == "study" else argv) == 2
         assert time.perf_counter() - start < 1
-        captured = capsys.readouterr()
-        assert captured.err == (
-            "error: z0 raised to the exponents of f's terms would have about 47,712,125 digits, "
-            "more than the 10,000 allowed\n"
-        )
-        assert captured.out == "" and not (tmp_path / "out").exists()
+        stage = "out of fuel in the limit series" if command == "limit" else "out of fuel in apply_at"
+        if command == "limit" and z0 == "3/2,1":
+            stage += ": 0 cells spent"  # the lift, before any power
+        _assert_refused(capsys.readouterr(), command, stage)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("z0", ["0,0", "1,1", "-1,1", "1,-1"])
     def test_huge_degree_at_unit_points_passes(self, z0, spec_file, tmp_path, capsys):
@@ -1552,24 +1559,12 @@ class TestPowerDigitGuard:
         assert time.perf_counter() - start < 2
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
-    def test_prediction_by_hand(self):
-        # 1000^3 has 10 digits and the denominator 100 has 3.
-        z0 = (Fraction(1000), Fraction(1, 100))
-        assert dinv.cli._power_digits(P("x1^3*x2 + 5"), z0) == 10
-        assert dinv.cli._power_digits(P("x2^7"), z0) == 15
-        assert dinv.cli._power_digits(P("x1^99999999"), (Fraction(0), Fraction(-1))) == 1
-        assert dinv.cli._power_digits(P("x2^99999999"), (Fraction(0), Fraction(-1))) == 1
-
     def test_exactly_at_the_bound(self, spec_file, tmp_path, monkeypatch, capsys):
+        # z0_2 = 1/100 lifts x1^3*x2 and the scale by powers of 100.
         f = tmp_path / "f.txt"
-        f.write_text("x1^3*x2")
+        f.write_text("x1^3*x2 + x2^40")
         argv = ["limit", "--m", "4", "--scheme", "a", "--spec", spec_file, "--f", str(f), "--z0", "1000,1/100"]
-        monkeypatch.setattr(dinv.cli, "MAX_POWER_DIGITS", 10)
-        assert main(argv) == 0
-        capsys.readouterr()
-        monkeypatch.setattr(dinv.cli, "MAX_POWER_DIGITS", 9)
-        assert main(argv) == 2
-        assert "about 10 digits, more than the 9 allowed" in capsys.readouterr().err
+        _assert_refused(_at_its_fuel(argv, monkeypatch, capsys), "limit")
 
 
 # CI's accepted spec with a gap up to weight 5300.
@@ -1680,63 +1675,47 @@ class TestPointsMadeOnRead:
 
 
 class TestPointSizeGuard:
-    """points --h refuses, before any point is built, the first coordinate
-    too long to write, with rational_text's message; a coordinate it
-    cannot decide from logarithms is evaluated, as before."""
+    """points is metered: making each point, and evaluating it at --h, is
+    charged before it is done, so a point set past the budget is refused
+    within 1.5 times it.  A coordinate cheap to compute but too long to
+    write exits 2 with rational_text's message, naming its digits."""
 
     def test_b5300_refused_at_once(self, tmp_path, capsys):
         # Point 1 of scheme a is h + h^5300 with a 1000-digit h: 5.3 million
-        # digits, predicted exactly, as evaluating it would count them.
+        # digits, refused before apply_at takes the power.
         spec = tmp_path / "b5300.json"
         spec.write_text(json.dumps(B5300))
         start = time.perf_counter()
         assert main(["points", "--scheme", "a", "--spec", str(spec), "--h", "7" * 1000]) == 2
         assert time.perf_counter() - start < 2
-        captured = capsys.readouterr()
-        assert captured.err == (
-            f"error: a result coefficient has 5299422 digits, more than Python's limit of "
-            f"{sys.get_int_max_str_digits()} for writing an integer as text (sys.get_int_max_str_digits())\n"
-        )
-        assert captured.out == ""
+        _assert_refused(capsys.readouterr(), "points", "out of fuel in apply_at")
 
-    def test_refuses_only_what_evaluation_refuses(self):
-        # Seeded gapped specs, z0 and h (integral and not) under Python's
-        # least digit limit, 640: the guard refuses only where evaluating
-        # the points in order refuses, and its predicted digits fall short
-        # of the evaluated ones by at most the carry of a sum (cancellation
-        # against the denominators makes them an overcount).
-        rng = make_rng(702)
+    @pytest.mark.parametrize("h", [[], ["--h", "1/2"]], ids=["symbolic", "at-h"])
+    def test_many_points_refused_in_time(self, h, tmp_path, capsys, small_budget):
+        # 50001 points of one or two terms each: their making, not their
+        # rule's integers, passes the budget.
+        spec = tmp_path / "b50000.json"
+        spec.write_text(json.dumps({"n": 2, "d": 1, "b": [1, 50000], "c": [["1", "1"]]}))
+        _refused_in_time(["points", "--scheme", "b", "--spec", str(spec), *h], capsys, "points")
+
+    def test_cheap_coordinate_past_the_limit_names_its_digits(self, tmp_path, capsys):
+        # Point 1 of scheme a is z0 + h + h^2: at a 400-digit h its numerator
+        # has 801 digits, past Python's least digit limit, 640.
+        spec = tmp_path / "b2.json"
+        spec.write_text(json.dumps({"n": 2, "d": 1, "b": [1, 2], "c": [["1", "1"]]}))
+        h = Fraction("7" * 400)
+        digits = len(str((Fraction(1, 3) + h + h * h).numerator))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            refused = 0
-            for _ in range(150):
-                d = rng.randint(1, 3)
-                b = [1] + sorted(rng.sample(range(2, 60), rng.randint(0, 3)))
-                c = [[Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in b] for _ in range(d)]
-                c[0][0] = c[0][0] or Fraction(1)
-                spec = dinv.GeneralSpec(n=len(b), d=d, b=b, c=c)
-                z0 = tuple(Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)) for _ in range(d))
-                h = Fraction(rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(1, 40)), rng.choice((1, rng.randint(1, 10**20))))
-                scheme = rng.choice("ab")
-                try:
-                    dinv.cli._check_point_sizes(spec, scheme, z0, h)
-                    predicted = None
-                except dinv.poly.DigitLimitError as exc:
-                    predicted = int(str(exc).split()[4])
-                evaluated = None
-                try:
-                    for pt in dinv.discretize.SCHEMES[scheme](spec, z0).at(h):
-                        for v in pt:
-                            dinv.poly.rational_text(v)
-                except dinv.poly.DigitLimitError as exc:
-                    evaluated = int(str(exc).split()[4])
-                if predicted is not None:
-                    refused += 1
-                    assert evaluated is not None and predicted >= evaluated - 1
-            assert refused >= 20
+            assert main(["points", "--scheme", "a", "--spec", str(spec), "--z0", "1/3", "--h", str(h)]) == 2
         finally:
             sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: a result coefficient has {digits} digits, more than Python's limit of "
+            f"640 for writing an integer as text (sys.get_int_max_str_digits())\n"
+        )
 
 
 # Rationals from the unit values up to MAX_RATIONAL_DIGITS digits, which
@@ -2093,7 +2072,7 @@ class TestExample1:
             monkeypatch.setattr(dinv.cli, "_EXAMPLE_BASIS_TEXT", texts)
             fails = [
                 f"FAIL: {source} element 2: got 1/2*x1^2 + 2*x2, expected 1/2*x1^2 + 3*x2"
-                for source in ("recursive", "explicit")
+                for source in ("recursive", "explicit", "general")
             ]
         elif broken == "point":
             points = [*dinv.cli._EXAMPLE_POINTS["b"]]
