@@ -18,9 +18,7 @@ from .identities import (
     falling_factorial,
     falling_factorial_sum,
     falling_factorial_sums,
-    signed_power_sum,
     signed_power_sums,
-    vandermonde_oracle,
     vandermonde_oracles,
 )
 from .poly import DiffOperator, Exponent, Polynomial, Rational
@@ -67,12 +65,10 @@ __all__ = [
     "falling_factorial_sums",
     "points_scheme_a",
     "points_scheme_b",
-    "signed_power_sum",
     "signed_power_sums",
     "specialize",
     "stencil",
     "sweep",
     "sweep_to_csv",
-    "vandermonde_oracle",
     "vandermonde_oracles",
 ]

@@ -43,7 +43,7 @@ m!.  So the u^t coefficient of the combination is one integer over
 scale * m!, and the h^t coefficient is that integer over
 scale * m! * D^t, the only Fraction the series makes.  The target builds
 only B_0..B_m, by the generating recurrence stopped at weight m on
-monomial codes (subspace.MonomialCodes), unpacks only B_m's codes
+monomial codes (poly.MonomialCodes), unpacks only B_m's codes
 to exponents, and evaluates B_m(D)f at z0 as a scalar on integers
 (DiffOperator.apply_at, one Fraction at the end); it never reads the
 points, so it stays an independent witness.  So a check makes no

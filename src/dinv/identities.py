@@ -5,13 +5,12 @@ Three families, all over exact rationals:
   * signed_power_sums: the alternating binomial power sums that make a
     finite-difference stencil reproduce one derivative order and
     annihilate the lower ones, every power j of one order m from one set
-    of terms carried from j to j + 1; signed_power_sum is one of them
-    over m!,
+    of terms carried from j to j + 1,
   * vandermonde_oracles: the same stencil coefficients recovered by
     solving the Vandermonde system at nodes 0..m by generic elimination,
     giving an independent witness for the closed form; one elimination of
     the largest system serves every order up to it, each order then one
-    back-substitution; vandermonde_oracle is one of them,
+    back-substitution,
   * falling_factorial_sums: the weighted-composition sums whose cap
     invariance justifies truncating the second point scheme, every weight
     at one node from one run of the counting recurrence of
@@ -60,17 +59,6 @@ def signed_power_sums(m: int, include_zero: bool = True, j_max: int | None = Non
     return sums
 
 
-def signed_power_sum(j: int, m: int, include_zero: bool = True) -> Fraction:
-    """sum over i of (-1)^(m-i) * i^j / (i! * (m-i)!), i from 0 (or 1) to m.
-
-    Equals 1 when j == m and 0 when j < m (for j >= 1 when the i = 0 term
-    is excluded): signed_power_sums(m, include_zero, j)[j] / m!.
-    """
-    if j < 0 or m < 0:
-        raise ValueError("j and m must be non-negative")
-    return Fraction(signed_power_sums(m, include_zero, j)[j], math.factorial(m))
-
-
 def vandermonde_oracles(top: int) -> list[tuple[Fraction, ...]]:
     """[the solution y of sum_i y_i * i^j == [j == m] for j = 0..m at nodes
     i = 0..m, for m = 0..top], by exact elimination.  Deliberately avoids
@@ -107,11 +95,6 @@ def _vandermonde_row(n: int, j: int) -> dict[int, int]:
     if fuel.metered:
         fuel.charge(fuel.cells(n, j * n.bit_length()), "the Vandermonde rows")
     return {**{i: i**j for i in range(n)}, n + j: 1}
-
-
-def vandermonde_oracle(m: int) -> tuple[Fraction, ...]:
-    """The stencil coefficients of order m by elimination: vandermonde_oracles(m)[m]."""
-    return vandermonde_oracles(m)[m]
 
 
 def falling_factorial(i: int, j: int) -> int:

@@ -1,18 +1,27 @@
 """Exact sparse multivariate polynomials over the rationals, as values.
 
 A polynomial in d variables x1..xd is stored exactly as integers: its
-numerators, a mapping from exponent tuples to nonzero ints, over one
-positive scale with no factor common to the scale and every numerator,
-e.g. for d=2:
+numerators, nonzero ints keyed by monomial, over one positive scale with
+no factor common to the scale and every numerator, e.g. for d=2:
 
     x1^2/2 + 2*x2  ->  scale 2, numerators {(2, 0): 1, (0, 1): 4}
 
 That form is canonical (the scale is the lcm of the coefficients'
-denominators), so polynomial equality is int and dict equality of dim,
-scale and numerators.  It is the only form stored: every constructor
-(the public one, parse, from_dict and the internal integer results) ends
-in it, and `terms`, {exponent: Fraction}, is a view made afresh on each
-read for the text and JSON writers.
+denominators).  The monomials are keyed in one of two ways:
+
+  * by exponent tuple, as the public constructor, parse, from_dict and
+    the vector operations make them;
+  * by the codes of one MonomialCodes codec, which packs an exponent
+    into one int (`codes` and `coded`), as the builders return them.
+
+`numerators`, {exponent: int}, reads the first form as it is stored and
+the second through a view made once, on its first read; `terms`,
+{exponent: Fraction}, is made afresh on each read for the text and JSON
+writers.  Equality compares dim, scale and the int-keyed dicts when both
+sides are coded by equal codecs, and the exponent views otherwise;
+degree, is_zero and truth read the form as stored.  So a built basis is
+compared, graded and checked on its codes, and no exponent tuple is made
+unless something reads one.
 
 A Polynomial is a vector: it adds, subtracts and scales (on its integer
 form), evaluates at a point (the order-0 functional of DiffOperator), and
@@ -36,6 +45,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from . import fuel
@@ -186,6 +196,74 @@ def _check_exponent(exps: Exponent, dim: int) -> None:
         raise ValueError(f"exponents must be non-negative integers, got {exps}")
 
 
+class MonomialCodes:
+    """The exponents e of total degree <= top in d variables, each packed
+    into one int with base B = top + 1:
+
+        code(e) = sum_i e_i * (B^d + B^(d-1-i)),
+
+    the degree times B^d plus e read as d base-B digits.  So int order is
+    graded-lex order (x1 > x2 > ... > xd), the degree is code // B^d
+    (.high), multiplying by x_i adds units[i], and e_i is
+    code // powers[i] % B.  The constant is 0.  A code is a plain int,
+    past 2^64 once B^d is, and hashes as one; the kernels read the
+    attributes, not the methods, in their loops.  Two codecs with the
+    same d and B are equal: they give every exponent the same code.  The
+    builders key their numerators by a codec, and a coded Polynomial
+    keeps them so keyed."""
+
+    __slots__ = ("d", "base", "high", "powers", "units")
+
+    def __init__(self, d: int, top: int):
+        base = top + 1
+        self.d, self.base, self.high = d, base, base**d
+        self.powers = [base ** (d - 1 - i) for i in range(d)]
+        self.units = [self.high + p for p in self.powers]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MonomialCodes) and (self.d, self.base) == (other.d, other.base)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.base))
+
+    def __repr__(self) -> str:
+        return f"MonomialCodes({self.d}, {self.base - 1})"
+
+    def pack(self, e: Sequence[int]) -> int:
+        """The code of e; ValueError unless e is d non-negative ints of
+        total degree < B, the exponents among which no two share a code."""
+        if len(e) != self.d or min(e) < 0 or sum(e) >= self.base:
+            raise ValueError(f"exponent {tuple(e)} is not {self.d} non-negative ints of degree < {self.base}")
+        return sum(map(mul, e, self.units))
+
+    def unpack(self, code: int) -> Exponent:
+        """The exponent whose code is code."""
+        base = self.base
+        return tuple([code // p % base for p in self.powers])
+
+    def exponents(self, codes: Iterable[int]) -> dict[int, Exponent]:
+        """{code: exponent} for every one of codes, each unpacked once.
+        Plain loops: a comprehension per code, or an iterator per digit,
+        costs more than the digits of the few codes a small basis has."""
+        base, powers = self.base, self.powers
+        out = {}
+        for c in codes:
+            digits = []
+            for p in powers:
+                digits.append(c // p % base)
+            out[c] = tuple(digits)
+        return out
+
+    def packed(self, nums: Mapping[Exponent, int]) -> dict[int, int]:
+        """nums keyed by code instead of exponent, unchecked: the caller
+        picks B above every degree."""
+        units = self.units
+        return {sum(map(mul, e, units)): v for e, v in nums.items()}
+
+    def degree(self, code: int) -> int:
+        return code // self.high
+
+
 _set = object.__setattr__
 _INT_TYPE = {int}  # the types of an exponent list of JSON ints only
 
@@ -194,22 +272,27 @@ class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
     `dim` is the ambient number of variables; a constant in 2 variables is
-    a different value from a constant in 3 variables.  `scale` and
-    `numerators` are the one stored form (see the module docstring); do
-    not mutate `numerators`.  The public constructor checks the exponents
-    of {exponent: Fraction or int} and drops zero coefficients; _scale=s
-    takes internal results, nonzero int numerators over a positive scale s.
-    Both end in one gcd fold with the scale.
+    a different value from a constant in 3 variables.  `scale` and the
+    numerators are the one stored form (see the module docstring): keyed
+    by exponent, `codes` is None and `numerators` is the stored dict;
+    keyed by code, `coded` is the stored dict, `codes` its codec and
+    `numerators` a view of it made on its first read.  Do not mutate
+    either dict.  The public constructor checks the exponents of
+    {exponent: Fraction or int} and drops zero coefficients; _scale=s
+    takes internal results, nonzero int numerators over a positive scale
+    s, keyed by exponent, or by code when _codes names their codec (whose
+    d is dim).  Both end in one gcd fold with the scale.
     """
 
-    __slots__ = ("dim", "scale", "numerators")
+    __slots__ = ("dim", "scale", "codes", "coded", "numerators")
 
     def __init__(
         self,
         dim: int,
-        terms: Mapping[Exponent, Fraction | int] | None = None,
+        terms: Mapping[Exponent, Fraction | int] | Mapping[int, int] | None = None,
         *,
         _scale: int | None = None,
+        _codes: MonomialCodes | None = None,
     ):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
@@ -233,7 +316,23 @@ class Polynomial:
             terms = {e: v // g for e, v in terms.items()}
         _set(self, "dim", dim)
         _set(self, "scale", _scale // g)
-        _set(self, "numerators", terms)
+        _set(self, "codes", _codes)
+        if _codes is None:
+            _set(self, "coded", None)
+            _set(self, "numerators", terms)
+        else:
+            _set(self, "coded", terms)
+
+    def __getattr__(self, name: str):
+        """Only an unset slot gets here: the numerators of a coded
+        polynomial, whose exponent view is made now and kept."""
+        codes = self.codes if name == "numerators" else None
+        if codes is None:
+            raise AttributeError(f"'Polynomial' object has no attribute {name!r}")
+        coded = self.coded
+        view = dict(zip(codes.exponents(coded).values(), coded.values()))
+        _set(self, "numerators", view)
+        return view
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -271,13 +370,18 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self.numerators
+        return not self
 
     @property
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        nums = self.numerators
-        return max(map(sum, nums)) if nums else -1
+        """Total degree; -1 for the zero polynomial.  A coded polynomial's
+        is that of its largest code."""
+        codes = self.codes
+        if codes is None:
+            nums = self.numerators
+            return max(map(sum, nums)) if nums else -1
+        coded = self.coded
+        return max(coded) // codes.high if coded else -1
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
         return Fraction(self.numerators.get(tuple(exps), 0), self.scale)
@@ -324,10 +428,15 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self.scale == other.scale and self.numerators == other.numerators
+        if self.dim != other.dim or self.scale != other.scale:
+            return False
+        codes = self.codes
+        if codes is not None and (codes is other.codes or codes == other.codes):
+            return self.coded == other.coded
+        return self.numerators == other.numerators
 
     def __bool__(self) -> bool:
-        return bool(self.numerators)
+        return bool(self.numerators if self.codes is None else self.coded)
 
     def __repr__(self) -> str:
         return f"Polynomial.parse({self.render()!r}, dim={self.dim})"

@@ -24,19 +24,19 @@ sorted by weight.  Three independent constructions build the graded bases
 
 Each builder returns integer numerators over one scale per element,
 keyed by monomial codes, together with the codec that packed them
-(Numerators): MonomialCodes(d, top) packs an exponent of total degree
-<= top into one int whose order is graded-lex order, so multiplying by
-x_i is one int addition and a lookup hashes an int, not a tuple.  A
-spec's own codec, MonomialCodes(d, b_n), is made once (GeneralSpec.codes)
-and keys every build up to b_n.  The exact verifiers,
-check_closure_numerators and breadth_numerators, read the codes as they
-are, through the codec handed with them.  Exponent tuples are made only at
-the Polynomial boundary: numerator_basis unpacks each distinct code once
-and hands the numerators to Polynomial's integer form, reduced by one gcd
-fold and with no Fraction made, so build_* return bases that hold no
-Fraction.  A built BasisSequence keeps its
-builder's Numerators, which check_closure and breadth read as they are;
-any other basis is packed by a codec whose base exceeds b_n and every
+(Numerators): poly.MonomialCodes(d, top) packs an exponent of total
+degree <= top into one int whose order is graded-lex order, so
+multiplying by x_i is one int addition and a lookup hashes an int, not a
+tuple.  A spec's own codec, MonomialCodes(d, b_n), is made once
+(GeneralSpec.codes) and keys every build up to b_n.  The exact
+verifiers, check_closure_numerators and breadth_numerators, read the
+codes as they are, through the codec handed with them.  numerator_basis
+hands each element to Polynomial still keyed by code, reduced by one gcd
+fold, so build_* return bases that hold no Fraction and no exponent
+tuple; an element's exponent view is made when something reads it.
+BasisSequence grades a built basis on its codes, and check_closure and
+breadth read the elements' codes when one codec codes them all; any
+other basis is packed by a codec whose base exceeds b_n and every
 degree.  The Fraction builders and closure check, and the exponent-tuple
 kernels, are kept as test oracles.
 """
@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, mul, neg
@@ -54,73 +54,7 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import fuel
 from .linalg import echelon
-from .poly import Exponent, Polynomial, common_denominator, json_array, json_int, json_ratio
-
-
-class MonomialCodes:
-    """The exponents e of total degree <= top in d variables, each packed
-    into one int with base B = top + 1:
-
-        code(e) = sum_i e_i * (B^d + B^(d-1-i)),
-
-    the degree times B^d plus e read as d base-B digits.  So int order is
-    graded-lex order (x1 > x2 > ... > xd), the degree is code // B^d
-    (.high), multiplying by x_i adds units[i], and e_i is
-    code // powers[i] % B.  The constant is 0.  A code is a plain int,
-    past 2^64 once B^d is, and hashes as one; the kernels read the
-    attributes, not the methods, in their loops.  Two codecs with the
-    same d and B are equal: they give every exponent the same code."""
-
-    __slots__ = ("d", "base", "high", "powers", "units")
-
-    def __init__(self, d: int, top: int):
-        base = top + 1
-        self.d, self.base, self.high = d, base, base**d
-        self.powers = [base ** (d - 1 - i) for i in range(d)]
-        self.units = [self.high + p for p in self.powers]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MonomialCodes) and (self.d, self.base) == (other.d, other.base)
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.base))
-
-    def __repr__(self) -> str:
-        return f"MonomialCodes({self.d}, {self.base - 1})"
-
-    def pack(self, e: Sequence[int]) -> int:
-        """The code of e; ValueError unless e is d non-negative ints of
-        total degree < B, the exponents among which no two share a code."""
-        if len(e) != self.d or min(e) < 0 or sum(e) >= self.base:
-            raise ValueError(f"exponent {tuple(e)} is not {self.d} non-negative ints of degree < {self.base}")
-        return sum(map(mul, e, self.units))
-
-    def unpack(self, code: int) -> Exponent:
-        """The exponent whose code is code."""
-        base = self.base
-        return tuple([code // p % base for p in self.powers])
-
-    def exponents(self, codes: Iterable[int]) -> dict[int, Exponent]:
-        """{code: exponent} for every one of codes, each unpacked once.
-        Plain loops: a comprehension per code, or an iterator per digit,
-        costs more than the digits of the few codes a small basis has."""
-        base, powers = self.base, self.powers
-        out = {}
-        for c in codes:
-            digits = []
-            for p in powers:
-                digits.append(c // p % base)
-            out[c] = tuple(digits)
-        return out
-
-    def packed(self, nums: Mapping[Exponent, int]) -> dict[int, int]:
-        """nums keyed by code instead of exponent, unchecked: the caller
-        picks B above every degree."""
-        units = self.units
-        return {sum(map(mul, e, units)): v for e, v in nums.items()}
-
-    def degree(self, code: int) -> int:
-        return code // self.high
+from .poly import MonomialCodes, Polynomial, common_denominator, json_array, json_int, json_ratio
 
 
 class Numerators(NamedTuple):
@@ -261,7 +195,8 @@ class GeneralSpec:
         """Either JSON form: an object with a "b" or "c" key is a general
         spec, any other a parameter table.  A general spec's c entries are
         read once, by json_ratio, and only the nonzero ones become
-        Fractions."""
+        Fractions.  A table whose "a" keys name one entry twice, as "02,2"
+        and "2,2" do, is refused."""
         general = "b" in data or "c" in data
         try:
             n = json_int(data["n"], "n")
@@ -271,10 +206,14 @@ class GeneralSpec:
                 rows = json_array(data["c"], "c")
                 c = [[Fraction(p, q) if p else 0 for p, q in map(json_ratio, json_array(row, "c row"))] for row in rows]
             else:
-                a = {}
+                a, named = {}, {}
                 for key, v in data.get("a", {}).items():
                     i_s, j_s = str(key).split(",")
-                    a[(int(i_s), int(j_s))] = Fraction(*json_ratio(v))
+                    ij = (int(i_s), int(j_s))
+                    if ij in named:
+                        raise ValueError(f"keys {named[ij]!r} and {key!r} both name a[{ij[0]},{ij[1]}]")
+                    named[ij] = key
+                    a[ij] = Fraction(*json_ratio(v))
         except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed {'general spec' if general else 'parameter table'}: {exc}") from exc
         if not general:
@@ -309,15 +248,10 @@ def ParamTable(d: int, n: int, a: Mapping[tuple[int, int], Fraction | int]) -> G
 class BasisSequence:
     """A graded basis: element k is exactly of total degree k, element 0
     is the constant 1.  Implies linear independence, so the sequence spans
-    a space of dimension len(elements).
-
-    _coded, for internal results, holds the builder's Numerators the
-    elements were made from: the degrees are read from their codes, and
-    check_closure and breadth read them as they are instead of packing the
-    elements again.  It takes no part in equality."""
+    a space of dimension len(elements).  A built basis's elements are
+    coded, and are checked here on their codes."""
 
     elements: tuple[Polynomial, ...]
-    _coded: Numerators | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         elems = tuple(self.elements)
@@ -327,16 +261,12 @@ class BasisSequence:
         if any(p.dim != dim for p in elems):
             raise ValueError("basis elements must share one dimension")
         first = elems[0]
-        if first.scale != 1 or first.numerators != {(0,) * dim: 1}:
+        nums, one = (first.numerators, {(0,) * dim: 1}) if first.codes is None else (first.coded, {0: 1})
+        if first.scale != 1 or nums != one:
             raise ValueError(f"element 0 must be the constant 1, got {first!r}")
-        if self._coded is None:
-            degrees = (p.degree for p in elems)
-        else:  # an element's degree is that of its largest code
-            high = self._coded.codes.high
-            degrees = (max(p) // high if p else -1 for _, p in self._coded.elems)
-        for k, degree in enumerate(degrees):
-            if degree != k:
-                raise ValueError(f"element {k} has degree {degree}, expected {k}")
+        for k, p in enumerate(elems):
+            if p.degree != k:
+                raise ValueError(f"element {k} has degree {p.degree}, expected {k}")
         object.__setattr__(self, "elements", elems)
 
     @property
@@ -439,19 +369,17 @@ def _charge_walk(spec: GeneralSpec, top: int) -> None:
 
 
 def numerator_polynomial(codes: MonomialCodes, scale: int, nums: Mapping[int, int]) -> Polynomial:
-    """nums / scale (nonzero nums keyed by codes' codes, scale > 0) as
-    Polynomial's integer form, reduced by one gcd fold: no Fraction is
-    made."""
-    exps = codes.exponents(nums)
-    return Polynomial(codes.d, {exps[c]: v for c, v in nums.items()}, _scale=scale)
+    """nums / scale (nonzero nums keyed by codes' codes, scale > 0) as a
+    Polynomial coded by codes, reduced by one gcd fold: no Fraction or
+    exponent tuple is made."""
+    return Polynomial(codes.d, nums, _scale=scale, _codes=codes)
 
 
 def numerator_basis(nums: Numerators) -> BasisSequence:
-    """The BasisSequence of a builder's numerators, each distinct code
-    unpacked once, keeping the numerators as its _coded."""
+    """The BasisSequence of a builder's numerators, each element coded by
+    the builder's codec."""
     codes, elems = nums
-    d, exps = codes.d, codes.exponents(set().union(*(p for _, p in elems)))
-    return BasisSequence(tuple(Polynomial(d, {exps[c]: v for c, v in p.items()}, _scale=s) for s, p in elems), nums)
+    return BasisSequence(tuple([numerator_polynomial(codes, s, p) for s, p in elems]))
 
 
 def build_general(spec: GeneralSpec) -> BasisSequence:
@@ -697,17 +625,26 @@ class ClosureReport:
         return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
 
 
+def _shared_codes(basis: Sequence[Polynomial]) -> Numerators | None:
+    """The elements' coded numerators, when every element is coded by one
+    codec (as a built basis's are); None otherwise."""
+    codes = basis[0].codes
+    if codes is None or any(p.codes is not codes and p.codes != codes for p in basis):
+        return None
+    return Numerators(codes, [(p.scale, p.coded) for p in basis])
+
+
 def check_closure(basis: BasisSequence, spec: GeneralSpec) -> ClosureReport:
-    """check_closure_numerators on the basis's integer numerators: those it
-    was built from, or else its elements' packed by a codec whose base
-    exceeds b_n and every degree.  ValueError unless it has b_n + 1
-    elements in the spec's d variables."""
+    """check_closure_numerators on the basis's integer numerators: its
+    elements' codes when one codec codes them all, or else their exponents
+    packed by a codec whose base exceeds b_n and every degree.  ValueError
+    unless it has b_n + 1 elements in the spec's d variables."""
     top, d = spec.top_weight, spec.d
     if len(basis) != top + 1:
         raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")
     if basis.dim != d:
         raise ValueError(f"basis has dimension {basis.dim}, the spec needs {d}")
-    nums = basis._coded
+    nums = _shared_codes(basis.elements)
     if nums is None:
         codes = MonomialCodes(d, max(top, *(p.degree for p in basis)))
         nums = Numerators(codes, [(p.scale, codes.packed(p.numerators)) for p in basis])
@@ -777,21 +714,22 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
 
 
 def breadth(basis: Sequence[Polynomial]) -> int:
-    """breadth_numerators on the elements' integer numerators: a built
-    BasisSequence's own, or else the elements' packed by a codec whose base
-    exceeds every degree.  ValueError on an empty basis or on elements of
-    different dimensions.
+    """breadth_numerators on the elements' integer numerators: their codes
+    when one codec codes them all (a built basis's elements, in a
+    BasisSequence or a list), or else their exponents packed by a codec
+    whose base exceeds every degree.  ValueError on an empty basis or on
+    elements of different dimensions.
 
-    The elements' leads are found on their exponents first, as the largest
-    (degree, e), which is graded-lex order as the codes' order is, and the
-    largest lead's degree is the largest degree.  Distinct leads settle the
-    count with no reduction (breadth_numerators), so then only the leads
-    are packed."""
-    nums = basis._coded if isinstance(basis, BasisSequence) else None
+    Packed, the elements' leads are found on their exponents first, as the
+    largest (degree, e), which is graded-lex order as the codes' order is,
+    and the largest lead's degree is the largest degree.  Distinct leads
+    settle the count with no reduction (breadth_numerators), so then only
+    the leads are packed."""
+    basis = list(basis)
+    if not basis:
+        raise ValueError("empty basis")
+    nums = _shared_codes(basis)
     if nums is None:
-        basis = list(basis)
-        if not basis:
-            raise ValueError("empty basis")
         dim = basis[0].dim
         if any(q.dim != dim for q in basis):
             raise ValueError("basis elements must share one dimension")

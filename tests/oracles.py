@@ -40,6 +40,10 @@ common_denominator over the entries; and power_sums_two_runs is the
 identity scan's power-sum check with one run from node 0 and one from
 node 1 per order.
 
+signed_power_sum and vandermonde_oracle read one entry of the library's
+signed_power_sums and vandermonde_oracles: the single-order forms the
+tests state the identities in.
+
 generating_fuel and closure_fuel are the cells that the generating
 recurrence and the closure check charge under fuel, each element's charge
 computed afresh from the whole run's lists (the closure check's slots of
@@ -65,7 +69,7 @@ from dinv.linalg import echelon
 from operator import itemgetter
 
 from dinv.cli import _PARSE_ERRORS, CliError
-from dinv.identities import signed_power_sums
+from dinv.identities import signed_power_sums, vandermonde_oracles
 from dinv.poly import (
     Polynomial,
     _check_exponent,
@@ -413,6 +417,11 @@ def solve_backsub_fraction(a_rows, rhs) -> list[Fraction] | None:
     return x
 
 
+def vandermonde_oracle(m: int) -> tuple[Fraction, ...]:
+    """The stencil coefficients of order m by elimination: vandermonde_oracles(m)[m]."""
+    return vandermonde_oracles(m)[m]
+
+
 def vandermonde_oracle_per_order(m: int) -> tuple[Fraction, ...]:
     """The solution y of sum_i y_i * i^j == [j == m] for j = 0..m at the
     nodes i = 0..m, from its own (m + 1)^2 system by
@@ -448,6 +457,17 @@ def span_contains(basis: Sequence[Polynomial], p: Polynomial) -> list[Fraction] 
     a_rows = [[q.coeff(e) for q in basis] for e in support]
     rhs = [p.coeff(e) for e in support]
     return solve_fraction(a_rows, rhs)
+
+
+def signed_power_sum(j: int, m: int, include_zero: bool = True) -> Fraction:
+    """sum over i of (-1)^(m-i) * i^j / (i! * (m-i)!), i from 0 (or 1) to m.
+
+    Equals 1 when j == m and 0 when j < m (for j >= 1 when the i = 0 term
+    is excluded): signed_power_sums(m, include_zero, j)[j] / m!.
+    """
+    if j < 0 or m < 0:
+        raise ValueError("j and m must be non-negative")
+    return Fraction(signed_power_sums(m, include_zero, j)[j], math.factorial(m))
 
 
 def signed_power_sum_fraction(j: int, m: int, include_zero: bool = True) -> Fraction:

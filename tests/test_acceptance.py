@@ -24,12 +24,10 @@ from dinv import (
     falling_factorial_sum,
     points_scheme_a,
     points_scheme_b,
-    signed_power_sum,
     stencil,
     sweep,
-    vandermonde_oracle,
 )
-from oracles import compose, diff, span_contains
+from oracles import compose, diff, signed_power_sum, span_contains, vandermonde_oracle
 
 F = Fraction
 

@@ -280,6 +280,20 @@ class TestBasis:
         assert main(["basis", "--source", source, "--spec", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_table_naming_one_entry_twice_exits_2(self, tmp_path, capsys):
+        # "02,2" and "2,2" are one entry: the table is refused, not read
+        # with the last key's value.
+        spec = tmp_path / "twice.json"
+        spec.write_text('{"d": 2, "n": 4, "a": {"02,2": "1", "2,2": "3"}}')
+        assert main(["basis", "--source", "general", "--spec", str(spec), "--pretty"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {spec}: malformed parameter table: keys '02,2' and '2,2' both name a[2,2]\n"
+        # Keys naming distinct entries still load.
+        spec.write_text('{"d": 2, "n": 4, "a": {"02,2": "1", "3,02": "3"}}')
+        assert main(["basis", "--source", "general", "--spec", str(spec), "--pretty"]) == 0
+        assert capsys.readouterr().out.splitlines()[3] == "1/6*x1^3 + x1*x2 + 3*x2"
+
 
 class TestVerify:
     def test_closure_roundtrip_from_basis_file(self, spec_file, tmp_path, capsys):

@@ -12,16 +12,16 @@ from dinv import (
     falling_factorial,
     falling_factorial_sum,
     falling_factorial_sums,
-    signed_power_sum,
     signed_power_sums,
     stencil,
-    vandermonde_oracle,
     vandermonde_oracles,
 )
 from oracles import (
     falling_factorial_product,
     falling_factorial_sum_enumerated,
+    signed_power_sum,
     signed_power_sum_fraction,
+    vandermonde_oracle,
     vandermonde_oracle_per_order,
 )
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import forbid_fractions, make_rng, seeded_specs
+from conftest import forbid_fractions, make_rng, rational, seeded_specs
 from dinv import DiffOperator, Polynomial, build_general, build_generating, build_recursive
 from dinv.subspace import MonomialCodes, numerator_polynomial
 from oracles import apply_operator, dict_add, dict_eval, dict_render, dict_scaled
@@ -187,3 +187,75 @@ def test_builders_and_equality_make_no_fraction_until_terms_is_read(monkeypatch)
         for basis in bases:
             for p in basis:
                 assert_canonical(p)
+
+
+def _twin(p: Polynomial) -> Polynomial:
+    """p in exponent form: its numerators view over its scale."""
+    return Polynomial(p.dim, p.numerators, _scale=p.scale)
+
+
+def test_built_elements_match_their_exponent_form_twins():
+    # A built element is coded by its builder's codec; every reader must
+    # see what its exponent-form twin shows.
+    rng = make_rng(502)
+    coded_seen = 0
+    for spec in seeded_specs(make_rng(503), 24):
+        d = spec.d
+        again = build_generating(spec)
+        bases = [build_general(spec), build_generating(spec)] + ([build_recursive(spec)] if spec.a is not None else [])
+        for basis in bases:
+            # Equality and degree on the codes, before any view is made.
+            assert basis == again and basis.elements == again.elements
+            assert [p.degree for p in basis] == list(range(len(basis)))
+            twins = [_twin(p) for p in basis]
+            for k, (p, t) in enumerate(zip(basis, twins)):
+                assert p.codes == spec.codes and t.codes is None
+                coded_seen += 1
+                assert p == t and t == p and not p != t
+                assert p.render() == t.render() and p.to_dict() == t.to_dict()
+                assert p.terms == t.terms and p.degree == t.degree == k and bool(p) == bool(t)
+                for e in [*t.numerators, (k + 1,) + (0,) * (d - 1)]:
+                    assert p.coeff(e) == t.coeff(e)
+                point = [rational(rng) for _ in range(d)]
+                assert p.eval(point) == t.eval(point)
+                q, tq = basis[rng.randrange(len(basis))], twins[rng.randrange(len(twins))]
+                a = rational(rng)
+                for got, want in ((p + q, t + _twin(q)), (p + tq, t + tq), (tq - p, tq - t), (p - p, t - t), (-p, -t), (p * a, t * a), (a * p, a * t)):
+                    assert got == want and got.render() == want.render()
+                    assert_canonical(got)
+                for source, f in ((p, q), (p, tq), (tq, p)):
+                    expected = DiffOperator(_twin(source)).apply_at(_twin(f), point)
+                    assert DiffOperator(source).apply_at(f, point) == expected
+                if k:
+                    assert p != basis[k - 1] and p != twins[k - 1] and twins[k - 1] != p
+    assert coded_seen > 100
+
+
+def test_equality_between_codecs_of_different_top():
+    # Codes of one exponent differ between codecs of different bases, so
+    # equality falls back to the exponent views, from either side.
+    small, large = MonomialCodes(2, 3), MonomialCodes(2, 7)
+    terms = {(1, 0): 3, (0, 2): -5, (0, 0): 4}
+    p = numerator_polynomial(small, 6, {small.pack(e): v for e, v in terms.items()})
+    q = numerator_polynomial(large, 12, {large.pack(e): 2 * v for e, v in terms.items()})
+    assert p.coded != q.coded
+    assert p == q and q == p
+    r = numerator_polynomial(large, 6, {large.pack(e): v for e, v in {**terms, (0, 2): 5}.items()})
+    assert p != r and r != p and q != r and r != q
+    # A codec of another d is another dimension.
+    assert p != numerator_polynomial(MonomialCodes(3, 3), 1, {0: 1})
+    assert numerator_polynomial(small, 1, {0: 1}) == Polynomial.constant(2, 1) == numerator_polynomial(large, 1, {0: 1})
+
+
+def test_numerators_of_a_coded_polynomial_is_one_exponent_keyed_view():
+    codes = MonomialCodes(3, 4)
+    terms = {(2, 1, 0): 7, (0, 0, 3): -2, (0, 1, 0): 1, (0, 0, 0): 5}
+    p = numerator_polynomial(codes, 9, {codes.pack(e): v for e, v in terms.items()})
+    first = p.numerators
+    assert first == terms and all(type(e) is tuple for e in first)
+    assert p.numerators is first and p.numerators == terms
+    assert p.coded == {codes.pack(e): v for e, v in terms.items()}
+    with pytest.raises(AttributeError):
+        p.nonexistent
+    with pytest.raises(AttributeError):
+        Polynomial.zero(1).nonexistent

@@ -1418,7 +1418,6 @@ class TestMonomialCodes:
         """A BasisSequence of elements that skips its degree check."""
         basis = object.__new__(BasisSequence)
         object.__setattr__(basis, "elements", tuple(elements))
-        object.__setattr__(basis, "_coded", None)
         return basis
 
     def test_closure_takes_the_base_from_the_largest_degree(self):
@@ -1528,31 +1527,32 @@ class TestCodedKernels:
             values.add(expect)
         assert {1, 2} <= values
 
-    def test_basis_is_unpacked_once_per_distinct_code(self, monkeypatch):
-        spec = ParamTable(d=3, n=6, a={(i, j): F(i, j) for i in range(2, 7) for j in (2, 3)})
-        nums = _generating_elements(spec, 6)
-        asked = []
-        exponents = MonomialCodes.exponents
+    def test_tables_path_unpacks_no_code(self, monkeypatch):
+        """The benchmark's table check, three builders compared termwise,
+        then closure and breadth, reads only codes: no exponent tuple is
+        made until an element's numerators are read."""
 
-        def recording(self, codes):
-            codes = list(codes)
-            asked.append(codes)
-            return exponents(self, codes)
+        def forbidden(*args):
+            raise AssertionError("a code was unpacked")
 
-        monkeypatch.setattr(MonomialCodes, "exponents", recording)
-        basis = numerator_basis(nums)
-        distinct = set().union(*(p for _, p in nums.elems))
-        ((codes,),) = [asked]
-        assert sorted(codes) == sorted(distinct) and len(distinct) < sum(len(p) for _, p in nums.elems)
-        # A monomial held by several elements is one tuple.
-        first = {e: e for q in basis for e in q.numerators}
-        assert all(first[e] is e for q in basis for e in q.numerators)
-        assert basis.elements == build_general_fraction(spec).elements
+        specs = [random_param_table(make_rng(184), d, n) for d, n in ((2, 1), (2, 5), (3, 6), (4, 7))]
+        monkeypatch.setattr(MonomialCodes, "exponents", forbidden)
+        monkeypatch.setattr(MonomialCodes, "unpack", forbidden)
+        built = []
+        for spec in specs:
+            rec, exp, gen = build_recursive(spec), build_explicit(spec), build_generating(spec)
+            assert rec.elements == exp.elements and gen.elements == rec.elements and rec == gen
+            assert check_closure(rec, spec).ok and breadth(list(rec)) == 1 and breadth(gen) == 1
+            assert degrees(rec) == tuple(range(spec.n + 1))
+            built.append(rec)
+        monkeypatch.undo()
+        for spec, rec in zip(specs, built):
+            assert rec == build_recursive_fraction(spec)
 
     def test_built_basis_is_read_through_its_numerators(self, monkeypatch):
-        """A built basis keeps its builder's numerators: check_closure and
-        breadth read them and pack nothing, and they take no part in
-        equality."""
+        """A built basis's elements are coded by the spec's codec:
+        check_closure and breadth read their codes and pack nothing, and
+        they equal their exponent-form oracle."""
         spec = ParamTable(d=3, n=6, a={(i, j): F(i, j) for i in range(2, 7) for j in (2, 3)})
         built = {name: f(spec) for name, f in
                  (("recursive", build_recursive), ("general", build_general), ("generating", build_generating))}
@@ -1563,11 +1563,11 @@ class TestCodedKernels:
         monkeypatch.setattr(MonomialCodes, "packed", forbidden)
         monkeypatch.setattr(MonomialCodes, "pack", forbidden)
         for basis in built.values():
-            assert basis._coded is not None
-            assert check_closure(basis, spec).ok and breadth(basis) == 1
+            assert all(p.codes is spec.codes for p in basis)
+            assert check_closure(basis, spec).ok and breadth(basis) == 1 and breadth(list(basis)) == 1
         monkeypatch.undo()
         oracle = build_general_fraction(spec)
-        assert oracle._coded is None
+        assert all(p.codes is None for p in oracle)
         assert built["recursive"] == built["general"] == built["generating"] == oracle
         assert check_closure(oracle, spec).ok and breadth(oracle) == 1
 
@@ -1575,7 +1575,10 @@ class TestCodedKernels:
         # numerator_basis reads each element's degree from its largest code,
         # and refuses what BasisSequence refuses.
         codes = MonomialCodes(2, 2)
-        x1_sq = codes.pack((2, 0))
+        x1, x1_sq = codes.pack((1, 0)), codes.pack((2, 0))
+        for first in ((2, {0: 1}), (1, {0: 2}), (1, {x1: 1}), (1, {0: 1, x1: 1}), (1, {})):
+            with pytest.raises(ValueError, match="element 0 must be the constant 1"):
+                numerator_basis(Numerators(codes, [first, (1, {x1: 1})]))
         with pytest.raises(ValueError, match="element 1 has degree 2, expected 1"):
             numerator_basis(Numerators(codes, [(1, {0: 1}), (1, {x1_sq: 1})]))
         with pytest.raises(ValueError, match="element 1 has degree -1, expected 1"):
