@@ -16,7 +16,6 @@ from .discretize import (
 )
 from .identities import (
     falling_factorial,
-    falling_factorial_sum,
     falling_factorial_sums,
     signed_power_sums,
     vandermonde_oracles,
@@ -61,7 +60,6 @@ __all__ = [
     "degrees",
     "expansion_check",
     "falling_factorial",
-    "falling_factorial_sum",
     "falling_factorial_sums",
     "points_scheme_a",
     "points_scheme_b",

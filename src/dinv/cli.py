@@ -48,7 +48,7 @@ from . import fuel
 from .discretize import (
     SCHEMES,
     SweepRow,
-    _target_values,
+    arc,
     expansion_check,
     stencil,
     sweep,
@@ -542,15 +542,13 @@ def _cmd_study(args) -> int:
         for m in orders:
             fuel.charge(min(args.steps, 1076), "the step checks")
             sweep_steps(h0, args.steps, m, spec.top_weight)
-    # Both schemes share one recurrence, each target made when first swept.
-    targets, exact, runs = _target_values(f, z0, orders, spec), [], []
-    # Every sweep runs before anything is written, so bad input leaves no output.
-    # A scheme's sweeps share its points: order m makes only point m.
+    # Every order's target is read off one arc, and every sweep runs before
+    # anything is written, so bad input leaves no output.  A scheme's sweeps
+    # share its points: order m makes only point m.
+    exact, runs = arc(f, z0, spec, len(orders)), []
     for name, build in SCHEMES.items():
         pts = build(spec, z0)
         for m in orders:
-            if m == len(exact):
-                exact.append(next(targets))
             runs.append((name, m, _sweep_rows(args, h0, f, z0, m, pts, exact[m])))
     out_dir = Path(args.out_dir)
     z0_text = ", ".join(str(c) for c in z0)

@@ -49,6 +49,13 @@ to exponents, and evaluates B_m(D)f at z0 as a scalar on integers
 points, so it stays an independent witness.  So a check makes no
 Fraction but z0's coordinates, its m + 1 coefficients and its target.
 
+The sweep and study read every order's target off the arc f(z0 + p(t))
+instead, whose t^k coefficient is (B_k(D)f)(z0) by the identity above:
+z0 + p(h) is scheme a's point 1 (h_coef(1, b) = 1), so arc is the
+series' evaluator at that one point with weight 1, and builds no basis.
+The check keeps the recurrence, since the arc shares the series' cut
+products: a fault there would move both sides alike.
+
 The writers and the sweep read point(r) instead, the same point as
 univariate polynomials in h (dimension-1 Polynomial values), made
 directly in Polynomial's integer form: coordinate i of point r is
@@ -56,11 +63,11 @@ directly in Polynomial's integer form: coordinate i of point r is
     (p_i * D + q_i * sum_j n_ij * h_coef(r, b_j) * h^(b_j)) / (q_i * D),
 
 reduced by one gcd, so a point set makes no Fraction but z0's.  point(r)
-makes point r when it is first read and keeps it, and the sweep keeps
-its float terms beside it: the sweep at order m reads the points 0..m,
-so study's sweeps of rising orders make and convert each point once per
-scheme, and a writer that refuses a coefficient makes no later point.
-The generating spec travels with the point set so downstream checks can
+makes point r on each read and keeps nothing, and a writer that refuses
+a coefficient makes no later point.  The sweep keeps each point's float
+terms: the sweep at order m reads the points 0..m, so study's sweeps of
+rising orders make and convert each point once per scheme.  The
+generating spec travels with the point set so downstream checks can
 rebuild the basis it belongs to.
 """
 
@@ -94,20 +101,17 @@ class Stencil:
 def stencil(m: int) -> Stencil:
     if m < 0:
         raise ValueError(f"order must be non-negative, got {m}")
-    coeffs = tuple(
-        Fraction((-1) ** (m - k), math.factorial(k) * math.factorial(m - k))
-        for k in range(m + 1)
-    )
-    return Stencil(m=m, coeffs=coeffs)
+    facts = list(itertools.accumulate(range(1, m + 1), mul, initial=1))
+    return Stencil(m=m, coeffs=tuple(Fraction((-1) ** (m - k), facts[k] * facts[m - k]) for k in range(m + 1)))
 
 
 @dataclass(frozen=True)
 class SymbolicPointSet:
     """The b_n + 1 points z_r(h), r = 0..b_n, of scheme "a" or "b" around
     the base point z0, stored as their rule (scheme, base, spec).  point(r)
-    makes point r when it is first read and keeps it outside equality;
-    iterating yields the points in order, so a reader that stops at point m
-    makes no later one."""
+    makes point r on each read and keeps nothing but the sweep's float
+    terms, outside equality; iterating yields the points in order, so a
+    reader that stops at point m makes no later one."""
 
     scheme: str
     base: tuple[Fraction, ...]
@@ -116,7 +120,6 @@ class SymbolicPointSet:
     def __post_init__(self) -> None:
         if len(self.base) != self.spec.d:
             raise ValueError(f"base point has length {len(self.base)}, expected {self.spec.d}")
-        object.__setattr__(self, "_made", {})
         object.__setattr__(self, "_floats", {})
 
     @property
@@ -154,20 +157,18 @@ class SymbolicPointSet:
     def point(self, r: int) -> tuple[Polynomial, ...]:
         """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i, 0 <= r <= b_n,
         each coordinate in Polynomial's integer form (module docstring)."""
-        if r not in self._made:
-            self._check_index(r)
-            den, slots = self.spec.slots
-            coords = [{(0,): v.numerator * den} if v else {} for v in self.base]
-            for bj, group in itertools.groupby(slots, itemgetter(0)):
-                if fuel.metered:
-                    fuel.charge(self._h_coef_cells(r, bj), "the point rule")
-                if k := SCHEME_RULES[self.scheme][0](r, bj):
-                    for _, i, n_ij in group:
-                        coords[i][(bj,)] = n_ij * k * self.base[i].denominator
-            if fuel.metered:  # making and writing it, timed as cli.TERM_CELLS was: 150 per coordinate and per term
-                fuel.charge(150 * sum(len(c) + 1 for c in coords), "making a point")
-            self._made[r] = tuple(Polynomial(1, c, _scale=v.denominator * den) for c, v in zip(coords, self.base))
-        return self._made[r]
+        self._check_index(r)
+        den, slots = self.spec.slots
+        coords = [{(0,): v.numerator * den} if v else {} for v in self.base]
+        for bj, group in itertools.groupby(slots, itemgetter(0)):
+            if fuel.metered:
+                fuel.charge(self._h_coef_cells(r, bj), "the point rule")
+            if k := SCHEME_RULES[self.scheme][0](r, bj):
+                for _, i, n_ij in group:
+                    coords[i][(bj,)] = n_ij * k * self.base[i].denominator
+        if fuel.metered:  # making and writing it, timed as cli.TERM_CELLS was: 150 per coordinate and per term
+            fuel.charge(150 * sum(len(c) + 1 for c in coords), "making a point")
+        return tuple(Polynomial(1, c, _scale=v.denominator * den) for c, v in zip(coords, self.base))
 
     def _h_coef_cells(self, r: int, bj: int) -> int:
         """h_coef(r, b_j) times D^(b_j - 1), charged as a product of two of its size."""
@@ -176,9 +177,9 @@ class SymbolicPointSet:
         return fuel.cells(1, bits, bits)
 
     def _float_point(self, r: int) -> list[list[tuple[tuple[int, ...], float]]]:
-        """point(r)'s coordinates as float terms, converted when first read
-        and kept beside the point, so sweeps of rising orders convert each
-        point once."""
+        """point(r)'s coordinates as float terms, made and converted when
+        first read and kept, so sweeps of rising orders make and convert
+        each point once."""
         if r not in self._floats:
             self._floats[r] = [_float_terms(coord, f"a coefficient of point {r}") for coord in self.point(r)]
         return self._floats[r]
@@ -282,21 +283,14 @@ def _power_cut(powers: dict[int, list[int]], k: int, length: int) -> list[int]:
     return power
 
 
-def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[Fraction]:
-    """The h^0..h^(length-1) coefficients of sum_{r=0..m} A_r^(m) * f(z_r(h)),
-    computed on ints in u = h / D as the module docstring says.
-
-    Each point's coordinates are read from the rule as integer u-series
-    (SymbolicPointSet.u_series); the term x^e of f becomes
-    f.numerators[e] * prod_i q_i^(deg_i - e_i).  The powers of each
-    coordinate are kept per point, and every product is cut after
-    u^(length-1)."""
-    den = pts.spec.slots[0]
-    qs = [v.denominator for v in pts.base]
+def _lift(f: Polynomial, base: Sequence[Fraction]) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """(scale, terms): f's terms over scale = f.scale * prod_i q_i^(deg_i),
+    z0_i = p_i / q_i, the term x^e as f.numerators[e] * prod_i q_i^(deg_i - e_i)."""
+    qs = [v.denominator for v in base]
     degs = [max(ks) for ks in zip(*f.numerators)]
-    if metered := fuel.metered:
-        # The lift: each term's q_i^(deg_i - e_i) and the scale's q_i^deg_i, on
-        # their bits; q_i = 1 lifts none, so a huge degree at an integer z0 is free.
+    if fuel.metered:
+        # Each term's q_i^(deg_i - e_i) and the scale's q_i^deg_i, on their
+        # bits; q_i = 1 lifts none, so a huge degree at an integer z0 is free.
         bits = [(q - 1).bit_length() for q in qs]
         lifts = [sum((g - k) * b for g, k, b in zip(degs, e, bits)) for e in (*f.numerators, (0,) * len(qs))]
         fuel.charge(sum(fuel.cells(len(qs), n, n) for n in lifts if n), "the limit series")
@@ -309,39 +303,69 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
             if deg - k:
                 v *= q ** (deg - k)
         terms.append((e, v))
+    return scale, terms
+
+
+def _evaluate(terms: list[tuple[tuple[int, ...], int]], coords: list[list[int]], length: int) -> list[int]:
+    """The u-coefficients of the lifted f (_lift) at a point's integer
+    u-series (SymbolicPointSet.u_series), over its scale, cut after
+    u^(length-1); each coordinate's powers are kept for this point only."""
+    powers = [{1: coord} for coord in coords]  # powers[i][k] is coordinate i to the k-th
+    value = [0] * length
+    for e, c in terms:
+        prod = None
+        for cache, k in zip(powers, e):
+            if k:
+                power = _power_cut(cache, k, length)
+                prod = power if prod is None else _mul_cut(prod, power, length)
+                if not prod:
+                    break
+        if prod is None:
+            value[0] += c
+        else:
+            if fuel.metered:
+                fuel.charge(fuel.cells(len(prod), _nonzero_bits(prod)[1], c.bit_length()), "the limit series")
+            for t, v in enumerate(prod):
+                value[t] += c * v
+    return value
+
+
+def _h_coefficients(total: list[int], scale: int, den: int) -> list[Fraction]:
+    """The h^t coefficients total[t] / (scale * D^t) of a u-series over
+    scale, the only Fractions a series makes."""
+    if fuel.metered:  # a nonzero coefficient's D^t, and its gcd, a limb by the larger integer per limb
+        sizes = [max(v.bit_length(), t * den.bit_length() + scale.bit_length()) for t, v in enumerate(total) if v]
+        fuel.charge(sum(fuel.cells((b >> 6) + 1, b) for b in sizes), "the limit series")
+    return [Fraction(v, scale * den**t) if v else Fraction(0) for t, v in enumerate(total)]
+
+
+def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[Fraction]:
+    """The h^0..h^(length-1) coefficients of sum_{r=0..m} A_r^(m) * f(z_r(h)),
+    computed on ints in u = h / D as the module docstring says: the lifted
+    f evaluated at each point's u-series, weighted by the integer
+    (-1)^(m-r) * C(m, r) and summed over scale * m!."""
+    scale, terms = _lift(f, pts.base)
     total = [0] * length
     w = -1 if m % 2 else 1  # the weight (-1)^(m-r) * C(m, r), carried from r to r + 1
     for r in range(m + 1):
-        coords = pts.u_series(r, length)
-        # powers[i][k] is coordinate i to the k-th
-        powers = [{1: coord} for coord in coords]
-        value = [0] * length
-        for e, c in terms:
-            prod = None
-            for cache, k in zip(powers, e):
-                if k:
-                    power = _power_cut(cache, k, length)
-                    prod = power if prod is None else _mul_cut(prod, power, length)
-                    if not prod:
-                        break
-            if prod is None:
-                value[0] += c
-            else:
-                if metered:
-                    fuel.charge(fuel.cells(len(prod), _nonzero_bits(prod)[1], c.bit_length()), "the limit series")
-                for t, v in enumerate(prod):
-                    value[t] += c * v
-        if metered:
+        value = _evaluate(terms, pts.u_series(r, length), length)
+        if fuel.metered:
             fuel.charge(length + fuel.cells(*_nonzero_bits(value), m), "the limit series")
         for t, v in enumerate(value):
             if v:
                 total[t] += w * v
         w = -w * (m - r) // (r + 1)
-    scale *= math.factorial(m)
-    if metered:  # a nonzero coefficient's D^t, and its gcd, a limb by the larger integer per limb
-        sizes = [max(v.bit_length(), t * den.bit_length() + scale.bit_length()) for t, v in enumerate(total) if v]
-        fuel.charge(sum(fuel.cells((b >> 6) + 1, b) for b in sizes), "the limit series")
-    return [Fraction(v, scale * den**t) if v else Fraction(0) for t, v in enumerate(total)]
+    return _h_coefficients(total, scale * math.factorial(m), pts.spec.slots[0])
+
+
+def arc(f: Polynomial, z0: Sequence[Fraction | int], spec: GeneralSpec, length: int) -> list[Fraction]:
+    """The t^0..t^(length-1) coefficients of f(z0 + p(t)), which by Taylor's
+    theorem are the targets (B_k(D)f)(z0), k < length, with no basis built.
+    z0 + p(h) is scheme a's point 1 (h_coef(1, b) = 1), so this is the
+    limit series' evaluator at that one point, with weight 1."""
+    pts = points_scheme_a(spec, z0)
+    scale, terms = _lift(f, pts.base)
+    return _h_coefficients(_evaluate(terms, pts.u_series(1, length), length), scale, spec.slots[0])
 
 
 @dataclass(frozen=True)
@@ -372,14 +396,6 @@ class ExpansionReport:
         }
 
 
-def _target_values(f: Polynomial, z0: Sequence[Fraction], orders: range, spec: GeneralSpec) -> Iterator[Fraction]:
-    """(B_m(D)f)(z0) for each m in orders in turn, from the spec alone: one
-    recurrence on monomial codes to the last order, only these B_m unpacked."""
-    codes, elems = _generating_elements(spec, orders[-1])
-    for m in orders:
-        yield DiffOperator(numerator_polynomial(codes, *elems[m])).apply_at(f, z0)
-
-
 def expansion_check(
     f: Polynomial,
     z0: Sequence[Fraction | int],
@@ -390,8 +406,9 @@ def expansion_check(
 
     Expands the stencil combination in h and reports the h^0..h^(m-1)
     coefficients, the h^m coefficient, and the target (B_m(D)f)(z0)
-    computed by symbolic differentiation with no reference to the points.
-    z0 must be the base point the point set was built around.
+    computed by symbolic differentiation (the generating recurrence and
+    apply_at) with no reference to the points.  z0 must be the base point
+    the point set was built around.
     """
     base = tuple(Fraction(v) for v in z0)
     if base != pts.base:
@@ -400,7 +417,8 @@ def expansion_check(
         raise ValueError(f"dimension mismatch: f has {f.dim}, points have {pts.dim}")
     _check_order(m, pts.spec.top_weight)
     coeffs = _series(f, m, pts, m + 1)
-    (target,) = _target_values(f, base, range(m, m + 1), pts.spec)
+    codes, elems = _generating_elements(pts.spec, m)
+    target = DiffOperator(numerator_polynomial(codes, *elems[m])).apply_at(f, base)
     return ExpansionReport(m=m, low_coeffs=tuple(coeffs[:m]), lead=coeffs[m], target=target)
 
 
@@ -472,7 +490,8 @@ def sweep(
     """Float h-sweep of (1/h^m) * sum_r A_r^(m) f(z_r(h)) against the exact
     target, halving h each row.  est_order is log2(err_prev / err) and is
     absent on the first row and wherever either error is zero.  target,
-    if given, is the order's exact (B_m(D)f)(z0).
+    if given, is the order's exact (B_m(D)f)(z0); by default it is read
+    off the arc f(z0 + p(t)) (arc).
 
     The steps are checked first (sweep_steps).  The exact values (target,
     coefficients of f and of the points 0..m) are then converted to floats
@@ -483,11 +502,9 @@ def sweep(
     if base != pts.base:
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
     hs = sweep_steps(h0, steps, m, pts.spec.top_weight)
-    # The stencil's A_k by int true division, rounded once as float(A_k) rounds it.
-    facts = list(itertools.accumulate(range(1, m + 1), mul, initial=1))
-    weights = [(-1) ** (m - k) / (facts[k] * facts[m - k]) for k in range(m + 1)]
+    weights = [float(a) for a in stencil(m).coeffs]
     if target is None:
-        (target,) = _target_values(f, base, range(m, m + 1), pts.spec)
+        target = arc(f, base, pts.spec, m + 1)[m]
     exact = _to_float(target.numerator, target.denominator, f"the exact target (B_{m}(D)f)(z0)")
     f_terms = _float_terms(f, "a coefficient of f")
     points = [pts._float_point(r) for r in range(m + 1)]

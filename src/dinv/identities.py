@@ -13,9 +13,8 @@ Three families, all over exact rationals:
     back-substitution,
   * falling_factorial_sums: the weighted-composition sums whose cap
     invariance justifies truncating the second point scheme, every weight
-    at one node from one run of the counting recurrence of
-    dinv.compositions, not by enumeration; falling_factorial_sum is one
-    of them.
+    at one node from one run of the counting recurrence _ways, not by
+    enumeration.
 
 Convention 0**0 == 1 throughout (Python's native behaviour).
 """
@@ -26,9 +25,9 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
+from typing import Iterable, Iterator
 
 from . import fuel
-from .compositions import _ways
 from .linalg import back_substitute, echelon
 
 
@@ -112,11 +111,26 @@ def falling_factorial(i: int, j: int) -> int:
     return out
 
 
-def falling_factorial_sums(r_max: int, i: int) -> tuple[list[int], list[int]]:
-    """falling_factorial_sum(r, i, cap) for r = 0..r_max, at cap = i and at
-    cap = r: two lists indexed by r, both 1 at r = 0.
+def _ways(top: int, slots: Iterable[tuple[int, int]]) -> Iterator[list[int]]:
+    """For slots (w_k, base_k) with positive weights, ways[s] for s = 0..top,
+    the sum over the weighted compositions t of s (sum_k t[k] * w_k == s)
+    of prod_k base_k**t[k], over the slots passed so far: one table built
+    slot by slot by ways[s] += base_k * ways[s - w_k], nothing enumerated.
+    Yields the table after each slot's pass, one list updated in place."""
+    ways = [1] + [0] * top
+    for w, base in slots:
+        for s in range(w, top + 1):
+            ways[s] += base * ways[s - w]
+        yield ways
 
-    One run of the compositions recurrence over the slots t = 1..r_max,
+
+def falling_factorial_sums(r_max: int, i: int) -> tuple[list[int], list[int]]:
+    """For r = 0..r_max, the sum over (g_1, ..., g_cap) with
+    sum t*g_t == r of prod_t falling_factorial(i, t)^g_t (0**0 == 1), at
+    cap = i and at cap = r: two lists indexed by r, both 1 at r = 0.  They
+    agree, as slots past i have base 0.
+
+    One run of _ways over the slots t = 1..r_max,
     each base carried from the last by one multiplication,
     ff(i, t) = ff(i, t-1) * (i - t + 1), serves every r: slots past r
     cannot be used at weight r, so the cap = r sum is the weight-r entry
@@ -137,23 +151,3 @@ def falling_factorial_sums(r_max: int, i: int) -> tuple[list[int], list[int]]:
         if t == i:
             cap_i = cap_r + ways[t + 1 :]
     return (cap_r.copy() if cap_i is None else cap_i), cap_r
-
-
-def falling_factorial_sum(r: int, i: int, cap: int) -> int:
-    """sum over (g_1, ..., g_cap) with sum t*g_t == r of
-    prod_t falling_factorial(i, t)^g_t, with 0**0 == 1.
-
-    The value is independent of whether cap == i or cap == r: slots past r
-    cannot be used at weight r, and slots past i have base 0 so they only
-    contribute through g_t == 0.  Both caps are accepted so the agreement
-    can be tested; other caps are rejected.  The sum is the weight-r entry
-    of falling_factorial_sums(r, i) at its cap.
-    """
-    if r < 1:
-        raise ValueError(f"weight must be >= 1, got {r}")
-    if i < 2:
-        raise ValueError(f"node must be >= 2, got {i}")
-    if cap not in (i, r):
-        raise ValueError(f"cap must be one of node={i} or weight={r}, got {cap}")
-    by_cap_i, by_cap_r = falling_factorial_sums(r, i)
-    return (by_cap_i if cap == i else by_cap_r)[r]

@@ -49,7 +49,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, mul, neg
+from operator import itemgetter, neg
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import fuel
@@ -336,7 +336,7 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
 
 def _charge_walk(spec: GeneralSpec, top: int) -> None:
     """Charge the closed-form walk to weight top before it runs, from a
-    table built as compositions._ways builds its own: ways[s] and bits[s],
+    table built as identities._ways builds its own: ways[s] and bits[s],
     the vectors of weight s on the slots passed so far and a bound on their
     v's log2 summed.  A step adds its factor's log2, so a vector's rising
     factors sum to log2 m!; after its pass, a slot's log2 g! is taken off,
@@ -718,13 +718,7 @@ def breadth(basis: Sequence[Polynomial]) -> int:
     when one codec codes them all (a built basis's elements, in a
     BasisSequence or a list), or else their exponents packed by a codec
     whose base exceeds every degree.  ValueError on an empty basis or on
-    elements of different dimensions.
-
-    Packed, the elements' leads are found on their exponents first, as the
-    largest (degree, e), which is graded-lex order as the codes' order is,
-    and the largest lead's degree is the largest degree.  Distinct leads
-    settle the count with no reduction (breadth_numerators), so then only
-    the leads are packed."""
+    elements of different dimensions."""
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
@@ -733,13 +727,8 @@ def breadth(basis: Sequence[Polynomial]) -> int:
         dim = basis[0].dim
         if any(q.dim != dim for q in basis):
             raise ValueError("basis elements must share one dimension")
-        rows = list(filter(None, (q.numerators for q in basis)))
-        tops = {max(zip(map(sum, row), row)) for row in rows}
-        codes = MonomialCodes(dim, max(tops, default=(0,))[0])
-        if len(tops) == len(rows):
-            units = codes.units
-            return _linear_leads(codes, {sum(map(mul, e, units)) for _, e in tops})
-        nums = Numerators(codes, [(1, codes.packed(row)) for row in rows])
+        codes = MonomialCodes(dim, max(0, *(q.degree for q in basis)))
+        nums = Numerators(codes, [(1, codes.packed(q.numerators)) for q in basis])
     return breadth_numerators(nums)
 
 

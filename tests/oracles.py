@@ -3,8 +3,9 @@
 Each is the straightforward Fraction version of a routine the library now
 computes another way, except weighted_compositions, the enumeration the
 library now only sums, count_compositions, the count of the closed-form
-walk's visits, falling_factorial_sum_enumerated, its
-sum by enumeration, enumerate_weight_solutions, the unpruned index set of
+walk's visits, falling_factorial_sum, one weight of the library's
+falling_factorial_sums at a chosen cap, falling_factorial_sum_enumerated,
+that sum by enumeration, enumerate_weight_solutions, the unpruned index set of
 the closed form, and span_contains, span membership by solve_fraction;
 they are not part of the package.  solve_backsub_fraction is linalg.solve
 with its back-substitution in Fractions, vandermonde_oracle_per_order
@@ -63,13 +64,12 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from dinv import fuel
-from dinv.compositions import _ways
 from dinv.discretize import SymbolicPointSet, stencil
 from dinv.linalg import echelon
 from operator import itemgetter
 
 from dinv.cli import _PARSE_ERRORS, CliError
-from dinv.identities import signed_power_sums, vandermonde_oracles
+from dinv.identities import _ways, falling_factorial_sums, signed_power_sums, vandermonde_oracles
 from dinv.poly import (
     Polynomial,
     _check_exponent,
@@ -286,7 +286,7 @@ def dict_render(p: Terms, dim: int) -> str:
 
 def count_compositions(top: int, weights: Sequence[int]) -> int:
     """The number of t >= 0 with sum(t[k]*weights[k]) <= top, the visits
-    of the closed-form walk on slots of these weights: compositions._ways
+    of the closed-form walk on slots of these weights: identities._ways
     with every base 1, in O(len(weights) * top) steps."""
     if top < 0:
         raise ValueError(f"top must be non-negative, got {top}")
@@ -332,6 +332,26 @@ def falling_factorial_product(i: int, j: int) -> int:
     for t in range(j):
         out *= i - t
     return out
+
+
+def falling_factorial_sum(r: int, i: int, cap: int) -> int:
+    """sum over (g_1, ..., g_cap) with sum t*g_t == r of
+    prod_t falling_factorial(i, t)^g_t, with 0**0 == 1: the weight-r entry
+    of identities.falling_factorial_sums(r, i) at its cap.
+
+    The value is independent of whether cap == i or cap == r: slots past r
+    cannot be used at weight r, and slots past i have base 0 so they only
+    contribute through g_t == 0.  Both caps are accepted so the agreement
+    can be tested; other caps are rejected.
+    """
+    if r < 1:
+        raise ValueError(f"weight must be >= 1, got {r}")
+    if i < 2:
+        raise ValueError(f"node must be >= 2, got {i}")
+    if cap not in (i, r):
+        raise ValueError(f"cap must be one of node={i} or weight={r}, got {cap}")
+    by_cap_i, by_cap_r = falling_factorial_sums(r, i)
+    return (by_cap_i if cap == i else by_cap_r)[r]
 
 
 def falling_factorial_sum_enumerated(r: int, i: int, cap: int) -> int:

@@ -21,13 +21,12 @@ from dinv import (
     check_closure,
     degrees,
     expansion_check,
-    falling_factorial_sum,
     points_scheme_a,
     points_scheme_b,
     stencil,
     sweep,
 )
-from oracles import compose, diff, signed_power_sum, span_contains, vandermonde_oracle
+from oracles import compose, diff, falling_factorial_sum, signed_power_sum, span_contains, vandermonde_oracle
 
 F = Fraction
 

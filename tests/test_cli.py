@@ -1535,8 +1535,8 @@ class TestPowerDigitGuard:
     """limit, sweep and study raise z0 to the exponents of f's terms under
     fuel alone: a huge degree at a point whose powers grow is refused for
     fuel at once, in the limit series' lift of f's terms or its cut
-    products, or in the target's apply_at, and a huge degree at z0 in
-    {0, 1, -1} runs at once."""
+    products (sweep's and study's in their target's arc), and a huge
+    degree at z0 in {0, 1, -1} runs at once."""
 
     ARGV = {
         "limit": ["limit", "--m", "2", "--scheme", "a"],
@@ -1551,14 +1551,14 @@ class TestPowerDigitGuard:
     def test_refused_at_once(self, command, z0, spec_file, tmp_path, capsys, small_budget):
         # limit's first step at 3/2 lifts x2 and the scale by 2^99999999; at an
         # integer z0 the lift is free and its cut products refuse.  sweep and
-        # study are refused in their target's apply_at.
+        # study are refused in their target's arc, the same series at one point.
         f = tmp_path / "f.txt"
         f.write_text("x1^99999999 + x2")
         start = time.perf_counter()
         argv = [*self.ARGV[command], "--spec", spec_file, "--f", str(f), "--z0", z0]
         assert main([*argv, "--out-dir", str(tmp_path / "out")] if command == "study" else argv) == 2
         assert time.perf_counter() - start < 1
-        stage = "out of fuel in the limit series" if command == "limit" else "out of fuel in apply_at"
+        stage = "out of fuel in the limit series"
         if command == "limit" and z0 == "3/2,1":
             stage += ": 0 cells spent"  # the lift, before any power
         _assert_refused(capsys.readouterr(), command, stage)

@@ -24,7 +24,8 @@ from dinv import (
     sweep,
     sweep_to_csv,
 )
-from dinv.subspace import MonomialCodes, numerator_basis
+from dinv.discretize import arc
+from dinv.subspace import MonomialCodes, _generating_elements, numerator_basis, numerator_polynomial
 from oracles import apply_operator, compose, series_fraction
 
 F = Fraction
@@ -510,6 +511,57 @@ class TestGeneralSpecs:
         assert b.points[4] == (h_poly({0: 1, 1: 4, 4: 16}), h_poly({1: -2, 3: 120}))
 
 
+class TestArc:
+    """arc reads every order's target off f(z0 + p(t)) at once; the limit
+    check's own target, the generating recurrence plus apply_at, is its
+    reference."""
+
+    # CI's general spec, f and base point.
+    CI = (
+        GeneralSpec(n=3, d=2, b=(1, 3, 4), c=((F(1), F(0), F(2, 3)), (F(-1, 2), F(5), F(0)))),
+        P("x1^5*x2 + x2^3 - 2*x1^2 + 3"),
+        (F(-1, 2), F(3)),
+    )
+
+    @staticmethod
+    def recurrence_targets(f, z0, spec, orders) -> list[Fraction]:
+        """(B_m(D)f)(z0) for each m in orders: one recurrence on monomial
+        codes to the last order, each B_m applied at z0 by apply_at."""
+        codes, elems = _generating_elements(spec, max(orders))
+        return [DiffOperator(numerator_polynomial(codes, *elems[m])).apply_at(f, z0) for m in orders]
+
+    def test_every_order_of_seeded_specs(self):
+        rng = make_rng(215)
+        for _ in range(200):
+            spec = random_general_spec(rng, bn_max=8, d_max=3)
+            f = random_poly(rng, dim=spec.d, max_deg=spec.top_weight + 2)
+            z0 = tuple(rational(rng) for _ in range(spec.d))
+            orders = range(spec.top_weight + 1)
+            assert arc(f, z0, spec, len(orders)) == self.recurrence_targets(f, z0, spec, orders), (spec, f, z0)
+
+    def test_ci_general_spec(self):
+        spec, f, z0 = self.CI
+        orders = range(spec.top_weight + 1)
+        assert arc(f, z0, spec, len(orders)) == self.recurrence_targets(f, z0, spec, orders)
+
+    def test_b5300_orders(self):
+        spec, f, z0 = TestPointSetRule.B5300, P("x1^3 + x1^2", 1), (F(1, 3),)
+        orders = (66, 200, 3000)
+        values = arc(f, z0, spec, orders[-1] + 1)
+        assert [values[m] for m in orders] == self.recurrence_targets(f, z0, spec, orders)
+        assert values[:5] == [F(4, 27), F(1), F(2), F(1), F(0)]
+
+    def test_the_check_does_not_read_the_arc(self, monkeypatch):
+        # The arc shares the series' evaluator, so it cannot witness the check.
+        def refused(*args):
+            raise AssertionError("expansion_check read the arc")
+
+        monkeypatch.setattr(dinv.discretize, "arc", refused)
+        spec, f, z0 = self.CI
+        for build in (points_scheme_a, points_scheme_b):
+            assert all(expansion_check(f, z0, m, build(spec, z0)).passed for m in range(spec.top_weight + 1))
+
+
 class TestSweep:
     def make_pts(self):
         t = ParamTable(d=2, n=2, a={(2, 2): F(1)})
@@ -605,7 +657,7 @@ class TestPointSetSerialization:
 
 class TestPointSetRule:
     """A point set stores its rule (scheme, base, spec) and makes point r
-    once, when it is first read."""
+    on each read."""
 
     SPEC = GeneralSpec(n=3, d=2, b=(1, 3, 9), c=((F(1), F(0), F(2, 3)), (F(-1, 2), F(5), F(1, 7))))
     # CI's spec with a gap up to weight 5300: scheme a's h_coef(r, 5300) is r^5300.
@@ -613,20 +665,22 @@ class TestPointSetRule:
 
     @pytest.fixture
     def asked(self, monkeypatch):
-        """Every (r, b) the scheme rules are asked h_coef(r, b) for, in order."""
+        """Every (scheme, r, b) the scheme rules are asked h_coef(r, b) for,
+        in order: a sweep's default target, the arc, reads scheme a's point
+        1, told apart by its scheme from a scheme b point set's reads."""
         asked = []
         for scheme, (h_coef, log10) in list(dinv.discretize.SCHEME_RULES.items()):
-            def counted(r, b, h_coef=h_coef):
-                asked.append((r, b))
+            def counted(r, b, scheme=scheme, h_coef=h_coef):
+                asked.append((scheme, r, b))
                 return h_coef(r, b)
             monkeypatch.setitem(dinv.discretize.SCHEME_RULES, scheme, (counted, log10))
         return asked
 
     @staticmethod
-    def made(asked) -> list[int]:
-        """The point indices r in the order their points were made: each
-        point takes h_coef(r, b_j) once per weight, first at b_j = 1."""
-        return [r for r, b in asked if b == 1]
+    def made(asked, scheme: str) -> list[int]:
+        """The point indices r of scheme in the order their points were
+        made: each point takes h_coef(r, b_j) once per weight, first at b_j = 1."""
+        return [r for s, r, b in asked if s == scheme and b == 1]
 
     def test_compares_its_rule_alone(self):
         assert [f.name for f in dataclasses.fields(SymbolicPointSet) if f.compare] == ["scheme", "base", "spec"]
@@ -651,29 +705,29 @@ class TestPointSetRule:
                 asked.clear()
                 pts = build(spec, z0)
                 assert expansion_check(f, z0, m, pts).passed
-                assert asked == [(r, b) for r in range(m + 1) for b in spec.b if b <= m]
-                assert pts._made == {}
+                assert asked == [(pts.scheme, r, b) for r in range(m + 1) for b in spec.b if b <= m]
 
-    def test_each_point_is_made_once(self, asked):
+    def test_two_passes_make_each_point_twice(self, asked):
+        # A point set keeps no point: each pass of at(h) makes every point again.
         pts = points_scheme_a(self.SPEC, ORIGIN2)
-        first = pts.points
-        assert pts.points == first and pts.point(4) is first[4]
         assert list(pts.at(F(1, 3))) == list(pts.at(F(1, 3)))
-        assert self.made(asked) == list(range(self.SPEC.top_weight + 1))
+        assert self.made(asked, "a") == [*range(self.SPEC.top_weight + 1)] * 2
 
     def test_sweeps_of_rising_orders_share_the_points(self, asked):
         # study sweeps one point set at m = 0, 1, ...: order m makes only point m.
         pts = points_scheme_b(self.SPEC, ORIGIN2)
         for m in range(4):
             sweep(P("x1^2 + x2"), ORIGIN2, m, pts, h0=0.25, steps=3)
-            assert self.made(asked) == list(range(m + 1))
+            assert self.made(asked, "b") == list(range(m + 1))
+        # Each sweep's default target is its arc, scheme a's point 1 cut after h^m.
+        assert [(r, b) for s, r, b in asked if s == "a"] == [(1, b) for m in range(4) for b in self.SPEC.b if b <= m]
 
     def test_a_writer_stops_at_the_point_it_refuses(self, asked):
         pts = points_scheme_a(self.SPEC, ORIGIN2)
         for r, pt in enumerate(pts.at(F(1, 2))):
             if r == 2:
                 break
-        assert self.made(asked) == [0, 1, 2]
+        assert self.made(asked, "a") == [0, 1, 2]
 
     @pytest.mark.parametrize("r", [-1, 10])
     def test_point_outside_the_set_refused(self, r, asked):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dinv import (
     falling_factorial,
-    falling_factorial_sum,
     falling_factorial_sums,
     signed_power_sums,
     stencil,
@@ -18,6 +17,7 @@ from dinv import (
 )
 from oracles import (
     falling_factorial_product,
+    falling_factorial_sum,
     falling_factorial_sum_enumerated,
     signed_power_sum,
     signed_power_sum_fraction,

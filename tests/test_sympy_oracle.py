@@ -6,7 +6,8 @@ f, the basis element B_m and the point coordinates are rebuilt from their
 in h and differentiated by sympy alone, so no arithmetic of `dinv.poly`
 is trusted here.  For general specs sympy also rebuilds every point from
 the weights (b, c), and the target's B_m comes from the enumeration
-oracle build_general.  `DiffOperator.apply_at` and the calculus oracles
+oracle build_general; the arc's coefficients are sympy's series of
+f(z0 + p(t)) in t.  `DiffOperator.apply_at` and the calculus oracles
 `diff`, `apply_operator` and `compose` of tests/oracles.py are compared
 with sympy on seeded random polynomials.  sympy is optional: without it
 the module is skipped.
@@ -32,9 +33,11 @@ from dinv import (  # noqa: E402
     points_scheme_b,
     stencil,
 )
+from dinv.discretize import arc  # noqa: E402
 from oracles import apply_operator, compose, diff  # noqa: E402
 
 H = sympy.Symbol("h")
+T = sympy.Symbol("t")
 
 
 def to_sympy(p: Polynomial, symbols) -> "sympy.Expr":
@@ -145,6 +148,24 @@ def test_general_spec_points_and_limits(index):
             assert coeffs[:m] == list(report.low_coeffs) and coeffs[m] == report.lead
             assert Fraction(str(derivative_at(fs, xs, basis[m], z0))) == report.target
             assert report.passed
+
+
+@pytest.mark.parametrize("index", range(len(GENERAL)))
+def test_arc_matches_sympy_series(index):
+    """arc's t^0..t^(b_n + 2) coefficients, cut past every target and past
+    f's degree in some draws, are those of sympy's series of f(z0 + p(t))."""
+    spec = GENERAL[index]
+    rng = make_rng(460 + index)
+    xs = sympy.symbols(f"x1:{spec.d + 1}")
+    f = random_poly(rng, dim=spec.d, max_deg=spec.top_weight + 1, max_terms=4)
+    z0 = tuple(rational(rng) for _ in range(spec.d))
+    length = spec.top_weight + 3
+    at = [
+        sympy.Rational(str(z)) + sum(sympy.Rational(str(cij)) * T ** bj for cij, bj in zip(row, spec.b))
+        for z, row in zip(z0, spec.c)
+    ]
+    series = sympy.Poly(sympy.series(to_sympy(f, xs).subs(dict(zip(xs, at)), simultaneous=True), T, 0, length).removeO(), T)
+    assert arc(f, z0, spec, length) == [Fraction(str(series.coeff_monomial(T ** k))) for k in range(length)]
 
 
 @pytest.mark.parametrize("index", range(12))
