@@ -253,10 +253,10 @@ def _budget_cells() -> int:
 
 
 def _check_top(what: str, spec: GeneralSpec) -> None:
-    """The cheap bound: a build makes b_n + 1 elements and the walk a count
-    vector per slot, so a spec with more than int(WORK_BUDGET_S /
-    SECONDS_PER_VISIT) // (d + 3) of them is refused before any list of
-    weights is made."""
+    """The cheap bound: a build makes b_n + 1 elements and the closed
+    form's product over slots a step per slot, so a spec with more than
+    int(WORK_BUDGET_S / SECONDS_PER_VISIT) // (d + 3) of them is refused
+    before any list of weights is made."""
     low = max(spec.top_weight, len(spec.slots[1])) + 1
     cap = int(WORK_BUDGET_S / SECONDS_PER_VISIT) // (spec.d + 3)
     if low > cap:
@@ -329,9 +329,9 @@ def _same_elements(x: Numerators, y: Numerators) -> bool:
 def _compare_builders(params: GeneralSpec) -> tuple[Numerators, bool, bool]:
     """The recursive basis's numerators, whether the explicit (closed-form)
     basis equals it, and whether the one of the generating recurrence does.
-    The closed form is built first: its walk is charged whole before it
-    starts, so a table past the budget is refused before the other
-    builders run."""
+    The closed form is built first: its product over slots is charged a
+    step at a time, so a table past the budget is refused at the step that
+    would pass it, before the other builders run."""
     exp = _build_numerators("explicit", params)
     rec = _build_numerators("recursive", params)
     rec_vs_exp = _same_elements(exp, rec)
@@ -394,7 +394,7 @@ def _cmd_verify(args) -> int:
     if args.what == "equivalence":
         _check_top(args.spec, spec)
         if spec.a is None:
-            # The closed form first, as in _compare_builders: its walk is charged whole before it starts.
+            # The closed form first, as in _compare_builders: a spec past the budget is refused at its step.
             ok = _same_elements(_build_numerators("explicit", spec), _build_numerators("general", spec))
             report = {"what": "equivalence", "generating_vs_general": ok, "ok": ok}
         else:

@@ -15,10 +15,11 @@ sorted by weight.  Three independent constructions build the graded bases
   * build_recursive: degree-by-degree recursion driven by antiderivatives
     of the lower-degree elements (specs of table shape only), run on
     integer numerators over one scale per element,
-  * build_general (also named build_explicit): one closed-form walk,
-    _closed_form_elements, over the count vectors of the nonzero c_ij,
-    summing prod (c_ij * x_i)^(g_ij) / g_ij!.  It shares no code with the
-    recursion or the recurrence,
+  * build_general (also named build_explicit): the closed form
+    prod exp(c_ij * x_i * t^(b_j)) as one product over slots,
+    _closed_form_elements, which multiplies in one nonzero c_ij at a time,
+    so the count vectors that reach one monomial are summed once.  It
+    shares no code with the recursion or the recurrence,
   * build_generating: the recurrence m*B_m = sum_j b_j * L_j(x) * B_{m-b_j}
     that differentiating in t gives; build_general is kept as its oracle.
 
@@ -291,81 +292,74 @@ class BasisSequence:
 
 
 def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
-    """B_0..B_top of the spec's weights (b, c) as the closed-form sum
+    """B_0..B_top of the spec's weights (b, c) as the closed-form product
 
-        B_m = [t^m] prod_{(i, j): c_ij != 0} exp(c_ij * x_i * t^(b_j))
-            = sum_g prod_{i, j} (c_ij * x_i)^(g_ij) / g_ij!
+        B_m = [t^m] prod_{(i, j): c_ij != 0} exp(c_ij * x_i * t^(b_j)),
 
-    over the count vectors g >= 0 on the nonzero slots (spec.slots, by
-    weight) with sum g_ij * b_j == m.  One depth-first walk visits each g of
-    weight <= top once; a node's children give one slot after its last
-    nonzero one a positive count.  With c_ij = n_ij / D (D the lcm of the
-    denominators of c) and m - G = sum g_ij * (b_j - 1), G = sum g, a node
-    carries its monomial's code (spec.codes_to(top)) and the integer v =
-    prod (n_ij * D^(b_j - 1))^(g_ij) * m! / prod g!, which it adds to
-    element m, over the scale m! * D^m.  The child that raises slot j's
-    count to g at weight w multiplies v by (w - b_j + 1)...w and by the
-    slot's step n_ij * D^(b_j - 1), then divides it by g: exactly, its own v
-    being an integer.  Metered, the walk is charged first."""
+    multiplied in one nonzero slot (b_j, i, n_ij) of spec.slots at a time.
+    With c_ij = n_ij / D (D the lcm of the denominators of c), E_w is w! *
+    D^w times the product so far's weight-w part, keyed by codes
+    (spec.codes_to(top)), from E_0 = 1.  For each w from top - b_j down to 0
+    with E_w non-empty (so E_w is read before the slot adds to it), and
+    each g >= 1 with v = w + g*b_j <= top, the slot adds E_w times x_i^g
+    and f_g = (n_ij * D^(b_j - 1))^g * v! / (w! * g!) to E_v: count vectors
+    that reach one monomial at one weight are summed as they meet.  f_g is
+    f_(g-1) times the step n_ij * D^(b_j - 1) and v! / (v - b_j)!, divided
+    exactly by g.  Metered, the scales are charged first and each (slot, w)
+    step just before it runs."""
     codes = spec.codes_to(top)
     den, slots = spec.slots
-    if fuel.metered:
-        _charge_walk(spec, top)
-    steps = [(bj, codes.units[i], n_ij * den ** (bj - 1)) for bj, i, n_ij in slots]
-    elems: list[dict[int, int]] = [{} for _ in range(top + 1)]
-
-    def walk(start: int, m: int, v: int, code: int) -> None:
-        terms = elems[m]
-        terms[code] = terms.get(code, 0) + v
-        for k in range(start, len(steps)):
-            bj, u, step = steps[k]
-            if m + bj > top:
-                break
-            w, g, p, c = m, 0, v, code
-            while w + bj <= top:
-                w, g, c = w + bj, g + 1, c + u
-                p = p * (step * math.perm(w, bj)) // g
-                walk(k + 1, w, p, c)
-
-    walk(0, 0, 1, 0)
+    metered = fuel.metered
+    if metered:  # bounds on the bits of each scale m! * D^m, then of each E_w's numerators
+        scale_bits = itertools.accumulate(m.bit_length() + den.bit_length() for m in range(top + 1))
+        fuel.charge(sum(8 + (s >> 6) for s in scale_bits), "the closed form")
+        bits = [1] + [0] * top
+    elems: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(top)]
+    units = codes.units
+    for bj, i, n_ij in slots:
+        if bj > top:
+            break
+        u, step = units[i], n_ij * den ** (bj - 1)
+        for w in range(top - bj, -1, -1):
+            source = elems[w]
+            if not source:
+                continue
+            if metered:
+                fuel.charge(_step_cells(bits, len(source), w, bj, step), "the closed form")
+            f, g, shift = 1, 0, 0
+            for v in range(w + bj, top + 1, bj):
+                g += 1
+                shift += u
+                f = f * (step * math.perm(v, bj)) // g
+                target = elems[v]
+                get = target.get
+                for e, x in source.items():
+                    e += shift
+                    target[e] = get(e, 0) + x * f
     # A sum that cancelled to 0 keeps its key; the scan for one is cheap.
     elems = [p if 0 not in p.values() else {e: v for e, v in p.items() if v} for p in elems]
     scales = itertools.accumulate(range(1, top + 1), lambda s, m: s * m * den, initial=1)
     return Numerators(codes, list(zip(scales, elems)))
 
 
-def _charge_walk(spec: GeneralSpec, top: int) -> None:
-    """Charge the closed-form walk to weight top before it runs, from a
-    table built as identities._ways builds its own: ways[s] and bits[s],
-    the vectors of weight s on the slots passed so far and a bound on their
-    v's log2 summed.  A step adds its factor's log2, so a vector's rising
-    factors sum to log2 m!; after its pass, a slot's log2 g! is taken off,
-    by convexity at least the vectors' number times log2 of their mean
-    count's factorial.  The table is charged first, 6 cells a weight per
-    slot and 20 for its last loop.  Per slot, its step's making, and per
-    node it makes, its factor's (math.perm halves the run: a product of its
-    size per bit of b_j, then one by the step), the product by it and the
-    division by g (three limbs' work a limb) on its parents' mean bits.  Per
-    weight: 12 cells a node and a cell per 64 bits kept."""
-    den, slots = spec.slots
-    den_bits, ln2 = (den - 1).bit_length(), math.log(2)
-    fuel.charge((6 * len(slots) + 20) * (top + 1), "the closed-form walk")
-    ways, bits, log_fact = [1] + [0] * top, [0.0] * (top + 1), [math.lgamma(s + 1) / ln2 for s in range(top + 1)]
-    for bj, _, n_ij in itertools.takewhile(lambda slot: slot[0] <= top, slots):
-        step, counts = (abs(n_ij) - 1).bit_length() + (bj - 1) * den_bits, [0] * (top + 1)
-        for s in range(bj, top + 1):
-            w = ways[s - bj]
-            ways[s] += w
-            counts[s] = counts[s - bj] + w  # the slot's counts summed
-            bits[s] += bits[s - bj] + w * (step + log_fact[s] - log_fact[s - bj])
-        bits[bj:] = [b - n * math.lgamma(g / n + 1) / ln2 for b, n, g in zip(bits[bj:], ways[bj:], counts[bj:])]
-        k = top - bj + 1  # the slot's nodes, one per parent of weight < k; their rising factors' bits
-        n, b, rise = sum(ways[:k]), int(sum(bits[:k])), math.ceil(log_fact[top] - log_fact[k - 1])
-        f = step + rise
-        made = fuel.cells(1, step, step) + fuel.cells(n * bj.bit_length(), rise, rise) + fuel.cells(n, step, rise)
-        fuel.charge(made + fuel.cells(n, b // n, f) + fuel.cells(n, b // n + f, 128), "the closed-form walk")
-    scales = itertools.accumulate(m.bit_length() + den_bits for m in range(top + 1))  # bounds the bits of m! * D^m
-    fuel.charge(sum(12 * n + (int(b) + s >> 6) for n, b, s in zip(ways, bits, scales)), "the closed-form walk")
+def _step_cells(bits: list[int], n: int, w: int, bj: int, step: int) -> int:
+    """The cells of a slot's step from E_w (n terms of at most bits[w]
+    bits) into each E_v, v = w + g*b_j: 20, and per v 8, f_g's making
+    (math.perm's, a product per bit of b_j, on top's bits; its products by
+    the step and by f_(g-1) and the division by g, on a bound of log2 f_g
+    carried from g = 0), and per term 2, its product by f_g and a cell per
+    64 bits of it.  Raises bits[v] to bound E_v's bits after the step."""
+    top = len(bits) - 1
+    step_bits, step_log = abs(step).bit_length(), math.log2(abs(step))
+    rise = bj * top.bit_length()  # bounds the bits of v! / (v - b_j)!
+    perm = fuel.cells(bj.bit_length(), rise, rise) + fuel.cells(1, rise, step_bits)
+    cells, b, f = 20 + (top - w) // bj * (8 + 2 * n + perm), bits[w], 0.0
+    for g, v in enumerate(range(w + bj, top + 1, bj), 1):
+        f += step_log + bj * math.log2(v) - math.log2(g)
+        f_bits = int(f) + 1
+        cells += fuel.cells(1, f_bits, rise + step_bits + 64) + fuel.cells(n, b, f_bits) + n * (b + f_bits >> 6)
+        bits[v] = max(bits[v], b + f_bits) + 1
+    return cells
 
 
 def numerator_polynomial(codes: MonomialCodes, scale: int, nums: Mapping[int, int]) -> Polynomial:
@@ -383,7 +377,7 @@ def numerator_basis(nums: Numerators) -> BasisSequence:
 
 
 def build_general(spec: GeneralSpec) -> BasisSequence:
-    """The basis as the closed-form sum over weighted compositions
+    """The basis as the closed-form product over slots
     (_closed_form_elements on the spec's weights).  It is the oracle for
     build_generating, which builds the same basis by recurrence, and, as
     build_explicit, for build_recursive on a table."""
@@ -391,11 +385,11 @@ def build_general(spec: GeneralSpec) -> BasisSequence:
     return numerator_basis(_closed_form_elements(spec, top))
 
 
-# The closed form of a table: element k sums over all (g, {g[s,j]}) with
-# g + sum_j j*g[s,j] == k the monomial x1^g * prod_s x_s^(sum_j g[s,j])
-# with coefficient prod a[j,s]^g[s,j] / (g! * prod g[s,j]!).  It shares no
-# construction code with build_recursive, so the termwise equality of the
-# two outputs is a cross-check, not a tautology.
+# The closed form of a table, a product over slots: element k sums over all
+# (g, {g[s,j]}) with g + sum_j j*g[s,j] == k the monomial x1^g * prod_s
+# x_s^(sum_j g[s,j]) with coefficient prod a[j,s]^g[s,j] / (g! * prod g[s,j]!).
+# It shares no construction code with build_recursive, so the termwise
+# equality of the two outputs is a cross-check, not a tautology.
 build_explicit = build_general
 
 
@@ -598,7 +592,7 @@ def build_recursive(params: GeneralSpec) -> BasisSequence:
     makes every antiderivative exact as well: a term of B_{k-1} or M_j has
     degree at most k - 1, so its divisor e_j + 1 is at most k and divides
     lcm(1..k).  Each P_k is then divided by its gcd with S_k.
-    Shares no code with the closed-form walk or the generating recurrence
+    Shares no code with the closed-form product or the generating recurrence
     apart from the table's slots.  Raises ValueError unless the spec has
     table shape (.a is not None)."""
     if params.a is None:

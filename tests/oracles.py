@@ -2,8 +2,10 @@
 
 Each is the straightforward Fraction version of a routine the library now
 computes another way, except weighted_compositions, the enumeration the
-library now only sums, count_compositions, the count of the closed-form
-walk's visits, falling_factorial_sum, one weight of the library's
+library now only sums, count_compositions, the count of the visits of
+closed_form_elements_tuple's walk, closed_form_steps, the steps of the
+closed form's product over slots read off the monomials each weight can
+reach, falling_factorial_sum, one weight of the library's
 falling_factorial_sums at a chosen cap, falling_factorial_sum_enumerated,
 that sum by enumeration, enumerate_weight_solutions, the unpruned index set of
 the closed form, and span_contains, span membership by solve_fraction;
@@ -286,8 +288,8 @@ def dict_render(p: Terms, dim: int) -> str:
 
 def count_compositions(top: int, weights: Sequence[int]) -> int:
     """The number of t >= 0 with sum(t[k]*weights[k]) <= top, the visits
-    of the closed-form walk on slots of these weights: identities._ways
-    with every base 1, in O(len(weights) * top) steps."""
+    of closed_form_elements_tuple's walk on slots of these weights:
+    identities._ways with every base 1, in O(len(weights) * top) steps."""
     if top < 0:
         raise ValueError(f"top must be non-negative, got {top}")
     if any(w < 1 for w in weights):
@@ -298,6 +300,24 @@ def count_compositions(top: int, weights: Sequence[int]) -> int:
         # The pass added ways[s - w] (new values) for every s >= w.
         total += sum(ways[: top - w + 1])
     return total
+
+
+def closed_form_steps(spec: GeneralSpec, top: int) -> list[tuple[int, int, int, int]]:
+    """The steps of subspace._closed_form_elements to weight top, in order,
+    each as (b_j, w, |E_w|, the g >= 1 with w + g*b_j <= top): per nonzero
+    slot, every w <= top - b_j, going down, at which a count vector on the
+    earlier slots arrives, with the number of distinct exponents they reach
+    there.  Read off sets of exponent tuples; no coefficient is made."""
+    d, (_, slots) = spec.d, spec.slots
+    reach: list[set[tuple[int, ...]]] = [{(0,) * d}] + [set() for _ in range(top)]
+    steps = []
+    for bj, i, _ in slots:
+        for w in range(top - bj, -1, -1):
+            if reach[w]:
+                steps.append((bj, w, len(reach[w]), (top - w) // bj))
+                for g in range(1, (top - w) // bj + 1):
+                    reach[w + g * bj] |= {e[:i] + (e[i] + g,) + e[i + 1:] for e in reach[w]}
+    return steps
 
 
 def weighted_compositions(total: int, weights: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -643,11 +663,12 @@ def unpacked(nums: Numerators) -> TupleNumerators:
 
 
 def closed_form_elements_tuple(spec: GeneralSpec, top: int) -> TupleNumerators:
-    """subspace._closed_form_elements on exponent tuples: the depth-first
-    walk over the count vectors g on the nonzero slots, each node adding
-    prod n^g * D^(m-G) * (m! // prod g!) to element m, over m! * D^m.  It
-    divides m! by prod g! at every vector, where the walk carries that
-    multinomial down from node to node, so the two share no arithmetic."""
+    """subspace._closed_form_elements's numerators on exponent tuples, by a
+    depth-first walk over the count vectors g on the nonzero slots, each
+    node adding prod n^g * D^(m-G) * (m! // prod g!) to element m, over
+    m! * D^m.  It divides m! by prod g! at every vector, where the library
+    multiplies in one slot at a time and sums the vectors that meet on a
+    monomial, so the two share no arithmetic."""
     d = spec.d
     den, slots = spec.slots
     fact = list(itertools.accumulate(range(1, top + 1), operator.mul, initial=1))

@@ -426,7 +426,7 @@ class TestVerify:
 
     def test_general_spec_path_never_enumerates(self, general_file, monkeypatch, capsys):
         def forbidden(*args):
-            raise AssertionError("the closed-form walk was called")
+            raise AssertionError("the closed form was built")
 
         monkeypatch.setattr(dinv.subspace, "build_general", forbidden)
         monkeypatch.setattr(dinv.subspace, "_closed_form_elements", forbidden)
@@ -869,17 +869,19 @@ class TestSizeGuard:
         "argv", [["basis", "--source", "explicit"], ["verify", "--what", "equivalence"]], ids=["basis", "equivalence"]
     )
     def test_full_d6_table_past_the_bound(self, argv, tmp_path, capsys, small_budget):
-        # The closed-form walk of a full d = 6, n = 20 table visits 1,180,415
-        # vectors: charged, all of them, before it starts.
+        # The closed form of a full d = 6, n = 20 table does 391,707
+        # multiply-adds, past the budget: refused at the step that would pass it.
         path = tmp_path / "t.json"
         path.write_text(json.dumps(_full_table(6, 20)))
         command = "basis" if argv[0] == "basis" else "verify --what equivalence"
-        stage = "the closed-form walk" if argv[0] == "basis" else "the "
+        stage = "the closed form" if argv[0] == "basis" else "the "
         _refused_in_time([*argv, "--spec", str(path)], capsys, command, stage)
 
     def test_general_spec_equivalence(self, tmp_path, capsys, small_budget):
+        # b = (1..120): its equivalence runs in about 0.5 s.  (b = (1..60) took
+        # 7-10 s as a walk over its count vectors, and takes 0.03-0.06 s.)
         path = tmp_path / "g.json"
-        path.write_text(json.dumps({"n": 60, "d": 1, "b": list(range(1, 61)), "c": [["1"] * 60]}))
+        path.write_text(json.dumps({"n": 120, "d": 1, "b": list(range(1, 121)), "c": [["1"] * 120]}))
         _refused_in_time(["verify", "--what", "equivalence", "--spec", str(path)], capsys, "verify --what equivalence")
 
     def test_top_alone_refuses(self, tmp_path, capsys, no_builds):
@@ -917,8 +919,8 @@ class TestSizeGuard:
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"n": 2, "d": 1, "b": [1, 50000], "c": [["1", "1"]]}))
         command = "basis" if argv[0] == "basis" else f"verify --what {argv[2]}"
-        # equivalence builds the closed form first, and its walk is charged whole before it starts.
-        stage = "the closed-form walk" if argv[-1] == "equivalence" else "the generating recurrence"
+        # equivalence builds the closed form first, whose scales are charged before its first step.
+        stage = "the closed form" if argv[-1] == "equivalence" else "the generating recurrence"
         _refused_in_time([*argv, "--spec", str(path)], capsys, command, stage)
 
     def test_recurrence_huge_top_refused_without_weights(self, tmp_path, capsys, no_builds):
@@ -1086,11 +1088,11 @@ class TestFuel:
             ["sweep", "--m", "2", "--scheme", "b", "--spec", "{deep}", "--f", "{f}", "--z0", "1/3"],
             ["study", "--spec", "{n200}", "--f", "{lin}", "--h0", "1/2", "--steps", "2", "--out-dir", "{tmp}/out"],
             ["verify", "--what", "identities", "--r-max", "120", "--i-max", "120"],
-            # 1000-digit rationals: each product of the walk and the
+            # 1000-digit rationals: each step of the closed form and of the
             # recurrence is charged from its own operands, not at E_44's size.
             ["verify", "--what", "equivalence", "--spec", "{digits}"],
-            # The walk's multinomials m! / prod g! reach 2000!, carried down
-            # the walk and never divided out of m! at a vector.
+            # The closed form's factors v! / (w! * g!) reach 2000!, each made
+            # from the one before it and never divided out of a factorial.
             ["verify", "--what", "equivalence", "--spec", "{b2000}"],
             # Dense u-series of 61 terms, charged from the cut products made.
             ["limit", "--m", "60", "--scheme", "a", "--spec", "{b60}", "--f", "{sparse}", "--z0", "3/2"],

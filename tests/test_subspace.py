@@ -3,7 +3,6 @@
 import itertools
 import json
 import math
-import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -53,6 +52,7 @@ from oracles import (
     check_closure_fraction,
     check_closure_numerators_tuple,
     closed_form_elements_tuple,
+    closed_form_steps,
     closure_fuel,
     diff,
     enumerate_weight_solutions,
@@ -424,24 +424,24 @@ def _zero_heavy_general_spec(rng) -> GeneralSpec:
     return GeneralSpec(n=spec.n, d=spec.d, b=spec.b, c=tuple(tuple(row) for row in c))
 
 
-def _walk_visits(build, spec) -> tuple[BasisSequence, int]:
-    """build(spec), and the number of count vectors the closed-form walk
-    visited: its inner function walk is called once per vector."""
-    visits = 0
-    previous = sys.getprofile()
+def _product_steps(spec, top) -> tuple[Numerators, list[tuple[int, int, int, int]], int]:
+    """_closed_form_elements(spec, top) under fuel with no practical limit,
+    the steps it ran, each as (b_j, step, w, |E_w|) from the charge made just
+    before it, and the cells it charged."""
+    steps = []
+    step_cells = dinv.subspace._step_cells
 
-    def profile(frame, event, arg):
-        nonlocal visits
-        code = frame.f_code
-        if event == "call" and code.co_name == "walk" and code.co_filename == dinv.subspace.__file__:
-            visits += 1
+    def recorded(bits, n, w, bj, step):
+        steps.append((bj, step, w, n))
+        return step_cells(bits, n, w, bj, step)
 
-    sys.setprofile(profile)
+    dinv.subspace._step_cells = recorded
+    fuel.arm(10**30)
     try:
-        basis = build(spec)
+        return _closed_form_elements(spec, top), steps, fuel._spent
     finally:
-        sys.setprofile(previous)
-    return basis, visits
+        fuel.disarm()
+        dinv.subspace._step_cells = step_cells
 
 
 def _slot_weights(spec) -> list[int]:
@@ -476,14 +476,18 @@ class TestBuildGeneral:
             assert 2 * zeros >= spec.d * spec.n
             assert build_general(spec).elements == _unpruned_general(spec)
 
-    def test_enumerates_only_nonzero_slots(self):
-        # The walk makes one call per count vector it visits; on the nonzero
-        # slots (weights 1, 2, 4) there are fewer than on all six.
+    def test_zero_slots_never_step(self):
+        # Of the six (b_j, i), only the nonzero c_ij, of weights 1, 2 and 4
+        # and steps 1, 2 and 3, enter a step: x1's from E_0 alone, x2's from
+        # every E_w it can leave.  No two vectors meet on a monomial here, so
+        # each multiply-add makes one of the walk's vectors past the zero one.
         spec = GeneralSpec(n=3, d=2, b=(1, 2, 4), c=((F(1), F(0), F(3)), (F(0), F(2), F(0))))
-        basis, visits = _walk_visits(build_general, spec)
-        assert visits == count_compositions(4, [1, 2, 4]) == 10
-        assert count_compositions(4, [1, 1, 2, 2, 4, 4]) > visits
-        assert basis.elements == build_general_fraction(spec).elements
+        nums, steps, _ = _product_steps(spec, 4)
+        assert [(bj, step, w) for bj, step, w, _ in steps] == [(1, 1, 0), (2, 2, 2), (2, 2, 1), (2, 2, 0), (4, 3, 0)]
+        ops = sum(n * ((4 - w) // bj) for bj, _, w, n in steps)
+        assert ops + 1 == count_compositions(4, [1, 2, 4]) == 10
+        assert count_compositions(4, [1, 1, 2, 2, 4, 4]) > 10
+        assert numerator_basis(nums).elements == build_general_fraction(spec).elements
 
     def test_top_homogeneous_part(self):
         rng = make_rng(103)
@@ -592,6 +596,14 @@ class TestCharges:
     def test_thousand_digit_rationals(self):
         a, b = "7" * 1000, "3" * 1000
         self._assert_charged(GeneralSpec.from_dict({"n": 2, "d": 2, "b": [1, 44], "c": [[a, a], ["-1/" + b, a]]}), 44)
+
+    def test_closed_form_charges_cover_its_multiply_adds(self):
+        # The product's multiply-adds counted from its steps' oracle: each is
+        # charged at least a cell, on seeded tables and general specs.
+        for spec in seeded_specs(make_rng(121), 40):
+            top = spec.top_weight
+            _, _, spent = _product_steps(spec, top)
+            assert spent >= sum(n * g for _, _, n, g in closed_form_steps(spec, top)) > 0
 
     def test_b5300_to_order_66(self):
         # The recurrence to the order limit --m 66 builds; the closure check of the whole build.
@@ -931,15 +943,37 @@ class TestClosedForm:
                     assert type(v) is F and v != 0 and math.gcd(v.numerator, v.denominator) == 1
         assert kinds == {True, False}
 
-    def test_visits_are_the_predicted_count(self):
+    def test_steps_are_the_reachable_weights(self):
+        # Per slot, one step from each w <= top - b_j that a vector on the
+        # earlier slots reaches, E_w then holding the exponents they reach.
+        # Each multiply-add extends a term of E_w, so each maps to a vector
+        # of the walk past the zero one, with its last nonzero count on the
+        # slot: there are fewer multiply-adds than the walk has visits.
         rng = make_rng(135)
         for _ in range(20):
             t = random_param_table(rng, d=rng.choice((2, 3)), n=rng.randint(1, 6), fill=0.5)
-            _, visits = _walk_visits(build_explicit, t)
-            assert visits == count_compositions(t.n, _slot_weights(t))
-            spec = random_general_spec(rng, n_max=4, bn_max=9, d_max=3)
-            _, visits = _walk_visits(build_general, spec)
-            assert visits == count_compositions(spec.top_weight, _slot_weights(spec))
+            for spec in (t, random_general_spec(rng, n_max=4, bn_max=9, d_max=3)):
+                top = spec.top_weight
+                _, steps, _ = _product_steps(spec, top)
+                want = closed_form_steps(spec, top)
+                assert [(bj, w, n) for bj, _, w, n in steps] == [(bj, w, n) for bj, w, n, _ in want]
+                visits = count_compositions(top, _slot_weights(spec))
+                assert sum(n * g for _, _, n, g in want) < visits
+                # cli._check_top's bound: a step per slot and b_n + 1
+                # elements, at most as many as the walk's vectors.
+                assert len(spec.slots[1]) <= len(steps)
+                assert max(top, len(spec.slots[1])) + 1 <= visits
+
+    def test_full_d6_table_sums_vectors_once(self):
+        # The full d = 6, n = 12 table: 12,084 multiply-adds against the
+        # walk's 14,571 vectors, the vectors that meet on a monomial summed
+        # as they meet.
+        t = ParamTable(d=6, n=12, a={(i, j): F(i + j, j) for i in range(2, 13) for j in range(2, 7)})
+        nums, steps, _ = _product_steps(t, 12)
+        ops = sum(n * ((12 - w) // bj) for bj, _, w, n in steps)
+        assert ops == sum(n * g for _, _, n, g in closed_form_steps(t, 12)) == 12_084
+        assert count_compositions(12, _slot_weights(t)) == 14_571
+        assert unpacked(nums) == closed_form_elements_tuple(t, 12)
 
 
 class TestIntegerKernel:
@@ -1192,7 +1226,7 @@ class TestIntegerBreadth:
 
 def _builder_numerators(spec) -> dict:
     """Each builder's Numerators of the spec, keyed by MonomialCodes(d, b_n):
-    the generating recurrence and the closed-form walk over the unreduced
+    the generating recurrence and the closed-form product over the unreduced
     scales m! * D^m, the recursion (tables only) over the lcm of each
     element's denominators."""
     top = spec.top_weight
