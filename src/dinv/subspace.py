@@ -415,19 +415,24 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
     forms = [(bj, [(units[i], n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
     elems = [(1, {0: 1})]
     metered = fuel.metered
-    if metered:  # the charge's constants per weight, and the mean bits of each element's numerators
-        weights = [(bj, bj - 1, bj.bit_length(), len(form), max(abs(w).bit_length() for _, w in form)) for bj, form in forms]
-        sizes, den_bits = [1], den.bit_length()
+    sizes, den_bits = [1], den.bit_length()  # the mean bits of each element's numerators, when metered
     for m in range(1, top + 1):
-        if metered:
-            fuel.charge(_recurrence_cells(weights, elems, sizes, m, den_bits), "the generating recurrence")
+        step = m.bit_length() + den_bits
+        if metered:  # the scale's product
+            fuel.charge(fuel.cells(1, elems[-1][0].bit_length(), step), "the generating recurrence")
         # One pass over E_(m-b_j) per variable of N_j; the first makes acc.
         acc: dict[int, int] = {}
         for bj, form in forms:
             if bj > m:
                 break
-            k = bj * math.perm(m - 1, bj - 1) * den ** (bj - 1)
             source = elems[m - bj][1]
+            if metered:  # making k, then 3 per multiply-add of a term at its mean bits by k times an n_ij
+                k_bits = (bj - 1) * step + bj.bit_length()
+                ops = len(source) * len(form)
+                n_bits = max(abs(w).bit_length() for _, w in form)
+                cells = fuel.cells(1, k_bits, k_bits) + 2 * ops + fuel.cells(ops, sizes[m - bj], k_bits + n_bits)
+                fuel.charge(cells, "the generating recurrence")
+            k = bj * math.perm(m - 1, bj - 1) * den ** (bj - 1)
             for u, w in form:
                 w *= k
                 if not acc:
@@ -451,23 +456,6 @@ def _kept(elem: tuple[int, dict[int, int]], stage: str) -> int:
     bits = sum(map(int.bit_length, elem[1].values()))
     fuel.charge((elem[0].bit_length() + bits) >> 6, stage)
     return bits // max(len(elem[1]), 1)
-
-
-def _recurrence_cells(weights, elems, sizes: list[int], m: int, den_bits: int) -> int:
-    """The cells of element m of _generating_elements: per weight b_j <= m,
-    3 per multiply-add of a term of E_(m-b_j), at its mean bits, by a
-    variable of N_j times b_j * ff(m-1, b_j-1) * D^(b_j-1), whose making
-    is charged too; and the scale's product.  weights holds, per weight,
-    (b_j, b_j - 1, the bits of b_j, |N_j|, the bits of N_j's largest entry)."""
-    step = m.bit_length() + den_bits
-    cells = fuel.cells(1, elems[-1][0].bit_length(), step)
-    for bj, bj_less, bj_bits, n, n_bits in weights:
-        if bj > m:
-            break
-        k_bits = bj_less * step + bj_bits
-        ops = len(elems[m - bj][1]) * n
-        cells += fuel.cells(1, k_bits, k_bits) + 2 * ops + fuel.cells(ops, sizes[m - bj], k_bits + n_bits)
-    return cells
 
 
 def build_generating(spec: GeneralSpec) -> BasisSequence:
