@@ -305,8 +305,8 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
     and f_g = (n_ij * D^(b_j - 1))^g * v! / (w! * g!) to E_v: count vectors
     that reach one monomial at one weight are summed as they meet.  f_g is
     f_(g-1) times the step n_ij * D^(b_j - 1) and v! / (v - b_j)!, divided
-    exactly by g.  Metered, the scales are charged first and each (slot, w)
-    step just before it runs."""
+    exactly by g.  Metered, the scales are charged first and each (w, g)
+    just before it runs, from the integers at hand."""
     codes = spec.codes_to(top)
     den, slots = spec.slots
     metered = fuel.metered
@@ -320,14 +320,21 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
         if bj > top:
             break
         u, step = units[i], n_ij * den ** (bj - 1)
+        if metered:  # math.perm's v! / (v - b_j)!, a product per bit of b_j on top's bits, times the step
+            step_bits, rise = abs(step).bit_length(), bj * top.bit_length()
+            perm = fuel.cells(bj.bit_length(), rise, rise) + fuel.cells(1, rise, step_bits)
         for w in range(top - bj, -1, -1):
             source = elems[w]
             if not source:
                 continue
-            if metered:
-                fuel.charge(_step_cells(bits, len(source), w, bj, step), "the closed form")
             f, g, shift = 1, 0, 0
             for v in range(w + bj, top + 1, bj):
+                if metered:  # f_g's making from f_(g-1), then 3 per multiply-add of a term of E_w by f_g, a cell per 64 bits
+                    n, b, by = len(source), bits[w], step_bits + bj * v.bit_length()
+                    f_bits = f.bit_length() + by
+                    cells = 8 + perm + fuel.cells(1, f_bits, by + 64) + 2 * n + fuel.cells(n, b, f_bits) + n * (b + f_bits >> 6)
+                    fuel.charge(cells, "the closed form")
+                    bits[v] = max(bits[v], b + f_bits) + 1
                 g += 1
                 shift += u
                 f = f * (step * math.perm(v, bj)) // g
@@ -340,26 +347,6 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
     elems = [p if 0 not in p.values() else {e: v for e, v in p.items() if v} for p in elems]
     scales = itertools.accumulate(range(1, top + 1), lambda s, m: s * m * den, initial=1)
     return Numerators(codes, list(zip(scales, elems)))
-
-
-def _step_cells(bits: list[int], n: int, w: int, bj: int, step: int) -> int:
-    """The cells of a slot's step from E_w (n terms of at most bits[w]
-    bits) into each E_v, v = w + g*b_j: 20, and per v 8, f_g's making
-    (math.perm's, a product per bit of b_j, on top's bits; its products by
-    the step and by f_(g-1) and the division by g, on a bound of log2 f_g
-    carried from g = 0), and per term 2, its product by f_g and a cell per
-    64 bits of it.  Raises bits[v] to bound E_v's bits after the step."""
-    top = len(bits) - 1
-    step_bits, step_log = abs(step).bit_length(), math.log2(abs(step))
-    rise = bj * top.bit_length()  # bounds the bits of v! / (v - b_j)!
-    perm = fuel.cells(bj.bit_length(), rise, rise) + fuel.cells(1, rise, step_bits)
-    cells, b, f = 20 + (top - w) // bj * (8 + 2 * n + perm), bits[w], 0.0
-    for g, v in enumerate(range(w + bj, top + 1, bj), 1):
-        f += step_log + bj * math.log2(v) - math.log2(g)
-        f_bits = int(f) + 1
-        cells += fuel.cells(1, f_bits, rise + step_bits + 64) + fuel.cells(n, b, f_bits) + n * (b + f_bits >> 6)
-        bits[v] = max(bits[v], b + f_bits) + 1
-    return cells
 
 
 def numerator_polynomial(codes: MonomialCodes, scale: int, nums: Mapping[int, int]) -> Polynomial:
@@ -504,8 +491,8 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
     sizes = [1, 1]  # the mean bits of each element's numerators, when metered
     for k in range(2, n + 1):
         s_prev, p_prev = elems[k - 1]
-        if metered:
-            fuel.charge(_recursion_cells(rest, leads, elems, sizes, k, d, den), "the recursion")
+        if metered:  # k lcms of scales and d * k lookups
+            fuel.charge(fuel.cells(k, s_prev.bit_length() + den.bit_length()) + d * k, "the recursion")
         scale = math.lcm(s_prev, den)
         for i in range(2, k):
             scale = math.lcm(scale, den * elems[k - i][0])
@@ -513,6 +500,8 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
         # e_j + 1 <= k for every term, so each lcm_k / (e_j + 1) is exact.
         inv = [0] + [_exact_div(lcm_k, t) for t in range(1, k + 1)]
         c = _exact_div(scale, s_prev)
+        if metered:  # 4 per term of B_(k-1), times c * lcm_k / (e_1 + 1)
+            fuel.charge(4 * fuel.cells(len(p_prev), sizes[k - 1], c.bit_length() + lcm_k.bit_length()), "the recursion")
         u, p = units[0], powers[0]
         acc = {e + u: c * inv[e // p % base + 1] * v for e, v in p_prev.items()}
         for j in range(1, d):
@@ -522,8 +511,12 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
                 if not n_ij:
                     continue
                 c = n_ij * _exact_div(scale, den * elems[k - i][0])
+                part = leads[k - i][j:]
+                if metered:  # the k coefs, and 4 per term of the part of B_(k-i) free of x1..x_j, times one
+                    ops = sum(map(len, part)) + k
+                    fuel.charge(4 * fuel.cells(ops, sizes[k - i], c.bit_length() + lcm_k.bit_length()), "the recursion")
                 coef = [c * q for q in inv]
-                for bucket in leads[k - i][j:]:
+                for bucket in part:
                     for e, v in bucket:
                         key = e + u
                         acc[key] = acc.get(key, 0) + coef[e // p % base + 1] * v
@@ -545,19 +538,6 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
         if metered:
             sizes.append(_kept(elems[-1], "the recursion"))
     return Numerators(codes, elems[: n + 1])
-
-
-def _recursion_cells(slots, leads, elems, sizes: list[int], k: int, d: int, den: int) -> int:
-    """The cells of element k of _recursive_numerators: k lcms of scales,
-    d * k lookups, and 4 per term of B_(k-1) and of each part of B_(k-i) it
-    integrates (k more per a[i, j]); slots are the (i, j, n_ij) past weight 1."""
-    s_bits = elems[k - 1][0].bit_length() + den.bit_length()
-    ops, bits, n_bits = len(elems[k - 1][1]), sizes[k - 1], 0
-    for i, j, n_ij in slots[: bisect_right(slots, (k,))]:
-        ops += sum(map(len, leads[k - i][j:])) + k
-        bits = max(bits, sizes[k - i])
-        n_bits = max(n_bits, abs(n_ij).bit_length())
-    return fuel.cells(k, s_bits) + d * k + 4 * fuel.cells(ops, bits, s_bits + n_bits + 2 * k)
 
 
 def build_recursive(params: GeneralSpec) -> BasisSequence:

@@ -424,24 +424,25 @@ def _zero_heavy_general_spec(rng) -> GeneralSpec:
     return GeneralSpec(n=spec.n, d=spec.d, b=spec.b, c=tuple(tuple(row) for row in c))
 
 
-def _product_steps(spec, top) -> tuple[Numerators, list[tuple[int, int, int, int]], int]:
+def _product_steps(spec, top) -> tuple[Numerators, int, int]:
     """_closed_form_elements(spec, top) under fuel with no practical limit,
-    the steps it ran, each as (b_j, step, w, |E_w|) from the charge made just
-    before it, and the cells it charged."""
-    steps = []
-    step_cells = dinv.subspace._step_cells
+    the number of its "the closed form" charges past the first (the
+    scales'), one made just before each (w, g) it runs, and the cells it
+    charged."""
+    stages = []
+    charge = fuel.charge
 
-    def recorded(bits, n, w, bj, step):
-        steps.append((bj, step, w, n))
-        return step_cells(bits, n, w, bj, step)
+    def recorded(cells, stage):
+        stages.append(stage)
+        charge(cells, stage)
 
-    dinv.subspace._step_cells = recorded
+    fuel.charge = recorded
     fuel.arm(10**30)
     try:
-        return _closed_form_elements(spec, top), steps, fuel._spent
+        return _closed_form_elements(spec, top), stages.count("the closed form") - 1, fuel._spent
     finally:
         fuel.disarm()
-        dinv.subspace._step_cells = step_cells
+        fuel.charge = charge
 
 
 def _slot_weights(spec) -> list[int]:
@@ -477,14 +478,17 @@ class TestBuildGeneral:
             assert build_general(spec).elements == _unpruned_general(spec)
 
     def test_zero_slots_never_step(self):
-        # Of the six (b_j, i), only the nonzero c_ij, of weights 1, 2 and 4
-        # and steps 1, 2 and 3, enter a step: x1's from E_0 alone, x2's from
-        # every E_w it can leave.  No two vectors meet on a monomial here, so
-        # each multiply-add makes one of the walk's vectors past the zero one.
+        # Of the six (b_j, i), only the nonzero c_ij, of weights 1, 2 and 4,
+        # enter a step: x1's from E_0 alone, x2's from every E_w it can
+        # leave, each (w, g) charged once.  No two vectors meet on a monomial
+        # here, so each multiply-add makes one of the walk's vectors past
+        # the zero one.
         spec = GeneralSpec(n=3, d=2, b=(1, 2, 4), c=((F(1), F(0), F(3)), (F(0), F(2), F(0))))
-        nums, steps, _ = _product_steps(spec, 4)
-        assert [(bj, step, w) for bj, step, w, _ in steps] == [(1, 1, 0), (2, 2, 2), (2, 2, 1), (2, 2, 0), (4, 3, 0)]
-        ops = sum(n * ((4 - w) // bj) for bj, _, w, n in steps)
+        nums, charged, _ = _product_steps(spec, 4)
+        steps = closed_form_steps(spec, 4)
+        assert [(bj, w) for bj, w, _, _ in steps] == [(1, 0), (2, 2), (2, 1), (2, 0), (4, 0)]
+        assert charged == sum(g for _, _, _, g in steps) == 9
+        ops = sum(n * g for _, _, n, g in steps)
         assert ops + 1 == count_compositions(4, [1, 2, 4]) == 10
         assert count_compositions(4, [1, 1, 2, 2, 4, 4]) > 10
         assert numerator_basis(nums).elements == build_general_fraction(spec).elements
@@ -602,8 +606,26 @@ class TestCharges:
         # charged at least a cell, on seeded tables and general specs.
         for spec in seeded_specs(make_rng(121), 40):
             top = spec.top_weight
-            _, _, spent = _product_steps(spec, top)
-            assert spent >= sum(n * g for _, _, n, g in closed_form_steps(spec, top)) > 0
+            _, charged, spent = _product_steps(spec, top)
+            steps = closed_form_steps(spec, top)
+            assert charged == sum(g for _, _, _, g in steps)
+            assert spent >= sum(n * g for _, _, n, g in steps) > 0
+
+    def test_recursion_charges_cover_its_term_operations(self):
+        # Element k reads each term of B_(k-1) and, per a[i, j] with i < k,
+        # each term of B_(k-i) free of x1..x_(j-1): a cell at least for each.
+        rng = make_rng(122)
+        for _ in range(30):
+            t = random_param_table(rng, d=rng.choice((2, 3, 4)), n=rng.randint(2, 7), fill=0.6)
+            nums, spent = self._spent(_recursive_numerators, t)
+            elems = unpacked(nums)
+            ops = 0
+            for k in range(2, t.n + 1):
+                ops += len(elems[k - 1][1])
+                for i, j, _ in t.slots[1][1:]:
+                    if i < k:
+                        ops += sum(1 for e in elems[k - i][1] if not any(e[:j]))
+            assert spent >= ops > 0
 
     def test_b5300_to_order_66(self):
         # The recurrence to the order limit --m 66 builds; the closure check of the whole build.
@@ -954,14 +976,14 @@ class TestClosedForm:
             t = random_param_table(rng, d=rng.choice((2, 3)), n=rng.randint(1, 6), fill=0.5)
             for spec in (t, random_general_spec(rng, n_max=4, bn_max=9, d_max=3)):
                 top = spec.top_weight
-                _, steps, _ = _product_steps(spec, top)
+                _, charged, _ = _product_steps(spec, top)
                 want = closed_form_steps(spec, top)
-                assert [(bj, w, n) for bj, _, w, n in steps] == [(bj, w, n) for bj, w, n, _ in want]
+                assert charged == sum(g for _, _, _, g in want)
                 visits = count_compositions(top, _slot_weights(spec))
                 assert sum(n * g for _, _, n, g in want) < visits
                 # cli._check_top's bound: a step per slot and b_n + 1
                 # elements, at most as many as the walk's vectors.
-                assert len(spec.slots[1]) <= len(steps)
+                assert len(spec.slots[1]) <= len(want)
                 assert max(top, len(spec.slots[1])) + 1 <= visits
 
     def test_full_d6_table_sums_vectors_once(self):
@@ -969,9 +991,10 @@ class TestClosedForm:
         # walk's 14,571 vectors, the vectors that meet on a monomial summed
         # as they meet.
         t = ParamTable(d=6, n=12, a={(i, j): F(i + j, j) for i in range(2, 13) for j in range(2, 7)})
-        nums, steps, _ = _product_steps(t, 12)
-        ops = sum(n * ((12 - w) // bj) for bj, _, w, n in steps)
-        assert ops == sum(n * g for _, _, n, g in closed_form_steps(t, 12)) == 12_084
+        nums, charged, _ = _product_steps(t, 12)
+        steps = closed_form_steps(t, 12)
+        assert charged == sum(g for _, _, _, g in steps)
+        assert sum(n * g for _, _, n, g in steps) == 12_084
         assert count_compositions(12, _slot_weights(t)) == 14_571
         assert unpacked(nums) == closed_form_elements_tuple(t, 12)
 
