@@ -282,12 +282,15 @@ def _cmd_basis(args) -> int:
     nums = _build_numerators(args.source, spec)
     # The text is written as it is made, so its cost is charged first, and a
     # coefficient too long to write is looked for first (no longer than its
-    # scale or its numerator): its error must leave no partial output.
-    cells, widths = 0, []
+    # scale or its numerator): its error must leave no partial output.  A
+    # term's d exponents are each a division of its code, and a line of text.
+    codes = nums.codes
+    width = codes.high.bit_length()
+    cells, widths, exps = 0, [], codes.d * fuel.cells(1, width, width)
     for s, p in nums.elems:
         bits = max(s.bit_length(), *map(int.bit_length, p.values()))
         widths.append(bits)
-        cells += len(p) * (TERM_CELLS + fuel.cells(1, bits, bits))
+        cells += len(p) * (TERM_CELLS + exps + fuel.cells(1, bits, bits))
     fuel.charge(cells, "writing the basis")
     limit = sys.get_int_max_str_digits()
     if limit:
@@ -296,7 +299,7 @@ def _cmd_basis(args) -> int:
         wide = too_long.bit_length()
         for (s, p), bits in zip(nums.elems, widths):
             if bits >= wide and (s >= too_long or any(abs(v) >= too_long for v in p.values())):
-                q = numerator_polynomial(nums.codes, s, p)
+                q = numerator_polynomial(codes, s, p)
                 (q.render if args.pretty else q.to_dict)()  # raises DigitLimitError on a term too long
     _emit_chunks(args, _basis_chunks(nums, args.pretty))
     return 0

@@ -216,6 +216,9 @@ class MonomialCodes:
 
     def __init__(self, d: int, top: int):
         base = top + 1
+        # A cell per power made, and per 64 bits of the powers' and units'
+        # d^2 / 2 and d^2 digits of log2(B) bits, before they are made.
+        fuel.charge(d + (3 * d * d * (base - 1).bit_length() >> 7), "the monomial codes")
         self.d, self.base, self.high = d, base, base**d
         self.powers = [base ** (d - 1 - i) for i in range(d)]
         self.units = [self.high + p for p in self.powers]

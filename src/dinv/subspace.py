@@ -310,10 +310,10 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
     codes = spec.codes_to(top)
     den, slots = spec.slots
     metered = fuel.metered
-    if metered:  # bounds on the bits of each scale m! * D^m, then of each E_w's numerators
+    if metered:  # bounds on the bits of each scale m! * D^m, then of each E_w's numerators; a code's width
         scale_bits = itertools.accumulate(m.bit_length() + den.bit_length() for m in range(top + 1))
         fuel.charge(sum(8 + (s >> 6) for s in scale_bits), "the closed form")
-        bits = [1] + [0] * top
+        bits, width = [1] + [0] * top, codes.high.bit_length()
     elems: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(top)]
     units = codes.units
     for bj, i, n_ij in slots:
@@ -329,10 +329,10 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
                 continue
             f, g, shift = 1, 0, 0
             for v in range(w + bj, top + 1, bj):
-                if metered:  # f_g's making from f_(g-1), then 3 per multiply-add of a term of E_w by f_g, a cell per 64 bits
+                if metered:  # f_g's making from f_(g-1), then 3 per multiply-add of a term of E_w by f_g, a cell per 64 bits of it and its code
                     n, b, by = len(source), bits[w], step_bits + bj * v.bit_length()
                     f_bits = f.bit_length() + by
-                    cells = 8 + perm + fuel.cells(1, f_bits, by + 64) + 2 * n + fuel.cells(n, b, f_bits) + n * (b + f_bits >> 6)
+                    cells = 8 + perm + fuel.cells(1, f_bits, by + 64) + 2 * n + fuel.cells(n, b, f_bits) + n * (b + f_bits + width >> 6)
                     fuel.charge(cells, "the closed form")
                     bits[v] = max(bits[v], b + f_bits) + 1
                 g += 1
@@ -402,7 +402,8 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
     forms = [(bj, [(units[i], n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
     elems = [(1, {0: 1})]
     metered = fuel.metered
-    sizes, den_bits = [1], den.bit_length()  # the mean bits of each element's numerators, when metered
+    # The mean bits of each element's numerators, and a code's width, when metered.
+    sizes, den_bits, width = [1], den.bit_length(), codes.high.bit_length()
     for m in range(1, top + 1):
         step = m.bit_length() + den_bits
         if metered:  # the scale's product
@@ -413,11 +414,11 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
             if bj > m:
                 break
             source = elems[m - bj][1]
-            if metered:  # making k, then 3 per multiply-add of a term at its mean bits by k times an n_ij
+            if metered:  # making k, then 3 per multiply-add of a term at its mean bits by k times an n_ij, and one per 256 bits of its code
                 k_bits = (bj - 1) * step + bj.bit_length()
                 ops = len(source) * len(form)
                 n_bits = max(abs(w).bit_length() for _, w in form)
-                cells = fuel.cells(1, k_bits, k_bits) + 2 * ops + fuel.cells(ops, sizes[m - bj], k_bits + n_bits)
+                cells = fuel.cells(1, k_bits, k_bits) + ops * (2 + (width >> 8)) + fuel.cells(ops, sizes[m - bj], k_bits + n_bits)
                 fuel.charge(cells, "the generating recurrence")
             k = bj * math.perm(m - 1, bj - 1) * den ** (bj - 1)
             for u, w in form:
@@ -433,15 +434,16 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
             acc = {e: v for e, v in acc.items() if v}
         elems.append((elems[-1][0] * m * den, acc))
         if metered:
-            sizes.append(_kept(elems[-1], "the generating recurrence"))
+            sizes.append(_kept(elems[-1], width, "the generating recurrence"))
     return Numerators(codes, elems)
 
 
-def _kept(elem: tuple[int, dict[int, int]], stage: str) -> int:
-    """Charge an element (s, P) a builder keeps a cell per 64 bits of s and
-    of P's numerators, so the fuel bounds memory; their mean bits."""
+def _kept(elem: tuple[int, dict[int, int]], width: int, stage: str) -> int:
+    """Charge an element (s, P) a builder keeps a cell per 64 bits of s, of
+    P's numerators and of their codes, each of width bits, so the fuel
+    bounds memory; the numerators' mean bits."""
     bits = sum(map(int.bit_length, elem[1].values()))
-    fuel.charge((elem[0].bit_length() + bits) >> 6, stage)
+    fuel.charge((elem[0].bit_length() + bits + len(elem[1]) * width) >> 6, stage)
     return bits // max(len(elem[1]), 1)
 
 
@@ -488,7 +490,7 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
     leads = [by_lead(p) for _, p in elems]
     lcm_k = 1
     metered = fuel.metered
-    sizes = [1, 1]  # the mean bits of each element's numerators, when metered
+    sizes, width = [1, 1], high.bit_length()  # the mean bits of each element's numerators, and a code's width
     for k in range(2, n + 1):
         s_prev, p_prev = elems[k - 1]
         if metered:  # k lcms of scales and d * k lookups
@@ -500,8 +502,9 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
         # e_j + 1 <= k for every term, so each lcm_k / (e_j + 1) is exact.
         inv = [0] + [_exact_div(lcm_k, t) for t in range(1, k + 1)]
         c = _exact_div(scale, s_prev)
-        if metered:  # 4 per term of B_(k-1), times c * lcm_k / (e_1 + 1)
-            fuel.charge(4 * fuel.cells(len(p_prev), sizes[k - 1], c.bit_length() + lcm_k.bit_length()), "the recursion")
+        if metered:  # 4 per term of B_(k-1), times c * lcm_k / (e_1 + 1), and e_1's read from its code
+            cells = 4 * fuel.cells(len(p_prev), sizes[k - 1], c.bit_length() + lcm_k.bit_length())
+            fuel.charge(cells + fuel.cells(len(p_prev), width, width), "the recursion")
         u, p = units[0], powers[0]
         acc = {e + u: c * inv[e // p % base + 1] * v for e, v in p_prev.items()}
         for j in range(1, d):
@@ -512,9 +515,10 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
                     continue
                 c = n_ij * _exact_div(scale, den * elems[k - i][0])
                 part = leads[k - i][j:]
-                if metered:  # the k coefs, and 4 per term of the part of B_(k-i) free of x1..x_j, times one
-                    ops = sum(map(len, part)) + k
-                    fuel.charge(4 * fuel.cells(ops, sizes[k - i], c.bit_length() + lcm_k.bit_length()), "the recursion")
+                if metered:  # the k coefs, and 4 per term of the part of B_(k-i) free of x1..x_j, times one, and e_j's read
+                    ops = sum(map(len, part))
+                    cells = 4 * fuel.cells(ops + k, sizes[k - i], c.bit_length() + lcm_k.bit_length())
+                    fuel.charge(cells + fuel.cells(ops, width, width), "the recursion")
                 coef = [c * q for q in inv]
                 for bucket in part:
                     for e, v in bucket:
@@ -536,7 +540,7 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
         elems.append((s_k // g, p_k))
         leads.append(by_lead(p_k))
         if metered:
-            sizes.append(_kept(elems[-1], "the recursion"))
+            sizes.append(_kept(elems[-1], width, "the recursion"))
     return Numerators(codes, elems[: n + 1])
 
 
@@ -636,13 +640,14 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
     by_var = [[(bj, n_ij) for bj, v, n_ij in slots if v == i] for i in range(d)]
     bad: list[tuple[int, int]] = []
     metered = fuel.metered
-    if metered:  # the most terms, numerator bits and scale bits of an element so far; the slots of weight <= m
+    if metered:  # the most terms, numerator bits and scale bits of an element so far; the slots of weight <= m; a code's width
         n_bits = max(abs(n).bit_length() for _, _, n in slots) + den.bit_length()
-        longest, bits, s_bits, sources = 1, 1, 1, 0
+        longest, bits, s_bits, sources, width = 1, 1, 1, 0, codes.high.bit_length()
     for m in range(1, spec.top_weight + 1):
         s_m, p_m = elems[m]
         if metered:
-            # 2 cells per term: d passes over P_m, one over P_(m-b_j) per slot of weight <= m.
+            # 2 cells per term: d passes over P_m, one over P_(m-b_j) per slot of
+            # weight <= m; and each of P_m's d * |P_m| digits e_i, a code's division.
             if len(p_m) > longest:
                 longest = len(p_m)
             if s_m.bit_length() > s_bits:
@@ -652,7 +657,7 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
                 bits = top_bits
             while sources < len(slots) and slots[sources][0] <= m:
                 sources += 1
-            cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits)
+            cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits) + fuel.cells(d * len(p_m), width, width)
             fuel.charge(cells + fuel.cells(3 * (sources + d), s_bits + n_bits), "the closure check")
         for i in range(d):
             terms = [(n_ij, *elems[m - bj]) for bj, n_ij in by_var[i] if bj <= m]

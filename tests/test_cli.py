@@ -923,6 +923,35 @@ class TestSizeGuard:
         stage = "the closed form" if argv[-1] == "equivalence" else "the generating recurrence"
         _refused_in_time([*argv, "--spec", str(path)], capsys, command, stage)
 
+    # A code's width, about d * log2(b_n + 1) bits, is charged where a code
+    # is made, added, kept or divided.  Past the budget unmetered: the
+    # d = 2000 table's closure and basis each run about 1.2 s; the d = 5000
+    # codec keeps 5000^2 * 3 bits; the full d = 1000, n = 5 table's breadth
+    # runs about 5 s in 700 MiB.
+    WIDE_TABLE = {"d": 2000, "n": 3, "a": {f"2,{j}": "1" for j in range(2, 52)}}
+
+    @pytest.mark.parametrize(
+        "spec, argv, stage",
+        [
+            (WIDE_TABLE, ["verify", "--what", "closure"], "the closure check"),
+            (WIDE_TABLE, ["basis", "--source", "general"], "writing the basis"),
+            ({"d": 5000, "n": 3, "a": {}}, ["verify", "--what", "closure"], "the monomial codes"),
+            ({"d": 5000, "n": 3, "a": {}}, ["basis", "--source", "general"], "the monomial codes"),
+        ],
+        ids=["closure", "basis", "codes-closure", "codes-basis"],
+    )
+    def test_wide_codes_past_the_bound(self, spec, argv, stage, tmp_path, capsys, small_budget):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(spec))
+        command = "basis" if argv[0] == "basis" else f"verify --what {argv[2]}"
+        _refused_in_time([*argv, "--spec", str(path)], capsys, command, stage)
+
+    def test_wide_full_table_past_the_bound(self, tmp_path, capsys):
+        # Under the 2 s budget: the cheap bound refuses this table at once under a smaller one.
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"d": 1000, "n": 5, "a": {f"{i},{j}": "1" for i in range(2, 6) for j in range(2, 1001)}}))
+        _refused_in_time(["verify", "--what", "breadth", "--spec", str(path)], capsys, "verify --what breadth", "the generating recurrence")
+
     def test_recurrence_huge_top_refused_without_weights(self, tmp_path, capsys, no_builds):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"d": 2, "n": 10**9, "a": {}}))

@@ -585,6 +585,7 @@ class TestCharges:
             fuel.disarm()
 
     def _assert_charged(self, spec: GeneralSpec, top: int) -> None:
+        spec.codes_to(top)  # the codec is made, and charged, once per spec
         nums, spent = self._spent(_generating_elements, spec, top)
         assert spent == generating_fuel(spec, generating_elements_tuple(spec, top))
         if top < spec.top_weight:
@@ -626,6 +627,13 @@ class TestCharges:
                     if i < k:
                         ops += sum(1 for e in elems[k - i][1] if not any(e[:j]))
             assert spent >= ops > 0
+
+    @pytest.mark.parametrize("d, top", [(50, 3), (300, 7), (1000, 1), (400, 20)])
+    def test_codec_charges_its_bits(self, d, top):
+        # A cell per 64 bits of the powers and units a codec keeps, charged before they are made.
+        codes, spent = self._spent(MonomialCodes, d, top)
+        kept = sum(map(int.bit_length, codes.powers + codes.units))
+        assert 64 * spent >= kept > 32 * spent
 
     def test_b5300_to_order_66(self):
         # The recurrence to the order limit --m 66 builds; the closure check of the whole build.
