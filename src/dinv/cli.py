@@ -72,7 +72,6 @@ from .subspace import (
     build_recursive,
     check_closure,
     check_closure_numerators,
-    numerator_polynomial,
 )
 
 
@@ -202,7 +201,7 @@ def _basis_chunks(nums: Numerators, pretty: bool) -> Iterator[str]:
     codes, elems = nums
     if pretty:
         for s, p in elems:
-            yield numerator_polynomial(codes, s, p).render() + "\n"
+            yield Polynomial(codes.d, p, _scale=s, _codes=codes).render() + "\n"
         return
     heads: dict[int, str] = {}
     gcd, tail = math.gcd, _TERM_TAIL
@@ -299,7 +298,7 @@ def _cmd_basis(args) -> int:
         wide = too_long.bit_length()
         for (s, p), bits in zip(nums.elems, widths):
             if bits >= wide and (s >= too_long or any(abs(v) >= too_long for v in p.values())):
-                q = numerator_polynomial(codes, s, p)
+                q = Polynomial(codes.d, p, _scale=s, _codes=codes)
                 (q.render if args.pretty else q.to_dict)()  # raises DigitLimitError on a term too long
     _emit_chunks(args, _basis_chunks(nums, args.pretty))
     return 0

@@ -83,7 +83,7 @@ from typing import Iterator, Sequence
 from . import fuel
 from .identities import falling_factorial
 from .poly import DiffOperator, Polynomial, _decimal_digits, rational_text
-from .subspace import GeneralSpec, _generating_elements, numerator_polynomial
+from .subspace import GeneralSpec, _generating_elements
 
 @dataclass(frozen=True)
 class Stencil:
@@ -130,51 +130,51 @@ class SymbolicPointSet:
         if not 0 <= r <= self.spec.top_weight:
             raise IndexError(f"point {r} outside 0..{self.spec.top_weight}")
 
+    def _rule(self, r: int, cut: int) -> Iterator[tuple[int, int, Iterator]]:
+        """(b_j, h_coef(r, b_j), the slots of weight b_j) per weight below cut
+        whose h_coef(r, b_j) is nonzero.  Each is charged before it is
+        taken, as a product of two integers of the size of h_coef(r, b_j) *
+        D^(b_j - 1), read from the scheme's log10."""
+        self._check_index(r)
+        den, slots = self.spec.slots
+        h_coef, log10 = SCHEME_RULES[self.scheme]
+        for bj, group in itertools.groupby(slots, itemgetter(0)):
+            if bj >= cut:
+                break
+            if fuel.metered:
+                size = log10(r, bj)
+                bits = 0 if size is None else int(size * 3.33) + bj * den.bit_length() + 1
+                fuel.charge(fuel.cells(1, bits, bits), "the point rule")
+            if k := h_coef(r, bj):
+                yield bj, k, group
+
     def u_series(self, r: int, length: int) -> list[list[int]]:
         """Point r's coordinates as dense integer series in u = h / D, cut
         after u^(length-1), trailing zeros dropped: coordinate i is
         [p_i, ..., q_i * n_ij * h_coef(r, b_j) * D^(b_j - 1), ...] over
         q_i, z0_i = p_i / q_i (module docstring).  h_coef is taken only
         for the weights below the cut, and nothing is kept."""
-        self._check_index(r)
-        den, slots = self.spec.slots
-        h_coef = SCHEME_RULES[self.scheme][0]
-        metered = fuel.metered
+        den = self.spec.slots[0]
         coords = [[v.numerator] if v else [] for v in self.base]
-        for bj, group in itertools.groupby(slots, itemgetter(0)):
-            if bj >= length:
-                break
-            if metered:
-                fuel.charge(self._h_coef_cells(r, bj), "the point rule")
-            if k := h_coef(r, bj):
-                k *= den ** (bj - 1)
-                for _, i, n_ij in group:
-                    coord = coords[i]
-                    coord += [0] * (bj - len(coord))
-                    coord.append(self.base[i].denominator * n_ij * k)
+        for bj, k, group in self._rule(r, length):
+            k *= den ** (bj - 1)
+            for _, i, n_ij in group:
+                coord = coords[i]
+                coord += [0] * (bj - len(coord))
+                coord.append(self.base[i].denominator * n_ij * k)
         return coords
 
     def point(self, r: int) -> tuple[Polynomial, ...]:
         """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i, 0 <= r <= b_n,
         each coordinate in Polynomial's integer form (module docstring)."""
-        self._check_index(r)
-        den, slots = self.spec.slots
+        den = self.spec.slots[0]
         coords = [{(0,): v.numerator * den} if v else {} for v in self.base]
-        for bj, group in itertools.groupby(slots, itemgetter(0)):
-            if fuel.metered:
-                fuel.charge(self._h_coef_cells(r, bj), "the point rule")
-            if k := SCHEME_RULES[self.scheme][0](r, bj):
-                for _, i, n_ij in group:
-                    coords[i][(bj,)] = n_ij * k * self.base[i].denominator
+        for bj, k, group in self._rule(r, self.spec.top_weight + 1):
+            for _, i, n_ij in group:
+                coords[i][(bj,)] = n_ij * k * self.base[i].denominator
         if fuel.metered:  # making and writing it, timed as cli.TERM_CELLS was: 150 per coordinate and per term
             fuel.charge(150 * sum(len(c) + 1 for c in coords), "making a point")
         return tuple(Polynomial(1, c, _scale=v.denominator * den) for c, v in zip(coords, self.base))
-
-    def _h_coef_cells(self, r: int, bj: int) -> int:
-        """h_coef(r, b_j) times D^(b_j - 1), charged as a product of two of its size."""
-        log10 = SCHEME_RULES[self.scheme][1](r, bj)
-        bits = 0 if log10 is None else int(log10 * 3.33) + bj * self.spec.slots[0].bit_length() + 1
-        return fuel.cells(1, bits, bits)
 
     def _float_point(self, r: int) -> list[list[tuple[tuple[int, ...], float]]]:
         """point(r)'s coordinates as float terms, made and converted when
@@ -418,7 +418,8 @@ def expansion_check(
     _check_order(m, pts.spec.top_weight)
     coeffs = _series(f, m, pts, m + 1)
     codes, elems = _generating_elements(pts.spec, m)
-    target = DiffOperator(numerator_polynomial(codes, *elems[m])).apply_at(f, base)
+    s, p = elems[m]
+    target = DiffOperator(Polynomial(codes.d, p, _scale=s, _codes=codes)).apply_at(f, base)
     return ExpansionReport(m=m, low_coeffs=tuple(coeffs[:m]), lead=coeffs[m], target=target)
 
 

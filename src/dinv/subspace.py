@@ -349,18 +349,11 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
     return Numerators(codes, list(zip(scales, elems)))
 
 
-def numerator_polynomial(codes: MonomialCodes, scale: int, nums: Mapping[int, int]) -> Polynomial:
-    """nums / scale (nonzero nums keyed by codes' codes, scale > 0) as a
-    Polynomial coded by codes, reduced by one gcd fold: no Fraction or
-    exponent tuple is made."""
-    return Polynomial(codes.d, nums, _scale=scale, _codes=codes)
-
-
 def numerator_basis(nums: Numerators) -> BasisSequence:
     """The BasisSequence of a builder's numerators, each element coded by
     the builder's codec."""
     codes, elems = nums
-    return BasisSequence(tuple([numerator_polynomial(codes, s, p) for s, p in elems]))
+    return BasisSequence(tuple([Polynomial(codes.d, p, _scale=s, _codes=codes) for s, p in elems]))
 
 
 def build_general(spec: GeneralSpec) -> BasisSequence:
@@ -591,13 +584,15 @@ class ClosureReport:
         return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
 
 
-def _shared_codes(basis: Sequence[Polynomial]) -> Numerators | None:
-    """The elements' coded numerators, when every element is coded by one
-    codec (as a built basis's are); None otherwise."""
+def _coded(basis: Sequence[Polynomial], top: int) -> Numerators:
+    """The elements' integer numerators keyed by code: their own codes when
+    one codec codes them all (as a built basis's are), or else their
+    exponents packed by a codec whose base exceeds top and every degree."""
     codes = basis[0].codes
-    if codes is None or any(p.codes is not codes and p.codes != codes for p in basis):
-        return None
-    return Numerators(codes, [(p.scale, p.coded) for p in basis])
+    if codes is not None and all(p.codes is codes or p.codes == codes for p in basis):
+        return Numerators(codes, [(p.scale, p.coded) for p in basis])
+    codes = MonomialCodes(basis[0].dim, max(top, *(p.degree for p in basis)))
+    return Numerators(codes, [(p.scale, codes.packed(p.numerators)) for p in basis])
 
 
 def check_closure(basis: BasisSequence, spec: GeneralSpec) -> ClosureReport:
@@ -610,11 +605,7 @@ def check_closure(basis: BasisSequence, spec: GeneralSpec) -> ClosureReport:
         raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")
     if basis.dim != d:
         raise ValueError(f"basis has dimension {basis.dim}, the spec needs {d}")
-    nums = _shared_codes(basis.elements)
-    if nums is None:
-        codes = MonomialCodes(d, max(top, *(p.degree for p in basis)))
-        nums = Numerators(codes, [(p.scale, codes.packed(p.numerators)) for p in basis])
-    return check_closure_numerators(nums, spec)
+    return check_closure_numerators(_coded(basis.elements, top), spec)
 
 
 def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureReport:
@@ -689,14 +680,9 @@ def breadth(basis: Sequence[Polynomial]) -> int:
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
-    nums = _shared_codes(basis)
-    if nums is None:
-        dim = basis[0].dim
-        if any(q.dim != dim for q in basis):
-            raise ValueError("basis elements must share one dimension")
-        codes = MonomialCodes(dim, max(0, *(q.degree for q in basis)))
-        nums = Numerators(codes, [(1, codes.packed(q.numerators)) for q in basis])
-    return breadth_numerators(nums)
+    if any(q.dim != basis[0].dim for q in basis):
+        raise ValueError("basis elements must share one dimension")
+    return breadth_numerators(_coded(basis, 0))
 
 
 def breadth_numerators(nums: Numerators) -> int:

@@ -25,7 +25,7 @@ from dinv import (
     sweep_to_csv,
 )
 from dinv.discretize import arc
-from dinv.subspace import MonomialCodes, _generating_elements, numerator_basis, numerator_polynomial
+from dinv.subspace import MonomialCodes, _generating_elements, numerator_basis
 from oracles import apply_operator, compose, series_fraction
 
 F = Fraction
@@ -528,7 +528,7 @@ class TestArc:
         """(B_m(D)f)(z0) for each m in orders: one recurrence on monomial
         codes to the last order, each B_m applied at z0 by apply_at."""
         codes, elems = _generating_elements(spec, max(orders))
-        return [DiffOperator(numerator_polynomial(codes, *elems[m])).apply_at(f, z0) for m in orders]
+        return [DiffOperator(Polynomial(codes.d, elems[m][1], _scale=elems[m][0], _codes=codes)).apply_at(f, z0) for m in orders]
 
     def test_every_order_of_seeded_specs(self):
         rng = make_rng(215)

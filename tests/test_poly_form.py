@@ -1,8 +1,8 @@
 """Polynomial's one stored form: integer numerators over one positive
 scale, with the {exponent: Fraction} view made afresh on each read.
 
-Every way of making a polynomial (the public constructor,
-numerator_polynomial on unreduced scales, parse and from_dict) and every vector-space operation is compared with the plain
+Every way of making a polynomial (the public constructor, coded
+numerators on unreduced scales, parse and from_dict) and every vector-space operation is compared with the plain
 Fraction-dict oracle of tests/oracles.py, and every result must hold the
 canonical form: scale > 0, no zero numerator, gcd(scale, numerators) == 1.
 DiffOperator.apply_at, which reads its source's numerators, is compared
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import forbid_fractions, make_rng, rational, seeded_specs
 from dinv import DiffOperator, Polynomial, build_general, build_generating, build_recursive
-from dinv.subspace import MonomialCodes, numerator_polynomial
+from dinv.subspace import MonomialCodes
 from oracles import apply_operator, dict_add, dict_eval, dict_render, dict_scaled
 
 F = Fraction
@@ -37,7 +37,7 @@ def term_dicts(draw, dim: int) -> dict:
 def all_ways(terms: dict, dim: int, k: int = 6) -> list[Polynomial]:
     """The polynomial of terms made four ways: the public constructor (with
     a zero coefficient to drop and int coefficients where integral),
-    numerator_polynomial over k times the least scale (the gcd fold must
+    keyed by code over k times the least scale (the gcd fold must
     reduce it), parse and from_dict."""
     scale = k * math.lcm(1, *(c.denominator for c in terms.values()))
     public = {e: int(c) if c.denominator == 1 else c for e, c in terms.items()}
@@ -45,7 +45,7 @@ def all_ways(terms: dict, dim: int, k: int = 6) -> list[Polynomial]:
     codes = MonomialCodes(dim, max(map(sum, terms), default=0))
     return [
         Polynomial(dim, public),
-        numerator_polynomial(codes, scale, {codes.pack(e): int(c * scale) for e, c in terms.items()}),
+        Polynomial(codes.d, {codes.pack(e): int(c * scale) for e, c in terms.items()}, _scale=scale, _codes=codes),
         Polynomial.parse(dict_render(terms, dim), dim),
         Polynomial.from_dict({"dim": dim, "terms": [{"exp": list(e), "coef": str(c)} for e, c in terms.items()]}),
     ]
@@ -145,14 +145,14 @@ def test_terms_is_a_view_that_cannot_change_the_polynomial():
 
 
 def test_the_zero_polynomial_has_scale_one():
-    for p in (Polynomial.zero(2), Polynomial(2, {}), numerator_polynomial(MonomialCodes(2, 0), 35, {}), Polynomial(2, {(1, 0): 0})):
+    for p in (Polynomial.zero(2), Polynomial(2, {}), Polynomial(2, {}, _scale=35, _codes=MonomialCodes(2, 0)), Polynomial(2, {(1, 0): 0})):
         assert (p.scale, p.numerators, p.terms, p.degree) == (1, {}, {}, -1)
         assert p == Polynomial.zero(2) and not p
 
 
 def test_numerator_polynomial_reduces_to_the_least_scale():
     codes = MonomialCodes(2, 2)
-    p = numerator_polynomial(codes, 360, {codes.pack(e): v for e, v in {(1, 0): 120, (0, 2): -90, (0, 0): 48}.items()})
+    p = Polynomial(codes.d, {codes.pack(e): v for e, v in {(1, 0): 120, (0, 2): -90, (0, 0): 48}.items()}, _scale=360, _codes=codes)
     assert (p.scale, p.numerators) == (60, {(1, 0): 20, (0, 2): -15, (0, 0): 8})
     assert p.terms == {(1, 0): F(1, 3), (0, 2): F(-1, 4), (0, 0): F(2, 15)}
 
@@ -236,21 +236,21 @@ def test_equality_between_codecs_of_different_top():
     # equality falls back to the exponent views, from either side.
     small, large = MonomialCodes(2, 3), MonomialCodes(2, 7)
     terms = {(1, 0): 3, (0, 2): -5, (0, 0): 4}
-    p = numerator_polynomial(small, 6, {small.pack(e): v for e, v in terms.items()})
-    q = numerator_polynomial(large, 12, {large.pack(e): 2 * v for e, v in terms.items()})
+    p = Polynomial(small.d, {small.pack(e): v for e, v in terms.items()}, _scale=6, _codes=small)
+    q = Polynomial(large.d, {large.pack(e): 2 * v for e, v in terms.items()}, _scale=12, _codes=large)
     assert p.coded != q.coded
     assert p == q and q == p
-    r = numerator_polynomial(large, 6, {large.pack(e): v for e, v in {**terms, (0, 2): 5}.items()})
+    r = Polynomial(large.d, {large.pack(e): v for e, v in {**terms, (0, 2): 5}.items()}, _scale=6, _codes=large)
     assert p != r and r != p and q != r and r != q
     # A codec of another d is another dimension.
-    assert p != numerator_polynomial(MonomialCodes(3, 3), 1, {0: 1})
-    assert numerator_polynomial(small, 1, {0: 1}) == Polynomial.constant(2, 1) == numerator_polynomial(large, 1, {0: 1})
+    assert p != Polynomial(3, {0: 1}, _scale=1, _codes=MonomialCodes(3, 3))
+    assert Polynomial(small.d, {0: 1}, _scale=1, _codes=small) == Polynomial.constant(2, 1) == Polynomial(large.d, {0: 1}, _scale=1, _codes=large)
 
 
 def test_numerators_of_a_coded_polynomial_is_one_exponent_keyed_view():
     codes = MonomialCodes(3, 4)
     terms = {(2, 1, 0): 7, (0, 0, 3): -2, (0, 1, 0): 1, (0, 0, 0): 5}
-    p = numerator_polynomial(codes, 9, {codes.pack(e): v for e, v in terms.items()})
+    p = Polynomial(codes.d, {codes.pack(e): v for e, v in terms.items()}, _scale=9, _codes=codes)
     first = p.numerators
     assert first == terms and all(type(e) is tuple for e in first)
     assert p.numerators is first and p.numerators == terms
