@@ -201,7 +201,7 @@ def _basis_chunks(nums: Numerators, pretty: bool) -> Iterator[str]:
     codes, elems = nums
     if pretty:
         for s, p in elems:
-            yield Polynomial(codes.d, p, _scale=s, _codes=codes).render() + "\n"
+            yield Polynomial.of_codes(codes, p, s).render() + "\n"
         return
     heads: dict[int, str] = {}
     gcd, tail = math.gcd, _TERM_TAIL
@@ -211,13 +211,14 @@ def _basis_chunks(nums: Numerators, pretty: bool) -> Iterator[str]:
         if not p:
             yield head + "[]\n  }"
             continue
-        terms = sorted(p.items(), reverse=True)
+        order = sorted(p, reverse=True)
         for c, e in codes.exponents(p.keys() - heads.keys()).items():
             heads[c] = _TERM_HEAD.format(_EXP_SEP.join(map(str, e)))
         yield head + "["
-        for start in range(0, len(terms), 256):
+        for start in range(0, len(order), 256):
             texts = []
-            for c, v in terms[start : start + 256]:
+            for c in order[start : start + 256]:
+                v = p[c]
                 g = gcd(v, s)
                 texts.append(f"{heads[c]}{v // g}{tail}" if g == s else f"{heads[c]}{v // g}/{s // g}{tail}")
             yield ("," if start else "") + ",".join(texts)
@@ -285,7 +286,7 @@ def _cmd_basis(args) -> int:
     # term's d exponents are each a division of its code, and a line of text.
     codes = nums.codes
     width = codes.high.bit_length()
-    cells, widths, exps = 0, [], codes.d * fuel.cells(1, width, width)
+    cells, widths, exps = 0, [], fuel.digits(codes.d, width)
     for s, p in nums.elems:
         bits = max(s.bit_length(), *map(int.bit_length, p.values()))
         widths.append(bits)
@@ -298,7 +299,7 @@ def _cmd_basis(args) -> int:
         wide = too_long.bit_length()
         for (s, p), bits in zip(nums.elems, widths):
             if bits >= wide and (s >= too_long or any(abs(v) >= too_long for v in p.values())):
-                q = Polynomial(codes.d, p, _scale=s, _codes=codes)
+                q = Polynomial.of_codes(codes, p, s)
                 (q.render if args.pretty else q.to_dict)()  # raises DigitLimitError on a term too long
     _emit_chunks(args, _basis_chunks(nums, args.pretty))
     return 0

@@ -50,3 +50,12 @@ def cells(ops: int, bits: int, by: int = 0) -> int:
     if short > 32:
         short = int(32 * (short / 32) ** 0.585)
     return ops * (1 + short * long // 16)
+
+
+def digits(ops: int, width: int) -> int:
+    """The cells of ops reads of a digit, code // B^k % B, from a code of at
+    most width bits: a schoolbook division, 2 each, a cell per 4 of its
+    64-bit limbs and one per 64 products of them.  Fitted above measured
+    reads, within 1.4 times of them past 2,500 bits (README, "Work guard")."""
+    limbs = (width >> 6) + 1
+    return ops * (2 + (limbs >> 2) + (limbs * limbs >> 6))

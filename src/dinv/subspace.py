@@ -250,7 +250,7 @@ class BasisSequence:
     """A graded basis: element k is exactly of total degree k, element 0
     is the constant 1.  Implies linear independence, so the sequence spans
     a space of dimension len(elements).  A built basis's elements are
-    coded, and are checked here on their codes."""
+    coded by one codec, and are checked here on their codes in one pass."""
 
     elements: tuple[Polynomial, ...]
 
@@ -258,6 +258,9 @@ class BasisSequence:
         elems = tuple(self.elements)
         if not elems:
             raise ValueError("empty basis")
+        object.__setattr__(self, "elements", elems)
+        if _graded_on_codes(elems):
+            return
         dim = elems[0].dim
         if any(p.dim != dim for p in elems):
             raise ValueError("basis elements must share one dimension")
@@ -268,7 +271,6 @@ class BasisSequence:
         for k, p in enumerate(elems):
             if p.degree != k:
                 raise ValueError(f"element {k} has degree {p.degree}, expected {k}")
-        object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:
@@ -289,6 +291,23 @@ class BasisSequence:
     @classmethod
     def from_list(cls, data: Sequence[Mapping]) -> BasisSequence:
         return cls(tuple(Polynomial.from_dict(item) for item in data))
+
+
+def _graded_on_codes(elems: tuple[Polynomial, ...]) -> bool:
+    """Whether the first element's codec codes every element (so they share
+    its dimension), the first is the constant 1 and element k has degree k,
+    read from the largest code of each in one pass.  False sends the basis
+    to the general checks, which name what is wrong."""
+    first = elems[0]
+    codes = first.codes
+    if codes is None or first.scale != 1 or first.coded != {0: 1}:
+        return False
+    high = codes.high
+    for k, p in enumerate(elems):
+        coded = p.coded
+        if p.codes is not codes or not coded or max(coded) // high != k:
+            return False
+    return True
 
 
 def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
@@ -345,7 +364,10 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
                     target[e] = get(e, 0) + x * f
     # A sum that cancelled to 0 keeps its key; the scan for one is cheap.
     elems = [p if 0 not in p.values() else {e: v for e, v in p.items() if v} for p in elems]
-    scales = itertools.accumulate(range(1, top + 1), lambda s, m: s * m * den, initial=1)
+    scales, s = [1], 1
+    for m in range(1, top + 1):
+        s *= m * den
+        scales.append(s)
     return Numerators(codes, list(zip(scales, elems)))
 
 
@@ -353,7 +375,8 @@ def numerator_basis(nums: Numerators) -> BasisSequence:
     """The BasisSequence of a builder's numerators, each element coded by
     the builder's codec."""
     codes, elems = nums
-    return BasisSequence(tuple([Polynomial(codes.d, p, _scale=s, _codes=codes) for s, p in elems]))
+    of_codes = Polynomial.of_codes
+    return BasisSequence(tuple([of_codes(codes, p, s) for s, p in elems]))
 
 
 def build_general(spec: GeneralSpec) -> BasisSequence:
@@ -395,8 +418,10 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
     forms = [(bj, [(units[i], n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
     elems = [(1, {0: 1})]
     metered = fuel.metered
-    # The mean bits of each element's numerators, and a code's width, when metered.
+    # The mean bits of each element's numerators, a code's width, and each N_j's largest n_ij's bits, when metered.
     sizes, den_bits, width = [1], den.bit_length(), codes.high.bit_length()
+    if metered:
+        n_bits = {bj: max(abs(w).bit_length() for _, w in form) for bj, form in forms}
     for m in range(1, top + 1):
         step = m.bit_length() + den_bits
         if metered:  # the scale's product
@@ -410,8 +435,7 @@ def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
             if metered:  # making k, then 3 per multiply-add of a term at its mean bits by k times an n_ij, and one per 256 bits of its code
                 k_bits = (bj - 1) * step + bj.bit_length()
                 ops = len(source) * len(form)
-                n_bits = max(abs(w).bit_length() for _, w in form)
-                cells = fuel.cells(1, k_bits, k_bits) + ops * (2 + (width >> 8)) + fuel.cells(ops, sizes[m - bj], k_bits + n_bits)
+                cells = fuel.cells(1, k_bits, k_bits) + ops * (2 + (width >> 8)) + fuel.cells(ops, sizes[m - bj], k_bits + n_bits[bj])
                 fuel.charge(cells, "the generating recurrence")
             k = bj * math.perm(m - 1, bj - 1) * den ** (bj - 1)
             for u, w in form:
@@ -463,8 +487,12 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
     The numerators are keyed by params.codes, MonomialCodes(d, n)."""
     d, n = params.d, params.n
     den, slots = params.slots
-    rest = slots[1:]
-    num = {(i, j): n_ij for i, j, n_ij in rest}  # a[i, j + 1] = num[i, j] / den
+    # a[i, j + 1] = n_ij / den: its (i, n_ij) per variable j by degree, and its (j, n_ij) per degree i.
+    by_var: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    by_deg: dict[int, list[tuple[int, int]]] = {}
+    for i, j, n_ij in slots[1:]:
+        by_var[j].append((i, n_ij))
+        by_deg.setdefault(i, []).append((j, n_ij))
     codes = params.codes
     base, high, powers, units = codes.base, codes.high, codes.powers, codes.units
     rising = powers[::-1]  # B^0, ..., B^(d-1)
@@ -497,31 +525,28 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
         c = _exact_div(scale, s_prev)
         if metered:  # 4 per term of B_(k-1), times c * lcm_k / (e_1 + 1), and e_1's read from its code
             cells = 4 * fuel.cells(len(p_prev), sizes[k - 1], c.bit_length() + lcm_k.bit_length())
-            fuel.charge(cells + fuel.cells(len(p_prev), width, width), "the recursion")
+            fuel.charge(cells + fuel.digits(len(p_prev), width), "the recursion")
         u, p = units[0], powers[0]
         acc = {e + u: c * inv[e // p % base + 1] * v for e, v in p_prev.items()}
+        get = acc.get
         for j in range(1, d):
             u, p = units[j], powers[j]
-            for i in range(2, k):
-                n_ij = num.get((i, j))
-                if not n_ij:
-                    continue
+            for i, n_ij in by_var[j]:
+                if i >= k:
+                    break
                 c = n_ij * _exact_div(scale, den * elems[k - i][0])
                 part = leads[k - i][j:]
                 if metered:  # the k coefs, and 4 per term of the part of B_(k-i) free of x1..x_j, times one, and e_j's read
                     ops = sum(map(len, part))
                     cells = 4 * fuel.cells(ops + k, sizes[k - i], c.bit_length() + lcm_k.bit_length())
-                    fuel.charge(cells + fuel.cells(ops, width, width), "the recursion")
-                coef = [c * q for q in inv]
+                    fuel.charge(cells + fuel.digits(ops, width), "the recursion")
                 for bucket in part:
                     for e, v in bucket:
                         key = e + u
-                        acc[key] = acc.get(key, 0) + coef[e // p % base + 1] * v
+                        acc[key] = get(key, 0) + c * inv[e // p % base + 1] * v
         lin = _exact_div(scale, den) * lcm_k
-        for j in range(1, d):
-            n_kj = num.get((k, j))
-            if n_kj:
-                acc[units[j]] = acc.get(units[j], 0) + n_kj * lin
+        for j, n_kj in by_deg.get(k, ()):
+            acc[units[j]] = get(units[j], 0) + n_kj * lin
         s_k = scale * lcm_k
         g = s_k
         for v in acc.values():
@@ -619,16 +644,21 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
     nums holds B_0..B_{b_n} in the spec's d variables as B_k = P_k / s_k,
     s_k any positive scale (m! * D^m as well as the lcm of denominators).
 
-    Checked on integers: with c_ij = n_ij / D, both sides of each identity
-    are multiplied by L = lcm(s_m, D * s_{m-b_j} over its slots), and (m, i)
-    is a violation iff L/s_m * d(P_m)/dx_i differs from
-    sum_j n_ij * L/(D * s_{m-b_j}) * P_{m-b_j}.  d/dx_i reads e_i from a
+    Checked on integers: with c_ij = n_ij / D, both sides of element m's
+    identities are multiplied by one L_m = lcm(s_m, D * s_{m-b_j} over the
+    spec's weights b_j <= m), and (m, i) is a violation iff
+    L_m/s_m * d(P_m)/dx_i differs from
+    sum_j n_ij * L_m/(D * s_{m-b_j}) * P_{m-b_j}.  d/dx_i reads e_i from a
     code's digit and subtracts x_i's unit.
     """
     d, (den, slots) = spec.d, spec.slots
     codes, elems = nums
     base, powers, units = codes.base, codes.powers, codes.units
-    by_var = [[(bj, n_ij) for bj, v, n_ij in slots if v == i] for i in range(d)]
+    by_var: list[list[tuple[int, int]]] = [[] for _ in range(d)]  # each variable's (b_j, n_ij) by weight
+    for bj, i, n_ij in slots:
+        by_var[i].append((bj, n_ij))
+    weights = sorted({bj for bj, _, _ in slots})
+    mults: dict[int, int] = {}  # element m's L_m / (D * s_(m-b_j)) by weight
     bad: list[tuple[int, int]] = []
     metered = fuel.metered
     if metered:  # the most terms, numerator bits and scale bits of an element so far; the slots of weight <= m; a code's width
@@ -648,24 +678,34 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
                 bits = top_bits
             while sources < len(slots) and slots[sources][0] <= m:
                 sources += 1
-            cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits) + fuel.cells(d * len(p_m), width, width)
+            cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits) + fuel.digits(d * len(p_m), width)
             fuel.charge(cells + fuel.cells(3 * (sources + d), s_bits + n_bits), "the closure check")
+        # L_m, then each weight's L_m / (D * s_(m-b_j)).
+        scale, below = s_m, []
+        for bj in weights:
+            if bj > m:
+                break
+            s = den * elems[m - bj][0]
+            if scale % s:
+                scale = math.lcm(scale, s)
+            below.append((bj, s))
+        for bj, s in below:
+            mults[bj] = scale // s
+        k_m = scale // s_m
         for i in range(d):
-            terms = [(n_ij, *elems[m - bj]) for bj, n_ij in by_var[i] if bj <= m]
-            scale = s_m
-            for _, s, _ in terms:
-                scale = math.lcm(scale, den * s)
-            acc: dict[int, int] = {}
-            k = scale // s_m
             u, p = units[i], powers[i]
+            acc: dict[int, int] = {}
             for e, v in p_m.items():
                 ei = e // p % base
                 if ei:
-                    acc[e - u] = k * ei * v
-            for n_ij, s, p in terms:
-                k = n_ij * (scale // (den * s))
-                for e, v in p.items():
-                    acc[e] = acc.get(e, 0) - k * v
+                    acc[e - u] = k_m * ei * v
+            get = acc.get
+            for bj, n_ij in by_var[i]:
+                if bj > m:
+                    break
+                k = n_ij * mults[bj]
+                for e, v in elems[m - bj][1].items():
+                    acc[e] = get(e, 0) - k * v
             if any(acc.values()):
                 bad.append((m, i + 1))
     return ClosureReport(ok=not bad, violations=tuple(bad))

@@ -869,7 +869,7 @@ def closure_fuel(spec: GeneralSpec, elems: TupleNumerators) -> int:
         longest, s_bits = max(longest, len(p_m)), max(s_bits, s_m.bit_length())
         bits = max(bits, max(map(int.bit_length, p_m.values()), default=0))
         sources = bisect_right(weights, m)
-        cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits) + fuel.cells(d * len(p_m), width, width)
+        cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits) + fuel.digits(d * len(p_m), width)
         total += cells + fuel.cells(3 * (sources + d), s_bits + n_bits)
     return total
 

@@ -293,6 +293,21 @@ class TestBasisSequence:
         basis = build_recursive(EXAMPLE_PARAMS)
         assert BasisSequence.from_list(basis.to_list()) == basis
 
+    def test_coded_elements_are_graded_on_their_codes(self):
+        # One codec's elements pass on their codes; out of order, or not
+        # starting at 1, they get the messages the exponent checks give.
+        elems = build_recursive(EXAMPLE_PARAMS).elements
+        assert all(p.codes is elems[0].codes for p in elems)
+        assert BasisSequence(elems).elements == elems
+        with pytest.raises(ValueError, match="element 1 has degree 2, expected 1"):
+            BasisSequence((elems[0], elems[2], elems[1]))
+        with pytest.raises(ValueError, match="element 0 must be the constant 1"):
+            BasisSequence(elems[1:])
+        # Elements coded by an equal codec, or by none, take the general checks.
+        other = MonomialCodes(2, 4)
+        mixed = (elems[0], *[Polynomial(2, p.coded, _scale=p.scale, _codes=other) for p in elems[1:3]], *EXAMPLE_BASIS[3:])
+        assert BasisSequence(mixed) == BasisSequence(tuple(EXAMPLE_BASIS))
+
 
 class TestBuildRecursive:
     def test_degree_two_generic(self):
@@ -1321,6 +1336,57 @@ class TestNumeratorCores:
                 assert check_closure(tampered, spec) == expect
         assert sources == {"general", "explicit", "recursive"}
         assert refuted >= 60
+
+    def test_closure_on_pairwise_coprime_element_scales(self):
+        # Element k's scale gets its own prime p_k, so each element's one
+        # multiplier L_m is a product of them, larger than any one identity
+        # needs (20 of its 216 elements here).  A loaded basis: element k is
+        # a built element's integer numerators, one of them over p_k, so the
+        # scales 1, p_1, p_2, ... are pairwise coprime, and every identity
+        # that reads such an element fails.  The built numerators with
+        # element k's scale and numerators times p_k: every identity holds.
+        rng = make_rng(165)
+        primes = [p for p in range(101, 2000) if all(p % q for q in range(2, 45))]
+        held = refuted = 0
+        for spec in seeded_specs(rng, 56):
+            built = build_general(spec)
+            elems, free = [built[0]], iter(primes)
+            for q in built.elements[1:]:
+                terms = dict(q.numerators)
+                e = rng.choice(sorted(terms))
+                p = next(p for p in free if terms[e] % p)
+                terms[e] = F(terms[e], p)
+                elems.append(Polynomial(spec.d, terms))
+            basis = BasisSequence(tuple(elems))
+            scales = [q.scale for q in basis]
+            assert scales[0] == 1 and all(math.gcd(a, b) == 1 for a, b in itertools.combinations(scales, 2))
+            expect = check_closure_fraction(basis, spec)
+            assert check_closure(basis, spec) == expect
+            nums = dinv.subspace._coded(basis.elements, spec.top_weight)
+            report, spent = TestCharges._spent(check_closure_numerators, nums, spec)
+            assert report == expect and spent == closure_fuel(spec, unpacked(nums))
+            refuted += len(expect.violations)
+            held += spec.top_weight * spec.d - len(expect.violations)
+            codes, elems = _generating_elements(spec, spec.top_weight)
+            scaled = Numerators(codes, [(s * p, {c: v * p for c, v in q.items()}) for (s, q), p in zip(elems, primes)])
+            report, spent = TestCharges._spent(check_closure_numerators, scaled, spec)
+            assert report.ok and spent == closure_fuel(spec, unpacked(scaled))
+        assert refuted > 0 and held > 0
+
+    def test_built_elements_are_reduced_by_one_gcd(self):
+        # numerator_basis wraps each element as the keyword constructor
+        # does: its numerators and scale over their gcd, keyed by the
+        # builder's own codec.
+        rng = make_rng(166)
+        for _ in range(300):
+            t = random_param_table(rng, d=rng.choice((2, 3, 4)), n=rng.randint(1, 7), fill=rng.choice((0.3, 0.8)))
+            for nums in _builder_numerators(t).values():
+                codes = nums.codes
+                for q, (s, p) in zip(numerator_basis(nums), nums.elems, strict=True):
+                    g = math.gcd(s, *p.values())
+                    assert (q.scale, q.coded) == (s // g, {c: v // g for c, v in p.items()})
+                    ref = Polynomial(codes.d, p, _scale=s, _codes=codes)
+                    assert (q.dim, q.scale, q.coded) == (ref.dim, ref.scale, ref.coded) and q.codes is codes
 
     def test_basis_read_from_json_reaches_the_verdict_with_no_fraction(self, monkeypatch):
         """verify --what closure --basis: from_dict reads the integer form and
