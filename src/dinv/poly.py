@@ -267,8 +267,6 @@ class MonomialCodes:
         return code // self.high
 
 
-_set = object.__setattr__
-_new = object.__new__
 _INT_TYPE = {int}  # the types of an exponent list of JSON ints only
 
 
@@ -321,7 +319,7 @@ class Polynomial:
             raise AttributeError(f"'Polynomial' object has no attribute {name!r}")
         coded = self.coded
         view = dict(zip(codes.exponents(coded).values(), coded.values()))
-        _set(self, "numerators", view)
+        _NUMERATORS(self, view)
         return view
 
     def __setattr__(self, name: str, value) -> None:
@@ -340,7 +338,7 @@ class Polynomial:
         """Polynomial(codes.d, coded, _scale=scale, _codes=codes) with no
         keyword call: a builder's element, nonzero int numerators keyed by
         codes over a positive scale."""
-        return _reduce_into(_new(cls), codes.d, coded, scale, codes)
+        return _reduce_into(object.__new__(cls), codes.d, coded, scale, codes)
 
     @classmethod
     def zero(cls, dim: int) -> Polynomial:

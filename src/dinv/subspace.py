@@ -686,8 +686,7 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
             if bj > m:
                 break
             s = den * elems[m - bj][0]
-            if scale % s:
-                scale = math.lcm(scale, s)
+            scale = math.lcm(scale, s)
             below.append((bj, s))
         for bj, s in below:
             mults[bj] = scale // s
