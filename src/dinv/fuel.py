@@ -59,3 +59,12 @@ def digits(ops: int, width: int) -> int:
     reads, within 1.4 times of them past 2,500 bits (README, "Work guard")."""
     limbs = (width >> 6) + 1
     return ops * (2 + (limbs >> 2) + (limbs * limbs >> 6))
+
+
+def lcms(ops: int, bits: int, by: int) -> int:
+    """The cells of ops lcms of an integer of at most bits bits with one of
+    at most by bits, each with the quotient of the lcm by the second: a gcd
+    and divisions, schoolbook in CPython, so 12 each and 3 per 4 products
+    of their 64-bit limbs.  Fitted above measured lcms of coprime operands
+    (README, "Work guard")."""
+    return ops * (12 + ((bits >> 6) + 1) * ((by >> 6) + 1) * 3 // 4)

@@ -283,8 +283,8 @@ class Polynomial:
     {exponent: Fraction or int} and drops zero coefficients; _scale=s
     takes internal results, nonzero int numerators over a positive scale
     s, keyed by exponent, or by code when _codes names their codec (whose
-    d is dim), as of_codes takes a builder's elements.  Each ends in one
-    gcd fold with the scale (_reduce_into).
+    d is dim), as a builder's elements are made.  Both end in one gcd fold
+    with the scale.
     """
 
     __slots__ = ("dim", "scale", "codes", "coded", "numerators")
@@ -309,7 +309,24 @@ class Polynomial:
                     clean[exps] = c
             _scale, nums = common_denominator(clean.values())
             terms = dict(zip(clean, nums))
-        _reduce_into(self, dim, terms, _scale, _codes)
+        # One gcd fold, stopped at 1: math.gcd(*nums) would build a tuple.
+        g = _scale
+        gcd = math.gcd
+        for v in terms.values():
+            g = gcd(g, v)
+            if g == 1:
+                break
+        if g != 1:
+            terms = {e: v // g for e, v in terms.items()}
+            _scale //= g
+        _DIM(self, dim)
+        _SCALE(self, _scale)
+        _CODES(self, _codes)
+        if _codes is None:
+            _CODED(self, None)
+            _NUMERATORS(self, terms)
+        else:
+            _CODED(self, terms)
 
     def __getattr__(self, name: str):
         """Only an unset slot gets here: the numerators of a coded
@@ -332,13 +349,6 @@ class Polynomial:
         return {e: Fraction(v, s) for e, v in self.numerators.items()}
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def of_codes(cls, codes: MonomialCodes, coded: Mapping[int, int], scale: int) -> Polynomial:
-        """Polynomial(codes.d, coded, _scale=scale, _codes=codes) with no
-        keyword call: a builder's element, nonzero int numerators keyed by
-        codes over a positive scale."""
-        return _reduce_into(object.__new__(cls), codes.d, coded, scale, codes)
 
     @classmethod
     def zero(cls, dim: int) -> Polynomial:
@@ -557,32 +567,6 @@ class Polynomial:
 # The slots' own setters: Polynomial.__setattr__ refuses every write, and
 # these skip object.__setattr__'s lookup of the name.
 _DIM, _SCALE, _CODES, _CODED, _NUMERATORS = (Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__)
-
-
-def _reduce_into(p: Polynomial, dim: int, terms: dict, scale: int, codes: MonomialCodes | None) -> Polynomial:
-    """Set p's slots to terms over scale, both divided by their gcd: keyed
-    by codes when codes is given, by exponent otherwise.  The one path of
-    every Polynomial made: one gcd fold, stopped at 1 (math.gcd(*nums)
-    would build a tuple), then the slots."""
-    g = scale
-    gcd = math.gcd
-    for v in terms.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    else:
-        if g != 1:
-            terms = {e: v // g for e, v in terms.items()}
-            scale //= g
-    _DIM(p, dim)
-    _SCALE(p, scale)
-    _CODES(p, codes)
-    if codes is None:
-        _CODED(p, None)
-        _NUMERATORS(p, terms)
-    else:
-        _CODED(p, terms)
-    return p
 
 
 class DiffOperator:

@@ -250,7 +250,7 @@ class BasisSequence:
     """A graded basis: element k is exactly of total degree k, element 0
     is the constant 1.  Implies linear independence, so the sequence spans
     a space of dimension len(elements).  A built basis's elements are
-    coded by one codec, and are checked here on their codes in one pass."""
+    coded, and are checked here on their codes."""
 
     elements: tuple[Polynomial, ...]
 
@@ -258,9 +258,6 @@ class BasisSequence:
         elems = tuple(self.elements)
         if not elems:
             raise ValueError("empty basis")
-        object.__setattr__(self, "elements", elems)
-        if _graded_on_codes(elems):
-            return
         dim = elems[0].dim
         if any(p.dim != dim for p in elems):
             raise ValueError("basis elements must share one dimension")
@@ -271,6 +268,7 @@ class BasisSequence:
         for k, p in enumerate(elems):
             if p.degree != k:
                 raise ValueError(f"element {k} has degree {p.degree}, expected {k}")
+        object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:
@@ -291,23 +289,6 @@ class BasisSequence:
     @classmethod
     def from_list(cls, data: Sequence[Mapping]) -> BasisSequence:
         return cls(tuple(Polynomial.from_dict(item) for item in data))
-
-
-def _graded_on_codes(elems: tuple[Polynomial, ...]) -> bool:
-    """Whether the first element's codec codes every element (so they share
-    its dimension), the first is the constant 1 and element k has degree k,
-    read from the largest code of each in one pass.  False sends the basis
-    to the general checks, which name what is wrong."""
-    first = elems[0]
-    codes = first.codes
-    if codes is None or first.scale != 1 or first.coded != {0: 1}:
-        return False
-    high = codes.high
-    for k, p in enumerate(elems):
-        coded = p.coded
-        if p.codes is not codes or not coded or max(coded) // high != k:
-            return False
-    return True
 
 
 def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
@@ -375,8 +356,7 @@ def numerator_basis(nums: Numerators) -> BasisSequence:
     """The BasisSequence of a builder's numerators, each element coded by
     the builder's codec."""
     codes, elems = nums
-    of_codes = Polynomial.of_codes
-    return BasisSequence(tuple([of_codes(codes, p, s) for s, p in elems]))
+    return BasisSequence(tuple([Polynomial(codes.d, p, _scale=s, _codes=codes) for s, p in elems]))
 
 
 def build_general(spec: GeneralSpec) -> BasisSequence:
@@ -680,17 +660,26 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
                 sources += 1
             cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits) + fuel.digits(d * len(p_m), width)
             fuel.charge(cells + fuel.cells(3 * (sources + d), s_bits + n_bits), "the closure check")
-        # L_m, then each weight's L_m / (D * s_(m-b_j)).
+        # L_m, then each weight's L_m / (D * s_(m-b_j)).  On a built basis
+        # L_m is one of its operands; a loaded basis's scales may share no
+        # factor, and L_m grow past them to their product.
         scale, below = s_m, []
         for bj in weights:
             if bj > m:
                 break
             s = den * elems[m - bj][0]
+            if metered and scale.bit_length() > s_bits + n_bits:  # this lcm and L_m / s, on L_m so far
+                fuel.charge(fuel.lcms(1, scale.bit_length(), s_bits + n_bits), "the closure check")
             scale = math.lcm(scale, s)
             below.append((bj, s))
         for bj, s in below:
             mults[bj] = scale // s
         k_m = scale // s_m
+        if metered:  # the 2 cells per term again, on the widest multiplier past the scales' bits
+            by = max(k_m.bit_length(), *map(int.bit_length, mults.values()))
+            if by > s_bits:
+                ops = d * len(p_m) + sources * longest
+                fuel.charge(2 * (fuel.cells(ops, bits, by + n_bits) - fuel.cells(ops, bits, s_bits + n_bits)), "the closure check")
         for i in range(d):
             u, p = units[i], powers[i]
             acc: dict[int, int] = {}

@@ -858,7 +858,11 @@ def closure_fuel(spec: GeneralSpec, elems: TupleNumerators) -> int:
     per element m, 2 per term of P_m per variable and per term of the
     longest element so far per slot of weight <= m, on the most numerator
     and scale bits so far, a division of a code of the spec's codec per
-    term of P_m per variable, and its lcms and multipliers."""
+    term of P_m per variable, and its lcms and multipliers.  Where the
+    scales share no factor, as a loaded basis's may, L_m grows past them:
+    each lcm taken on an L_m so far wider than the scales and n_ij is
+    charged at its width, and the 2 per term again at the widest of
+    L_m / s_m and the L_m / (D * s_(m-b_j)), when wider than the scales."""
     d, (den, slots) = spec.d, spec.slots
     weights = [bj for bj, _, _ in slots]
     n_bits = max(abs(n).bit_length() for _, _, n in slots) + den.bit_length()
@@ -869,8 +873,17 @@ def closure_fuel(spec: GeneralSpec, elems: TupleNumerators) -> int:
         longest, s_bits = max(longest, len(p_m)), max(s_bits, s_m.bit_length())
         bits = max(bits, max(map(int.bit_length, p_m.values()), default=0))
         sources = bisect_right(weights, m)
-        cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits) + fuel.digits(d * len(p_m), width)
-        total += cells + fuel.cells(3 * (sources + d), s_bits + n_bits)
+        ops = d * len(p_m) + sources * longest
+        total += 2 * fuel.cells(ops, bits, s_bits + n_bits) + fuel.digits(d * len(p_m), width)
+        total += fuel.cells(3 * (sources + d), s_bits + n_bits)
+        lcm_m = s_m
+        for bj in sorted(set(weights[:sources])):
+            if lcm_m.bit_length() > s_bits + n_bits:
+                total += fuel.lcms(1, lcm_m.bit_length(), s_bits + n_bits)
+            lcm_m = math.lcm(lcm_m, den * elems[m - bj][0])
+        by = max((lcm_m // s).bit_length() for s in [s_m] + [den * elems[m - bj][0] for bj in weights[:sources]])
+        if by > s_bits:
+            total += 2 * (fuel.cells(ops, bits, by + n_bits) - fuel.cells(ops, bits, s_bits + n_bits))
     return total
 
 

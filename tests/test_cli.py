@@ -946,6 +946,19 @@ class TestSizeGuard:
         command = "basis" if argv[0] == "basis" else f"verify --what {argv[2]}"
         _refused_in_time([*argv, "--spec", str(path)], capsys, command, stage)
 
+    def test_loaded_basis_of_coprime_scales_past_the_bound(self, tmp_path, capsys, small_budget):
+        # Element k over 2^(q_k) - 1, q_k the primes from 2503, pairwise
+        # coprime: the closure check's multipliers hold the product of up to
+        # 41 scales, 110,000 bits.  It runs about 0.9 s unmetered.
+        spec = {"n": 40, "d": 1, "b": list(range(1, 41)), "c": [[f"{j % 5 + 1}/{j % 3 + 1}" for j in range(40)]]}
+        built = dinv.build_general(dinv.GeneralSpec.from_dict(spec))
+        qs = [q for q in range(2500, 3000) if all(q % p for p in range(2, 55))][:40]
+        elems = [built[0]] + [Polynomial(1, {e: Fraction(v, 2**q - 1) for e, v in p.numerators.items()}) for q, p in zip(qs, built.elements[1:])]
+        (tmp_path / "g.json").write_text(json.dumps(spec))
+        (tmp_path / "b.json").write_text(json.dumps(BasisSequence(tuple(elems)).to_list()))
+        argv = ["verify", "--what", "closure", "--spec", str(tmp_path / "g.json"), "--basis", str(tmp_path / "b.json")]
+        _refused_in_time(argv, capsys, "verify --what closure", "the closure check")
+
     def test_wide_full_table_past_the_bound(self, tmp_path, capsys):
         # Under the 2 s budget: the cheap bound refuses this table at once under a smaller one.
         path = tmp_path / "w.json"

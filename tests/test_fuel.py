@@ -1,7 +1,8 @@
 """fuel.cells, the one count every metered step is charged by: monotone in
 each argument, symmetric in its two factors, and the schoolbook count of
 limb products while both factors have at most 32 limbs.  fuel.digits, the
-charge of a digit read from a monomial code, against its measured cost."""
+charge of a digit read from a monomial code, and fuel.lcms, of an lcm and
+its quotient, against their measured costs."""
 
 from __future__ import annotations
 
@@ -82,3 +83,32 @@ def test_wide_digit_reads_cost_less_than_a_product():
     for width in range(2048, 40002, 61):
         assert fuel.digits(1, width) < fuel.cells(1, width, width)
     assert 2 * fuel.digits(1, 2585) < fuel.cells(1, 2585, 2585)
+
+
+# An lcm of a bits-bit and a by-bit integer that share no factor, and the
+# quotient of the lcm by the second, measured as MEASURED_READS are: the
+# slower of two runs, each the fastest of 3 or 5.
+MEASURED_LCMS = {
+    (200, 100): 13.1,
+    (500, 500): 49.1,
+    (1000, 500): 67.3,
+    (2000, 1000): 176,
+    (8000, 4000): 1702,
+    (64000, 8000): 29080,
+    (240000, 30000): 351960,
+    (900000, 30000): 1176385,
+}
+
+
+def test_lcms_cover_their_measured_cost():
+    for (bits, by), measured in MEASURED_LCMS.items():
+        assert fuel.lcms(1, bits, by) >= measured
+    assert fuel.lcms(0, 900000, 30000) == 0 and fuel.lcms(5, 8000, 4000) == 5 * fuel.lcms(1, 8000, 4000)
+
+
+@given(ops=st.integers(0, 10**6), bits=_BITS, by=_BITS, more=st.integers(0, 10**6))
+def test_lcms_are_monotone(ops, bits, by, more):
+    cells = fuel.lcms(ops, bits, by)
+    assert fuel.lcms(ops + more, bits, by) >= cells
+    assert fuel.lcms(ops, bits + more, by) >= cells
+    assert fuel.lcms(ops, bits, by + more) >= cells

@@ -294,8 +294,8 @@ class TestBasisSequence:
         assert BasisSequence.from_list(basis.to_list()) == basis
 
     def test_coded_elements_are_graded_on_their_codes(self):
-        # One codec's elements pass on their codes; out of order, or not
-        # starting at 1, they get the messages the exponent checks give.
+        # One codec's elements are graded on their codes; out of order, or
+        # not starting at 1, they get the messages the exponent checks give.
         elems = build_recursive(EXAMPLE_PARAMS).elements
         assert all(p.codes is elems[0].codes for p in elems)
         assert BasisSequence(elems).elements == elems
@@ -303,7 +303,7 @@ class TestBasisSequence:
             BasisSequence((elems[0], elems[2], elems[1]))
         with pytest.raises(ValueError, match="element 0 must be the constant 1"):
             BasisSequence(elems[1:])
-        # Elements coded by an equal codec, or by none, take the general checks.
+        # Elements coded by an equal codec, or by none, are graded alike.
         other = MonomialCodes(2, 4)
         mixed = (elems[0], *[Polynomial(2, p.coded, _scale=p.scale, _codes=other) for p in elems[1:3]], *EXAMPLE_BASIS[3:])
         assert BasisSequence(mixed) == BasisSequence(tuple(EXAMPLE_BASIS))
@@ -1372,6 +1372,49 @@ class TestNumeratorCores:
             report, spent = TestCharges._spent(check_closure_numerators, scaled, spec)
             assert report.ok and spent == closure_fuel(spec, unpacked(scaled))
         assert refuted > 0 and held > 0
+
+    @staticmethod
+    def _product_cells(spec: GeneralSpec, elems) -> int:
+        """fuel.cells of each product the closure check makes, at the
+        widths of its own operands: L_m / s_m * e_i by each term of P_m
+        with e_i > 0, and n_ij * L_m / (D * s_(m-b_j)) by each term of
+        P_(m-b_j), elems holding (s_k, P_k) on exponent tuples."""
+        den, slots = spec.slots
+        total = 0
+        for m in range(1, spec.top_weight + 1):
+            s_m, p_m = elems[m]
+            lcm_m = math.lcm(s_m, *(den * elems[m - bj][0] for bj, _, _ in slots if bj <= m))
+            for i in range(spec.d):
+                total += sum(fuel.cells(1, v.bit_length(), (lcm_m // s_m * e[i]).bit_length()) for e, v in p_m.items() if e[i])
+            for bj, i, n_ij in slots:
+                if bj <= m:
+                    s, p = elems[m - bj]
+                    k = n_ij * (lcm_m // (den * s))
+                    total += sum(fuel.cells(1, v.bit_length(), k.bit_length()) for v in p.values())
+        return total
+
+    def test_closure_charge_covers_its_products(self):
+        # Pairwise-coprime scales make L_m the product of an element's
+        # scale and those it reads, one scale wider per weight b_j <= m:
+        # the charge grows with it, past each product the check makes at
+        # its operands' widths, on specs of up to 10 weights.  The scales are
+        # 2^q - 1 for distinct primes q: gcd(2^q - 1, 2^r - 1) = 2^gcd(q, r) - 1.
+        rng = make_rng(167)
+        primes = [p for p in range(1000, 3000) if all(p % q for q in range(2, 55))]
+        for trial in range(20):
+            d, top = rng.randint(1, 3), rng.randint(2, 10)
+            b = sorted({1, top, *rng.sample(range(2, top), rng.randint(0, top - 2))}) if trial % 2 else list(range(1, top + 1))
+            c = [[rational(rng) or F(1) for _ in b] for _ in range(d)]
+            spec = GeneralSpec.from_dict({"n": len(b), "d": d, "b": b, "c": [[str(x) for x in row] for row in c]})
+            built = build_general(spec)
+            qs = rng.sample(primes, spec.top_weight)
+            scaled = [Polynomial(d, {e: F(v, (1 << q) - 1) for e, v in p.numerators.items()}) for q, p in zip(qs, built.elements[1:])]
+            basis = BasisSequence((built[0], *scaled))
+            nums = dinv.subspace._coded(basis.elements, spec.top_weight)
+            report, spent = TestCharges._spent(check_closure_numerators, nums, spec)
+            assert report == check_closure_fraction(basis, spec)
+            assert spent == closure_fuel(spec, unpacked(nums))
+            assert spent >= self._product_cells(spec, unpacked(nums)), (spec, spent)
 
     def test_built_elements_are_reduced_by_one_gcd(self):
         # numerator_basis wraps each element as the keyword constructor
