@@ -11,6 +11,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -795,6 +796,58 @@ class TestReports:
             assert main(argv) == 0
         assert len(written) == len(commands)
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, patch, code, report, err",
+        [
+            (["verify", "--what", "closure", "--spec", "{table}"], None, 0,
+             {"what": "closure", "ok": True, "violations": []}, "closure: ok\n"),
+            (["verify", "--what", "closure", "--spec", "{general}", "--basis", "{tampered}"], None, 1,
+             {"what": "closure", "ok": False, "violations": [[2, 2]]}, "closure: FAIL at (element, variable) [(2, 2)]\n"),
+            (["verify", "--what", "equivalence", "--spec", "{table}"], None, 0,
+             {"what": "equivalence", "recursive_vs_explicit": True, "general_vs_recursive": True, "ok": True},
+             "equivalence: ok\n"),
+            (["verify", "--what", "equivalence", "--spec", "{gapped}"], None, 0,
+             {"what": "equivalence", "generating_vs_general": True, "ok": True}, "equivalence: ok\n"),
+            (["verify", "--what", "equivalence", "--spec", "{table}"],
+             ("_generating_elements", lambda spec, top: Numerators(MonomialCodes(spec.d, top), [(1, {0: 1})])), 1,
+             {"what": "equivalence", "recursive_vs_explicit": True, "general_vs_recursive": False, "ok": False},
+             "equivalence: FAIL\n"),
+            (["verify", "--what", "breadth", "--spec", "{table}"], None, 0,
+             {"what": "breadth", "value": 1, "degrees": [0, 1, 2, 3, 4], "ok": True}, "breadth: 1 (ok)\n"),
+            *(
+                (["verify", "--what", "identities", "--m-max", "6", "--vand-max", "4", "--r-max", "3", "--i-max", "3"],
+                 patch, int(not ok),
+                 {"what": "identities", "power_sums": {"m_max": 6, "ok": ok}, "vandermonde": {"m_max": 4, "ok": True},
+                  "falling_factorial": {"r_max": 3, "i_max": 3, "ok": True}, "ok": ok},
+                 f"power sums (m <= 6): {'ok' if ok else 'FAIL'}\nstencil vs elimination oracle (m <= 4): ok\n"
+                 "falling-factorial cap identity (r <= 3, i <= 3): ok\n")
+                for ok, patch in ((True, None), (False, ("signed_power_sums", lambda m, *rest: [0] * (m + 1))))
+            ),
+            (["limit", "--spec", "{table}", "--f", "{f}", "--m", "3", "--scheme", "b"], None, 0,
+             {"m": 3, "low_coeffs": ["0", "0", "0"], "lead": "3", "target": "3", "pass": True},
+             "limit check m=3 scheme b: pass\n"),
+            (["scan", "--count", "3", "--n-max", "3"], None, 0,
+             {"what": "scan", "count": 3, "seed": 0, "failures": [], "ok": True},
+             "checked 3 tables in {elapsed}s: 3 ok, 0 failed\n"),
+        ],
+        ids=["closure", "closure-basis-fails", "equivalence-table", "equivalence-general", "equivalence-fails",
+             "breadth", "identities", "identities-fail", "limit", "scan"],
+    )
+    def test_every_verdict_ending(self, argv, patch, code, report, err, spec_file, general_file, tmp_path, monkeypatch, capsys):
+        # Each verdict's exit code, stdout bytes and stderr lines; scan's
+        # elapsed time is read as any number of seconds to two places.
+        files = {"table": spec_file, "general": general_file, "gapped": tmp_path / "gapped.json",
+                 "tampered": tmp_path / "tampered.json", "f": tmp_path / "f.txt"}
+        files["gapped"].write_text(json.dumps(GAPPED_SPEC))
+        files["tampered"].write_text(json.dumps([P(e).to_dict() for e in ("1", "x1", "1/2*x1^2 + 3*x2")]))
+        files["f"].write_text("x1^3 + x1*x2 - 1")
+        if patch:
+            monkeypatch.setattr(dinv.cli, *patch)
+        assert main([arg.format(**files) for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == json.dumps(report, indent=2) + "\n"
+        assert re.fullmatch(re.escape(err).replace(re.escape("{elapsed}"), r"[0-9]+\.[0-9]{2}"), captured.err), captured.err
 
 
 # The budget of the tests of metered refusals: each ends within 1.5 times it.
