@@ -67,11 +67,9 @@ from .subspace import (
     _generating_elements,
     _recursive_numerators,
     breadth_numerators,
-    build_explicit,
-    build_generating,
-    build_recursive,
     check_closure,
     check_closure_numerators,
+    numerator_basis,
 )
 
 
@@ -231,8 +229,13 @@ def _basis_chunks(nums: Numerators, pretty: bool) -> Iterator[str]:
 _REPORT = json.JSONEncoder(indent=2)
 
 
-def _note(msg: str) -> None:
-    print(msg, file=sys.stderr)
+def _verdict(args, ok: bool, report: dict, *notes: str) -> int:
+    """Every verdict's ending: the report as JSON to --out or stdout, each
+    note a line of stderr, and the exit code of ok."""
+    _emit(args, _REPORT.encode(report) + "\n")
+    for msg in notes:
+        print(msg, file=sys.stderr)
+    return 0 if ok else 1
 
 
 # -- the work guard (README.md, "Work guard") -----------------------------
@@ -329,17 +332,22 @@ def _same_elements(x: Numerators, y: Numerators) -> bool:
     return True
 
 
-def _compare_builders(params: GeneralSpec) -> tuple[Numerators, bool, bool]:
-    """The recursive basis's numerators, whether the explicit (closed-form)
-    basis equals it, and whether the one of the generating recurrence does.
-    The closed form is built first: its product over slots is charged a
-    step at a time, so a table past the budget is refused at the step that
-    would pass it, before the other builders run."""
-    exp = _build_numerators("explicit", params)
-    rec = _build_numerators("recursive", params)
-    rec_vs_exp = _same_elements(exp, rec)
-    gen_vs_rec = _same_elements(_build_numerators("general", params), rec)
-    return rec, rec_vs_exp, gen_vs_rec
+def _compare_builders(spec: GeneralSpec) -> tuple[Numerators | None, dict[str, bool]]:
+    """The recursive basis's numerators (None unless the spec is a table)
+    and the report's builder comparisons: on a table, whether the explicit
+    (closed-form) basis equals the recursive one and whether the one of the
+    generating recurrence does; on any other spec, whether the recurrence's
+    equals the closed form's.  The closed form is built first: its product
+    over slots is charged a step at a time, so a spec past the budget is
+    refused at the step that would pass it, before the other builders run."""
+    exp = _build_numerators("explicit", spec)
+    if spec.a is None:
+        return None, {"generating_vs_general": _same_elements(exp, _build_numerators("general", spec))}
+    rec = _build_numerators("recursive", spec)
+    return rec, {
+        "recursive_vs_explicit": _same_elements(exp, rec),
+        "general_vs_recursive": _same_elements(_build_numerators("general", spec), rec),
+    }
 
 
 def _power_sums_hold(m: int) -> bool:
@@ -370,65 +378,38 @@ def _cmd_verify(args) -> int:
             "falling_factorial": {"r_max": r_max, "i_max": i_max, "ok": ff_ok},
             "ok": ok,
         }
-        _emit(args, _REPORT.encode(report) + "\n")
-        _note(f"power sums (m <= {m_max}): {'ok' if ps_ok else 'FAIL'}")
-        _note(f"stencil vs elimination oracle (m <= {vand_max}): {'ok' if vand_ok else 'FAIL'}")
-        _note(f"falling-factorial cap identity (r <= {r_max}, i <= {i_max}): {'ok' if ff_ok else 'FAIL'}")
-        return 0 if ok else 1
+        return _verdict(
+            args, ok, report,
+            f"power sums (m <= {m_max}): {'ok' if ps_ok else 'FAIL'}",
+            f"stencil vs elimination oracle (m <= {vand_max}): {'ok' if vand_ok else 'FAIL'}",
+            f"falling-factorial cap identity (r <= {r_max}, i <= {i_max}): {'ok' if ff_ok else 'FAIL'}",
+        )
 
     if not args.spec:
         raise CliError(f"verify --what {args.what} needs --spec")
     spec = _load_spec(args.spec)
-
-    if args.what == "closure":
-        if args.basis:
-            basis = _load_basis(args.basis)
-            try:
-                rep = check_closure(basis, spec)
-            except ValueError as exc:
-                raise CliError(f"{args.basis}: {exc}") from exc
-        else:
-            _check_top(args.spec, spec)
-            rep = check_closure_numerators(_build_numerators("general", spec), spec)
-        _emit(args, _REPORT.encode({"what": "closure", **rep.to_dict()}) + "\n")
-        _note("closure: ok" if rep.ok else f"closure: FAIL at (element, variable) {list(rep.violations)}")
-        return 0 if rep.ok else 1
-
-    if args.what == "equivalence":
+    if args.what == "closure" and args.basis:
+        basis = _load_basis(args.basis)
+        try:
+            rep = check_closure(basis, spec)
+        except ValueError as exc:
+            raise CliError(f"{args.basis}: {exc}") from exc
+    else:
         _check_top(args.spec, spec)
-        if spec.a is None:
-            # The closed form first, as in _compare_builders: a spec past the budget is refused at its step.
-            ok = _same_elements(_build_numerators("explicit", spec), _build_numerators("general", spec))
-            report = {"what": "equivalence", "generating_vs_general": ok, "ok": ok}
-        else:
-            _, rec_vs_exp, gen_vs_rec = _compare_builders(spec)
-            ok = rec_vs_exp and gen_vs_rec
-            report = {
-                "what": "equivalence",
-                "recursive_vs_explicit": rec_vs_exp,
-                "general_vs_recursive": gen_vs_rec,
-                "ok": ok,
-            }
-        _emit(args, _REPORT.encode(report) + "\n")
-        _note("equivalence: ok" if ok else "equivalence: FAIL")
-        return 0 if ok else 1
-
-    if args.what == "breadth":
-        _check_top(args.spec, spec)
+        if args.what == "equivalence":
+            _, same = _compare_builders(spec)
+            ok = all(same.values())
+            return _verdict(args, ok, {"what": "equivalence", **same, "ok": ok}, f"equivalence: {'ok' if ok else 'FAIL'}")
         nums = _build_numerators("general", spec)
-        value = breadth_numerators(nums)
-        ok = value == 1
-        report = {
-            "what": "breadth",
-            "value": value,
-            "degrees": [nums.codes.degree(max(p)) if p else -1 for _, p in nums.elems],
-            "ok": ok,
-        }
-        _emit(args, _REPORT.encode(report) + "\n")
-        _note(f"breadth: {value} ({'ok' if ok else 'FAIL, expected 1'})")
-        return 0 if ok else 1
-
-    raise CliError(f"unknown verification {args.what!r}")
+        if args.what == "breadth":
+            value = breadth_numerators(nums)
+            ok = value == 1
+            degrees = [nums.codes.degree(max(p)) if p else -1 for _, p in nums.elems]
+            return _verdict(args, ok, {"what": "breadth", "value": value, "degrees": degrees, "ok": ok},
+                            f"breadth: {value} ({'ok' if ok else 'FAIL, expected 1'})")
+        rep = check_closure_numerators(nums, spec)
+    note = "closure: ok" if rep.ok else f"closure: FAIL at (element, variable) {list(rep.violations)}"
+    return _verdict(args, rep.ok, {"what": "closure", **rep.to_dict()}, note)
 
 
 def _cmd_points(args) -> int:
@@ -477,9 +458,8 @@ def _cmd_limit(args) -> int:
         report = expansion_check(f, z0, args.m, pts)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    _emit(args, _REPORT.encode(report.to_dict()) + "\n")
-    _note(f"limit check m={args.m} scheme {args.scheme}: {'pass' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 1
+    return _verdict(args, report.passed, report.to_dict(),
+                    f"limit check m={args.m} scheme {args.scheme}: {'pass' if report.passed else 'FAIL'}")
 
 
 def _parse_h0(args) -> float:
@@ -600,11 +580,11 @@ def _cmd_scan(args) -> int:
         # Charged for the full table of (--d-max, --n-max) before the draw, whose size it bounds.
         fuel.charge(SCAN_TABLE_CELLS + 150 * d_max * n_max, "drawing a table")
         t = _random_table(rng, d_max, n_max)
-        rec, rec_vs_exp, gen_vs_rec = _compare_builders(t)
+        rec, same = _compare_builders(t)
         closure = check_closure_numerators(rec, t)
         checks = (
-            (rec_vs_exp, "explicit != recursive"),
-            (gen_vs_rec, "general != recursive"),
+            (same["recursive_vs_explicit"], "explicit != recursive"),
+            (same["general_vs_recursive"], "general != recursive"),
             (closure.ok, f"closure violations {closure.violations}"),
             (breadth_numerators(rec) == 1, "breadth != 1"),
         )
@@ -613,9 +593,7 @@ def _cmd_scan(args) -> int:
             failures.append({"index": k, "table": t.to_dict(), "problems": problems})
     elapsed, bad = time.perf_counter() - start, len(failures)
     report = {"what": "scan", "count": args.count, "seed": args.seed, "failures": failures, "ok": not failures}
-    sys.stdout.write(_REPORT.encode(report) + "\n")
-    _note(f"checked {args.count} tables in {elapsed:.2f}s: {args.count - bad} ok, {bad} failed")
-    return 1 if failures else 0
+    return _verdict(args, not failures, report, f"checked {args.count} tables in {elapsed:.2f}s: {args.count - bad} ok, {bad} failed")
 
 
 def _cmd_example1(args) -> int:
@@ -625,9 +603,8 @@ def _cmd_example1(args) -> int:
 
     expected_basis = [Polynomial.parse(t, 2) for t in _EXAMPLE_BASIS_TEXT]
     out.append("basis (degrees 0..4):")
-    builders = (("recursive", build_recursive), ("explicit", build_explicit), ("general", build_generating))
-    for source, build in builders:
-        got = list(build(params))
+    for source in ("recursive", "explicit", "general"):
+        got = list(numerator_basis(_build_numerators(source, params)))
         for k, (g, e) in enumerate(zip(got, expected_basis)):
             if g != e:
                 failures.append(f"{source} element {k}: got {g.render()}, expected {e.render()}")
@@ -656,7 +633,7 @@ def _cmd_example1(args) -> int:
     out.append("result: " + ("all checks passed" if not failures else "FAILURES"))
     _emit(args, "".join(line + "\n" for line in out))
     for msg in failures:
-        _note(f"FAIL: {msg}")
+        print(f"FAIL: {msg}", file=sys.stderr)
     return 0 if not failures else 1
 
 

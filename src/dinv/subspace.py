@@ -660,15 +660,18 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
                 sources += 1
             cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits) + fuel.digits(d * len(p_m), width)
             fuel.charge(cells + fuel.cells(3 * (sources + d), s_bits + n_bits), "the closure check")
-        # L_m, then each weight's L_m / (D * s_(m-b_j)).  On a built basis
-        # L_m is one of its operands; a loaded basis's scales may share no
-        # factor, and L_m grow past them to their product.
+        # L_m, then each weight's L_m / (D * s_(m-b_j)).  On the scales
+        # m! * D^m of the closed form and the recurrence, D * s_(m-b_j)
+        # divides s_m, so L_m is s_m; a loaded basis's scales may share no
+        # factor, each lcm is a gcd, and L_m grows past them to their
+        # product.  So each lcm is charged, with L_m / s, on L_m so far,
+        # unless L_m is no wider than the scales and one remainder shows s divides it.
         scale, below = s_m, []
         for bj in weights:
             if bj > m:
                 break
             s = den * elems[m - bj][0]
-            if metered and scale.bit_length() > s_bits + n_bits:  # this lcm and L_m / s, on L_m so far
+            if metered and (scale.bit_length() > s_bits + n_bits or scale % s):
                 fuel.charge(fuel.lcms(1, scale.bit_length(), s_bits + n_bits), "the closure check")
             scale = math.lcm(scale, s)
             below.append((bj, s))

@@ -860,9 +860,10 @@ def closure_fuel(spec: GeneralSpec, elems: TupleNumerators) -> int:
     and scale bits so far, a division of a code of the spec's codec per
     term of P_m per variable, and its lcms and multipliers.  Where the
     scales share no factor, as a loaded basis's may, L_m grows past them:
-    each lcm taken on an L_m so far wider than the scales and n_ij is
-    charged at its width, and the 2 per term again at the widest of
-    L_m / s_m and the L_m / (D * s_(m-b_j)), when wider than the scales."""
+    each lcm is charged at the width of L_m so far, unless that is no wider
+    than the scales and n_ij and D * s_(m-b_j) divides it, and the 2 per
+    term again at the widest of L_m / s_m and the L_m / (D * s_(m-b_j)),
+    when wider than the scales."""
     d, (den, slots) = spec.d, spec.slots
     weights = [bj for bj, _, _ in slots]
     n_bits = max(abs(n).bit_length() for _, _, n in slots) + den.bit_length()
@@ -878,9 +879,10 @@ def closure_fuel(spec: GeneralSpec, elems: TupleNumerators) -> int:
         total += fuel.cells(3 * (sources + d), s_bits + n_bits)
         lcm_m = s_m
         for bj in sorted(set(weights[:sources])):
-            if lcm_m.bit_length() > s_bits + n_bits:
+            s = den * elems[m - bj][0]
+            if lcm_m.bit_length() > s_bits + n_bits or lcm_m % s:
                 total += fuel.lcms(1, lcm_m.bit_length(), s_bits + n_bits)
-            lcm_m = math.lcm(lcm_m, den * elems[m - bj][0])
+            lcm_m = math.lcm(lcm_m, s)
         by = max((lcm_m // s).bit_length() for s in [s_m] + [den * elems[m - bj][0] for bj in weights[:sources]])
         if by > s_bits:
             total += 2 * (fuel.cells(ops, bits, by + n_bits) - fuel.cells(ops, bits, s_bits + n_bits))

@@ -905,7 +905,8 @@ class TestSizeGuard:
         def forbidden(*args):
             raise AssertionError("built before the cheap bound")
 
-        for name in ("build_recursive", "build_explicit", *NUMERATOR_BUILDERS):
+        # Every build cli makes, example1's bases too, goes through these three.
+        for name in NUMERATOR_BUILDERS:
             monkeypatch.setattr(dinv.cli, name, forbidden)
 
     def _refused_at_once(self, argv, capsys, *named):
@@ -1009,6 +1010,18 @@ class TestSizeGuard:
         elems = [built[0]] + [Polynomial(1, {e: Fraction(v, 2**q - 1) for e, v in p.numerators.items()}) for q, p in zip(qs, built.elements[1:])]
         (tmp_path / "g.json").write_text(json.dumps(spec))
         (tmp_path / "b.json").write_text(json.dumps(BasisSequence(tuple(elems)).to_list()))
+        argv = ["verify", "--what", "closure", "--spec", str(tmp_path / "g.json"), "--basis", str(tmp_path / "b.json")]
+        _refused_in_time(argv, capsys, "verify --what closure", "the closure check")
+
+    def test_loaded_basis_of_random_scales_past_the_bound(self, tmp_path, capsys, small_budget):
+        # Element m is x1^m over a random odd 3300-bit scale, b = (1, 600):
+        # each lcm of the check is a gcd of two scales, about 0.1 ms, and is
+        # charged as one although L_m is no wider than them.
+        rng = make_rng(171)
+        scales = [1] + [rng.getrandbits(3300) | 1 << 3299 | 1 for _ in range(600)]
+        basis = [{"dim": 1, "terms": [{"exp": [m], "coef": f"1/{s}"}]} for m, s in enumerate(scales)]
+        (tmp_path / "g.json").write_text(json.dumps({"n": 2, "d": 1, "b": [1, 600], "c": [["1", "1"]]}))
+        (tmp_path / "b.json").write_text(json.dumps(basis))
         argv = ["verify", "--what", "closure", "--spec", str(tmp_path / "g.json"), "--basis", str(tmp_path / "b.json")]
         _refused_in_time(argv, capsys, "verify --what closure", "the closure check")
 
