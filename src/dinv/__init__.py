@@ -20,7 +20,7 @@ from .identities import (
     signed_power_sums,
     vandermonde_oracles,
 )
-from .poly import DiffOperator, Exponent, Polynomial, Rational
+from .poly import DiffOperator, Exponent, Polynomial
 from .subspace import (
     BasisSequence,
     ClosureReport,
@@ -47,7 +47,6 @@ __all__ = [
     "GeneralSpec",
     "ParamTable",
     "Polynomial",
-    "Rational",
     "Stencil",
     "SweepRow",
     "SymbolicPointSet",

@@ -47,7 +47,6 @@ from typing import Iterable, Iterator, Sequence
 from . import fuel
 from .discretize import (
     SCHEMES,
-    SweepRow,
     arc,
     expansion_check,
     stencil,
@@ -155,11 +154,7 @@ def _parse_point(text: str | None, d: int) -> tuple[Fraction, ...]:
         raise CliError(f"bad rational in base point {text!r}: {exc}") from exc
 
 
-def _emit(args, text: str) -> None:
-    _emit_chunks(args, [text])
-
-
-def _emit_chunks(args, chunks: Iterable[str]) -> None:
+def _emit(args, chunks: Iterable[str]) -> None:
     """Write the chunks in order to --out, or to stdout."""
     if getattr(args, "out", None):
         try:
@@ -171,11 +166,6 @@ def _emit_chunks(args, chunks: Iterable[str]) -> None:
     else:
         for chunk in chunks:
             sys.stdout.write(chunk)
-
-
-@functools.cache
-def _power_of_ten(k: int) -> int:
-    return 10 ** k
 
 
 # One term of Polynomial.to_dict as json.dumps(..., indent=2) lays it out
@@ -232,7 +222,7 @@ _REPORT = json.JSONEncoder(indent=2)
 def _verdict(args, ok: bool, report: dict, *notes: str) -> int:
     """Every verdict's ending: the report as JSON to --out or stdout, each
     note a line of stderr, and the exit code of ok."""
-    _emit(args, _REPORT.encode(report) + "\n")
+    _emit(args, [_REPORT.encode(report) + "\n"])
     for msg in notes:
         print(msg, file=sys.stderr)
     return 0 if ok else 1
@@ -296,15 +286,14 @@ def _cmd_basis(args) -> int:
         cells += len(p) * (TERM_CELLS + exps + fuel.cells(1, bits, bits))
     fuel.charge(cells, "writing the basis")
     limit = sys.get_int_max_str_digits()
-    if limit:
-        too_long = _power_of_ten(limit)
-        # Only an element whose widest integer is as wide as 10^limit can hold one past it.
-        wide = too_long.bit_length()
-        for (s, p), bits in zip(nums.elems, widths):
-            if bits >= wide and (s >= too_long or any(abs(v) >= too_long for v in p.values())):
+    # Only an element whose widest integer has at least 3 * limit bits (10^limit has 3.32 * limit) can hold one past it.
+    for (s, p), bits in zip(nums.elems, widths):
+        if limit and bits >= 3 * limit:
+            too_long = 10**limit
+            if s >= too_long or any(abs(v) >= too_long for v in p.values()):
                 q = Polynomial(codes.d, p, _scale=s, _codes=codes)
                 (q.render if args.pretty else q.to_dict)()  # raises DigitLimitError on a term too long
-    _emit_chunks(args, _basis_chunks(nums, args.pretty))
+    _emit(args, _basis_chunks(nums, args.pretty))
     return 0
 
 
@@ -415,14 +404,12 @@ def _cmd_verify(args) -> int:
 def _cmd_points(args) -> int:
     spec = _load_spec(args.spec)
     _check_top(args.spec, spec)
-    z0 = _parse_point(args.z0, spec.d)
+    pts = SCHEMES[args.scheme](spec, _parse_point(args.z0, spec.d))
     if args.h is not None:
         try:
             h = parse_rational(args.h)
         except _PARSE_ERRORS as exc:
             raise CliError(f"bad rational --h {args.h!r}: {exc}") from exc
-    pts = SCHEMES[args.scheme](spec, z0)
-    if args.h is not None:
         # Each point is evaluated and checked in turn, so a coordinate too
         # long to write stops the command at its point.
         rows = [[rational_text(v) for v in pt] for pt in pts.at(h)]
@@ -430,15 +417,11 @@ def _cmd_points(args) -> int:
             text = "".join("(" + ", ".join(row) + ")\n" for row in rows)
         else:
             text = _REPORT.encode(rows) + "\n"
+    elif args.pretty:
+        text = "".join("(" + ", ".join(coord.render(names=["h"]) for coord in pt) + ")\n" for pt in pts)
     else:
-        if args.pretty:
-            text = "".join(
-                "(" + ", ".join(coord.render(names=["h"]) for coord in pt) + ")\n"
-                for pt in pts
-            )
-        else:
-            text = _REPORT.encode(pts.to_dict()) + "\n"
-    _emit(args, text)
+        text = _REPORT.encode(pts.to_dict()) + "\n"
+    _emit(args, [text])
     return 0
 
 
@@ -480,16 +463,12 @@ def _sweep_errors(args) -> Iterator[None]:
         raise CliError(f"float overflow in the sweep from --h0 {args.h0}; use a smaller --h0") from exc
 
 
-def _sweep_rows(args, h0: float, f: Polynomial, z0, m: int, pts, target: Fraction | None = None) -> list[SweepRow]:
-    """sweep() from h0 (--h0 as _parse_h0 reads it) and --steps."""
-    with _sweep_errors(args):
-        return sweep(f, z0, m, pts, h0=h0, steps=args.steps, target=target)
-
-
 def _cmd_sweep(args) -> int:
     spec, f, z0 = _scheme_inputs(args)
-    pts = SCHEMES[args.scheme](spec, z0)
-    _emit(args, sweep_to_csv(_sweep_rows(args, _parse_h0(args), f, z0, args.m, pts)))
+    pts, h0 = SCHEMES[args.scheme](spec, z0), _parse_h0(args)
+    with _sweep_errors(args):
+        rows = sweep(f, z0, args.m, pts, h0=h0, steps=args.steps)
+    _emit(args, [sweep_to_csv(rows)])
     return 0
 
 
@@ -520,19 +499,19 @@ def _cmd_study(args) -> int:
     f = _load_poly(args.f, spec.d) if args.f else _EXAMPLE_F
     z0 = _parse_point(args.z0, spec.d)
     h0, orders = _parse_h0(args), range(spec.top_weight + 1)
-    # Every order's steps are checked as its sweep would check them, before any work.
     with _sweep_errors(args):
+        # Every order's steps are checked as its sweep would check them, before any work.
         for m in orders:
             fuel.charge(min(args.steps, 1076), "the step checks")
             sweep_steps(h0, args.steps, m, spec.top_weight)
-    # Every order's target is read off one arc, and every sweep runs before
-    # anything is written, so bad input leaves no output.  A scheme's sweeps
-    # share its points: order m makes only point m.
-    exact, runs = arc(f, z0, spec, len(orders)), []
-    for name, build in SCHEMES.items():
-        pts = build(spec, z0)
-        for m in orders:
-            runs.append((name, m, _sweep_rows(args, h0, f, z0, m, pts, exact[m])))
+        # Every order's target is read off one arc, and every sweep runs before
+        # anything is written, so bad input leaves no output.  A scheme's sweeps
+        # share its points: order m makes only point m.
+        exact, runs = arc(f, z0, spec, len(orders)), []
+        for name, build in SCHEMES.items():
+            pts = build(spec, z0)
+            for m in orders:
+                runs.append((name, m, sweep(f, z0, m, pts, h0=h0, steps=args.steps, target=exact[m])))
     out_dir = Path(args.out_dir)
     z0_text = ", ".join(str(c) for c in z0)
     if spec.a is not None:
@@ -631,7 +610,7 @@ def _cmd_example1(args) -> int:
                 failures.append(f"expansion m={m} scheme {tag}: {report.to_dict()}")
 
     out.append("result: " + ("all checks passed" if not failures else "FAILURES"))
-    _emit(args, "".join(line + "\n" for line in out))
+    _emit(args, ["".join(line + "\n" for line in out)])
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)
     return 0 if not failures else 1

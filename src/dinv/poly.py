@@ -50,7 +50,6 @@ from typing import Iterable, Mapping, Sequence
 
 from . import fuel
 
-Rational = Fraction
 Exponent = tuple[int, ...]
 
 _ZERO = Fraction(0)
@@ -58,6 +57,8 @@ _ONE = Fraction(1)
 
 _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?\Z")
 _RAT_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+# A term of polynomial text: the run of signs and whitespace before it, then its body.
+_TERM_RE = re.compile(r"([\s+-]*)([^+-]*)")
 
 
 # Most decimal digits a parsed rational's numerator or denominator may have.
@@ -265,9 +266,6 @@ class MonomialCodes:
 
     def degree(self, code: int) -> int:
         return code // self.high
-
-
-_INT_TYPE = {int}  # the types of an exponent list of JSON ints only
 
 
 class Polynomial:
@@ -492,19 +490,8 @@ class Polynomial:
         s = text.strip()
         if not s:
             raise ValueError("empty polynomial text")
-        chunks: list[tuple[int, str]] = []
-        sign, buf = 1, ""
-        for ch in s:
-            if ch in "+-":
-                if buf.strip():
-                    chunks.append((sign, buf))
-                    sign, buf = 1, ""
-                if ch == "-":
-                    sign = -sign
-            else:
-                buf += ch
-        if buf.strip():
-            chunks.append((sign, buf))
+        # A term's sign is the parity of the minus signs before it.
+        chunks = [(-1 if signs.count("-") % 2 else 1, body) for signs, body in _TERM_RE.findall(s) if body]
         if not chunks:
             raise ValueError(f"cannot parse polynomial from {text!r}")
         terms: dict[Exponent, Fraction] = {}
@@ -539,17 +526,14 @@ class Polynomial:
         """Inverse of to_dict.  A repeated exponent takes its last
         coefficient.  The coefficients are read by json_ratio and kept as
         the integer form: the nonzero numerators over the lcm of their
-        denominators, which the gcd fold makes canonical.  An exponent list
-        of JSON ints only is type-checked in one pass; any other goes
-        through json_int entry by entry, which names the bad entry."""
+        denominators, which the gcd fold makes canonical.  Each exponent
+        entry is read by json_int, which names a bad one."""
         try:
             dim = json_int(data["dim"], "dim")
             terms = {}
             for t in json_array(data["terms"], "terms"):
-                exp = json_array(t["exp"], "exp")
-                if {*map(type, exp)} != _INT_TYPE:
-                    exp = [json_int(v, "exponent") for v in exp]
-                terms[tuple(exp)] = json_ratio(t["coef"])
+                exp = tuple([json_int(v, "exponent") for v in json_array(t["exp"], "exp")])
+                terms[exp] = json_ratio(t["coef"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial object: {exc}") from exc
         if dim < 1:

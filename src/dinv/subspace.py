@@ -646,9 +646,7 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
         longest, bits, s_bits, sources, width = 1, 1, 1, 0, codes.high.bit_length()
     for m in range(1, spec.top_weight + 1):
         s_m, p_m = elems[m]
-        if metered:
-            # 2 cells per term: d passes over P_m, one over P_(m-b_j) per slot of
-            # weight <= m; and each of P_m's d * |P_m| digits e_i, a code's division.
+        if metered:  # making L_m; the multiplier's lcms are charged as they run
             if len(p_m) > longest:
                 longest = len(p_m)
             if s_m.bit_length() > s_bits:
@@ -658,8 +656,7 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
                 bits = top_bits
             while sources < len(slots) and slots[sources][0] <= m:
                 sources += 1
-            cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, s_bits + n_bits) + fuel.digits(d * len(p_m), width)
-            fuel.charge(cells + fuel.cells(3 * (sources + d), s_bits + n_bits), "the closure check")
+            fuel.charge(fuel.cells(3 * (sources + d), s_bits + n_bits), "the closure check")
         # L_m, then each weight's L_m / (D * s_(m-b_j)).  On the scales
         # m! * D^m of the closed form and the recurrence, D * s_(m-b_j)
         # divides s_m, so L_m is s_m; a loaded basis's scales may share no
@@ -678,11 +675,13 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
         for bj, s in below:
             mults[bj] = scale // s
         k_m = scale // s_m
-        if metered:  # the 2 cells per term again, on the widest multiplier past the scales' bits
-            by = max(k_m.bit_length(), *map(int.bit_length, mults.values()))
-            if by > s_bits:
-                ops = d * len(p_m) + sources * longest
-                fuel.charge(2 * (fuel.cells(ops, bits, by + n_bits) - fuel.cells(ops, bits, s_bits + n_bits)), "the closure check")
+        if metered:
+            # 2 cells per term, on the scales' or the widest multiplier's bits: d
+            # passes over P_m, one over P_(m-b_j) per slot of weight <= m; and each
+            # of P_m's d * |P_m| digits e_i, a code's division.
+            by = max(s_bits, k_m.bit_length(), *map(int.bit_length, mults.values()))
+            cells = 2 * fuel.cells(d * len(p_m) + sources * longest, bits, by + n_bits)
+            fuel.charge(cells + fuel.digits(d * len(p_m), width), "the closure check")
         for i in range(d):
             u, p = units[i], powers[i]
             acc: dict[int, int] = {}
