@@ -95,7 +95,9 @@ def _read_text(path: str) -> str:
 
 def _load_json(path: str):
     try:
-        return json.loads(_read_text(path))
+        text = _read_text(path)
+        fuel.charge(len(text), f"reading {path}")  # json.loads, a cell a character
+        return json.loads(text)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
@@ -130,6 +132,9 @@ def _load_poly(path: str, dim: int) -> Polynomial:
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     stripped = text.strip()
+    # json.loads, a cell a character; parse, 8 a character and 80 a term (each sign, and the first).
+    terms = stripped.count("+") + stripped.count("-") + 1
+    fuel.charge(len(stripped) if stripped.startswith("{") else 8 * len(stripped) + 80 * terms, f"reading {path}")
     try:
         if stripped.startswith("{"):
             f = Polynomial.from_dict(json.loads(stripped))
@@ -349,6 +354,8 @@ def _power_sums_hold(m: int) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    if args.basis and args.what != "closure":
+        raise CliError(f"--basis is read by --what closure only, not --what {args.what}")
     if args.what == "identities":
         # Each bound with the least value that leaves its scan non-empty.
         _require_at_least(args, m_max=0, vand_max=0, r_max=1, i_max=2)

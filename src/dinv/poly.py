@@ -530,8 +530,10 @@ class Polynomial:
         entry is read by json_int, which names a bad one."""
         try:
             dim = json_int(data["dim"], "dim")
-            terms = {}
-            for t in json_array(data["terms"], "terms"):
+            items, terms = json_array(data["terms"], "terms"), {}
+            # 70 cells a term and a polynomial; the JSON text's charge covers long coefficients.
+            fuel.charge(70 * (len(items) + 1), "reading a polynomial")
+            for t in items:
                 exp = tuple([json_int(v, "exponent") for v in json_array(t["exp"], "exp")])
                 terms[exp] = json_ratio(t["coef"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

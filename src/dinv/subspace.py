@@ -204,11 +204,13 @@ class GeneralSpec:
             d = json_int(data["d"], "d")
             if general:
                 b = tuple(json_int(v, "b entry") for v in json_array(data["b"], "b"))
-                rows = json_array(data["c"], "c")
-                c = [[Fraction(p, q) if p else 0 for p, q in map(json_ratio, json_array(row, "c row"))] for row in rows]
+                rows = [json_array(row, "c row") for row in json_array(data["c"], "c")]
+                fuel.charge(50 * sum(map(len, rows)), "reading a spec")  # 50 cells an entry
+                c = [[Fraction(p, q) if p else 0 for p, q in map(json_ratio, row)] for row in rows]
             else:
-                a, named = {}, {}
-                for key, v in data.get("a", {}).items():
+                a, named, items = {}, {}, data.get("a", {}).items()
+                fuel.charge(50 * len(items), "reading a spec")
+                for key, v in items:
                     i_s, j_s = str(key).split(",")
                     ij = (int(i_s), int(j_s))
                     if ij in named:

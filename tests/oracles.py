@@ -73,6 +73,8 @@ from operator import itemgetter
 from dinv.cli import _PARSE_ERRORS, CliError
 from dinv.identities import _ways, falling_factorial_sums, signed_power_sums, vandermonde_oracles
 from dinv.poly import (
+    _RAT_RE,
+    _VAR_RE,
     Polynomial,
     _check_exponent,
     _derivative_factor,
@@ -940,6 +942,49 @@ def polynomial_from_dict_per_entry(data) -> Polynomial:
             scale = math.lcm(scale, q)
     nums = {e: p * (scale // q) for e, (p, q) in terms.items() if p}
     return Polynomial(dim, nums, _scale=scale)
+
+
+def parse_scanner(text: str, dim: int) -> Polynomial:
+    """Polynomial.parse by a scan of the text a character at a time: a
+    sign ends the term before it, if that term is not blank, and each
+    minus sign flips the sign of the term after it."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty polynomial text")
+    chunks: list[tuple[int, str]] = []
+    sign, buf = 1, ""
+    for ch in s:
+        if ch in "+-":
+            if buf.strip():
+                chunks.append((sign, buf))
+                sign, buf = 1, ""
+            if ch == "-":
+                sign = -sign
+        else:
+            buf += ch
+    if buf.strip():
+        chunks.append((sign, buf))
+    if not chunks:
+        raise ValueError(f"cannot parse polynomial from {text!r}")
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for sgn, chunk in chunks:
+        coef = Fraction(1)
+        exps = [0] * dim
+        for pos, raw in enumerate(chunk.split("*")):
+            part = raw.strip()
+            m = _VAR_RE.match(part)
+            if m:
+                j = int(m.group(1))
+                if not 1 <= j <= dim:
+                    raise ValueError(f"variable x{j} out of range for dim {dim}")
+                exps[j - 1] += int(m.group(2) or 1)
+            elif pos == 0 and _RAT_RE.match(part):
+                coef = parse_rational(part)
+            else:
+                raise ValueError(f"cannot parse term part {part!r} in {text!r}")
+        key = tuple(exps)
+        terms[key] = terms.get(key, Fraction(0)) + sgn * coef
+    return Polynomial(dim, terms)
 
 
 def spec_slots(spec: GeneralSpec) -> tuple[int, tuple[tuple[int, int, int], ...]]:

@@ -352,6 +352,16 @@ class TestVerify:
         assert main(["verify", "--what", "closure", "--spec", spec, "--basis", str(basis_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("what", ["breadth", "equivalence", "identities"])
+    def test_basis_with_another_check_exits_2(self, what, spec_file, tmp_path, capsys):
+        # Only the closure check reads --basis; any other refuses it rather than check the built basis.
+        basis_path = tmp_path / "basis.json"
+        assert main(["basis", "--source", "recursive", "--spec", spec_file, "--out", str(basis_path)]) == 0
+        assert main(["verify", "--what", what, "--spec", spec_file, "--basis", str(basis_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --basis is read by --what closure only, not --what {what}\n"
+
     def test_closure_basis_element_past_b_n_exits_2(self, tmp_path, capsys):
         # x1^2 in element 1 of a b = (1) spec: the basis is refused as it is
         # read, before its terms are packed for the check.
@@ -1025,6 +1035,30 @@ class TestSizeGuard:
         argv = ["verify", "--what", "closure", "--spec", str(tmp_path / "g.json"), "--basis", str(tmp_path / "b.json")]
         _refused_in_time(argv, capsys, "verify --what closure", "the closure check")
 
+    # Each input is charged before its reader runs, past the budget here: a
+    # polynomial text of 20,000 terms (limit --f), a basis of 10,000 one-term
+    # elements, a table of 19,881 entries, and a basis of 1000 elements over
+    # random 3300-bit scales, whose JSON text alone passes the budget.  Each
+    # is read in about the budget or more unmetered, or checked past it.
+    @pytest.mark.parametrize("kind", ["text", "basis", "table", "json"])
+    def test_oversized_input_refused_as_read(self, kind, tmp_path, capsys, small_budget):
+        spec, data = tmp_path / "s.json", tmp_path / "data"
+        argv, command = ["verify", "--what", "closure", "--basis", str(data)], "verify --what closure"
+        if kind == "text":
+            spec.write_text(json.dumps(GAPPED_SPEC))
+            data.write_text(" + ".join(f"x1^{k % 40}*x2^{k // 40}" for k in range(20000)))
+            argv, command, stage = ["limit", "--m", "2", "--scheme", "a", "--f", str(data)], "limit", f"reading {data}"
+        elif kind == "table":
+            spec.write_text(json.dumps(_full_table(142, 142)))
+            argv, command, stage = ["verify", "--what", "breadth"], "verify --what breadth", "reading a spec"
+        else:
+            rng, top = make_rng(172), 9999 if kind == "basis" else 999
+            coefs = ["1"] * (top + 1) if kind == "basis" else ["1"] + [f"1/{rng.getrandbits(3300) | 1}" for _ in range(top)]
+            spec.write_text(json.dumps({"n": 2, "d": 1, "b": [1, top], "c": [["1", "1"]]}))
+            data.write_text(json.dumps([{"dim": 1, "terms": [{"exp": [m], "coef": c}]} for m, c in enumerate(coefs)]))
+            stage = "reading a polynomial" if kind == "basis" else f"reading {data}"
+        _refused_in_time([*argv, "--spec", str(spec)], capsys, command, stage)
+
     def test_wide_full_table_past_the_bound(self, tmp_path, capsys):
         # Under the 2 s budget: the cheap bound refuses this table at once under a smaller one.
         path = tmp_path / "w.json"
@@ -1658,20 +1692,21 @@ class TestPowerDigitGuard:
         "command, z0",
         [pytest.param(c, z, id=c if z == "3/2,1" else f"{c}-{z}") for c in sorted(ARGV) for z in ("3/2,1", "3,1", "7,-1")],
     )
-    def test_refused_at_once(self, command, z0, spec_file, tmp_path, capsys, small_budget):
+    def test_refused_at_once(self, command, z0, spec_file, tmp_path, capsys, monkeypatch, small_budget):
         # limit's first step at 3/2 lifts x2 and the scale by 2^99999999; at an
         # integer z0 the lift is free and its cut products refuse.  sweep and
         # study are refused in their target's arc, the same series at one point.
         f = tmp_path / "f.txt"
         f.write_text("x1^99999999 + x2")
+        stages, charge = [], dinv.fuel.charge
+        monkeypatch.setattr(dinv.fuel, "charge", lambda cells, stage: (stages.append(stage), charge(cells, stage)))
         start = time.perf_counter()
         argv = [*self.ARGV[command], "--spec", spec_file, "--f", str(f), "--z0", z0]
         assert main([*argv, "--out-dir", str(tmp_path / "out")] if command == "study" else argv) == 2
         assert time.perf_counter() - start < 1
-        stage = "out of fuel in the limit series"
-        if command == "limit" and z0 == "3/2,1":
-            stage += ": 0 cells spent"  # the lift, before any power
-        _assert_refused(capsys.readouterr(), command, stage)
+        _assert_refused(capsys.readouterr(), command, "out of fuel in the limit series")
+        if command == "limit" and z0 == "3/2,1":  # the lift, before any power: only the inputs' reading is charged first
+            assert all(stage.startswith("reading ") for stage in stages[:-1]) and stages[-1] == "the limit series", stages
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("z0", ["0,0", "1,1", "-1,1", "1,-1"])

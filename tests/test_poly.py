@@ -20,6 +20,7 @@ from oracles import (
     free_of_leading,
     integrate,
     mul,
+    parse_scanner,
     polynomial_from_dict_fraction,
     polynomial_from_dict_per_entry,
 )
@@ -354,6 +355,32 @@ class TestTextAndJson:
             Polynomial.parse("x1 + spam", 2)
         with pytest.raises(ValueError):
             Polynomial.parse("", 2)
+
+    # Texts of every character parse reads specially, and terms behind runs of signs and whitespace.
+    _TEXTS = st.one_of(
+        st.text(alphabet="x12^+-*/ 0\t\n3\x1ca", max_size=16),
+        st.lists(
+            st.tuples(
+                st.text(alphabet=" +-\t", max_size=4),
+                st.sampled_from(["x1", "x2^3", "3*x1", "1/2*x2*x1^2", "7", "x3", "*x1", "x1*", "2/0", "x1 ^2", " 5 "]),
+            ),
+            min_size=1,
+            max_size=4,
+        ).map(lambda parts: "".join(signs + body for signs, body in parts)),
+    )
+
+    @given(_TEXTS, st.integers(1, 3))
+    @example("x1 - - x2 +\t-3*x1", 2)
+    @example("+-+", 2)
+    def test_parse_matches_the_scanner(self, text, dim):
+        # The same polynomial, or the same error type and text.
+        def outcome(parse):
+            try:
+                return parse(text, dim)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(Polynomial.parse) == outcome(parse_scanner)
 
     def test_json_shape(self):
         d = P("1/2*x1^2 + 2*x2").to_dict()
