@@ -132,7 +132,7 @@ def _load_poly(path: str, dim: int) -> Polynomial:
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     stripped = text.strip()
-    # json.loads, a cell a character; parse, 8 a character and 80 a term (each sign, and the first).
+    # json.loads costs a cell a character; parse 8 a character and 80 a term, a term per sign and one more.
     terms = stripped.count("+") + stripped.count("-") + 1
     fuel.charge(len(stripped) if stripped.startswith("{") else 8 * len(stripped) + 80 * terms, f"reading {path}")
     try:

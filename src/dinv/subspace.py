@@ -205,11 +205,11 @@ class GeneralSpec:
             if general:
                 b = tuple(json_int(v, "b entry") for v in json_array(data["b"], "b"))
                 rows = [json_array(row, "c row") for row in json_array(data["c"], "c")]
-                fuel.charge(50 * sum(map(len, rows)), "reading a spec")  # 50 cells an entry
+                fuel.charge(60 * sum(map(len, rows)), "reading a spec")  # 60 cells an entry
                 c = [[Fraction(p, q) if p else 0 for p, q in map(json_ratio, row)] for row in rows]
             else:
                 a, named, items = {}, {}, data.get("a", {}).items()
-                fuel.charge(50 * len(items), "reading a spec")
+                fuel.charge(60 * len(items), "reading a spec")
                 for key, v in items:
                     i_s, j_s = str(key).split(",")
                     ij = (int(i_s), int(j_s))
@@ -648,7 +648,7 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
         longest, bits, s_bits, sources, width = 1, 1, 1, 0, codes.high.bit_length()
     for m in range(1, spec.top_weight + 1):
         s_m, p_m = elems[m]
-        if metered:  # making L_m; the multiplier's lcms are charged as they run
+        if metered:  # the sizes so far and L_m's making; each lcm is charged as it runs, the pass over the terms after them
             if len(p_m) > longest:
                 longest = len(p_m)
             if s_m.bit_length() > s_bits:
