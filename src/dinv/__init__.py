@@ -4,7 +4,6 @@ differential functionals as limits of point evaluations."""
 
 from .discretize import (
     ExpansionReport,
-    Stencil,
     SweepRow,
     SymbolicPointSet,
     expansion_check,
@@ -47,7 +46,6 @@ __all__ = [
     "GeneralSpec",
     "ParamTable",
     "Polynomial",
-    "Stencil",
     "SweepRow",
     "SymbolicPointSet",
     "breadth",

@@ -47,6 +47,7 @@ from typing import Iterable, Iterator, Sequence
 from . import fuel
 from .discretize import (
     SCHEMES,
+    SymbolicPointSet,
     arc,
     expansion_check,
     stencil,
@@ -104,22 +105,13 @@ def _load_json(path: str):
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_spec(path: str) -> GeneralSpec:
+def _load(path: str, basis: bool = False) -> GeneralSpec | BasisSequence:
+    """The spec, or the basis, in the JSON file at path."""
     data = _load_json(path)
-    if not isinstance(data, dict):
-        raise CliError(f"{path}: expected a JSON object")
+    if not isinstance(data, list if basis else dict):
+        raise CliError(f"{path}: expected {'a JSON array of polynomials' if basis else 'a JSON object'}")
     try:
-        return GeneralSpec.from_dict(data)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _load_basis(path: str) -> BasisSequence:
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise CliError(f"{path}: expected a JSON array of polynomials")
-    try:
-        return BasisSequence.from_list(data)
+        return BasisSequence.from_list(data) if basis else GeneralSpec.from_dict(data)
     except _PARSE_ERRORS as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -273,7 +265,7 @@ def _require_at_least(args, **least: int) -> None:
 
 
 def _cmd_basis(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(args.spec)
     if args.source == "recursive" and spec.a is None:
         raise CliError(f"{args.spec}: source 'recursive' needs a spec of table shape ({TABLE_SHAPE})")
     _check_top(args.spec, spec)
@@ -362,7 +354,7 @@ def _cmd_verify(args) -> int:
         m_max, vand_max = args.m_max, args.vand_max
         r_max, i_max = args.r_max, args.i_max
         ps_ok = all(_power_sums_hold(m) for m in range(m_max + 1))
-        vand_ok = vandermonde_oracles(vand_max) == [stencil(m).coeffs for m in range(vand_max + 1)]
+        vand_ok = vandermonde_oracles(vand_max) == [stencil(m) for m in range(vand_max + 1)]
         # A node i >= r_max reads both lists after slot min(i, r) = r: one snapshot.
         nodes = range(2, min(i_max + 1, r_max))
         ff_ok = all(cap_i == cap_r for cap_i, cap_r in (falling_factorial_sums(r_max, i) for i in nodes))
@@ -383,9 +375,9 @@ def _cmd_verify(args) -> int:
 
     if not args.spec:
         raise CliError(f"verify --what {args.what} needs --spec")
-    spec = _load_spec(args.spec)
+    spec = _load(args.spec)
     if args.what == "closure" and args.basis:
-        basis = _load_basis(args.basis)
+        basis = _load(args.basis, basis=True)
         try:
             rep = check_closure(basis, spec)
         except ValueError as exc:
@@ -409,7 +401,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_points(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(args.spec)
     _check_top(args.spec, spec)
     pts = SCHEMES[args.scheme](spec, _parse_point(args.z0, spec.d))
     if args.h is not None:
@@ -432,18 +424,17 @@ def _cmd_points(args) -> int:
     return 0
 
 
-def _scheme_inputs(args) -> tuple[GeneralSpec, Polynomial, tuple[Fraction, ...]]:
-    """The spec, f and z0, as limit and sweep take them."""
-    spec = _load_spec(args.spec)
+def _scheme_inputs(args) -> tuple[Polynomial, tuple[Fraction, ...], SymbolicPointSet]:
+    """f, z0 and the point set of --scheme, as limit and sweep take them."""
+    spec = _load(args.spec)
     _check_top(args.spec, spec)
     f = _load_poly(args.f, spec.d)
     z0 = _parse_point(args.z0, spec.d)
-    return spec, f, z0
+    return f, z0, SCHEMES[args.scheme](spec, z0)
 
 
 def _cmd_limit(args) -> int:
-    spec, f, z0 = _scheme_inputs(args)
-    pts = SCHEMES[args.scheme](spec, z0)
+    f, z0, pts = _scheme_inputs(args)
     try:
         report = expansion_check(f, z0, args.m, pts)
     except ValueError as exc:
@@ -471,8 +462,8 @@ def _sweep_errors(args) -> Iterator[None]:
 
 
 def _cmd_sweep(args) -> int:
-    spec, f, z0 = _scheme_inputs(args)
-    pts, h0 = SCHEMES[args.scheme](spec, z0), _parse_h0(args)
+    f, z0, pts = _scheme_inputs(args)
+    h0 = _parse_h0(args)
     with _sweep_errors(args):
         rows = sweep(f, z0, args.m, pts, h0=h0, steps=args.steps)
     _emit(args, [sweep_to_csv(rows)])
@@ -499,7 +490,7 @@ _EXAMPLE_POINTS = {
 
 
 def _cmd_study(args) -> int:
-    spec = _load_spec(args.spec) if args.spec else _EXAMPLE_PARAMS
+    spec = _load(args.spec) if args.spec else _EXAMPLE_PARAMS
     if not args.f and spec.d != _EXAMPLE_F.dim:
         raise CliError(f"{args.spec}: the demo f is in {_EXAMPLE_F.dim} variables, the spec in {spec.d}; pass --f")
     _check_top(args.spec or "the demo table", spec)
@@ -626,10 +617,6 @@ def _cmd_example1(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The full parser, and each command's own parser by its name."""
@@ -733,7 +720,7 @@ def _join_signed_values(argv: Sequence[str]) -> list[str]:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """_build_parser().parse_args(argv): by argv[0]'s own parser when it
+    """_parsers()[0].parse_args(argv): by argv[0]'s own parser when it
     names a command and that parser reads every argument, and otherwise by
     the full parser, so every usage error and help text is as it prints it."""
     full, commands = _parsers()

@@ -85,24 +85,17 @@ from .identities import falling_factorial
 from .poly import DiffOperator, Polynomial, _decimal_digits, rational_text
 from .subspace import GeneralSpec, _generating_elements
 
-@dataclass(frozen=True)
-class Stencil:
-    """Finite-difference weights A_k = (-1)^(m-k) / (k! * (m-k)!), k = 0..m.
+def stencil(m: int) -> tuple[Fraction, ...]:
+    """The finite-difference weights A_k = (-1)^(m-k) / (k! * (m-k)!), k = 0..m.
 
     They satisfy sum_k A_k * k^j == 0 for 0 <= j < m and == 1 for j == m,
     which is exactly what makes the point combination reproduce the m-th
     derivative order.  m = 0 is the single weight 1 (plain evaluation).
     """
-
-    m: int
-    coeffs: tuple[Fraction, ...]
-
-
-def stencil(m: int) -> Stencil:
     if m < 0:
         raise ValueError(f"order must be non-negative, got {m}")
     facts = list(itertools.accumulate(range(1, m + 1), mul, initial=1))
-    return Stencil(m=m, coeffs=tuple(Fraction((-1) ** (m - k), facts[k] * facts[m - k]) for k in range(m + 1)))
+    return tuple(Fraction((-1) ** (m - k), facts[k] * facts[m - k]) for k in range(m + 1))
 
 
 @dataclass(frozen=True)
@@ -186,10 +179,6 @@ class SymbolicPointSet:
 
     def __iter__(self) -> Iterator[tuple[Polynomial, ...]]:
         return map(self.point, range(self.spec.top_weight + 1))
-
-    @property
-    def points(self) -> tuple[tuple[Polynomial, ...], ...]:
-        return tuple(self)
 
     def at(self, h: Fraction | int) -> Iterator[tuple[Fraction, ...]]:
         """The exact points at a rational h, one at a time."""
@@ -503,7 +492,7 @@ def sweep(
     if base != pts.base:
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
     hs = sweep_steps(h0, steps, m, pts.spec.top_weight)
-    weights = [float(a) for a in stencil(m).coeffs]
+    weights = [float(a) for a in stencil(m)]
     if target is None:
         target = arc(f, base, pts.spec, m + 1)[m]
     exact = _to_float(target.numerator, target.denominator, f"the exact target (B_{m}(D)f)(z0)")

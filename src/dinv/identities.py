@@ -31,28 +31,25 @@ from . import fuel
 from .linalg import back_substitute, echelon
 
 
-def signed_power_sums(m: int, include_zero: bool = True, j_max: int | None = None) -> list[int]:
-    """[sum over i of (-1)^(m-i) * C(m, i) * i^j for j = 0..j_max], i from
-    0 (or 1) to m, j_max defaulting to m.
+def signed_power_sums(m: int, include_zero: bool = True) -> list[int]:
+    """[sum over i of (-1)^(m-i) * C(m, i) * i^j for j = 0..m], i from 0
+    (or 1) to m.
 
     Each is m! times the j-th stencil moment: m! when j == m and 0 when
     j < m (for j >= 1 when the i = 0 term is excluded).  The m + 1 signed
     binomials are made once; each term is multiplied by its i to go from
-    power j to power j + 1, so no power is taken: O(m * j_max) products.
+    power j to power j + 1, so no power is taken: O(m^2) products.
     """
     if m < 0:
         raise ValueError(f"order must be non-negative, got {m}")
-    j_max = m if j_max is None else j_max
-    if j_max < 0:
-        raise ValueError(f"power must be non-negative, got {j_max}")
     nodes = range(0 if include_zero else 1, m + 1)
-    # Two cells a term of the j_max + 1 rows, of at most m bits of binomial
-    # and j_max * log2(m) of power.
+    # Two cells a term of the m + 1 rows, of at most m bits of binomial and
+    # m * log2(m) of power.
     if fuel.metered:
-        fuel.charge(fuel.cells(2 * (m + 1) * (j_max + 1), m + j_max * m.bit_length()), "the power sums")
+        fuel.charge(fuel.cells(2 * (m + 1) * (m + 1), m + m * m.bit_length()), "the power sums")
     terms = [-math.comb(m, i) if (m - i) % 2 else math.comb(m, i) for i in nodes]
     sums = [sum(terms)]
-    for _ in range(j_max):
+    for _ in range(m):
         terms = list(map(mul, terms, nodes))
         sums.append(sum(terms))
     return sums

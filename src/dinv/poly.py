@@ -240,11 +240,6 @@ class MonomialCodes:
             raise ValueError(f"exponent {tuple(e)} is not {self.d} non-negative ints of degree < {self.base}")
         return sum(map(mul, e, self.units))
 
-    def unpack(self, code: int) -> Exponent:
-        """The exponent whose code is code."""
-        base = self.base
-        return tuple([code // p % base for p in self.powers])
-
     def exponents(self, codes: Iterable[int]) -> dict[int, Exponent]:
         """{code: exponent} for every one of codes, each unpacked once.
         Plain loops: a comprehension per code, or an iterator per digit,

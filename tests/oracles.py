@@ -43,9 +43,9 @@ common_denominator over the entries; and power_sums_two_runs is the
 identity scan's power-sum check with one run from node 0 and one from
 node 1 per order.
 
-signed_power_sum and vandermonde_oracle read one entry of the library's
-signed_power_sums and vandermonde_oracles: the single-order forms the
-tests state the identities in.
+signed_power_sum is one direct integer sum over m!, at any power j, and
+vandermonde_oracle reads one entry of the library's vandermonde_oracles:
+the single-order forms the tests state the identities in.
 
 generating_fuel and closure_fuel are the cells that the generating
 recurrence and the closure check charge under fuel, each element's charge
@@ -221,7 +221,7 @@ def series_fraction(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -
     h-coefficients, its powers kept per point, every product cut after
     h^(length-1), and the stencil's Fraction weights."""
     total = [Fraction(0)] * length
-    for w, point in zip(stencil(m).coeffs, pts.points):
+    for w, point in zip(stencil(m), pts):
         powers = []
         for coord in point:
             dense = [Fraction(0)] * min(coord.degree + 1, length)
@@ -505,11 +505,12 @@ def signed_power_sum(j: int, m: int, include_zero: bool = True) -> Fraction:
     """sum over i of (-1)^(m-i) * i^j / (i! * (m-i)!), i from 0 (or 1) to m.
 
     Equals 1 when j == m and 0 when j < m (for j >= 1 when the i = 0 term
-    is excluded): signed_power_sums(m, include_zero, j)[j] / m!.
+    is excluded): one sum of the integers (-1)^(m-i) * C(m, i) * i^j, over m!.
     """
     if j < 0 or m < 0:
         raise ValueError("j and m must be non-negative")
-    return Fraction(signed_power_sums(m, include_zero, j)[j], math.factorial(m))
+    nodes = range(0 if include_zero else 1, m + 1)
+    return Fraction(sum((-1) ** (m - i) * math.comb(m, i) * i**j for i in nodes), math.factorial(m))
 
 
 def signed_power_sum_fraction(j: int, m: int, include_zero: bool = True) -> Fraction:
@@ -661,7 +662,7 @@ def packed(codes: MonomialCodes, elems: TupleNumerators) -> Numerators:
 
 def unpacked(nums: Numerators) -> TupleNumerators:
     """nums keyed by exponent tuples instead of codes."""
-    return [(s, {nums.codes.unpack(c): v for c, v in p.items()}) for s, p in nums.elems]
+    return [(s, dict(zip(nums.codes.exponents(p).values(), p.values()))) for s, p in nums.elems]
 
 
 def closed_form_elements_tuple(spec: GeneralSpec, top: int) -> TupleNumerators:

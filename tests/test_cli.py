@@ -115,7 +115,7 @@ class TestBasis:
         # and the table's x2^2 terms of B_6 (weights 2 + 4 and 3 + 3) cancel.
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        loaded = dinv.cli._load_spec(str(path))
+        loaded = dinv.cli._load(str(path))
         oracle = build_general_fraction(loaded)
         cancelled = {(1, 1)} if spec is CANCELLING_SPEC else {(0, 2)}
         assert not cancelled & set(oracle[-1].numerators)
@@ -139,7 +139,7 @@ class TestBasis:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         build = {"recursive": dinv.build_recursive, "explicit": dinv.build_explicit, "general": dinv.build_generating}
-        basis = build[source](dinv.cli._load_spec(str(path)))
+        basis = build[source](dinv.cli._load(str(path)))
         expect = json.dumps(basis.to_list(), indent=2) + "\n"
         out = tmp_path / "basis.json"
         argv = ["basis", "--source", source, "--spec", str(path)]
@@ -231,7 +231,7 @@ class TestBasis:
         table, general = tmp_path / "t.json", tmp_path / "g.json"
         table.write_text(json.dumps({"d": 2, "n": 1, "a": {}}))
         general.write_text(json.dumps({"n": 1, "d": 2, "b": [1], "c": [["1"], ["0"]]}))
-        assert dinv.cli._load_spec(str(table)) == dinv.cli._load_spec(str(general))
+        assert dinv.cli._load(str(table)) == dinv.cli._load(str(general))
         for source in ("recursive", "explicit", "general"):
             outs = []
             for path in (table, general):
@@ -481,8 +481,8 @@ class TestVerify:
     def test_identities_off_by_one_power_sum_fails(self, monkeypatch, capsys):
         carried = dinv.identities.signed_power_sums
 
-        def off_by_one(m, include_zero=True, j_max=None):
-            sums = carried(m, include_zero, j_max)
+        def off_by_one(m, include_zero=True):
+            sums = carried(m, include_zero)
             if m == 5 and not include_zero:
                 sums[3] += 1
             return sums
@@ -498,8 +498,8 @@ class TestVerify:
         # a run from node 1 that counts node 0 as well is refused.
         carried = dinv.identities.signed_power_sums
 
-        def counts_node_zero(m, include_zero=True, j_max=None):
-            return carried(m, True, j_max)
+        def counts_node_zero(m, include_zero=True):
+            return carried(m, True)
 
         monkeypatch.setattr(dinv.cli, "signed_power_sums", counts_node_zero)
         assert main(["verify", "--what", "identities", "--m-max", "6"]) == 1
@@ -515,13 +515,13 @@ class TestVerify:
         runs = []
         carried = dinv.identities.signed_power_sums
 
-        def recording(m, include_zero=True, j_max=None):
-            runs.append((m, include_zero, j_max))
-            return carried(m, include_zero, j_max)
+        def recording(m, include_zero=True):
+            runs.append((m, include_zero))
+            return carried(m, include_zero)
 
         monkeypatch.setattr(dinv.cli, "signed_power_sums", recording)
         assert all(dinv.cli._power_sums_hold(m) for m in range(61)) and power_sums_two_runs(60)
-        assert runs == [(m, False, None) for m in range(61)]
+        assert runs == [(m, False) for m in range(61)]
 
     @pytest.mark.parametrize("cap", [0, 1], ids=["cap-i", "cap-r"])
     def test_identities_off_by_one_falling_factorial_fails(self, cap, monkeypatch, capsys):
@@ -1397,7 +1397,7 @@ class TestParsing:
     """main reads a command's arguments with that command's own parser, and
     falls back to the full parser when argv[0] names no command or an
     argument is left unread: every list exits, prints and runs as it does
-    through _build_parser().parse_args."""
+    through _parsers()[0].parse_args."""
 
     COMMANDS = ("basis", "verify", "points", "limit", "sweep", "study", "scan", "example1")
 
@@ -1444,7 +1444,7 @@ class TestParsing:
 
         ours = run()
         out.unlink(missing_ok=True)
-        monkeypatch.setattr(dinv.cli, "_parse_args", lambda argv: dinv.cli._build_parser().parse_args(argv))
+        monkeypatch.setattr(dinv.cli, "_parse_args", lambda argv: dinv.cli._parsers()[0].parse_args(argv))
         assert run() == ours
 
     @pytest.mark.parametrize(
@@ -1460,8 +1460,8 @@ class TestParsing:
         def forbidden(*args, **kwargs):
             raise AssertionError("parsed by the full parser")
 
-        expect = dinv.cli._build_parser().parse_args(argv)
-        monkeypatch.setattr(dinv.cli._build_parser(), "parse_args", forbidden)
+        expect = dinv.cli._parsers()[0].parse_args(argv)
+        monkeypatch.setattr(dinv.cli._parsers()[0], "parse_args", forbidden)
         assert dinv.cli._parse_args(argv) == expect
 
 
@@ -1648,7 +1648,7 @@ class TestApproxColumn:
             h_text, approx = line.split(",")[:2]
             h = Fraction(float(h_text))
             exact = size = Fraction(0)
-            for r, w in enumerate(dinv.discretize.stencil(m).coeffs):
+            for r, w in enumerate(dinv.discretize.stencil(m)):
                 coords = pts.point(r)
                 exact += w * f.eval([c.eval([h]) for c in coords])
                 size += abs(w) * _abs_eval(f, [_abs_eval(c, [h]) for c in coords])

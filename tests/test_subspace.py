@@ -1517,7 +1517,7 @@ class TestMonomialCodes:
         d, top, e = case
         codes = MonomialCodes(d, top)
         code = codes.pack(e)
-        assert codes.unpack(code) == e and codes.exponents({code}) == {code: e}
+        assert codes.exponents({code}) == {code: e}
         assert codes.degree(code) == sum(e)
 
     @given(st.sampled_from((1, 2, 3, 40)), st.integers(0, 6), st.data())
@@ -1546,7 +1546,7 @@ class TestMonomialCodes:
         e = (1,) + (0,) * 38 + (1,)
         code = codes.pack(e)
         assert codes.high == 3**40 and code == 2 * 3**40 + 3**39 + 1 > 2**64
-        assert codes.unpack(code) == e and codes.degree(code) == 2
+        assert codes.exponents({code}) == {code: e} and codes.degree(code) == 2
         assert codes.pack((0,) * 39 + (2,)) < code < codes.pack((2,) + (0,) * 39)
 
     @pytest.mark.parametrize(
@@ -1711,7 +1711,6 @@ class TestCodedKernels:
 
         specs = [random_param_table(make_rng(184), d, n) for d, n in ((2, 1), (2, 5), (3, 6), (4, 7))]
         monkeypatch.setattr(MonomialCodes, "exponents", forbidden)
-        monkeypatch.setattr(MonomialCodes, "unpack", forbidden)
         built = []
         for spec in specs:
             rec, exp, gen = build_recursive(spec), build_explicit(spec), build_generating(spec)
