@@ -230,7 +230,8 @@ def _verdict(args, ok: bool, report: dict, *notes: str) -> int:
 # SECONDS_PER_CELL is measured on one core of a 2-vCPU x86-64 host under
 # CPython 3.11.  The cells of drawing a table of scan (and 150 per entry of
 # its full table) and of writing a term of a basis, past its integers'
-# digits; and the cheap bound's seconds per exponent entry of a count vector.
+# digits; and the cheap bound's seconds per visit, d + 3 of them per element
+# of a build or slot of the closed form's product (_check_top).
 WORK_BUDGET_S = 2.0
 SECONDS_PER_CELL = 1e-7
 SCAN_TABLE_CELLS = 2500

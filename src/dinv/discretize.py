@@ -451,7 +451,8 @@ def sweep_steps(h0: float, steps: int, m: int, top: int) -> list[float]:
     """The steps h0 * 2**-k, k < steps, of a sweep at order m over the
     points 0..top.  Refuses with ValueError, in this order: h0 <= 0, fewer
     than 2 steps, an order outside 0..top, and steps that would halve h**m
-    (h itself for m = 0) to 0.0, naming the most steps accepted."""
+    (h itself for m = 0) to 0.0, naming the most steps accepted, or, when
+    fewer than 2 are, that h0 must be larger."""
     if h0 <= 0:
         raise ValueError(f"h0 must be positive, got {h0}")
     if steps < 2:
@@ -462,9 +463,10 @@ def sweep_steps(h0: float, steps: int, m: int, top: int) -> list[float]:
     keep = next((k for k, h in enumerate(hs) if h == 0.0 or h ** m == 0.0), steps)
     if keep < steps:
         what = f"h**{m}" if m else "h"
-        raise ValueError(
-            f"--steps {steps} halvings of --h0 {h0!r} take {what} to 0.0; at most {keep} steps are accepted"
-        )
+        fix = f"at most {keep} steps are accepted"
+        if keep < 2:
+            fix = f"no --steps works from that --h0 at order {m}, so --h0 must be larger"
+        raise ValueError(f"--steps {steps} halvings of --h0 {h0!r} take {what} to 0.0; {fix}")
     return hs
 
 

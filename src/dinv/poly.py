@@ -133,15 +133,26 @@ def rational_text(value: Fraction) -> str:
         raise DigitLimitError(max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))) from None
 
 
-def common_denominator(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
+def common_denominator(values: Iterable[Fraction | int], stage: str = "reading a polynomial") -> tuple[int, list[int]]:
     """(s, nums): s the lcm of the denominators of the values (1 if there
     are none) and nums[k] = values[k] * s, the integer numerators over it."""
-    vals = list(values)
+    return _over_lcm([(v.numerator, v.denominator) for v in values], stage)
+
+
+def _over_lcm(pairs: Sequence[tuple[int, int]], stage: str) -> tuple[int, list[int]]:
+    """(s, nums): s the lcm of the q of the pairs (p, q), q > 0, and
+    nums[k] = p_k * (s // q_k).  Metered, each lcm that widens s is charged
+    to stage before it is taken, and the numerators' bits, a cell per 64,
+    before they are made: n pairwise coprime q keep n numerators as wide as s."""
     scale = 1
-    for v in vals:
-        if scale % v.denominator:
-            scale = math.lcm(scale, v.denominator)
-    return scale, [v.numerator * (scale // v.denominator) for v in vals]
+    for _, q in pairs:
+        if scale % q:
+            if fuel.metered:
+                fuel.charge(fuel.lcms(1, scale.bit_length(), q.bit_length()), stage)
+            scale = math.lcm(scale, q)
+    if fuel.metered:
+        fuel.charge((len(pairs) * scale.bit_length() + sum(p.bit_length() for p, _ in pairs)) >> 6, stage)
+    return scale, [p * (scale // q) for p, q in pairs]
 
 
 # One rule for numbers in decoded JSON, shared by every from_dict: integers
@@ -303,12 +314,14 @@ class Polynomial:
             _scale, nums = common_denominator(clean.values())
             terms = dict(zip(clean, nums))
         # One gcd fold, stopped at 1: math.gcd(*nums) would build a tuple.
-        g = _scale
-        gcd = math.gcd
+        # Metered, each step is charged first: a gcd of wide integers is quadratic.
+        g, gcd, metered = _scale, math.gcd, fuel.metered
         for v in terms.values():
-            g = gcd(g, v)
             if g == 1:
                 break
+            if metered:
+                fuel.charge(fuel.lcms(1, g.bit_length(), v.bit_length()), "reducing a polynomial")
+            g = gcd(g, v)
         if g != 1:
             terms = {e: v // g for e, v in terms.items()}
             _scale //= g
@@ -535,14 +548,12 @@ class Polynomial:
             raise ValueError(f"malformed polynomial object: {exc}") from exc
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        scale = 1
-        for exps, (p, q) in terms.items():
+        for exps in terms:
             if len(exps) != dim or min(exps) < 0:
                 _check_exponent(exps, dim)
-            if p and scale % q:
-                scale = math.lcm(scale, q)
-        nums = {e: p * (scale // q) for e, (p, q) in terms.items() if p}
-        return cls(dim, nums, _scale=scale)
+        kept = {e: pq for e, pq in terms.items() if pq[0]}
+        scale, nums = _over_lcm(list(kept.values()), "reading a polynomial")
+        return cls(dim, dict(zip(kept, nums)), _scale=scale)
 
 
 # The slots' own setters: Polynomial.__setattr__ refuses every write, and

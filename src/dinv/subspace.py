@@ -136,7 +136,7 @@ class GeneralSpec:
         entries = tuple(sorted(entries))
         if not entries or entries[0][0] != 0:
             raise ValueError("first coordinates of the c vectors must not all be zero")
-        den, nums = common_denominator(v for _, _, v in entries)
+        den, nums = common_denominator((v for _, _, v in entries), "reading a spec")
         slots = tuple([(b[j], i, n_ij) for (j, i, _), n_ij in zip(entries, nums)])
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)

@@ -1040,14 +1040,29 @@ class TestSizeGuard:
     # elements, a table of 19,881 entries, and a basis of 1000 elements over
     # random 3300-bit scales, whose JSON text alone passes the budget.  Each
     # is read in about the budget or more unmetered, or checked past it.
-    @pytest.mark.parametrize("kind", ["text", "basis", "table", "json"])
+    # Terms or c entries over the first 4000 or 3000 primes keep numerators as
+    # wide as the primes' product: their common denominator is charged as it
+    # widens, and the polynomials are read in about 4 s unmetered.
+    @pytest.mark.parametrize("kind", ["text", "basis", "table", "json", "primes-text", "primes-json", "primes-spec"])
     def test_oversized_input_refused_as_read(self, kind, tmp_path, capsys, small_budget):
         spec, data = tmp_path / "s.json", tmp_path / "data"
         argv, command = ["verify", "--what", "closure", "--basis", str(data)], "verify --what closure"
+        primes = [p for p in range(2, 38000) if all(p % q for q in range(2, int(p**0.5) + 1))]
         if kind == "text":
             spec.write_text(json.dumps(GAPPED_SPEC))
             data.write_text(" + ".join(f"x1^{k % 40}*x2^{k // 40}" for k in range(20000)))
             argv, command, stage = ["limit", "--m", "2", "--scheme", "a", "--f", str(data)], "limit", f"reading {data}"
+        elif kind in ("primes-text", "primes-json"):
+            assert len(primes) >= 4000
+            spec.write_text(json.dumps(GAPPED_SPEC))
+            if kind == "primes-text":
+                data.write_text(" + ".join(f"1/{p}*x1^{k}" for k, p in enumerate(primes[:4000])))
+            else:
+                data.write_text(json.dumps({"dim": 2, "terms": [{"exp": [k, 0], "coef": f"1/{p}"} for k, p in enumerate(primes[:4000])]}))
+            argv, command, stage = ["limit", "--m", "1", "--scheme", "a", "--f", str(data)], "limit", "reading a polynomial"
+        elif kind == "primes-spec":
+            spec.write_text(json.dumps({"n": 3000, "d": 1, "b": list(range(1, 3001)), "c": [[f"1/{p}" for p in primes[:3000]]]}))
+            argv, command, stage = ["verify", "--what", "breadth"], "verify --what breadth", "reading a spec"
         elif kind == "table":
             spec.write_text(json.dumps(_full_table(142, 142)))
             argv, command, stage = ["verify", "--what", "breadth"], "verify --what breadth", "reading a spec"
@@ -1593,6 +1608,23 @@ class TestLimitAndSweep:
         captured = capsys.readouterr()
         assert captured.err == (
             "error: --steps 3000000 halvings of --h0 0.25 take h to 0.0; at most 1073 steps are accepted\n"
+        )
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "study"])
+    def test_h0_too_small_for_any_steps_names_h0(self, command, spec_file, tmp_path, capsys):
+        # h**2 of 1e-300 is 0.0 before the first halving: fewer than 2 steps
+        # would survive, and fewer are always refused, so --h0 is named.
+        f = tmp_path / "f.txt"
+        f.write_text("x1^3")
+        out = tmp_path / "out"
+        argv = [command, "--spec", spec_file, "--f", str(f), "--h0", "1e-300", "--steps", "3"]
+        argv += ["--m", "2", "--scheme", "a", "--out", str(out)] if command == "sweep" else ["--out-dir", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --steps 3 halvings of --h0 1e-300 take h**2 to 0.0; "
+            "no --steps works from that --h0 at order 2, so --h0 must be larger\n"
         )
         assert captured.out == "" and not out.exists()
 
