@@ -526,8 +526,8 @@ def _cmd_study(args) -> int:
         for name, m, rows in runs:
             path = out_dir / f"scheme_{name}_m{m}.csv"
             path.write_text(sweep_to_csv(rows), encoding="utf-8")
-            orders = [r.est_order for r in rows if r.est_order is not None and r.abs_err > 1e-12]
-            median = f"{statistics.median(orders):.3f}" if orders else "exact"
+            estimates = [r.est_order for r in rows if r.est_order is not None and r.abs_err > 1e-12]
+            median = f"{statistics.median(estimates):.3f}" if estimates else "exact"
             lines.append(
                 f"{name:>6} {m:>3} {rows[0].exact:>14.6g} {rows[-1].abs_err:>14.3e} {median:>13}  {path}"
             )

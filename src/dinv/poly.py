@@ -52,9 +52,6 @@ from . import fuel
 
 Exponent = tuple[int, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?\Z")
 _RAT_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 # A term of polynomial text: the run of signs and whitespace before it, then its body.
@@ -135,15 +132,13 @@ def rational_text(value: Fraction) -> str:
 
 def common_denominator(values: Iterable[Fraction | int], stage: str = "reading a polynomial") -> tuple[int, list[int]]:
     """(s, nums): s the lcm of the denominators of the values (1 if there
-    are none) and nums[k] = values[k] * s, the integer numerators over it."""
-    return _over_lcm([(v.numerator, v.denominator) for v in values], stage)
-
-
-def _over_lcm(pairs: Sequence[tuple[int, int]], stage: str) -> tuple[int, list[int]]:
-    """(s, nums): s the lcm of the q of the pairs (p, q), q > 0, and
-    nums[k] = p_k * (s // q_k).  Metered, each lcm that widens s is charged
-    to stage before it is taken, and the numerators' bits, a cell per 64,
-    before they are made: n pairwise coprime q keep n numerators as wide as s."""
+    are none) and nums[k] = values[k] * s, the integer numerators over it,
+    with no factor common to s and all of them on values in lowest terms (a
+    prime of s does not divide the numerator whose denominator holds its
+    highest power).  Metered, each lcm that widens s is charged to stage,
+    and the numerators' bits, a cell per 64, before they are made: n
+    coprime denominators keep n numerators as wide as s."""
+    pairs = [v.as_integer_ratio() for v in values]
     scale = 1
     for _, q in pairs:
         if scale % q:
@@ -204,8 +199,9 @@ def _check_exponent(exps: Exponent, dim: int) -> None:
     """Refuse an exponent tuple that is not dim non-negative ints."""
     if len(exps) != dim:
         raise ValueError(f"exponent {exps} has length {len(exps)}, expected {dim}")
-    if any(e < 0 or not isinstance(e, int) for e in exps):
-        raise ValueError(f"exponents must be non-negative integers, got {exps}")
+    for e in exps:
+        if e < 0 or not isinstance(e, int):
+            raise ValueError(f"exponents must be non-negative integers, got {exps}")
 
 
 class MonomialCodes:
@@ -283,12 +279,13 @@ class Polynomial:
     by exponent, `codes` is None and `numerators` is the stored dict;
     keyed by code, `coded` is the stored dict, `codes` its codec and
     `numerators` a view of it made on its first read.  Do not mutate
-    either dict.  The public constructor checks the exponents of
-    {exponent: Fraction or int} and drops zero coefficients; _scale=s
-    takes internal results, nonzero int numerators over a positive scale
-    s, keyed by exponent, or by code when _codes names their codec (whose
-    d is dim), as a builder's elements are made.  Both end in one gcd fold
-    with the scale.
+    either dict.  The public constructor is the one way in for exact input
+    (parse and from_dict end in it): it checks the exponents of {exponent:
+    Fraction or int (any other number is made a Fraction)}, drops zeros and
+    stores the rest over their common_denominator, canonical as it stands.
+    _scale=s takes kernel results, nonzero int numerators over a positive
+    scale s, keyed by exponent, or by code when _codes names their codec
+    (whose d is dim), and reduces them by one gcd fold with the scale.
     """
 
     __slots__ = ("dim", "scale", "codes", "coded", "numerators")
@@ -304,27 +301,28 @@ class Polynomial:
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         if _scale is None:
-            clean: dict[Exponent, Fraction] = {}
+            clean: dict[Exponent, Fraction | int] = {}
             for exps, coef in (terms or {}).items():
                 exps = tuple(exps)
                 _check_exponent(exps, dim)
-                c = Fraction(coef)
-                if c != 0:
+                c = coef if isinstance(coef, (int, Fraction)) else Fraction(coef)
+                if c:
                     clean[exps] = c
             _scale, nums = common_denominator(clean.values())
             terms = dict(zip(clean, nums))
-        # One gcd fold, stopped at 1: math.gcd(*nums) would build a tuple.
-        # Metered, each step is charged first: a gcd of wide integers is quadratic.
-        g, gcd, metered = _scale, math.gcd, fuel.metered
-        for v in terms.values():
-            if g == 1:
-                break
-            if metered:
-                fuel.charge(fuel.lcms(1, g.bit_length(), v.bit_length()), "reducing a polynomial")
-            g = gcd(g, v)
-        if g != 1:
-            terms = {e: v // g for e, v in terms.items()}
-            _scale //= g
+        else:
+            # One gcd fold, stopped at 1: math.gcd(*nums) would build a tuple.
+            # Metered, each step is charged first: a gcd of wide integers is quadratic.
+            g, gcd, metered = _scale, math.gcd, fuel.metered
+            for v in terms.values():
+                if g == 1:
+                    break
+                if metered:
+                    fuel.charge(fuel.lcms(1, g.bit_length(), v.bit_length()), "reducing a polynomial")
+                g = gcd(g, v)
+            if g != 1:
+                terms = {e: v // g for e, v in terms.items()}
+                _scale //= g
         _DIM(self, dim)
         _SCALE(self, _scale)
         _CODES(self, _codes)
@@ -502,9 +500,9 @@ class Polynomial:
         chunks = [(-1 if signs.count("-") % 2 else 1, body) for signs, body in _TERM_RE.findall(s) if body]
         if not chunks:
             raise ValueError(f"cannot parse polynomial from {text!r}")
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Fraction | int] = {}
         for sgn, chunk in chunks:
-            coef = _ONE
+            coef = 1
             exps = [0] * dim
             for pos, raw in enumerate(chunk.split("*")):
                 part = raw.strip()
@@ -518,8 +516,16 @@ class Polynomial:
                     coef = parse_rational(part)
                 else:
                     raise ValueError(f"cannot parse term part {part!r} in {text!r}")
-            key = tuple(exps)
-            terms[key] = terms.get(key, _ZERO) + sgn * coef
+            key, coef = tuple(exps), sgn * coef
+            total = terms.get(key)
+            if total is not None:
+                # Charged as Fraction adds, a gcd and three products: over coprime denominators the sums are quadratic.
+                if fuel.metered:
+                    a, b = (max(v.numerator.bit_length(), v.denominator.bit_length()) for v in (total, coef))
+                    gcd = fuel.lcms(1, total.denominator.bit_length(), coef.denominator.bit_length())
+                    fuel.charge(gcd + fuel.cells(3, a, b), "reading a polynomial")
+                coef = total + coef
+            terms[key] = coef
         return cls(dim, terms)
 
     def to_dict(self) -> dict:
@@ -532,10 +538,9 @@ class Polynomial:
     @classmethod
     def from_dict(cls, data: Mapping) -> Polynomial:
         """Inverse of to_dict.  A repeated exponent takes its last
-        coefficient.  The coefficients are read by json_ratio and kept as
-        the integer form: the nonzero numerators over the lcm of their
-        denominators, which the gcd fold makes canonical.  Each exponent
-        entry is read by json_int, which names a bad one."""
+        coefficient.  Each exponent entry is read by json_int, which names
+        a bad one, and each coefficient by json_ratio, and handed to the
+        public constructor as an int, or as one Fraction in lowest terms."""
         try:
             dim = json_int(data["dim"], "dim")
             items, terms = json_array(data["terms"], "terms"), {}
@@ -543,17 +548,11 @@ class Polynomial:
             fuel.charge(70 * (len(items) + 1), "reading a polynomial")
             for t in items:
                 exp = tuple([json_int(v, "exponent") for v in json_array(t["exp"], "exp")])
-                terms[exp] = json_ratio(t["coef"])
+                p, q = json_ratio(t["coef"])
+                terms[exp] = p if q == 1 else Fraction(p, q)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial object: {exc}") from exc
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        for exps in terms:
-            if len(exps) != dim or min(exps) < 0:
-                _check_exponent(exps, dim)
-        kept = {e: pq for e, pq in terms.items() if pq[0]}
-        scale, nums = _over_lcm(list(kept.values()), "reading a polynomial")
-        return cls(dim, dict(zip(kept, nums)), _scale=scale)
+        return cls(dim, terms)
 
 
 # The slots' own setters: Polynomial.__setattr__ refuses every write, and

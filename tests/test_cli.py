@@ -1042,8 +1042,9 @@ class TestSizeGuard:
     # is read in about the budget or more unmetered, or checked past it.
     # Terms or c entries over the first 4000 or 3000 primes keep numerators as
     # wide as the primes' product: their common denominator is charged as it
-    # widens, and the polynomials are read in about 4 s unmetered.
-    @pytest.mark.parametrize("kind", ["text", "basis", "table", "json", "primes-text", "primes-json", "primes-spec"])
+    # widens.  4000 terms 1/p_k*x1 of one monomial are summed as they are
+    # parsed, each sum as wide as the primes so far: each sum is charged.
+    @pytest.mark.parametrize("kind", ["text", "basis", "table", "json", "primes-text", "primes-json", "primes-spec", "repeated-text"])
     def test_oversized_input_refused_as_read(self, kind, tmp_path, capsys, small_budget):
         spec, data = tmp_path / "s.json", tmp_path / "data"
         argv, command = ["verify", "--what", "closure", "--basis", str(data)], "verify --what closure"
@@ -1060,6 +1061,10 @@ class TestSizeGuard:
             else:
                 data.write_text(json.dumps({"dim": 2, "terms": [{"exp": [k, 0], "coef": f"1/{p}"} for k, p in enumerate(primes[:4000])]}))
             argv, command, stage = ["limit", "--m", "1", "--scheme", "a", "--f", str(data)], "limit", "reading a polynomial"
+        elif kind == "repeated-text":
+            spec.write_text(json.dumps(GAPPED_SPEC))
+            data.write_text(" + ".join(f"1/{p}*x1" for p in primes[:4000]))
+            argv, command, stage = ["limit", "--m", "1", "--scheme", "a", "--f", str(data)], "limit", "reading a polynomial"
         elif kind == "primes-spec":
             spec.write_text(json.dumps({"n": 3000, "d": 1, "b": list(range(1, 3001)), "c": [[f"1/{p}" for p in primes[:3000]]]}))
             argv, command, stage = ["verify", "--what", "breadth"], "verify --what breadth", "reading a spec"
@@ -1073,6 +1078,21 @@ class TestSizeGuard:
             data.write_text(json.dumps([{"dim": 1, "terms": [{"exp": [m], "coef": c}]} for m, c in enumerate(coefs)]))
             stage = "reading a polynomial" if kind == "basis" else f"reading {data}"
         _refused_in_time([*argv, "--spec", str(spec)], capsys, command, stage)
+
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_coprime_polynomial_read_within_the_budget(self, form, tmp_path, capsys):
+        # 1300 terms 1/p_k*x1^k over the first 1300 primes, under the 2 s
+        # budget: no gcd fold runs on a polynomial that is read, so the lcms
+        # and the numerators are charged, about 0.08 s, and the limit passes.
+        primes = [p for p in range(2, 11000) if all(p % q for q in range(2, int(p**0.5) + 1))][:1300]
+        spec, f = tmp_path / "s.json", tmp_path / "f"
+        spec.write_text(json.dumps(GAPPED_SPEC))
+        if form == "text":
+            f.write_text(" + ".join(f"1/{p}*x1^{k}" for k, p in enumerate(primes)))
+        else:
+            f.write_text(json.dumps({"dim": 2, "terms": [{"exp": [k, 0], "coef": f"1/{p}"} for k, p in enumerate(primes)]}))
+        assert main(["limit", "--m", "1", "--scheme", "a", "--spec", str(spec), "--f", str(f)]) == 0
+        assert capsys.readouterr().err == "limit check m=1 scheme a: pass\n"
 
     def test_wide_full_table_past_the_bound(self, tmp_path, capsys):
         # Under the 2 s budget: the cheap bound refuses this table at once under a smaller one.

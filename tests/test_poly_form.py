@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import forbid_fractions, make_rng, rational, seeded_specs
-from dinv import DiffOperator, Polynomial, build_general, build_generating, build_recursive
+from conftest import count_fractions, forbid_fractions, make_rng, rational, seeded_specs
+from dinv import DiffOperator, Polynomial, build_general, build_generating, build_recursive, fuel
 from dinv.subspace import MonomialCodes
 from oracles import apply_operator, dict_add, dict_eval, dict_render, dict_scaled
 
@@ -129,6 +129,60 @@ def test_apply_at_reads_either_form_of_its_source(data, dim, point):
     f_terms, f = data.draw(made(dim))
     expected = apply_operator(Polynomial(dim, terms), Polynomial(dim, f_terms)).eval(point[:dim])
     assert DiffOperator(source).apply_at(f, point[:dim]) == expected
+
+
+def _charged_stages(read):
+    """read()'s result and the stage of every charge it made, under a
+    budget no step passes."""
+    stages, charge = [], fuel.charge
+
+    def recorded(cells, stage):
+        stages.append(stage)
+        charge(cells, stage)
+
+    fuel.charge = recorded
+    fuel.arm(10**30)
+    try:
+        return read(), stages
+    finally:
+        fuel.disarm()
+        fuel.charge = charge
+
+
+def _unreduced(c: F, k: int) -> str:
+    """c's text over k times its denominator, zero-padded: not in lowest terms for k > 1."""
+    return f"{'-' if c < 0 else ''}00{abs(c.numerator) * k}/0{c.denominator * k}"
+
+
+@given(st.data(), dims, st.integers(1, 36))
+def test_read_polynomials_are_canonical_with_no_gcd_fold(data, dim, k):
+    # The public constructor, parse and from_dict store reduced Fractions
+    # over their lcm, canonical as they stand: none charges the gcd fold,
+    # not even on JSON coefficients over k times their denominators.
+    terms = data.draw(term_dicts(dim))
+    public = {e: int(c) if c.denominator == 1 else c for e, c in terms.items()}
+    json_terms = [{"exp": list(e), "coef": _unreduced(c, k)} for e, c in terms.items()]
+    reads = [
+        lambda: Polynomial(dim, public),
+        lambda: Polynomial.parse(dict_render(terms, dim), dim),
+        lambda: Polynomial.from_dict({"dim": dim, "terms": [{"exp": [0] * dim, "coef": f"0/{k}"}, *json_terms]}),
+    ]
+    for read in reads:
+        p, stages = _charged_stages(read)
+        assert "reducing a polynomial" not in stages
+        assert_is(p, terms, dim)
+
+
+def test_json_coefficients_not_in_lowest_terms_make_one_fraction_each(monkeypatch):
+    data = {"dim": 2, "terms": [{"exp": [1, 0], "coef": "2/4"}, {"exp": [0, 1], "coef": "007/010"}, {"exp": [2, 0], "coef": "-6/3"}, {"exp": [0, 0], "coef": 5}]}
+    made = count_fractions(monkeypatch)
+    p, stages = _charged_stages(lambda: Polynomial.from_dict(data))
+    monkeypatch.undo()
+    # One Fraction per coefficient whose text has a denominator other than 1; none for the rest.
+    assert made == [(2, 4), (7, 10), (-6, 3)]
+    assert "reducing a polynomial" not in stages
+    assert_is(p, {(1, 0): F(1, 2), (0, 1): F(7, 10), (2, 0): F(-2), (0, 0): F(5)}, 2)
+    assert (p.scale, p.numerators) == (10, {(1, 0): 5, (0, 1): 7, (2, 0): -20, (0, 0): 50})
 
 
 def test_terms_is_a_view_that_cannot_change_the_polynomial():
