@@ -248,7 +248,7 @@ def _check_top(what: str, spec: GeneralSpec) -> None:
     form's product over slots a step per slot, so a spec with more than
     int(WORK_BUDGET_S / SECONDS_PER_VISIT) // (d + 3) of them is refused
     before any list of weights is made."""
-    low = max(spec.top_weight, len(spec.slots[1])) + 1
+    low = max(spec.top_weight, len(spec.entries)) + 1
     cap = int(WORK_BUDGET_S / SECONDS_PER_VISIT) // (spec.d + 3)
     if low > cap:
         raise CliError(f"{what}: the build makes at least {low:,} vectors x (d + 3), "
@@ -300,7 +300,7 @@ def _build_numerators(source: str, spec: GeneralSpec) -> Numerators:
     if source == "recursive":
         return _recursive_numerators(spec)
     build = _generating_elements if source == "general" else _closed_form_elements
-    return build(spec, spec.top_weight)
+    return build(spec.arc, spec.codes, spec.top_weight)
 
 
 def _same_elements(x: Numerators, y: Numerators) -> bool:

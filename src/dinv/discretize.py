@@ -1,74 +1,66 @@
 """Coalescing point schemes and the limit verification.
 
-Every spec, a parameter table included, is read through its weights
-(b, c), as .slots gives them (every nonzero c_ij as n_ij / D, sorted by
-weight): the basis elements B_m are the t^m coefficients of
-exp(sum_i x_i * p_i(t)) with p_i(t) = sum_j c_ij * t^(b_j), and Taylor's
-theorem gives
+Every spec, a parameter table included, is read through its arc
+(subspace.Arc), the curve p with p_i(t) = sum_j c_ij * t^(b_j) and
+c_ij = n_ij / D, whose exp(<x, p(t)>) has B_m as its t^m coefficient.
+Taylor's theorem gives
 
     f(z0 + p(t)) = sum_k t^k * (B_k(D)f)(z0).
 
-The b_n + 1 points z_r(h), r = 0..b_n, of either scheme collapse to the
-base point z0 as h -> 0, and the stencil combination
+Point r of either scheme is z_r(h) = z0 + p_r(h), r = 0..b_n, where p_r
+is the spec's arc with each weight b_j's slots times the scheme's rule
+h_coef(r, b_j) (SymbolicPointSet.point_arc).  The points collapse to z0
+as h -> 0, and the stencil combination
 
     (1/h^m) * sum_{r=0..m} A_r^(m) * f(z_r(h))
 
 tends to the differential functional value (B_m(D)f)(z0).  For polynomial
 f everything here is exact: the combination is expanded symbolically in h
 and the vanishing of the low-order coefficients is checked as an identity,
-not up to a tolerance.  A float h-sweep is provided as a human-facing
-diagnostic of the same limit.
+not up to a tolerance.  A float h-sweep is a human-facing diagnostic of
+the same limit.
 
 The check at order m computes only what it reports, on ints.  It expands
-the combination only to h^m, in u = h / D with D the common denominator
-of c (spec.slots): each h^t coefficient of a coordinate is an integer
-over D^t, so coordinate i of a point is
+the combination only to h^m, in u = h / D: coordinate i of point r is
 
     (p_i + q_i * sum_t a_t * u^t) / q_i,   z0_i = p_i / q_i,
 
-with integer a_t, t >= 1: a_(b_j) = n_ij * h_coef(r, b_j) * D^(b_j - 1)
-for each slot, c_ij = n_ij / D, and 0 at the other powers.  A point set
-stores only its rule, (scheme, z0, spec), and the check reads point r
-from it as the dense lists [p_i, q_i * a_1, q_i * a_2, ...] of integer
-u-coefficients over q_i, cut after u^m (SymbolicPointSet.u_series): it
-takes h_coef(r, b_j) only for the weights b_j <= m, makes no Polynomial
-for a point and keeps nothing.  Every product is cut after u^m too,
-which is exact because the u^t coefficient of a product reads only its
-factors' coefficients up to u^t.  A coordinate's k-th power is made by
-repeated squaring of cut series (Brent & Kung 1978), so the work grows
-with log(deg f).  The terms of f are lifted once per check to integers over
-one scale, f.scale * prod_i q_i^(deg_i) with deg_i the degree of f in
-x_i, and the stencil weights are the integers (-1)^(m-r) * C(m, r) over
-m!.  So the u^t coefficient of the combination is one integer over
-scale * m!, and the h^t coefficient is that integer over
-scale * m! * D^t, the only Fraction the series makes.  The target builds
-only B_0..B_m, by the generating recurrence stopped at weight m on
-monomial codes (poly.MonomialCodes), unpacks only B_m's codes
-to exponents, and evaluates B_m(D)f at z0 as a scalar on integers
-(DiffOperator.apply_at, one Fraction at the end); it never reads the
-points, so it stays an independent witness.  So a check makes no
-Fraction but z0's coordinates, its m + 1 coefficients and its target.
+with integer a_t: a_(b_j) = n_ij * h_coef(r, b_j) * D^(b_j - 1) for each
+slot of p_r, and 0 at the other powers.  A point set stores only its
+rule, (scheme, z0, spec), and the check reads point r's arc, cut after
+u^m, as the dense lists [p_i, q_i * a_1, ...] of integer u-coefficients
+over q_i (_u_series): it takes h_coef(r, b_j) only for the weights
+b_j <= m, makes no Polynomial for a point and keeps nothing.
+Every product is cut after u^m too, which is exact because the u^t
+coefficient of a product reads only its factors' coefficients up to u^t.
+A coordinate's k-th power is made by repeated squaring of cut series
+(Brent & Kung 1978), so the work grows with log(deg f).  The terms of f
+are lifted once per check to integers over one scale, f.scale *
+prod_i q_i^(deg_i) with deg_i the degree of f in x_i, and the stencil
+weights are the integers (-1)^(m-r) * C(m, r) over m!.  So the h^t
+coefficient of the combination is one integer over scale * m! * D^t.
+The target builds only B_0..B_m, by the generating recurrence stopped at
+weight m on monomial codes, and evaluates B_m(D)f at z0 as a scalar on
+integers (DiffOperator.apply_at); it never reads the points, so it stays
+an independent witness.  So a check makes no Fraction but z0's
+coordinates, its m + 1 coefficients and its target.
 
-The sweep and study read every order's target off the arc f(z0 + p(t))
-instead, whose t^k coefficient is (B_k(D)f)(z0) by the identity above:
-z0 + p(h) is scheme a's point 1 (h_coef(1, b) = 1), so arc is the
-series' evaluator at that one point with weight 1, and builds no basis.
-The check keeps the recurrence, since the arc shares the series' cut
-products: a fault there would move both sides alike.
+The sweep and study read every order's target off f(z0 + p(t)) instead
+(arc): the series' evaluator on the spec's arc itself, with weight 1,
+which builds no basis and makes no point set.  The check keeps the
+recurrence, since the arc shares the series' cut products: a fault there
+would move both sides alike.
 
-The writers and the sweep read point(r) instead, the same point as
-univariate polynomials in h (dimension-1 Polynomial values), made
-directly in Polynomial's integer form: coordinate i of point r is
+The writers and the sweep read point(r), the same point as univariate
+polynomials in h made in Polynomial's integer form: coordinate i is
 
     (p_i * D + q_i * sum_j n_ij * h_coef(r, b_j) * h^(b_j)) / (q_i * D),
 
-reduced by one gcd, so a point set makes no Fraction but z0's.  point(r)
-makes point r on each read and keeps nothing, and a writer that refuses
-a coefficient makes no later point.  The sweep keeps each point's float
-terms: the sweep at order m reads the points 0..m, so study's sweeps of
-rising orders make and convert each point once per scheme.  The
-generating spec travels with the point set so downstream checks can
-rebuild the basis it belongs to.
+reduced by one gcd.  point(r) makes point r on each read and keeps
+nothing, so a writer that refuses a coefficient makes no later point.
+The sweep keeps each point's float terms: the sweep at order m reads the
+points 0..m, so study's sweeps of rising orders make and convert each
+point once per scheme.
 """
 
 from __future__ import annotations
@@ -77,13 +69,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterator, Sequence
 
 from . import fuel
 from .identities import falling_factorial
 from .poly import DiffOperator, Polynomial, _decimal_digits, rational_text
-from .subspace import GeneralSpec, _generating_elements
+from .subspace import Arc, GeneralSpec, _generating_elements
 
 def stencil(m: int) -> tuple[Fraction, ...]:
     """The finite-difference weights A_k = (-1)^(m-k) / (k! * (m-k)!), k = 0..m.
@@ -111,63 +103,45 @@ class SymbolicPointSet:
     spec: GeneralSpec
 
     def __post_init__(self) -> None:
+        if self.scheme not in SCHEME_RULES:
+            raise ValueError(f"unknown scheme {self.scheme!r}: expected 'a' or 'b'")
         if len(self.base) != self.spec.d:
             raise ValueError(f"base point has length {len(self.base)}, expected {self.spec.d}")
         object.__setattr__(self, "_floats", {})
 
-    @property
-    def dim(self) -> int:
-        return len(self.base)
-
-    def _check_index(self, r: int) -> None:
-        if not 0 <= r <= self.spec.top_weight:
-            raise IndexError(f"point {r} outside 0..{self.spec.top_weight}")
-
-    def _rule(self, r: int, cut: int) -> Iterator[tuple[int, int, Iterator]]:
-        """(b_j, h_coef(r, b_j), the slots of weight b_j) per weight below cut
-        whose h_coef(r, b_j) is nonzero.  Each is charged before it is
-        taken, as a product of two integers of the size of h_coef(r, b_j) *
-        D^(b_j - 1), read from the scheme's log10."""
-        self._check_index(r)
-        den, slots = self.spec.slots
+    def point_arc(self, r: int, cut: int) -> Arc:
+        """Point r's arc p_r, z_r(h) = z0 + p_r(h): the spec's arc, each weight
+        b_j below cut times h_coef(r, b_j) or left out where that is 0.  Each
+        h_coef is charged before it is taken, as a product of two integers of
+        the size of h_coef(r, b_j) * D^(b_j - 1), read from the scheme's log10."""
+        spec, metered = self.spec, fuel.metered
+        if not 0 <= r <= spec.top_weight:
+            raise IndexError(f"point {r} outside 0..{spec.top_weight}")
+        arc = spec.arc
         h_coef, log10 = SCHEME_RULES[self.scheme]
-        for bj, group in itertools.groupby(slots, itemgetter(0)):
+        by_weight = []
+        for bj, form in arc.by_weight:
             if bj >= cut:
                 break
-            if fuel.metered:
+            if metered:
                 size = log10(r, bj)
-                bits = 0 if size is None else int(size * 3.33) + bj * den.bit_length() + 1
+                bits = 0 if size is None else int(size * 3.33) + bj * arc.den.bit_length() + 1
                 fuel.charge(fuel.cells(1, bits, bits), "the point rule")
             if k := h_coef(r, bj):
-                yield bj, k, group
-
-    def u_series(self, r: int, length: int) -> list[list[int]]:
-        """Point r's coordinates as dense integer series in u = h / D, cut
-        after u^(length-1), trailing zeros dropped: coordinate i is
-        [p_i, ..., q_i * n_ij * h_coef(r, b_j) * D^(b_j - 1), ...] over
-        q_i, z0_i = p_i / q_i (module docstring).  h_coef is taken only
-        for the weights below the cut, and nothing is kept."""
-        den = self.spec.slots[0]
-        coords = [[v.numerator] if v else [] for v in self.base]
-        for bj, k, group in self._rule(r, length):
-            k *= den ** (bj - 1)
-            for _, i, n_ij in group:
-                coord = coords[i]
-                coord += [0] * (bj - len(coord))
-                coord.append(self.base[i].denominator * n_ij * k)
-        return coords
+                by_weight.append((bj, tuple([(i, n_ij * k) for i, n_ij in form])))
+        return Arc(arc.d, arc.den, tuple(by_weight))
 
     def point(self, r: int) -> tuple[Polynomial, ...]:
         """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i, 0 <= r <= b_n,
         each coordinate in Polynomial's integer form (module docstring)."""
-        den = self.spec.slots[0]
-        coords = [{(0,): v.numerator * den} if v else {} for v in self.base]
-        for bj, k, group in self._rule(r, self.spec.top_weight + 1):
-            for _, i, n_ij in group:
-                coords[i][(bj,)] = n_ij * k * self.base[i].denominator
+        arc = self.point_arc(r, self.spec.top_weight + 1)
+        coords = [{(0,): v.numerator * arc.den} if v else {} for v in self.base]
+        for bj, form in arc.by_weight:
+            for i, n_ij in form:
+                coords[i][(bj,)] = n_ij * self.base[i].denominator
         if fuel.metered:  # making and writing it, timed as cli.TERM_CELLS was: 150 per coordinate and per term
             fuel.charge(150 * sum(len(c) + 1 for c in coords), "making a point")
-        return tuple(Polynomial(1, c, _scale=v.denominator * den) for c, v in zip(coords, self.base))
+        return tuple(Polynomial(1, c, _scale=v.denominator * arc.den) for c, v in zip(coords, self.base))
 
     def _float_point(self, r: int) -> list[list[tuple[tuple[int, ...], float]]]:
         """point(r)'s coordinates as float terms, made and converted when
@@ -274,7 +248,10 @@ def _power_cut(powers: dict[int, list[int]], k: int, length: int) -> list[int]:
 
 def _lift(f: Polynomial, base: Sequence[Fraction]) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """(scale, terms): f's terms over scale = f.scale * prod_i q_i^(deg_i),
-    z0_i = p_i / q_i, the term x^e as f.numerators[e] * prod_i q_i^(deg_i - e_i)."""
+    z0_i = p_i / q_i, the term x^e as f.numerators[e] * prod_i q_i^(deg_i - e_i);
+    ValueError unless f has one variable per coordinate of z0."""
+    if f.dim != len(base):
+        raise ValueError(f"dimension mismatch: f has {f.dim}, points have {len(base)}")
     qs = [v.denominator for v in base]
     degs = [max(ks) for ks in zip(*f.numerators)]
     if fuel.metered:
@@ -297,8 +274,8 @@ def _lift(f: Polynomial, base: Sequence[Fraction]) -> tuple[int, list[tuple[tupl
 
 def _evaluate(terms: list[tuple[tuple[int, ...], int]], coords: list[list[int]], length: int) -> list[int]:
     """The u-coefficients of the lifted f (_lift) at a point's integer
-    u-series (SymbolicPointSet.u_series), over its scale, cut after
-    u^(length-1); each coordinate's powers are kept for this point only."""
+    u-series (_u_series), over its scale, cut after u^(length-1); each
+    coordinate's powers are kept for this point only."""
     powers = [{1: coord} for coord in coords]  # powers[i][k] is coordinate i to the k-th
     value = [0] * length
     for e, c in terms:
@@ -337,24 +314,42 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
     total = [0] * length
     w = -1 if m % 2 else 1  # the weight (-1)^(m-r) * C(m, r), carried from r to r + 1
     for r in range(m + 1):
-        value = _evaluate(terms, pts.u_series(r, length), length)
+        value = _evaluate(terms, _u_series(pts.base, pts.point_arc(r, length), length), length)
         if fuel.metered:
             fuel.charge(length + fuel.cells(*_nonzero_bits(value), m), "the limit series")
         for t, v in enumerate(value):
             if v:
                 total[t] += w * v
         w = -w * (m - r) // (r + 1)
-    return _h_coefficients(total, scale * math.factorial(m), pts.spec.slots[0])
+    return _h_coefficients(total, scale * math.factorial(m), pts.spec.arc.den)
+
+
+def _u_series(base: Sequence[Fraction], arc: Arc, length: int) -> list[list[int]]:
+    """z0 + p(h) for an arc p over D as dense integer series in u = h / D cut
+    after u^(length-1), trailing zeros dropped: coordinate i is [p_i, ...,
+    q_i * n_ij * D^(b_j - 1), ...] over q_i, z0_i = p_i / q_i."""
+    den = arc.den
+    coords = [[v.numerator] if v else [] for v in base]
+    for bj, form in arc.by_weight:
+        if bj >= length:
+            break
+        k = den ** (bj - 1)
+        for i, n_ij in form:
+            coord = coords[i]
+            coord += [0] * (bj - len(coord))
+            coord.append(base[i].denominator * n_ij * k)
+    return coords
 
 
 def arc(f: Polynomial, z0: Sequence[Fraction | int], spec: GeneralSpec, length: int) -> list[Fraction]:
-    """The t^0..t^(length-1) coefficients of f(z0 + p(t)), which by Taylor's
-    theorem are the targets (B_k(D)f)(z0), k < length, with no basis built.
-    z0 + p(h) is scheme a's point 1 (h_coef(1, b) = 1), so this is the
-    limit series' evaluator at that one point, with weight 1."""
-    pts = points_scheme_a(spec, z0)
-    scale, terms = _lift(f, pts.base)
-    return _h_coefficients(_evaluate(terms, pts.u_series(1, length), length), scale, spec.slots[0])
+    """The t^0..t^(length-1) coefficients of f(z0 + p(t)), p the spec's arc:
+    by Taylor's theorem the targets (B_k(D)f)(z0), k < length, read by the
+    series' evaluator on p itself, with no basis built and no point set."""
+    base = tuple(map(Fraction, z0))
+    if len(base) != spec.d:
+        raise ValueError(f"base point has length {len(base)}, expected {spec.d}")
+    scale, terms = _lift(f, base)
+    return _h_coefficients(_evaluate(terms, _u_series(base, spec.arc, length), length), scale, spec.arc.den)
 
 
 @dataclass(frozen=True)
@@ -402,11 +397,9 @@ def expansion_check(
     base = tuple(Fraction(v) for v in z0)
     if base != pts.base:
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
-    if f.dim != pts.dim:
-        raise ValueError(f"dimension mismatch: f has {f.dim}, points have {pts.dim}")
     _check_order(m, pts.spec.top_weight)
     coeffs = _series(f, m, pts, m + 1)
-    codes, elems = _generating_elements(pts.spec, m)
+    codes, elems = _generating_elements(pts.spec.arc, pts.spec.codes_to(m), m)
     s, p = elems[m]
     target = DiffOperator(Polynomial(codes.d, p, _scale=s, _codes=codes)).apply_at(f, base)
     return ExpansionReport(m=m, low_coeffs=tuple(coeffs[:m]), lead=coeffs[m], target=target)

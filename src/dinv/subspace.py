@@ -2,21 +2,22 @@
 
 A derivative-closed (D-invariant) subspace of polynomials is one closed
 under every partial derivative.  Breadth one means its basis contains a
-single linear element, normalized here to x1.  The bases built here are
-the t^m coefficients B_m of exp(sum_i x_i * sum_j c_ij * t^(b_j)) for a
-weight vector b and coefficient vectors c, which one GeneralSpec holds.
-A parameter table is the case b = (1, 2, ..., n), c_1 = e_1,
-c_s = (0, a_{2,s}, ...): ParamTable builds that spec, and .a reads a spec
-of that shape back as a table.  Everything reads the weights through
-.slots, every nonzero c_ij as an integer n_ij over one denominator D,
-sorted by weight.  Three independent constructions build the graded bases
-{B_0, ..., B_N}:
+single linear element, the tangent of the curve below, any nonzero vector.
+Every basis here is read off one curve, an Arc p(t) = (sum_j c_ij *
+t^(b_j))_i, held grouped by weight as integers n_ij = c_ij * D over one
+denominator D: B_m is the t^m coefficient of exp(<x, p(t)>).  A
+GeneralSpec holds the weights (b, c), b_1 = 1, and makes their arc
+(.arc); discretize's point schemes rescale it per point.  A parameter
+table is the case b = (1, 2, ..., n), c_1 = e_1, c_s = (0, a_{2,s}, ...):
+ParamTable builds that spec, and .a reads a spec of that shape back as a
+table.  Three independent constructions build the graded bases
+{B_0, ..., B_N}, the closed form and the recurrence from any arc:
 
   * build_recursive: degree-by-degree recursion driven by antiderivatives
     of the lower-degree elements (specs of table shape only), run on
     integer numerators over one scale per element,
   * build_general (also named build_explicit): the closed form
-    prod exp(c_ij * x_i * t^(b_j)) as one product over slots,
+    prod exp(c_ij * x_i * t^(b_j)) as one product over the arc's slots,
     _closed_form_elements, which multiplies in one nonzero c_ij at a time,
     so the count vectors that reach one monomial are summed once.  It
     shares no code with the recursion or the recurrence,
@@ -24,22 +25,18 @@ sorted by weight.  Three independent constructions build the graded bases
     that differentiating in t gives; build_general is kept as its oracle.
 
 Each builder returns integer numerators over one scale per element,
-keyed by monomial codes, together with the codec that packed them
-(Numerators): poly.MonomialCodes(d, top) packs an exponent of total
-degree <= top into one int whose order is graded-lex order, so
-multiplying by x_i is one int addition and a lookup hashes an int, not a
-tuple.  A spec's own codec, MonomialCodes(d, b_n), is made once
-(GeneralSpec.codes) and keys every build up to b_n.  The exact
-verifiers, check_closure_numerators and breadth_numerators, read the
-codes as they are, through the codec handed with them.  numerator_basis
-hands each element to Polynomial still keyed by code, reduced by one gcd
-fold, so build_* return bases that hold no Fraction and no exponent
-tuple; an element's exponent view is made when something reads it.
-BasisSequence grades a built basis on its codes, and check_closure and
-breadth read the elements' codes when one codec codes them all; any
-other basis is packed by a codec whose base exceeds b_n and every
-degree.  The Fraction builders and closure check, and the exponent-tuple
-kernels, are kept as test oracles.
+keyed by monomial codes, with the codec that packed them (Numerators):
+poly.MonomialCodes(d, top) packs an exponent of total degree <= top into
+one int in graded-lex order, so multiplying by x_i is one int addition.
+A spec's own codec, MonomialCodes(d, b_n), is made once
+(GeneralSpec.codes).  The exact verifiers, check_closure_numerators and
+breadth_numerators, read the codes through the codec handed with them.
+numerator_basis hands each element to Polynomial still keyed by code,
+reduced by one gcd fold, so build_* return bases that hold no Fraction
+and no exponent tuple.  check_closure and breadth read a basis's codes
+when one codec codes them all, and pack any other by a codec whose base
+exceeds b_n and every degree.  The Fraction builders and closure check,
+and the exponent-tuple kernels, are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, neg
+from operator import neg
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import fuel
@@ -68,6 +65,27 @@ class Numerators(NamedTuple):
     elems: list[tuple[int, dict[int, int]]]
 
 
+class Arc(NamedTuple):
+    """The curve p(t) = (sum_j n_ij / den * t^(b_j))_i in d variables, den > 0:
+    by_weight holds (b_j, ((i, n_ij), ...)) per weight b_j >= 1 with a
+    nonzero n_ij, ascending, each weight's slots by 0-based variable i.
+    Any weights may appear, or none: a spec's arc has b_1 = 1 and a nonzero
+    tangent, point 0's no slot, and scheme b's point r none above r."""
+
+    d: int
+    den: int
+    by_weight: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+    @property
+    def by_var(self) -> list[list[tuple[int, int]]]:
+        """Each variable's (b_j, n_ij), ascending by weight."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.d)]
+        for bj, form in self.by_weight:
+            for i, n_ij in form:
+                out[i].append((bj, n_ij))
+        return out
+
+
 # What GeneralSpec.a needs to read a spec as a parameter table.
 TABLE_SHAPE = "d >= 2, b = 1..n, and c_11 = 1 the only nonzero entry of x1 and of weight 1"
 
@@ -75,7 +93,7 @@ TABLE_SHAPE = "d >= 2, b = 1..n, and c_11 = 1 the only nonzero entry of x1 and o
 @dataclass(frozen=True, init=False)
 class GeneralSpec:
     """The weights (b, c) of the generating identity: B_m is the t^m
-    coefficient of exp(sum_i x_i * sum_j c_ij * t^(b_j)).
+    coefficient of exp(<x, p(t)>), p_i(t) = sum_j c_ij * t^(b_j).
 
     b is a strictly increasing integer weight vector with b[0] == 1, of
     length n >= 1; c holds d >= 1 coefficient vectors of length n whose
@@ -86,13 +104,10 @@ class GeneralSpec:
     (j, i, c_ij) of every nonzero c_ij, 0-based slot j and variable i, in
     ascending order; n, top_weight and the dense c derive from them, so
     equal specs compare equal however they were written.  A parameter
-    table is a spec of table shape (TABLE_SHAPE), read back by .a.
-
-    slots, made with the entries and not compared, is (D, ((b_j, i, n_ij),
-    ...)): every nonzero c_ij as n_ij / D, D the lcm of the denominators
-    of c, sorted by weight b_j and then by the 0-based variable i.  It is
-    read from the entries alone, so a table's n may be far larger than its
-    input.
+    table is a spec of table shape (TABLE_SHAPE), read back by .a.  arc,
+    made with the entries and not compared, is the Arc p, D the lcm of the
+    denominators of c; it reads the entries alone, so a table's n may be
+    far larger than its input.
     """
 
     d: int
@@ -137,11 +152,11 @@ class GeneralSpec:
         if not entries or entries[0][0] != 0:
             raise ValueError("first coordinates of the c vectors must not all be zero")
         den, nums = common_denominator((v for _, _, v in entries), "reading a spec")
-        slots = tuple([(b[j], i, n_ij) for (j, i, _), n_ij in zip(entries, nums)])
+        by_weight = itertools.groupby(zip(entries, nums), lambda slot: slot[0][0])  # the slots of each weight b[j]
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "slots", (den, slots))
+        object.__setattr__(self, "arc", Arc(d, den, tuple([(b[j], tuple([(i, n) for (_, i, _), n in form])) for j, form in by_weight])))
 
     @property
     def n(self) -> int:
@@ -293,15 +308,15 @@ class BasisSequence:
         return cls(tuple(Polynomial.from_dict(item) for item in data))
 
 
-def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
-    """B_0..B_top of the spec's weights (b, c) as the closed-form product
+def _closed_form_elements(arc: Arc, codes: MonomialCodes, top: int) -> Numerators:
+    """B_0..B_top of the arc, keyed by codes (of degree top or more), as the
+    closed-form product
 
-        B_m = [t^m] prod_{(i, j): c_ij != 0} exp(c_ij * x_i * t^(b_j)),
+        B_m = [t^m] prod_{(i, j): n_ij != 0} exp(n_ij / D * x_i * t^(b_j)),
 
-    multiplied in one nonzero slot (b_j, i, n_ij) of spec.slots at a time.
-    With c_ij = n_ij / D (D the lcm of the denominators of c), E_w is w! *
-    D^w times the product so far's weight-w part, keyed by codes
-    (spec.codes_to(top)), from E_0 = 1.  For each w from top - b_j down to 0
+    multiplied in one slot (b_j, i, n_ij) of the arc at a time, D its
+    denominator.  E_w is w! * D^w times the product so far's weight-w part,
+    from E_0 = 1.  For each w from top - b_j down to 0
     with E_w non-empty (so E_w is read before the slot adds to it), and
     each g >= 1 with v = w + g*b_j <= top, the slot adds E_w times x_i^g
     and f_g = (n_ij * D^(b_j - 1))^g * v! / (w! * g!) to E_v: count vectors
@@ -309,8 +324,7 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
     f_(g-1) times the step n_ij * D^(b_j - 1) and v! / (v - b_j)!, divided
     exactly by g.  Metered, the scales are charged first and each (w, g)
     just before it runs, from the integers at hand."""
-    codes = spec.codes_to(top)
-    den, slots = spec.slots
+    den = arc.den
     metered = fuel.metered
     if metered:  # bounds on the bits of each scale m! * D^m, then of each E_w's numerators; a code's width
         scale_bits = itertools.accumulate(m.bit_length() + den.bit_length() for m in range(top + 1))
@@ -318,33 +332,32 @@ def _closed_form_elements(spec: GeneralSpec, top: int) -> Numerators:
         bits, width = [1] + [0] * top, codes.high.bit_length()
     elems: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(top)]
     units = codes.units
-    for bj, i, n_ij in slots:
-        if bj > top:
-            break
-        u, step = units[i], n_ij * den ** (bj - 1)
-        if metered:  # math.perm's v! / (v - b_j)!, a product per bit of b_j on top's bits, times the step
-            step_bits, rise = abs(step).bit_length(), bj * top.bit_length()
-            perm = fuel.cells(bj.bit_length(), rise, rise) + fuel.cells(1, rise, step_bits)
-        for w in range(top - bj, -1, -1):
-            source = elems[w]
-            if not source:
-                continue
-            f, g, shift = 1, 0, 0
-            for v in range(w + bj, top + 1, bj):
-                if metered:  # f_g's making from f_(g-1), then 3 per multiply-add of a term of E_w by f_g, a cell per 64 bits of it and its code
-                    n, b, by = len(source), bits[w], step_bits + bj * v.bit_length()
-                    f_bits = f.bit_length() + by
-                    cells = 8 + perm + fuel.cells(1, f_bits, by + 64) + 2 * n + fuel.cells(n, b, f_bits) + n * (b + f_bits + width >> 6)
-                    fuel.charge(cells, "the closed form")
-                    bits[v] = max(bits[v], b + f_bits) + 1
-                g += 1
-                shift += u
-                f = f * (step * math.perm(v, bj)) // g
-                target = elems[v]
-                get = target.get
-                for e, x in source.items():
-                    e += shift
-                    target[e] = get(e, 0) + x * f
+    for bj, form in itertools.takewhile(lambda group: group[0] <= top, arc.by_weight):
+        for i, n_ij in form:
+            u, step = units[i], n_ij * den ** (bj - 1)
+            if metered:  # math.perm's v! / (v - b_j)!, a product per bit of b_j on top's bits, times the step
+                step_bits, rise = abs(step).bit_length(), bj * top.bit_length()
+                perm = fuel.cells(bj.bit_length(), rise, rise) + fuel.cells(1, rise, step_bits)
+            for w in range(top - bj, -1, -1):
+                source = elems[w]
+                if not source:
+                    continue
+                f, g, shift = 1, 0, 0
+                for v in range(w + bj, top + 1, bj):
+                    if metered:  # f_g's making from f_(g-1), then 3 per multiply-add of a term of E_w by f_g, a cell per 64 bits of it and its code
+                        n, b, by = len(source), bits[w], step_bits + bj * v.bit_length()
+                        f_bits = f.bit_length() + by
+                        cells = 8 + perm + fuel.cells(1, f_bits, by + 64) + 2 * n + fuel.cells(n, b, f_bits) + n * (b + f_bits + width >> 6)
+                        fuel.charge(cells, "the closed form")
+                        bits[v] = max(bits[v], b + f_bits) + 1
+                    g += 1
+                    shift += u
+                    f = f * (step * math.perm(v, bj)) // g
+                    target = elems[v]
+                    get = target.get
+                    for e, x in source.items():
+                        e += shift
+                        target[e] = get(e, 0) + x * f
     # A sum that cancelled to 0 keeps its key; the scan for one is cheap.
     elems = [p if 0 not in p.values() else {e: v for e, v in p.items() if v} for p in elems]
     scales, s = [1], 1
@@ -362,12 +375,11 @@ def numerator_basis(nums: Numerators) -> BasisSequence:
 
 
 def build_general(spec: GeneralSpec) -> BasisSequence:
-    """The basis as the closed-form product over slots
-    (_closed_form_elements on the spec's weights).  It is the oracle for
-    build_generating, which builds the same basis by recurrence, and, as
-    build_explicit, for build_recursive on a table."""
-    top = spec.top_weight
-    return numerator_basis(_closed_form_elements(spec, top))
+    """The basis as the closed-form product over the slots of the spec's
+    arc (_closed_form_elements).  It is the oracle for build_generating,
+    which builds the same basis by recurrence, and, as build_explicit, for
+    build_recursive on a table."""
+    return numerator_basis(_closed_form_elements(spec.arc, spec.codes, spec.top_weight))
 
 
 # The closed form of a table, a product over slots: element k sums over all
@@ -378,26 +390,25 @@ def build_general(spec: GeneralSpec) -> BasisSequence:
 build_explicit = build_general
 
 
-def _generating_elements(spec: GeneralSpec, top: int) -> Numerators:
-    """B_0..B_top of the spec's weights (b, c).  Differentiating
-    G = exp(sum_j L_j(x) * t^(b_j)), L_j = sum_i c_ij * x_i, in t gives
+def _generating_elements(arc: Arc, codes: MonomialCodes, top: int) -> Numerators:
+    """B_0..B_top of the arc, keyed by codes (of degree top or more).  With
+    L_j = sum_i n_ij / D * x_i, differentiating G = exp(sum_j L_j(x) * t^(b_j))
+    in t gives
 
         m * B_m = sum_{j: b_j <= m} b_j * L_j(x) * B_{m - b_j},
 
     so each element multiplies linear forms into earlier ones, with B_0 = 1.
 
-    The recurrence runs on integers: with D the lcm of the denominators of
-    c and N_j = D * L_j, E_m = m! * D^m * B_m has integer coefficients and
+    The recurrence runs on integers: with D the arc's denominator and
+    N_j = D * L_j, E_m = m! * D^m * B_m has integer coefficients and
 
         E_m = sum_{j: b_j <= m} b_j * ff(m-1, b_j-1) * D^(b_j-1) * N_j(x) * E_{m - b_j},
 
     ff(m-1, b_j-1) = (m-1)! / (m-b_j)!, and B_m is E_m over the scale
     m! * D^m.  Multiplying by x_i adds its unit to a code."""
-    codes = spec.codes_to(top)
-    units = codes.units
-    den, slots = spec.slots
-    # (b_j, [(unit of x_i, n_ij) for n_ij != 0]) per weight with a nonzero N_j.
-    forms = [(bj, [(units[i], n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
+    units, den = codes.units, arc.den
+    # (b_j, [(unit of x_i, n_ij)]) per weight of the arc.
+    forms = [(bj, [(units[i], n_ij) for i, n_ij in form]) for bj, form in arc.by_weight]
     elems = [(1, {0: 1})]
     metered = fuel.metered
     # The mean bits of each element's numerators, a code's width, and each N_j's largest n_ij's bits, when metered.
@@ -447,11 +458,10 @@ def _kept(elem: tuple[int, dict[int, int]], width: int, stage: str) -> int:
 
 
 def build_generating(spec: GeneralSpec) -> BasisSequence:
-    """The basis by the generating recurrence over the spec's weights
-    (b, c).  Equal termwise to build_general, which enumerates the
-    same coefficients as a sum over weighted compositions."""
-    top = spec.top_weight
-    return numerator_basis(_generating_elements(spec, top))
+    """The basis by the generating recurrence on the spec's arc.  Equal
+    termwise to build_general, which multiplies the same coefficients out
+    as a product over the arc's slots."""
+    return numerator_basis(_generating_elements(spec.arc, spec.codes, spec.top_weight))
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -467,14 +477,9 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
     build_recursive on integers.  S_k > 0 has no factor common to all of
     P_k's integer numerators, so S_k is the lcm of B_k's denominators.
     The numerators are keyed by params.codes, MonomialCodes(d, n)."""
-    d, n = params.d, params.n
-    den, slots = params.slots
-    # a[i, j + 1] = n_ij / den: its (i, n_ij) per variable j by degree, and its (j, n_ij) per degree i.
-    by_var: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    by_deg: dict[int, list[tuple[int, int]]] = {}
-    for i, j, n_ij in slots[1:]:
-        by_var[j].append((i, n_ij))
-        by_deg.setdefault(i, []).append((j, n_ij))
+    d, n, arc = params.d, params.n, params.arc
+    # a[i, j + 1] = n_ij / den: its (i, n_ij) per variable j by degree, its (j, n_ij) per degree i; x1's slot is never read.
+    den, by_var, by_deg = arc.den, arc.by_var, dict(arc.by_weight)
     codes = params.codes
     base, high, powers, units = codes.base, codes.high, codes.powers, codes.units
     rising = powers[::-1]  # B^0, ..., B^(d-1)
@@ -565,7 +570,7 @@ def build_recursive(params: GeneralSpec) -> BasisSequence:
     degree at most k - 1, so its divisor e_j + 1 is at most k and divides
     lcm(1..k).  Each P_k is then divided by its gcd with S_k.
     Shares no code with the closed-form product or the generating recurrence
-    apart from the table's slots.  Raises ValueError unless the spec has
+    apart from the table's arc.  Raises ValueError unless the spec has
     table shape (.a is not None)."""
     if params.a is None:
         raise ValueError(f"the recursion needs a spec of table shape ({TABLE_SHAPE})")
@@ -622,30 +627,27 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
 
         d(B_m)/dx_i == sum_{j: b_j <= m} c_ij * B_{m - b_j}
 
-    for every m >= 1 and every variable i, read from the spec's weights.
+    for every m >= 1 and every variable i, read from the spec's arc.
     nums holds B_0..B_{b_n} in the spec's d variables as B_k = P_k / s_k,
     s_k any positive scale (m! * D^m as well as the lcm of denominators).
 
     Checked on integers: with c_ij = n_ij / D, both sides of element m's
     identities are multiplied by one L_m = lcm(s_m, D * s_{m-b_j} over the
-    spec's weights b_j <= m), and (m, i) is a violation iff
+    arc's weights b_j <= m), and (m, i) is a violation iff
     L_m/s_m * d(P_m)/dx_i differs from
     sum_j n_ij * L_m/(D * s_{m-b_j}) * P_{m-b_j}.  d/dx_i reads e_i from a
     code's digit and subtracts x_i's unit.
     """
-    d, (den, slots) = spec.d, spec.slots
+    d, arc = spec.d, spec.arc
+    den, by_var, groups = arc.den, arc.by_var, arc.by_weight
     codes, elems = nums
     base, powers, units = codes.base, codes.powers, codes.units
-    by_var: list[list[tuple[int, int]]] = [[] for _ in range(d)]  # each variable's (b_j, n_ij) by weight
-    for bj, i, n_ij in slots:
-        by_var[i].append((bj, n_ij))
-    weights = sorted({bj for bj, _, _ in slots})
     mults: dict[int, int] = {}  # element m's L_m / (D * s_(m-b_j)) by weight
     bad: list[tuple[int, int]] = []
     metered = fuel.metered
-    if metered:  # the most terms, numerator bits and scale bits of an element so far; the slots of weight <= m; a code's width
-        n_bits = max(abs(n).bit_length() for _, _, n in slots) + den.bit_length()
-        longest, bits, s_bits, sources, width = 1, 1, 1, 0, codes.high.bit_length()
+    if metered:  # the most terms, numerator bits and scale bits of an element so far; the slots and weights of weight <= m; a code's width
+        n_bits = max(abs(n).bit_length() for _, form in groups for _, n in form) + den.bit_length()
+        longest, bits, s_bits, sources, seen, width = 1, 1, 1, 0, 0, codes.high.bit_length()
     for m in range(1, spec.top_weight + 1):
         s_m, p_m = elems[m]
         if metered:  # the sizes so far and L_m's making; each lcm is charged as it runs, the pass over the terms after them
@@ -656,8 +658,9 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
             top_bits = max(map(int.bit_length, p_m.values()), default=0)
             if top_bits > bits:
                 bits = top_bits
-            while sources < len(slots) and slots[sources][0] <= m:
-                sources += 1
+            while seen < len(groups) and groups[seen][0] <= m:
+                sources += len(groups[seen][1])
+                seen += 1
             fuel.charge(fuel.cells(3 * (sources + d), s_bits + n_bits), "the closure check")
         # L_m, then each weight's L_m / (D * s_(m-b_j)).  On the scales
         # m! * D^m of the closed form and the recurrence, D * s_(m-b_j)
@@ -666,7 +669,7 @@ def check_closure_numerators(nums: Numerators, spec: GeneralSpec) -> ClosureRepo
         # product.  So each lcm is charged, with L_m / s, on L_m so far,
         # unless L_m is no wider than the scales and one remainder shows s divides it.
         scale, below = s_m, []
-        for bj in weights:
+        for bj, _ in groups:
             if bj > m:
                 break
             s = den * elems[m - bj][0]

@@ -38,8 +38,9 @@ numerators between the two keys: packed makes a subspace.Numerators.
 load_json_text_mode and load_poly_text_mode are cli's file readers as
 they read through a text-mode open; polynomial_from_dict_per_entry is
 Polynomial.from_dict with every exponent entry read by json_int and every
-term's exponent checked; spec_slots is GeneralSpec.slots by
-common_denominator over the entries; and power_sums_two_runs is the
+term's exponent checked; spec_arc is GeneralSpec.arc by
+common_denominator over the entries, and arc_slots an arc's slots
+(b_j, i, n_ij) in one flat tuple; and power_sums_two_runs is the
 identity scan's power-sum check with one run from node 0 and one from
 node 1 per order.
 
@@ -84,7 +85,7 @@ from dinv.poly import (
     json_ratio,
     parse_rational,
 )
-from dinv.subspace import BasisSequence, ClosureReport, GeneralSpec, MonomialCodes, Numerators, _exact_div
+from dinv.subspace import Arc, BasisSequence, ClosureReport, GeneralSpec, MonomialCodes, Numerators, _exact_div
 
 
 def diff(p: Polynomial, j: int) -> Polynomial:
@@ -310,7 +311,7 @@ def closed_form_steps(spec: GeneralSpec, top: int) -> list[tuple[int, int, int, 
     slot, every w <= top - b_j, going down, at which a count vector on the
     earlier slots arrives, with the number of distinct exponents they reach
     there.  Read off sets of exponent tuples; no coefficient is made."""
-    d, (_, slots) = spec.d, spec.slots
+    d, (_, slots) = spec.d, arc_slots(spec.arc)
     reach: list[set[tuple[int, ...]]] = [{(0,) * d}] + [set() for _ in range(top)]
     steps = []
     for bj, i, _ in slots:
@@ -531,7 +532,7 @@ def check_closure_fraction(basis: BasisSequence, spec: GeneralSpec) -> ClosureRe
         raise ValueError(f"basis has {len(basis)} elements, the spec needs {top + 1}")
     if basis.dim != spec.d:
         raise ValueError(f"basis has dimension {basis.dim}, the spec needs {spec.d}")
-    den, slots = spec.slots
+    den, slots = arc_slots(spec.arc)
     bad: list[tuple[int, int]] = []
     for m in range(1, top + 1):
         for i in range(1, spec.d + 1):
@@ -665,15 +666,15 @@ def unpacked(nums: Numerators) -> TupleNumerators:
     return [(s, dict(zip(nums.codes.exponents(p).values(), p.values()))) for s, p in nums.elems]
 
 
-def closed_form_elements_tuple(spec: GeneralSpec, top: int) -> TupleNumerators:
+def closed_form_elements_tuple(arc: Arc, top: int) -> TupleNumerators:
     """subspace._closed_form_elements's numerators on exponent tuples, by a
     depth-first walk over the count vectors g on the nonzero slots, each
     node adding prod n^g * D^(m-G) * (m! // prod g!) to element m, over
     m! * D^m.  It divides m! by prod g! at every vector, where the library
     multiplies in one slot at a time and sums the vectors that meet on a
     monomial, so the two share no arithmetic."""
-    d = spec.d
-    den, slots = spec.slots
+    d = arc.d
+    den, slots = arc_slots(arc)
     fact = list(itertools.accumulate(range(1, top + 1), operator.mul, initial=1))
     den_pow = list(itertools.accumulate([den] * top, operator.mul, initial=1))
     elems: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
@@ -697,12 +698,12 @@ def closed_form_elements_tuple(spec: GeneralSpec, top: int) -> TupleNumerators:
     return [(fact[m] * den_pow[m], terms) for m, terms in enumerate(elems)]
 
 
-def generating_elements_tuple(spec: GeneralSpec, top: int) -> TupleNumerators:
+def generating_elements_tuple(arc: Arc, top: int) -> TupleNumerators:
     """subspace._generating_elements on exponent tuples:
     E_m = sum_j b_j * ff(m-1, b_j-1) * D^(b_j-1) * N_j(x) * E_{m - b_j},
     over the scale m! * D^m."""
-    d = spec.d
-    den, slots = spec.slots
+    d = arc.d
+    den, slots = arc_slots(arc)
     forms = [(bj, [(i, n_ij) for _, i, n_ij in form]) for bj, form in itertools.groupby(slots, itemgetter(0))]
     elems: TupleNumerators = [(1, {(0,) * d: 1})]
     for m in range(1, top + 1):
@@ -724,7 +725,7 @@ def recursive_numerators_tuple(params: GeneralSpec) -> TupleNumerators:
     """subspace._recursive_numerators on exponent tuples: (S_k, P_k) with
     B_k = P_k / S_k, S_k the lcm of B_k's denominators."""
     d, n = params.d, params.n
-    den, slots = params.slots
+    den, slots = arc_slots(params.arc)
     num = {(i, j): n_ij for i, j, n_ij in slots[1:]}
     units = [tuple(int(t == v) for t in range(d)) for v in range(d)]
     elems = [(1, {(0,) * d: 1}), (1, {units[0]: 1})]
@@ -775,7 +776,7 @@ def check_closure_numerators_tuple(elems: TupleNumerators, spec: GeneralSpec) ->
     """subspace.check_closure_numerators on exponent tuples: (m, i) is a
     violation iff L/s_m * d(P_m)/dx_i differs from
     sum_j n_ij * L/(D * s_{m-b_j}) * P_{m-b_j}."""
-    d, (den, slots) = spec.d, spec.slots
+    d, (den, slots) = spec.d, arc_slots(spec.arc)
     by_var = [[(bj, n_ij) for bj, v, n_ij in slots if v == i] for i in range(d)]
     bad: list[tuple[int, int]] = []
     for m in range(1, spec.top_weight + 1):
@@ -842,7 +843,7 @@ def generating_fuel(spec: GeneralSpec, elems: TupleNumerators) -> int:
     recurrence, its codes' width that of the spec's codec or, past b_n, of
     one to top: recurrence_cells before each element, and a cell per 64
     bits of its scale, numerators and codes after it."""
-    den, slots = spec.slots
+    den, slots = arc_slots(spec.arc)
     forms = [(bj, list(form)) for bj, form in itertools.groupby(slots, itemgetter(0))]
     n_bits = [max(abs(w).bit_length() for _, _, w in form) for _, form in forms]
     width = code_width(spec.d, max(len(elems) - 1, spec.top_weight))
@@ -867,7 +868,7 @@ def closure_fuel(spec: GeneralSpec, elems: TupleNumerators) -> int:
     than the scales and n_ij and D * s_(m-b_j) divides it, and the 2 per
     term again at the widest of L_m / s_m and the L_m / (D * s_(m-b_j)),
     when wider than the scales."""
-    d, (den, slots) = spec.d, spec.slots
+    d, (den, slots) = spec.d, arc_slots(spec.arc)
     weights = [bj for bj, _, _ in slots]
     n_bits = max(abs(n).bit_length() for _, _, n in slots) + den.bit_length()
     width = code_width(d, spec.top_weight)
@@ -988,10 +989,18 @@ def parse_scanner(text: str, dim: int) -> Polynomial:
     return Polynomial(dim, terms)
 
 
-def spec_slots(spec: GeneralSpec) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """GeneralSpec.slots by common_denominator over the spec's entries."""
+def spec_arc(spec: GeneralSpec) -> Arc:
+    """GeneralSpec.arc by common_denominator over the spec's entries, grouped
+    by weight with itertools.groupby."""
     den, nums = common_denominator(v for _, _, v in spec.entries)
-    return den, tuple((spec.b[j], i, n_ij) for (j, i, _), n_ij in zip(spec.entries, nums))
+    slots = [(spec.b[j], (i, n_ij)) for (j, i, _), n_ij in zip(spec.entries, nums)]
+    return Arc(spec.d, den, tuple((bj, tuple(s for _, s in form)) for bj, form in itertools.groupby(slots, itemgetter(0))))
+
+
+def arc_slots(arc: Arc) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(D, ((b_j, i, n_ij), ...)): the arc's denominator and its slots in
+    one tuple, ascending by weight and then by variable."""
+    return arc.den, tuple((bj, i, n_ij) for bj, form in arc.by_weight for i, n_ij in form)
 
 
 def power_sums_two_runs(m_max: int) -> bool:

@@ -416,8 +416,8 @@ class TestVerify:
         elements = {"build_generating": "_generating_elements", "build_general": "_closed_form_elements"}[name]
         right = getattr(dinv.cli, elements)
 
-        def wrong(spec, top):
-            codes, elems = right(spec, top)
+        def wrong(arc, codes, top):
+            codes, elems = right(arc, codes, top)
             s, p = elems[-1]
             x1 = codes.units[0]
             return Numerators(codes, elems[:-1] + [(s, {**p, x1: p.get(x1, 0) + s})])
@@ -820,7 +820,7 @@ class TestReports:
             (["verify", "--what", "equivalence", "--spec", "{gapped}"], None, 0,
              {"what": "equivalence", "generating_vs_general": True, "ok": True}, "equivalence: ok\n"),
             (["verify", "--what", "equivalence", "--spec", "{table}"],
-             ("_generating_elements", lambda spec, top: Numerators(MonomialCodes(spec.d, top), [(1, {0: 1})])), 1,
+             ("_generating_elements", lambda arc, codes, top: Numerators(codes, [(1, {0: 1})])), 1,
              {"what": "equivalence", "recursive_vs_explicit": True, "general_vs_recursive": False, "ok": False},
              "equivalence: FAIL\n"),
             (["verify", "--what", "breadth", "--spec", "{table}"], None, 0,
@@ -2454,8 +2454,8 @@ class TestScan:
     @pytest.mark.parametrize(
         "name, wrong, problem",
         [
-            ("_closed_form_elements", lambda spec, top: Numerators(MonomialCodes(spec.d, top), [(1, {0: 1})]), "explicit != recursive"),
-            ("_generating_elements", lambda spec, top: Numerators(MonomialCodes(spec.d, top), [(1, {0: 1})]), "general != recursive"),
+            ("_closed_form_elements", lambda arc, codes, top: Numerators(codes, [(1, {0: 1})]), "explicit != recursive"),
+            ("_generating_elements", lambda arc, codes, top: Numerators(codes, [(1, {0: 1})]), "general != recursive"),
             ("check_closure_numerators", lambda elems, spec: ClosureReport(ok=False, violations=((2, 2),)),
              "closure violations ((2, 2),)"),
             ("breadth_numerators", lambda nums: 2, "breadth != 1"),

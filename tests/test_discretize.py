@@ -212,6 +212,21 @@ class TestCombinationPoly:
         with pytest.raises(ValueError, match="dimension mismatch: f has 3, points have 2"):
             expansion_check(Polynomial.variable(3, 1), ORIGIN2, 2, pts)
 
+    @pytest.mark.parametrize("f", [P("x1 + 1", 1), P("x1 + x3^2 + 1", 3)])
+    def test_every_series_path_checks_the_dimension(self, f):
+        # Every path lifts f once, and the lift refuses an f of another
+        # dimension: the 3-variable f read as x1 + 2 gave arc [2, 1, 0].
+        spec = GeneralSpec.from_dict({"d": 2, "n": 3, "a": {"2,2": "2"}})
+        want = f"dimension mismatch: f has {f.dim}, points have 2"
+        for build in (points_scheme_a, points_scheme_b):
+            pts = build(spec, ORIGIN2)
+            with pytest.raises(ValueError, match=want):
+                expansion_check(f, ORIGIN2, 2, pts)
+            with pytest.raises(ValueError, match=want):
+                sweep(f, ORIGIN2, 2, pts, h0=0.25, steps=3)
+        with pytest.raises(ValueError, match=want):
+            arc(f, ORIGIN2, spec, 3)
+
 
 def oracle_coeffs(f: Polynomial, m: int, pts) -> list[Fraction]:
     """Coefficients of sum_r A_r^(m) * f(z_r(h)) by full composition."""
@@ -267,8 +282,8 @@ class TestTruncatedExpansion:
         seen = []
         generating = dinv.discretize._generating_elements
 
-        def recording(spec, top):
-            built = generating(spec, top)
+        def recording(arc, codes, top):
+            built = generating(arc, codes, top)
             seen.append((top, built))
             return built
 
@@ -386,7 +401,7 @@ class TestIntegerSeries:
         rescaled = zero_coordinate = 0
         for k in range(40):
             spec, f, z0 = self.draw(rng, k)
-            den = spec.slots[0]
+            den = spec.arc.den
             rescaled += den > 1 and spec.top_weight > 1
             for build in (points_scheme_a, points_scheme_b):
                 pts = build(spec, z0)
@@ -406,7 +421,7 @@ class TestIntegerSeries:
         seen = set()
         for k in range(40):
             spec, f, z0 = self.draw(rng, k)
-            den, top = spec.slots[0], spec.top_weight
+            den, top = spec.arc.den, spec.top_weight
             kinds = {
                 "D > 1": den > 1,
                 "zero": 0 in z0,
@@ -430,7 +445,7 @@ class TestIntegerSeries:
                             while dense and not dense[-1]:
                                 dense.pop()
                             want.append(dense)
-                        assert pts.u_series(r, length) == want, (spec, z0, r, length)
+                        assert dinv.discretize._u_series(pts.base, pts.point_arc(r, length), length) == want, (spec, z0, r, length)
         assert seen == {"D > 1", "zero", "negative", "non-integer"}
 
     def test_check_makes_one_polynomial_the_target(self, monkeypatch):
@@ -527,7 +542,7 @@ class TestArc:
     def recurrence_targets(f, z0, spec, orders) -> list[Fraction]:
         """(B_m(D)f)(z0) for each m in orders: one recurrence on monomial
         codes to the last order, each B_m applied at z0 by apply_at."""
-        codes, elems = _generating_elements(spec, max(orders))
+        codes, elems = _generating_elements(spec.arc, spec.codes_to(max(orders)), max(orders))
         return [DiffOperator(Polynomial(codes.d, elems[m][1], _scale=elems[m][0], _codes=codes)).apply_at(f, z0) for m in orders]
 
     def test_every_order_of_seeded_specs(self):
@@ -666,8 +681,7 @@ class TestPointSetRule:
     @pytest.fixture
     def asked(self, monkeypatch):
         """Every (scheme, r, b) the scheme rules are asked h_coef(r, b) for,
-        in order: a sweep's default target, the arc, reads scheme a's point
-        1, told apart by its scheme from a scheme b point set's reads."""
+        in order."""
         asked = []
         for scheme, (h_coef, log10) in list(dinv.discretize.SCHEME_RULES.items()):
             def counted(r, b, scheme=scheme, h_coef=h_coef):
@@ -690,6 +704,31 @@ class TestPointSetRule:
             assert read == fresh and hash(read) == hash(fresh)
             assert read != build(self.SPEC, (F(1, 2), F(3)))
         assert points_scheme_a(self.SPEC, ORIGIN2) != points_scheme_b(self.SPEC, ORIGIN2)
+
+    def test_unknown_scheme_refused(self):
+        with pytest.raises(ValueError, match="unknown scheme 'c': expected 'a' or 'b'"):
+            SymbolicPointSet("c", ORIGIN2, self.SPEC)
+
+    def test_point_arcs_rescale_the_spec_arc(self):
+        # Point r's arc is the spec's with weight b's slots times h_coef(r, b);
+        # under scheme b it has no weight above r, and point 0's has no slot.
+        arc_of = self.SPEC.arc
+        for build, h_coef in ((points_scheme_a, pow), (points_scheme_b, dinv.discretize.falling_factorial)):
+            pts = build(self.SPEC, ORIGIN2)
+            assert pts.point_arc(0, 10).by_weight == ()
+            for r in range(10):
+                want = tuple((b, tuple((i, n * h_coef(r, b)) for i, n in form)) for b, form in arc_of.by_weight if h_coef(r, b))
+                assert pts.point_arc(r, 10) == (arc_of.d, arc_of.den, want)
+                if pts.scheme == "b":
+                    assert all(b <= r for b, _ in pts.point_arc(r, 10).by_weight)
+
+    def test_arc_makes_no_point_set(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("arc made a point set")
+
+        monkeypatch.setattr(SymbolicPointSet, "__init__", refused)
+        spec, f, z0 = TestArc.CI
+        assert arc(f, z0, spec, spec.top_weight + 1) == TestArc.recurrence_targets(f, z0, spec, range(spec.top_weight + 1))
 
     @pytest.mark.parametrize("build", [points_scheme_a, points_scheme_b])
     def test_expansion_check_makes_exactly_the_points_it_reads(self, build, asked):
@@ -719,8 +758,8 @@ class TestPointSetRule:
         for m in range(4):
             sweep(P("x1^2 + x2"), ORIGIN2, m, pts, h0=0.25, steps=3)
             assert self.made(asked, "b") == list(range(m + 1))
-        # Each sweep's default target is its arc, scheme a's point 1 cut after h^m.
-        assert [(r, b) for s, r, b in asked if s == "a"] == [(1, b) for m in range(4) for b in self.SPEC.b if b <= m]
+        # Each sweep's default target is read off the spec's own arc, which asks no rule.
+        assert all(s == "b" for s, _, _ in asked)
 
     def test_a_writer_stops_at_the_point_it_refuses(self, asked):
         pts = points_scheme_a(self.SPEC, ORIGIN2)
@@ -732,7 +771,7 @@ class TestPointSetRule:
     @pytest.mark.parametrize("r", [-1, 10])
     def test_point_outside_the_set_refused(self, r, asked):
         pts = points_scheme_a(self.SPEC, ORIGIN2)
-        for read in (pts.point, lambda r: pts.u_series(r, 10)):
+        for read in (pts.point, lambda r: pts.point_arc(r, 10)):
             with pytest.raises(IndexError, match=rf"^point {r} outside 0\.\.9$"):
                 read(r)
         assert asked == []

@@ -225,7 +225,7 @@ def test_forbid_fractions_catches_construction_and_arithmetic(monkeypatch):
 def test_builders_and_equality_make_no_fraction_until_terms_is_read(monkeypatch):
     specs = seeded_specs(make_rng(501), 24)
     for spec in specs:
-        spec.slots  # the spec's own Fractions are made before the check
+        spec.arc  # the spec's own Fractions are made before the check
     forbid_fractions(monkeypatch)
     built = []
     for spec in specs:

@@ -28,10 +28,12 @@ from dinv import (
     build_recursive,
     check_closure,
     degrees,
+    points_scheme_b,
 )
 from dinv.linalg import common_denominator
 from dinv.poly import parse_rational
 from dinv.subspace import (
+    Arc,
     ClosureReport,
     MonomialCodes,
     Numerators,
@@ -43,7 +45,7 @@ from dinv.subspace import (
     numerator_basis,
 )
 from oracles import (
-    spec_slots,
+    arc_slots,
     breadth_numerators_tuple,
     count_compositions,
     build_explicit_fraction,
@@ -63,6 +65,7 @@ from oracles import (
     recursive_numerators_tuple,
     rref_fraction,
     span_contains,
+    spec_arc,
     unpacked,
 )
 
@@ -116,25 +119,25 @@ class TestParamTable:
     def test_slots_built_once(self):
         t = ParamTable(d=3, n=4, a={(4, 3): F(-3), (2, 2): F(1, 2)})
         before = (repr(t), t.to_dict())
-        assert t.slots is t.slots
-        assert t.slots == (2, ((1, 0, 2), (2, 1, 1), (4, 2, -6)))
+        assert t.arc is t.arc
+        assert t.arc == Arc(3, 2, ((1, ((0, 2),)), (2, ((1, 1),)), (4, ((2, -6),))))
         assert t.top_weight == 4
         assert (repr(t), t.to_dict()) == before
         assert t == ParamTable(d=3, n=4, a={(2, 2): F(1, 2), (4, 3): F(-3)})
-        assert ParamTable(d=3, n=1, a={}).slots == (1, ((1, 0, 1),))
+        assert ParamTable(d=3, n=1, a={}).arc == Arc(3, 1, ((1, ((0, 1),)),))
 
     def test_slots_coprime_denominators(self):
         # Denominators 2, 3, 5 (and 2, 3, 7): D is their lcm; a table's x1 slot carries D itself.
         t = ParamTable(d=3, n=3, a={(2, 2): F(1, 2), (3, 2): F(-2, 3), (3, 3): F(4, 5)})
-        assert t.slots == (30, ((1, 0, 30), (2, 1, 15), (3, 1, -20), (3, 2, 24)))
+        assert t.arc == Arc(3, 30, ((1, ((0, 30),)), (2, ((1, 15),)), (3, ((1, -20), (2, 24)))))
         spec = GeneralSpec(n=2, d=2, b=(1, 2), c=((F(1, 2), F(0)), (F(1, 3), F(2, 7))))
-        assert spec.slots == (42, ((1, 0, 21), (1, 1, 14), (2, 1, 12)))
+        assert spec.arc == Arc(2, 42, ((1, ((0, 21), (1, 14))), (2, ((1, 12),))))
 
     def test_slots_match_specialization(self):
         rng = make_rng(110)
         for _ in range(20):
             t = random_param_table(rng, d=rng.choice((2, 3, 4)), n=rng.randint(2, 6))
-            assert t.slots == general_form(t).slots
+            assert t.arc == general_form(t).arc
 
 
 class TestGeneralSpec:
@@ -166,7 +169,7 @@ class TestGeneralSpec:
         assert GeneralSpec.from_dict(spec.to_dict()) == spec
 
     def test_slots_made_with_the_entries(self):
-        # slots is stored when the entries are: common_denominator over them.
+        # The arc is stored when the entries are: common_denominator over them.
         a, b = "7" * 1000, "3" * 1000
         specs = [
             *seeded_specs(make_rng(171), 40),
@@ -176,16 +179,17 @@ class TestGeneralSpec:
             ParamTable(d=3, n=10**18, a={(2, 2): F(1, 6), (10**18, 3): F(-5, 4), (10**17, 2): F(7, 10)}),
         ]
         for spec in specs:
-            assert spec.slots == spec_slots(spec)
-            assert "slots" in vars(spec)
+            assert spec.arc == spec_arc(spec)
+            assert "arc" in vars(spec)
             twin = GeneralSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-            assert twin == spec and twin.slots == spec.slots and hash(twin) == hash(spec)
+            assert twin == spec and twin.arc == spec.arc and hash(twin) == hash(spec)
 
     def test_slots_skip_zero_entries(self):
         # The weight-3 column is all zero; c_12 and c_23 are zero as well.
         spec = GeneralSpec(n=3, d=2, b=(1, 3, 4), c=((F(1), F(0), F(2, 3)), (F(-1, 2), F(0), F(0))))
-        assert spec.slots is spec.slots
-        assert spec.slots == (6, ((1, 0, 6), (1, 1, -3), (4, 0, 4)))
+        assert spec.arc is spec.arc
+        assert spec.arc == Arc(2, 6, ((1, ((0, 6), (1, -3))), (4, ((0, 4),))))
+        assert spec.arc.by_var == [[(1, 6), (4, 4)], [(1, -3)]]
         assert spec.top_weight == 4
 
     def test_n1(self):
@@ -257,7 +261,7 @@ class TestSpecForms:
             general = {"n": t.n, "d": t.d, "b": list(range(1, t.n + 1)), "c": [[str(v) for v in row] for row in t.c]}
             loaded = GeneralSpec.from_dict(general)
             assert loaded == t and hash(loaded) == hash(t)
-            assert loaded.slots == t.slots and loaded.a == t.a
+            assert loaded.arc == t.arc and loaded.a == t.a
             assert loaded.to_dict() == t.to_dict() == GeneralSpec.from_dict(t.to_dict()).to_dict()
 
     def test_coefficient_texts_read_as_parse_rational_reads_them(self):
@@ -277,7 +281,7 @@ class TestSpecForms:
         spec = GeneralSpec.from_dict({"d": 2, "n": 10**9, "a": {}})
         assert time.perf_counter() - start < 0.01
         assert spec.n == spec.top_weight == 10**9 and spec.a == {}
-        assert spec.slots == (1, ((1, 0, 1),))
+        assert spec.arc == Arc(2, 1, ((1, ((0, 1),)),))
 
 
 class TestBasisSequence:
@@ -440,7 +444,7 @@ def _zero_heavy_general_spec(rng) -> GeneralSpec:
 
 
 def _product_steps(spec, top) -> tuple[Numerators, int, int]:
-    """_closed_form_elements(spec, top) under fuel with no practical limit,
+    """_closed_form_elements on the spec's arc to top under fuel with no practical limit,
     the number of its "the closed form" charges past the first (the
     scales'), one made just before each (w, g) it runs, and the cells it
     charged."""
@@ -454,7 +458,7 @@ def _product_steps(spec, top) -> tuple[Numerators, int, int]:
     fuel.charge = recorded
     fuel.arm(10**30)
     try:
-        return _closed_form_elements(spec, top), stages.count("the closed form") - 1, fuel._spent
+        return _closed_form_elements(spec.arc, spec.codes_to(top), top), stages.count("the closed form") - 1, fuel._spent
     finally:
         fuel.disarm()
         fuel.charge = charge
@@ -462,7 +466,7 @@ def _product_steps(spec, top) -> tuple[Numerators, int, int]:
 
 def _slot_weights(spec) -> list[int]:
     """The weights b_j of the nonzero c_ij of a spec of either kind."""
-    return [bj for bj, _, _ in spec.slots[1]]
+    return [bj for bj, form in spec.arc.by_weight for _ in form]
 
 
 class TestBuildGeneral:
@@ -578,7 +582,7 @@ class TestBuildGenerating:
         assert list(build_generating(spec)) == [P("1"), P("x1"), P("1/2*x1^2 + x2")]
 
     def test_enumerates_no_compositions(self, monkeypatch):
-        def forbidden(spec, top):
+        def forbidden(arc, codes, top):
             raise AssertionError("build_generating enumerated compositions")
 
         monkeypatch.setattr(dinv.subspace, "_closed_form_elements", forbidden)
@@ -601,10 +605,10 @@ class TestCharges:
 
     def _assert_charged(self, spec: GeneralSpec, top: int) -> None:
         spec.codes_to(top)  # the codec is made, and charged, once per spec
-        nums, spent = self._spent(_generating_elements, spec, top)
-        assert spent == generating_fuel(spec, generating_elements_tuple(spec, top))
+        nums, spent = self._spent(_generating_elements, spec.arc, spec.codes_to(top), top)
+        assert spent == generating_fuel(spec, generating_elements_tuple(spec.arc, top))
         if top < spec.top_weight:
-            nums = _generating_elements(spec, spec.top_weight)
+            nums = _generating_elements(spec.arc, spec.codes, spec.top_weight)
         report, spent = self._spent(check_closure_numerators, nums, spec)
         assert report.ok
         assert spent == closure_fuel(spec, unpacked(nums))
@@ -638,7 +642,7 @@ class TestCharges:
             ops = 0
             for k in range(2, t.n + 1):
                 ops += len(elems[k - 1][1])
-                for i, j, _ in t.slots[1][1:]:
+                for i, j, _ in arc_slots(t.arc)[1][1:]:
                     if i < k:
                         ops += sum(1 for e in elems[k - i][1] if not any(e[:j]))
             assert spent >= ops > 0
@@ -1006,8 +1010,8 @@ class TestClosedForm:
                 assert sum(n * g for _, _, n, g in want) < visits
                 # cli._check_top's bound: a step per slot and b_n + 1
                 # elements, at most as many as the walk's vectors.
-                assert len(spec.slots[1]) <= len(want)
-                assert max(top, len(spec.slots[1])) + 1 <= visits
+                assert len(spec.entries) <= len(want)
+                assert max(top, len(spec.entries)) + 1 <= visits
 
     def test_full_d6_table_sums_vectors_once(self):
         # The full d = 6, n = 12 table: 12,084 multiply-adds against the
@@ -1019,7 +1023,7 @@ class TestClosedForm:
         assert charged == sum(g for _, _, _, g in steps)
         assert sum(n * g for _, _, n, g in steps) == 12_084
         assert count_compositions(12, _slot_weights(t)) == 14_571
-        assert unpacked(nums) == closed_form_elements_tuple(t, 12)
+        assert unpacked(nums) == closed_form_elements_tuple(t.arc, 12)
 
 
 class TestIntegerKernel:
@@ -1275,8 +1279,8 @@ def _builder_numerators(spec) -> dict:
     the generating recurrence and the closed-form product over the unreduced
     scales m! * D^m, the recursion (tables only) over the lcm of each
     element's denominators."""
-    top = spec.top_weight
-    out = {"general": _generating_elements(spec, top), "explicit": _closed_form_elements(spec, top)}
+    arc, codes, top = spec.arc, spec.codes, spec.top_weight
+    out = {"general": _generating_elements(arc, codes, top), "explicit": _closed_form_elements(arc, codes, top)}
     if spec.a is not None:
         out["recursive"] = _recursive_numerators(spec)
     return out
@@ -1306,7 +1310,7 @@ class TestNumeratorCores:
 
     def test_scales(self):
         for spec in seeded_specs(make_rng(160), 24):
-            d, den = spec.d, spec.slots[0]
+            d, den = spec.d, spec.arc.den
             codes = MonomialCodes(d, spec.top_weight)
             for source, nums in _builder_numerators(spec).items():
                 assert nums.codes == codes
@@ -1367,7 +1371,7 @@ class TestNumeratorCores:
             assert report == expect and spent == closure_fuel(spec, unpacked(nums))
             refuted += len(expect.violations)
             held += spec.top_weight * spec.d - len(expect.violations)
-            codes, elems = _generating_elements(spec, spec.top_weight)
+            codes, elems = _generating_elements(spec.arc, spec.codes, spec.top_weight)
             scaled = Numerators(codes, [(s * p, {c: v * p for c, v in q.items()}) for (s, q), p in zip(elems, primes)])
             report, spent = TestCharges._spent(check_closure_numerators, scaled, spec)
             assert report.ok and spent == closure_fuel(spec, unpacked(scaled))
@@ -1379,7 +1383,7 @@ class TestNumeratorCores:
         widths of its own operands: L_m / s_m * e_i by each term of P_m
         with e_i > 0, and n_ij * L_m / (D * s_(m-b_j)) by each term of
         P_(m-b_j), elems holding (s_k, P_k) on exponent tuples."""
-        den, slots = spec.slots
+        den, slots = arc_slots(spec.arc)
         total = 0
         for m in range(1, spec.top_weight + 1):
             s_m, p_m = elems[m]
@@ -1456,7 +1460,7 @@ class TestNumeratorCores:
             # which no other identity reads.
             i = rng.randrange(d)
             e = codes.pack(tuple(top if t == i else 0 for t in range(d)))
-            elems = list(_generating_elements(spec, top).elems)
+            elems = list(_generating_elements(spec.arc, spec.codes, spec.top_weight).elems)
             s, p = elems[top]
             elems[top] = (s, {**p, e: p.get(e, 0) + delta})
             assert check_closure_numerators(Numerators(codes, elems), spec).violations == ((top, i + 1),)
@@ -1465,7 +1469,7 @@ class TestNumeratorCores:
             exps = [0] * d
             for _ in range(rng.randrange(m)):
                 exps[rng.randrange(d)] += 1
-            elems = list(_generating_elements(spec, top).elems)
+            elems = list(_generating_elements(spec.arc, spec.codes, spec.top_weight).elems)
             s, p = elems[m]
             e = codes.pack(exps)
             elems[m] = (s, {k: v for k, v in {**p, e: p.get(e, 0) + delta}.items() if v})
@@ -1625,10 +1629,10 @@ class TestCodedKernels:
                 assert codes == MonomialCodes(d, spec.top_weight) and spec.codes_to(top) is codes
                 for coded, oracle in ((_generating_elements, generating_elements_tuple),
                                       (_closed_form_elements, closed_form_elements_tuple)):
-                    got = coded(spec, top)
+                    got = coded(spec.arc, spec.codes_to(top), top)
                     assert got.codes == codes
-                    assert unpacked(got) == oracle(spec, top)
-                    assert got == packed(codes, oracle(spec, top))
+                    assert unpacked(got) == oracle(spec.arc, top)
+                    assert got == packed(codes, oracle(spec.arc, top))
             if spec.a is not None:
                 got = _recursive_numerators(spec)
                 assert got.codes == MonomialCodes(d, spec.n)
@@ -1636,13 +1640,35 @@ class TestCodedKernels:
             shapes.add((d, spec.n == 1, spec.a is not None))
         assert {(1, True, False), (40, False, True)} <= shapes and any(a for _, _, a in shapes)
 
+    def test_arcs_that_are_not_specs(self):
+        # The builders take any arc: the empty arc, whose B_0 = 1 is all,
+        # weights (2, 5) with no weight-1 slot and a gap, and scheme b's
+        # point-1 arc, the spec's weight-1 slots alone.
+        spec = GeneralSpec(n=3, d=2, b=(1, 3, 4), c=((F(1), F(0), F(2, 3)), (F(-1, 2), F(5), F(0))))
+        arcs = [
+            Arc(2, 1, ()),
+            Arc(3, 6, ((2, ((0, 3), (2, -4))), (5, ((1, 7),)))),
+            points_scheme_b(spec, (F(1, 2), F(3))).point_arc(1, spec.top_weight + 1),
+        ]
+        assert arcs[2] == Arc(2, 6, ((1, ((0, 6), (1, -3))),))
+        for arc in arcs:
+            for top in (0, 1, 4, 11):
+                codes = MonomialCodes(arc.d, top)
+                got = _generating_elements(arc, codes, top)
+                assert got == _closed_form_elements(arc, codes, top)
+                assert unpacked(got) == generating_elements_tuple(arc, top) == closed_form_elements_tuple(arc, top)
+        empty = unpacked(_closed_form_elements(arcs[0], MonomialCodes(2, 4), 4))
+        assert [p for _, p in empty] == [{(0, 0): 1}, {}, {}, {}, {}]
+        gapped = unpacked(_generating_elements(arcs[1], MonomialCodes(3, 5), 5))
+        assert [len(p) for _, p in gapped] == [1, 0, 2, 0, 3, 1]
+
     def test_builders_past_b_n(self):
         spec = GeneralSpec(n=2, d=2, b=(1, 3), c=[(F(1), F(2)), (F(-1, 2), F(0))])
         assert spec.codes_to(5) == MonomialCodes(2, 5) != spec.codes
         for coded, oracle in ((_generating_elements, generating_elements_tuple),
                               (_closed_form_elements, closed_form_elements_tuple)):
-            got = coded(spec, 5)
-            assert got.codes == MonomialCodes(2, 5) and unpacked(got) == oracle(spec, 5)
+            got = coded(spec.arc, spec.codes_to(5), 5)
+            assert got.codes == MonomialCodes(2, 5) and unpacked(got) == oracle(spec.arc, 5)
 
     def test_large_weights(self):
         # The walk carries m! / prod g! down from node to node; the oracle
@@ -1657,15 +1683,15 @@ class TestCodedKernels:
             c = [[rational(rng, allow_zero=False) if i == 0 else 0, rational(rng), rational(rng)] for i in range(d)]
             cases.append((GeneralSpec(n=3, d=d, b=b, c=c), b[-1]))
         for spec, top in cases:
-            assert max(b for b, _, _ in spec.slots[1]) >= 50 and top >= 200
-            assert unpacked(_closed_form_elements(spec, top)) == closed_form_elements_tuple(spec, top)
+            assert max(b for b, _ in spec.arc.by_weight) >= 50 and top >= 200
+            assert unpacked(_closed_form_elements(spec.arc, spec.codes_to(top), top)) == closed_form_elements_tuple(spec.arc, top)
 
     def test_closure(self):
         rng = make_rng(181)
         refuted = 0
         for spec in self._specs():
             codes = MonomialCodes(spec.d, spec.top_weight)
-            nums = _generating_elements(spec, spec.top_weight)
+            nums = _generating_elements(spec.arc, spec.codes, spec.top_weight)
             tuples = unpacked(nums)
             assert check_closure_numerators(nums, spec) == check_closure_numerators_tuple(tuples, spec)
             basis = numerator_basis(nums)
@@ -1682,7 +1708,7 @@ class TestCodedKernels:
         for spec in self._specs():
             d = spec.d
             codes = MonomialCodes(d, spec.top_weight)
-            built = numerator_basis(_generating_elements(spec, spec.top_weight))
+            built = numerator_basis(_generating_elements(spec.arc, spec.codes, spec.top_weight))
             basis = list(built)
             extra = [Polynomial.variable(d, d - k) for k in range(rng.randint(0, min(d, 3) - 1))]
             # Repeated and combined rows take echelon's path, not the leads'.
