@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import fuel
 from .discretize import (
-    SCHEMES,
+    SCHEME_RULES,
     SymbolicPointSet,
     arc,
     expansion_check,
@@ -404,7 +404,7 @@ def _cmd_verify(args) -> int:
 def _cmd_points(args) -> int:
     spec = _load(args.spec)
     _check_top(args.spec, spec)
-    pts = SCHEMES[args.scheme](spec, _parse_point(args.z0, spec.d))
+    pts = SymbolicPointSet(args.scheme, _parse_point(args.z0, spec.d), spec)
     if args.h is not None:
         try:
             h = parse_rational(args.h)
@@ -431,7 +431,7 @@ def _scheme_inputs(args) -> tuple[Polynomial, tuple[Fraction, ...], SymbolicPoin
     _check_top(args.spec, spec)
     f = _load_poly(args.f, spec.d)
     z0 = _parse_point(args.z0, spec.d)
-    return f, z0, SCHEMES[args.scheme](spec, z0)
+    return f, z0, SymbolicPointSet(args.scheme, z0, spec)
 
 
 def _cmd_limit(args) -> int:
@@ -507,8 +507,8 @@ def _cmd_study(args) -> int:
         # anything is written, so bad input leaves no output.  A scheme's sweeps
         # share its points: order m makes only point m.
         exact, runs = arc(f, z0, spec, len(orders)), []
-        for name, build in SCHEMES.items():
-            pts = build(spec, z0)
+        for name in SCHEME_RULES:
+            pts = SymbolicPointSet(name, z0, spec)
             for m in orders:
                 runs.append((name, m, sweep(f, z0, m, pts, h0=h0, steps=args.steps, target=exact[m])))
     out_dir = Path(args.out_dir)
@@ -590,7 +590,7 @@ def _cmd_example1(args) -> int:
         out.append(f"  {p.render()}")
 
     z0 = (Fraction(0), Fraction(0))
-    point_sets = {tag: build_pts(params, z0) for tag, build_pts in SCHEMES.items()}
+    point_sets = {tag: SymbolicPointSet(tag, z0, params) for tag in SCHEME_RULES}
     for tag, pts in point_sets.items():
         out.append(f"scheme {tag} points:")
         for i, (pt, want) in enumerate(zip(pts, _EXAMPLE_POINTS[tag])):
@@ -650,7 +650,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("points", help="emit the coalescing points of a scheme")
-    p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
+    p.add_argument("--scheme", choices=tuple(SCHEME_RULES), required=True)
     p.add_argument("--spec", required=True, help="spec JSON file")
     p.add_argument("--z0", help="base point as comma-separated rationals (default origin)")
     p.add_argument("--h", help="evaluate at this rational step instead of printing symbolically")
@@ -662,7 +662,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--spec", required=True, help="spec JSON file")
     p.add_argument("--f", required=True, help="polynomial file (JSON or text)")
     p.add_argument("--m", type=int, required=True, help="derivative order to check")
-    p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
+    p.add_argument("--scheme", choices=tuple(SCHEME_RULES), required=True)
     p.add_argument("--z0", help="base point (default origin)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_limit)
@@ -671,7 +671,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--spec", required=True, help="spec JSON file")
     p.add_argument("--f", required=True, help="polynomial file (JSON or text)")
     p.add_argument("--m", type=int, required=True, help="derivative order")
-    p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
+    p.add_argument("--scheme", choices=tuple(SCHEME_RULES), required=True)
     p.add_argument("--z0", help="base point (default origin)")
     p.add_argument("--h0", default="1/4", help="starting step (rational or float, default 1/4)")
     p.add_argument("--steps", type=int, default=12, help="number of halvings (default 12)")

@@ -113,7 +113,7 @@ class SymbolicPointSet:
         """Point r's arc p_r, z_r(h) = z0 + p_r(h): the spec's arc, each weight
         b_j below cut times h_coef(r, b_j) or left out where that is 0.  Each
         h_coef is charged before it is taken, as a product of two integers of
-        the size of h_coef(r, b_j) * D^(b_j - 1), read from the scheme's log10."""
+        its size read from the scheme's log10; _u_series charges D^(b_j - 1)."""
         spec, metered = self.spec, fuel.metered
         if not 0 <= r <= spec.top_weight:
             raise IndexError(f"point {r} outside 0..{spec.top_weight}")
@@ -125,7 +125,7 @@ class SymbolicPointSet:
                 break
             if metered:
                 size = log10(r, bj)
-                bits = 0 if size is None else int(size * 3.33) + bj * arc.den.bit_length() + 1
+                bits = 0 if size is None else int(size * 3.33) + 1
                 fuel.charge(fuel.cells(1, bits, bits), "the point rule")
             if k := h_coef(r, bj):
                 by_weight.append((bj, tuple([(i, n_ij * k) for i, n_ij in form])))
@@ -195,9 +195,6 @@ def points_scheme_b(spec: GeneralSpec, z0: Sequence[Fraction | int]) -> Symbolic
     with ff(r, k) = r*(r-1)*...*(r-k+1), which vanishes for k > r; so
     z_0(h) = z0 and, for a table, z_1(h) = z0 + (h, 0, ..., 0)."""
     return SymbolicPointSet("b", tuple(map(Fraction, z0)), spec)
-
-
-SCHEMES = {"a": points_scheme_a, "b": points_scheme_b}
 
 
 def _check_order(m: int, top: int) -> None:
@@ -327,13 +324,20 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
 def _u_series(base: Sequence[Fraction], arc: Arc, length: int) -> list[list[int]]:
     """z0 + p(h) for an arc p over D as dense integer series in u = h / D cut
     after u^(length-1), trailing zeros dropped: coordinate i is [p_i, ...,
-    q_i * n_ij * D^(b_j - 1), ...] over q_i, z0_i = p_i / q_i."""
-    den = arc.den
+    q_i * n_ij * D^(b_j - 1), ...] over q_i, z0_i = p_i / q_i.  k = D^(b_j - 1)
+    is carried from the weight below, k *= D^(b_j - b_(j-1)), charged first
+    with the weight's slots: that power as a squaring of half its bits, its
+    product by k and each slot's product by the new k."""
+    den, below, k = arc.den, 1, 1
     coords = [[v.numerator] if v else [] for v in base]
     for bj, form in arc.by_weight:
         if bj >= length:
             break
-        k = den ** (bj - 1)
+        if fuel.metered:
+            step, k_bits = (bj - below) * den.bit_length(), (bj - 1) * den.bit_length()
+            slots = sum(fuel.cells(1, base[i].denominator.bit_length() + n_ij.bit_length(), k_bits) for i, n_ij in form)
+            fuel.charge(fuel.cells(1, step >> 1, step >> 1) + fuel.cells(1, k.bit_length(), step) + slots, "the limit series")
+        k, below = k * den ** (bj - below), bj
         for i, n_ij in form:
             coord = coords[i]
             coord += [0] * (bj - len(coord))
@@ -399,7 +403,7 @@ def expansion_check(
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
     _check_order(m, pts.spec.top_weight)
     coeffs = _series(f, m, pts, m + 1)
-    codes, elems = _generating_elements(pts.spec.arc, pts.spec.codes_to(m), m)
+    codes, elems = _generating_elements(pts.spec.arc, pts.spec.codes, m)
     s, p = elems[m]
     target = DiffOperator(Polynomial(codes.d, p, _scale=s, _codes=codes)).apply_at(f, base)
     return ExpansionReport(m=m, low_coeffs=tuple(coeffs[:m]), lead=coeffs[m], target=target)
@@ -486,6 +490,8 @@ def sweep(
     base = tuple(Fraction(v) for v in z0)
     if base != pts.base:
         raise ValueError(f"evaluation point {base} differs from the point-set base {pts.base}")
+    if f.dim != len(base):  # as _lift refuses it, which a given target skips
+        raise ValueError(f"dimension mismatch: f has {f.dim}, points have {len(base)}")
     hs = sweep_steps(h0, steps, m, pts.spec.top_weight)
     weights = [float(a) for a in stencil(m)]
     if target is None:

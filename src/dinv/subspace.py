@@ -175,12 +175,6 @@ class GeneralSpec:
         made once per spec for its builders."""
         return MonomialCodes(self.d, self.top_weight)
 
-    def codes_to(self, top: int) -> MonomialCodes:
-        """A codec of the monomials of degree <= top: the spec's own up to
-        b_n, so the limit check's builds of B_0..B_m, one per order m,
-        make no codec."""
-        return self.codes if top <= self.top_weight else MonomialCodes(self.d, top)
-
     @cached_property
     def c(self) -> tuple[tuple[Fraction, ...], ...]:
         """The d dense coefficient vectors of length n."""

@@ -1252,6 +1252,14 @@ class TestIdentitySizeGuard:
 DEEP = {"n": 2, "d": 1, "b": [1, 100000], "c": [["1", "1"]]}
 
 
+# The full d = 3, n = 200 table a_ij = (7i + j) / (i + 13): D = lcm(15..213),
+# about 300 bits, so D^199 has about 60,000.
+WIDE_TABLE = {"d": 3, "n": 200, "a": {f"{i},{j}": f"{7 * i + j}/{i + 13}" for i in range(2, 201) for j in (2, 3)}}
+# Weights 1, 500 and 2000 over three 1000-digit denominators, whose lcm D has 2001 digits.
+GAP_SPEC = {"n": 3, "d": 2, "b": [1, 500, 2000],
+            "c": [["1", "1/" + "7" * 1000, "1/" + "3" * 999 + "1"], ["2", "5/" + "9" * 1000, "1"]]}
+
+
 class TestFuel:
     """The meter: cli.main arms the fuel for one command and disarms it in
     a finally, and a command's verdict does not depend on it but for
@@ -1273,9 +1281,14 @@ class TestFuel:
             ["verify", "--what", "equivalence", "--spec", "{b2000}"],
             # Dense u-series of 61 terms, charged from the cut products made.
             ["limit", "--m", "60", "--scheme", "a", "--spec", "{b60}", "--f", "{sparse}", "--z0", "3/2"],
+            # The points take h_coef(r, b_j) alone: no power of D is charged
+            # where none is computed, neither for the 603 terms of a point
+            # nor for the gap to b_n = 2000 over a 2001-digit D.
+            ["points", "--scheme", "b", "--h", "1/3", "--z0", "1/7,2/9,-3/11", "--spec", "{wide}"],
+            ["sweep", "--m", "1", "--scheme", "a", "--h0", "1.4", "--steps", "2", "--spec", "{gap}", "--f", "{gap_f}"],
         ],
         ids=["limit-a", "limit-b", "sweep", "study-n200", "identities-r120", "equivalence-digits", "equivalence-b2000",
-             "limit-b60"],
+             "limit-b60", "points-wide", "sweep-gap"],
     )
     def test_fast_inputs_accepted(self, argv, tmp_path, monkeypatch, capsys):
         # Each runs within the budget (a build to b_n = 100000 would not):
@@ -1289,9 +1302,13 @@ class TestFuel:
         (tmp_path / "f.txt").write_text("x1^3 + x1^2")
         (tmp_path / "lin.txt").write_text("x1 + x2")
         (tmp_path / "sparse.txt").write_text(" + ".join(f"x1^{k}" for k in range(1, 58, 7)))
+        (tmp_path / "wide.json").write_text(json.dumps(WIDE_TABLE))
+        (tmp_path / "gap.json").write_text(json.dumps(GAP_SPEC))
+        (tmp_path / "gap_f.txt").write_text("x1^2 + x2")
         names = {"deep": tmp_path / "deep.json", "n200": tmp_path / "n200.json", "f": tmp_path / "f.txt",
                  "lin": tmp_path / "lin.txt", "tmp": tmp_path, "digits": tmp_path / "digits.json",
-                 "b2000": tmp_path / "b2000.json", "b60": tmp_path / "b60.json", "sparse": tmp_path / "sparse.txt"}
+                 "b2000": tmp_path / "b2000.json", "b60": tmp_path / "b60.json", "sparse": tmp_path / "sparse.txt",
+                 "wide": tmp_path / "wide.json", "gap": tmp_path / "gap.json", "gap_f": tmp_path / "gap_f.txt"}
         argv = [a.format(**names) for a in argv]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -1693,7 +1710,7 @@ class TestApproxColumn:
 
     def _assert_rows_match(self, csv_text: str, scheme: str, m: int) -> None:
         spec = dinv.GeneralSpec.from_dict(GAPPED_SPEC)
-        f, pts = P(self.F), dinv.discretize.SCHEMES[scheme](spec, self.Z0)
+        f, pts = P(self.F), dinv.SymbolicPointSet(scheme, self.Z0, spec)
         lines = csv_text.splitlines()
         assert lines[0] == "h,approx,exact,abs_err,est_order" and len(lines) == 13
         for line in lines[1:]:
@@ -1789,6 +1806,21 @@ class TestSeriesSizeGuard:
     accumulation from its product's length, and each point's value from
     its length."""
 
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--m", "20", "--scheme", "a", "--steps", "2"], ["study", "--steps", "2", "--out-dir", "{tmp}"]],
+        ids=["sweep", "study"],
+    )
+    def test_powers_of_d_of_the_targets_refused_in_time(self, argv, tmp_path, capsys, small_budget):
+        # c_1j = 1/(10^999 + j): the targets' arc takes D^(b_j - 1) up to D^19,
+        # D the product of 19 1000-digit denominators, each charged first.
+        spec = tmp_path / "coprime.json"
+        c = ["1"] + [f"1/{10**999 + j}" for j in range(2, 21)]
+        spec.write_text(json.dumps({"n": 20, "d": 1, "b": list(range(1, 21)), "c": [c]}))
+        f = tmp_path / "f.txt"
+        f.write_text("x1")
+        argv = [a.format(tmp=tmp_path / "out") for a in argv]
+        _refused_in_time([*argv, "--spec", str(spec), "--f", str(f)], capsys, argv[0], "out of fuel in the limit series")
+
     @pytest.mark.parametrize("scheme", "ab")
     def test_order_5300_of_b5300_refused_at_once(self, scheme, tmp_path, capsys, small_budget):
         spec = tmp_path / "b5300.json"
@@ -1806,7 +1838,7 @@ class TestSeriesSizeGuard:
         spec, f, z0 = dinv.GeneralSpec.from_dict(B5300), P("x1^3 + x1^2", 1), (Fraction(1, 3),)
         dinv.fuel.arm(dinv.cli._budget_cells())
         try:
-            report = dinv.discretize.expansion_check(f, z0, m, dinv.discretize.SCHEMES["b"](spec, z0))
+            report = dinv.discretize.expansion_check(f, z0, m, dinv.points_scheme_b(spec, z0))
             assert accepted and report.passed
         except dinv.fuel.OutOfFuel as exc:
             assert not accepted and "out of fuel in the limit series" in str(exc)
@@ -1840,7 +1872,7 @@ class TestSeriesSizeGuard:
                     for m in range(t.n + 1):
                         for scheme in "ab":
                             dinv.fuel.arm(dinv.cli._budget_cells() // 100)
-                            dinv.discretize.expansion_check(f, z0, m, dinv.discretize.SCHEMES[scheme](t, z0))
+                            dinv.discretize.expansion_check(f, z0, m, dinv.SymbolicPointSet(scheme, z0, t))
         finally:
             dinv.fuel.disarm()
 

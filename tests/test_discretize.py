@@ -39,6 +39,13 @@ EXAMPLE_PARAMS = ParamTable(d=2, n=4, a={(2, 2): F(2), (3, 2): F(3), (4, 2): F(4
 ORIGIN2 = (F(0), F(0))
 
 
+def coprime_spec(n: int) -> GeneralSpec:
+    """d = 1, b = (1..n), c_1j = 1/(10^999 + j) for j >= 2: D is the product
+    of n - 1 pairwise coprime 1000-digit denominators."""
+    return GeneralSpec.from_dict({"n": n, "d": 1, "b": list(range(1, n + 1)),
+                                  "c": [["1"] + [f"1/{10**999 + j}" for j in range(2, n + 1)]]})
+
+
 def h_poly(coeffs: dict[int, int | Fraction]) -> Polynomial:
     return Polynomial(1, {(e,): F(c) for e, c in coeffs.items()})
 
@@ -224,6 +231,8 @@ class TestCombinationPoly:
                 expansion_check(f, ORIGIN2, 2, pts)
             with pytest.raises(ValueError, match=want):
                 sweep(f, ORIGIN2, 2, pts, h0=0.25, steps=3)
+            with pytest.raises(ValueError, match=want):  # a given target lifts no f
+                sweep(f, ORIGIN2, 2, pts, h0=0.25, steps=3, target=F(1))
         with pytest.raises(ValueError, match=want):
             arc(f, ORIGIN2, spec, 3)
 
@@ -542,7 +551,7 @@ class TestArc:
     def recurrence_targets(f, z0, spec, orders) -> list[Fraction]:
         """(B_m(D)f)(z0) for each m in orders: one recurrence on monomial
         codes to the last order, each B_m applied at z0 by apply_at."""
-        codes, elems = _generating_elements(spec.arc, spec.codes_to(max(orders)), max(orders))
+        codes, elems = _generating_elements(spec.arc, spec.codes, max(orders))
         return [DiffOperator(Polynomial(codes.d, elems[m][1], _scale=elems[m][0], _codes=codes)).apply_at(f, z0) for m in orders]
 
     def test_every_order_of_seeded_specs(self):
@@ -575,6 +584,21 @@ class TestArc:
         spec, f, z0 = self.CI
         for build in (points_scheme_a, points_scheme_b):
             assert all(expansion_check(f, z0, m, build(spec, z0)).passed for m in range(spec.top_weight + 1))
+
+    def test_powers_of_d_charged_before_they_are_taken(self, monkeypatch):
+        # D is the product of 19 1000-digit denominators, and the arc to t^20
+        # carries D^(b_j - 1) up to D^19: each power is charged before it is
+        # taken, so a small budget refuses the arc before it evaluates f.
+        def refused(*args):
+            raise AssertionError("the arc evaluated f")
+
+        monkeypatch.setattr(dinv.discretize, "_evaluate", refused)
+        dinv.fuel.arm(1_000_000)
+        try:
+            with pytest.raises(dinv.fuel.OutOfFuel, match="out of fuel in the limit series"):
+                arc(P("x1", 1), (F(0),), coprime_spec(20), 21)
+        finally:
+            dinv.fuel.disarm()
 
 
 class TestSweep:
@@ -708,6 +732,22 @@ class TestPointSetRule:
     def test_unknown_scheme_refused(self):
         with pytest.raises(ValueError, match="unknown scheme 'c': expected 'a' or 'b'"):
             SymbolicPointSet("c", ORIGIN2, self.SPEC)
+
+    def test_point_rule_charges_no_power_of_d(self):
+        # Point r's arc takes h_coef(r, b_j) alone; the D^(b_j - 1) of its
+        # u-series is charged where it is taken, so D does not move the rule's charge.
+        spent = []
+        for spec in (coprime_spec(20), GeneralSpec(n=20, d=1, b=range(1, 21), c=[[F(1)] * 20])):
+            for build in (points_scheme_a, points_scheme_b):
+                pts = build(spec, (F(1, 3),))
+                dinv.fuel.arm(10**30)
+                try:
+                    for r in range(21):
+                        pts.point_arc(r, 21)
+                    spent.append(dinv.fuel._spent)
+                finally:
+                    dinv.fuel.disarm()
+        assert spent[:2] == spent[2:]
 
     def test_point_arcs_rescale_the_spec_arc(self):
         # Point r's arc is the spec's with weight b's slots times h_coef(r, b);

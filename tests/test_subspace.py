@@ -458,7 +458,7 @@ def _product_steps(spec, top) -> tuple[Numerators, int, int]:
     fuel.charge = recorded
     fuel.arm(10**30)
     try:
-        return _closed_form_elements(spec.arc, spec.codes_to(top), top), stages.count("the closed form") - 1, fuel._spent
+        return _closed_form_elements(spec.arc, spec.codes, top), stages.count("the closed form") - 1, fuel._spent
     finally:
         fuel.disarm()
         fuel.charge = charge
@@ -604,8 +604,8 @@ class TestCharges:
             fuel.disarm()
 
     def _assert_charged(self, spec: GeneralSpec, top: int) -> None:
-        spec.codes_to(top)  # the codec is made, and charged, once per spec
-        nums, spent = self._spent(_generating_elements, spec.arc, spec.codes_to(top), top)
+        spec.codes  # the codec is made, and charged, once per spec
+        nums, spent = self._spent(_generating_elements, spec.arc, spec.codes, top)
         assert spent == generating_fuel(spec, generating_elements_tuple(spec.arc, top))
         if top < spec.top_weight:
             nums = _generating_elements(spec.arc, spec.codes, spec.top_weight)
@@ -1626,10 +1626,10 @@ class TestCodedKernels:
             # Every top up to b_n is keyed by the spec's own codec.
             for top in sorted({0, spec.top_weight // 2, spec.top_weight}):
                 codes = spec.codes
-                assert codes == MonomialCodes(d, spec.top_weight) and spec.codes_to(top) is codes
+                assert codes == MonomialCodes(d, spec.top_weight)
                 for coded, oracle in ((_generating_elements, generating_elements_tuple),
                                       (_closed_form_elements, closed_form_elements_tuple)):
-                    got = coded(spec.arc, spec.codes_to(top), top)
+                    got = coded(spec.arc, codes, top)
                     assert got.codes == codes
                     assert unpacked(got) == oracle(spec.arc, top)
                     assert got == packed(codes, oracle(spec.arc, top))
@@ -1664,10 +1664,9 @@ class TestCodedKernels:
 
     def test_builders_past_b_n(self):
         spec = GeneralSpec(n=2, d=2, b=(1, 3), c=[(F(1), F(2)), (F(-1, 2), F(0))])
-        assert spec.codes_to(5) == MonomialCodes(2, 5) != spec.codes
         for coded, oracle in ((_generating_elements, generating_elements_tuple),
                               (_closed_form_elements, closed_form_elements_tuple)):
-            got = coded(spec.arc, spec.codes_to(5), 5)
+            got = coded(spec.arc, MonomialCodes(2, 5), 5)
             assert got.codes == MonomialCodes(2, 5) and unpacked(got) == oracle(spec.arc, 5)
 
     def test_large_weights(self):
@@ -1684,7 +1683,7 @@ class TestCodedKernels:
             cases.append((GeneralSpec(n=3, d=d, b=b, c=c), b[-1]))
         for spec, top in cases:
             assert max(b for b, _ in spec.arc.by_weight) >= 50 and top >= 200
-            assert unpacked(_closed_form_elements(spec.arc, spec.codes_to(top), top)) == closed_form_elements_tuple(spec.arc, top)
+            assert unpacked(_closed_form_elements(spec.arc, spec.codes, top)) == closed_form_elements_tuple(spec.arc, top)
 
     def test_closure(self):
         rng = make_rng(181)
