@@ -51,16 +51,16 @@ which builds no basis and makes no point set.  The check keeps the
 recurrence, since the arc shares the series' cut products: a fault there
 would move both sides alike.
 
-The writers and the sweep read point(r), the same point as univariate
-polynomials in h made in Polynomial's integer form: coordinate i is
+The writers read point(r), the same point as univariate polynomials in h
+made in Polynomial's integer form: coordinate i is
 
     (p_i * D + q_i * sum_j n_ij * h_coef(r, b_j) * h^(b_j)) / (q_i * D),
 
 reduced by one gcd.  point(r) makes point r on each read and keeps
 nothing, so a writer that refuses a coefficient makes no later point.
-The sweep keeps each point's float terms: the sweep at order m reads the
-points 0..m, so study's sweeps of rising orders make and convert each
-point once per scheme.
+The sweep rounds each term of point r's arc to a float once and keeps
+them: the sweep at order m reads the points 0..m, so study's sweeps of
+rising orders convert each point once per scheme.
 """
 
 from __future__ import annotations
@@ -135,23 +135,31 @@ class SymbolicPointSet:
         """z_r(h) = z0 + (sum_j h_coef(r, b_j) * c_ij * h^(b_j))_i, 0 <= r <= b_n,
         each coordinate in Polynomial's integer form (module docstring)."""
         arc = self.point_arc(r, self.spec.top_weight + 1)
-        coords = [{(0,): v.numerator * arc.den} if v else {} for v in self.base]
-        for bj, form in arc.by_weight:
-            for i, n_ij in form:
-                coords[i][(bj,)] = n_ij * self.base[i].denominator
-        if fuel.metered:  # making and writing it, timed as cli.TERM_CELLS was: 150 per coordinate and per term
-            fuel.charge(150 * sum(len(c) + 1 for c in coords), "making a point")
+        coords = [({(0,): v.numerator * arc.den} if v else {}) | {(bj,): n_ij * v.denominator for bj, n_ij in form}
+                  for v, form in zip(self.base, arc.by_var)]
+        if fuel.metered:  # making and writing it, timed as cli.TERM_CELLS was: 150 per term (and per coordinate, in __iter__)
+            fuel.charge(150 * sum(map(len, coords)), "making a point")
         return tuple(Polynomial(1, c, _scale=v.denominator * arc.den) for c, v in zip(coords, self.base))
 
     def _float_point(self, r: int) -> list[list[tuple[tuple[int, ...], float]]]:
-        """point(r)'s coordinates as float terms, made and converted when
-        first read and kept, so sweeps of rising orders make and convert
-        each point once."""
+        """Point r's coordinates as float terms off its arc: z0_i, then
+        n_ij * h_coef(r, b_j) / D per weight, each rounded once from its
+        integers (_to_float).  Kept, so sweeps of rising orders convert each
+        point once."""
         if r not in self._floats:
-            self._floats[r] = [_float_terms(coord, f"a coefficient of point {r}") for coord in self.point(r)]
+            arc, what = self.point_arc(r, self.spec.top_weight + 1), f"a coefficient of point {r}"
+            if fuel.metered:  # as point(r) and __iter__ charge it
+                fuel.charge(150 * (arc.d + sum(len(form) for _, form in arc.by_weight)), "making a point")
+            self._floats[r] = [
+                ([((0,), _to_float(v.numerator, v.denominator, what))] if v else [])
+                + [((bj,), _to_float(n_ij, arc.den, what)) for bj, n_ij in form]
+                for v, form in zip(self.base, arc.by_var)
+            ]
         return self._floats[r]
 
     def __iter__(self) -> Iterator[tuple[Polynomial, ...]]:
+        if fuel.metered:  # every point's coordinates, 150 each, before the first point
+            fuel.charge(150 * self.spec.d * (self.spec.top_weight + 1), "making a point")
         return map(self.point, range(self.spec.top_weight + 1))
 
     def at(self, h: Fraction | int) -> Iterator[tuple[Fraction, ...]]:
@@ -272,7 +280,10 @@ def _lift(f: Polynomial, base: Sequence[Fraction]) -> tuple[int, list[tuple[tupl
 def _evaluate(terms: list[tuple[tuple[int, ...], int]], coords: list[list[int]], length: int) -> list[int]:
     """The u-coefficients of the lifted f (_lift) at a point's integer
     u-series (_u_series), over its scale, cut after u^(length-1); each
-    coordinate's powers are kept for this point only."""
+    coordinate's powers are kept for this point only.  Charged first, a
+    cell a slot, for its value list and a caller's pass over it."""
+    if fuel.metered:
+        fuel.charge(length, "the limit series")
     powers = [{1: coord} for coord in coords]  # powers[i][k] is coordinate i to the k-th
     value = [0] * length
     for e, c in terms:
@@ -308,12 +319,14 @@ def _series(f: Polynomial, m: int, pts: SymbolicPointSet, length: int) -> list[F
     f evaluated at each point's u-series, weighted by the integer
     (-1)^(m-r) * C(m, r) and summed over scale * m!."""
     scale, terms = _lift(f, pts.base)
+    if fuel.metered:  # a cell a slot of total, before it is made
+        fuel.charge(length, "the limit series")
     total = [0] * length
     w = -1 if m % 2 else 1  # the weight (-1)^(m-r) * C(m, r), carried from r to r + 1
     for r in range(m + 1):
         value = _evaluate(terms, _u_series(pts.base, pts.point_arc(r, length), length), length)
-        if fuel.metered:
-            fuel.charge(length + fuel.cells(*_nonzero_bits(value), m), "the limit series")
+        if fuel.metered:  # the pass over value is charged with it (_evaluate); its products by the weight
+            fuel.charge(fuel.cells(*_nonzero_bits(value), m), "the limit series")
         for t, v in enumerate(value):
             if v:
                 total[t] += w * v
@@ -327,7 +340,8 @@ def _u_series(base: Sequence[Fraction], arc: Arc, length: int) -> list[list[int]
     q_i * n_ij * D^(b_j - 1), ...] over q_i, z0_i = p_i / q_i.  k = D^(b_j - 1)
     is carried from the weight below, k *= D^(b_j - b_(j-1)), charged first
     with the weight's slots: that power as a squaring of half its bits, its
-    product by k and each slot's product by the new k."""
+    product by k, each slot's product by the new k, and a cell a zero its
+    coordinate is padded with."""
     den, below, k = arc.den, 1, 1
     coords = [[v.numerator] if v else [] for v in base]
     for bj, form in arc.by_weight:
@@ -335,7 +349,7 @@ def _u_series(base: Sequence[Fraction], arc: Arc, length: int) -> list[list[int]
             break
         if fuel.metered:
             step, k_bits = (bj - below) * den.bit_length(), (bj - 1) * den.bit_length()
-            slots = sum(fuel.cells(1, base[i].denominator.bit_length() + n_ij.bit_length(), k_bits) for i, n_ij in form)
+            slots = sum(fuel.cells(1, base[i].denominator.bit_length() + n_ij.bit_length(), k_bits) + bj - len(coords[i]) for i, n_ij in form)
             fuel.charge(fuel.cells(1, step >> 1, step >> 1) + fuel.cells(1, k.bit_length(), step) + slots, "the limit series")
         k, below = k * den ** (bj - below), bj
         for i, n_ij in form:
@@ -429,11 +443,6 @@ def _to_float(num: int, den: int, what: str) -> float:
         raise ValueError(f"{what} has {digits} digits before the point; no float can hold it") from None
 
 
-def _float_terms(p: Polynomial, what: str) -> list[tuple[tuple[int, ...], float]]:
-    s = p.scale
-    return [(e, _to_float(v, s, what)) for e, v in p.numerators.items()]
-
-
 def _eval_float(terms: Sequence[tuple[tuple[int, ...], float]], point: Sequence[float]) -> float:
     total = 0.0
     for e, term in terms:
@@ -493,11 +502,13 @@ def sweep(
     if f.dim != len(base):  # as _lift refuses it, which a given target skips
         raise ValueError(f"dimension mismatch: f has {f.dim}, points have {len(base)}")
     hs = sweep_steps(h0, steps, m, pts.spec.top_weight)
+    if fuel.metered:  # the m + 1 weights: 20 a Fraction and its float, and a product of two factorials of half m!'s bits
+        fuel.charge(20 * (m + 1) + fuel.cells(m + 1, m * m.bit_length() >> 1, m * m.bit_length() >> 1), "the sweep")
     weights = [float(a) for a in stencil(m)]
     if target is None:
         target = arc(f, base, pts.spec, m + 1)[m]
     exact = _to_float(target.numerator, target.denominator, f"the exact target (B_{m}(D)f)(z0)")
-    f_terms = _float_terms(f, "a coefficient of f")
+    f_terms = [(e, _to_float(v, f.scale, "a coefficient of f")) for e, v in f.numerators.items()]
     points = [pts._float_point(r) for r in range(m + 1)]
     rows: list[SweepRow] = []
     prev_err: float | None = None

@@ -316,14 +316,13 @@ def _closed_form_elements(arc: Arc, codes: MonomialCodes, top: int) -> Numerator
     and f_g = (n_ij * D^(b_j - 1))^g * v! / (w! * g!) to E_v: count vectors
     that reach one monomial at one weight are summed as they meet.  f_g is
     f_(g-1) times the step n_ij * D^(b_j - 1) and v! / (v - b_j)!, divided
-    exactly by g.  Metered, the scales are charged first and each (w, g)
-    just before it runs, from the integers at hand."""
+    exactly by g.  Metered, the scales and elements are charged first, in
+    one step, and each (w, g) just before it runs, from the integers at hand."""
     den = arc.den
     metered = fuel.metered
-    if metered:  # bounds on the bits of each scale m! * D^m, then of each E_w's numerators; a code's width
-        scale_bits = itertools.accumulate(m.bit_length() + den.bit_length() for m in range(top + 1))
-        fuel.charge(sum(8 + (s >> 6) for s in scale_bits), "the closed form")
-        bits, width = [1] + [0] * top, codes.high.bit_length()
+    if metered:  # 8 cells an element and a cell per 64 bits of its scale m! * D^m, at most m * (bits of top and of D), in O(1)
+        fuel.charge(8 * (top + 1) + (top * (top + 1) // 2 * (top.bit_length() + den.bit_length()) >> 6), "the closed form")
+        bits, width = [1] + [0] * top, codes.high.bit_length()  # bounds on the bits of each E_w's numerators; a code's width
     elems: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(top)]
     units = codes.units
     for bj, form in itertools.takewhile(lambda group: group[0] <= top, arc.by_weight):
@@ -492,14 +491,21 @@ def _recursive_numerators(params: GeneralSpec) -> Numerators:
     leads = [by_lead(p) for _, p in elems]
     lcm_k = 1
     metered = fuel.metered
-    sizes, width = [1, 1], high.bit_length()  # the mean bits of each element's numerators, and a code's width
+    if metered:  # each element's fixed cost, about 4 us, before the first: a huge n is refused at once
+        fuel.charge(40 * (n - 1), "the recursion")
+    sizes, width, den_bits = [1, 1], high.bit_length(), den.bit_length()  # the mean bits of each element's numerators; a code's width
+    entry_degrees = [i for i in by_deg if i >= 2]  # the degrees i with an entry a[i, j], ascending
     for k in range(2, n + 1):
         s_prev, p_prev = elems[k - 1]
-        if metered:  # k lcms of scales and d * k lookups
-            fuel.charge(fuel.cells(k, s_prev.bit_length() + den.bit_length()) + d * k, "the recursion")
+        if metered:  # k divisions of lcm(1..k), d * k lookups and L's first lcm
+            fuel.charge(fuel.cells(k, s_prev.bit_length() + den_bits) + d * k + fuel.lcms(1, s_prev.bit_length(), den_bits), "the recursion")
+        # L: only the degrees i < k with an entry add a summand D * S_(k-i) to clear.
         scale = math.lcm(s_prev, den)
-        for i in range(2, k):
-            scale = math.lcm(scale, den * elems[k - i][0])
+        for i in entry_degrees[: bisect_right(entry_degrees, k - 1)]:
+            s = den * elems[k - i][0]
+            if metered:
+                fuel.charge(fuel.lcms(1, scale.bit_length(), s.bit_length()), "the recursion")
+            scale = math.lcm(scale, s)
         lcm_k = math.lcm(lcm_k, k)
         # e_j + 1 <= k for every term, so each lcm_k / (e_j + 1) is exact.
         inv = [0] + [_exact_div(lcm_k, t) for t in range(1, k + 1)]
@@ -555,8 +561,8 @@ def build_recursive(params: GeneralSpec) -> BasisSequence:
 
     Run on integers (_recursive_numerators): each element is B_k = P_k / S_k
     and each entry a[i,j] = n_ij / D over the table's common denominator D.
-    With L = lcm(S_{k-1}, D * S_{k-i} for 2 <= i < k, D), L times every
-    summand of B_k before integration is integral, and
+    With L = lcm(S_{k-1}, D, D * S_{k-i} for each i < k with an a[i, j]),
+    L times every summand of B_k before integration is integral, and
 
         S_k = L * lcm(1..k)
 

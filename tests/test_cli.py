@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,8 +48,6 @@ GENERAL_N1 = {"n": 1, "d": 2, "b": [1], "c": [["1"], ["-2/3"]]}
 CANCELLING_SPEC = {"n": 3, "d": 2, "b": [1, 2, 3], "c": [["1", "1", "0"], ["1", "-1", "0"]]}
 CANCELLING_TABLE = {"d": 2, "n": 6, "a": {"2,2": "1", "3,2": "1", "4,2": "-1/2"}}
 SOURCES = ("recursive", "explicit", "general")
-# The builders of the integer numerators that basis, closure and breadth read.
-NUMERATOR_BUILDERS = ("_recursive_numerators", "_closed_form_elements", "_generating_elements")
 
 
 def P(text, dim=2):
@@ -907,27 +906,18 @@ def _at_its_fuel(argv, monkeypatch, capsys):
 class TestSizeGuard:
     """A spec's builds and checks are metered: a command refuses, exit 2
     with no output, the step of a builder or check that would pass the
-    budget, within 1.5 times it.  A spec whose b_n + 1 or slot count alone
-    passes the budget is refused before any build (the cheap bound)."""
-
-    @pytest.fixture
-    def no_builds(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("built before the cheap bound")
-
-        # Every build cli makes, example1's bases too, goes through these three.
-        for name in NUMERATOR_BUILDERS:
-            monkeypatch.setattr(dinv.cli, name, forbidden)
+    budget, within 1.5 times it.  Fuel is the only guard on size: a kernel
+    charges a list or loop as long as b_n or an order before it makes it,
+    so a huge b_n is refused at once by the kernel that would run it, and
+    a command that reads only low orders of it passes."""
 
     def _refused_at_once(self, argv, capsys, *named):
+        """main(argv) is refused for fuel within 1 s, before any output."""
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-        assert captured.err.startswith("error:") and captured.err.endswith(" of the 2 s budget\n")
-        for text in named:
-            assert text in captured.err, (text, captured.err)
+        command = f"verify --what {argv[2]}" if argv[0] == "verify" else argv[0]
+        _assert_refused(capsys.readouterr(), command, *named)
 
     @pytest.mark.parametrize(
         "argv", [["basis", "--source", "explicit"], ["verify", "--what", "equivalence"]], ids=["basis", "equivalence"]
@@ -948,10 +938,31 @@ class TestSizeGuard:
         path.write_text(json.dumps({"n": 120, "d": 1, "b": list(range(1, 121)), "c": [["1"] * 120]}))
         _refused_in_time(["verify", "--what", "equivalence", "--spec", str(path)], capsys, "verify --what equivalence")
 
-    def test_top_alone_refuses(self, tmp_path, capsys, no_builds):
+    def test_top_alone_refuses(self, tmp_path, capsys):
+        # The closed form charges its b_n + 1 scales and elements in one step, before it makes them.
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"d": 2, "n": 10**9, "a": {}}))
-        self._refused_at_once(["basis", "--source", "explicit", "--spec", str(path)], capsys, "at least 1,000,000,001 vectors x (d + 3)")
+        self._refused_at_once(["basis", "--source", "explicit", "--spec", str(path)], capsys, "out of fuel in the closed form")
+
+    def test_order_past_the_budget_refused_at_once(self, tmp_path, capsys):
+        # The limit series charges its h^0..h^m lists before it makes them: a
+        # billion-slot list is refused, not a MemoryError.
+        path, f = tmp_path / "t.json", tmp_path / "f.txt"
+        path.write_text(json.dumps({"d": 2, "n": 10**9, "a": {}}))
+        f.write_text("x1^2 + x2")
+        argv = ["limit", "--m", "999999999", "--scheme", "a", "--f", str(f), "--spec", str(path)]
+        self._refused_at_once(argv, capsys, "out of fuel in the limit series")
+
+    def test_recursion_of_an_empty_table_in_time(self, tmp_path, capsys):
+        # The recursion clears only the degrees with an entry, so the empty
+        # n = 1000 table takes no lcm of its wide scales (15-17 s when it took
+        # k of them for element k): each builder passes well inside the budget.
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"d": 2, "n": 1000, "a": {}}))
+        start = time.perf_counter()
+        assert main(["verify", "--what", "equivalence", "--spec", str(path)]) == 0
+        assert time.perf_counter() - start < 1.5 * dinv.cli.WORK_BUDGET_S
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
     @pytest.mark.parametrize(
         "flags, budget, named",
@@ -1095,16 +1106,54 @@ class TestSizeGuard:
         assert capsys.readouterr().err == "limit check m=1 scheme a: pass\n"
 
     def test_wide_full_table_past_the_bound(self, tmp_path, capsys):
-        # Under the 2 s budget: the cheap bound refuses this table at once under a smaller one.
+        # Under the default 2 s budget: the recurrence's elements of 1000 variables are refused as they grow.
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"d": 1000, "n": 5, "a": {f"{i},{j}": "1" for i in range(2, 6) for j in range(2, 1001)}}))
         _refused_in_time(["verify", "--what", "breadth", "--spec", str(path)], capsys, "verify --what breadth", "the generating recurrence")
 
-    def test_recurrence_huge_top_refused_without_weights(self, tmp_path, capsys, no_builds):
+    def test_recurrence_huge_top_refused_without_weights(self, tmp_path, capsys):
+        # The recursion charges each element's fixed cost before the first;
+        # the recurrence's elements hold m!, so its charges grow at once.
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"d": 2, "n": 10**9, "a": {}}))
-        for argv in (["basis", "--source", "recursive"], ["verify", "--what", "closure"]):
-            self._refused_at_once([*argv, "--spec", str(path)], capsys, "at least 1,000,000,001 vectors")
+        for argv, stage in ((["basis", "--source", "recursive"], "the recursion"), (["verify", "--what", "closure"], "the generating recurrence")):
+            self._refused_at_once([*argv, "--spec", str(path)], capsys, f"out of fuel in {stage}")
+
+    # The stage that refuses each command on a huge empty table, by its
+    # --source, --what or name.  An order-1 limit or sweep reads B_0, B_1 and
+    # points 0 and 1 alone, and passes.
+    HUGE_TOP_STAGES = {
+        "general": "the generating recurrence",
+        "recursive": "the recursion",
+        "explicit": "the closed form",
+        "closure": "the generating recurrence",
+        "breadth": "the generating recurrence",
+        "equivalence": "the closed form",
+        "points": "making a point",
+        "study": "the step checks",
+    }
+
+    def _on_huge_table(self, argv, n, tmp_path, capsys):
+        """argv on the empty d = 2 table of top n: refused at once in its
+        stage, or, for limit and sweep at order 1, passed at once."""
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"d": 2, "n": n, "a": {}}))
+        f = tmp_path / "f.txt"
+        f.write_text("x1^2 + x2")
+        extra = ["--out-dir", str(tmp_path / "out")] if argv[0] == "study" else []
+        if argv[0] in ("limit", "sweep", "study"):
+            extra += ["--f", str(f)]
+        full = [*argv, *extra, "--spec", str(path)]
+        if argv[0] in ("limit", "sweep"):
+            start = time.perf_counter()
+            assert main(full) == 0
+            assert time.perf_counter() - start < 1
+            captured = capsys.readouterr()
+            assert captured.out and "Traceback" not in captured.err
+        else:
+            stage = self.HUGE_TOP_STAGES[argv[2] if argv[0] in ("basis", "verify") else argv[0]]
+            self._refused_at_once(full, capsys, f"out of fuel in {stage}")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -1116,17 +1165,11 @@ class TestSizeGuard:
         ],
         ids=["points", "limit", "sweep", "study"],
     )
-    def test_point_commands_refuse_huge_top(self, argv, tmp_path, capsys, no_builds):
-        # Each point set has n + 1 points, so the cheap bound must act before any is built.
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps({"d": 2, "n": 10**9, "a": {}}))
-        f = tmp_path / "f.txt"
-        f.write_text("x1^2 + x2")
-        extra = ["--out-dir", str(tmp_path / "out")] if argv[0] == "study" else []
-        if argv[0] in ("limit", "sweep", "study"):
-            extra += ["--f", str(f)]
-        self._refused_at_once([*argv, *extra, "--spec", str(path)], capsys, "at least 1,000,000,001 vectors x (d + 3)")
-        assert not (tmp_path / "out").exists()
+    def test_point_commands_refuse_huge_top(self, argv, tmp_path, capsys):
+        # Each point set has n + 1 points: the points writer and study's step
+        # checks charge all of them before the first; limit and sweep at
+        # order 1 make only points 0 and 1.
+        self._on_huge_table(argv, 10**9, tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1144,18 +1187,10 @@ class TestSizeGuard:
         ],
         ids=["general", "recursive", "explicit", "closure", "breadth", "equivalence", "points", "limit", "sweep", "study"],
     )
-    def test_table_past_ssize_t_refused(self, argv, tmp_path, capsys, no_builds):
+    def test_table_past_ssize_t_refused(self, argv, tmp_path, capsys):
         # n = 10^19 > sys.maxsize: no len() of range(1, n + 1) may be taken
-        # before the cheap bound, which refuses the spec like any other huge table.
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps({"d": 2, "n": 10**19, "a": {}}))
-        f = tmp_path / "f.txt"
-        f.write_text("x1^2 + x2")
-        extra = ["--out-dir", str(tmp_path / "out")] if argv[0] == "study" else []
-        if argv[0] in ("limit", "sweep", "study"):
-            extra += ["--f", str(f)]
-        self._refused_at_once([*argv, *extra, "--spec", str(path)], capsys, "at least 10,000,000,000,000,000,001 vectors x (d + 3)")
-        assert not (tmp_path / "out").exists()
+        # before the charge that refuses the spec like any other huge table.
+        self._on_huge_table(argv, 10**19, tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "spec",
@@ -1258,6 +1293,8 @@ WIDE_TABLE = {"d": 3, "n": 200, "a": {f"{i},{j}": f"{7 * i + j}/{i + 13}" for i 
 # Weights 1, 500 and 2000 over three 1000-digit denominators, whose lcm D has 2001 digits.
 GAP_SPEC = {"n": 3, "d": 2, "b": [1, 500, 2000],
             "c": [["1", "1/" + "7" * 1000, "1/" + "3" * 999 + "1"], ["2", "5/" + "9" * 1000, "1"]]}
+# b = (1..30) with c_1j = 1/(10^999 + j) past the first: D is the lcm of 29 1000-digit denominators.
+COPRIME_SPEC = {"n": 30, "d": 1, "b": list(range(1, 31)), "c": [["1"] + [f"1/{10**999 + j}" for j in range(2, 31)]]}
 
 
 class TestFuel:
@@ -1286,9 +1323,16 @@ class TestFuel:
             # nor for the gap to b_n = 2000 over a 2001-digit D.
             ["points", "--scheme", "b", "--h", "1/3", "--z0", "1/7,2/9,-3/11", "--spec", "{wide}"],
             ["sweep", "--m", "1", "--scheme", "a", "--h0", "1.4", "--steps", "2", "--spec", "{gap}", "--f", "{gap_f}"],
+            # Order 1 of b_n = 2,000,000 reads B_0, B_1 and points 0 and 1 alone:
+            # no command is refused for b_n itself.
+            ["limit", "--m", "1", "--scheme", "a", "--spec", "{b2000000}", "--f", "{x1}"],
+            ["sweep", "--m", "1", "--scheme", "a", "--spec", "{b2000000}", "--f", "{x1}"],
+            # The float points are read off the point rule, each coefficient
+            # n_ij * h_coef / D rounded once: no gcd of 1000-digit integers.
+            ["sweep", "--m", "1", "--scheme", "a", "--steps", "2", "--spec", "{coprime}", "--f", "{x1}"],
         ],
         ids=["limit-a", "limit-b", "sweep", "study-n200", "identities-r120", "equivalence-digits", "equivalence-b2000",
-             "limit-b60", "points-wide", "sweep-gap"],
+             "limit-b60", "points-wide", "sweep-gap", "limit-b2000000", "sweep-b2000000", "sweep-coprime"],
     )
     def test_fast_inputs_accepted(self, argv, tmp_path, monkeypatch, capsys):
         # Each runs within the budget (a build to b_n = 100000 would not):
@@ -1305,10 +1349,14 @@ class TestFuel:
         (tmp_path / "wide.json").write_text(json.dumps(WIDE_TABLE))
         (tmp_path / "gap.json").write_text(json.dumps(GAP_SPEC))
         (tmp_path / "gap_f.txt").write_text("x1^2 + x2")
+        (tmp_path / "b2000000.json").write_text(json.dumps({"n": 2, "d": 1, "b": [1, 2000000], "c": [["1", "1"]]}))
+        (tmp_path / "coprime.json").write_text(json.dumps(COPRIME_SPEC))
+        (tmp_path / "x1.txt").write_text("x1")
         names = {"deep": tmp_path / "deep.json", "n200": tmp_path / "n200.json", "f": tmp_path / "f.txt",
                  "lin": tmp_path / "lin.txt", "tmp": tmp_path, "digits": tmp_path / "digits.json",
                  "b2000": tmp_path / "b2000.json", "b60": tmp_path / "b60.json", "sparse": tmp_path / "sparse.txt",
-                 "wide": tmp_path / "wide.json", "gap": tmp_path / "gap.json", "gap_f": tmp_path / "gap_f.txt"}
+                 "wide": tmp_path / "wide.json", "gap": tmp_path / "gap.json", "gap_f": tmp_path / "gap_f.txt",
+                 "b2000000": tmp_path / "b2000000.json", "coprime": tmp_path / "coprime.json", "x1": tmp_path / "x1.txt"}
         argv = [a.format(**names) for a in argv]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -2368,24 +2416,28 @@ class TestStudy:
 
     def test_each_point_is_converted_to_floats_once_per_scheme(self, general_file, tmp_path, monkeypatch, capsys):
         # study sweeps orders 0..b_n, and the sweep at order m reads points
-        # 0..m as floats: each point's coordinates are converted once per
-        # scheme, (b_n + 1) * d conversions, not once per order.
-        float_terms, converted = dinv.discretize._float_terms, []
+        # 0..m as floats: each point's float terms, z0_i and a term per slot
+        # of its arc, are converted once per scheme, not once per order.
+        to_float, converted = dinv.discretize._to_float, []
 
-        def counted(p, what):
+        def counted(num, den, what):
             if what.startswith("a coefficient of point"):
                 converted.append(what)
-            return float_terms(p, what)
+            return to_float(num, den, what)
 
-        monkeypatch.setattr(dinv.discretize, "_float_terms", counted)
+        monkeypatch.setattr(dinv.discretize, "_to_float", counted)
         f = tmp_path / "f.txt"
         f.write_text("x1^5*x2 + x2^3 - 2*x1^2 + 3")
         argv = ["study", "--spec", general_file, "--f", str(f), "--z0=-1/2,3", "--steps", "3"]
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
         capsys.readouterr()
         spec = dinv.GeneralSpec.from_dict(GENERAL_SPEC)
-        assert len(converted) == 2 * (spec.top_weight + 1) * spec.d
-        assert set(converted) == {f"a coefficient of point {r}" for r in range(spec.top_weight + 1)}
+        # Both coordinates of z0 are nonzero; point r's slots are those whose h_coef(r, b_j) is nonzero.
+        want = Counter()
+        for rule, _ in dinv.discretize.SCHEME_RULES.values():
+            for r in range(spec.top_weight + 1):
+                want[f"a coefficient of point {r}"] += spec.d + sum(len(form) for bj, form in spec.arc.by_weight if rule(r, bj))
+        assert Counter(converted) == want
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -2460,6 +2512,18 @@ class TestStudy:
         monkeypatch.setattr(dinv.cli, "WORK_BUDGET_S", SMALL_BUDGET_S)
         argv = ["study", "--spec", str(path), "--f", str(f), "--h0", "1", "--steps", "2", "--out-dir", str(tmp_path / "out")]
         _refused_in_time(argv, capsys, "study")
+        assert not (tmp_path / "out").exists()
+
+    def test_stencils_of_every_order_refused_in_time(self, tmp_path, capsys):
+        # b = (1, 1000) with c_12 = 0: each point and the arc hold x1's slot
+        # alone, but the sweep at order m makes m + 1 stencil weights over
+        # factorials of m!'s size, 4.6-4.8 s for orders 0..1000 uncharged.
+        # They are charged first: refused within 1.5 times the budget.
+        path, f = tmp_path / "g.json", tmp_path / "f.txt"
+        path.write_text(json.dumps({"n": 2, "d": 1, "b": [1, 1000], "c": [["1", "0"]]}))
+        f.write_text("x1")
+        argv = ["study", "--spec", str(path), "--f", str(f), "--h0", "3/2", "--steps", "2", "--out-dir", str(tmp_path / "out")]
+        _refused_in_time(argv, capsys, "study", "out of fuel in the sweep")
         assert not (tmp_path / "out").exists()
 
     def test_out_dir_is_a_file_exits_2(self, tmp_path, capsys):

@@ -600,6 +600,22 @@ class TestArc:
         finally:
             dinv.fuel.disarm()
 
+    def test_padding_charged_before_it_is_made(self, monkeypatch):
+        # b = (1, 10^6) in 20 variables: the arc to t^(10^6) pads each
+        # coordinate with 10^6 zeros, a cell each, charged before the lists
+        # are made, so a budget of half of them refuses the arc at once.
+        def refused(*args):
+            raise AssertionError("the arc evaluated f")
+
+        monkeypatch.setattr(dinv.discretize, "_evaluate", refused)
+        spec = GeneralSpec(n=2, d=20, b=(1, 10**6), c=[[1, 1]] + [[0, 1]] * 19)
+        dinv.fuel.arm(10_000_000)
+        try:
+            with pytest.raises(dinv.fuel.OutOfFuel, match="out of fuel in the limit series"):
+                arc(P("x1", 20), (F(0),) * 20, spec, 10**6 + 1)
+        finally:
+            dinv.fuel.disarm()
+
 
 class TestSweep:
     def make_pts(self):

@@ -647,6 +647,18 @@ class TestCharges:
                         ops += sum(1 for e in elems[k - i][1] if not any(e[:j]))
             assert spent >= ops > 0
 
+    def test_recursion_charges_the_lcms_it_takes(self, monkeypatch):
+        # Element k's L is lcm(S_(k-1), D) widened by D * S_(k-i) only for the
+        # degrees i < k with an entry: each lcm is charged by fuel.lcms first.
+        rng, lcms = make_rng(123), fuel.lcms
+        for _ in range(20):
+            t = random_param_table(rng, d=rng.choice((2, 3)), n=rng.randint(2, 9), fill=0.3)
+            calls = []
+            monkeypatch.setattr(fuel, "lcms", lambda *args: calls.append(args) or lcms(*args))
+            self._spent(_recursive_numerators, t)
+            degrees = {i for i, _ in t.a}
+            assert len(calls) == sum(1 + sum(1 for i in degrees if i < k) for k in range(2, t.n + 1))
+
     @pytest.mark.parametrize("d, top", [(50, 3), (300, 7), (1000, 1), (400, 20)])
     def test_codec_charges_its_bits(self, d, top):
         # A cell per 64 bits of the powers and units a codec keeps, charged before they are made.
@@ -1008,8 +1020,8 @@ class TestClosedForm:
                 assert charged == sum(g for _, _, _, g in want)
                 visits = count_compositions(top, _slot_weights(spec))
                 assert sum(n * g for _, _, n, g in want) < visits
-                # cli._check_top's bound: a step per slot and b_n + 1
-                # elements, at most as many as the walk's vectors.
+                # The closed form's b_n + 1 elements, charged up front, and
+                # its step per slot: each at most as many as the walk's vectors.
                 assert len(spec.entries) <= len(want)
                 assert max(top, len(spec.entries)) + 1 <= visits
 
